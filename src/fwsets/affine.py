@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, EmptySetError
 from .linalg import (
+    LinearSystem,
     Mat,
     Vec,
     dot,
@@ -15,7 +16,6 @@ from .linalg import (
     matvec,
     primitive,
     rank,
-    solve,
     vadd,
     vec,
     zeros,
@@ -82,11 +82,11 @@ class AffineManifold:
         if not a:
             raise DimensionMismatchError("need at least one equation row")
         n = len(a[0])
-        x0 = solve(a, b)
+        system = LinearSystem(a, n)
+        x0 = system.solve(b)
         if x0 is None:
             raise EmptySetError("the equation system has no solution")
-        basis = tuple(kernel_basis(a, ncols=n))
-        return AffineManifold(a, b, x0, basis, n)
+        return AffineManifold(a, b, x0, tuple(system.kernel), n)
 
     @staticmethod
     def from_point_basis(point, basis) -> "AffineManifold":

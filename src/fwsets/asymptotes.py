@@ -813,7 +813,6 @@ _ASYMPTOTE_CANDIDATES: dict[SetDescriptor, tuple[AffineManifold, ...]] = {}
 _PROJECTION_FACTS: dict[tuple, StoredFact] = {}
 _IMAGE_FACTS: dict[tuple, StoredFact] = {}
 _FW_WITNESSES: dict[SetDescriptor, NonAttainmentWitness] = {}
-_QFW_FACTS: dict[SetDescriptor, tuple[str, str]] = {}
 _registrations_loaded = False
 
 
@@ -835,21 +834,12 @@ def register_fw_witness(f, witness: NonAttainmentWitness):
     _FW_WITNESSES[f] = witness
 
 
-def register_qfw_fact(f, label, note):
-    _QFW_FACTS[f] = (label, note)
-
-
 def _ensure_builtin_registrations():
     global _registrations_loaded
     if _registrations_loaded:
         return
     _registrations_loaded = True
     from . import gallery  # noqa: F401  (import populates the registries)
-
-
-def known_asymptotes(f: SetDescriptor):
-    _ensure_builtin_registrations()
-    return _ASYMPTOTE_CANDIDATES.get(f, ())
 
 
 # ---------------------------------------------------------------------------
@@ -867,9 +857,6 @@ def classify_qfw(f: SetDescriptor) -> Classification:
     disqualifies.  Unknown is returned when no rule applies.
     """
     _ensure_builtin_registrations()
-    stored = _QFW_FACTS.get(f)
-    if stored is not None:
-        return Classification(stored[0], stored[1])
     if isinstance(f, HPolyhedron):
         return Classification(
             "qFW", "closed convex polyhedra attain all bounded-below quadratics"

@@ -16,10 +16,15 @@ over index subsets I, each of which double description turns into finitely
 many generators; dom(f) is then the intersection of the halfspaces
 ``c . (Z u) >= 0`` over all piece generators.  Everything here is exact.
 
-Minimization itself enumerates active sets of ``u >= 0`` in parameter space
-and solves the stationarity system of each face in rational arithmetic; the
-minimum over the collected stationary values is the exact infimum whenever
-the problem is bounded below (which the domain test decides first).
+Every minimum here (the form on the simplex, the cone program, the QP over
+``{A x <= b}``) is found by one face solver: a quadratic bounded below on a
+polyhedron attains its minimum at a stationary point of some face (Frank &
+Wolfe).  Each caller sets up the stationarity system of a face in rational
+arithmetic; one elimination gives its solution set ``z0 + span(kernel)``, on
+which the objective is constant, and a direct check (empty kernel) or an
+exact LP picks a feasible point of it.  The enumeration keeps the least
+``(value, face key)`` and skips that step for faces that cannot beat the
+incumbent.
 """
 
 from __future__ import annotations
@@ -31,18 +36,15 @@ from math import comb
 
 from .errors import FwsetsError, NotInDomainError, SizeCapError
 from .linalg import (
+    LinearSystem,
     Mat,
     ONE,
     Vec,
     ZERO,
     dot,
     is_zero,
-    kernel_basis,
     matvec,
     primitive,
-    rank,
-    rref,
-    solve,
     unit,
     vadd,
     vec,
@@ -114,55 +116,91 @@ class ConeMinVerdict:
     curvature: str | None = None
 
 
+def _feasible_point(z0: Vec, kernel, g: Mat, h: Vec) -> Vec | None:
+    """A point of ``z0 + span(kernel)`` with ``g z <= h``, or None.
+
+    A direct check when the kernel is empty, an exact LP otherwise.
+    """
+    if not kernel:
+        return z0 if all(dot(row, z0) <= hi for row, hi in zip(g, h)) else None
+    rows = tuple(tuple(dot(row, kv) for kv in kernel) for row in g)
+    rhs = tuple(hi - dot(row, z0) for row, hi in zip(g, h))
+    res = lp_solve(rows, rhs, zeros(len(kernel)))
+    if res.status != "optimal":
+        return None
+    return _combine(z0, kernel, res.x)
+
+
+def _combine(z0: Vec, vectors, coeffs: Vec) -> Vec:
+    """``z0 + sum_i coeffs[i] vectors[i]``."""
+    return tuple(
+        z0[i] + sum((v[i] * s for v, s in zip(vectors, coeffs)), ZERO)
+        for i in range(len(z0))
+    )
+
+
+def _least_face(faces):
+    """The least ``(value, key, z)`` over faces with a feasible stationary point.
+
+    ``faces`` yields ``(key, value, z0, kernel, g, h)`` for each face whose
+    stationarity system is consistent: its solution set is
+    ``z0 + span(kernel)``, the objective equals ``value`` all over it, and a
+    candidate must satisfy ``g z <= h``.  A face that cannot beat the
+    incumbent skips the feasibility step.  Returns None when no face has a
+    feasible stationary point.
+    """
+    best = None
+    for key, value, z0, kernel, g, h in faces:
+        if best is not None and (value, key) >= best[:2]:
+            continue
+        z = _feasible_point(z0, kernel, g, h)
+        if z is not None:
+            best = (value, key, z)
+    return best
+
+
+def _nonneg_rows(k: int, width: int) -> tuple[Mat, Vec]:
+    """``-z_i <= 0`` for the first k of ``width`` coordinates."""
+    return tuple(vscale(-ONE, unit(width, i)) for i in range(k)), zeros(k)
+
+
+def _scatter(idx: tuple[int, ...], values: Vec, p: int) -> Vec:
+    """The p-vector with ``values`` at positions ``idx`` and zeros elsewhere."""
+    full = [ZERO] * p
+    for pos, j in enumerate(idx):
+        full[j] = values[pos]
+    return tuple(full)
+
+
 def _form_min_on_simplex(h: Mat) -> tuple[Fraction, Vec]:
     """Exact ``min {u.H u : u >= 0, sum u = 1}`` with a witness.
 
-    Enumerates support sets; on each face the stationarity system
-    ``2 H_FF u_F = nu e, e.u_F = 1`` pins the value at nu/2 (constant on the
-    whole solution set, by symmetry of H), so collecting the values of all
-    faces with a nonnegative solution yields the global minimum.
+    Enumerates supports F, by size and then lexicographically; on each the
+    stationarity system ``2 H_FF u_F = nu e, e.u_F = 1`` in ``z = (u_F, nu)``
+    pins the value at nu/2 (constant on the whole solution set, by symmetry
+    of H), so the least value over supports with a nonnegative solution is
+    the global minimum.
     """
     p = len(h)
-    best: tuple[Fraction, Vec] | None = None
-    for size in range(1, p + 1):
-        for f_idx in itertools.combinations(range(p), size):
-            k = len(f_idx)
-            rows = []
-            for a in f_idx:
-                rows.append(tuple(2 * h[a][b] for b in f_idx) + (-ONE,))
-            rows.append(tuple(ONE for _ in f_idx) + (ZERO,))
-            rhs = zeros(k) + (ONE,)
-            sol = solve(tuple(rows), rhs)
-            if sol is None:
-                continue
-            u_f, nu = sol[:k], sol[k]
-            value = nu / 2
-            if best is not None and value >= best[0]:
-                continue
-            kern = kernel_basis(tuple(rows), ncols=k + 1)
-            if not kern:
-                if any(x < 0 for x in u_f):
-                    continue
-                candidate = u_f
-            else:
-                # search the solution set for a nonnegative representative
-                kcols = tuple(tuple(kv[i] for kv in kern) for i in range(k))
-                lp_rows = tuple(tuple(-c for c in row) for row in kcols)
-                lp_rhs = tuple(u_f[i] for i in range(k))
-                res = lp_solve(lp_rows, lp_rhs, zeros(len(kern)))
-                if res.status != "optimal":
-                    continue
-                candidate = tuple(
-                    u_f[i] + sum(kv[i] * s for kv, s in zip(kern, res.x))
-                    for i in range(k)
-                )
-            full = [ZERO] * p
-            for pos, a in enumerate(f_idx):
-                full[a] = candidate[pos]
-            best = (value, tuple(full))
+
+    def faces():
+        for size in range(1, p + 1):
+            g, zero = _nonneg_rows(size, size + 1)
+            rhs = zeros(size) + (ONE,)
+            for support in itertools.combinations(range(p), size):
+                rows = tuple(
+                    tuple(2 * h[a][b] for b in support) + (-ONE,) for a in support
+                ) + ((ONE,) * size + (ZERO,),)
+                system = LinearSystem(rows, size + 1)
+                z0 = system.solve(rhs)
+                if z0 is not None:
+                    yield (size, support), z0[size] / 2, z0, system.kernel, g, zero
+
+    best = _least_face(faces())
     if best is None:
         raise FwsetsError("simplex enumeration found no stationary face")
-    return best
+    value, (size, support), z = best
+    return value, _scatter(support, z[:size], p)
 
 
 def _generator_matrix(d: PolyCone) -> Mat:
@@ -279,12 +317,22 @@ def is_bounded_below_on_cone(
     return BoundednessResult(True)
 
 
+def scaled_descent_ray(d: Vec, slope: Fraction, curvature: Fraction) -> Vec:
+    """A ray along which ``t -> slope t + curvature t^2 / 2`` strictly
+    decreases from t = 1 on: d scaled by ``max(1, (|slope| + 1) / -curvature)``
+    when the curvature is negative, d itself otherwise."""
+    if curvature >= 0:
+        return d
+    return vscale(max(ONE, (abs(slope) + 1) / (-curvature)), d)
+
+
 class ConeProgram:
     """Reusable minimizer of ``c.x + 1/2 x.G x`` over a fixed cone.
 
     Caches the generator matrix, the conjugate form, the domain pieces and
-    the per-active-set factorization so a family of linear terms (as in the
-    two-level Motzkin reduction) can be minimized without rework.
+    the eliminated stationarity system of each face, keyed by free set, so a
+    family of linear terms (as in the two-level Motzkin reduction) can be
+    minimized without rework.
     """
 
     def __init__(self, g: Mat, d: PolyCone):
@@ -297,7 +345,7 @@ class ConeProgram:
         self.z = _generator_matrix(d)
         self.h = _conjugate_form(g, d)
         self._dom: DomF | None = None
-        self._face_cache: dict[tuple[int, ...], tuple[str, object]] = {}
+        self._face_systems: dict[tuple[int, ...], LinearSystem] = {}
 
     @property
     def dom(self) -> DomF:
@@ -308,53 +356,41 @@ class ConeProgram:
     def boundedness(self, c: Vec) -> BoundednessResult:
         return is_bounded_below_on_cone(c, self.g, self.d, dom=self.dom)
 
-    def _face_solver(self, free: tuple[int, ...]):
-        cached = self._face_cache.get(free)
-        if cached is not None:
-            return cached
-        k = len(free)
-        h_ff = tuple(tuple(self.h[a][b] for b in free) for a in free)
-        aug = tuple(h_ff[i] + unit(k, i) for i in range(k))
-        red, pivots = rref(aug)
-        if len(pivots) == k and all(pc < k for pc in pivots):
-            inv = tuple(tuple(red[i][k:]) for i in range(k))
-            entry = ("inv", inv)
-        else:
-            entry = ("general", h_ff)
-        self._face_cache[free] = entry
-        return entry
+    def _face_system(self, free: tuple[int, ...]) -> LinearSystem:
+        system = self._face_systems.get(free)
+        if system is None:
+            h_ff = tuple(tuple(self.h[a][b] for b in free) for a in free)
+            system = self._face_systems[free] = LinearSystem(h_ff, len(free))
+        return system
+
+    def _faces(self, r: Vec, constant: Fraction):
+        """Stationary sets ``H_FF u_F = -r_F`` keyed by active set; on one the
+        objective is ``r_F.u_F / 2 + constant``."""
+        orthants = [_nonneg_rows(k, k) for k in range(self.p + 1)]
+        for size in range(self.p + 1):
+            for active in itertools.combinations(range(self.p), size):
+                free = tuple(j for j in range(self.p) if j not in active)
+                r_f = tuple(r[j] for j in free)
+                system = self._face_system(free)
+                u0 = system.solve(vscale(-ONE, r_f))
+                if u0 is not None:
+                    value = dot(r_f, u0) / 2 + constant
+                    yield (active, value, u0, system.kernel) + orthants[len(free)]
 
     def minimize(self, c: Vec, constant: Fraction = ZERO) -> ConeMinVerdict:
         bound = self.boundedness(c)
         if not bound.bounded:
-            direction = self._scaled_descent(c, bound)
+            d = bound.certificate
+            direction = scaled_descent_ray(d, dot(c, d), dot(d, matvec(self.g, d)))
             return ConeMinVerdict(
                 "unbounded", direction=direction, curvature=bound.kind
             )
-        if self.p == 0:
-            return ConeMinVerdict(
-                "attained",
-                value=constant,
-                point=zeros(self.d.dim),
-                parameter_point=(),
-                active_set=(),
-                multipliers=(),
-            )
         r = tuple(dot(gen, c) for gen in self.d.generators)  # Z^T c
-        best: tuple[Fraction, tuple[int, ...], Vec] | None = None
-        for size in range(self.p + 1):
-            for active in itertools.combinations(range(self.p), size):
-                free = tuple(j for j in range(self.p) if j not in active)
-                u = self._solve_face(free, r)
-                if u is None:
-                    continue
-                value = self._objective(u, r, constant)
-                key = (value, active)
-                if best is None or key < (best[0], best[1]):
-                    best = (value, active, u)
+        best = _least_face(self._faces(r, constant))
         if best is None:
             raise FwsetsError("bounded program produced no stationary candidates")
-        value, active, u = best
+        value, active, u_f = best
+        u = _scatter(tuple(j for j in range(self.p) if j not in active), u_f, self.p)
         grad = vadd(matvec(self.h, u), r)
         multipliers = tuple(grad[i] for i in active)
         if any(m < 0 for m in multipliers):
@@ -370,55 +406,6 @@ class ConeProgram:
             active_set=active,
             multipliers=multipliers,
         )
-
-    def _objective(self, u: Vec, r: Vec, constant: Fraction) -> Fraction:
-        return dot(u, matvec(self.h, u)) / 2 + dot(r, u) + constant
-
-    def _solve_face(self, free: tuple[int, ...], r: Vec) -> Vec | None:
-        if not free:
-            return zeros(self.p)
-        k = len(free)
-        rhs = tuple(-r[a] for a in free)
-        kind, payload = self._face_solver(free)
-        if kind == "inv":
-            u_f = matvec(payload, rhs)
-            if any(x < 0 for x in u_f):
-                return None
-        else:
-            h_ff = payload
-            u0 = solve(h_ff, rhs)
-            if u0 is None:
-                return None
-            kern = kernel_basis(h_ff, ncols=k)
-            if not kern:
-                u_f = u0
-                if any(x < 0 for x in u_f):
-                    return None
-            else:
-                lp_rows = tuple(
-                    tuple(-kv[i] for kv in kern) for i in range(k)
-                )
-                res = lp_solve(lp_rows, tuple(u0), zeros(len(kern)))
-                if res.status != "optimal":
-                    return None
-                u_f = tuple(
-                    u0[i] + sum(kv[i] * s for kv, s in zip(kern, res.x))
-                    for i in range(k)
-                )
-        full = [ZERO] * self.p
-        for pos, j in enumerate(free):
-            full[j] = u_f[pos]
-        return tuple(full)
-
-    def _scaled_descent(self, c: Vec, bound: BoundednessResult) -> Vec:
-        d = bound.certificate
-        if bound.kind == "negative_slope":
-            return d
-        curvature = dot(d, matvec(self.g, d))
-        slope = dot(c, d)
-        # scale so the values strictly decrease from t = 1 onward
-        kappa = max(ONE, (abs(slope) + 1) / (-curvature))
-        return vscale(kappa, d)
 
 
 def minimize_on_polyhedral_cone(q: Quadratic, d: PolyCone) -> ConeMinVerdict:
@@ -454,12 +441,14 @@ MAX_FACE_SUBSETS = 200_000
 def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, Vec] | None:
     """Exact min of q over ``{A x <= b}`` assuming the infimum is attained.
 
-    Enumerates row subsets of size at most n; on each consistent face the
-    stationarity system pins a constant value, and a feasible representative
-    (unique solve, or an LP pick inside the solution set) becomes a
-    candidate.  The attained minimum is always among the candidates.
-    Returns None when no face carries a feasible stationary point, which
-    can only happen for programs that are unbounded below.
+    The faces are the row subsets J of size at most n with independent rows.
+    On the affine hull ``A_J x = b_J`` of one, written ``x0 + N t``, the
+    stationarity system ``N^T Q N t = -N^T grad q(x0)`` fixes the value, and
+    the face solver looks for a point of its solution set inside ``A x <= b``.
+    The attained minimum is the least value over faces with such a point;
+    ties go to the lexicographically least subset.  Returns None when no face
+    carries a feasible stationary point, which can only happen for programs
+    that are unbounded below.
     """
     n = p.dim
     m = len(p.a)
@@ -468,63 +457,27 @@ def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, V
         raise SizeCapError(
             f"face enumeration needs {total} subsets, exceeding {MAX_FACE_SUBSETS}"
         )
-    best: tuple[Fraction, tuple[int, ...], Vec] | None = None
-    for size in range(min(m, n) + 1):
-        for subset in itertools.combinations(range(m), size):
-            cand = _face_candidate(q, p, subset)
-            if cand is None:
-                continue
-            value, x = cand
-            key = (value, subset)
-            if best is None or key < (best[0], best[1]):
-                best = (value, subset, x)
+
+    def faces():
+        for size in range(min(m, n) + 1):
+            for subset in itertools.combinations(range(m), size):
+                hull = LinearSystem(tuple(p.a[i] for i in subset), n)
+                if hull.rank < size:
+                    continue
+                x0 = hull.solve(tuple(p.b[i] for i in subset))
+                nbasis = hull.kernel
+                qn = [matvec(q.a, v) for v in nbasis]
+                grad0 = q.gradient(x0)
+                m_red = tuple(tuple(dot(v, w) for w in qn) for v in nbasis)
+                stationary = LinearSystem(m_red, len(nbasis))
+                t0 = stationary.solve(tuple(-dot(v, grad0) for v in nbasis))
+                if t0 is None:
+                    continue
+                base = _combine(x0, nbasis, t0)
+                dirs = [_combine(zeros(n), nbasis, kv) for kv in stationary.kernel]
+                yield subset, q.evaluate(base), base, dirs, p.a, p.b
+
+    best = _least_face(faces())
     if best is None:
         return None
     return best[0], best[2]
-
-
-def _face_candidate(q: Quadratic, p: HPolyhedron, subset) -> tuple[Fraction, Vec] | None:
-    n = p.dim
-    a_j = tuple(p.a[i] for i in subset)
-    b_j = tuple(p.b[i] for i in subset)
-    if subset:
-        if rank(a_j) < len(subset):
-            return None
-        x0 = solve(a_j, b_j)
-        if x0 is None:
-            return None
-        nbasis = kernel_basis(a_j, ncols=n)
-    else:
-        x0 = zeros(n)
-        nbasis = [unit(n, i) for i in range(n)]
-    if not nbasis:
-        x = x0
-        return (q.evaluate(x), x) if p.contains(x) else None
-    ncols = tuple(zip(*nbasis))  # n x k, columns are basis vectors
-    k = len(nbasis)
-    grad0 = q.gradient(x0)
-    m_red = tuple(
-        tuple(dot(nbasis[i], matvec(q.a, nbasis[j])) for j in range(k))
-        for i in range(k)
-    )
-    rhs = tuple(-dot(nbasis[i], grad0) for i in range(k))
-    t0 = solve(m_red, rhs)
-    if t0 is None:
-        return None
-    kern = kernel_basis(m_red, ncols=k)
-    base = vadd(x0, tuple(dot(row, t0) for row in ncols))
-    if not kern:
-        return (q.evaluate(base), base) if p.contains(base) else None
-    # feasibility LP inside the stationary solution set
-    dirs = [tuple(dot(row, kv) for row in ncols) for kv in kern]
-    lp_rows = tuple(
-        tuple(dot(p.a[i], dv) for dv in dirs) for i in range(len(p.a))
-    )
-    lp_rhs = tuple(p.b[i] - dot(p.a[i], base) for i in range(len(p.a)))
-    res = lp_solve(lp_rows, lp_rhs, zeros(len(dirs)))
-    if res.status != "optimal":
-        return None
-    x = base
-    for dv, s in zip(dirs, res.x):
-        x = vadd(x, vscale(s, dv))
-    return q.evaluate(x), x

@@ -46,15 +46,6 @@ SET_KINDS = (
     "affine_image",
 )
 
-DOC_KINDS = SET_KINDS + (
-    "quadratic",
-    "cone",
-    "second_order_cone",
-    "affine_map",
-    "manifold",
-    "subspace",
-)
-
 
 def parse_rational(raw, path: str) -> Fraction:
     if isinstance(raw, bool):

@@ -141,7 +141,7 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
         for i in range(nrows):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -155,14 +155,8 @@ def rank(m: Mat) -> int:
     return len(rref(m)[1])
 
 
-def kernel_basis(m: Mat, ncols: int | None = None) -> list[Vec]:
-    """Basis of ``{x : m x = 0}``.  ``ncols`` is needed when ``m`` is empty."""
-    if not m:
-        if ncols is None:
-            raise ValueError("ncols required for an empty matrix")
-        return [unit(ncols, i) for i in range(ncols)]
-    n = len(m[0])
-    red, pivots = rref(m)
+def _kernel_from_rref(red: Mat, pivots: Sequence[int], n: int) -> list[Vec]:
+    """Kernel basis read off a reduced row echelon form with n columns."""
     free = [j for j in range(n) if j not in pivots]
     basis = []
     for j in free:
@@ -172,6 +166,16 @@ def kernel_basis(m: Mat, ncols: int | None = None) -> list[Vec]:
             v[pc] = -red[r][j]
         basis.append(tuple(v))
     return basis
+
+
+def kernel_basis(m: Mat, ncols: int | None = None) -> list[Vec]:
+    """Basis of ``{x : m x = 0}``.  ``ncols`` is needed when ``m`` is empty."""
+    if not m:
+        if ncols is None:
+            raise ValueError("ncols required for an empty matrix")
+        return [unit(ncols, i) for i in range(ncols)]
+    red, pivots = rref(m)
+    return _kernel_from_rref(red, pivots, len(m[0]))
 
 
 def solve(m: Mat, b: Vec) -> Vec | None:
@@ -192,6 +196,35 @@ def solve(m: Mat, b: Vec) -> Vec | None:
     for r, pc in enumerate(pivots):
         x[pc] = red[r][n]
     return tuple(x)
+
+
+class LinearSystem:
+    """``m x = b`` for a fixed m (``ncols`` columns) and any right-hand side.
+
+    ``[m | I]`` is eliminated once to ``[E | T]``: E is the reduced row
+    echelon form of m and ``T m = E``.  The rank, the kernel basis and, for
+    each b, the consistency test and the particular solution with zero free
+    coordinates (the one :func:`solve` returns) all follow without
+    eliminating again.
+    """
+
+    def __init__(self, m: Mat, ncols: int):
+        red, pivots = rref(tuple(row + unit(len(m), i) for i, row in enumerate(m)))
+        self.ncols = ncols
+        self.rank = sum(pc < ncols for pc in pivots)
+        self.pivots = pivots[: self.rank]
+        self.transform = tuple(row[ncols:] for row in red)
+        self.kernel = _kernel_from_rref(red, self.pivots, ncols)
+
+    def solve(self, b: Vec) -> Vec | None:
+        """The particular solution of ``m x = b``, or None when inconsistent."""
+        tb = matvec(self.transform, b)
+        if any(tb[self.rank :]):
+            return None
+        x = [ZERO] * self.ncols
+        for pc, value in zip(self.pivots, tb):
+            x[pc] = value
+        return tuple(x)
 
 
 def basis_of_span(vectors: Sequence[Vec], dim: int) -> list[Vec]:

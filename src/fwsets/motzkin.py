@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cone_qp import ConeProgram, minimize_over_hpolyhedron
+from .cone_qp import ConeProgram, minimize_over_hpolyhedron, scaled_descent_ray
 from .errors import (
     DimensionMismatchError,
     FwsetsError,
@@ -312,7 +312,7 @@ def minimize_on_motzkin(q: Quadratic, f: MotzkinSet, tol: Fraction | None = None
         return _probe_second_order(q, f)
     prog = ConeProgram(q.a, f.cone)
     if isinstance(f.compact, FinitePointSet):
-        return _minimize_over_points(q, f.compact.points, f.cone, prog)
+        return _minimize_over_points(q, f.compact.points, prog)
     if isinstance(f.compact, PolytopeK):
         return _minimize_over_polytope(q, f, prog)
     return _minimize_over_ball(q, f, prog, tol)
@@ -323,7 +323,7 @@ def inner_linear_term(q: Quadratic, y: Vec) -> Vec:
     return vadd(matvec(q.a, y), q.b)
 
 
-def _minimize_over_points(q, points, cone, prog: ConeProgram) -> AttainmentVerdict:
+def _minimize_over_points(q, points, prog: ConeProgram) -> AttainmentVerdict:
     best = None
     for y in points:
         c = inner_linear_term(q, y)
@@ -504,12 +504,9 @@ def _probe_second_order(q, f: MotzkinSet) -> AttainmentVerdict:
         curvature = dot(d, matvec(q.a, d))
         slope = dot(q.gradient(base), d)
         if curvature < 0 or (curvature == 0 and slope < 0):
-            if curvature < 0:
-                kappa = max(ONE, (abs(slope) + 1) / (-curvature))
-                d = vscale(kappa, d)
             return UnboundedBelow(
                 base=base,
-                direction=d,
+                direction=scaled_descent_ray(d, slope, curvature),
                 note="descent ray found inside the second-order cone",
             )
     return Unknown(

@@ -64,26 +64,6 @@ def sqrt_upper(x, scale: int = 10**12) -> Fraction:
     return sqrt_bounds(x, scale)[1]
 
 
-def sqrt_lower(x, scale: int = 10**12) -> Fraction:
-    return sqrt_bounds(x, scale)[0]
-
-
-def leq_sqrt(a, x) -> bool:
-    """Exact test ``a <= sqrt(x)`` for rationals a and x >= 0."""
-    a, x = rat(a), rat(x)
-    if a <= 0:
-        return True
-    return a * a <= x
-
-
-def geq_sqrt(a, x) -> bool:
-    """Exact test ``a >= sqrt(x)`` for rationals a and x >= 0."""
-    a, x = rat(a), rat(x)
-    if a < 0:
-        return False
-    return a * a >= x
-
-
 # ---------------------------------------------------------------------------
 # exact arithmetic with quadratic surds a + b sqrt(m)
 #

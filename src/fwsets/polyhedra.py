@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DimensionMismatchError, EmptySetError, SizeCapError
+from .errors import DimensionMismatchError, SizeCapError
 from .linalg import (
     Mat,
     ONE,
@@ -743,8 +743,3 @@ def farkas_certificate(p: HPolyhedron) -> Vec | None:
         return None
     return res.farkas
 
-
-def require_nonempty(p: HPolyhedron, what: str = "polyhedron") -> None:
-    cert = farkas_certificate(p)
-    if cert is not None:
-        raise EmptySetError(f"{what} is empty", certificate=cert)

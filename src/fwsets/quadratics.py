@@ -140,20 +140,3 @@ def restrict_to_affine(q: Quadratic, m: AffineManifold) -> Quadratic:
     t = AffineMap(tuple(zip(*basis)) if basis else tuple(() for _ in range(q.dim)), m.point)
     return compose_affine(q, t)
 
-
-def squared_distance_to_manifold(m: AffineManifold) -> Quadratic:
-    """The quadratic ``x -> |A x - b|^2`` for the manifold ``{A x = b}``.
-
-    It is convex, nonnegative, and vanishes exactly on the manifold.
-    """
-    n = m.dim
-    a2 = [[Fraction(0)] * n for _ in range(n)]
-    b2 = [Fraction(0)] * n
-    c2 = Fraction(0)
-    for row, rhs in zip(m.a, m.b):
-        for i in range(n):
-            for j in range(n):
-                a2[i][j] += 2 * row[i] * row[j]
-            b2[i] += -2 * rhs * row[i]
-        c2 += rhs * rhs
-    return Quadratic(tuple(tuple(r) for r in a2), tuple(b2), c2)

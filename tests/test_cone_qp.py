@@ -310,11 +310,13 @@ def test_hpoly_qp_nonconvex_on_box():
 def test_hpoly_qp_matches_cone_solver_on_random_cones():
     rng = random.Random(23)
     done = 0
+    singular_queries = 0
     while done < 15:
         n = rng.randint(1, 3)
+        # more generators than dimensions make H = Z^T G Z singular
         gens = [
             tuple(F(rng.randint(-2, 3)) for _ in range(n))
-            for _ in range(rng.randint(1, 3))
+            for _ in range(rng.randint(1, 4 if n <= 2 else 3))
         ]
         gens = [g for g in gens if any(x != 0 for x in g)]
         if not gens:
@@ -330,4 +332,19 @@ def test_hpoly_qp_matches_cone_solver_on_random_cones():
         res = minimize_over_hpolyhedron(q, h)
         assert res is not None
         assert res[0] == v.value
+        # one program for several linear terms: later queries reuse its
+        # cached face systems, singular ones included
+        prog = ConeProgram(q.a, d)
+        for _ in range(4):
+            c = tuple(F(rng.randint(-3, 3)) for _ in range(n))
+            w = prog.minimize(c)
+            if w.kind != "attained":
+                continue
+            qc = Quadratic(q.a, c, F(0))
+            assert qc.evaluate(w.point) == w.value
+            res = minimize_over_hpolyhedron(qc, h)
+            assert res is not None
+            assert res[0] == w.value
+            singular_queries += len(d.generators) > n
         done += 1
+    assert singular_queries >= 5
