@@ -7,13 +7,18 @@ symmetric G, the value function is
 
 Its domain is cut out by the zero set of the form on the cone:
 ``dom(f) = {c : c.x >= 0 for every x in D with x.G x = 0}``.  Writing
-``H = Z^T G Z``, the zero set in parameter space decomposes into the
-polyhedral pieces
+``H = Z^T G Z``, the sign of ``min {u.H u : u >= 0, sum u = 1}`` decides
+the shape first: negative, and dom(f) is empty; positive (H strictly
+copositive), and the zero set is {0}, so dom(f) is the whole space.  Only
+when the minimum is 0 is the zero set assembled, from the pieces
 
-    P_I = {u >= 0 : H u >= 0, u_i = 0 (i in I), (H u)_j = 0 (j not in I)}
+    P_I = {u >= 0 : u_i = 0 (i in I), H_FF u_F = 0},   F = complement(I),
 
-over index subsets I, each of which double description turns into finitely
-many generators; dom(f) is then the intersection of the halfspaces
+over index subsets I.  ``(H u)_I >= 0`` needs no row of its own: a zero of
+a copositive form minimizes it over ``u >= 0``, so ``H u >= 0`` there.  A
+piece is empty unless ``H_FF`` is singular; otherwise double description
+runs in the coordinates t of ``u_F = N t`` for a kernel basis N, on the
+rows ``N t >= 0`` alone.  dom(f) is the intersection of the halfspaces
 ``c . (Z u) >= 0`` over all piece generators.  Everything here is exact.
 
 Every minimum here (the form on the simplex, the cone program, the QP over
@@ -43,6 +48,7 @@ from .linalg import (
     ZERO,
     dot,
     is_zero,
+    kernel_basis,
     matvec,
     primitive,
     unit,
@@ -217,67 +223,91 @@ def _conjugate_form(g: Mat, d: PolyCone) -> Mat:
     return tuple(tuple(dot(gi, gzj) for gzj in gz) for gi in gens)
 
 
-def nonneg_form_on_cone(g: Mat, d: PolyCone) -> tuple[bool, Vec | None]:
-    """Decide ``x.G x >= 0`` on the cone; on failure return a witness ray."""
+def _check_generator_cap(p: int) -> None:
+    if p > MAX_GENERATORS:
+        raise SizeCapError(f"{p} generators exceed the cap {MAX_GENERATORS}")
+
+
+def _form_sign_on_cone(g: Mat, d: PolyCone) -> tuple[int, Vec | None]:
+    """The sign of ``min {u.H u : u >= 0, sum u = 1}`` for H = Z^T G Z.
+
+    -1 comes with a ray x of the cone with ``x.G x < 0``; +1 means the form
+    is strictly copositive, so its zero set on the cone is {0}; 0 means the
+    form is nonnegative with nonzero zeros.  A cone without generators
+    counts as +1.  The generator cap is checked before any enumeration.
+    """
+    _check_generator_cap(len(d.generators))
     if not d.generators:
-        return True, None
+        return 1, None
     for gen in d.generators:
         if dot(gen, matvec(g, gen)) < 0:
-            return False, gen
-    h = _conjugate_form(g, d)
-    value, u = _form_min_on_simplex(h)
+            return -1, gen
+    value, u = _form_min_on_simplex(_conjugate_form(g, d))
     if value < 0:
-        z = _generator_matrix(d)
-        return False, primitive(matvec(z, u))
-    return True, None
+        return -1, primitive(matvec(_generator_matrix(d), u))
+    return (1 if value > 0 else 0), None
+
+
+def nonneg_form_on_cone(g: Mat, d: PolyCone) -> tuple[bool, Vec | None]:
+    """Decide ``x.G x >= 0`` on the cone; on failure return a witness ray."""
+    sign, ray = _form_sign_on_cone(g, d)
+    return sign >= 0, ray
 
 
 def zero_set_pieces(g: Mat, d: PolyCone) -> list[ZeroSetPiece]:
     """The pieces P_I covering ``{u >= 0 : u.(Z^T G Z).u = 0}``.
 
     Precondition: the form is nonnegative on the cone (run
-    :func:`nonneg_form_on_cone` first).  Duplicate pieces are dropped.
+    :func:`nonneg_form_on_cone` first).  For each index set I, with F its
+    complement, ``H_FF`` is eliminated once; an empty kernel means
+    ``P_I = {0}`` and no piece.  Otherwise the extreme rays of
+    ``{t : N t >= 0}`` (N a kernel basis) map to the rays ``u_F = N t``,
+    ``u_I = 0`` of ``P_I``; ``H_FF u_F = 0`` holds by construction and
+    ``(H u)_I >= 0`` by the precondition.  Pieces come in the order of I
+    (by size, then lexicographically), and a piece whose ray set repeats an
+    earlier one is dropped.
     """
     p = len(d.generators)
-    if p > MAX_GENERATORS:
-        raise SizeCapError(f"{p} generators exceed the cap {MAX_GENERATORS}")
-    if p == 0:
-        return []
+    _check_generator_cap(p)
     h = _conjugate_form(g, d)
     pieces: list[ZeroSetPiece] = []
     seen: set[frozenset] = set()
-    for size in range(p + 1):
+    for size in range(p):
         for idx in itertools.combinations(range(p), size):
-            i_set = frozenset(idx)
-            rows: list[Vec] = []
-            for j in range(p):
-                rows.append(vscale(-ONE, unit(p, j)))          # u_j >= 0
-                rows.append(tuple(-h[j][k] for k in range(p)))  # (H u)_j >= 0
-            for i in idx:
-                rows.append(unit(p, i))                        # u_i <= 0
-            for j in range(p):
-                if j not in i_set:
-                    rows.append(tuple(h[j][k] for k in range(p)))  # (H u)_j <= 0
-            rays, lin = cone_h_to_v(rows, p)
-            if lin:
-                raise FwsetsError("zero-set piece unexpectedly contains a line")
-            if not rays:
+            free = tuple(j for j in range(p) if j not in idx)
+            kernel = kernel_basis(tuple(tuple(h[a][b] for b in free) for a in free))
+            if not kernel:
                 continue
+            n_rows = tuple(zip(*kernel))  # u_F = N t
+            # N has full column rank, so {t : N t >= 0} is pointed
+            rays_t, _ = cone_h_to_v([vscale(-ONE, row) for row in n_rows], len(kernel))
+            if not rays_t:
+                continue
+            rays = tuple(primitive(_scatter(free, matvec(n_rows, t), p)) for t in rays_t)
             key = frozenset(rays)
             if key in seen:
                 continue
             seen.add(key)
-            pieces.append(ZeroSetPiece(i_set, PolyCone(rays, p), rays))
+            pieces.append(ZeroSetPiece(frozenset(idx), PolyCone(rays, p), rays))
     return pieces
+
+
+def _zero_set(g: Mat, d: PolyCone) -> tuple[Vec | None, tuple[ZeroSetPiece, ...]]:
+    """``(ray, pieces)``: a ray of the cone with negative form value and no
+    pieces, or None and the zero-set pieces (none for a strictly copositive
+    form, whose zero set is {0})."""
+    sign, ray = _form_sign_on_cone(g, d)
+    if sign != 0:
+        return ray, ()
+    return None, tuple(zero_set_pieces(g, d))
 
 
 def dom_f(g: Mat, d: PolyCone) -> DomF:
     """The polyhedral domain of ``f(c) = inf_{x in D} c.x + 1/2 x.G x``."""
     n = d.dim
-    ok, ray = nonneg_form_on_cone(g, d)
-    if not ok:
+    ray, pieces = _zero_set(g, d)
+    if ray is not None:
         return DomF(None, (), n, negative_ray=ray)
-    pieces = tuple(zero_set_pieces(g, d))
     z = _generator_matrix(d)
     rows: list[Vec] = []
     for piece in pieces:
@@ -300,10 +330,9 @@ def is_bounded_below_on_cone(
     decrease linearly along it).
     """
     if dom is None:
-        ok, ray = nonneg_form_on_cone(g, d)
-        if not ok:
+        ray, pieces = _zero_set(g, d)
+        if ray is not None:
             return BoundednessResult(False, ray, "negative_curvature")
-        pieces = zero_set_pieces(g, d)
     elif dom.is_empty:
         return BoundednessResult(False, dom.negative_ray, "negative_curvature")
     else:
@@ -338,10 +367,8 @@ class ConeProgram:
     def __init__(self, g: Mat, d: PolyCone):
         self.g = g
         self.d = d
-        p = len(d.generators)
-        if p > MAX_GENERATORS:
-            raise SizeCapError(f"{p} generators exceed the cap {MAX_GENERATORS}")
-        self.p = p
+        self.p = len(d.generators)
+        _check_generator_cap(self.p)
         self.z = _generator_matrix(d)
         self.h = _conjugate_form(g, d)
         self._dom: DomF | None = None

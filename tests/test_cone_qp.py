@@ -1,10 +1,12 @@
 """Tests for cone quadratic programs: domains, pieces, exact minimization."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from fwsets import cone_qp
 from fwsets.cone_qp import (
     ConeProgram,
     dom_f,
@@ -15,9 +17,9 @@ from fwsets.cone_qp import (
     value_function_eval,
     zero_set_pieces,
 )
-from fwsets.errors import NotInDomainError
-from fwsets.linalg import dot, identity, matvec, vec, zeros
-from fwsets.polyhedra import HPolyhedron, PolyCone
+from fwsets.errors import NotInDomainError, SizeCapError
+from fwsets.linalg import dot, identity, matvec, unit, vec, vscale, zeros
+from fwsets.polyhedra import HPolyhedron, PolyCone, cone_h_to_v
 from fwsets.quadratics import Quadratic
 
 F = Fraction
@@ -137,6 +139,103 @@ def test_zero_set_pieces_cover_and_satisfy_equations():
             assert any(piece.cone.with_halfspaces().contains(u) for piece in pieces) or all(
                 x == 0 for x in u
             )
+
+
+def _reference_pieces(g_mat, d):
+    """The pieces by their definition: one double description per index set
+    I on the 3p rows ``u >= 0, H u >= 0, u_I <= 0, (H u)_F <= 0``, pieces
+    with an earlier ray set dropped, as ``(index_set, set of rays)``."""
+    z_cols = d.generators
+    h = tuple(tuple(dot(gi, matvec(g_mat, gj)) for gj in z_cols) for gi in z_cols)
+    p = len(z_cols)
+    pieces, seen = [], set()
+    for size in range(p + 1):
+        for idx in itertools.combinations(range(p), size):
+            rows = [vscale(F(-1), unit(p, j)) for j in range(p)]
+            rows += [vscale(F(-1), h[j]) for j in range(p)]
+            rows += [unit(p, i) for i in idx]
+            rows += [h[j] for j in range(p) if j not in idx]
+            rays, lin = cone_h_to_v(rows, p)
+            assert not lin
+            if rays and frozenset(rays) not in seen:
+                seen.add(frozenset(rays))
+                pieces.append((frozenset(idx), set(rays)))
+    return pieces
+
+
+def test_zero_set_pieces_match_their_definition():
+    # G = diag(1, 0) on the orthant: P_{} and P_{0} are both the u_2 axis,
+    # so the repeat is dropped
+    g_mat = ((F(1), F(0)), (F(0), F(0)))
+    pieces = zero_set_pieces(g_mat, orthant(2))
+    expected = [(frozenset(), {(F(0), F(1))})]
+    assert _reference_pieces(g_mat, orthant(2)) == expected
+    assert [(pc.index_set, set(pc.generators)) for pc in pieces] == expected
+
+    rng = random.Random(31)
+    counts = {"gram": 0, "zero_diagonal": 0, "strictly_copositive": 0}
+    singular_with_pieces = multi_ray_pieces = 0
+    for trial in range(45):
+        kind = list(counts)[trial % 3]
+        n = rng.randint(1, 3)
+        p = rng.randint(1, 5)
+        if kind == "gram":
+            # PSD (Gram) form on an arbitrary cone
+            m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            raw = [[2 * sum(r[i] * r[j] for r in m) for j in range(n)] for i in range(n)]
+            gens = [tuple(rng.randint(-2, 3) for _ in range(n)) for _ in range(p)]
+        elif kind == "zero_diagonal":
+            # nonnegative off-diagonal form on the orthant, with the
+            # coordinate axes among the generators: each has u.H u = 0
+            raw = [[0 if i == j else rng.randint(0, 2) for j in range(n)] for i in range(n)]
+            gens = [unit(n, i) for i in range(n)]
+            gens += [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(p - n)]
+        else:
+            # positive definite form on a pointed cone (x_0 > 0 on every generator)
+            m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            raw = [
+                [2 * sum(r[i] * r[j] for r in m) + 2 * (i == j) for j in range(n)]
+                for i in range(n)
+            ]
+            gens = [(rng.randint(1, 3),) + tuple(rng.randint(-2, 2) for _ in range(n - 1))
+                    for _ in range(p)]
+        gens = [g for g in gens if any(x != 0 for x in g)]
+        if not gens:
+            continue
+        d = PolyCone.from_generators(gens, n)
+        g_mat = Quadratic.build(raw).a
+        assert nonneg_form_on_cone(g_mat, d)[0]
+        counts[kind] += 1
+        pieces = zero_set_pieces(g_mat, d)
+        assert [(pc.index_set, set(pc.generators)) for pc in pieces] == _reference_pieces(g_mat, d)
+        dom = dom_f(g_mat, d)
+        assert dom.pieces == tuple(pieces)
+        if kind == "strictly_copositive":
+            assert not pieces and not dom.pieces
+            for _ in range(20):
+                assert dom.contains(tuple(F(rng.randint(-5, 5)) for _ in range(n)))
+        else:
+            singular_with_pieces += bool(pieces)
+            multi_ray_pieces += sum(len(pc.generators) > 1 for pc in pieces)
+    assert min(counts.values()) >= 10
+    assert singular_with_pieces >= 20
+    # pieces whose kernel double description runs in two or more coordinates
+    assert multi_ray_pieces >= 10
+
+
+def test_generator_cap_precedes_enumeration(monkeypatch):
+    # 13 generators: the cap is checked before the 2^13 simplex enumeration,
+    # also for a strictly copositive form that needs no zero-set pieces
+    def no_enumeration(h):
+        raise AssertionError("simplex enumeration ran before the cap check")
+
+    monkeypatch.setattr(cone_qp, "_form_min_on_simplex", no_enumeration)
+    d = PolyCone.from_generators([(1, k, 0) for k in range(13)], 3)
+    g = identity(3)
+    with pytest.raises(SizeCapError):
+        dom_f(g, d)
+    with pytest.raises(SizeCapError):
+        is_bounded_below_on_cone(vec((0, 0, 0)), g, d)
 
 
 # ---------------------------------------------------------------------------
