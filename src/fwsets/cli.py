@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -134,11 +135,10 @@ def _verdict_report(verdict) -> dict:
 def cmd_solve(args) -> int:
     _, fset = _load(args.set, SET_KINDS_FOR_CLI)
     _, quad = _load(args.quadratic, {"quadratic"})
-    tol = Fraction(args.tolerance).limit_denominator(10**15) if args.tolerance else None
-    if isinstance(fset, MotzkinSet) and tol is not None:
+    if isinstance(fset, MotzkinSet) and args.tolerance is not None:
         from .motzkin import minimize_on_motzkin
 
-        verdict = minimize_on_motzkin(quad, fset, tol=tol)
+        verdict = minimize_on_motzkin(quad, fset, tol=args.tolerance)
     else:
         verdict = minimize_on_descriptor(quad, fset)
     report = {"command": "solve", "seed": args.seed, **_verdict_report(verdict)}
@@ -319,6 +319,23 @@ def cmd_gallery(args) -> int:
     return EXIT_OK if payload["all_passed"] else EXIT_EMPTY
 
 
+def _tolerance(text: str) -> Fraction:
+    """A finite float rounded to a denominator of at most 10^15; the rounded
+    value must be positive (a usage error otherwise, exit code 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite, got {text!r}")
+    tol = Fraction(value).limit_denominator(10**15)
+    if tol <= 0:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be positive at a denominator of at most 10^15, got {text!r}"
+        )
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fwsets",
@@ -328,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--tolerance", type=float, default=None)
+    parser.add_argument("--tolerance", type=_tolerance, default=None)
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -58,7 +58,7 @@ from .linalg import (
     zeros,
 )
 from .polyhedra import HPolyhedron, PolyCone, cone_h_to_v, lp_solve
-from .quadratics import Quadratic
+from .quadratics import Quadratic, is_psd
 
 MAX_GENERATORS = 12
 
@@ -228,7 +228,7 @@ def _check_generator_cap(p: int) -> None:
         raise SizeCapError(f"{p} generators exceed the cap {MAX_GENERATORS}")
 
 
-def _form_sign_on_cone(g: Mat, d: PolyCone) -> tuple[int, Vec | None]:
+def _form_sign_on_cone(d: PolyCone, h: Mat) -> tuple[int, Vec | None]:
     """The sign of ``min {u.H u : u >= 0, sum u = 1}`` for H = Z^T G Z.
 
     -1 comes with a ray x of the cone with ``x.G x < 0``; +1 means the form
@@ -239,10 +239,10 @@ def _form_sign_on_cone(g: Mat, d: PolyCone) -> tuple[int, Vec | None]:
     _check_generator_cap(len(d.generators))
     if not d.generators:
         return 1, None
-    for gen in d.generators:
-        if dot(gen, matvec(g, gen)) < 0:
+    for i, gen in enumerate(d.generators):
+        if h[i][i] < 0:
             return -1, gen
-    value, u = _form_min_on_simplex(_conjugate_form(g, d))
+    value, u = _form_min_on_simplex(h)
     if value < 0:
         return -1, primitive(matvec(_generator_matrix(d), u))
     return (1 if value > 0 else 0), None
@@ -250,11 +250,11 @@ def _form_sign_on_cone(g: Mat, d: PolyCone) -> tuple[int, Vec | None]:
 
 def nonneg_form_on_cone(g: Mat, d: PolyCone) -> tuple[bool, Vec | None]:
     """Decide ``x.G x >= 0`` on the cone; on failure return a witness ray."""
-    sign, ray = _form_sign_on_cone(g, d)
+    sign, ray = _form_sign_on_cone(d, _conjugate_form(g, d))
     return sign >= 0, ray
 
 
-def zero_set_pieces(g: Mat, d: PolyCone) -> list[ZeroSetPiece]:
+def zero_set_pieces(g: Mat, d: PolyCone, h: Mat | None = None) -> list[ZeroSetPiece]:
     """The pieces P_I covering ``{u >= 0 : u.(Z^T G Z).u = 0}``.
 
     Precondition: the form is nonnegative on the cone (run
@@ -265,11 +265,12 @@ def zero_set_pieces(g: Mat, d: PolyCone) -> list[ZeroSetPiece]:
     ``u_I = 0`` of ``P_I``; ``H_FF u_F = 0`` holds by construction and
     ``(H u)_I >= 0`` by the precondition.  Pieces come in the order of I
     (by size, then lexicographically), and a piece whose ray set repeats an
-    earlier one is dropped.
+    earlier one is dropped.  ``h``, when given, is H already computed.
     """
     p = len(d.generators)
     _check_generator_cap(p)
-    h = _conjugate_form(g, d)
+    if h is None:
+        h = _conjugate_form(g, d)
     pieces: list[ZeroSetPiece] = []
     seen: set[frozenset] = set()
     for size in range(p):
@@ -292,20 +293,25 @@ def zero_set_pieces(g: Mat, d: PolyCone) -> list[ZeroSetPiece]:
     return pieces
 
 
-def _zero_set(g: Mat, d: PolyCone) -> tuple[Vec | None, tuple[ZeroSetPiece, ...]]:
+def _zero_set(
+    g: Mat, d: PolyCone, h: Mat | None = None
+) -> tuple[Vec | None, tuple[ZeroSetPiece, ...]]:
     """``(ray, pieces)``: a ray of the cone with negative form value and no
     pieces, or None and the zero-set pieces (none for a strictly copositive
-    form, whose zero set is {0})."""
-    sign, ray = _form_sign_on_cone(g, d)
+    form, whose zero set is {0}).  H is computed once, unless given."""
+    if h is None:
+        h = _conjugate_form(g, d)
+    sign, ray = _form_sign_on_cone(d, h)
     if sign != 0:
         return ray, ()
-    return None, tuple(zero_set_pieces(g, d))
+    return None, tuple(zero_set_pieces(g, d, h=h))
 
 
-def dom_f(g: Mat, d: PolyCone) -> DomF:
-    """The polyhedral domain of ``f(c) = inf_{x in D} c.x + 1/2 x.G x``."""
+def dom_f(g: Mat, d: PolyCone, h: Mat | None = None) -> DomF:
+    """The polyhedral domain of ``f(c) = inf_{x in D} c.x + 1/2 x.G x``;
+    ``h``, when given, is ``H = Z^T G Z`` already computed."""
     n = d.dim
-    ray, pieces = _zero_set(g, d)
+    ray, pieces = _zero_set(g, d, h)
     if ray is not None:
         return DomF(None, (), n, negative_ray=ray)
     z = _generator_matrix(d)
@@ -358,10 +364,20 @@ def scaled_descent_ray(d: Vec, slope: Fraction, curvature: Fraction) -> Vec:
 class ConeProgram:
     """Reusable minimizer of ``c.x + 1/2 x.G x`` over a fixed cone.
 
-    Caches the generator matrix, the conjugate form, the domain pieces and
-    the eliminated stationarity system of each face, keyed by free set, so a
-    family of linear terms (as in the two-level Motzkin reduction) can be
-    minimized without rework.
+    Caches the generator matrix, the conjugate form H (computed once and
+    handed to :func:`dom_f`), the domain pieces and the eliminated
+    stationarity system of each face, keyed by free set, so a family of
+    linear terms (as in the two-level Motzkin reduction) can be minimized
+    without rework.
+
+    :meth:`value` reuses faces across queries.  When H is positive
+    semidefinite (decided once, exactly) the program in u is a convex QP, so
+    the KKT conditions at one face certify its global minimum: the faces
+    that won earlier queries are solved first, most recent first, and a
+    face's value is taken when its stationary set holds a point with
+    ``u_F >= 0`` (the face solver's feasibility step) and the multipliers
+    ``(H u + Z^T c)_I`` are nonnegative.  The remembered faces change speed
+    only: :meth:`minimize` never reads them, and the minimum value is unique.
     """
 
     def __init__(self, g: Mat, d: PolyCone):
@@ -373,11 +389,14 @@ class ConeProgram:
         self.h = _conjugate_form(g, d)
         self._dom: DomF | None = None
         self._face_systems: dict[tuple[int, ...], LinearSystem] = {}
+        self._convex: bool | None = None
+        # active set -> free set of every face that won a query, most recent last
+        self._won_faces: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     @property
     def dom(self) -> DomF:
         if self._dom is None:
-            self._dom = dom_f(self.g, self.d)
+            self._dom = dom_f(self.g, self.d, h=self.h)
         return self._dom
 
     def boundedness(self, c: Vec) -> BoundednessResult:
@@ -417,13 +436,15 @@ class ConeProgram:
         if best is None:
             raise FwsetsError("bounded program produced no stationary candidates")
         value, active, u_f = best
-        u = _scatter(tuple(j for j in range(self.p) if j not in active), u_f, self.p)
+        free = tuple(j for j in range(self.p) if j not in active)
+        u = _scatter(free, u_f, self.p)
         grad = vadd(matvec(self.h, u), r)
         multipliers = tuple(grad[i] for i in active)
         if any(m < 0 for m in multipliers):
             raise FwsetsError("minimizer failed KKT multiplier verification")
         if any(grad[j] != 0 for j in range(self.p) if j not in active and u[j] != 0):
             raise FwsetsError("minimizer failed stationarity verification")
+        self._remember(active, free)
         point = matvec(self.z, u)
         return ConeMinVerdict(
             "attained",
@@ -433,6 +454,46 @@ class ConeProgram:
             active_set=active,
             multipliers=multipliers,
         )
+
+    def _remember(self, active: tuple[int, ...], free: tuple[int, ...]) -> None:
+        self._won_faces.pop(active, None)
+        self._won_faces[active] = free
+
+    def value(self, c: Vec) -> Fraction:
+        """``f(c)``, the exact infimum; raises NotInDomainError outside dom(f).
+
+        When H is positive semidefinite, the faces that won earlier queries
+        are tried first, most recent first: a KKT point of a convex QP is its
+        global minimum, and it proves c lies in dom(f).  Falls back to
+        :meth:`minimize`.
+        """
+        if self._convex is None:
+            self._convex = is_psd(self.h)
+        if self._convex and self._won_faces:
+            r = tuple(dot(gen, c) for gen in self.d.generators)  # Z^T c
+            for active, free in reversed(self._won_faces.items()):
+                r_f = tuple(r[j] for j in free)
+                system = self._face_system(free)
+                u_f = system.solve(vscale(-ONE, r_f))
+                if u_f is None:
+                    continue
+                # H is PSD, so H_FF v = 0 gives H v = 0: the multipliers are
+                # the same all over the solution set u_F + span(kernel)
+                u = _scatter(free, u_f, self.p)
+                if any(dot(self.h[i], u) + r[i] < 0 for i in active):
+                    continue
+                if any(x < 0 for x in u_f) and _feasible_point(
+                    u_f, system.kernel, *_nonneg_rows(len(free), len(free))
+                ) is None:
+                    continue
+                self._remember(active, free)
+                return dot(r_f, u_f) / 2
+        verdict = self.minimize(c)
+        if verdict.kind != "attained":
+            raise NotInDomainError(
+                "linear term lies outside dom(f)", certificate=verdict.direction
+            )
+        return verdict.value
 
 
 def minimize_on_polyhedral_cone(q: Quadratic, d: PolyCone) -> ConeMinVerdict:
@@ -449,12 +510,7 @@ def minimize_on_polyhedral_cone(q: Quadratic, d: PolyCone) -> ConeMinVerdict:
 
 def value_function_eval(c: Vec, g: Mat, d: PolyCone) -> Fraction:
     """``f(c)``, the exact infimum; raises NotInDomainError outside dom(f)."""
-    verdict = ConeProgram(g, d).minimize(vec(c))
-    if verdict.kind != "attained":
-        raise NotInDomainError(
-            "linear term lies outside dom(f)", certificate=verdict.direction
-        )
-    return verdict.value
+    return ConeProgram(g, d).value(vec(c))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,10 @@ class SizeCapError(FwsetsError):
     """An input exceeds the documented desk-scale size caps."""
 
 
+class InvalidParameterError(FwsetsError):
+    """A numeric parameter lies outside its valid range."""
+
+
 class EmptySetError(FwsetsError):
     """An operation that requires a nonempty set received an empty one.
 

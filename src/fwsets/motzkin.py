@@ -17,7 +17,13 @@ Minimization over F uses the two-level reduction
 with the inner value f supplied exactly by the cone program.  For polytope
 and finite compact parts both levels are exact; ball compact parts use a
 refining grid with local polishing and a single documented feasibility
-tolerance.
+tolerance.  On a ball each inner value is still exact: it comes from
+:meth:`ConeProgram.value`, which, when the inner program is convex, reuses
+a face that won at an earlier point once its KKT conditions certify it.
+The grid evaluates each point once (a memo keyed by point; each level
+revisits the points of earlier levels) and tests membership on the integer
+offsets ``k`` of a point, ``|k|^2 <= span^2``, which is exact because
+``y - center = (r / span) k``.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .cone_qp import ConeProgram, minimize_over_hpolyhedron, scaled_descent_ray
 from .errors import (
     DimensionMismatchError,
     FwsetsError,
+    InvalidParameterError,
     SizeCapError,
     UnsupportedKindError,
 )
@@ -302,12 +309,15 @@ def minimize_on_motzkin(q: Quadratic, f: MotzkinSet, tol: Fraction | None = None
     Polytope and finite compact parts with polyhedral cones are solved
     exactly; ball compact parts run a refining grid over the ball with the
     exact inner cone value, stopping when two successive refinements agree
-    within the tolerance.  A second-order cone may yield Unknown.
+    within the tolerance, which must be positive.  A second-order cone may
+    yield Unknown.
     """
     if q.dim != f.dim:
         raise DimensionMismatchError("quadratic and set dimensions differ")
     if tol is None:
         tol = FEASIBILITY_TOL
+    if not tol > 0:  # also rejects NaN
+        raise InvalidParameterError(f"tolerance must be positive, got {tol}")
     if not f.is_polyhedral_cone:
         return _probe_second_order(q, f)
     prog = ConeProgram(q.a, f.cone)
@@ -380,8 +390,7 @@ def _minimize_over_ball(q, f: MotzkinSet, prog: ConeProgram, tol: Fraction) -> A
         )
 
     def phi(y: Vec) -> Fraction:
-        inner = prog.minimize(inner_linear_term(q, y))
-        return q.evaluate(y) + inner.value
+        return q.evaluate(y) + prog.value(inner_linear_term(q, y))
 
     best_y, best_val = _grid_with_polish(phi, ball, tol)
     if best_y is None:
@@ -441,12 +450,25 @@ def _grid_with_polish(phi, ball: Ball, tol: Fraction):
     keep the first minimizer.  Refinement halves the grid step; the run
     counts as stabilized when two successive levels move the best value by
     less than tol, and returns (None, None) otherwise.
+
+    phi is evaluated once per point: a memo keyed by point answers the
+    revisits (every level repeats the points of the earlier levels and the
+    center, and polishing steps back onto earlier points).  A grid point
+    ``center + (r / span) k`` lies in the ball iff ``k.k <= span^2``.
     """
+    memo: dict[Vec, Fraction] = {}
+
+    def phi_once(y: Vec) -> Fraction:
+        val = memo.get(y)
+        if val is None:
+            val = memo[y] = phi(y)
+        return val
+
     n = ball.dim
     center = ball.center
     r = ball.radius
     best_y = center
-    best_val = phi(center)
+    best_val = phi_once(center)
     levels = {1: 5, 2: 4, 3: 3, 4: 2}[n]
     prev_val = None
     stabilized = False
@@ -454,10 +476,10 @@ def _grid_with_polish(phi, ball: Ball, tol: Fraction):
         step = r / (2**level)
         span = 2**level
         for offsets in itertools.product(range(-span, span + 1), repeat=n):
-            y = tuple(c + step * k for c, k in zip(center, offsets))
-            if not ball.contains(y):
+            if sum(k * k for k in offsets) > span * span:
                 continue
-            val = phi(y)
+            y = tuple(c + step * k for c, k in zip(center, offsets))
+            val = phi_once(y)
             if val < best_val:
                 best_val, best_y = val, y
         if prev_val is not None and abs(prev_val - best_val) < tol:
@@ -475,7 +497,7 @@ def _grid_with_polish(phi, ball: Ball, tol: Fraction):
                 )
                 if not ball.contains(y):
                     continue
-                val = phi(y)
+                val = phi_once(y)
                 if val < best_val:
                     best_val, best_y = val, y
                     improved = True

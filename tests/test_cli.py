@@ -265,3 +265,37 @@ def test_size_cap_exit_code(tmp_path):
     set_path = write(tmp_path, "p.json", doc)
     code = main(["decompose", set_path])
     assert code == 4
+
+
+def ball_doc():
+    return {
+        "version": "1",
+        "kind": "motzkin",
+        "payload": {
+            "compact": {"kind": "ball", "center": ["0", "0"], "radius": "1"},
+            "cone": {"kind": "polyhedral", "generators": [["0", "1"]], "dim": 2},
+        },
+    }
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "0", "1e-300", "nan", "inf"])
+def test_solve_rejects_unusable_tolerance(tmp_path, capsys, tolerance):
+    # 1e-300 rounds to 0 at a denominator of at most 10^15; before the check
+    # the non-positive values looped forever in the ball polish step
+    set_path = write(tmp_path, "ball.json", ball_doc())
+    q_path = write(tmp_path, "q.json", quad_doc([["2", "0"], ["0", "2"]], ["-6", "0"], "9"))
+    with pytest.raises(SystemExit) as exc:
+        main([f"--tolerance={tolerance}", "solve", set_path, q_path])
+    assert exc.value.code == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
+def test_solve_ball_with_tolerance(tmp_path, capsys):
+    set_path = write(tmp_path, "ball.json", ball_doc())
+    q_path = write(tmp_path, "q.json", quad_doc([["2", "0"], ["0", "2"]], ["-6", "0"], "9"))
+    code = main(["--format", "json", "--tolerance", "1e-6", "solve", set_path, q_path])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["verdict"] == "attained"
+    assert out["exact"] is False
+    assert abs(Fraction(out["value"]) - 4) < Fraction(1, 10**5)

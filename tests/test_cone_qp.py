@@ -20,7 +20,7 @@ from fwsets.cone_qp import (
 from fwsets.errors import NotInDomainError, SizeCapError
 from fwsets.linalg import dot, identity, matvec, unit, vec, vscale, zeros
 from fwsets.polyhedra import HPolyhedron, PolyCone, cone_h_to_v
-from fwsets.quadratics import Quadratic
+from fwsets.quadratics import Quadratic, is_psd
 
 F = Fraction
 
@@ -447,3 +447,70 @@ def test_hpoly_qp_matches_cone_solver_on_random_cones():
             singular_queries += len(d.generators) > n
         done += 1
     assert singular_queries >= 5
+
+
+def test_cone_value_does_not_depend_on_history(monkeypatch):
+    # value(c) may reuse faces that won earlier queries; whatever came
+    # before, it must equal minimize(c).value, and minimize(c) must give the
+    # witness a fresh program gives
+    minimize = ConeProgram.minimize
+    calls = {"minimize": 0}
+
+    def counting_minimize(self, c, constant=F(0)):
+        calls["minimize"] += 1
+        return minimize(self, c, constant)
+
+    monkeypatch.setattr(ConeProgram, "minimize", counting_minimize)
+    rng = random.Random(53)
+    fast = {True: 0, False: 0}
+    queries = {True: 0, False: 0}
+    for trial in range(16):
+        n = rng.randint(2, 3)
+        if trial % 2 == 0:
+            # Gram form on a cone of up to 4 generators: convex, singular
+            # faces once p > n
+            m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            raw = [[2 * sum(r[i] * r[j] for r in m) for j in range(n)] for i in range(n)]
+            gens = [tuple(rng.randint(-2, 3) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+        else:
+            # zero diagonal, nonnegative off-diagonal on the orthant plus a
+            # ray: copositive but indefinite
+            raw = [[0 if i == j else rng.randint(1, 2) for j in range(n)] for i in range(n)]
+            gens = [unit(n, i) for i in range(n)] + [tuple(rng.randint(0, 2) for _ in range(n))]
+        gens = [g for g in gens if any(x != 0 for x in g)]
+        if not gens:
+            continue
+        d = PolyCone.from_generators(gens, n)
+        g_mat = Quadratic.build(raw).a
+        convex = is_psd(ConeProgram(g_mat, d).h)
+        assert convex == (trial % 2 == 0)
+        cs = [tuple(F(rng.randint(-3, 3)) for _ in range(n)) for _ in range(8)]
+        fresh = {c: ConeProgram(g_mat, d).minimize(c) for c in cs}
+        orders = [cs, cs[::-1], rng.sample(cs, len(cs))]
+        for k, order in enumerate(orders):
+            prog = ConeProgram(g_mat, d)
+            for c in order:
+                ref = fresh[c]
+                if ref.kind != "attained":
+                    with pytest.raises(NotInDomainError):
+                        prog.value(c)
+                    continue
+                before = calls["minimize"]
+                assert prog.value(c) == ref.value
+                fast[convex] += calls["minimize"] == before
+                queries[convex] += 1
+                if k == 2:
+                    # interleave full answers, which also change the history
+                    w = prog.minimize(c)
+                    assert (w.value, w.active_set, w.parameter_point) == (
+                        ref.value, ref.active_set, ref.parameter_point
+                    )
+            for c in order:
+                w = prog.minimize(c)
+                assert (w.kind, w.value, w.active_set, w.parameter_point) == (
+                    fresh[c].kind, fresh[c].value, fresh[c].active_set, fresh[c].parameter_point
+                )
+    assert queries[True] >= 100 and queries[False] >= 30
+    assert fast[True] >= 40
+    # without a PSD form no face is certified by its KKT conditions alone
+    assert fast[False] == 0

@@ -1,13 +1,16 @@
 """Tests for Motzkin sets: classification, recession cones, minimization."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from fwsets.cone_qp import ConeProgram, value_function_eval
-from fwsets.linalg import dot, matvec, vec, zeros
+from fwsets.errors import InvalidParameterError
+from fwsets.linalg import dot, matvec, vadd, vec, zeros
 from fwsets.motzkin import (
+    FEASIBILITY_TOL,
     Attained,
     Ball,
     FinitePointSet,
@@ -16,6 +19,7 @@ from fwsets.motzkin import (
     SecondOrderCone,
     Unknown,
     UnboundedBelow,
+    _grid_with_polish,
     classify_fw,
     cross_check_recession,
     inner_linear_term,
@@ -23,7 +27,7 @@ from fwsets.motzkin import (
     recession_cone_of,
 )
 from fwsets.polyhedra import PolyCone
-from fwsets.quadratics import Quadratic
+from fwsets.quadratics import Quadratic, is_psd
 
 F = Fraction
 
@@ -196,6 +200,91 @@ def test_ball_grid_matches_exact_disk_minimum():
     assert isinstance(v, Attained)
     assert not v.exact
     assert abs(v.value - 4) < F(1, 10**6)
+
+
+def _ball_cases():
+    """Seeded bounded ball programs, two each for n = 2 with p = 1..4
+    generators (p >= 3 makes H singular) and n = 3 with p = 1, 2, under
+    positive definite objectives; then one whose H is not positive
+    semidefinite."""
+    rng = random.Random(19)
+    cases = []
+    for n, p in 2 * ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)):
+        gens = set()
+        while len(gens) < p:
+            g = tuple(rng.randint(-2, 2) for _ in range(n))
+            if any(g):
+                gens.add(g)
+        m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        a = [[sum(r[i] * r[j] for r in m) + (i == j) for j in range(n)] for i in range(n)]
+        q = Quadratic.build(a, [rng.randint(-4, 4) for _ in range(n)])
+        ball = Ball.build([rng.randint(-2, 2) for _ in range(n)], F(rng.randint(1, 4), 2))
+        cases.append((q, MotzkinSet(ball, PolyCone.from_generators(sorted(gens), n))))
+    # x1 x2 + 5 x1 + 5 x2 on the unit disk plus the orthant: the inner linear
+    # term stays positive, so the program is bounded, but H = [[0, 1], [1, 0]]
+    q = Quadratic.build([[0, 1], [1, 0]], [5, 5])
+    cases.append((q, MotzkinSet(Ball.build((0, 0), 1), orthant(2))))
+    return cases
+
+
+def test_ball_verdicts_match_exact_inner_path():
+    # the inner values may come from a remembered face; the verdict must be
+    # the one of a grid whose every inner value is a full minimize
+    attained = nonconvex = 0
+    for q, f in _ball_cases():
+        v = minimize_on_motzkin(q, f)
+        prog = ConeProgram(q.a, f.cone)
+        nonconvex += not is_psd(prog.h)
+
+        def phi(y):
+            return q.evaluate(y) + prog.minimize(inner_linear_term(q, y)).value
+
+        y, value = _grid_with_polish(phi, f.compact, FEASIBILITY_TOL)
+        if y is None:
+            assert isinstance(v, Unknown)
+            continue
+        assert isinstance(v, Attained)
+        assert v.value == value
+        assert v.point == vadd(y, prog.minimize(inner_linear_term(q, y)).point)
+        attained += 1
+    assert attained >= 10
+    assert nonconvex == 1
+
+
+def test_ball_grid_evaluates_each_ball_point_once():
+    # every grid level repeats the points of the earlier levels; each point
+    # reaches phi once, and only points of the ball reach it
+    for center, radius in (((F(1, 3),), F(3, 2)), ((0, F(-1, 2)), 1), ((1, 0, -1), F(1, 2))):
+        ball = Ball.build(center, radius)
+        n = ball.dim
+        seen = []
+
+        # squared distance to center + (r/3)(1, ..., 1): off every dyadic
+        # grid, so each level improves the best value and all levels run
+        target = tuple(c + ball.radius / 3 for c in ball.center)
+
+        def phi(y):
+            seen.append(y)
+            return sum((a - b) * (a - b) for a, b in zip(y, target))
+
+        _grid_with_polish(phi, ball, FEASIBILITY_TOL)
+        assert len(seen) == len(set(seen))
+        assert all(ball.contains(p) for p in seen)
+        levels = {1: 5, 2: 4, 3: 3}[n]
+        grid = {
+            tuple(c + ball.radius / 2**lv * k for c, k in zip(ball.center, ks))
+            for lv in range(levels)
+            for ks in itertools.product(range(-(2**lv), 2**lv + 1), repeat=n)
+        }
+        assert {p for p in grid if ball.contains(p)} <= set(seen)
+
+
+@pytest.mark.parametrize("tol", [F(0), F(-1), -1e-9, float("nan")])
+def test_nonpositive_tolerance_is_rejected(tol):
+    q = Quadratic.build([[2, 0], [0, 2]], [-6, 0], 9)
+    f = MotzkinSet(Ball.build((0, 0), 1), PolyCone.from_generators([(0, 1)]))
+    with pytest.raises(InvalidParameterError):
+        minimize_on_motzkin(q, f, tol=tol)
 
 
 def test_ball_escape_gives_exact_unbounded_certificate():
