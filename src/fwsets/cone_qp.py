@@ -137,6 +137,26 @@ def _feasible_point(z0: Vec, kernel, g: Mat, h: Vec) -> Vec | None:
     return _combine(z0, kernel, res.x)
 
 
+def _meets_orthant(z0: Vec, kernel) -> bool:
+    """Whether ``z0 + span(kernel)`` meets ``z >= 0``.
+
+    On a line ``z0 + t k`` it is an interval test: every ``k_i > 0`` bounds t
+    below by ``-z0_i / k_i``, every ``k_i < 0`` bounds it above, and
+    ``k_i = 0`` needs ``z0_i >= 0``.  Larger kernels take the exact LP.
+    """
+    if len(kernel) != 1:
+        return _feasible_point(z0, kernel, *_nonneg_rows(len(z0), len(z0))) is not None
+    lo = hi = None
+    for z, k in zip(z0, kernel[0]):
+        if k > 0:
+            lo = -z / k if lo is None else max(lo, -z / k)
+        elif k < 0:
+            hi = -z / k if hi is None else min(hi, -z / k)
+        elif z < 0:
+            return False
+    return lo is None or hi is None or lo <= hi
+
+
 def _combine(z0: Vec, vectors, coeffs: Vec) -> Vec:
     """``z0 + sum_i coeffs[i] vectors[i]``."""
     return tuple(
@@ -375,7 +395,8 @@ class ConeProgram:
     the KKT conditions at one face certify its global minimum: the faces
     that won earlier queries are solved first, most recent first, and a
     face's value is taken when its stationary set holds a point with
-    ``u_F >= 0`` (the face solver's feasibility step) and the multipliers
+    ``u_F >= 0`` (an interval test on a line, the face solver's exact LP on
+    a larger stationary set) and the multipliers
     ``(H u + Z^T c)_I`` are nonnegative.  The remembered faces change speed
     only: :meth:`minimize` never reads them, and the minimum value is unique.
     """
@@ -482,9 +503,7 @@ class ConeProgram:
                 u = _scatter(free, u_f, self.p)
                 if any(dot(self.h[i], u) + r[i] < 0 for i in active):
                     continue
-                if any(x < 0 for x in u_f) and _feasible_point(
-                    u_f, system.kernel, *_nonneg_rows(len(free), len(free))
-                ) is None:
+                if any(x < 0 for x in u_f) and not _meets_orthant(u_f, system.kernel):
                     continue
                 self._remember(active, free)
                 return dot(r_f, u_f) / 2

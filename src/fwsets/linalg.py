@@ -1,10 +1,17 @@
 """Exact rational vectors and matrices.
 
-Everything in the polyhedral layer is computed over ``fractions.Fraction``:
-a rational is a pair (numerator, positive denominator) in lowest terms, which
-``Fraction`` maintains by construction.  Vectors are tuples of Fractions and
-matrices are tuples of row tuples; keeping them immutable lets every higher
-layer share values freely.
+The API is over ``fractions.Fraction``: a rational is a pair (numerator,
+positive denominator) in lowest terms, which ``Fraction`` maintains by
+construction.  Vectors are tuples of Fractions and matrices are tuples of
+row tuples; keeping them immutable lets every higher layer share values
+freely.
+
+Elimination runs on Python ints inside.  Each row is scaled to a primitive
+integer row (a positive rescaling, so signs and zero patterns are kept),
+Gauss-Jordan elimination works fraction-free, dividing every updated row by
+the gcd of its entries, and Fractions are built once, from the finished
+rows.  The reduced row echelon form is unique, so the results are the ones
+Fraction elimination gives.
 
 No floating point enters this module.
 """
@@ -12,7 +19,7 @@ No floating point enters this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
@@ -106,53 +113,74 @@ def transpose(m: Mat) -> Mat:
     return tuple(zip(*m))
 
 
+def primitive_ints(v: Sequence[Fraction]) -> list[int]:
+    """The coprime integers of :func:`primitive`, as a list of ints."""
+    dens = [x.denominator for x in v]
+    den = lcm(*dens)
+    if den == 1:
+        ints = [x.numerator for x in v]
+    else:
+        ints = [x.numerator * (den // q) for x, q in zip(v, dens)]
+    g = gcd(*ints)
+    return [k // g for k in ints] if g > 1 else ints
+
+
 def primitive(v: Sequence[Fraction]) -> Vec:
     """Scale ``v`` by a positive rational so entries are coprime integers.
 
     The direction is preserved; used to canonicalize rays and halfspace
     normals so duplicates compare equal.
     """
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for k in ints:
-        g = gcd(g, abs(k))
-    if g == 0:
-        return tuple(ZERO for _ in v)
-    return tuple(Fraction(k, g) for k in ints)
+    return tuple(Fraction(k) for k in primitive_ints(v))
 
 
-def rref(m: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    rows = [list(r) for r in m]
+def int_rref(rows: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Returns the pivot columns.  Afterwards row r (r < rank) is a nonzero
+    multiple of row r of the reduced row echelon form, so it reads
+    ``row[j] / row[pivots[r]]``; the remaining rows are zero.  Every updated
+    row is divided by the gcd of its entries, which keeps them small.
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        prow = rows[r]
+        pv = prow[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                row = [pv * x - f * y if y else pv * x for x, y in zip(rows[i], prow)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return tuple(tuple(row) for row in rows), pivots
+    return pivots
+
+
+def rref(m: Mat) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form and the list of pivot columns."""
+    rows = [primitive_ints(r) for r in m]
+    pivots = int_rref(rows)
+    red = [
+        tuple(Fraction(x, row[pc]) if x else ZERO for x in row)
+        for row, pc in zip(rows, pivots)
+    ]
+    width = len(rows[0]) if rows else 0
+    red.extend(zeros(width) for _ in range(len(rows) - len(pivots)))
+    return tuple(red), pivots
 
 
 def rank(m: Mat) -> int:
-    if not m:
-        return 0
-    return len(rref(m)[1])
+    return len(int_rref([primitive_ints(r) for r in m]))
 
 
 def _kernel_from_rref(red: Mat, pivots: Sequence[int], n: int) -> list[Vec]:
@@ -227,25 +255,32 @@ class LinearSystem:
         return tuple(x)
 
 
+def independent_rows(rows: list[list[int]], limit: int) -> list[int]:
+    """Indices of the greedy first independent integer rows, at most ``limit``.
+
+    One incremental elimination: a row reduced against the rows chosen so far
+    is nonzero iff it is independent of them.  Each chosen row is stored
+    reduced, so it is zero at the leading columns of the rows before it.
+    """
+    chosen: list[int] = []
+    echelon: list[tuple[int, list[int]]] = []
+    for i, row in enumerate(rows):
+        for c, e in echelon:
+            f = row[c]
+            if f:
+                row = [e[c] * x - f * y for x, y in zip(row, e)]
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None:
+            continue
+        g = gcd(*row)
+        echelon.append((c, [x // g for x in row]))
+        chosen.append(i)
+        if len(chosen) == limit:
+            break
+    return chosen
+
+
 def basis_of_span(vectors: Sequence[Vec], dim: int) -> list[Vec]:
     """An independent subset spanning the same subspace."""
-    basis: list[Vec] = []
-    current: Mat = ()
-    for v in vectors:
-        if is_zero(v):
-            continue
-        cand = current + (v,)
-        if rank(cand) > len(basis):
-            basis.append(v)
-            current = cand
-        if len(basis) == dim:
-            break
-    return basis
-
-
-def complement_basis(subspace: Sequence[Vec], dim: int) -> list[Vec]:
-    """Coordinate vectors completing ``subspace`` to a basis of R^dim."""
-    if not subspace:
-        return [unit(dim, i) for i in range(dim)]
-    _, pivots = rref(tuple(subspace))
-    return [unit(dim, j) for j in range(dim) if j not in pivots]
+    ints = [primitive_ints(v) for v in vectors]
+    return [vectors[i] for i in independent_rows(ints, dim)]

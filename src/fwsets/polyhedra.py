@@ -12,8 +12,12 @@ Conventions
 All arithmetic is rational.  Conversion between the two polyhedron forms is
 the double description method run on a pointed homogenized cone; lineality is
 split off exactly beforehand, so the classical combinatorial adjacency test
-applies.  Size caps (ambient dimension <= 10, at most 64 rows or generators)
-keep the desk-scale blowup predictable; exceeding them raises SizeCapError.
+applies.  The method itself runs on primitive integer vectors (Fukuda &
+Prodon, "Double description method revisited", 1996): rows and rays are
+coprime ints, a new ray is an integer combination divided by its gcd, and
+Fractions are built only for the rays returned.  Size caps (ambient
+dimension <= 10, at most 64 rows or generators) keep the desk-scale blowup
+predictable; exceeding them raises SizeCapError.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .errors import DimensionMismatchError, SizeCapError
 from .linalg import (
@@ -29,14 +35,14 @@ from .linalg import (
     Vec,
     ZERO,
     basis_of_span,
-    complement_basis,
     dot,
+    independent_rows,
+    int_rref,
     is_zero,
     kernel_basis,
     mat,
     primitive,
-    rank,
-    solve,
+    primitive_ints,
     unit,
     vadd,
     vec,
@@ -228,73 +234,71 @@ def _pointed_dd(rows: list[Vec], d: int) -> list[Vec]:
 
     Requires the row matrix to have full column rank d (pointed cone).
     Classical incremental double description: seed with a simplicial cone
-    from d independent rows, then insert the remaining rows one at a time,
-    pairing adjacent rays across the new hyperplane.
+    from the first d independent rows, then insert the remaining rows one at
+    a time, pairing adjacent rays across the new hyperplane.  It runs on
+    primitive integer rows and rays: each row is rescaled once by a positive
+    factor, which keeps every sign and zero set, and each new ray
+    ``v_p r_q - v_q r_p`` is divided by its gcd, which makes it primitive.
+    Zero sets are bitmasks over the row indices.
     """
     if d == 0:
         return []
-    # greedy selection of d independent rows for the seed
-    seed: list[int] = []
-    chosen: list[Vec] = []
-    for i, row in enumerate(rows):
-        if rank(tuple(chosen + [row])) > len(chosen):
-            chosen.append(row)
-            seed.append(i)
-        if len(seed) == d:
-            break
+    ints = [primitive_ints(r) for r in rows]
+    seed = independent_rows(ints, d)
     if len(seed) < d:
         raise DimensionMismatchError("cone is not pointed: rows do not have full rank")
 
-    # rays of the simplicial seed cone: columns of -M^{-1}
-    m = tuple(rows[i] for i in seed)
-    rays: list[Vec] = []
-    zero_sets: list[set[int]] = []
+    # rays of the simplicial seed cone: columns of -M^{-1}.  [M | -I] reduces
+    # to rows p_k (e_k | (-M^{-1})_k) with p_k of either sign, so scaling row k
+    # by L / p_k (L = lcm |p_k| > 0) leaves -M^{-1} times the positive L.
+    aug = [ints[i] + [-1 if k == j else 0 for k in range(d)] for j, i in enumerate(seed)]
+    int_rref(aug)
+    scale = lcm(*(row[k] for k, row in enumerate(aug)))
+    rays: list[tuple[int, ...]] = []
+    zero_sets: list[int] = []
+    all_seed = sum(1 << i for i in seed)
     for j in range(d):
-        col = _solve_unique(m, tuple(-ONE if k == j else ZERO for k in range(d)))
-        rays.append(primitive(col))
-        zero_sets.append({seed[k] for k in range(d) if k != j})
+        col = [row[d + j] * (scale // row[k]) for k, row in enumerate(aug)]
+        g = gcd(*col)
+        rays.append(tuple(x // g for x in col))
+        zero_sets.append(all_seed & ~(1 << seed[j]))
 
-    processed = set(seed)
-    for t, row in enumerate(rows):
-        if t in processed:
+    seed_set = set(seed)
+    for t, row in enumerate(ints):
+        if t in seed_set:
             continue
-        vals = [dot(row, r) for r in rays]
+        bit = 1 << t
+        vals = [sum(map(mul, row, r)) for r in rays]
         if all(v <= 0 for v in vals):
             for i, v in enumerate(vals):
                 if v == 0:
-                    zero_sets[i].add(t)
-            processed.add(t)
+                    zero_sets[i] |= bit
             continue
-        keep_idx = [i for i, v in enumerate(vals) if v <= 0]
+        new_rays: list[tuple[int, ...]] = []
+        new_zsets: list[int] = []
+        for i, v in enumerate(vals):
+            if v <= 0:
+                new_rays.append(rays[i])
+                new_zsets.append(zero_sets[i] | bit if v == 0 else zero_sets[i])
         pos_idx = [i for i, v in enumerate(vals) if v > 0]
         neg_idx = [i for i, v in enumerate(vals) if v < 0]
-        new_rays: list[Vec] = []
-        new_zsets: list[set[int]] = []
-        for i in keep_idx:
-            zs = set(zero_sets[i])
-            if vals[i] == 0:
-                zs.add(t)
-            new_rays.append(rays[i])
-            new_zsets.append(zs)
         for p in pos_idx:
             for q in neg_idx:
                 common = zero_sets[p] & zero_sets[q]
-                adjacent = True
-                for k in range(len(rays)):
-                    if k != p and k != q and common <= zero_sets[k]:
-                        adjacent = False
-                        break
-                if not adjacent:
+                if any(
+                    k != p and k != q and common & zs == common
+                    for k, zs in enumerate(zero_sets)
+                ):
                     continue
-                combo = primitive(
-                    vadd(vscale(vals[p], rays[q]), vscale(-vals[q], rays[p]))
-                )
-                if is_zero(combo):
+                vp, vq, rp, rq = vals[p], vals[q], rays[p], rays[q]
+                combo = [vp * y - vq * x for x, y in zip(rp, rq)]
+                g = gcd(*combo)
+                if g == 0:
                     continue
-                new_rays.append(combo)
-                new_zsets.append(common | {t})
+                new_rays.append(tuple(x // g for x in combo))
+                new_zsets.append(common | bit)
         rays, zero_sets = [], []
-        seen: dict[Vec, int] = {}
+        seen: dict[tuple[int, ...], int] = {}
         for r, zs in zip(new_rays, new_zsets):
             if r in seen:
                 zero_sets[seen[r]] |= zs
@@ -302,39 +306,33 @@ def _pointed_dd(rows: list[Vec], d: int) -> list[Vec]:
                 seen[r] = len(rays)
                 rays.append(r)
                 zero_sets.append(zs)
-        processed.add(t)
-    return rays
-
-
-def _solve_unique(m: Mat, b: Vec) -> Vec:
-    x = solve(m, b)
-    if x is None:
-        raise DimensionMismatchError("singular system in dd seed")
-    return x
+    return [tuple(Fraction(x) for x in r) for r in rays]
 
 
 def cone_h_to_v(rows, d: int) -> tuple[tuple[Vec, ...], list[Vec]]:
-    """Generators of ``{x : r . x <= 0}``: (extreme rays, lineality basis)."""
-    rows = [vec(r) for r in rows if not is_zero(vec(r))]
+    """Generators of ``{x : r . x <= 0}``: (extreme rays, lineality basis).
+
+    The lineality space L is split off: double description runs on the rows
+    restricted to the coordinates that are not pivot columns of the reduced
+    lineality basis, a complement of L, and each ray is placed back there.
+    """
+    rows = [r for r in map(vec, rows) if not is_zero(r)]
     _check_caps(d, len(rows), "row")
-    lin = kernel_basis(tuple(rows), ncols=d) if rows else [unit(d, i) for i in range(d)]
-    comp = complement_basis(lin, d)
-    k = len(comp)
-    if k == 0:
+    if not rows:
+        return (), [unit(d, i) for i in range(d)]
+    lin = kernel_basis(tuple(rows), ncols=d)
+    lin_pivots = int_rref([primitive_ints(v) for v in lin])
+    cols = [j for j in range(d) if j not in lin_pivots]
+    if not cols:
         return (), lin
-    reduced = []
-    for r in rows:
-        rr = tuple(dot(r, c) for c in comp)
-        if not is_zero(rr):
-            reduced.append(rr)
-    rays_s = _pointed_dd(reduced, k)
+    reduced = [rr for rr in (tuple(r[j] for j in cols) for r in rows) if not is_zero(rr)]
     rays = []
-    for s in rays_s:
-        x = zeros(d)
-        for coeff, c in zip(s, comp):
-            x = vadd(x, vscale(coeff, c))
-        rays.append(primitive(x))
-    return tuple(dict.fromkeys(rays)), lin
+    for s in _pointed_dd(reduced, len(cols)):
+        x = [ZERO] * d
+        for j, coeff in zip(cols, s):
+            x[j] = coeff
+        rays.append(tuple(x))
+    return tuple(rays), lin
 
 
 def cone_v_to_h(generators, d: int) -> tuple[Vec, ...]:

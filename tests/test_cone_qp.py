@@ -514,3 +514,27 @@ def test_cone_value_does_not_depend_on_history(monkeypatch):
     assert fast[True] >= 40
     # without a PSD form no face is certified by its KKT conditions alone
     assert fast[False] == 0
+
+
+def test_line_orthant_interval_matches_lp():
+    """``value``'s yes/no check on a 1-dimensional kernel: the interval test
+    must agree with the face solver's exact LP."""
+    rng = random.Random(20260911)
+    answers = {True: 0, False: 0}
+    ties = zero_blocks = 0
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        k = tuple(F(rng.randint(-2, 2)) for _ in range(n))
+        if not any(k):
+            continue
+        z0 = tuple(F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(n))
+        got = cone_qp._meets_orthant(z0, [k])
+        lp = cone_qp._feasible_point(z0, [k], *cone_qp._nonneg_rows(n, n)) is not None
+        assert got == lp, (z0, k)
+        answers[got] += 1
+        lo = [-z / c for z, c in zip(z0, k) if c > 0]
+        hi = [-z / c for z, c in zip(z0, k) if c < 0]
+        ties += bool(lo and hi and max(lo) == min(hi))
+        zero_blocks += any(c == 0 and z < 0 for z, c in zip(z0, k))
+    assert min(answers.values()) >= 150
+    assert ties >= 8 and zero_blocks >= 80

@@ -1,0 +1,276 @@
+"""The integer exact kernel against the Fraction algorithms it replaced.
+
+``linalg.rref`` eliminates fraction-free on ints and ``polyhedra`` runs
+double description on primitive integer vectors.  Both must return exactly
+what Fraction Gauss-Jordan and Fraction double description return: the
+references below are those algorithms, written out here in Fractions.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+from fwsets.linalg import rref
+from fwsets.polyhedra import cone_h_to_v
+
+F = Fraction
+ZERO = F(0)
+ONE = F(1)
+
+
+# ---------------------------------------------------------------------------
+# Fraction references
+# ---------------------------------------------------------------------------
+
+
+def ref_rref(m):
+    rows = [[F(x) for x in r] for r in m]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in rows), pivots
+
+
+def ref_primitive(v):
+    den = 1
+    for x in v:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in v]
+    g = 0
+    for k in ints:
+        g = gcd(g, abs(k))
+    if g == 0:
+        return tuple(ZERO for _ in v)
+    return tuple(F(k, g) for k in ints)
+
+
+def ref_dot(a, b):
+    return sum((x * y for x, y in zip(a, b)), ZERO)
+
+
+def ref_unit(n, i):
+    return tuple(ONE if j == i else ZERO for j in range(n))
+
+
+def ref_kernel(m, n):
+    red, pivots = ref_rref(m)
+    basis = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        v = [ZERO] * n
+        v[j] = ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][j]
+        basis.append(tuple(v))
+    return basis
+
+
+def ref_solve_unique(m, b):
+    n = len(m[0])
+    red, pivots = ref_rref([row + (rhs,) for row, rhs in zip(m, b)])
+    assert pivots == list(range(n))
+    return tuple(red[r][n] for r in range(n))
+
+
+def ref_pointed_dd(rows, d):
+    if d == 0:
+        return []
+    seed, chosen = [], []
+    for i, row in enumerate(rows):
+        if len(ref_rref(chosen + [row])[1]) > len(chosen):
+            chosen.append(row)
+            seed.append(i)
+        if len(seed) == d:
+            break
+    assert len(seed) == d
+    m = tuple(rows[i] for i in seed)
+    rays, zero_sets = [], []
+    for j in range(d):
+        col = ref_solve_unique(m, tuple(-ONE if k == j else ZERO for k in range(d)))
+        rays.append(ref_primitive(col))
+        zero_sets.append({seed[k] for k in range(d) if k != j})
+    processed = set(seed)
+    for t, row in enumerate(rows):
+        if t in processed:
+            continue
+        vals = [ref_dot(row, r) for r in rays]
+        if all(v <= 0 for v in vals):
+            for i, v in enumerate(vals):
+                if v == 0:
+                    zero_sets[i].add(t)
+            processed.add(t)
+            continue
+        new_rays, new_zsets = [], []
+        for i, v in enumerate(vals):
+            if v <= 0:
+                new_rays.append(rays[i])
+                new_zsets.append(zero_sets[i] | ({t} if v == 0 else set()))
+        for p in (i for i, v in enumerate(vals) if v > 0):
+            for q in (i for i, v in enumerate(vals) if v < 0):
+                common = zero_sets[p] & zero_sets[q]
+                if any(
+                    k != p and k != q and common <= zero_sets[k] for k in range(len(rays))
+                ):
+                    continue
+                combo = ref_primitive(
+                    tuple(vals[p] * y - vals[q] * x for x, y in zip(rays[p], rays[q]))
+                )
+                if all(x == 0 for x in combo):
+                    continue
+                new_rays.append(combo)
+                new_zsets.append(common | {t})
+        rays, zero_sets, seen = [], [], {}
+        for r, zs in zip(new_rays, new_zsets):
+            if r in seen:
+                zero_sets[seen[r]] |= zs
+            else:
+                seen[r] = len(rays)
+                rays.append(r)
+                zero_sets.append(zs)
+        processed.add(t)
+    return rays
+
+
+def ref_cone_h_to_v(rows, d):
+    rows = [tuple(F(x) for x in r) for r in rows]
+    rows = [r for r in rows if any(r)]
+    lin = ref_kernel(rows, d) if rows else [ref_unit(d, i) for i in range(d)]
+    pivots = ref_rref(lin)[1] if lin else []
+    comp = [ref_unit(d, j) for j in range(d) if j not in pivots]
+    if not comp:
+        return (), lin
+    reduced = [rr for rr in (tuple(ref_dot(r, c) for c in comp) for r in rows) if any(rr)]
+    rays = []
+    for s in ref_pointed_dd(reduced, len(comp)):
+        x = [ZERO] * d
+        for coeff, c in zip(s, comp):
+            x = [xi + coeff * ci for xi, ci in zip(x, c)]
+        rays.append(ref_primitive(x))
+    return tuple(dict.fromkeys(rays)), lin
+
+
+def all_fractions(vectors):
+    return all(type(x) is Fraction for v in vectors for x in v)
+
+
+# ---------------------------------------------------------------------------
+# rref
+# ---------------------------------------------------------------------------
+
+
+def _rational(rng, lo=-4, hi=4):
+    return F(rng.randint(lo, hi), rng.choice((1, 1, 2, 3, 5, 6)))
+
+
+def _rref_cases():
+    rng = random.Random(20260905)
+    cases = [((F(0),),), ((F(-3, 7),),), ()]
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+        m = [[_rational(rng) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.4:  # a zero column
+            j = rng.randrange(ncols)
+            for row in m:
+                row[j] = ZERO
+        if rng.random() < 0.4:  # a zero row
+            m[rng.randrange(nrows)] = [ZERO] * ncols
+        cases.append(tuple(tuple(r) for r in m))
+    for _ in range(30):  # rank deficient: rows combined from a few
+        ncols, k = rng.randint(2, 6), rng.randint(1, 3)
+        base = [[_rational(rng) for _ in range(ncols)] for _ in range(k)]
+        m = []
+        for _ in range(rng.randint(k, k + 3)):
+            coeffs = [_rational(rng) for _ in range(k)]
+            m.append(tuple(sum((c * b[j] for c, b in zip(coeffs, base)), ZERO) for j in range(ncols)))
+        cases.append(tuple(m))
+    for _ in range(30):  # wide [M | I], M often singular
+        n = rng.randint(1, 5)
+        m = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.5:
+            m[-1] = [2 * x for x in m[0]]
+        cases.append(tuple(tuple(r) + ref_unit(n, i) for i, r in enumerate(m)))
+    return cases
+
+
+def test_rref_matches_fraction_gauss_jordan():
+    shapes = {"singular": 0, "zero": 0}
+    for m in _rref_cases():
+        red, pivots = rref(m)
+        ref_red, ref_pivots = ref_rref(m)
+        assert pivots == ref_pivots, m
+        assert red == ref_red, m
+        assert all_fractions(red), m
+        if m and len(pivots) < len(m):
+            shapes["singular"] += 1
+        if m and any(not any(r) for r in m):
+            shapes["zero"] += 1
+    assert rref(()) == ((), [])
+    assert shapes["singular"] >= 30 and shapes["zero"] >= 10
+
+
+# ---------------------------------------------------------------------------
+# double description
+# ---------------------------------------------------------------------------
+
+
+def _dd_cases():
+    rng = random.Random(20260917)
+    cases = []
+    for d in range(1, 7):
+        for _ in range(12):
+            nrows = rng.randint(1, 14)
+            rows = [[F(rng.randint(-3, 3)) for _ in range(d)] for _ in range(nrows)]
+            if rng.random() < 0.7:  # keep x0 inside, so the cone has many rays
+                x0 = [F(rng.randint(-2, 2)) for _ in range(d)]
+                rows = [[-x for x in r] if ref_dot(r, x0) > 0 else r for r in rows]
+            if d > 1 and rng.random() < 0.4:  # lineality: every row orthogonal to w
+                w = [F(rng.randint(-2, 2)) for _ in range(d)]
+                j = next((i for i, x in enumerate(w) if x), None)
+                if j is not None:
+                    for row in rows:
+                        row[j] -= ref_dot(row, w) / w[j]
+            if rng.random() < 0.5:  # a duplicate and a rescaled copy
+                rows.append(list(rng.choice(rows)))
+                scale = F(rng.randint(1, 5), rng.randint(1, 4))
+                rows.append([scale * x for x in rng.choice(rows)])
+            if rng.random() < 0.3:  # an equation, as a pair of opposite rows
+                row = rng.choice(rows)
+                rows.append([-x for x in row])
+            if rng.random() < 0.5:  # rational rows
+                for row in rng.sample(rows, min(3, len(rows))):
+                    den = rng.randint(2, 7)
+                    row[:] = [x / den + F(rng.randint(-1, 1), 3) for x in row]
+            rows = rows[:14]
+            rng.shuffle(rows)
+            cases.append(([tuple(r) for r in rows], d))
+    return cases
+
+
+def test_double_description_matches_fraction_reference():
+    lineal = multi_ray = 0
+    for rows, d in _dd_cases():
+        rays, lin = cone_h_to_v(rows, d)
+        ref_rays, ref_lin = ref_cone_h_to_v(rows, d)
+        assert list(rays) == list(ref_rays), (rows, d)
+        assert lin == ref_lin, (rows, d)
+        assert all_fractions(rays) and all_fractions(lin)
+        lineal += bool(lin)
+        multi_ray += len(rays) > d
+    assert lineal >= 15 and multi_ray >= 12
