@@ -124,9 +124,6 @@ class AffineManifold:
     def flat_dim(self) -> int:
         return len(self.basis)
 
-    def translate(self, t: Vec) -> "AffineManifold":
-        return AffineManifold.from_point_basis(vadd(self.point, t), self.basis)
-
 
 def subspace(basis_vectors, dim=None) -> AffineManifold:
     """The linear subspace spanned by ``basis_vectors`` through the origin."""

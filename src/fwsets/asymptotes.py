@@ -600,13 +600,15 @@ def linear_lower_bound(f: SetDescriptor, w: Vec) -> Fraction | None:
             if res.status == "optimal":
                 best = res.value
         if len(f.constraints) <= 3:
+            n = len(w)
+            linear = Quadratic(tuple((ZERO,) * n for _ in range(n)), tuple(w), ZERO)
             lam_grid = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4)]
             for lams in itertools.product(lam_grid, repeat=len(f.constraints)):
                 if all(l == 0 for l in lams):
                     continue
-                val = _lagrangian_value(w, f.constraints, lams)
-                if val is not None and (best is None or val > best):
-                    best = val
+                lag = _lagrangian_value(linear, f.constraints, lams)
+                if lag is not None and (best is None or lag[0] > best):
+                    best = lag[0]
         return best
     if isinstance(f, Epigraph1D):
         alpha, beta = w
@@ -626,30 +628,32 @@ def _epigraph_linear_refined(alpha, beta) -> Fraction:
     return -abs(alpha) + beta if beta > 0 else -abs(alpha)
 
 
-def _lagrangian_value(w, constraints, lams) -> Fraction | None:
-    """``inf_x w.x + sum(lam_i q_i(x))`` when finite: a weak-duality bound.
+def _lagrangian_value(q: Quadratic, constraints, lams):
+    """Minimize ``q + sum(lam_i q_i)`` over all of R^n, when that is finite.
 
-    The combined quadratic must be PSD with a consistent stationarity
-    system; its value at a stationary point x0 simplifies to
-    ``(w + sum lam b).x0 / 2 + sum lam c``.
+    Returns ``(value, x0, kernel)``: the minimizers form ``x0 + span(kernel)``
+    and, by weak duality, the value bounds q from below on ``{q_i <= 0}``.
+    The combined quadratic must be PSD with a consistent stationarity system
+    (else None: not convex, or the linear term escapes along the kernel to
+    -inf); its value at x0 simplifies to ``b.x0 / 2 + c`` of the combination.
     """
-    n = len(w)
-    amat = [[ZERO] * n for _ in range(n)]
-    bvec = list(w)
-    const = ZERO
-    for lam, q in zip(lams, constraints):
+    n = q.dim
+    amat = [list(row) for row in q.a]
+    bvec = list(q.b)
+    const = q.c
+    for lam, g in zip(lams, constraints):
         for i in range(n):
             for j in range(n):
-                amat[i][j] += lam * q.a[i][j]
-            bvec[i] += lam * q.b[i]
-        const += lam * q.c
+                amat[i][j] += lam * g.a[i][j]
+            bvec[i] += lam * g.b[i]
+        const += lam * g.c
     amat_t = tuple(tuple(row) for row in amat)
     if not is_psd(amat_t):
         return None
     x0 = solve(amat_t, tuple(-v for v in bvec))
     if x0 is None:
-        return None  # linear term escapes along the kernel: value -inf
-    return dot(tuple(bvec), x0) / 2 + const
+        return None
+    return dot(tuple(bvec), x0) / 2 + const, x0, kernel_basis(amat_t)
 
 
 def _separating_slab(f: SetDescriptor, m: AffineManifold) -> PositiveDistance | None:
@@ -737,11 +741,18 @@ def projection_closed(f: SetDescriptor, coords) -> tuple[bool | None, str]:
     fact = _PROJECTION_FACTS.get((f, tuple(coords)))
     if fact is not None:
         return fact.verdict, fact.note
-    if isinstance(f, QuadSublevel) and isinstance(f.base, HPolyhedron):
-        base_v = dd_convert(f.base)
-        if not base_v.is_empty and not base_v.rays and not base_v.lineality:
-            return True, "the set is compact (bounded base), so every image is closed"
+    if isinstance(f, QuadSublevel) and _bounded_base(f):
+        return True, "the set is compact (bounded base), so every image is closed"
     return None, "no closed-form analysis applies to this set kind"
+
+
+def _bounded_base(f: QuadSublevel) -> bool:
+    """True when f's base is a nonempty bounded inequality system, which
+    makes f (closed constraints on a compact base) compact."""
+    if not isinstance(f.base, HPolyhedron):
+        return False
+    base_v = dd_convert(f.base)
+    return not base_v.is_empty and not base_v.rays and not base_v.lineality
 
 
 def _soc_projection_closed(cone: SecondOrderCone, coords) -> bool | None:

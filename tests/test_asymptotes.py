@@ -1,5 +1,6 @@
 """Tests for flat-asymptote detection, projections, and qFW classification."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from fwsets.asymptotes import (
     projection_closed,
     whole_space,
 )
+from fwsets import gallery
 from fwsets.gallery import (
     epigraph_set,
     hyperbola_set,
@@ -29,15 +31,15 @@ from fwsets.gallery import (
     luo_zhang_set,
     parabola_set,
 )
-from fwsets.linalg import dot, vec, zeros
+from fwsets.linalg import ZERO, dot, solve, vec, zeros
 from fwsets.motzkin import (
     Ball,
     MotzkinSet,
     PolytopeK,
     SecondOrderCone,
 )
-from fwsets.polyhedra import HPolyhedron, PolyCone
-from fwsets.quadratics import Quadratic
+from fwsets.polyhedra import HPolyhedron, PolyCone, lp_solve
+from fwsets.quadratics import Quadratic, is_psd
 
 F = Fraction
 
@@ -177,6 +179,78 @@ def test_linear_lower_bound_on_parabola_set():
 def test_linear_lower_bound_on_epigraph():
     f = epigraph_set()
     assert linear_lower_bound(f, vec((0, 1))) >= 1
+
+
+def _reference_lagrangian_value(w, constraints, lams):
+    # the weak-duality helper as it was before it took a Quadratic objective
+    n = len(w)
+    amat = [[ZERO] * n for _ in range(n)]
+    bvec = list(w)
+    const = ZERO
+    for lam, q in zip(lams, constraints):
+        for i in range(n):
+            for j in range(n):
+                amat[i][j] += lam * q.a[i][j]
+            bvec[i] += lam * q.b[i]
+        const += lam * q.c
+    amat_t = tuple(tuple(row) for row in amat)
+    if not is_psd(amat_t):
+        return None
+    x0 = solve(amat_t, tuple(-v for v in bvec))
+    if x0 is None:
+        return None
+    return dot(tuple(bvec), x0) / 2 + const
+
+
+def _reference_quad_lower_bound(f, w):
+    # the quadratic-sublevel branch of linear_lower_bound, same multiplier grid
+    best = None
+    if isinstance(f.base, HPolyhedron):
+        res = lp_solve(f.base.a, f.base.b, w)
+        if res.status == "optimal":
+            best = res.value
+    if len(f.constraints) <= 3:
+        lam_grid = [F(0), F(1, 4), F(1, 2), F(1), F(2), F(4)]
+        for lams in itertools.product(lam_grid, repeat=len(f.constraints)):
+            if all(l == 0 for l in lams):
+                continue
+            val = _reference_lagrangian_value(w, f.constraints, lams)
+            if val is not None and (best is None or val > best):
+                best = val
+    return best
+
+
+def test_linear_lower_bound_matches_reference_lagrangian():
+    rng = random.Random(20261018)
+    sets = [s for s in gallery.case_sets().values() if isinstance(s, QuadSublevel)]
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        cons = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:  # PSD: a Gram matrix, possibly singular
+                m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n))]
+                a = [[sum(r[i] * r[j] for r in m) for j in range(n)] for i in range(n)]
+            else:
+                a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            b = [rng.randint(-3, 3) for _ in range(n)]
+            cons.append(Quadratic.build(a, b, rng.randint(-4, 4)))
+        base = whole_space(n)
+        if rng.random() < 0.5:
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 2 * n))]
+            base = HPolyhedron.from_rows(rows, [rng.randint(0, 3) for _ in rows])
+        sets.append(QuadSublevel(base, tuple(cons)))
+    values = []
+    for f in sets:
+        n = len(f.constraints[0].b)
+        ws = [vec(rng.randint(-3, 3) for _ in range(n)) for _ in range(2)]
+        ws.append(zeros(n))
+        for w in ws:
+            got = linear_lower_bound(f, w)
+            assert got == _reference_quad_lower_bound(f, w), (f, w)
+            values.append(got)
+    assert len(sets) == 37
+    assert sum(v is None for v in values) >= 15
+    assert sum(v is not None for v in values) >= 60
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """Tests for the counterexample gallery."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from fwsets import gallery
+from fwsets.asymptotes import QuadSublevel, contains
 from fwsets.errors import FwsetsError
+from fwsets.numeric import surd, surd_cmp
+from fwsets.polyhedra import HPolyhedron
+from fwsets.quadratics import Quadratic
 
 F = Fraction
 
@@ -62,3 +67,56 @@ def test_not_attained_cases_never_report_attained_at_infimum():
 def test_case_sets_exports_all_cases():
     sets = gallery.case_sets()
     assert set(sets) == set(gallery.list_cases())
+
+
+def test_theorem_brackets_hold_the_exact_minima():
+    fset = gallery.luo_zhang_theorem_set()
+    width = F(1, 10**9)
+    # (3 - sqrt 2)^2 = 11 - 6 sqrt 2 at (sqrt 2, 0); -1 at (1, -1); -9/4 at
+    # (+-sqrt(7)/2, -1/2): the last two are hard cases with a stationary line
+    minima = (surd(11, -6, 2), surd(-1), surd(F(-9, 4)))
+    for q, minimum in zip(gallery.luo_zhang_theorem_battery(), minima):
+        lower, upper, witness = gallery._lagrangian_bracket(fset, q, width)
+        assert surd_cmp(surd(lower), minimum) <= 0 <= surd_cmp(surd(upper), minimum)
+        assert upper - lower <= width
+        assert contains(fset, witness) is True
+        assert upper == q.evaluate(witness)
+
+
+def _sphere_point(r, ts):
+    # inverse stereographic projection: a rational point at radius r
+    d = 1 + sum(t * t for t in ts)
+    return tuple(r * 2 * t / d for t in ts) + (r * (d - 2) / d,)
+
+
+def test_lagrangian_bracket_on_seeded_box_disk_sets():
+    rng = random.Random(61)
+    closed = 0
+    for case in range(24):
+        n = 2 + case % 2
+        half = rng.randint(1, 3)
+        radius = F(rng.randint(1, 4 * half), rng.randint(1, 3))
+        rows = [[s if j == i else 0 for j in range(n)] for i in range(n) for s in (1, -1)]
+        box = HPolyhedron.from_rows(rows, [half] * (2 * n))
+        ident = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        disk = Quadratic.build(ident, [0] * n, -radius * radius)
+        fset = QuadSublevel(box, (disk,), sample_point=(F(0),) * n)
+        if case % 4 < 2:  # convex: a Gram matrix, possibly singular
+            m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            a = [[sum(r[i] * r[j] for r in m) for j in range(n)] for i in range(n)]
+        else:
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        q = Quadratic.build(a, [rng.randint(-4, 4) for _ in range(n)], rng.randint(-3, 3))
+        lower, upper, witness = gallery._lagrangian_bracket(fset, q, F(1, 10**9))
+        assert contains(fset, witness) is True
+        assert upper == q.evaluate(witness)
+        members = [_sphere_point(radius, [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n - 1)])
+                   for _ in range(40)]
+        members += [tuple(F(rng.randint(-4 * half, 4 * half), 4) for _ in range(n)) for _ in range(40)]
+        members = [y for y in members if contains(fset, y) is True]
+        assert members
+        assert all(lower <= q.evaluate(y) for y in members)
+        if radius <= half:  # the disk lies in the box: the dual is exact
+            assert upper - lower <= F(1, 10**9)
+            closed += 1
+    assert closed >= 12
