@@ -188,7 +188,10 @@ def cmd_project(args) -> int:
             "command": "project",
             "seed": args.seed,
             "hpolyhedron": payload,
-            "justification": "variable elimination keeps the exact image",
+            "justification": (
+                "the image is generated by the kept coordinates of the "
+                "set's vertices, rays and lines, converted back to rows exactly"
+            ),
         }
         _emit(report, args.format)
         return EXIT_OK

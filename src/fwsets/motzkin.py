@@ -59,6 +59,7 @@ from .polyhedra import (
     VPolyhedron,
     dd_convert,
     recession_cone,
+    same_cone,
 )
 from .quadratics import Quadratic
 
@@ -550,13 +551,4 @@ def cross_check_recession(f: MotzkinSet) -> bool:
     the converted H-form, by mutual generator membership."""
     if not f.is_polyhedral_cone or isinstance(f.compact, Ball):
         raise UnsupportedKindError("cross-check requires polyhedral data")
-    h = dd_convert(motzkin_to_vpoly(f))
-    rc = recession_cone(h)
-    declared = f.cone.with_halfspaces()
-    for g in rc.generators:
-        if not declared.contains(g):
-            return False
-    for g in f.cone.generators:
-        if not rc.with_halfspaces().contains(g):
-            return False
-    return True
+    return same_cone(recession_cone(dd_convert(motzkin_to_vpoly(f))), f.cone)

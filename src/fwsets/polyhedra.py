@@ -15,9 +15,13 @@ split off exactly beforehand, so the classical combinatorial adjacency test
 applies.  The method itself runs on primitive integer vectors (Fukuda &
 Prodon, "Double description method revisited", 1996): rows and rays are
 coprime ints, a new ray is an integer combination divided by its gcd, and
-Fractions are built only for the rays returned.  Size caps (ambient
-dimension <= 10, at most 64 rows or generators) keep the desk-scale blowup
-predictable; exceeding them raises SizeCapError.
+Fractions are built only for the rays returned.  Projection onto a subset
+of coordinates is one conversion each way: the image of the V-form is
+generated by the kept coordinates of its generators.  Size caps (ambient
+dimension <= 10, at most 64 rows or generators per conversion) therefore
+bound projection too and keep the desk-scale blowup predictable; exceeding
+them raises SizeCapError, and ``FWSETS_SIZE_CAP`` (a positive integer)
+replaces the 64.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DimensionMismatchError, SizeCapError
+from .errors import DimensionMismatchError, InvalidParameterError, SizeCapError
 from .linalg import (
     Mat,
     ONE,
@@ -61,9 +65,12 @@ def _row_cap() -> int:
     if raw is None:
         return 64
     try:
-        return max(1, int(raw))
+        cap = int(raw)
     except ValueError:
-        return 64
+        cap = 0
+    if cap < 1:
+        raise InvalidParameterError(f"FWSETS_SIZE_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _check_caps(dim: int, count: int, what: str) -> None:
@@ -201,11 +208,7 @@ class PolyCone:
             raise DimensionMismatchError("point dimension mismatch")
         if self.halfspaces is not None:
             return all(dot(h, x) <= 0 for h in self.halfspaces)
-        if is_zero(x):
-            return True
-        if not self.generators:
-            return False
-        return _in_generated_cone(self.generators, x)
+        return is_zero(x) or vpoly_contains(self._as_vpoly(), x)
 
     def checked(self) -> "PolyCone":
         """Verify mutual membership of the two stored forms; return self."""
@@ -215,13 +218,24 @@ class PolyCone:
             if any(dot(h, g) > 0 for h in self.halfspaces):
                 raise DimensionMismatchError("generator violates a stored halfspace")
         rays, lin = cone_h_to_v(self.halfspaces, self.dim)
-        for r in rays + tuple(lin) + tuple(vscale(-ONE, v) for v in lin):
-            if not is_zero(r) and not _in_generated_cone(self.generators, r):
+        v = self._as_vpoly()
+        for r in rays + tuple(lin) + tuple(vscale(-ONE, l) for l in lin):
+            if not vpoly_contains(v, r):
                 raise DimensionMismatchError("halfspace form is larger than the generator form")
         return self
 
+    def _as_vpoly(self) -> "VPolyhedron":
+        return VPolyhedron((zeros(self.dim),), self.generators, (), self.dim)
+
     def is_trivial(self) -> bool:
         return not self.generators
+
+
+def same_cone(a: PolyCone, b: PolyCone) -> bool:
+    """Whether two cones are equal, by mutual generator membership."""
+    return all(map(b.with_halfspaces().contains, a.generators)) and all(
+        map(a.with_halfspaces().contains, b.generators)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -353,23 +367,6 @@ def cone_v_to_h(generators, d: int) -> tuple[Vec, ...]:
     return tuple(dict.fromkeys(rows))
 
 
-def _in_generated_cone(generators, x: Vec) -> bool:
-    """Exact membership of x in cone(generators) via LP feasibility."""
-    p = len(generators)
-    n = len(x)
-    rows = []
-    rhs = []
-    for sign in (ONE, -ONE):
-        for i in range(n):
-            rows.append(tuple(sign * g[i] for g in generators))
-            rhs.append(sign * x[i])
-    for j in range(p):
-        rows.append(tuple(-ONE if k == j else ZERO for k in range(p)))
-        rhs.append(ZERO)
-    res = lp_solve(mat(rows), vec(rhs), zeros(p))
-    return res.status == "optimal"
-
-
 # ---------------------------------------------------------------------------
 # conversions between H and V polyhedron forms
 # ---------------------------------------------------------------------------
@@ -435,88 +432,35 @@ def _v_to_h(p: VPolyhedron) -> HPolyhedron:
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin projection
+# projection through the V-form
 # ---------------------------------------------------------------------------
 
 
 def project_fm(p: HPolyhedron, coords) -> HPolyhedron:
     """Exact image of ``p`` under the projection onto ``coords`` (1-based).
 
-    Eliminates the complementary variables one at a time; each elimination
-    combines every positive row with every negative row, which is sound and
-    complete for projections of inequality systems.
+    The name is historical (it once ran Fourier-Motzkin elimination).  The
+    image is computed through the V-form: convert ``p``, keep the chosen
+    coordinates of every vertex, ray and lineality vector (rays and lines
+    that vanish are dropped, duplicates merged) and convert back, so the
+    rows are irredundant and the work is bounded by the conversion caps.
+    An empty ``p`` projects to the single row ``0 <= -1``.
     """
     coords = sorted(set(coords))
     if not coords or coords[0] < 1 or coords[-1] > p.dim:
         raise DimensionMismatchError("coords must be a nonempty subset of {1..n}")
-    keep = [c - 1 for c in coords]
-    drop = [j for j in range(p.dim) if j not in keep]
-    rows = [row + (rhs,) for row, rhs in zip(p.a, p.b)]
-    width = p.dim
-    for j in sorted(drop, reverse=True):
-        rows = _eliminate(rows, j, width)
-        width -= 1
-        # after eliminating column j the remaining original columns shift left
-    a_rows = []
-    rhs = []
-    for row in rows:
-        coeffs, beta = row[:-1], row[-1]
-        if is_zero(coeffs):
-            if beta >= 0:
-                continue
-            a_rows.append(zeros(len(keep)))
-            rhs.append(beta)
-            continue
-        a_rows.append(coeffs)
-        rhs.append(beta)
-    return HPolyhedron(tuple(a_rows), tuple(rhs), len(keep))
+    v = dd_convert(p)
 
+    def pick(x: Vec) -> Vec:
+        return tuple(x[c - 1] for c in coords)
 
-def _eliminate(rows: list[tuple], j: int, width: int) -> list[tuple]:
-    pos, neg, zero = [], [], []
-    for row in rows:
-        c = row[j]
-        if c > 0:
-            pos.append(row)
-        elif c < 0:
-            neg.append(row)
-        else:
-            zero.append(row)
-    out = [row[:j] + row[j + 1 : width] + (row[width],) for row in zero]
-    for rp in pos:
-        for rn in neg:
-            combo = tuple(
-                rp[k] * (-rn[j]) + rn[k] * rp[j] for k in range(width + 1) if k != j
-            )
-            out.append(combo)
-    cap = 64 * _row_cap()
-    if len(out) > cap:
-        raise SizeCapError(f"projection blew past {cap} intermediate rows")
-    return _prune(out)
+    def directions(vs) -> tuple[Vec, ...]:
+        return tuple(dict.fromkeys(primitive(d) for d in map(pick, vs) if not is_zero(d)))
 
-
-def _prune(rows: list[tuple]) -> list[tuple]:
-    best: dict[Vec, Fraction] = {}
-    order: list[Vec] = []
-    for row in rows:
-        coeffs, beta = row[:-1], row[-1]
-        if is_zero(coeffs):
-            if beta >= 0:
-                continue
-            key = zeros(len(coeffs))
-            if key not in best or beta < best[key]:
-                if key not in best:
-                    order.append(key)
-                best[key] = beta
-            continue
-        prim = primitive(coeffs)
-        scale = next((c / pc for c, pc in zip(coeffs, prim) if pc != 0))
-        scaled_beta = beta / scale
-        if prim not in best or scaled_beta < best[prim]:
-            if prim not in best:
-                order.append(prim)
-            best[prim] = scaled_beta
-    return [key + (best[key],) for key in order]
+    vertices = tuple(dict.fromkeys(map(pick, v.vertices)))
+    return dd_convert(
+        VPolyhedron(vertices, directions(v.rays), directions(v.lineality), len(coords))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ from .polyhedra import (
     VPolyhedron,
     dd_convert,
     minkowski_sum,
+    same_cone,
 )
 from .quadratics import Quadratic
 
@@ -194,19 +195,9 @@ def intersect_subspace_motzkin(f: MotzkinSet, l: AffineManifold) -> MotzkinSet:
         gens.append(vscale(-ONE, line))
     result_cone = PolyCone.from_generators(gens, f.dim) if gens else PolyCone((), f.dim)
     expected = cone_intersect_subspace(f.cone, l)
-    _verify_same_cone(result_cone, expected)
+    if not same_cone(result_cone, expected):
+        raise FwsetsError("recomposed cone differs from the intersected cone")
     return MotzkinSet(PolytopeK(v.vertices, f.dim), expected)
-
-
-def _verify_same_cone(a: PolyCone, b: PolyCone) -> None:
-    bh = b.with_halfspaces()
-    for g in a.generators:
-        if not bh.contains(g):
-            raise FwsetsError("recomposed cone escapes the intersected cone")
-    ah = a.with_halfspaces()
-    for g in b.generators:
-        if not ah.contains(g):
-            raise FwsetsError("intersected cone escapes the recomposed cone")
 
 
 def intersect_fwm(f1: MotzkinSet, f2: MotzkinSet) -> MotzkinSet:

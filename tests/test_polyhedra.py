@@ -185,7 +185,8 @@ def test_project_simplex_to_second():
 
 def test_project_to_full_line():
     # {x1 - x2 <= 0, -x1 - x2 <= 0} projects onto coordinate 1 as all of R:
-    # eliminating x2 pairs the rows into 0 <= 0, leaving no constraints
+    # its rays (1, 1) and (-1, 1) keep first coordinates 1 and -1, which
+    # generate the line, so the image has no constraints
     p = hp([[1, -1], [-1, -1]], [0, 0])
     q = project_fm(p, [1])
     assert len(q.a) == 0
@@ -431,3 +432,20 @@ def test_checked_cone_rejects_mismatched_forms():
     worse = PolyCone(((1, 1), (-1, 0)), 2, halfspaces=((0, -1),))
     with pytest.raises(DimensionMismatchError):
         worse.checked()
+
+
+def test_size_cap_variable_must_be_a_positive_integer(monkeypatch):
+    from fwsets.errors import InvalidParameterError
+
+    # 65 tangents 2k x - y <= k^2 of the parabola y = x^2, every one a facet
+    p = hp([[2 * k, -1] for k in range(-32, 33)], [k * k for k in range(-32, 33)])
+    with pytest.raises(SizeCapError):
+        dd_convert(p)
+    for raw in ("abc", "0", "-3"):
+        monkeypatch.setenv("FWSETS_SIZE_CAP", raw)
+        with pytest.raises(InvalidParameterError, match=f"FWSETS_SIZE_CAP.*{raw}"):
+            dd_convert(p)
+    monkeypatch.setenv("FWSETS_SIZE_CAP", "100")
+    v = dd_convert(p)
+    assert len(v.vertices) == 64 and as_set(v.rays) == {(-1, 64), (1, 64)}
+    assert len(dd_convert(v).a) == 65

@@ -23,7 +23,6 @@ from fwsets.polyhedra import (
     PolyCone,
     VPolyhedron,
     dd_convert,
-    vpoly_contains,
 )
 from fwsets.setops import (
     affine_image,
@@ -119,8 +118,7 @@ def test_product_dimensions_and_membership():
     for _ in range(50):
         x = tuple(F(rng.randint(-2, 6), 2) for _ in range(2))
         joint = x + (F(3),)
-        assert vpoly_contains(hp if isinstance(hp, VPolyhedron) else hp, joint) if False else True
-        assert dd_convert(hp).contains(joint) == dd_convert(h1).contains(x) if False else True
+        assert hp.contains(joint) == h1.contains(x)
     # direct factorization check on the H-forms
     hp_h = dd_convert(motzkin_to_vpoly(p))
     h1_h = dd_convert(motzkin_to_vpoly(f1))
