@@ -689,17 +689,11 @@ def is_f_asymptote(
     exact for polyhedral data and evidence-based otherwise.  None means one
     leg is undecided.
     """
-    dist = distance_to_manifold(f, m, evidence_points)
-    if dist.kind == "intersects":
+    kind = distance_to_manifold(f, m, evidence_points).kind
+    if kind in ("intersects", "positive"):
         return False
-    if dist.kind == "positive":
-        return False
-    inter = intersects_manifold(f, m)
-    if inter is not False:
-        return None
-    if dist.kind == "zero_evidence":
-        return True
-    return None
+    # zero evidence is only given once the intersection is certified empty
+    return True if kind == "zero_evidence" else None
 
 
 # ---------------------------------------------------------------------------
@@ -864,7 +858,7 @@ def classify_qfw(f: SetDescriptor) -> Classification:
     Rules: polyhedral sets and Motzkin sums with polyhedral recession cones
     qualify; a second-order recession cone disqualifies (Mirkil); nonempty
     intersections with convex quadratic sublevels, finite products, and
-    affine images preserve the property; a verified flat asymptote
+    affine images preserve the property; evidence of a flat asymptote
     disqualifies.  Unknown is returned when no rule applies.
     """
     _ensure_builtin_registrations()
@@ -893,7 +887,8 @@ def classify_qfw(f: SetDescriptor) -> Classification:
         if asym is not None:
             return Classification(
                 "NotQFW",
-                "a flat asymptote was verified, so quasi-convex attainment fails",
+                "evidence of a flat asymptote (a certified miss and sampled "
+                "zero-distance points), so quasi-convex attainment fails",
             )
         base_cls = classify_qfw(f.base)
         if base_cls.label == "qFW" and all(is_convex(q) for q in f.constraints):
@@ -967,9 +962,9 @@ def classify_fw_set(f: SetDescriptor) -> Classification:
 
     Sound rules only: polyhedra and single convex quadratic sublevel sets
     over a polyhedral base attain (the latter is the Luo-Zhang theorem);
-    Motzkin sums are decided by their recession cone; a registered,
-    verified non-attainment witness or flat asymptote refutes; finite
-    unions and affine images preserve the property.
+    Motzkin sums are decided by their recession cone; evidence refutes: a
+    registered non-attainment witness whose curve points check out, or a
+    flat asymptote; finite unions and affine images preserve the property.
     """
     _ensure_builtin_registrations()
     if isinstance(f, HPolyhedron):
@@ -982,7 +977,7 @@ def classify_fw_set(f: SetDescriptor) -> Classification:
     if witness is not None and _witness_validates(f, witness):
         return Classification(
             "NotFW",
-            f"verified witness: {witness.note}",
+            f"witness evidence at sampled curve points: {witness.note}",
         )
     if isinstance(f, QuadSublevel):
         if (
@@ -1000,8 +995,8 @@ def classify_fw_set(f: SetDescriptor) -> Classification:
         if asym is not None:
             return Classification(
                 "NotFW",
-                "a flat asymptote exists, so the squared distance to it is "
-                "bounded below but unattained",
+                "evidence of a flat asymptote, to which the squared "
+                "distance is bounded below but unattained",
             )
         return Classification("Unknown", "no structural rule applies")
     if isinstance(f, Epigraph1D):

@@ -25,7 +25,7 @@ from .asymptotes import (
     distance_to_manifold,
     is_f_asymptote,
 )
-from .documents import format_rational, parse, serialize
+from .documents import format_rational, parse, payload_of
 from .errors import (
     DocumentError,
     EmptySetError,
@@ -168,7 +168,7 @@ def cmd_decompose(args) -> int:
     report = {
         "command": "decompose",
         "seed": args.seed,
-        "motzkin": json.loads(serialize("motzkin", mot))["payload"],
+        "motzkin": payload_of("motzkin", mot),
         "justification": (
             "every inequality system splits into a polytope plus its "
             "recession cone (Motzkin/Minkowski-Weyl decomposition)"
@@ -183,11 +183,10 @@ def cmd_project(args) -> int:
     coords = [int(c) for c in args.coords.split(",") if c.strip()]
     if isinstance(fset, HPolyhedron):
         image = project_fm(fset, coords)
-        payload = json.loads(serialize("hpolyhedron", image))["payload"]
         report = {
             "command": "project",
             "seed": args.seed,
-            "hpolyhedron": payload,
+            "hpolyhedron": payload_of("hpolyhedron", image),
             "justification": (
                 "the image is generated by the kept coordinates of the "
                 "set's vertices, rays and lines, converted back to rows exactly"
@@ -204,7 +203,7 @@ def cmd_project(args) -> int:
         report = {
             "command": "project",
             "seed": args.seed,
-            "motzkin": json.loads(serialize("motzkin", image))["payload"],
+            "motzkin": payload_of("motzkin", image),
             "justification": "coordinate images of compact-plus-cone sums are computed generator-wise",
         }
         _emit(report, args.format)
@@ -221,7 +220,7 @@ def cmd_intersect(args) -> int:
         report = {
             "command": "intersect",
             "seed": args.seed,
-            "hpolyhedron": json.loads(serialize("hpolyhedron", result))["payload"],
+            "hpolyhedron": payload_of("hpolyhedron", result),
             "justification": "inequality systems intersect by stacking rows",
         }
         _emit(report, args.format)
@@ -231,7 +230,7 @@ def cmd_intersect(args) -> int:
         report = {
             "command": "intersect",
             "seed": args.seed,
-            "motzkin": json.loads(serialize("motzkin", result))["payload"],
+            "motzkin": payload_of("motzkin", result),
             "justification": (
                 "subspace sections of compact-plus-cone sums recompose as a "
                 "polytope plus the intersected cone"
@@ -244,7 +243,7 @@ def cmd_intersect(args) -> int:
         report = {
             "command": "intersect",
             "seed": args.seed,
-            "motzkin": json.loads(serialize("motzkin", result))["payload"],
+            "motzkin": payload_of("motzkin", result),
             "justification": (
                 "binary intersections route through the product and the "
                 "diagonal subspace"

@@ -19,15 +19,18 @@ a copositive form minimizes it over ``u >= 0``, so ``H u >= 0`` there.  A
 piece is empty unless ``H_FF`` is singular; otherwise double description
 runs in the coordinates t of ``u_F = N t`` for a kernel basis N, on the
 rows ``N t >= 0`` alone.  dom(f) is the intersection of the halfspaces
-``c . (Z u) >= 0`` over all piece generators.  Everything here is exact.
+``c . (Z u) >= 0`` over all piece generators, and boundedness below is read
+from these rows: a row that c violates is, negated, a zero-set ray along
+which the objective decreases.  Everything here is exact.
 
 Every minimum here (the form on the simplex, the cone program, the QP over
 ``{A x <= b}``) is found by one face solver: a quadratic bounded below on a
 polyhedron attains its minimum at a stationary point of some face (Frank &
 Wolfe).  Each caller sets up the stationarity system of a face in rational
 arithmetic; one elimination gives its solution set ``z0 + span(kernel)``, on
-which the objective is constant, and a direct check (empty kernel) or an
-exact LP picks a feasible point of it.  The enumeration keeps the least
+which the objective is constant, and one feasibility ladder picks a point
+of it: a direct check for an empty kernel, an interval test on a line, an
+exact LP on a larger set.  The enumeration keeps the least
 ``(value, face key)`` and skips that step for faces that cannot beat the
 incumbent.
 """
@@ -47,7 +50,6 @@ from .linalg import (
     Vec,
     ZERO,
     dot,
-    is_zero,
     kernel_basis,
     matvec,
     primitive,
@@ -125,36 +127,31 @@ class ConeMinVerdict:
 def _feasible_point(z0: Vec, kernel, g: Mat, h: Vec) -> Vec | None:
     """A point of ``z0 + span(kernel)`` with ``g z <= h``, or None.
 
-    A direct check when the kernel is empty, an exact LP otherwise.
+    A direct check when the kernel is empty; an interval test on a line
+    ``z0 + t k``, where row i reads ``(g_i.k) t <= h_i - g_i.z0`` and the
+    point is the one at t = 0 clamped into the interval; an exact LP on a
+    larger kernel.
     """
     if not kernel:
         return z0 if all(dot(row, z0) <= hi for row, hi in zip(g, h)) else None
     rows = tuple(tuple(dot(row, kv) for kv in kernel) for row in g)
     rhs = tuple(hi - dot(row, z0) for row, hi in zip(g, h))
-    res = lp_solve(rows, rhs, zeros(len(kernel)))
-    if res.status != "optimal":
-        return None
-    return _combine(z0, kernel, res.x)
-
-
-def _meets_orthant(z0: Vec, kernel) -> bool:
-    """Whether ``z0 + span(kernel)`` meets ``z >= 0``.
-
-    On a line ``z0 + t k`` it is an interval test: every ``k_i > 0`` bounds t
-    below by ``-z0_i / k_i``, every ``k_i < 0`` bounds it above, and
-    ``k_i = 0`` needs ``z0_i >= 0``.  Larger kernels take the exact LP.
-    """
-    if len(kernel) != 1:
-        return _feasible_point(z0, kernel, *_nonneg_rows(len(z0), len(z0))) is not None
+    if len(kernel) > 1:
+        res = lp_solve(rows, rhs, zeros(len(kernel)))
+        return _combine(z0, kernel, res.x) if res.status == "optimal" else None
     lo = hi = None
-    for z, k in zip(z0, kernel[0]):
-        if k > 0:
-            lo = -z / k if lo is None else max(lo, -z / k)
-        elif k < 0:
-            hi = -z / k if hi is None else min(hi, -z / k)
-        elif z < 0:
-            return False
-    return lo is None or hi is None or lo <= hi
+    for (a,), r in zip(rows, rhs):
+        if a > 0:
+            hi = r / a if hi is None else min(hi, r / a)
+        elif a < 0:
+            lo = r / a if lo is None else max(lo, r / a)
+        elif r < 0:
+            return None
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    t = ZERO if lo is None else max(lo, ZERO)
+    t = t if hi is None else min(t, hi)
+    return _combine(z0, kernel, (t,))
 
 
 def _combine(z0: Vec, vectors, coeffs: Vec) -> Vec:
@@ -313,37 +310,23 @@ def zero_set_pieces(g: Mat, d: PolyCone, h: Mat | None = None) -> list[ZeroSetPi
     return pieces
 
 
-def _zero_set(
-    g: Mat, d: PolyCone, h: Mat | None = None
-) -> tuple[Vec | None, tuple[ZeroSetPiece, ...]]:
-    """``(ray, pieces)``: a ray of the cone with negative form value and no
-    pieces, or None and the zero-set pieces (none for a strictly copositive
-    form, whose zero set is {0}).  H is computed once, unless given."""
+def dom_f(g: Mat, d: PolyCone, h: Mat | None = None) -> DomF:
+    """The polyhedral domain of ``f(c) = inf_{x in D} c.x + 1/2 x.G x``;
+    ``h``, when given, is ``H = Z^T G Z`` already computed.
+
+    Its rows are ``-Z u`` for the piece generators u, in piece order, made
+    primitive, with zero rows and repeats dropped.
+    """
+    n = d.dim
     if h is None:
         h = _conjugate_form(g, d)
     sign, ray = _form_sign_on_cone(d, h)
-    if sign != 0:
-        return ray, ()
-    return None, tuple(zero_set_pieces(g, d, h=h))
-
-
-def dom_f(g: Mat, d: PolyCone, h: Mat | None = None) -> DomF:
-    """The polyhedral domain of ``f(c) = inf_{x in D} c.x + 1/2 x.G x``;
-    ``h``, when given, is ``H = Z^T G Z`` already computed."""
-    n = d.dim
-    ray, pieces = _zero_set(g, d, h)
-    if ray is not None:
+    if sign < 0:
         return DomF(None, (), n, negative_ray=ray)
+    pieces = tuple(zero_set_pieces(g, d, h=h)) if sign == 0 else ()
     z = _generator_matrix(d)
-    rows: list[Vec] = []
-    for piece in pieces:
-        for u in piece.generators:
-            x = matvec(z, u)
-            if not is_zero(x):
-                rows.append(primitive(vscale(-ONE, x)))
-    rows = list(dict.fromkeys(rows))
-    cone = PolyCone.from_halfspaces(tuple(rows), n)
-    return DomF(cone, pieces, n)
+    rows = [vscale(-ONE, matvec(z, u)) for piece in pieces for u in piece.generators]
+    return DomF(PolyCone.from_halfspaces(rows, n), pieces, n)
 
 
 def is_bounded_below_on_cone(
@@ -353,22 +336,16 @@ def is_bounded_below_on_cone(
 
     The certificate on failure is exact: either a ray with negative form
     value, or a ray in the zero set of the form with ``c . ray < 0`` (values
-    decrease linearly along it).
+    decrease linearly along it).  The second is ``-h`` for the first row h of
+    dom(f) with ``h . c > 0``; ``dom``, when given, is dom(f) already computed.
     """
     if dom is None:
-        ray, pieces = _zero_set(g, d)
-        if ray is not None:
-            return BoundednessResult(False, ray, "negative_curvature")
-    elif dom.is_empty:
+        dom = dom_f(g, d)
+    if dom.is_empty:
         return BoundednessResult(False, dom.negative_ray, "negative_curvature")
-    else:
-        pieces = dom.pieces
-    z = _generator_matrix(d)
-    for piece in pieces:
-        for u in piece.generators:
-            x = matvec(z, u)
-            if dot(c, x) < 0:
-                return BoundednessResult(False, primitive(x), "negative_slope")
+    for h in dom.cone.halfspaces:
+        if dot(h, c) > 0:
+            return BoundednessResult(False, vscale(-ONE, h), "negative_slope")
     return BoundednessResult(True)
 
 
@@ -385,18 +362,17 @@ class ConeProgram:
     """Reusable minimizer of ``c.x + 1/2 x.G x`` over a fixed cone.
 
     Caches the generator matrix, the conjugate form H (computed once and
-    handed to :func:`dom_f`), the domain pieces and the eliminated
-    stationarity system of each face, keyed by free set, so a family of
-    linear terms (as in the two-level Motzkin reduction) can be minimized
-    without rework.
+    handed to :func:`dom_f`), dom(f), whose rows decide boundedness, and the
+    eliminated stationarity system of each face, keyed by free set, so a
+    family of linear terms (as in the two-level Motzkin reduction) can be
+    minimized without rework.
 
     :meth:`value` reuses faces across queries.  When H is positive
     semidefinite (decided once, exactly) the program in u is a convex QP, so
     the KKT conditions at one face certify its global minimum: the faces
     that won earlier queries are solved first, most recent first, and a
     face's value is taken when its stationary set holds a point with
-    ``u_F >= 0`` (an interval test on a line, the face solver's exact LP on
-    a larger stationary set) and the multipliers
+    ``u_F >= 0`` (the face solver's feasibility ladder) and the multipliers
     ``(H u + Z^T c)_I`` are nonnegative.  The remembered faces change speed
     only: :meth:`minimize` never reads them, and the minimum value is unique.
     """
@@ -503,7 +479,9 @@ class ConeProgram:
                 u = _scatter(free, u_f, self.p)
                 if any(dot(self.h[i], u) + r[i] < 0 for i in active):
                     continue
-                if any(x < 0 for x in u_f) and not _meets_orthant(u_f, system.kernel):
+                if any(x < 0 for x in u_f) and _feasible_point(
+                    u_f, system.kernel, *_nonneg_rows(len(free), len(free))
+                ) is None:
                     continue
                 self._remember(active, free)
                 return dot(r_f, u_f) / 2

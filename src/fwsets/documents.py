@@ -382,11 +382,12 @@ def parse(text: str):
 
 def serialize(kind: str, value) -> str:
     """Canonical text of a document; the inverse of :func:`parse`."""
-    doc = {"version": "1", "kind": kind, "payload": _payload_of(kind, value)}
+    doc = {"version": "1", "kind": kind, "payload": payload_of(kind, value)}
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
 
 
-def _payload_of(kind, value):
+def payload_of(kind, value):
+    """The JSON-ready ``payload`` object of a document of ``kind``."""
     if kind == "quadratic":
         return {
             "matrix": _format_matrix(value.a),

@@ -356,24 +356,11 @@ def _lz_truncated_estimate(r) -> float:
     return best
 
 
-def _cylinder_truncated_estimate(r, cube_root_cap=True) -> float:
+def _cylinder_truncated_estimate(r) -> float:
     # on the circle boundary with x4 = x3^2: inner minimum over |x3| <= sqrt(r)
     import math
 
-    s = math.sqrt(r)
-    best = float("inf")
-    steps = 4000
-    for i in range(1, steps + 1):
-        x1 = 2 * i / steps
-        x2 = math.sqrt(max(0.0, 2 * x1 - x1 * x1))
-        cutoff = x2 / x1
-        if cutoff <= s:
-            v = 2 - x2 * x2 / x1
-        else:
-            v = x1 * s * s - 2 * x2 * s + 2
-        if v < best:
-            best = v
-    return best
+    return _program_p_truncated_estimate(math.sqrt(r))
 
 
 def _program_p_truncated_estimate(r) -> float:

@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cone_qp import ConeProgram, minimize_over_hpolyhedron, scaled_descent_ray
+from .cone_qp import ConeMinVerdict, ConeProgram, minimize_over_hpolyhedron, scaled_descent_ray
 from .errors import (
     DimensionMismatchError,
     FwsetsError,
@@ -105,9 +105,8 @@ class Ball:
     def dim(self) -> int:
         return len(self.center)
 
-    def contains(self, x: Vec, slack: Fraction = ZERO) -> bool:
-        d = vsub_sq(x, self.center)
-        return d <= (self.radius + slack) * (self.radius + slack)
+    def contains(self, x: Vec) -> bool:
+        return vsub_sq(x, self.center) <= self.radius * self.radius
 
 
 def vsub_sq(x: Vec, y: Vec) -> Fraction:
@@ -334,17 +333,24 @@ def inner_linear_term(q: Quadratic, y: Vec) -> Vec:
     return vadd(matvec(q.a, y), q.b)
 
 
+def _unbounded_at(y: Vec, verdict: ConeMinVerdict) -> UnboundedBelow:
+    """The verdict for base point y, whose inner cone program gave ``verdict``."""
+    if verdict.kind != "unbounded":
+        raise FwsetsError("an escape point produced a bounded inner program")
+    return UnboundedBelow(
+        base=y,
+        direction=verdict.direction,
+        note=f"inner cone program unbounded ({verdict.curvature})",
+    )
+
+
 def _minimize_over_points(q, points, prog: ConeProgram) -> AttainmentVerdict:
     best = None
     for y in points:
         c = inner_linear_term(q, y)
         verdict = prog.minimize(c)
         if verdict.kind == "unbounded":
-            return UnboundedBelow(
-                base=y,
-                direction=verdict.direction,
-                note=f"inner cone program unbounded ({verdict.curvature})",
-            )
+            return _unbounded_at(y, verdict)
         total = q.evaluate(y) + verdict.value
         point = vadd(y, verdict.point)
         if best is None or total < best[0]:
@@ -359,12 +365,7 @@ def _minimize_over_polytope(q, f: MotzkinSet, prog: ConeProgram) -> AttainmentVe
         c = inner_linear_term(q, y)
         res = prog.boundedness(c)
         if not res.bounded:
-            verdict = prog.minimize(c)
-            return UnboundedBelow(
-                base=y,
-                direction=verdict.direction,
-                note=f"inner cone program unbounded ({verdict.curvature})",
-            )
+            return _unbounded_at(y, prog.minimize(c))
     hform = dd_convert(motzkin_to_vpoly(f))
     solved = minimize_over_hpolyhedron(q, hform)
     if solved is None:
@@ -380,15 +381,7 @@ def _minimize_over_ball(q, f: MotzkinSet, prog: ConeProgram, tol: Fraction) -> A
         raise SizeCapError("ball compact parts are supported up to dimension 4")
     escape = _ball_escapes_domain(q, ball, prog)
     if escape is not None:
-        y = escape
-        verdict = prog.minimize(inner_linear_term(q, y))
-        if verdict.kind != "unbounded":
-            raise FwsetsError("domain escape produced a bounded inner program")
-        return UnboundedBelow(
-            base=y,
-            direction=verdict.direction,
-            note=f"inner cone program unbounded ({verdict.curvature})",
-        )
+        return _unbounded_at(escape, prog.minimize(inner_linear_term(q, escape)))
 
     def phi(y: Vec) -> Fraction:
         return q.evaluate(y) + prog.value(inner_linear_term(q, y))

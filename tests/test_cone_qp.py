@@ -18,8 +18,8 @@ from fwsets.cone_qp import (
     zero_set_pieces,
 )
 from fwsets.errors import NotInDomainError, SizeCapError
-from fwsets.linalg import dot, identity, matvec, unit, vec, vscale, zeros
-from fwsets.polyhedra import HPolyhedron, PolyCone, cone_h_to_v
+from fwsets.linalg import dot, identity, matvec, primitive, unit, vec, vscale, zeros
+from fwsets.polyhedra import HPolyhedron, PolyCone, cone_h_to_v, lp_solve
 from fwsets.quadratics import Quadratic, is_psd
 
 F = Fraction
@@ -221,6 +221,63 @@ def test_zero_set_pieces_match_their_definition():
     assert singular_with_pieces >= 20
     # pieces whose kernel double description runs in two or more coordinates
     assert multi_ray_pieces >= 10
+
+
+def _pieces_walk(c, g_mat, d):
+    """Reference boundedness test: walk the zero-set pieces and return the
+    first ray ``x = Z u`` with ``c . x < 0``."""
+    nonneg, ray = nonneg_form_on_cone(g_mat, d)
+    if not nonneg:
+        return False, ray, "negative_curvature"
+    z = tuple(zip(*d.generators))
+    for piece in zero_set_pieces(g_mat, d):
+        for u in piece.generators:
+            x = matvec(z, u)
+            if dot(c, x) < 0:
+                return False, primitive(x), "negative_slope"
+    return True, None, None
+
+
+def test_boundedness_from_domain_rows_matches_pieces_walk():
+    rng = random.Random(20261018)
+    kinds = ("gram", "indefinite", "copositive", "zero")
+    outcomes = {"bounded": 0, "negative_slope": 0, "negative_curvature": 0}
+    with_lines = 0
+    for trial in range(80):
+        n = rng.randint(1, 4)
+        kind = kinds[trial % 4]
+        if kind == "gram":
+            # rank below n: PSD and singular
+            m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, n - 1))]
+            raw = [[2 * sum(r[i] * r[j] for r in m) for j in range(n)] for i in range(n)]
+        elif kind == "indefinite":
+            raw = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    raw[i][j] = raw[j][i] = rng.randint(-2, 2)
+        elif kind == "copositive":
+            raw = [[0 if i == j else rng.randint(0, 2) for j in range(n)] for i in range(n)]
+        else:
+            raw = [[0] * n for _ in range(n)]
+        gens = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+        gens = [g for g in gens if any(x != 0 for x in g)]
+        if not gens:
+            continue
+        if trial % 3 == 0:
+            gens.append(tuple(-x for x in gens[0]))
+            with_lines += 1
+        d = PolyCone.from_generators(gens, n)
+        g_mat = Quadratic.build(raw).a
+        dom = dom_f(g_mat, d)
+        for _ in range(6):
+            c = tuple(F(rng.randint(-3, 3)) for _ in range(n))
+            ref = _pieces_walk(c, g_mat, d)
+            for got in (is_bounded_below_on_cone(c, g_mat, d),
+                        is_bounded_below_on_cone(c, g_mat, d, dom=dom)):
+                assert (got.bounded, got.certificate, got.kind) == ref, (raw, gens, c)
+            outcomes[ref[2] or "bounded"] += 1
+    assert min(outcomes.values()) >= 40
+    assert with_lines >= 20
 
 
 def test_generator_cap_precedes_enumeration(monkeypatch):
@@ -517,10 +574,14 @@ def test_cone_value_does_not_depend_on_history(monkeypatch):
 
 
 def test_line_orthant_interval_matches_lp():
-    """``value``'s yes/no check on a 1-dimensional kernel: the interval test
-    must agree with the face solver's exact LP."""
+    """The face solver's interval test on a 1-dimensional kernel must agree
+    with an exact LP in t, on the orthant rows ``value`` checks and on
+    general rows, and the point it returns must lie on the line and satisfy
+    every row."""
     rng = random.Random(20260911)
+    rows_rng = random.Random(20261018)
     answers = {True: 0, False: 0}
+    general = {True: 0, False: 0}
     ties = zero_blocks = 0
     for _ in range(600):
         n = rng.randint(1, 5)
@@ -528,13 +589,29 @@ def test_line_orthant_interval_matches_lp():
         if not any(k):
             continue
         z0 = tuple(F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(n))
-        got = cone_qp._meets_orthant(z0, [k])
-        lp = cone_qp._feasible_point(z0, [k], *cone_qp._nonneg_rows(n, n)) is not None
-        assert got == lp, (z0, k)
-        answers[got] += 1
+        m = rows_rng.randint(1, 6)
+        g_rows = tuple(tuple(F(rows_rng.randint(-2, 2)) for _ in range(n)) for _ in range(m))
+        h_rows = tuple(F(rows_rng.randint(-3, 3)) for _ in range(m))
+        for (g, h), counts in (
+            (cone_qp._nonneg_rows(n, n), answers),
+            ((g_rows, h_rows), general),
+        ):
+            z = cone_qp._feasible_point(z0, [k], g, h)
+            lp = lp_solve(
+                tuple((dot(row, k),) for row in g),
+                tuple(hi - dot(row, z0) for row, hi in zip(g, h)),
+                (F(0),),
+            )
+            assert (z is not None) == (lp.status == "optimal"), (z0, k, g, h)
+            counts[z is not None] += 1
+            if z is not None:
+                assert all(dot(row, z) <= hi for row, hi in zip(g, h))
+                j = next(i for i, c in enumerate(k) if c)
+                t = (z[j] - z0[j]) / k[j]
+                assert z == tuple(a + t * c for a, c in zip(z0, k))
         lo = [-z / c for z, c in zip(z0, k) if c > 0]
         hi = [-z / c for z, c in zip(z0, k) if c < 0]
         ties += bool(lo and hi and max(lo) == min(hi))
         zero_blocks += any(c == 0 and z < 0 for z, c in zip(z0, k))
-    assert min(answers.values()) >= 150
+    assert min(answers.values()) >= 150 and min(general.values()) >= 150
     assert ties >= 8 and zero_blocks >= 80
