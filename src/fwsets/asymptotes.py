@@ -319,6 +319,7 @@ def distance_to_manifold(
         return slab
     points = evidence_points
     if points is None:
+        _ensure_builtin_registrations()
         points = _EVIDENCE.get((f, m))
     if points is not None and inter is False:
         pairs = []
@@ -409,8 +410,6 @@ def intersects_manifold(f: SetDescriptor, m: AffineManifold) -> bool | None:
         return None
     if isinstance(f, Epigraph1D):
         return _epigraph_line_intersects(m)
-    if isinstance(f, ProductSet):
-        return None
     return None
 
 
@@ -623,9 +622,9 @@ def linear_lower_bound(f: SetDescriptor, w: Vec) -> Fraction | None:
 
 
 def _epigraph_linear_refined(alpha, beta) -> Fraction:
-    # on |x| <= 1: f(x) >= 1, so w.(x,y) >= alpha x + beta >= -|alpha| + beta;
-    # on |x| >= 1: f(x) >= x^2, handled by the caller's quadratic bound
-    return -abs(alpha) + beta if beta > 0 else -abs(alpha)
+    # on |x| <= 1: f(x) >= 1, so w.(x,y) >= alpha x + beta >= -|alpha| + beta
+    # (beta > 0); on |x| >= 1: f(x) >= x^2, handled by the caller's quadratic bound
+    return -abs(alpha) + beta
 
 
 def _lagrangian_value(q: Quadratic, constraints, lams):
@@ -950,11 +949,8 @@ def _find_registered_asymptote(f) -> AffineManifold | None:
 def _nonempty_witness(f: QuadSublevel) -> Vec | None:
     if f.sample_point is not None:
         return f.sample_point
-    n = ambient_dim(f)
-    for cand in (zeros(n),):
-        if contains(f, cand) is True:
-            return cand
-    return None
+    origin = zeros(ambient_dim(f))
+    return origin if contains(f, origin) is True else None
 
 
 def classify_fw_set(f: SetDescriptor) -> Classification:

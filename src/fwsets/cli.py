@@ -25,7 +25,7 @@ from .asymptotes import (
     distance_to_manifold,
     is_f_asymptote,
 )
-from .documents import format_rational, parse, payload_of
+from .documents import SET_KINDS, format_rational, parse, payload_of
 from .errors import (
     DocumentError,
     EmptySetError,
@@ -46,19 +46,6 @@ EXIT_EMPTY = 1
 EXIT_PARSE = 2
 EXIT_UNKNOWN = 3
 EXIT_CAP = 4
-
-SET_KINDS_FOR_CLI = {
-    "hpolyhedron",
-    "vpolyhedron",
-    "motzkin",
-    "quad_sublevel",
-    "epigraph",
-    "product",
-    "union",
-    "intersection",
-    "affine_image",
-}
-
 
 def _load(path: str, want=None):
     try:
@@ -133,7 +120,7 @@ def _verdict_report(verdict) -> dict:
 
 
 def cmd_solve(args) -> int:
-    _, fset = _load(args.set, SET_KINDS_FOR_CLI)
+    _, fset = _load(args.set, SET_KINDS)
     _, quad = _load(args.quadratic, {"quadratic"})
     if isinstance(fset, MotzkinSet) and args.tolerance is not None:
         from .motzkin import minimize_on_motzkin
@@ -147,7 +134,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    _, fset = _load(args.set, SET_KINDS_FOR_CLI)
+    _, fset = _load(args.set, SET_KINDS)
     fw = classify_fw_set(fset)
     qfw = classify_qfw(fset)
     report = {
@@ -179,7 +166,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_project(args) -> int:
-    kind, fset = _load(args.set, SET_KINDS_FOR_CLI)
+    kind, fset = _load(args.set, SET_KINDS)
     coords = [int(c) for c in args.coords.split(",") if c.strip()]
     if isinstance(fset, HPolyhedron):
         image = project_fm(fset, coords)
@@ -213,8 +200,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_intersect(args) -> int:
-    kind_a, a = _load(args.left, SET_KINDS_FOR_CLI)
-    kind_b, b = _load(args.right, SET_KINDS_FOR_CLI | {"subspace", "manifold"})
+    kind_a, a = _load(args.left, SET_KINDS)
+    kind_b, b = _load(args.right, {*SET_KINDS, "subspace", "manifold"})
     if isinstance(a, HPolyhedron) and isinstance(b, HPolyhedron):
         result = intersect_h(a, b)
         report = {
@@ -256,7 +243,7 @@ def cmd_intersect(args) -> int:
 
 
 def cmd_asymptote(args) -> int:
-    _, fset = _load(args.set, SET_KINDS_FOR_CLI)
+    _, fset = _load(args.set, SET_KINDS)
     _, manifold = _load(args.manifold, {"manifold", "subspace"})
     verdict = is_f_asymptote(fset, manifold)
     dist = distance_to_manifold(fset, manifold)

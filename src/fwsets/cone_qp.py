@@ -7,15 +7,19 @@ symmetric G, the value function is
 
 Its domain is cut out by the zero set of the form on the cone:
 ``dom(f) = {c : c.x >= 0 for every x in D with x.G x = 0}``.  Writing
-``H = Z^T G Z``, the sign of ``min {u.H u : u >= 0, sum u = 1}`` decides
-the shape first: negative, and dom(f) is empty; positive (H strictly
-copositive), and the zero set is {0}, so dom(f) is the whole space.  Only
-when the minimum is 0 is the zero set assembled, from the pieces
+``H = Z^T G Z``, every question here reads the principal blocks ``H_FF``
+over free sets F of generator indices, each eliminated once and shared.
+The sign of the form on D comes first.  It is negative somewhere iff some
+F has a solution v of ``H_FF v = e`` with ``s = e.v < 0`` whose set
+``(v + ker H_FF)/s`` meets ``u >= 0``: such a point lies on the simplex
+``{u >= 0, sum u = 1}`` with ``u.H u = 1/s``, and dom(f) is empty.
+Otherwise the zero set is assembled from the pieces
 
     P_I = {u >= 0 : u_i = 0 (i in I), H_FF u_F = 0},   F = complement(I),
 
-over index subsets I.  ``(H u)_I >= 0`` needs no row of its own: a zero of
-a copositive form minimizes it over ``u >= 0``, so ``H u >= 0`` there.  A
+over index subsets I; a strictly copositive H has none, and dom(f) is the
+whole space.  ``(H u)_I >= 0`` needs no row of its own: a zero of a
+copositive form minimizes it over ``u >= 0``, so ``H u >= 0`` there.  A
 piece is empty unless ``H_FF`` is singular; otherwise double description
 runs in the coordinates t of ``u_F = N t`` for a kernel basis N, on the
 rows ``N t >= 0`` alone.  dom(f) is the intersection of the halfspaces
@@ -50,7 +54,6 @@ from .linalg import (
     Vec,
     ZERO,
     dot,
-    kernel_basis,
     matvec,
     primitive,
     unit,
@@ -195,35 +198,37 @@ def _scatter(idx: tuple[int, ...], values: Vec, p: int) -> Vec:
     return tuple(full)
 
 
-def _form_min_on_simplex(h: Mat) -> tuple[Fraction, Vec]:
-    """Exact ``min {u.H u : u >= 0, sum u = 1}`` with a witness.
+class _Blocks:
+    """The principal blocks ``H_FF`` of ``H = Z^T G Z``, each eliminated once.
 
-    Enumerates supports F, by size and then lexicographically; on each the
-    stationarity system ``2 H_FF u_F = nu e, e.u_F = 1`` in ``z = (u_F, nu)``
-    pins the value at nu/2 (constant on the whole solution set, by symmetry
-    of H), so the least value over supports with a nonnegative solution is
-    the global minimum.
+    The sign test, the zero-set walk and the face minimizer all read them.
+    ``pairs`` holds every split ``(active, free)`` of the generator indices,
+    active sets by size and then lexicographically; :meth:`system` eliminates
+    ``H_FF`` for a free set F on first use and keeps it; ``orthants[k]`` are
+    the rows ``u >= 0`` in k coordinates.  The generator cap is checked
+    before anything is built.
     """
-    p = len(h)
 
-    def faces():
-        for size in range(1, p + 1):
-            g, zero = _nonneg_rows(size, size + 1)
-            rhs = zeros(size) + (ONE,)
-            for support in itertools.combinations(range(p), size):
-                rows = tuple(
-                    tuple(2 * h[a][b] for b in support) + (-ONE,) for a in support
-                ) + ((ONE,) * size + (ZERO,),)
-                system = LinearSystem(rows, size + 1)
-                z0 = system.solve(rhs)
-                if z0 is not None:
-                    yield (size, support), z0[size] / 2, z0, system.kernel, g, zero
+    def __init__(self, g: Mat, d: PolyCone):
+        self.p = p = len(d.generators)
+        if p > MAX_GENERATORS:
+            raise SizeCapError(f"{p} generators exceed the cap {MAX_GENERATORS}")
+        gz = [matvec(g, gen) for gen in d.generators]
+        self.h = tuple(tuple(dot(gi, gzj) for gzj in gz) for gi in d.generators)
+        self.pairs = tuple(
+            (active, tuple(j for j in range(p) if j not in active))
+            for size in range(p + 1)
+            for active in itertools.combinations(range(p), size)
+        )
+        self.orthants = [_nonneg_rows(k, k) for k in range(p + 1)]
+        self._systems: dict[tuple[int, ...], LinearSystem] = {}
 
-    best = _least_face(faces())
-    if best is None:
-        raise FwsetsError("simplex enumeration found no stationary face")
-    value, (size, support), z = best
-    return value, _scatter(support, z[:size], p)
+    def system(self, free: tuple[int, ...]) -> LinearSystem:
+        system = self._systems.get(free)
+        if system is None:
+            h_ff = tuple(tuple(self.h[a][b] for b in free) for a in free)
+            system = self._systems[free] = LinearSystem(h_ff, len(free))
+        return system
 
 
 def _generator_matrix(d: PolyCone) -> Mat:
@@ -233,97 +238,96 @@ def _generator_matrix(d: PolyCone) -> Mat:
     return tuple(zip(*d.generators))
 
 
-def _conjugate_form(g: Mat, d: PolyCone) -> Mat:
-    """H = Z^T G Z in parameter space."""
-    gens = d.generators
-    gz = [matvec(g, gen) for gen in gens]
-    return tuple(tuple(dot(gi, gzj) for gzj in gz) for gi in gens)
+def _negative_ray(d: PolyCone, blocks: _Blocks) -> Vec | None:
+    """A ray x of the cone with ``x.G x < 0``, or None when the form is
+    nonnegative on it.
 
-
-def _check_generator_cap(p: int) -> None:
-    if p > MAX_GENERATORS:
-        raise SizeCapError(f"{p} generators exceed the cap {MAX_GENERATORS}")
-
-
-def _form_sign_on_cone(d: PolyCone, h: Mat) -> tuple[int, Vec | None]:
-    """The sign of ``min {u.H u : u >= 0, sum u = 1}`` for H = Z^T G Z.
-
-    -1 comes with a ray x of the cone with ``x.G x < 0``; +1 means the form
-    is strictly copositive, so its zero set on the cone is {0}; 0 means the
-    form is nonnegative with nonzero zeros.  A cone without generators
-    counts as +1.  The generator cap is checked before any enumeration.
+    A negative diagonal entry of H gives its generator at once.  Otherwise
+    the form is negative on D iff ``min {u.H u : u >= 0, sum u = 1}`` is.
+    On a support F, a solution v of ``H_FF v = e`` with ``s = e.v < 0``
+    gives the points ``u_F = (v + k)/s``, k in ker H_FF; e = H_FF v is
+    orthogonal to the kernel, so each has ``e.u_F = 1`` and ``u.H u = 1/s``.
+    These are the stationary points of negative value on the simplex, so the
+    least ``(1/s, (|F|, F))`` over supports whose set meets ``u >= 0`` is the
+    minimum; its point u gives the ray ``Z u``, made primitive.
     """
-    _check_generator_cap(len(d.generators))
-    if not d.generators:
-        return 1, None
     for i, gen in enumerate(d.generators):
-        if h[i][i] < 0:
-            return -1, gen
-    value, u = _form_min_on_simplex(h)
-    if value < 0:
-        return -1, primitive(matvec(_generator_matrix(d), u))
-    return (1 if value > 0 else 0), None
+        if blocks.h[i][i] < 0:
+            return gen
+
+    def faces():
+        for _, free in blocks.pairs:
+            system = blocks.system(free)
+            v = system.solve((ONE,) * len(free))
+            s = ZERO if v is None else sum(v, ZERO)
+            if s < 0:
+                key = (len(free), free)
+                yield (key, 1 / s, vscale(1 / s, v), system.kernel) + blocks.orthants[len(free)]
+
+    best = _least_face(faces())
+    if best is None:
+        return None
+    _, (_, free), u_f = best
+    return primitive(matvec(_generator_matrix(d), _scatter(free, u_f, blocks.p)))
 
 
 def nonneg_form_on_cone(g: Mat, d: PolyCone) -> tuple[bool, Vec | None]:
     """Decide ``x.G x >= 0`` on the cone; on failure return a witness ray."""
-    sign, ray = _form_sign_on_cone(d, _conjugate_form(g, d))
-    return sign >= 0, ray
+    ray = _negative_ray(d, _Blocks(g, d))
+    return ray is None, ray
 
 
-def zero_set_pieces(g: Mat, d: PolyCone, h: Mat | None = None) -> list[ZeroSetPiece]:
+def zero_set_pieces(g: Mat, d: PolyCone, blocks: _Blocks | None = None) -> list[ZeroSetPiece]:
     """The pieces P_I covering ``{u >= 0 : u.(Z^T G Z).u = 0}``.
 
     Precondition: the form is nonnegative on the cone (run
     :func:`nonneg_form_on_cone` first).  For each index set I, with F its
-    complement, ``H_FF`` is eliminated once; an empty kernel means
+    complement, the kernel of ``H_FF`` is read; an empty kernel means
     ``P_I = {0}`` and no piece.  Otherwise the extreme rays of
     ``{t : N t >= 0}`` (N a kernel basis) map to the rays ``u_F = N t``,
     ``u_I = 0`` of ``P_I``; ``H_FF u_F = 0`` holds by construction and
-    ``(H u)_I >= 0`` by the precondition.  Pieces come in the order of I
-    (by size, then lexicographically), and a piece whose ray set repeats an
-    earlier one is dropped.  ``h``, when given, is H already computed.
+    ``(H u)_I >= 0`` by the precondition.  A strictly copositive form has no
+    pieces.  Pieces come in the order of I (by size, then lexicographically),
+    and a piece whose ray set repeats an earlier one is dropped.  ``blocks``,
+    when given, are the blocks of H already built.
     """
-    p = len(d.generators)
-    _check_generator_cap(p)
-    if h is None:
-        h = _conjugate_form(g, d)
+    if blocks is None:
+        blocks = _Blocks(g, d)
+    p = blocks.p
     pieces: list[ZeroSetPiece] = []
     seen: set[frozenset] = set()
-    for size in range(p):
-        for idx in itertools.combinations(range(p), size):
-            free = tuple(j for j in range(p) if j not in idx)
-            kernel = kernel_basis(tuple(tuple(h[a][b] for b in free) for a in free))
-            if not kernel:
-                continue
-            n_rows = tuple(zip(*kernel))  # u_F = N t
-            # N has full column rank, so {t : N t >= 0} is pointed
-            rays_t, _ = cone_h_to_v([vscale(-ONE, row) for row in n_rows], len(kernel))
-            if not rays_t:
-                continue
-            rays = tuple(primitive(_scatter(free, matvec(n_rows, t), p)) for t in rays_t)
-            key = frozenset(rays)
-            if key in seen:
-                continue
-            seen.add(key)
-            pieces.append(ZeroSetPiece(frozenset(idx), PolyCone(rays, p), rays))
+    for active, free in blocks.pairs:
+        kernel = blocks.system(free).kernel
+        if not kernel:
+            continue
+        n_rows = tuple(zip(*kernel))  # u_F = N t
+        # N has full column rank, so {t : N t >= 0} is pointed
+        rays_t, _ = cone_h_to_v([vscale(-ONE, row) for row in n_rows], len(kernel))
+        if not rays_t:
+            continue
+        rays = tuple(primitive(_scatter(free, matvec(n_rows, t), p)) for t in rays_t)
+        key = frozenset(rays)
+        if key in seen:
+            continue
+        seen.add(key)
+        pieces.append(ZeroSetPiece(frozenset(active), PolyCone(rays, p), rays))
     return pieces
 
 
-def dom_f(g: Mat, d: PolyCone, h: Mat | None = None) -> DomF:
+def dom_f(g: Mat, d: PolyCone, blocks: _Blocks | None = None) -> DomF:
     """The polyhedral domain of ``f(c) = inf_{x in D} c.x + 1/2 x.G x``;
-    ``h``, when given, is ``H = Z^T G Z`` already computed.
+    ``blocks``, when given, are the blocks of ``H = Z^T G Z`` already built.
 
     Its rows are ``-Z u`` for the piece generators u, in piece order, made
     primitive, with zero rows and repeats dropped.
     """
     n = d.dim
-    if h is None:
-        h = _conjugate_form(g, d)
-    sign, ray = _form_sign_on_cone(d, h)
-    if sign < 0:
+    if blocks is None:
+        blocks = _Blocks(g, d)
+    ray = _negative_ray(d, blocks)
+    if ray is not None:
         return DomF(None, (), n, negative_ray=ray)
-    pieces = tuple(zero_set_pieces(g, d, h=h)) if sign == 0 else ()
+    pieces = tuple(zero_set_pieces(g, d, blocks=blocks))
     z = _generator_matrix(d)
     rows = [vscale(-ONE, matvec(z, u)) for piece in pieces for u in piece.generators]
     return DomF(PolyCone.from_halfspaces(rows, n), pieces, n)
@@ -361,11 +365,11 @@ def scaled_descent_ray(d: Vec, slope: Fraction, curvature: Fraction) -> Vec:
 class ConeProgram:
     """Reusable minimizer of ``c.x + 1/2 x.G x`` over a fixed cone.
 
-    Caches the generator matrix, the conjugate form H (computed once and
-    handed to :func:`dom_f`), dom(f), whose rows decide boundedness, and the
-    eliminated stationarity system of each face, keyed by free set, so a
-    family of linear terms (as in the two-level Motzkin reduction) can be
-    minimized without rework.
+    Caches the generator matrix, the blocks of ``H = Z^T G Z`` (built once
+    and handed to :func:`dom_f`, so the sign test, the zero set and every
+    query share each eliminated ``H_FF``), and dom(f), whose rows decide
+    boundedness, so a family of linear terms (as in the two-level Motzkin
+    reduction) can be minimized without rework.
 
     :meth:`value` reuses faces across queries.  When H is positive
     semidefinite (decided once, exactly) the program in u is a convex QP, so
@@ -380,12 +384,11 @@ class ConeProgram:
     def __init__(self, g: Mat, d: PolyCone):
         self.g = g
         self.d = d
-        self.p = len(d.generators)
-        _check_generator_cap(self.p)
+        self.blocks = _Blocks(g, d)
+        self.p = self.blocks.p
         self.z = _generator_matrix(d)
-        self.h = _conjugate_form(g, d)
+        self.h = self.blocks.h
         self._dom: DomF | None = None
-        self._face_systems: dict[tuple[int, ...], LinearSystem] = {}
         self._convex: bool | None = None
         # active set -> free set of every face that won a query, most recent last
         self._won_faces: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -393,32 +396,22 @@ class ConeProgram:
     @property
     def dom(self) -> DomF:
         if self._dom is None:
-            self._dom = dom_f(self.g, self.d, h=self.h)
+            self._dom = dom_f(self.g, self.d, blocks=self.blocks)
         return self._dom
 
     def boundedness(self, c: Vec) -> BoundednessResult:
         return is_bounded_below_on_cone(c, self.g, self.d, dom=self.dom)
 
-    def _face_system(self, free: tuple[int, ...]) -> LinearSystem:
-        system = self._face_systems.get(free)
-        if system is None:
-            h_ff = tuple(tuple(self.h[a][b] for b in free) for a in free)
-            system = self._face_systems[free] = LinearSystem(h_ff, len(free))
-        return system
-
     def _faces(self, r: Vec, constant: Fraction):
         """Stationary sets ``H_FF u_F = -r_F`` keyed by active set; on one the
         objective is ``r_F.u_F / 2 + constant``."""
-        orthants = [_nonneg_rows(k, k) for k in range(self.p + 1)]
-        for size in range(self.p + 1):
-            for active in itertools.combinations(range(self.p), size):
-                free = tuple(j for j in range(self.p) if j not in active)
-                r_f = tuple(r[j] for j in free)
-                system = self._face_system(free)
-                u0 = system.solve(vscale(-ONE, r_f))
-                if u0 is not None:
-                    value = dot(r_f, u0) / 2 + constant
-                    yield (active, value, u0, system.kernel) + orthants[len(free)]
+        for active, free in self.blocks.pairs:
+            r_f = tuple(r[j] for j in free)
+            system = self.blocks.system(free)
+            u0 = system.solve(vscale(-ONE, r_f))
+            if u0 is not None:
+                value = dot(r_f, u0) / 2 + constant
+                yield (active, value, u0, system.kernel) + self.blocks.orthants[len(free)]
 
     def minimize(self, c: Vec, constant: Fraction = ZERO) -> ConeMinVerdict:
         bound = self.boundedness(c)
@@ -470,7 +463,7 @@ class ConeProgram:
             r = tuple(dot(gen, c) for gen in self.d.generators)  # Z^T c
             for active, free in reversed(self._won_faces.items()):
                 r_f = tuple(r[j] for j in free)
-                system = self._face_system(free)
+                system = self.blocks.system(free)
                 u_f = system.solve(vscale(-ONE, r_f))
                 if u_f is None:
                     continue
@@ -480,7 +473,7 @@ class ConeProgram:
                 if any(dot(self.h[i], u) + r[i] < 0 for i in active):
                     continue
                 if any(x < 0 for x in u_f) and _feasible_point(
-                    u_f, system.kernel, *_nonneg_rows(len(free), len(free))
+                    u_f, system.kernel, *self.blocks.orthants[len(free)]
                 ) is None:
                     continue
                 self._remember(active, free)

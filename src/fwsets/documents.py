@@ -381,7 +381,13 @@ def parse(text: str):
 
 
 def serialize(kind: str, value) -> str:
-    """Canonical text of a document; the inverse of :func:`parse`."""
+    """Canonical text of a document, which :func:`parse` reads back.
+
+    Only the kinds :func:`payload_of` handles are written: quadratic,
+    hpolyhedron, vpolyhedron, cone, second_order_cone, motzkin, manifold and
+    affine_map.  The compound set kinds (quad_sublevel, epigraph, product,
+    union, intersection, affine_image) and subspace raise DocumentError.
+    """
     doc = {"version": "1", "kind": kind, "payload": payload_of(kind, value)}
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
 

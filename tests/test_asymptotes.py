@@ -1,8 +1,13 @@
 """Tests for flat-asymptote detection, projections, and qFW classification."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +112,33 @@ def test_hyperbola_has_axis_asymptotes():
     f = hyperbola_set()
     assert is_f_asymptote(f, AffineManifold.hyperplane((0, 1), 0)) is True
     assert is_f_asymptote(f, AffineManifold.hyperplane((1, 0), 0)) is True
+
+
+def test_asymptote_verdict_does_not_depend_on_import_order():
+    # a fresh interpreter that never imports fwsets.gallery and builds the
+    # hyperbola directly: the registered evidence must still be loaded
+    script = textwrap.dedent(
+        """
+        import sys
+        from fwsets.affine import AffineManifold
+        from fwsets.asymptotes import QuadSublevel, is_f_asymptote
+        from fwsets.linalg import vec
+        from fwsets.polyhedra import HPolyhedron
+        from fwsets.quadratics import Quadratic
+
+        base = HPolyhedron.from_rows([[-1, 0], [0, -1]], [0, 0])
+        q = Quadratic.build([[0, -1], [-1, 0]], [0, 0], 1)
+        f = QuadSublevel(base, (q,), sample_point=vec((1, 1)))
+        assert "fwsets.gallery" not in sys.modules
+        print(is_f_asymptote(f, AffineManifold.hyperplane((0, 1), 0)))
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "True"
 
 
 def test_ice_cream_cut_diagonal_asymptote():

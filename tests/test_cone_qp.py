@@ -18,7 +18,7 @@ from fwsets.cone_qp import (
     zero_set_pieces,
 )
 from fwsets.errors import NotInDomainError, SizeCapError
-from fwsets.linalg import dot, identity, matvec, primitive, unit, vec, vscale, zeros
+from fwsets.linalg import LinearSystem, dot, identity, matvec, primitive, unit, vec, vscale, zeros
 from fwsets.polyhedra import HPolyhedron, PolyCone, cone_h_to_v, lp_solve
 from fwsets.quadratics import Quadratic, is_psd
 
@@ -281,18 +281,147 @@ def test_boundedness_from_domain_rows_matches_pieces_walk():
 
 
 def test_generator_cap_precedes_enumeration(monkeypatch):
-    # 13 generators: the cap is checked before the 2^13 simplex enumeration,
+    # 13 generators: the cap is checked before any block H_FF is eliminated,
     # also for a strictly copositive form that needs no zero-set pieces
-    def no_enumeration(h):
-        raise AssertionError("simplex enumeration ran before the cap check")
+    def no_elimination(m, ncols):
+        raise AssertionError("a block was eliminated before the cap check")
 
-    monkeypatch.setattr(cone_qp, "_form_min_on_simplex", no_enumeration)
+    monkeypatch.setattr(cone_qp, "LinearSystem", no_elimination)
     d = PolyCone.from_generators([(1, k, 0) for k in range(13)], 3)
     g = identity(3)
-    with pytest.raises(SizeCapError):
-        dom_f(g, d)
-    with pytest.raises(SizeCapError):
-        is_bounded_below_on_cone(vec((0, 0, 0)), g, d)
+    for call in (
+        lambda: dom_f(g, d),
+        lambda: is_bounded_below_on_cone(vec((0, 0, 0)), g, d),
+        lambda: nonneg_form_on_cone(g, d),
+        lambda: zero_set_pieces(g, d),
+        lambda: ConeProgram(g, d),
+    ):
+        with pytest.raises(SizeCapError):
+            call()
+
+
+def _reference_simplex_min(h):
+    """``min {u.H u : u >= 0, sum u = 1}`` by bordered systems, as the sign
+    test used to run it: on each support F, ``2 H_FF u_F = nu e, e.u_F = 1``
+    in ``(u_F, nu)`` pins the value at nu/2; the least ``(value, (|F|, F))``
+    with a nonnegative solution wins.  Returns the value, F, u_F and whether
+    some singular block also carries a point of negative value."""
+    p = len(h)
+    faces = []
+    for size in range(1, p + 1):
+        g, zero = cone_qp._nonneg_rows(size, size + 1)
+        rhs = zeros(size) + (F(1),)
+        for support in itertools.combinations(range(p), size):
+            rows = tuple(
+                tuple(2 * h[a][b] for b in support) + (F(-1),) for a in support
+            ) + ((F(1),) * size + (F(0),),)
+            system = LinearSystem(rows, size + 1)
+            z0 = system.solve(rhs)
+            if z0 is not None:
+                faces.append(((size, support), z0[size] / 2, z0, system.kernel, g, zero))
+    value, (size, support), z = cone_qp._least_face(faces)
+    singular = any(
+        v < 0 and kernel and cone_qp._feasible_point(z0, kernel, g, zero) is not None
+        for _, v, z0, kernel, g, zero in faces
+    )
+    return value, support, z[:size], singular
+
+
+def _reference_form_sign(g, d):
+    """(sign, negative ray, how the sign was found) by the bordered walk."""
+    gens = d.generators
+    gz = [matvec(g, gen) for gen in gens]
+    h = tuple(tuple(dot(gi, gzj) for gzj in gz) for gi in gens)
+    if not gens:
+        return 1, None, "strict"
+    for i, gen in enumerate(gens):
+        if h[i][i] < 0:
+            return -1, gen, "diagonal"
+    value, support, u_f, singular = _reference_simplex_min(h)
+    if value >= 0:
+        return (1, None, "strict") if value > 0 else (0, None, "pieces")
+    x = tuple(sum((gens[j][i] * u for j, u in zip(support, u_f)), F(0)) for i in range(d.dim))
+    return -1, primitive(x), "singular" if singular else "walk"
+
+
+def test_sign_test_matches_bordered_simplex_reference():
+    # negative forms found on the diagonal, by the walk, and by the walk with
+    # a singular block among the negative candidates; nonnegative forms with
+    # and without zero-set pieces
+    rng = random.Random(9)
+    kinds = ("gram", "shifted_gram", "indefinite", "zero_diagonal", "zero")
+    outcomes = dict.fromkeys(("diagonal", "walk", "singular", "pieces", "strict"), 0)
+    with_lines = 0
+    for trial in range(320):
+        n = rng.randint(2 if trial % 3 == 1 else 1, 3)
+        kind = kinds[trial % 5]
+        raw = [[0] * n for _ in range(n)]
+        if kind in ("gram", "shifted_gram"):
+            m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            shift = rng.randint(-2, 0) if kind == "shifted_gram" else 0
+            raw = [[2 * sum(r[i] * r[j] for r in m) + 2 * shift * (i == j) for j in range(n)]
+                   for i in range(n)]
+        elif kind == "indefinite":
+            for i in range(n):
+                for j in range(i, n):
+                    raw[i][j] = raw[j][i] = rng.randint(-2, 2)
+        elif kind == "zero_diagonal":
+            for i in range(n):
+                for j in range(i + 1, n):
+                    raw[i][j] = raw[j][i] = rng.randint(-2, 2)
+        if trial % 3 == 1:
+            # generators on the hyperplane x_0 = 1, away from the axis: their
+            # dependencies have coefficient sum 0, so e can meet the range of
+            # a singular H_FF; a saddle -a x_0^2 + |x|^2 is then nonnegative on
+            # every generator and negative between them
+            gens = [(1,) + tuple(rng.choice((-3, -2, 2, 3)) for _ in range(n - 1))
+                    for _ in range(rng.randint(2, 6))]
+            if kind in ("shifted_gram", "indefinite", "zero_diagonal"):
+                raw = [[2 * (i == j) for j in range(n)] for i in range(n)]
+                raw[0][0] = -2 * rng.randint(1, 4)
+        else:
+            gens = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+        gens = [g for g in gens if any(x != 0 for x in g)]
+        if not gens:
+            continue
+        if trial % 4 == 0:
+            gens.append(tuple(-x for x in gens[0]))
+            with_lines += 1
+        d = PolyCone.from_generators(gens, n)
+        g_mat = Quadratic.build(raw).a
+        sign, ray, how = _reference_form_sign(g_mat, d)
+        outcomes[how] += 1
+        dom = dom_f(g_mat, d)
+        assert dom.is_empty == (sign < 0), (raw, gens)
+        assert dom.negative_ray == ray, (raw, gens)
+        assert nonneg_form_on_cone(g_mat, d) == (sign >= 0, ray)
+        if sign >= 0:
+            pieces = zero_set_pieces(g_mat, d)
+            assert (not pieces) == (sign > 0), (raw, gens)
+            assert dom.pieces == tuple(pieces)
+    assert min(outcomes.values()) >= 25, outcomes
+    assert with_lines >= 60
+
+
+def test_each_block_is_eliminated_once(monkeypatch):
+    # dom (sign test and zero set), three minimize and three value queries
+    # on one program build at most one system per free set: 2^p in all
+    built = []
+
+    def counting_system(m, ncols):
+        built.append(m)
+        return LinearSystem(m, ncols)
+
+    monkeypatch.setattr(cone_qp, "LinearSystem", counting_system)
+    d = PolyCone.from_generators([(1, 0), (0, 1), (1, 1), (1, 2)], 2)
+    g = ((F(1), F(0)), (F(0), F(0)))  # x_1^2: nonnegative, zero set the x_2 axis
+    prog = ConeProgram(g, d)
+    assert not prog.dom.is_empty and prog.dom.pieces
+    for c in ((1, 1), (-1, 2), (0, 3)):
+        assert prog.minimize(vec(c)).kind == "attained"
+    for c in ((2, 1), (-3, 1), (1, 5)):
+        assert prog.value(vec(c)) == prog.minimize(vec(c)).value
+    assert 0 < len(built) <= 2 ** 4
 
 
 # ---------------------------------------------------------------------------
