@@ -583,7 +583,7 @@ def linear_lower_bound(f: SetDescriptor, w: Vec) -> Fraction | None:
     Polyhedral data is exact; quadratic sublevel sets combine the base
     relaxation with a weak-duality sweep ``inf_x w.x + sum(lam q(x))`` over a
     small grid of nonnegative multipliers (any feasible value is a bound);
-    the epigraph uses its two certified minorants.
+    the epigraph uses its minorant ``y >= max(1, x^2)``.
     """
     if isinstance(f, HPolyhedron):
         res = lp_solve(f.a, f.b, w)
@@ -612,19 +612,16 @@ def linear_lower_bound(f: SetDescriptor, w: Vec) -> Fraction | None:
     if isinstance(f, Epigraph1D):
         alpha, beta = w
         if beta > 0:
-            # w.(x, y) >= alpha x + beta x^2 and >= alpha x + beta (exp > 0, f >= 1)
-            bound1 = -alpha * alpha / (4 * beta)
-            return max(bound1, _epigraph_linear_refined(alpha, beta))
+            # y >= x^2 + exp(-x^2) >= max(1, x^2), so w.(x, y) >= alpha x +
+            # beta max(1, x^2); that minorant is least at x = -sign(alpha)
+            # while the vertex -alpha/(2 beta) lies in [-1, 1], else there
+            if abs(alpha) <= 2 * beta:
+                return beta - abs(alpha)
+            return -alpha * alpha / (4 * beta)
         if beta == 0 and alpha == 0:
             return ZERO
         return None
     return None
-
-
-def _epigraph_linear_refined(alpha, beta) -> Fraction:
-    # on |x| <= 1: f(x) >= 1, so w.(x,y) >= alpha x + beta >= -|alpha| + beta
-    # (beta > 0); on |x| >= 1: f(x) >= x^2, handled by the caller's quadratic bound
-    return -abs(alpha) + beta
 
 
 def _lagrangian_value(q: Quadratic, constraints, lams):

@@ -30,13 +30,15 @@ which the objective decreases.  Everything here is exact.
 Every minimum here (the form on the simplex, the cone program, the QP over
 ``{A x <= b}``) is found by one face solver: a quadratic bounded below on a
 polyhedron attains its minimum at a stationary point of some face (Frank &
-Wolfe).  Each caller sets up the stationarity system of a face in rational
-arithmetic; one elimination gives its solution set ``z0 + span(kernel)``, on
-which the objective is constant, and one feasibility ladder picks a point
-of it: a direct check for an empty kernel, an interval test on a line, an
-exact LP on a larger set.  The enumeration keeps the least
-``(value, face key)`` and skips that step for faces that cannot beat the
-incumbent.
+Wolfe).  Each caller solves the stationarity system of a face by
+elimination: the cone layer reads the cached blocks ``H_FF``, and the QP over
+``{A x <= b}`` runs two fraction-free eliminations per face on Python ints
+and builds Fractions only for the face's value, point and directions.  The
+solution set ``z0 + span(kernel)`` carries a constant objective, and one
+feasibility ladder picks a point of it: a direct check for an empty kernel,
+an interval test on a line, an exact LP on a larger set.  The enumeration
+keeps the least ``(value, face key)`` and skips that step for faces that
+cannot beat the incumbent.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import mul
 
-from .errors import FwsetsError, NotInDomainError, SizeCapError
+from .errors import DimensionMismatchError, FwsetsError, NotInDomainError, SizeCapError
 from .linalg import (
     LinearSystem,
     Mat,
@@ -54,8 +57,11 @@ from .linalg import (
     Vec,
     ZERO,
     dot,
+    int_rref,
+    int_solution,
     matvec,
     primitive,
+    primitive_ints,
     unit,
     vadd,
     vec,
@@ -511,6 +517,11 @@ def value_function_eval(c: Vec, g: Mat, d: PolyCone) -> Fraction:
 MAX_FACE_SUBSETS = 200_000
 
 
+def _idot(a, b) -> int:
+    """Dot product of two integer sequences."""
+    return sum(map(mul, a, b))
+
+
 def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, Vec] | None:
     """Exact min of q over ``{A x <= b}`` assuming the infimum is attained.
 
@@ -518,37 +529,75 @@ def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, V
     On the affine hull ``A_J x = b_J`` of one, written ``x0 + N t``, the
     stationarity system ``N^T Q N t = -N^T grad q(x0)`` fixes the value, and
     the face solver looks for a point of its solution set inside ``A x <= b``.
-    The attained minimum is the least value over faces with such a point;
+    Each face is solved on Python ints: the rows ``(a_i, b_i)`` are scaled to
+    primitive integers and q by the lcm L of its denominators once; one
+    fraction-free elimination of ``[A_J | b_J]`` gives ``x0 = X0/d`` and
+    ``N' = d N``, and one of ``[N'^T Q N' | -N'^T G]``, with
+    ``G = Q X0 + d b = d L grad q(x0)``, gives the stationary point over a
+    common denominator, so the value is a single Fraction and Fractions are
+    built only for the face's point and stationary directions.  The
+    attained minimum is the least value over faces with a feasible point;
     ties go to the lexicographically least subset.  Returns None when no face
     carries a feasible stationary point, which can only happen for programs
     that are unbounded below.
     """
     n = p.dim
+    if q.dim != n:
+        raise DimensionMismatchError("quadratic and polyhedron dimensions differ")
     m = len(p.a)
     total = sum(comb(m, rr) for rr in range(min(m, n) + 1))
     if total > MAX_FACE_SUBSETS:
         raise SizeCapError(
             f"face enumeration needs {total} subsets, exceeding {MAX_FACE_SUBSETS}"
         )
+    rows_ab = [primitive_ints((*row, rhs)) for row, rhs in zip(p.a, p.b)]
+    scale = lcm(
+        *(x.denominator for row in q.a for x in row),
+        *(x.denominator for x in q.b),
+        q.c.denominator,
+    )
+    qm = [[x.numerator * (scale // x.denominator) for x in row] for row in q.a]
+    qb = [x.numerator * (scale // x.denominator) for x in q.b]
+    qc = q.c.numerator * (scale // q.c.denominator)
 
     def faces():
         for size in range(min(m, n) + 1):
             for subset in itertools.combinations(range(m), size):
-                hull = LinearSystem(tuple(p.a[i] for i in subset), n)
-                if hull.rank < size:
+                rows = [rows_ab[i][:] for i in subset]
+                pivots = int_rref(rows)
+                hull = int_solution(rows, pivots, n)
+                if hull is None or len(pivots) < size:
                     continue
-                x0 = hull.solve(tuple(p.b[i] for i in subset))
-                nbasis = hull.kernel
-                qn = [matvec(q.a, v) for v in nbasis]
-                grad0 = q.gradient(x0)
-                m_red = tuple(tuple(dot(v, w) for w in qn) for v in nbasis)
-                stationary = LinearSystem(m_red, len(nbasis))
-                t0 = stationary.solve(tuple(-dot(v, grad0) for v in nbasis))
-                if t0 is None:
-                    continue
-                base = _combine(x0, nbasis, t0)
-                dirs = [_combine(zeros(n), nbasis, kv) for kv in stationary.kernel]
-                yield subset, q.evaluate(base), base, dirs, p.a, p.b
+                x0, d, nbasis = hull
+                grad = [_idot(row, x0) + d * bi for row, bi in zip(qm, qb)]
+                if nbasis:
+                    qn = [[_idot(row, v) for row in qm] for v in nbasis]
+                    red = [[_idot(v, w) for w in qn] + [-_idot(v, grad)] for v in nbasis]
+                    stationary = int_solution(red, int_rref(red), len(nbasis))
+                    if stationary is None:
+                        continue
+                    s, e, kernel = stationary
+                    den = d * e
+                    num = [
+                        e * xi + sum(v[i] * si for v, si in zip(nbasis, s) if si)
+                        for i, xi in enumerate(x0)
+                    ]
+                else:
+                    den, num, kernel = d, x0, ()
+                qnum = [_idot(row, num) for row in qm]
+                value = Fraction(
+                    _idot(num, qnum) + 2 * den * _idot(qb, num) + 2 * qc * den * den,
+                    2 * scale * den * den,
+                )
+                base = tuple(Fraction(x, den) for x in num)
+                dirs = [
+                    tuple(
+                        Fraction(sum(v[i] * ki for v, ki in zip(nbasis, kv) if ki), den)
+                        for i in range(n)
+                    )
+                    for kv in kernel
+                ]
+                yield subset, value, base, dirs, p.a, p.b
 
     best = _least_face(faces())
     if best is None:

@@ -166,6 +166,39 @@ def int_rref(rows: list[list[int]]) -> list[int]:
     return pivots
 
 
+def int_solution(
+    rows: list[list[int]], pivots: list[int], n: int
+) -> tuple[list[int], int, list[list[int]]] | None:
+    """The solution set of ``[M | b]`` in n unknowns, read off :func:`int_rref`.
+
+    ``rows`` and ``pivots`` are what :func:`int_rref` left of the augmented
+    matrix.  Returns None when the system is inconsistent, else
+    ``(x, d, kernel)`` with one common denominator d > 0: ``x / d`` is the
+    particular solution with zero free coordinates (the one :func:`solve`
+    returns), and each integer vector of ``kernel`` is d times the basis
+    vector :func:`kernel_basis` gives for its free coordinate.
+    """
+    if pivots and pivots[-1] == n:
+        return None
+    d = lcm(*(row[pc] for row, pc in zip(rows, pivots)))
+    scales = [d // row[pc] for row, pc in zip(rows, pivots)]
+    x = [0] * n
+    for row, pc, s in zip(rows, pivots, scales):
+        x[pc] = row[n] * s
+    pivot_set = set(pivots)
+    kernel = []
+    for j in range(n):
+        if j in pivot_set:
+            continue
+        v = [0] * n
+        v[j] = d
+        for row, pc, s in zip(rows, pivots, scales):
+            if row[j]:
+                v[pc] = -row[j] * s
+        kernel.append(v)
+    return x, d, kernel
+
+
 def rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
     rows = [primitive_ints(r) for r in m]

@@ -211,6 +211,17 @@ def test_linear_lower_bound_on_parabola_set():
 def test_linear_lower_bound_on_epigraph():
     f = epigraph_set()
     assert linear_lower_bound(f, vec((0, 1))) >= 1
+    # y >= max(1, x^2): inf of x/2 + max(1, x^2) is 1 - 1/2 at x = -1, and
+    # inf of 10x + max(1, x^2) is the parabola's vertex value at x = -5
+    assert linear_lower_bound(f, vec((F(1, 2), 1))) == F(1, 2)
+    assert linear_lower_bound(f, vec((10, 1))) == -25
+
+
+def test_epigraph_slab_bound_is_a_lower_bound():
+    # the member (-5, 25 + e^-25) lies at squared distance (5 + e^-25)^2 / 101
+    # from 10x + y = -30; the slab from inf (10x + y) >= -25 certifies 25/101
+    verdict = distance_to_manifold(epigraph_set(), AffineManifold.hyperplane((10, 1), -30))
+    assert verdict.lower_bound_sq == F(25, 101)
 
 
 def _reference_lagrangian_value(w, constraints, lams):

@@ -17,7 +17,7 @@ from fwsets.cone_qp import (
     value_function_eval,
     zero_set_pieces,
 )
-from fwsets.errors import NotInDomainError, SizeCapError
+from fwsets.errors import DimensionMismatchError, NotInDomainError, SizeCapError
 from fwsets.linalg import LinearSystem, dot, identity, matvec, primitive, unit, vec, vscale, zeros
 from fwsets.polyhedra import HPolyhedron, PolyCone, cone_h_to_v, lp_solve
 from fwsets.quadratics import Quadratic, is_psd
@@ -590,6 +590,27 @@ def test_hpoly_qp_nonconvex_on_box():
     value, x = minimize_over_hpolyhedron(q, box)
     assert value == -2
     assert abs(x[0]) == 1 and x[1] == -1
+
+
+def test_hpoly_qp_rejects_a_dimension_mismatch():
+    q = Quadratic.build(identity(3), [1, 0, -1], 0)
+    for n in (2, 4):
+        box = HPolyhedron.from_rows([unit(n, 0), vscale(F(-1), unit(n, 0))], [1, 1])
+        with pytest.raises(DimensionMismatchError):
+            minimize_over_hpolyhedron(q, box)
+
+
+def test_face_subset_cap_precedes_enumeration(monkeypatch):
+    # 40 rows in R^10 give 1,221,246,132 row subsets of size <= 10: the cap
+    # is checked before any face is eliminated
+    def no_elimination(rows):
+        raise AssertionError("a face was eliminated before the cap check")
+
+    monkeypatch.setattr(cone_qp, "int_rref", no_elimination)
+    rows = [unit(10, i % 10) if i < 20 else vscale(F(-1), unit(10, i % 10)) for i in range(40)]
+    h = HPolyhedron.from_rows(rows, [1] * 40)
+    with pytest.raises(SizeCapError):
+        minimize_over_hpolyhedron(Quadratic.build(identity(10)), h)
 
 
 def test_hpoly_qp_matches_cone_solver_on_random_cones():

@@ -1,17 +1,22 @@
 """The integer exact kernel against the Fraction algorithms it replaced.
 
-``linalg.rref`` eliminates fraction-free on ints and ``polyhedra`` runs
-double description on primitive integer vectors.  Both must return exactly
-what Fraction Gauss-Jordan and Fraction double description return: the
-references below are those algorithms, written out here in Fractions.
+``linalg.rref`` eliminates fraction-free on ints, ``polyhedra`` runs double
+description on primitive integer vectors, and
+``cone_qp.minimize_over_hpolyhedron`` solves each face on ints.  Each must
+return exactly what the Fraction algorithm returns: the references below are
+those algorithms, written out here in Fractions.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
 
-from fwsets.linalg import rref
-from fwsets.polyhedra import cone_h_to_v
+from fwsets import cone_qp
+from fwsets.cone_qp import minimize_over_hpolyhedron
+from fwsets.linalg import int_rref, int_solution, primitive_ints, rref
+from fwsets.polyhedra import HPolyhedron, cone_h_to_v
+from fwsets.quadratics import Quadratic
 
 F = Fraction
 ZERO = F(0)
@@ -69,7 +74,10 @@ def ref_unit(n, i):
 
 
 def ref_kernel(m, n):
-    red, pivots = ref_rref(m)
+    return ref_kernel_from_rref(*ref_rref(m), n)
+
+
+def ref_kernel_from_rref(red, pivots, n):
     basis = []
     for j in range(n):
         if j in pivots:
@@ -87,6 +95,21 @@ def ref_solve_unique(m, b):
     red, pivots = ref_rref([row + (rhs,) for row, rhs in zip(m, b)])
     assert pivots == list(range(n))
     return tuple(red[r][n] for r in range(n))
+
+
+def ref_solution_set(m, b, n):
+    """``(x, kernel, rank)`` for ``m x = b`` in n unknowns, from one elimination
+    of ``[m | b]``: x is the solution with zero free coordinates, or None when
+    the system is inconsistent, and the leading columns are the rref of m."""
+    red, pivots = ref_rref([tuple(row) + (rhs,) for row, rhs in zip(m, b)])
+    rank = sum(pc < n for pc in pivots)
+    kernel = ref_kernel_from_rref(red, pivots[:rank], n)
+    if rank < len(pivots):
+        return None, kernel, rank
+    x = [ZERO] * n
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][n]
+    return tuple(x), kernel, rank
 
 
 def ref_pointed_dd(rows, d):
@@ -225,6 +248,25 @@ def test_rref_matches_fraction_gauss_jordan():
     assert shapes["singular"] >= 30 and shapes["zero"] >= 10
 
 
+def test_int_solution_matches_fraction_solution_set():
+    inconsistent = 0
+    for m in _rref_cases():
+        if not m or len(m[0]) < 2:
+            continue
+        n = len(m[0]) - 1
+        rows = [primitive_ints(r) for r in m]
+        got = int_solution(rows, int_rref(rows), n)
+        x, kernel, _ = ref_solution_set([r[:n] for r in m], [r[n] for r in m], n)
+        if x is None:
+            assert got is None, m
+            inconsistent += 1
+            continue
+        xs, d, ks = got
+        assert d > 0 and tuple(F(v, d) for v in xs) == x, m
+        assert [tuple(F(v, d) for v in k) for k in ks] == kernel, m
+    assert inconsistent >= 20
+
+
 # ---------------------------------------------------------------------------
 # double description
 # ---------------------------------------------------------------------------
@@ -274,3 +316,113 @@ def test_double_description_matches_fraction_reference():
         lineal += bool(lin)
         multi_ray += len(rays) > d
     assert lineal >= 15 and multi_ray >= 12
+
+
+# ---------------------------------------------------------------------------
+# the QP over {A x <= b}
+# ---------------------------------------------------------------------------
+
+
+def ref_faces(q, p):
+    """The Fraction face walk: on each row subset J with independent rows,
+    ``x0 + N t`` parametrizes ``A_J x = b_J`` and ``N^T Q N t = -N^T grad q(x0)``
+    gives the stationary set.  Returns what the walk hands to
+    ``cone_qp._least_face``, as a list."""
+    n, m = p.dim, len(p.a)
+
+    def matvec(a, x):
+        return tuple(ref_dot(row, x) for row in a)
+
+    def combine(z0, vectors, coeffs):
+        return tuple(z0[i] + sum((v[i] * s for v, s in zip(vectors, coeffs)), ZERO) for i in range(n))
+
+    faces = []
+    for size in range(min(m, n) + 1):
+        for subset in itertools.combinations(range(m), size):
+            x0, nbasis, rank = ref_solution_set([p.a[i] for i in subset], [p.b[i] for i in subset], n)
+            if rank < size:
+                continue
+            qn = [matvec(q.a, v) for v in nbasis]
+            grad0 = tuple(g + bi for g, bi in zip(matvec(q.a, x0), q.b))
+            m_red = [tuple(ref_dot(v, w) for w in qn) for v in nbasis]
+            t0, kernel, _ = ref_solution_set(m_red, [-ref_dot(v, grad0) for v in nbasis], len(nbasis))
+            if t0 is None:
+                continue
+            base = combine(x0, nbasis, t0)
+            dirs = [combine((ZERO,) * n, nbasis, kv) for kv in kernel]
+            value = ref_dot(base, matvec(q.a, base)) / 2 + ref_dot(q.b, base) + q.c
+            faces.append((subset, value, base, dirs, p.a, p.b))
+    return faces
+
+
+def _qp_form(rng, kind, n):
+    def rat():
+        return F(rng.randint(-4, 4), rng.choice((1, 2, 3, 7)))
+
+    if kind == "zero":
+        return [[ZERO] * n for _ in range(n)]
+    if kind == "indefinite":
+        a = [[rat() for _ in range(n)] for _ in range(n)]
+        return [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
+    rank = 1 if kind == "rank1" else rng.randint(1, n)
+    w = [[rat() for _ in range(n)] for _ in range(rank)]
+    return [[sum((r[i] * r[j] for r in w), ZERO) for j in range(n)] for i in range(n)]
+
+
+def _qp_cases():
+    rng = random.Random(20261018)
+    cases = []
+    for k in range(1040):
+        n = rng.randint(1, 5)
+        m = rng.randint(1, 7 if n < 4 else 5 if n == 4 else 4)
+        center = [F(rng.randint(-2, 2)) for _ in range(n)]
+        rows, rhs = [], []
+        for _ in range(m):
+            row = [F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3, 7))) for _ in range(n)]
+            rows.append(row)
+            rhs.append(ref_dot(row, center) + F(rng.randint(0, 3), rng.choice((1, 2, 3))))
+        if rng.random() < 0.15:  # 0 <= 1 or 0 <= -1
+            i = rng.randrange(m)
+            rows[i], rhs[i] = [ZERO] * n, F(rng.choice((1, -1)))
+        if m > 1 and rng.random() < 0.15:  # a row and its reverse, shifted apart
+            rows[1] = [-x for x in rows[0]]
+            rhs[1] = -rhs[0] - rng.randint(0, 2)
+        if m > 2 and rng.random() < 0.2:  # a rescaled duplicate row
+            rows[2] = [F(3, 2) * x for x in rows[0]]
+            rhs[2] = F(3, 2) * rhs[0]
+        kind = ("gram", "indefinite", "rank1", "zero")[k % 4]
+        a = _qp_form(rng, kind, n)
+        b = [F(rng.randint(-3, 3), rng.choice((1, 2, 3, 7))) for _ in range(n)]
+        if rng.random() < 0.5:  # b = A y: singular faces keep consistent systems
+            y = [F(rng.randint(-2, 2)) for _ in range(n)]
+            b = [ref_dot(row, y) for row in a]
+        q = Quadratic(tuple(map(tuple, a)), tuple(b), F(rng.randint(-2, 2), rng.choice((1, 3))))
+        cases.append((q, HPolyhedron(tuple(map(tuple, rows)), tuple(rhs), n)))
+    return cases
+
+
+def test_face_qp_matches_fraction_face_walk(monkeypatch):
+    # every face reaches the feasibility step with the value, point and
+    # stationary directions of the Fraction walk, so the answers agree too
+    least_face = cone_qp._least_face
+    streams = []
+
+    def recording(faces):
+        streams.append(list(faces))
+        return least_face(streams[-1])
+
+    monkeypatch.setattr(cone_qp, "_least_face", recording)
+    found = missing = lines = 0
+    for q, p in _qp_cases():
+        got = minimize_over_hpolyhedron(q, p)
+        ref = ref_faces(q, p)
+        assert streams.pop() == ref, (q, p)
+        best = least_face(ref)
+        assert got == (None if best is None else (best[0], best[2])), (q, p)
+        if got is None:
+            missing += 1
+        else:
+            found += 1
+            assert type(got[0]) is Fraction and all_fractions([got[1]])
+        lines += any(face[3] for face in ref)
+    assert found >= 400 and missing >= 100 and lines >= 300
