@@ -27,18 +27,26 @@ rows ``N t >= 0`` alone.  dom(f) is the intersection of the halfspaces
 from these rows: a row that c violates is, negated, a zero-set ray along
 which the objective decreases.  Everything here is exact.
 
+The cone layer runs on Python ints.  H is formed once as the integer matrix
+``lam H`` (the generators and G scaled by the lcms of their denominators),
+each block is eliminated fraction-free, and the sign test and the
+stationary systems are solved over one common denominator; the sign of
+``s`` is decided on ints, and Fractions are built only for the values,
+points and kernels that are read.  The results are the Fractions that
+elimination of H itself gives.
+
 Every minimum here (the form on the simplex, the cone program, the QP over
 ``{A x <= b}``) is found by one face solver: a quadratic bounded below on a
 polyhedron attains its minimum at a stationary point of some face (Frank &
 Wolfe).  Each caller solves the stationarity system of a face by
-elimination: the cone layer reads the cached blocks ``H_FF``, and the QP over
-``{A x <= b}`` runs two fraction-free eliminations per face on Python ints
-and builds Fractions only for the face's value, point and directions.  The
-solution set ``z0 + span(kernel)`` carries a constant objective, and one
-feasibility ladder picks a point of it: a direct check for an empty kernel,
-an interval test on a line, an exact LP on a larger set.  The enumeration
-keeps the least ``(value, face key)`` and skips that step for faces that
-cannot beat the incumbent.
+elimination on ints: the cone layer reads the cached blocks ``H_FF``, and the
+QP over ``{A x <= b}`` runs two fraction-free eliminations per face.  A face
+comes with its value, a single Fraction, and a thunk that builds its
+solution set ``z0 + span(kernel)``, which carries that constant objective;
+one feasibility ladder picks a point of it: a direct check for an empty
+kernel, an interval test on a line, an exact LP on a larger set.  The
+enumeration keeps the least ``(value, face key)``, and a face that cannot
+beat the incumbent is never built.
 """
 
 from __future__ import annotations
@@ -46,8 +54,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, partial
 from math import comb, lcm
-from operator import mul
 
 from .errors import DimensionMismatchError, FwsetsError, NotInDomainError, SizeCapError
 from .linalg import (
@@ -57,6 +65,7 @@ from .linalg import (
     Vec,
     ZERO,
     dot,
+    idot,
     int_rref,
     int_solution,
     matvec,
@@ -174,26 +183,36 @@ def _combine(z0: Vec, vectors, coeffs: Vec) -> Vec:
 def _least_face(faces):
     """The least ``(value, key, z)`` over faces with a feasible stationary point.
 
-    ``faces`` yields ``(key, value, z0, kernel, g, h)`` for each face whose
-    stationarity system is consistent: its solution set is
-    ``z0 + span(kernel)``, the objective equals ``value`` all over it, and a
-    candidate must satisfy ``g z <= h``.  A face that cannot beat the
-    incumbent skips the feasibility step.  Returns None when no face has a
-    feasible stationary point.
+    ``faces`` yields ``(key, value, build)`` for each face whose stationarity
+    system is consistent, and ``build()`` returns ``(z0, kernel, g, h)``: the
+    solution set is ``z0 + span(kernel)``, the objective equals ``value`` all
+    over it, and a candidate must satisfy ``g z <= h``.  A face that cannot
+    beat the incumbent is never built and skips the feasibility step.
+    Returns None when no face has a feasible stationary point.
     """
     best = None
-    for key, value, z0, kernel, g, h in faces:
+    for key, value, build in faces:
         if best is not None and (value, key) >= best[:2]:
             continue
-        z = _feasible_point(z0, kernel, g, h)
+        z = _feasible_point(*build())
         if z is not None:
             best = (value, key, z)
     return best
 
 
+def _stationary_set(num: list[int], den: int, system: LinearSystem, bounds: tuple[Mat, Vec]):
+    """``(z0, kernel, g, h)`` for the set ``num/den + span(kernel)`` of a
+    block's solutions inside ``bounds``; den may be negative."""
+    return (tuple(Fraction(x, den) if x else ZERO for x in num), system.kernel) + bounds
+
+
 def _nonneg_rows(k: int, width: int) -> tuple[Mat, Vec]:
     """``-z_i <= 0`` for the first k of ``width`` coordinates."""
     return tuple(vscale(-ONE, unit(width, i)) for i in range(k)), zeros(k)
+
+
+# the rows u >= 0 in k coordinates, for every block size
+_ORTHANTS = tuple(_nonneg_rows(k, k) for k in range(MAX_GENERATORS + 1))
 
 
 def _scatter(idx: tuple[int, ...], values: Vec, p: int) -> Vec:
@@ -208,33 +227,49 @@ class _Blocks:
     """The principal blocks ``H_FF`` of ``H = Z^T G Z``, each eliminated once.
 
     The sign test, the zero-set walk and the face minimizer all read them.
-    ``pairs`` holds every split ``(active, free)`` of the generator indices,
-    active sets by size and then lexicographically; :meth:`system` eliminates
-    ``H_FF`` for a free set F on first use and keeps it; ``orthants[k]`` are
-    the rows ``u >= 0`` in k coordinates.  The generator cap is checked
-    before anything is built.
+    They run on ints: with dz the lcm of the generators' denominators and L
+    that of G's, ``hi = (dz Z)^T (L G) (dz Z)`` is the integer matrix
+    ``lam H``, ``lam = dz^2 L``, and :meth:`system` eliminates ``hi_FF`` for
+    a free set F on first use and keeps it, so ``H_FF x = b`` is solved as
+    ``hi_FF x = lam b``.  The kernels are those of ``H_FF``, and ``h`` is H
+    itself in Fractions, built on first read.  ``pairs`` holds every split
+    ``(active, free)`` of the generator indices, active sets by size and then
+    lexicographically.  The shape of G and the generator cap are checked before
+    anything is built: integer dot products of unequal lengths would
+    truncate silently.
     """
 
     def __init__(self, g: Mat, d: PolyCone):
+        n = d.dim
+        if len(g) != n or any(len(row) != n for row in g):
+            raise DimensionMismatchError(f"the form is not {n} x {n} on a cone in R^{n}")
         self.p = p = len(d.generators)
         if p > MAX_GENERATORS:
             raise SizeCapError(f"{p} generators exceed the cap {MAX_GENERATORS}")
-        gz = [matvec(g, gen) for gen in d.generators]
-        self.h = tuple(tuple(dot(gi, gzj) for gzj in gz) for gi in d.generators)
+        dz = lcm(*(x.denominator for gen in d.generators for x in gen))
+        scale = lcm(*(x.denominator for row in g for x in row))
+        zi = [[x.numerator * (dz // x.denominator) for x in gen] for gen in d.generators]
+        gi = [[x.numerator * (scale // x.denominator) for x in row] for row in g]
+        gz = [[idot(row, z) for row in gi] for z in zi]
+        self.hi = [[idot(za, gzb) for gzb in gz] for za in zi]
+        self.lam = dz * dz * scale
         self.pairs = tuple(
             (active, tuple(j for j in range(p) if j not in active))
             for size in range(p + 1)
             for active in itertools.combinations(range(p), size)
         )
-        self.orthants = [_nonneg_rows(k, k) for k in range(p + 1)]
         self._systems: dict[tuple[int, ...], LinearSystem] = {}
 
     def system(self, free: tuple[int, ...]) -> LinearSystem:
         system = self._systems.get(free)
         if system is None:
-            h_ff = tuple(tuple(self.h[a][b] for b in free) for a in free)
-            system = self._systems[free] = LinearSystem(h_ff, len(free))
+            hi_ff = tuple(tuple(self.hi[a][b] for b in free) for a in free)
+            system = self._systems[free] = LinearSystem(hi_ff, len(free))
         return system
+
+    @cached_property
+    def h(self) -> Mat:
+        return tuple(tuple(Fraction(x, self.lam) for x in row) for row in self.hi)
 
 
 def _generator_matrix(d: PolyCone) -> Mat:
@@ -255,20 +290,27 @@ def _negative_ray(d: PolyCone, blocks: _Blocks) -> Vec | None:
     orthogonal to the kernel, so each has ``e.u_F = 1`` and ``u.H u = 1/s``.
     These are the stationary points of negative value on the simplex, so the
     least ``(1/s, (|F|, F))`` over supports whose set meets ``u >= 0`` is the
-    minimum; its point u gives the ray ``Z u``, made primitive.
+    minimum; its point u gives the ray ``Z u``, made primitive.  On ints,
+    ``hi_FF w = e`` gives ``w = x/den`` and ``v = lam w``, so s has the sign
+    of ``sum(x)``, ``1/s = den/(lam sum(x))`` and ``u_F = (x + k)/sum(x)``;
+    Fractions are built only for a support with s < 0.
     """
     for i, gen in enumerate(d.generators):
-        if blocks.h[i][i] < 0:
+        if blocks.hi[i][i] < 0:
             return gen
 
     def faces():
         for _, free in blocks.pairs:
+            k = len(free)
             system = blocks.system(free)
-            v = system.solve((ONE,) * len(free))
-            s = ZERO if v is None else sum(v, ZERO)
+            sol = system.solve_ints((1,) * k)
+            if sol is None:
+                continue
+            x, den = sol
+            s = sum(x)
             if s < 0:
-                key = (len(free), free)
-                yield (key, 1 / s, vscale(1 / s, v), system.kernel) + blocks.orthants[len(free)]
+                build = partial(_stationary_set, x, s, system, _ORTHANTS[k])
+                yield (k, free), Fraction(den, blocks.lam * s), build
 
     best = _least_face(faces())
     if best is None:
@@ -303,9 +345,10 @@ def zero_set_pieces(g: Mat, d: PolyCone, blocks: _Blocks | None = None) -> list[
     pieces: list[ZeroSetPiece] = []
     seen: set[frozenset] = set()
     for active, free in blocks.pairs:
-        kernel = blocks.system(free).kernel
-        if not kernel:
+        system = blocks.system(free)
+        if system.rank == len(free):
             continue
+        kernel = system.kernel
         n_rows = tuple(zip(*kernel))  # u_F = N t
         # N has full column rank, so {t : N t >= 0} is pointed
         rays_t, _ = cone_h_to_v([vscale(-ONE, row) for row in n_rows], len(kernel))
@@ -393,11 +436,15 @@ class ConeProgram:
         self.blocks = _Blocks(g, d)
         self.p = self.blocks.p
         self.z = _generator_matrix(d)
-        self.h = self.blocks.h
         self._dom: DomF | None = None
         self._convex: bool | None = None
         # active set -> free set of every face that won a query, most recent last
         self._won_faces: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    @property
+    def h(self) -> Mat:
+        """``H = Z^T G Z`` in Fractions."""
+        return self.blocks.h
 
     @property
     def dom(self) -> DomF:
@@ -408,16 +455,39 @@ class ConeProgram:
     def boundedness(self, c: Vec) -> BoundednessResult:
         return is_bounded_below_on_cone(c, self.g, self.d, dom=self.dom)
 
-    def _faces(self, r: Vec, constant: Fraction):
+    def _linear_term(self, c: Vec) -> tuple[Vec, list[int], int]:
+        """``r = Z^T c`` and the integers ``rr = rho r``, rho the lcm of r's
+        denominators."""
+        r = tuple(dot(gen, c) for gen in self.d.generators)
+        rho = lcm(*(x.denominator for x in r))
+        return r, [x.numerator * (rho // x.denominator) for x in r], rho
+
+    def _face(self, free: tuple[int, ...], rr: list[int], rho: int):
+        """The stationary set ``H_FF u_F = -r_F`` for ``r = rr / rho``, solved
+        on ints as ``hi_FF x = -den rr_F``; None when it is empty.  Otherwise
+        ``(x, den, value, build)``: ``u_F = lam x / (rho den)`` is its point
+        with zero free coordinates, the objective ``r_F.u_F / 2`` equals
+        value on it, and ``build`` is the face solver's thunk."""
+        system = self.blocks.system(free)
+        sol = system.solve_ints([-rr[j] for j in free])
+        if sol is None:
+            return None
+        x, den = sol
+        lam = self.blocks.lam
+        value = Fraction(lam * idot([rr[j] for j in free], x), 2 * rho * rho * den)
+        build = partial(
+            _stationary_set, [lam * xi for xi in x], rho * den, system, _ORTHANTS[len(free)]
+        )
+        return x, den, value, build
+
+    def _faces(self, rr: list[int], rho: int, constant: Fraction):
         """Stationary sets ``H_FF u_F = -r_F`` keyed by active set; on one the
         objective is ``r_F.u_F / 2 + constant``."""
         for active, free in self.blocks.pairs:
-            r_f = tuple(r[j] for j in free)
-            system = self.blocks.system(free)
-            u0 = system.solve(vscale(-ONE, r_f))
-            if u0 is not None:
-                value = dot(r_f, u0) / 2 + constant
-                yield (active, value, u0, system.kernel) + self.blocks.orthants[len(free)]
+            face = self._face(free, rr, rho)
+            if face is not None:
+                _, _, value, build = face
+                yield active, value + constant, build
 
     def minimize(self, c: Vec, constant: Fraction = ZERO) -> ConeMinVerdict:
         bound = self.boundedness(c)
@@ -427,8 +497,8 @@ class ConeProgram:
             return ConeMinVerdict(
                 "unbounded", direction=direction, curvature=bound.kind
             )
-        r = tuple(dot(gen, c) for gen in self.d.generators)  # Z^T c
-        best = _least_face(self._faces(r, constant))
+        r, rr, rho = self._linear_term(c)
+        best = _least_face(self._faces(rr, rho, constant))
         if best is None:
             raise FwsetsError("bounded program produced no stationary candidates")
         value, active, u_f = best
@@ -466,24 +536,22 @@ class ConeProgram:
         if self._convex is None:
             self._convex = is_psd(self.h)
         if self._convex and self._won_faces:
-            r = tuple(dot(gen, c) for gen in self.d.generators)  # Z^T c
+            _, rr, rho = self._linear_term(c)
+            hi = self.blocks.hi
             for active, free in reversed(self._won_faces.items()):
-                r_f = tuple(r[j] for j in free)
-                system = self.blocks.system(free)
-                u_f = system.solve(vscale(-ONE, r_f))
-                if u_f is None:
+                face = self._face(free, rr, rho)
+                if face is None:
                     continue
+                x, den, value, build = face
                 # H is PSD, so H_FF v = 0 gives H v = 0: the multipliers are
-                # the same all over the solution set u_F + span(kernel)
-                u = _scatter(free, u_f, self.p)
-                if any(dot(self.h[i], u) + r[i] < 0 for i in active):
+                # the same all over the solution set u_F + span(kernel);
+                # (H u + r)_i = (hi_iF.x + den rr_i) / (rho den)
+                if any(idot([hi[i][j] for j in free], x) + den * rr[i] < 0 for i in active):
                     continue
-                if any(x < 0 for x in u_f) and _feasible_point(
-                    u_f, system.kernel, *self.blocks.orthants[len(free)]
-                ) is None:
+                if any(xi < 0 for xi in x) and _feasible_point(*build()) is None:
                     continue
                 self._remember(active, free)
-                return dot(r_f, u_f) / 2
+                return value
         verdict = self.minimize(c)
         if verdict.kind != "attained":
             raise NotInDomainError(
@@ -517,9 +585,19 @@ def value_function_eval(c: Vec, g: Mat, d: PolyCone) -> Fraction:
 MAX_FACE_SUBSETS = 200_000
 
 
-def _idot(a, b) -> int:
-    """Dot product of two integer sequences."""
-    return sum(map(mul, a, b))
+def _face_set(num: list[int], den: int, nbasis, kernel, p: HPolyhedron):
+    """``(z0, kernel, g, h)`` of a face of ``{A x <= b}``: the point
+    ``num / den`` and the directions ``N' k / den`` for the integer kernel
+    vectors k of the reduced system, inside ``A x <= b``."""
+    base = tuple(Fraction(x, den) for x in num)
+    dirs = [
+        tuple(
+            Fraction(sum(v[i] * ki for v, ki in zip(nbasis, kv) if ki), den)
+            for i in range(p.dim)
+        )
+        for kv in kernel
+    ]
+    return base, dirs, p.a, p.b
 
 
 def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, Vec] | None:
@@ -569,10 +647,10 @@ def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, V
                 if hull is None or len(pivots) < size:
                     continue
                 x0, d, nbasis = hull
-                grad = [_idot(row, x0) + d * bi for row, bi in zip(qm, qb)]
+                grad = [idot(row, x0) + d * bi for row, bi in zip(qm, qb)]
                 if nbasis:
-                    qn = [[_idot(row, v) for row in qm] for v in nbasis]
-                    red = [[_idot(v, w) for w in qn] + [-_idot(v, grad)] for v in nbasis]
+                    qn = [[idot(row, v) for row in qm] for v in nbasis]
+                    red = [[idot(v, w) for w in qn] + [-idot(v, grad)] for v in nbasis]
                     stationary = int_solution(red, int_rref(red), len(nbasis))
                     if stationary is None:
                         continue
@@ -584,20 +662,12 @@ def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, V
                     ]
                 else:
                     den, num, kernel = d, x0, ()
-                qnum = [_idot(row, num) for row in qm]
+                qnum = [idot(row, num) for row in qm]
                 value = Fraction(
-                    _idot(num, qnum) + 2 * den * _idot(qb, num) + 2 * qc * den * den,
+                    idot(num, qnum) + 2 * den * idot(qb, num) + 2 * qc * den * den,
                     2 * scale * den * den,
                 )
-                base = tuple(Fraction(x, den) for x in num)
-                dirs = [
-                    tuple(
-                        Fraction(sum(v[i] * ki for v, ki in zip(nbasis, kv) if ki), den)
-                        for i in range(n)
-                    )
-                    for kv in kernel
-                ]
-                yield subset, value, base, dirs, p.a, p.b
+                yield subset, value, partial(_face_set, num, den, nbasis, kernel, p)
 
     best = _least_face(faces())
     if best is None:

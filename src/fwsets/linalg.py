@@ -11,7 +11,10 @@ integer row (a positive rescaling, so signs and zero patterns are kept),
 Gauss-Jordan elimination works fraction-free, dividing every updated row by
 the gcd of its entries, and Fractions are built once, from the finished
 rows.  The reduced row echelon form is unique, so the results are the ones
-Fraction elimination gives.
+Fraction elimination gives.  :func:`solve`, :func:`kernel_basis` and
+:class:`LinearSystem` read their Fractions straight off the integer rows, one
+per nonzero entry of a result; a :class:`LinearSystem` answers each right-hand
+side with integer dot products.
 
 No floating point enters this module.
 """
@@ -19,7 +22,9 @@ No floating point enters this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
@@ -216,15 +221,26 @@ def rank(m: Mat) -> int:
     return len(int_rref([primitive_ints(r) for r in m]))
 
 
-def _kernel_from_rref(red: Mat, pivots: Sequence[int], n: int) -> list[Vec]:
-    """Kernel basis read off a reduced row echelon form with n columns."""
-    free = [j for j in range(n) if j not in pivots]
+def idot(a, b) -> int:
+    """Dot product of two integer sequences."""
+    return sum(map(mul, a, b))
+
+
+def _kernel_from_rows(rows: list[list[int]], pivots: Sequence[int], n: int) -> list[Vec]:
+    """Kernel basis of the first n columns, read off the rows :func:`int_rref`
+    left: for each free column j, the vector with 1 at j and
+    ``-row[j] / row[pc]`` at the pivot column pc of each row.  ``pivots`` are
+    the pivot columns below n."""
+    pivot_set = set(pivots)
     basis = []
-    for j in free:
+    for j in range(n):
+        if j in pivot_set:
+            continue
         v = [ZERO] * n
         v[j] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][j]
+        for row, pc in zip(rows, pivots):
+            if row[j]:
+                v[pc] = Fraction(-row[j], row[pc])
         basis.append(tuple(v))
     return basis
 
@@ -235,8 +251,8 @@ def kernel_basis(m: Mat, ncols: int | None = None) -> list[Vec]:
         if ncols is None:
             raise ValueError("ncols required for an empty matrix")
         return [unit(ncols, i) for i in range(ncols)]
-    red, pivots = rref(m)
-    return _kernel_from_rref(red, pivots, len(m[0]))
+    rows = [primitive_ints(r) for r in m]
+    return _kernel_from_rows(rows, int_rref(rows), len(m[0]))
 
 
 def solve(m: Mat, b: Vec) -> Vec | None:
@@ -249,43 +265,72 @@ def solve(m: Mat, b: Vec) -> Vec | None:
     if not m:
         return zeros(0) if not b else None
     n = len(m[0])
-    aug = tuple(row + (rhs,) for row, rhs in zip(m, b))
-    red, pivots = rref(aug)
-    if n in pivots:
+    rows = [primitive_ints(row + (rhs,)) for row, rhs in zip(m, b)]
+    pivots = int_rref(rows)
+    if pivots and pivots[-1] == n:
         return None
     x = [ZERO] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][n]
+    for row, pc in zip(rows, pivots):
+        if row[n]:
+            x[pc] = Fraction(row[n], row[pc])
     return tuple(x)
 
 
 class LinearSystem:
     """``m x = b`` for a fixed m (``ncols`` columns) and any right-hand side.
 
-    ``[m | I]`` is eliminated once to ``[E | T]``: E is the reduced row
-    echelon form of m and ``T m = E``.  The rank, the kernel basis and, for
-    each b, the consistency test and the particular solution with zero free
-    coordinates (the one :func:`solve` returns) all follow without
-    eliminating again.
+    The rows of ``[m | I]``, each scaled to integers by the lcm of its
+    denominators, are eliminated once by :func:`int_rref` to ``[E | T]``
+    with ``T m = E``: the leading rows of E are multiples of the reduced row
+    echelon form of m, and the rows of T below the rank span the left kernel
+    of m.  The rank, the kernel basis (read on first use) and, for each b,
+    the consistency test and the particular solution with zero free
+    coordinates all follow without eliminating again, on ints; they are the
+    Fractions :func:`solve` and :func:`kernel_basis` return.
     """
 
     def __init__(self, m: Mat, ncols: int):
-        red, pivots = rref(tuple(row + unit(len(m), i) for i, row in enumerate(m)))
+        k = len(m)
+        rows = []
+        for i, row in enumerate(m):
+            den = lcm(*(x.denominator for x in row))
+            ints = [x.numerator * (den // x.denominator) for x in row]
+            ints.extend(den if j == i else 0 for j in range(k))
+            rows.append(ints)
+        pivots = int_rref(rows)
         self.ncols = ncols
         self.rank = sum(pc < ncols for pc in pivots)
         self.pivots = pivots[: self.rank]
-        self.transform = tuple(row[ncols:] for row in red)
-        self.kernel = _kernel_from_rref(red, self.pivots, ncols)
+        self._rows = rows
+        self._transform = [row[ncols:] for row in rows]
+        leads = [row[pc] for row, pc in zip(rows, self.pivots)]
+        self._den = lcm(*leads)
+        self._scales = [self._den // lead for lead in leads]
+
+    @cached_property
+    def kernel(self) -> list[Vec]:
+        return _kernel_from_rows(self._rows, self.pivots, self.ncols)
+
+    def solve_ints(self, b: Sequence[int]) -> tuple[list[int], int] | None:
+        """``(x, d)`` with ``x / d`` the particular solution of ``m x = b`` for
+        an integer b, over one common denominator ``d > 0``; None when the
+        system is inconsistent."""
+        tb = [idot(row, b) for row in self._transform]
+        if any(tb[self.rank :]):
+            return None
+        x = [0] * self.ncols
+        for pc, t, s in zip(self.pivots, tb, self._scales):
+            x[pc] = t * s
+        return x, self._den
 
     def solve(self, b: Vec) -> Vec | None:
         """The particular solution of ``m x = b``, or None when inconsistent."""
-        tb = matvec(self.transform, b)
-        if any(tb[self.rank :]):
+        den = lcm(*(x.denominator for x in b))
+        sol = self.solve_ints([x.numerator * (den // x.denominator) for x in b])
+        if sol is None:
             return None
-        x = [ZERO] * self.ncols
-        for pc, value in zip(self.pivots, tb):
-            x[pc] = value
-        return tuple(x)
+        x, d = sol
+        return tuple(Fraction(xi, d * den) if xi else ZERO for xi in x)
 
 
 def independent_rows(rows: list[list[int]], limit: int) -> list[int]:

@@ -319,7 +319,9 @@ def _reference_simplex_min(h):
             z0 = system.solve(rhs)
             if z0 is not None:
                 faces.append(((size, support), z0[size] / 2, z0, system.kernel, g, zero))
-    value, (size, support), z = cone_qp._least_face(faces)
+    value, (size, support), z = cone_qp._least_face(
+        (key, v, lambda face=face: face) for key, v, *face in faces
+    )
     singular = any(
         v < 0 and kernel and cone_qp._feasible_point(z0, kernel, g, zero) is not None
         for _, v, z0, kernel, g, zero in faces
@@ -422,6 +424,66 @@ def test_each_block_is_eliminated_once(monkeypatch):
     for c in ((2, 1), (-3, 1), (1, 5)):
         assert prog.value(vec(c)) == prog.minimize(vec(c)).value
     assert 0 < len(built) <= 2 ** 4
+
+
+def test_cone_layer_rejects_a_form_of_another_dimension():
+    # the blocks take integer dot products, which would truncate silently:
+    # the shape of G is checked before anything is built
+    d = PolyCone.from_generators([(1, 0, 0), (0, 1, 1), (1, -1, 2)], 3)
+    for n in (2, 4):
+        g = identity(n)
+        for call in (dom_f, nonneg_form_on_cone, zero_set_pieces, ConeProgram):
+            with pytest.raises(DimensionMismatchError):
+                call(g, d)
+
+
+def test_integer_blocks_match_rational_data():
+    # generators with denominators 2, 3, 5, 6 and forms with half-integer
+    # entries: the blocks run on lam H with lam > 1, and every answer is the
+    # one of H itself and of the primitive cone
+    rng = random.Random(20261102)
+    cones = (
+        ((F(1, 2), F(1, 3)), (F(-2, 5), F(1))),
+        ((F(1, 2), F(1, 3)), (F(-2, 5), F(1)), (F(3, 2), F(-1, 6))),
+        ((F(1, 2), F(1, 3), F(0)), (F(-2, 5), F(1), F(1, 6)), (F(0), F(-1, 3), F(1, 2)),
+         (F(-1, 2), F(-1, 3), F(0))),
+    )
+    outcomes = dict.fromkeys(("negative", "pieces", "strict", "attained", "unbounded"), 0)
+    for trial in range(90):
+        gens = cones[trial % 3]
+        n = len(gens[0])
+        d = PolyCone(gens, n)
+        if trial % 2:
+            w = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            g = tuple(tuple(sum((r[i] * r[j] for r in w), F(0)) / 2 for j in range(n))
+                      for i in range(n))
+        else:
+            half = [[F(rng.randint(-3, 3), 2) for _ in range(n)] for _ in range(n)]
+            g = tuple(tuple(half[i][j] + half[j][i] for j in range(n)) for i in range(n))
+        blocks = cone_qp._Blocks(g, d)
+        assert blocks.lam > 1
+        assert blocks.h == tuple(tuple(dot(gi, matvec(g, gj)) for gj in gens) for gi in gens)
+        prim = PolyCone.from_generators(gens, n)
+        dom = dom_f(g, d)
+        sign, ray, _ = _reference_form_sign(g, d)
+        assert dom.negative_ray == ray, (g, gens)
+        outcomes["negative" if sign < 0 else "pieces" if sign == 0 else "strict"] += 1
+        if sign >= 0:
+            assert dom.cone.halfspaces == dom_f(g, prim).cone.halfspaces, (g, gens)
+        prog, ref_prog = ConeProgram(g, d), ConeProgram(g, prim)
+        for _ in range(4):
+            c = tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n))
+            got = is_bounded_below_on_cone(c, g, d, dom=dom)
+            assert (got.bounded, got.certificate, got.kind) == _pieces_walk(c, g, d), (g, gens, c)
+            v, ref = prog.minimize(c), ref_prog.minimize(c)
+            assert v.kind == ref.kind, (g, gens, c)
+            outcomes[v.kind] += 1
+            if v.kind == "attained":
+                assert v.value == ref.value == prog.value(c) == ConeProgram(g, d).value(c)
+                z = tuple(zip(*gens))
+                assert matvec(z, v.parameter_point) == v.point
+                assert v.value == dot(c, v.point) + dot(v.point, matvec(g, v.point)) / 2
+    assert min(outcomes.values()) >= 15, outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The integer exact kernel against the Fraction algorithms it replaced.
 
-``linalg.rref`` eliminates fraction-free on ints, ``polyhedra`` runs double
-description on primitive integer vectors, and
+``linalg.rref`` eliminates fraction-free on ints, ``LinearSystem``,
+``solve`` and ``kernel_basis`` read their results off integer rows,
+``polyhedra`` runs double description on primitive integer vectors, and
 ``cone_qp.minimize_over_hpolyhedron`` solves each face on ints.  Each must
 return exactly what the Fraction algorithm returns: the references below are
 those algorithms, written out here in Fractions.
@@ -14,7 +15,15 @@ from math import gcd
 
 from fwsets import cone_qp
 from fwsets.cone_qp import minimize_over_hpolyhedron
-from fwsets.linalg import int_rref, int_solution, primitive_ints, rref
+from fwsets.linalg import (
+    LinearSystem,
+    int_rref,
+    int_solution,
+    kernel_basis,
+    primitive_ints,
+    rref,
+    solve,
+)
 from fwsets.polyhedra import HPolyhedron, cone_h_to_v
 from fwsets.quadratics import Quadratic
 
@@ -267,6 +276,46 @@ def test_int_solution_matches_fraction_solution_set():
     assert inconsistent >= 20
 
 
+def test_linear_system_solve_and_kernel_match_fraction_gauss_jordan():
+    # rank, pivots, kernel vectors in order and the particular solutions of
+    # consistent and inconsistent right-hand sides, also with repeated rows
+    # and for matrices with no rows or no columns
+    rng = random.Random(20261101)
+    cases = [(m, len(m[0])) for m in _rref_cases() if m]
+    cases += [((), 3), ((), 0), (((), ()), 0)]
+    for m, n in list(cases[:40]):
+        cases.append((m + (m[0], m[-1]), n))
+    seen = {"deficient": 0, "inconsistent": 0, "consistent": 0}
+    for m, n in cases:
+        system = LinearSystem(m, n)
+        ref_pivots = [pc for pc in ref_rref(m)[1] if pc < n]
+        assert (system.rank, system.pivots) == (len(ref_pivots), ref_pivots), m
+        ref_k = ref_kernel(m, n)
+        assert system.kernel == ref_k and all_fractions(system.kernel), m
+        assert kernel_basis(m, n) == ref_k, m
+        seen["deficient"] += system.rank < len(m)
+        y = [_rational(rng) for _ in range(n)]
+        rhss = [
+            tuple(ref_dot(row, y) for row in m),
+            tuple(_rational(rng) for _ in m),
+            (ZERO,) * len(m),
+        ]
+        for b in rhss:
+            x = ref_solution_set(m, b, n)[0]
+            got = system.solve(b)
+            assert got == x, (m, b)
+            if m:  # solve reads the width off m
+                assert solve(m, b) == x, (m, b)
+            if x is None:
+                seen["inconsistent"] += 1
+            else:
+                seen["consistent"] += 1
+                assert all_fractions([got])
+    assert LinearSystem((), 2).solve(()) == (ZERO, ZERO)
+    assert solve((), ()) == () and solve((), (ONE,)) is None
+    assert min(seen.values()) >= 40, seen
+
+
 # ---------------------------------------------------------------------------
 # double description
 # ---------------------------------------------------------------------------
@@ -326,8 +375,9 @@ def test_double_description_matches_fraction_reference():
 def ref_faces(q, p):
     """The Fraction face walk: on each row subset J with independent rows,
     ``x0 + N t`` parametrizes ``A_J x = b_J`` and ``N^T Q N t = -N^T grad q(x0)``
-    gives the stationary set.  Returns what the walk hands to
-    ``cone_qp._least_face``, as a list."""
+    gives the stationary set.  Returns the faces the walk hands to
+    ``cone_qp._least_face``, each built, as a list of
+    ``(key, value, z0, kernel, g, h)``."""
     n, m = p.dim, len(p.a)
 
     def matvec(a, x):
@@ -408,8 +458,10 @@ def test_face_qp_matches_fraction_face_walk(monkeypatch):
     streams = []
 
     def recording(faces):
-        streams.append(list(faces))
-        return least_face(streams[-1])
+        # every face is built, also those the solver skips
+        faces = list(faces)
+        streams.append([(key, value, *build()) for key, value, build in faces])
+        return least_face(faces)
 
     monkeypatch.setattr(cone_qp, "_least_face", recording)
     found = missing = lines = 0
@@ -417,7 +469,7 @@ def test_face_qp_matches_fraction_face_walk(monkeypatch):
         got = minimize_over_hpolyhedron(q, p)
         ref = ref_faces(q, p)
         assert streams.pop() == ref, (q, p)
-        best = least_face(ref)
+        best = least_face((key, value, lambda face=face: face) for key, value, *face in ref)
         assert got == (None if best is None else (best[0], best[2])), (q, p)
         if got is None:
             missing += 1
