@@ -264,6 +264,8 @@ def solve(m: Mat, b: Vec) -> Vec | None:
     """
     if not m:
         return zeros(0) if not b else None
+    if len(b) != len(m):
+        raise DimensionMismatchError("right-hand side length is not the row count")
     n = len(m[0])
     rows = [primitive_ints(row + (rhs,)) for row, rhs in zip(m, b)]
     pivots = int_rref(rows)
@@ -314,7 +316,10 @@ class LinearSystem:
     def solve_ints(self, b: Sequence[int]) -> tuple[list[int], int] | None:
         """``(x, d)`` with ``x / d`` the particular solution of ``m x = b`` for
         an integer b, over one common denominator ``d > 0``; None when the
-        system is inconsistent."""
+        system is inconsistent.  Raises when b's length is not m's row count,
+        which the integer dot products would otherwise truncate silently."""
+        if len(b) != len(self._transform):
+            raise DimensionMismatchError("right-hand side length is not the row count")
         tb = [idot(row, b) for row in self._transform]
         if any(tb[self.rank :]):
             return None

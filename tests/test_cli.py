@@ -101,6 +101,17 @@ def test_version_mismatch():
         parse(json.dumps(doc))
 
 
+def test_manifold_rows_and_rhs_of_unequal_length_rejected():
+    for rhs in (["1"], ["1", "2", "3"]):
+        doc = {
+            "version": "1",
+            "kind": "manifold",
+            "payload": {"rows": [["1", "0"], ["0", "1"]], "rhs": rhs},
+        }
+        with pytest.raises(DocumentError):
+            parse(json.dumps(doc))
+
+
 def test_motzkin_roundtrip():
     mot = MotzkinSet(
         PolytopeK.build([(0, 0), (1, 0)]), PolyCone.from_generators([(1, 1)])

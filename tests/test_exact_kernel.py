@@ -13,8 +13,11 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from fwsets import cone_qp
 from fwsets.cone_qp import minimize_over_hpolyhedron
+from fwsets.errors import DimensionMismatchError
 from fwsets.linalg import (
     LinearSystem,
     int_rref,
@@ -314,6 +317,21 @@ def test_linear_system_solve_and_kernel_match_fraction_gauss_jordan():
     assert LinearSystem((), 2).solve(()) == (ZERO, ZERO)
     assert solve((), ()) == () and solve((), (ONE,)) is None
     assert min(seen.values()) >= 40, seen
+
+
+def test_right_hand_side_of_wrong_length_raises():
+    # integer dot products stop at the shorter sequence, so the length is
+    # checked before any is taken
+    m = ((ONE, ZERO), (ZERO, ONE))
+    for system in (LinearSystem(m, 2), LinearSystem((), 2)):
+        for b in ((ONE,), (ONE, ONE, ONE)):
+            with pytest.raises(DimensionMismatchError):
+                system.solve(b)
+            with pytest.raises(DimensionMismatchError):
+                system.solve_ints([1] * len(b))
+    for b in ((ONE,), (ONE, ONE, ONE)):
+        with pytest.raises(DimensionMismatchError):
+            solve(m, b)
 
 
 # ---------------------------------------------------------------------------

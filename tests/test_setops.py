@@ -7,7 +7,7 @@ import pytest
 
 from fwsets.affine import AffineManifold, AffineMap, subspace
 from fwsets.asymptotes import classify_fw_set
-from fwsets.errors import EmptySetError, UnsupportedKindError
+from fwsets.errors import DimensionMismatchError, EmptySetError, UnsupportedKindError
 from fwsets.linalg import dot, unit, vec, zeros
 from fwsets.motzkin import (
     Ball,
@@ -244,6 +244,14 @@ def test_intersect_disjoint_translates_raises():
     f2 = MotzkinSet(PolytopeK.build([(5, 5)]), PolyCone((), 2))
     with pytest.raises(EmptySetError):
         intersect_fwm(f1, f2)
+
+
+def test_manifold_equations_reject_rhs_of_wrong_length():
+    rows = ((1, 0), (0, 1))
+    assert AffineManifold.from_equations(rows, (1, 2)).point == (F(1), F(2))
+    for rhs in ((1,), (1, 2, 3), ()):
+        with pytest.raises(DimensionMismatchError):
+            AffineManifold.from_equations(rows, rhs)
 
 
 def test_preimage_under_identity():
