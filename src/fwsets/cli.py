@@ -89,7 +89,7 @@ def _rat_list(v):
 def _verdict_report(verdict) -> dict:
     if verdict.kind == "attained":
         exact = getattr(verdict, "exact", True)
-        return {
+        report = {
             "verdict": "attained",
             "value": format_rational(verdict.value),
             "point": _rat_list(verdict.point),
@@ -99,9 +99,13 @@ def _verdict_report(verdict) -> dict:
                 "infima (Frank-Wolfe / Kummer); the witness passed exact "
                 "stationarity and multiplier checks"
                 if exact
-                else "grid refinement stabilized within tolerance"
+                else "exact bracket: the value is q at the member point, and a "
+                "weak-duality lower bound lies within the tolerance below it"
             ),
         }
+        if getattr(verdict, "lower_bound", None) is not None:
+            report["lower_bound"] = format_rational(verdict.lower_bound)
+        return report
     if verdict.kind == "unbounded":
         return {
             "verdict": "unbounded_below",
@@ -116,7 +120,10 @@ def _verdict_report(verdict) -> dict:
             "infimum": format_rational(verdict.infimum),
             "justification": "strictly decreasing member values approach the infimum",
         }
-    return {"verdict": "unknown", "justification": verdict.reason}
+    report = {"verdict": "unknown", "justification": verdict.reason}
+    if getattr(verdict, "lower_bound", None) is not None:
+        report["lower_bound"] = format_rational(verdict.lower_bound)
+    return report
 
 
 def cmd_solve(args) -> int:
@@ -334,7 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--tolerance", type=_tolerance, default=None)
+    parser.add_argument(
+        "--tolerance",
+        type=_tolerance,
+        default=None,
+        help="largest width of the exact bracket around a minimum over a ball (default 1e-9)",
+    )
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 

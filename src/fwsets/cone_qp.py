@@ -44,9 +44,11 @@ QP over ``{A x <= b}`` runs two fraction-free eliminations per face.  A face
 comes with its value, a single Fraction, and a thunk that builds its
 solution set ``z0 + span(kernel)``, which carries that constant objective;
 one feasibility ladder picks a point of it: a direct check for an empty
-kernel, an interval test on a line, an exact LP on a larger set.  The
-enumeration keeps the least ``(value, face key)``, and a face that cannot
-beat the incumbent is never built.
+kernel (in the cone layer, the signs of the point's integers against
+``u >= 0``, before the face is offered), an interval test on a line, an
+exact LP on a larger set.  The enumeration keeps the least
+``(value, face key)``, and a face that cannot beat the incumbent is never
+built.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ from .linalg import (
     zeros,
 )
 from .polyhedra import HPolyhedron, PolyCone, cone_h_to_v, lp_solve
-from .quadratics import Quadratic, is_psd
+from .quadratics import Quadratic
 
 MAX_GENERATORS = 12
 
@@ -206,6 +208,19 @@ def _stationary_set(num: list[int], den: int, system: LinearSystem, bounds: tupl
     return (tuple(Fraction(x, den) if x else ZERO for x in num), system.kernel) + bounds
 
 
+def _orthant_face(num: list[int], den: int, system: LinearSystem):
+    """The face solver's thunk for ``num/den + span(kernel)`` inside
+    ``u >= 0``, or None when the kernel is empty and the point has a
+    negative entry.  With an empty kernel the signs of the integers decide
+    ``u >= 0`` and the thunk carries no rows to check."""
+    k = len(num)
+    if system.rank < k:
+        return partial(_stationary_set, num, den, system, _ORTHANTS[k])
+    if any(x and (x < 0) != (den < 0) for x in num):
+        return None
+    return partial(_stationary_set, num, den, system, ((), ()))
+
+
 def _nonneg_rows(k: int, width: int) -> tuple[Mat, Vec]:
     """``-z_i <= 0`` for the first k of ``width`` coordinates."""
     return tuple(vscale(-ONE, unit(width, i)) for i in range(k)), zeros(k)
@@ -308,8 +323,8 @@ def _negative_ray(d: PolyCone, blocks: _Blocks) -> Vec | None:
                 continue
             x, den = sol
             s = sum(x)
-            if s < 0:
-                build = partial(_stationary_set, x, s, system, _ORTHANTS[k])
+            build = _orthant_face(x, s, system) if s < 0 else None
+            if build is not None:
                 yield (k, free), Fraction(den, blocks.lam * s), build
 
     best = _least_face(faces())
@@ -419,15 +434,6 @@ class ConeProgram:
     query share each eliminated ``H_FF``), and dom(f), whose rows decide
     boundedness, so a family of linear terms (as in the two-level Motzkin
     reduction) can be minimized without rework.
-
-    :meth:`value` reuses faces across queries.  When H is positive
-    semidefinite (decided once, exactly) the program in u is a convex QP, so
-    the KKT conditions at one face certify its global minimum: the faces
-    that won earlier queries are solved first, most recent first, and a
-    face's value is taken when its stationary set holds a point with
-    ``u_F >= 0`` (the face solver's feasibility ladder) and the multipliers
-    ``(H u + Z^T c)_I`` are nonnegative.  The remembered faces change speed
-    only: :meth:`minimize` never reads them, and the minimum value is unique.
     """
 
     def __init__(self, g: Mat, d: PolyCone):
@@ -437,9 +443,6 @@ class ConeProgram:
         self.p = self.blocks.p
         self.z = _generator_matrix(d)
         self._dom: DomF | None = None
-        self._convex: bool | None = None
-        # active set -> free set of every face that won a query, most recent last
-        self._won_faces: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     @property
     def h(self) -> Mat:
@@ -462,31 +465,22 @@ class ConeProgram:
         rho = lcm(*(x.denominator for x in r))
         return r, [x.numerator * (rho // x.denominator) for x in r], rho
 
-    def _face(self, free: tuple[int, ...], rr: list[int], rho: int):
-        """The stationary set ``H_FF u_F = -r_F`` for ``r = rr / rho``, solved
-        on ints as ``hi_FF x = -den rr_F``; None when it is empty.  Otherwise
-        ``(x, den, value, build)``: ``u_F = lam x / (rho den)`` is its point
-        with zero free coordinates, the objective ``r_F.u_F / 2`` equals
-        value on it, and ``build`` is the face solver's thunk."""
-        system = self.blocks.system(free)
-        sol = system.solve_ints([-rr[j] for j in free])
-        if sol is None:
-            return None
-        x, den = sol
-        lam = self.blocks.lam
-        value = Fraction(lam * idot([rr[j] for j in free], x), 2 * rho * rho * den)
-        build = partial(
-            _stationary_set, [lam * xi for xi in x], rho * den, system, _ORTHANTS[len(free)]
-        )
-        return x, den, value, build
-
     def _faces(self, rr: list[int], rho: int, constant: Fraction):
-        """Stationary sets ``H_FF u_F = -r_F`` keyed by active set; on one the
-        objective is ``r_F.u_F / 2 + constant``."""
+        """Stationary sets ``H_FF u_F = -r_F`` keyed by active set, for
+        ``r = rr / rho``.  Each is solved on ints as ``hi_FF x = -den rr_F``,
+        so ``u_F = lam x / (rho den)`` is its point with zero free
+        coordinates, and on it the objective is
+        ``r_F.u_F / 2 + constant = lam rr_F.x / (2 rho^2 den) + constant``."""
+        lam = self.blocks.lam
         for active, free in self.blocks.pairs:
-            face = self._face(free, rr, rho)
-            if face is not None:
-                _, _, value, build = face
+            system = self.blocks.system(free)
+            sol = system.solve_ints([-rr[j] for j in free])
+            if sol is None:
+                continue
+            x, den = sol
+            build = _orthant_face([lam * xi for xi in x], rho * den, system)
+            if build is not None:
+                value = Fraction(lam * idot([rr[j] for j in free], x), 2 * rho * rho * den)
                 yield active, value + constant, build
 
     def minimize(self, c: Vec, constant: Fraction = ZERO) -> ConeMinVerdict:
@@ -510,7 +504,6 @@ class ConeProgram:
             raise FwsetsError("minimizer failed KKT multiplier verification")
         if any(grad[j] != 0 for j in range(self.p) if j not in active and u[j] != 0):
             raise FwsetsError("minimizer failed stationarity verification")
-        self._remember(active, free)
         point = matvec(self.z, u)
         return ConeMinVerdict(
             "attained",
@@ -521,37 +514,8 @@ class ConeProgram:
             multipliers=multipliers,
         )
 
-    def _remember(self, active: tuple[int, ...], free: tuple[int, ...]) -> None:
-        self._won_faces.pop(active, None)
-        self._won_faces[active] = free
-
     def value(self, c: Vec) -> Fraction:
-        """``f(c)``, the exact infimum; raises NotInDomainError outside dom(f).
-
-        When H is positive semidefinite, the faces that won earlier queries
-        are tried first, most recent first: a KKT point of a convex QP is its
-        global minimum, and it proves c lies in dom(f).  Falls back to
-        :meth:`minimize`.
-        """
-        if self._convex is None:
-            self._convex = is_psd(self.h)
-        if self._convex and self._won_faces:
-            _, rr, rho = self._linear_term(c)
-            hi = self.blocks.hi
-            for active, free in reversed(self._won_faces.items()):
-                face = self._face(free, rr, rho)
-                if face is None:
-                    continue
-                x, den, value, build = face
-                # H is PSD, so H_FF v = 0 gives H v = 0: the multipliers are
-                # the same all over the solution set u_F + span(kernel);
-                # (H u + r)_i = (hi_iF.x + den rr_i) / (rho den)
-                if any(idot([hi[i][j] for j in free], x) + den * rr[i] < 0 for i in active):
-                    continue
-                if any(xi < 0 for xi in x) and _feasible_point(*build()) is None:
-                    continue
-                self._remember(active, free)
-                return value
+        """``f(c)``, the exact infimum; raises NotInDomainError outside dom(f)."""
         verdict = self.minimize(c)
         if verdict.kind != "attained":
             raise NotInDomainError(

@@ -4,8 +4,7 @@ Every case couples a set (and usually an objective) with the published
 verdict and a verifier that reproduces the verdict: exact rational checks
 wherever the data is algebraic (curve membership, section emptiness,
 separating slabs, truncation lower bounds, weak-duality brackets of minima
-on compact sets) and floating point only for grid estimates that
-corroborate exact truncation bounds.  Non-attainment itself cannot be
+on compact sets).  Non-attainment itself cannot be
 certified by finite sampling, so those verdicts pair a decreasing evidence
 curve with exact positive lower bounds over growing compact truncations;
 the expected verdict encodes the published claim and the verifier checks
@@ -45,7 +44,7 @@ from .asymptotes import (
 from .errors import FwsetsError
 from .linalg import Vec, dot, matvec, vec, zeros
 from .motzkin import MotzkinSet, PolytopeK, SecondOrderCone, classify_fw
-from .numeric import exp_bounds, sqrt_bounds, sqrt_upper
+from .numeric import bracket_multiplier, exp_bounds, sqrt_bounds, sqrt_upper
 from .polyhedra import HPolyhedron, PolyCone, recession_cone
 from .quadratics import Quadratic
 
@@ -266,7 +265,7 @@ def _checks_curve_evidence(fset, objective, points, infimum, threshold, checks):
     return vals
 
 
-def _checks_truncated_positive(radii, exact_bound, estimate, checks):
+def _checks_truncated_positive(radii, exact_bound, checks):
     for r in radii:
         bound = exact_bound(r)
         checks.append(
@@ -277,16 +276,6 @@ def _checks_truncated_positive(radii, exact_bound, estimate, checks):
                 f"certified lower bound {bound}",
             )
         )
-        est = estimate(r)
-        if est is not None:
-            checks.append(
-                _check(
-                    f"grid estimate over radius {r} respects the bound",
-                    est > 0 and est >= float(bound) * (1 - 1e-9),
-                    f">= {float(bound):.3g}",
-                    f"{est:.6g}",
-                )
-            )
 
 
 def _checks_classification(fset, expected, checks, fw=None, qfw=None):
@@ -334,54 +323,6 @@ def _checks_projections_closed(fset, coord_lists, checks, expected=True):
 
 
 # ---------------------------------------------------------------------------
-# truncation estimates (floating point corroboration of the exact bounds)
-# ---------------------------------------------------------------------------
-
-
-def _lz_truncated_estimate(r) -> float:
-    # after eliminating x3, x4 at their lower corners the box problem reduces
-    # to (x1 x2 - 1)^2 + x1^2 over |xi| <= sqrt(r)
-    import math
-
-    s = math.sqrt(r)
-    best = float("inf")
-    steps = 400
-    for i in range(steps + 1):
-        x1 = -s + 2 * s * i / steps
-        for j in range(steps + 1):
-            x2 = -s + 2 * s * j / steps
-            v = (x1 * x2 - 1) ** 2 + x1 * x1
-            if v < best:
-                best = v
-    return best
-
-
-def _cylinder_truncated_estimate(r) -> float:
-    # on the circle boundary with x4 = x3^2: inner minimum over |x3| <= sqrt(r)
-    import math
-
-    return _program_p_truncated_estimate(math.sqrt(r))
-
-
-def _program_p_truncated_estimate(r) -> float:
-    import math
-
-    best = float("inf")
-    steps = 4000
-    for i in range(1, steps + 1):
-        x1 = 2 * i / steps
-        x2 = math.sqrt(max(0.0, 2 * x1 - x1 * x1))
-        cutoff = x2 / x1
-        if cutoff <= r:
-            v = 2 - x2 * x2 / x1
-        else:
-            v = x1 * r * r - 2 * x2 * r + 2
-        if v < best:
-            best = v
-    return best
-
-
-# ---------------------------------------------------------------------------
 # case verifiers
 # ---------------------------------------------------------------------------
 
@@ -398,12 +339,7 @@ def _verify_luo_zhang_ex1(data) -> list[CheckResult]:
 
     # two-branch bound on |xi| <= r boxes: either |x1| < 1/(2r), which forces
     # |x1 x2| < 1/2 and (x1 x2 - 1)^2 > 1/4, or q >= x1^2 >= 1/(4 r^2)
-    _checks_truncated_positive(
-        expected["truncation_radii"],
-        lambda r: F(1, 4 * r * r),
-        lambda r: _lz_truncated_estimate(r) if r <= 100 else None,
-        checks,
-    )
+    _checks_truncated_positive(expected["truncation_radii"], lambda r: F(1, 4 * r * r), checks)
     _checks_classification(fset, expected, checks)
     battery = {"x3_floor": AffineManifold.hyperplane((0, 0, 1, 0), -1)}
     _checks_asymptote_battery(fset, battery, expected["asymptote_battery_verdicts"], checks)
@@ -612,12 +548,7 @@ def _verify_cylinder_parabolic(data) -> list[CheckResult]:
     )
     # two-branch bound: x1 <= 1/(8r) forces |x2 x3| <= 1/2 hence q >= 1;
     # otherwise q >= x1 > 1/(8r)
-    _checks_truncated_positive(
-        expected["truncation_radii"],
-        lambda r: F(1, 8 * r),
-        lambda r: _cylinder_truncated_estimate(r) if r <= 1000 else None,
-        checks,
-    )
+    _checks_truncated_positive(expected["truncation_radii"], lambda r: F(1, 8 * r), checks)
     _checks_classification(fset, expected, checks)
     battery = {
         "x4_floor": AffineManifold.hyperplane((0, 0, 0, 1), -1),
@@ -683,51 +614,34 @@ def _lagrangian_bracket(fset: QuadSublevel, q: Quadratic, width: Fraction):
     is a lower bound (weak duality).  A point x of its stationary set with
     g(x) <= 0 closes the gap to ``-mu g(x)`` when x is a member, with the
     upper bound q(x); a stationary line (the hard case of the trust-region
-    problem) is followed to a rational point just inside g = 0.  mu is
-    bisected, after doubling from 1 to a mu whose stationary set meets g <= 0,
-    until the width is at most ``width``; the sample point is the fallback
-    witness.
+    problem) is followed to a rational point just inside g = 0.  The slack
+    ``-g(x)`` steers :func:`numeric.bracket_multiplier` until the width is
+    at most ``width``; the sample point is the fallback witness.
     """
     (g,) = fset.constraints
-    witness = fset.sample_point
-    lower, upper = None, q.evaluate(witness)
 
     def probe(mu):
-        # True when mu is large enough: its stationary set meets g <= 0
-        nonlocal lower, upper, witness
         res = _lagrangian_value(q, (g,), (mu,))
         if res is None:
-            return False
-        value, x, kernel = res
-        lower = value if lower is None else max(lower, value)
+            return None
+        lower, x, kernel = res
         if kernel:
             k = kernel[0]
             alpha = dot(k, matvec(g.a, k)) / 2
             beta = dot(k, g.gradient(x))
             disc = beta * beta - 4 * alpha * g.evaluate(x)
-            if disc < 0:
-                return False
-            t = (sqrt_bounds(disc)[0] - beta) / (2 * alpha)
-            x = tuple(xi + t * ki for xi, ki in zip(x, k))
-        if g.evaluate(x) > 0:
-            return False
-        if contains(fset, x) is True and q.evaluate(x) < upper:
-            upper, witness = q.evaluate(x), x
-        return True
+            if disc >= 0:
+                t = (sqrt_bounds(disc)[0] - beta) / (2 * alpha)
+                x = tuple(xi + t * ki for xi, ki in zip(x, k))
+        slack = -g.evaluate(x)
+        if slack >= 0 and contains(fset, x) is True:
+            return slack, lower, q.evaluate(x), x
+        return slack, lower, None, None
 
-    lo, hi = F(0), F(1)
-    for _ in range(64):
-        if probe(hi):
-            break
-        lo, hi = hi, 2 * hi
-    for _ in range(128):
-        if lower is not None and upper - lower <= width:
-            break
-        mid = (lo + hi) / 2
-        if probe(mid):
-            hi = mid
-        else:
-            lo = mid
+    lower, upper, witness = bracket_multiplier(probe, width)
+    fallback = q.evaluate(fset.sample_point)
+    if upper is None or fallback < upper:
+        upper, witness = fallback, fset.sample_point
     return lower, upper, witness
 
 
@@ -741,12 +655,7 @@ def _verify_program_p(data) -> list[CheckResult]:
     ts = [F(1, 2**k) for k in range(7)]
     pts = program_p_curve(ts)
     _checks_curve_evidence(fset, obj, pts, infimum, threshold, checks)
-    _checks_truncated_positive(
-        expected["truncation_radii"],
-        lambda r: F(1, 8 * r * r),
-        lambda r: _program_p_truncated_estimate(r) if r <= 100 else None,
-        checks,
-    )
+    _checks_truncated_positive(expected["truncation_radii"], lambda r: F(1, 8 * r * r), checks)
     _checks_classification(fset, expected, checks)
     return checks
 

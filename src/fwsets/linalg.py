@@ -45,7 +45,7 @@ def rat(x) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     if isinstance(x, float):
-        # Floats are accepted only at numeric boundaries (grids, CLI tolerance);
+        # Floats are accepted only at numeric boundaries (tolerances);
         # the conversion is exact.
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational")

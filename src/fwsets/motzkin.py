@@ -15,20 +15,18 @@ Minimization over F uses the two-level reduction
     inf_F q = inf_{y in K} [ q(y) + f(A y + b) ] ,
 
 with the inner value f supplied exactly by the cone program.  For polytope
-and finite compact parts both levels are exact; ball compact parts use a
-refining grid with local polishing and a single documented feasibility
-tolerance.  On a ball each inner value is still exact: it comes from
-:meth:`ConeProgram.value`, which, when the inner program is convex, reuses
-a face that won at an earlier point once its KKT conditions certify it.
-The grid evaluates each point once (a memo keyed by point; each level
-revisits the points of earlier levels) and tests membership on the integer
-offsets ``k`` of a point, ``|k|^2 <= span^2``, which is exact because
-``y - center = (r / span) k``.
+and finite compact parts both levels are exact.  On a ball the minimum is
+bracketed between two exact rationals: each multiplier mu of the ball
+constraint gives a weak-duality lower bound, one cone program over D, and
+the point of that program gives a member whose objective value is an upper
+bound.  :func:`numeric.bracket_multiplier` searches mu until the bracket is
+at most the tolerance wide; for a convex objective the dual is tight
+(Slater, then the S-lemma), so the bracket closes.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,11 +35,11 @@ from .errors import (
     DimensionMismatchError,
     FwsetsError,
     InvalidParameterError,
-    SizeCapError,
     UnsupportedKindError,
 )
 from .linalg import (
     ONE,
+    LinearSystem,
     Vec,
     ZERO,
     dot,
@@ -61,10 +59,11 @@ from .polyhedra import (
     recession_cone,
     same_cone,
 )
-from .quadratics import Quadratic
+from .numeric import bracket_multiplier
+from .quadratics import Quadratic, is_psd
 
-#: feasibility tolerance for verdicts on non-polyhedral data (balls,
-#: second-order cones); polyhedral verdicts are exact
+#: default width of the exact bracket around a minimum over a ball;
+#: polyhedral verdicts are exact
 FEASIBILITY_TOL = Fraction(1, 10**9)
 
 
@@ -201,9 +200,14 @@ class MotzkinSet:
 
 @dataclass(frozen=True)
 class Attained:
+    """The minimum is attained at ``point``.  ``exact`` is False for ball
+    data, where ``value`` is q at the member ``point`` and ``lower_bound`` a
+    certified bound at most the tolerance below it."""
+
     point: Vec
     value: Fraction
     exact: bool = True
+    lower_bound: Fraction | None = None
 
     kind = "attained"
 
@@ -229,6 +233,7 @@ class UnboundedBelow:
 @dataclass(frozen=True)
 class Unknown:
     reason: str
+    lower_bound: Fraction | None = None
 
     kind = "unknown"
 
@@ -307,17 +312,21 @@ def minimize_on_motzkin(q: Quadratic, f: MotzkinSet, tol: Fraction | None = None
     """Minimize a quadratic over ``K + D``.
 
     Polytope and finite compact parts with polyhedral cones are solved
-    exactly; ball compact parts run a refining grid over the ball with the
-    exact inner cone value, stopping when two successive refinements agree
-    within the tolerance, which must be positive.  A second-order cone may
-    yield Unknown.
+    exactly.  On a ball compact part the minimum is bracketed exactly: the
+    verdict is Attained, with a member point, its value and a certified
+    lower bound at most ``tol`` below it, once the bracket is that narrow,
+    and Unknown, carrying the lower bound found, when it stays wider (a
+    nonconvex objective whose dual bound is infinite, or the hard case of
+    the trust-region problem).  ``tol`` must be positive.  A second-order
+    cone may yield Unknown.
     """
     if q.dim != f.dim:
         raise DimensionMismatchError("quadratic and set dimensions differ")
     if tol is None:
         tol = FEASIBILITY_TOL
-    if not tol > 0:  # also rejects NaN
-        raise InvalidParameterError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:  # also rejects NaN
+        raise InvalidParameterError(f"tolerance must be positive and finite, got {tol}")
+    tol = rat(tol)
     if not f.is_polyhedral_cone:
         return _probe_second_order(q, f)
     prog = ConeProgram(q.a, f.cone)
@@ -376,21 +385,61 @@ def _minimize_over_polytope(q, f: MotzkinSet, prog: ConeProgram) -> AttainmentVe
 
 def _minimize_over_ball(q, f: MotzkinSet, prog: ConeProgram, tol: Fraction) -> AttainmentVerdict:
     ball: Ball = f.compact
-    n = ball.dim
-    if n > 4:
-        raise SizeCapError("ball compact parts are supported up to dimension 4")
     escape = _ball_escapes_domain(q, ball, prog)
     if escape is not None:
         return _unbounded_at(escape, prog.minimize(inner_linear_term(q, escape)))
+    lower, upper, point = bracket_multiplier(_ball_probe(q, ball, f.cone), tol)
+    if upper is not None and upper - lower <= tol:
+        return Attained(point=point, value=upper, exact=False, lower_bound=lower)
+    return Unknown(
+        f"the multiplier search closed no bracket of width {tol} (lower bound "
+        f"{lower}, least member value {upper}; None where there was none)",
+        lower_bound=lower,
+    )
 
-    def phi(y: Vec) -> Fraction:
-        return q.evaluate(y) + prog.value(inner_linear_term(q, y))
 
-    best_y, best_val = _grid_with_polish(phi, ball, tol)
-    if best_y is None:
-        return Unknown("ball grid refinement did not stabilize within budget")
-    inner = prog.minimize(inner_linear_term(q, best_y))
-    return Attained(point=vadd(best_y, inner.point), value=best_val, exact=False)
+def _ball_probe(q, ball: Ball, cone: PolyCone):
+    """The probe of :func:`numeric.bracket_multiplier` for q on ``ball + cone``.
+
+    For rational mu >= 0 with ``A + mu I`` positive definite, put
+    ``g0 = A c + b``, ``M = (A + mu I)^-1`` and ``y = c + s``.  The minimum
+    over s of ``q(y + x) + (mu/2)(|s|^2 - r^2)`` is taken at
+    ``s = -M (A x + g0)``, and what is left is ``mu`` times the cone program
+    ``1/2 x.(A M) x + (M g0).x`` over D plus ``q(c) - g0.M g0/2 - mu r^2/2``
+    (``A M = I - mu M``).  Its exact minimum is a lower bound on q over the
+    set (weak duality); at its point x, ``(c + s) + x`` is a member when
+    ``|s| <= r``, and q there is an upper bound.  At mu = 0 this is the
+    projection of the unconstrained minimizer of q onto ``c + D``.  None when
+    ``A + mu I`` is not positive definite or the cone program is unbounded.
+    """
+    n = ball.dim
+    c, r2 = ball.center, ball.radius * ball.radius
+    g0 = q.gradient(c)
+    base = q.evaluate(c)
+
+    def probe(mu):
+        shifted = tuple(
+            tuple(x + mu if i == j else x for j, x in enumerate(row)) for i, row in enumerate(q.a)
+        )
+        system = LinearSystem(shifted, n)
+        if system.rank < n or not is_psd(shifted):
+            return None
+        m = tuple(system.solve(unit(n, i)) for i in range(n))
+        mg = matvec(m, g0)
+        g = tuple(tuple((i == j) - mu * x for j, x in enumerate(row)) for i, row in enumerate(m))
+        verdict = ConeProgram(g, cone).minimize(mg)
+        if verdict.kind != "attained":
+            return None
+        x = verdict.point
+        s = vscale(-ONE, matvec(m, vadd(matvec(q.a, x), g0)))
+        slack = r2 - dot(s, s)
+        lower = mu * verdict.value + base - dot(g0, mg) / 2 - mu * r2 / 2
+        if slack < 0:
+            return slack, lower, None, None
+        point = vadd(vadd(c, s), x)
+        return slack, lower, q.evaluate(point), point
+
+    return probe
 
 
 def _ball_escapes_domain(q, ball: Ball, prog: ConeProgram) -> Vec | None:
@@ -435,74 +484,6 @@ def _ball_point_violating(ball, center_val, atw, norm_sq) -> Vec | None:
             return vadd(ball.center, vscale(t, atw))
         delta /= 2
     return None
-
-
-def _grid_with_polish(phi, ball: Ball, tol: Fraction):
-    """Refining grid over the ball, then pattern-search polishing.
-
-    Deterministic: grid points are enumerated in lexicographic order, ties
-    keep the first minimizer.  Refinement halves the grid step; the run
-    counts as stabilized when two successive levels move the best value by
-    less than tol, and returns (None, None) otherwise.
-
-    phi is evaluated once per point: a memo keyed by point answers the
-    revisits (every level repeats the points of the earlier levels and the
-    center, and polishing steps back onto earlier points).  A grid point
-    ``center + (r / span) k`` lies in the ball iff ``k.k <= span^2``.
-    """
-    memo: dict[Vec, Fraction] = {}
-
-    def phi_once(y: Vec) -> Fraction:
-        val = memo.get(y)
-        if val is None:
-            val = memo[y] = phi(y)
-        return val
-
-    n = ball.dim
-    center = ball.center
-    r = ball.radius
-    best_y = center
-    best_val = phi_once(center)
-    levels = {1: 5, 2: 4, 3: 3, 4: 2}[n]
-    prev_val = None
-    stabilized = False
-    for level in range(levels):
-        step = r / (2**level)
-        span = 2**level
-        for offsets in itertools.product(range(-span, span + 1), repeat=n):
-            if sum(k * k for k in offsets) > span * span:
-                continue
-            y = tuple(c + step * k for c, k in zip(center, offsets))
-            val = phi_once(y)
-            if val < best_val:
-                best_val, best_y = val, y
-        if prev_val is not None and abs(prev_val - best_val) < tol:
-            stabilized = True
-            break
-        prev_val = best_val
-    # local polish: shrinking coordinate steps around the incumbent
-    step = r / (2**levels)
-    while step > tol / 4:
-        improved = False
-        for i in range(n):
-            for sign in (ONE, -ONE):
-                y = tuple(
-                    c + (sign * step if j == i else ZERO) for j, c in enumerate(best_y)
-                )
-                if not ball.contains(y):
-                    continue
-                val = phi_once(y)
-                if val < best_val:
-                    best_val, best_y = val, y
-                    improved = True
-        if not improved:
-            step /= 2
-    if not stabilized:
-        # accept the polished point only if polishing itself converged to a
-        # value the last grid level already agreed with
-        if prev_val is None or abs(prev_val - best_val) >= tol:
-            return None, None
-    return best_y, best_val
 
 
 def _probe_second_order(q, f: MotzkinSet) -> AttainmentVerdict:

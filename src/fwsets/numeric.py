@@ -3,7 +3,9 @@
 The polyhedral layers never need these; they exist so that membership in the
 one built-in non-algebraic set (the epigraph of x^2 + exp(-x^2)) and
 square-root comparisons for ball data can be certified with rational
-arithmetic instead of floats.
+arithmetic instead of floats.  The multiplier search at the end brackets the
+minimum of a quadratic under one convex constraint between two exact
+rationals.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from math import isqrt
 from .linalg import rat
 
 ONE = Fraction(1)
+ZERO = Fraction(0)
 
 
 def exp_bounds(x, terms: int = 24) -> tuple[Fraction, Fraction]:
@@ -129,3 +132,93 @@ def surd_float(s: Surd) -> float:
     a, b, m = s
     return float(a) + float(b) * float(m) ** 0.5
 
+
+# ---------------------------------------------------------------------------
+# multiplier search: an exact bracket of a minimum under one convex constraint
+# ---------------------------------------------------------------------------
+
+# mu doubles at most this often, and at most this many steps refine the bracket
+_DOUBLINGS = 64
+_STEPS = 128
+
+
+def bracket_multiplier(probe, tol: Fraction):
+    """Search rational multipliers mu >= 0 for an exact bracket of width <= tol.
+
+    ``probe(mu)`` returns None when mu is too small to give a bound, and
+    otherwise ``(slack, lower, upper, witness)``: a certified lower bound (by
+    weak duality), the objective ``upper`` at a feasible ``witness`` (both
+    None when the probe has none), and the exact constraint slack at the
+    probe's point, which does not decrease as mu grows and is >= 0 once mu
+    is large enough.  mu = 0 comes first, and a slack >= 0 there ends the
+    search.  Otherwise mu doubles from 1 until the slack is >= 0; then
+    secant steps on the slack (regula falsi with the Illinois safeguard;
+    midpoints while the low end has no slack) run until
+    ``upper - lower <= tol``.  Each step aims just past the secant root, by
+    the step over which the slack, at the secant's slope, would grow to
+    ``tol / (2 mu)``: the gap of a feasible probe is mu (or mu/2) times its
+    slack, so landing there closes the bracket.  Every mu is
+    a short dyadic strictly inside the bracketing interval.  Returns the
+    best ``(lower, upper, witness)`` seen; any of them may be None.
+    """
+    best = [None, None, None]
+
+    def run(mu):
+        res = probe(mu)
+        if res is None:
+            return None
+        slack, lower, upper, witness = res
+        if lower is not None and (best[0] is None or lower > best[0]):
+            best[0] = lower
+        if upper is not None and (best[1] is None or upper < best[1]):
+            best[1], best[2] = upper, witness
+        return slack
+
+    def closed():
+        return best[0] is not None and best[1] is not None and best[1] - best[0] <= tol
+
+    lo, f_lo = ZERO, run(ZERO)
+    if f_lo is not None and f_lo >= 0:
+        return tuple(best)
+    hi = ONE
+    for _ in range(_DOUBLINGS):
+        f_hi = run(hi)
+        if closed() or (f_hi is not None and f_hi >= 0):
+            break
+        lo, f_lo, hi = hi, f_hi, 2 * hi
+    else:
+        return tuple(best)
+    side = None
+    for _ in range(_STEPS):
+        if closed():
+            break
+        if f_lo is None:
+            mu = (lo + hi) / 2
+        else:
+            slope = (f_hi - f_lo) / (hi - lo)
+            step = tol / (2 * hi * slope)
+            mu = _short_dyadic(lo, hi, lo - f_lo / slope + step, step)
+        f = run(mu)
+        if f is None or f < 0:
+            lo, f_lo = mu, f
+            if side == "lo":
+                f_hi /= 2
+            side = "lo"
+        else:
+            hi, f_hi = mu, f
+            if side == "hi" and f_lo is not None:
+                f_lo /= 2
+            side = "hi"
+    return tuple(best)
+
+
+def _short_dyadic(lo: Fraction, hi: Fraction, guess: Fraction, w: Fraction) -> Fraction:
+    """A dyadic rational within ``w/2`` of guess, once guess is kept a
+    1024th of ``(lo, hi)`` inside it and w is at most that margin, so it
+    lies strictly inside.  Its denominator is the power of two just above
+    ``1/w``."""
+    span = (hi - lo) / 1024
+    guess = min(max(guess, lo + span), hi - span)
+    w = min(w, span)
+    scale = 1 << (w.denominator // w.numerator).bit_length()
+    return Fraction(round(guess * scale), scale)

@@ -310,3 +310,6 @@ def test_solve_ball_with_tolerance(tmp_path, capsys):
     assert out["verdict"] == "attained"
     assert out["exact"] is False
     assert abs(Fraction(out["value"]) - 4) < Fraction(1, 10**5)
+    # the bracket is part of the report: a certified bound within the tolerance
+    assert 0 <= Fraction(out["value"]) - Fraction(out["lower_bound"]) <= Fraction(1, 10**6)
+    assert "exact bracket" in out["justification"]

@@ -718,20 +718,10 @@ def test_hpoly_qp_matches_cone_solver_on_random_cones():
     assert singular_queries >= 5
 
 
-def test_cone_value_does_not_depend_on_history(monkeypatch):
-    # value(c) may reuse faces that won earlier queries; whatever came
-    # before, it must equal minimize(c).value, and minimize(c) must give the
-    # witness a fresh program gives
-    minimize = ConeProgram.minimize
-    calls = {"minimize": 0}
-
-    def counting_minimize(self, c, constant=F(0)):
-        calls["minimize"] += 1
-        return minimize(self, c, constant)
-
-    monkeypatch.setattr(ConeProgram, "minimize", counting_minimize)
+def test_cone_value_does_not_depend_on_history():
+    # whatever was asked before, value(c) must equal the minimum a fresh
+    # program gives, and minimize(c) its witness
     rng = random.Random(53)
-    fast = {True: 0, False: 0}
     queries = {True: 0, False: 0}
     for trial in range(16):
         n = rng.randint(2, 3)
@@ -764,12 +754,10 @@ def test_cone_value_does_not_depend_on_history(monkeypatch):
                     with pytest.raises(NotInDomainError):
                         prog.value(c)
                     continue
-                before = calls["minimize"]
                 assert prog.value(c) == ref.value
-                fast[convex] += calls["minimize"] == before
                 queries[convex] += 1
                 if k == 2:
-                    # interleave full answers, which also change the history
+                    # interleave full answers
                     w = prog.minimize(c)
                     assert (w.value, w.active_set, w.parameter_point) == (
                         ref.value, ref.active_set, ref.parameter_point
@@ -780,9 +768,6 @@ def test_cone_value_does_not_depend_on_history(monkeypatch):
                     fresh[c].kind, fresh[c].value, fresh[c].active_set, fresh[c].parameter_point
                 )
     assert queries[True] >= 100 and queries[False] >= 30
-    assert fast[True] >= 40
-    # without a PSD form no face is certified by its KKT conditions alone
-    assert fast[False] == 0
 
 
 def test_line_orthant_interval_matches_lp():
