@@ -685,7 +685,11 @@ def is_f_asymptote(
     exact for polyhedral data and evidence-based otherwise.  None means one
     leg is undecided.
     """
-    kind = distance_to_manifold(f, m, evidence_points).kind
+    return asymptote_verdict(distance_to_manifold(f, m, evidence_points).kind)
+
+
+def asymptote_verdict(kind: str) -> bool | None:
+    """The verdict of :func:`is_f_asymptote` for a distance of this kind."""
     if kind in ("intersects", "positive"):
         return False
     # zero evidence is only given once the intersection is certified empty
@@ -774,8 +778,11 @@ def image_closed_1d(f: SetDescriptor, functional: Vec) -> tuple[bool | None, str
     Built on the same machinery as the asymptote test: the image fails to be
     closed exactly when some level set ``{w.x = beta}`` is a flat asymptote
     of F.  Registered facts decide the counterexample sets; polyhedral data
-    are always closed.
+    are always closed.  A functional of another length than the ambient
+    dimension raises DimensionMismatchError.
     """
+    if len(functional) != ambient_dim(f):
+        raise DimensionMismatchError("the functional's length differs from the ambient dimension")
     if isinstance(f, HPolyhedron) or (
         isinstance(f, MotzkinSet) and f.is_polyhedral_cone
     ):

@@ -20,10 +20,10 @@ from fractions import Fraction
 from . import gallery
 from .affine import AffineManifold
 from .asymptotes import (
+    asymptote_verdict,
     classify_fw_set,
     classify_qfw,
     distance_to_manifold,
-    is_f_asymptote,
 )
 from .documents import SET_KINDS, format_rational, parse, payload_of
 from .errors import (
@@ -252,8 +252,8 @@ def cmd_intersect(args) -> int:
 def cmd_asymptote(args) -> int:
     _, fset = _load(args.set, SET_KINDS)
     _, manifold = _load(args.manifold, {"manifold", "subspace"})
-    verdict = is_f_asymptote(fset, manifold)
     dist = distance_to_manifold(fset, manifold)
+    verdict = asymptote_verdict(dist.kind)
     detail = {"distance_kind": dist.kind}
     if dist.kind == "positive":
         detail["distance_squared_lower_bound"] = format_rational(dist.lower_bound_sq)

@@ -8,16 +8,22 @@ symmetric G, the value function is
 Its domain is cut out by the zero set of the form on the cone:
 ``dom(f) = {c : c.x >= 0 for every x in D with x.G x = 0}``.  Writing
 ``H = Z^T G Z``, every question here reads the principal blocks ``H_FF``
-over free sets F of generator indices, each eliminated once and shared.
+over the free sets F that are faces of the polytope ``Q = conv(Z)``, each
+face given by the generators on it, and each block is eliminated once and
+shared.  Faces are enough: the simplex ``{u >= 0, sum u = 1}`` maps onto
+Q, and the minimum of ``x.G x`` over Q is taken in the relative interior
+of a face; a zero of the form or a minimizer in the relative interior of a
+face of D combines that face's generators only, and a face of D exposed by
+h has the generators of the face ``Q & {h.x = 0}`` of Q.
 The sign of the form on D comes first.  It is negative somewhere iff some
 F has a solution v of ``H_FF v = e`` with ``s = e.v < 0`` whose set
 ``(v + ker H_FF)/s`` meets ``u >= 0``: such a point lies on the simplex
-``{u >= 0, sum u = 1}`` with ``u.H u = 1/s``, and dom(f) is empty.
+with ``u.H u = 1/s``, and dom(f) is empty.
 Otherwise the zero set is assembled from the pieces
 
     P_I = {u >= 0 : u_i = 0 (i in I), H_FF u_F = 0},   F = complement(I),
 
-over index subsets I; a strictly copositive H has none, and dom(f) is the
+over the faces F; a strictly copositive H has none, and dom(f) is the
 whole space.  ``(H u)_I >= 0`` needs no row of its own: a zero of a
 copositive form minimizes it over ``u >= 0``, so ``H u >= 0`` there.  A
 piece is empty unless ``H_FF`` is singular; otherwise double description
@@ -56,7 +62,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from math import comb, lcm
 
 from .errors import DimensionMismatchError, FwsetsError, NotInDomainError, SizeCapError
@@ -79,10 +85,11 @@ from .linalg import (
     vscale,
     zeros,
 )
-from .polyhedra import HPolyhedron, PolyCone, cone_h_to_v, lp_solve
+from .polyhedra import HPolyhedron, PolyCone, cone_h_to_v, cone_v_to_h, lp_solve
 from .quadratics import Quadratic
 
-MAX_GENERATORS = 12
+# faces of conv(generators) one cone program may walk
+MAX_FACES = 1024
 
 
 @dataclass(frozen=True)
@@ -215,19 +222,16 @@ def _orthant_face(num: list[int], den: int, system: LinearSystem):
     ``u >= 0`` and the thunk carries no rows to check."""
     k = len(num)
     if system.rank < k:
-        return partial(_stationary_set, num, den, system, _ORTHANTS[k])
+        return partial(_stationary_set, num, den, system, _nonneg_rows(k, k))
     if any(x and (x < 0) != (den < 0) for x in num):
         return None
     return partial(_stationary_set, num, den, system, ((), ()))
 
 
+@cache
 def _nonneg_rows(k: int, width: int) -> tuple[Mat, Vec]:
     """``-z_i <= 0`` for the first k of ``width`` coordinates."""
     return tuple(vscale(-ONE, unit(width, i)) for i in range(k)), zeros(k)
-
-
-# the rows u >= 0 in k coordinates, for every block size
-_ORTHANTS = tuple(_nonneg_rows(k, k) for k in range(MAX_GENERATORS + 1))
 
 
 def _scatter(idx: tuple[int, ...], values: Vec, p: int) -> Vec:
@@ -236,6 +240,37 @@ def _scatter(idx: tuple[int, ...], values: Vec, p: int) -> Vec:
     for pos, j in enumerate(idx):
         full[j] = values[pos]
     return tuple(full)
+
+
+def _face_pairs(zi: list[list[int]]) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The faces of ``Q = conv(z_1, ..., z_p)`` as splits ``(active, free)``.
+
+    ``free`` holds the generators on the face and ``active`` the others; the
+    empty face and Q itself are included, active sets by size and then
+    lexicographically.  When the lifted vectors ``(z_j, 1)`` are independent,
+    Q is a simplex and every subset is a face (taken as given for p <= 2).
+    Otherwise one conversion gives the facets of the cone they span, and the
+    faces are the facet incidence sets closed under intersection.  A set of
+    generators is a bitmask.  SizeCapError once the count passes MAX_FACES.
+    """
+    p = len(zi)
+    lifted = [z + [1] for z in zi]
+    if p <= 2 or (p <= len(lifted[0]) and len(int_rref([v[:] for v in lifted])) == p):
+        if 2**p > MAX_FACES:
+            raise SizeCapError(f"a simplex on {p} generators has {2**p} faces, above {MAX_FACES}")
+        masks = range(1 << p)
+    else:
+        masks = {(1 << p) - 1}
+        for h in cone_v_to_h(lifted, len(lifted[0])):
+            hi = primitive_ints(h)
+            facet = sum(1 << j for j, v in enumerate(lifted) if idot(hi, v) == 0)
+            masks |= {m & facet for m in masks}
+            if len(masks) > MAX_FACES:
+                raise SizeCapError(f"conv of the {p} generators has over {MAX_FACES} faces")
+    actives = sorted(
+        (tuple(j for j in range(p) if not m >> j & 1) for m in masks), key=lambda a: (len(a), a)
+    )
+    return tuple((active, tuple(j for j in range(p) if j not in active)) for active in actives)
 
 
 class _Blocks:
@@ -247,32 +282,28 @@ class _Blocks:
     ``lam H``, ``lam = dz^2 L``, and :meth:`system` eliminates ``hi_FF`` for
     a free set F on first use and keeps it, so ``H_FF x = b`` is solved as
     ``hi_FF x = lam b``.  The kernels are those of ``H_FF``, and ``h`` is H
-    itself in Fractions, built on first read.  ``pairs`` holds every split
-    ``(active, free)`` of the generator indices, active sets by size and then
-    lexicographically.  The shape of G and the generator cap are checked before
-    anything is built: integer dot products of unequal lengths would
-    truncate silently.
+    itself in Fractions, built on first read.  ``pairs``, also built on
+    first read, holds the faces of ``conv(dz Z)`` as splits
+    ``(active, free)`` (see :func:`_face_pairs`); every walk reads it before
+    it eliminates a block, so the face budget is checked first, and an
+    answer read off the diagonal of H needs no faces.  The shape of G is
+    checked before anything is built: integer dot products of unequal
+    lengths would truncate silently.
     """
 
     def __init__(self, g: Mat, d: PolyCone):
         n = d.dim
         if len(g) != n or any(len(row) != n for row in g):
             raise DimensionMismatchError(f"the form is not {n} x {n} on a cone in R^{n}")
-        self.p = p = len(d.generators)
-        if p > MAX_GENERATORS:
-            raise SizeCapError(f"{p} generators exceed the cap {MAX_GENERATORS}")
+        self.p = len(d.generators)
         dz = lcm(*(x.denominator for gen in d.generators for x in gen))
         scale = lcm(*(x.denominator for row in g for x in row))
         zi = [[x.numerator * (dz // x.denominator) for x in gen] for gen in d.generators]
+        self._zi = zi
         gi = [[x.numerator * (scale // x.denominator) for x in row] for row in g]
         gz = [[idot(row, z) for row in gi] for z in zi]
         self.hi = [[idot(za, gzb) for gzb in gz] for za in zi]
         self.lam = dz * dz * scale
-        self.pairs = tuple(
-            (active, tuple(j for j in range(p) if j not in active))
-            for size in range(p + 1)
-            for active in itertools.combinations(range(p), size)
-        )
         self._systems: dict[tuple[int, ...], LinearSystem] = {}
 
     def system(self, free: tuple[int, ...]) -> LinearSystem:
@@ -281,6 +312,10 @@ class _Blocks:
             hi_ff = tuple(tuple(self.hi[a][b] for b in free) for a in free)
             system = self._systems[free] = LinearSystem(hi_ff, len(free))
         return system
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        return _face_pairs(self._zi)
 
     @cached_property
     def h(self) -> Mat:
@@ -300,12 +335,13 @@ def _negative_ray(d: PolyCone, blocks: _Blocks) -> Vec | None:
 
     A negative diagonal entry of H gives its generator at once.  Otherwise
     the form is negative on D iff ``min {u.H u : u >= 0, sum u = 1}`` is.
-    On a support F, a solution v of ``H_FF v = e`` with ``s = e.v < 0``
+    On a face F, a solution v of ``H_FF v = e`` with ``s = e.v < 0``
     gives the points ``u_F = (v + k)/s``, k in ker H_FF; e = H_FF v is
     orthogonal to the kernel, so each has ``e.u_F = 1`` and ``u.H u = 1/s``.
-    These are the stationary points of negative value on the simplex, so the
-    least ``(1/s, (|F|, F))`` over supports whose set meets ``u >= 0`` is the
-    minimum; its point u gives the ray ``Z u``, made primitive.  On ints,
+    These are the stationary points of negative value on the simplex, and
+    the minimum is one of them, so the least ``(1/s, (|F|, F))`` over faces
+    whose set meets ``u >= 0`` is the minimum; its point u gives the ray
+    ``Z u``, made primitive.  On ints,
     ``hi_FF w = e`` gives ``w = x/den`` and ``v = lam w``, so s has the sign
     of ``sum(x)``, ``1/s = den/(lam sum(x))`` and ``u_F = (x + k)/sum(x)``;
     Fractions are built only for a support with s < 0.
@@ -344,15 +380,18 @@ def zero_set_pieces(g: Mat, d: PolyCone, blocks: _Blocks | None = None) -> list[
     """The pieces P_I covering ``{u >= 0 : u.(Z^T G Z).u = 0}``.
 
     Precondition: the form is nonnegative on the cone (run
-    :func:`nonneg_form_on_cone` first).  For each index set I, with F its
-    complement, the kernel of ``H_FF`` is read; an empty kernel means
-    ``P_I = {0}`` and no piece.  Otherwise the extreme rays of
+    :func:`nonneg_form_on_cone` first).  For each face F of ``conv(Z)``,
+    with I the generators off it, the kernel of ``H_FF`` is read; an empty
+    kernel means ``P_I = {0}`` and no piece.  Otherwise the extreme rays of
     ``{t : N t >= 0}`` (N a kernel basis) map to the rays ``u_F = N t``,
     ``u_I = 0`` of ``P_I``; ``H_FF u_F = 0`` holds by construction and
-    ``(H u)_I >= 0`` by the precondition.  A strictly copositive form has no
-    pieces.  Pieces come in the order of I (by size, then lexicographically),
-    and a piece whose ray set repeats an earlier one is dropped.  ``blocks``,
-    when given, are the blocks of H already built.
+    ``(H u)_I >= 0`` by the precondition.  The pieces cover the zero set: a
+    zero u with ``Z u`` in the relative interior of a face of D uses only
+    that face's generators, which are those of a face F of ``conv(Z)``, and
+    ``G Z u`` is orthogonal to them, so ``H_FF u_F = 0``.  A strictly copositive
+    form has no pieces.  Pieces come in the order of I (by size, then
+    lexicographically), and a piece whose ray set repeats an earlier one is
+    dropped.  ``blocks``, when given, are the blocks of H already built.
     """
     if blocks is None:
         blocks = _Blocks(g, d)

@@ -42,9 +42,9 @@ from .asymptotes import (
     _lagrangian_value,
 )
 from .errors import FwsetsError
-from .linalg import Vec, dot, matvec, vec, zeros
+from .linalg import Vec, dot, vec, zeros
 from .motzkin import MotzkinSet, PolytopeK, SecondOrderCone, classify_fw
-from .numeric import bracket_multiplier, exp_bounds, sqrt_bounds, sqrt_upper
+from .numeric import bracket_multiplier, exp_bounds, sqrt_upper, stationary_line_point
 from .polyhedra import HPolyhedron, PolyCone, recession_cone
 from .quadratics import Quadratic
 
@@ -625,14 +625,7 @@ def _lagrangian_bracket(fset: QuadSublevel, q: Quadratic, width: Fraction):
         if res is None:
             return None
         lower, x, kernel = res
-        if kernel:
-            k = kernel[0]
-            alpha = dot(k, matvec(g.a, k)) / 2
-            beta = dot(k, g.gradient(x))
-            disc = beta * beta - 4 * alpha * g.evaluate(x)
-            if disc >= 0:
-                t = (sqrt_bounds(disc)[0] - beta) / (2 * alpha)
-                x = tuple(xi + t * ki for xi, ki in zip(x, k))
+        x = stationary_line_point(g, x, kernel)
         slack = -g.evaluate(x)
         if slack >= 0 and contains(fset, x) is True:
             return slack, lower, q.evaluate(x), x

@@ -43,6 +43,7 @@ from .linalg import (
     Vec,
     ZERO,
     dot,
+    identity,
     is_zero,
     matvec,
     rat,
@@ -50,6 +51,7 @@ from .linalg import (
     vadd,
     vec,
     vscale,
+    zeros,
 )
 from .polyhedra import (
     HPolyhedron,
@@ -59,7 +61,7 @@ from .polyhedra import (
     recession_cone,
     same_cone,
 )
-from .numeric import bracket_multiplier
+from .numeric import bracket_multiplier, stationary_line_point
 from .quadratics import Quadratic, is_psd
 
 #: default width of the exact bracket around a minimum over a ball;
@@ -410,30 +412,46 @@ def _ball_probe(q, ball: Ball, cone: PolyCone):
     set (weak duality); at its point x, ``(c + s) + x`` is a member when
     ``|s| <= r``, and q there is an upper bound.  At mu = 0 this is the
     projection of the unconstrained minimizer of q onto ``c + D``.  None when
-    ``A + mu I`` is not positive definite or the cone program is unbounded.
+    ``A + mu I`` is not positive semidefinite or the cone program is
+    unbounded.
+
+    On a ball alone (D = {0}) no cone program is needed: the minimizers s
+    of ``q(c + s) + (mu/2)(|s|^2 - r^2)`` form ``s0 + span(kernel)``, with
+    the value ``q(c) + g0.s0/2 - mu r^2/2``.  A singular ``A + mu I`` (the
+    hard case of the trust-region problem) leaves a kernel, and
+    :func:`numeric.stationary_line_point` follows its line to a point just
+    inside ``|s| <= r``.  With D != {0} the probe gives None there.
     """
     n = ball.dim
     c, r2 = ball.center, ball.radius * ball.radius
     g0 = q.gradient(c)
     base = q.evaluate(c)
+    ball_form = Quadratic(identity(n), zeros(n), -r2 / 2)  # (|s|^2 - r^2)/2
 
     def probe(mu):
         shifted = tuple(
             tuple(x + mu if i == j else x for j, x in enumerate(row)) for i, row in enumerate(q.a)
         )
         system = LinearSystem(shifted, n)
-        if system.rank < n or not is_psd(shifted):
+        if (system.rank < n and cone.generators) or not is_psd(shifted):
             return None
-        m = tuple(system.solve(unit(n, i)) for i in range(n))
-        mg = matvec(m, g0)
-        g = tuple(tuple((i == j) - mu * x for j, x in enumerate(row)) for i, row in enumerate(m))
-        verdict = ConeProgram(g, cone).minimize(mg)
-        if verdict.kind != "attained":
-            return None
-        x = verdict.point
-        s = vscale(-ONE, matvec(m, vadd(matvec(q.a, x), g0)))
+        if not cone.generators:
+            s = system.solve(vscale(-ONE, g0))
+            if s is None:
+                return None
+            lower = base + dot(g0, s) / 2 - mu * r2 / 2
+            x, s = zeros(n), stationary_line_point(ball_form, s, system.kernel)
+        else:
+            m = tuple(system.solve(unit(n, i)) for i in range(n))
+            mg = matvec(m, g0)
+            g = tuple(tuple((i == j) - mu * x for j, x in enumerate(row)) for i, row in enumerate(m))
+            verdict = ConeProgram(g, cone).minimize(mg)
+            if verdict.kind != "attained":
+                return None
+            x = verdict.point
+            s = vscale(-ONE, matvec(m, vadd(matvec(q.a, x), g0)))
+            lower = mu * verdict.value + base - dot(g0, mg) / 2 - mu * r2 / 2
         slack = r2 - dot(s, s)
-        lower = mu * verdict.value + base - dot(g0, mg) / 2 - mu * r2 / 2
         if slack < 0:
             return slack, lower, None, None
         point = vadd(vadd(c, s), x)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .linalg import rat
+from .linalg import dot, matvec, rat
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -210,6 +210,25 @@ def bracket_multiplier(probe, tol: Fraction):
                 f_lo /= 2
             side = "hi"
     return tuple(best)
+
+
+def stationary_line_point(g, x, kernel):
+    """The point of the stationary line ``x + t k`` (k the first kernel
+    vector) just inside ``{g <= 0}``, for a quadratic g with a positive
+    definite form: the larger root of ``g(x + t k) = 0``, taken with the
+    lower square-root bound.  x itself when the kernel is empty or the line
+    misses the set.  This is the hard case of the trust-region problem,
+    where the Lagrangian's minimizers form a line."""
+    if not kernel:
+        return x
+    k = kernel[0]
+    alpha = dot(k, matvec(g.a, k)) / 2
+    beta = dot(k, g.gradient(x))
+    disc = beta * beta - 4 * alpha * g.evaluate(x)
+    if disc < 0:
+        return x
+    t = (sqrt_bounds(disc)[0] - beta) / (2 * alpha)
+    return tuple(xi + t * ki for xi, ki in zip(x, k))
 
 
 def _short_dyadic(lo: Fraction, hi: Fraction, guess: Fraction, w: Fraction) -> Fraction:

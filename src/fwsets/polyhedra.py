@@ -55,7 +55,8 @@ from .linalg import (
 )
 
 # user-facing polyhedra live in dimension <= 10; internal cones may need a
-# homogenizing coordinate (n+1) or a parameter space of up to 12 generators
+# homogenizing coordinate (n+1), as the faces of conv(generators) in the cone
+# layer do, or the kernel coordinates of a cone-layer block H_FF
 MAX_INPUT_DIM = 10
 MAX_CONE_DIM = 13
 

@@ -36,6 +36,7 @@ from fwsets.gallery import (
     luo_zhang_set,
     parabola_set,
 )
+from fwsets.errors import DimensionMismatchError
 from fwsets.linalg import ZERO, dot, solve, vec, zeros
 from fwsets.motzkin import (
     Ball,
@@ -343,6 +344,14 @@ def test_image_closed_facts():
     assert verdict is False
     verdict, _ = image_closed_1d(orthant2(), (1, -1))
     assert verdict is True
+
+
+def test_image_closed_rejects_a_functional_of_another_length():
+    # both sets lie in the plane; a polyhedron used to answer True for any w
+    for fset in (orthant2(), ice_cream_cut_set()):
+        for w in ((1, 2, 3), (1,)):
+            with pytest.raises(DimensionMismatchError):
+                image_closed_1d(fset, w)
 
 
 # ---------------------------------------------------------------------------

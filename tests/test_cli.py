@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from fwsets import asymptotes, cli
+from fwsets.asymptotes import distance_to_manifold
 from fwsets.cli import main
 from fwsets.documents import parse, serialize
 from fwsets.errors import DocumentError
@@ -222,7 +224,16 @@ def test_intersect_hpolyhedra(tmp_path, capsys):
     assert len(out["hpolyhedron"]["rows"]) == 3
 
 
-def test_asymptote_command(tmp_path, capsys):
+def test_asymptote_command(tmp_path, capsys, monkeypatch):
+    # the verdict is read from the one distance the report prints
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return distance_to_manifold(*args)
+
+    for module in (cli, asymptotes):
+        monkeypatch.setattr(module, "distance_to_manifold", counted)
     set_path = write(tmp_path, "set.json", hyperbola_doc())
     manifold = write(
         tmp_path,
@@ -237,6 +248,8 @@ def test_asymptote_command(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["is_f_asymptote"] is True
+    assert out["distance_kind"] == "zero_evidence"
+    assert len(calls) == 1
 
 
 def test_gallery_list_and_run(tmp_path, capsys):

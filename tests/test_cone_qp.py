@@ -18,8 +18,20 @@ from fwsets.cone_qp import (
     zero_set_pieces,
 )
 from fwsets.errors import DimensionMismatchError, NotInDomainError, SizeCapError
-from fwsets.linalg import LinearSystem, dot, identity, matvec, primitive, unit, vec, vscale, zeros
-from fwsets.polyhedra import HPolyhedron, PolyCone, cone_h_to_v, lp_solve
+from fwsets.linalg import (
+    LinearSystem,
+    basis_of_span,
+    dot,
+    identity,
+    matvec,
+    primitive,
+    unit,
+    vadd,
+    vec,
+    vscale,
+    zeros,
+)
+from fwsets.polyhedra import HPolyhedron, PolyCone, cone_h_to_v, lp_solve, same_cone
 from fwsets.quadratics import Quadratic, is_psd
 
 F = Fraction
@@ -141,26 +153,51 @@ def test_zero_set_pieces_cover_and_satisfy_equations():
             )
 
 
+def _definition_rays(h, idx):
+    """The rays of P_I by its definition: one double description on the 3p
+    rows ``u >= 0, H u >= 0, u_I <= 0, (H u)_F <= 0``."""
+    p = len(h)
+    rows = [vscale(F(-1), unit(p, j)) for j in range(p)]
+    rows += [vscale(F(-1), h[j]) for j in range(p)]
+    rows += [unit(p, i) for i in idx]
+    rows += [h[j] for j in range(p) if j not in idx]
+    rays, lin = cone_h_to_v(rows, p)
+    assert not lin
+    return set(rays)
+
+
+def _form_matrix(g_mat, d):
+    """``H = Z^T G Z`` for the cone's generators."""
+    return tuple(tuple(dot(gi, matvec(g_mat, gj)) for gj in d.generators) for gi in d.generators)
+
+
 def _reference_pieces(g_mat, d):
-    """The pieces by their definition: one double description per index set
-    I on the 3p rows ``u >= 0, H u >= 0, u_I <= 0, (H u)_F <= 0``, pieces
-    with an earlier ray set dropped, as ``(index_set, set of rays)``."""
-    z_cols = d.generators
-    h = tuple(tuple(dot(gi, matvec(g_mat, gj)) for gj in z_cols) for gi in z_cols)
-    p = len(z_cols)
+    """The pieces by their definition, one per index set I over all subsets,
+    pieces with an earlier ray set dropped, as ``(index_set, set of rays)``."""
+    h = _form_matrix(g_mat, d)
     pieces, seen = [], set()
-    for size in range(p + 1):
-        for idx in itertools.combinations(range(p), size):
-            rows = [vscale(F(-1), unit(p, j)) for j in range(p)]
-            rows += [vscale(F(-1), h[j]) for j in range(p)]
-            rows += [unit(p, i) for i in idx]
-            rows += [h[j] for j in range(p) if j not in idx]
-            rays, lin = cone_h_to_v(rows, p)
-            assert not lin
+    for size in range(len(h) + 1):
+        for idx in itertools.combinations(range(len(h)), size):
+            rays = _definition_rays(h, idx)
             if rays and frozenset(rays) not in seen:
                 seen.add(frozenset(rays))
-                pieces.append((frozenset(idx), set(rays)))
+                pieces.append((frozenset(idx), rays))
     return pieces
+
+
+def _lifted_independent(d):
+    """Whether the vectors ``(z_j, 1)`` are independent: conv(Z) is then a
+    simplex, and every index set is a face."""
+    return len(basis_of_span([g + (F(1),) for g in d.generators], d.dim + 1)) == len(d.generators)
+
+
+def _check_pieces_and_domain(dom, ref_cone, g_mat, d):
+    """Each piece of dom(f) is the one its index set defines, and dom(f) is
+    the reference cone."""
+    h = _form_matrix(g_mat, d)
+    for pc in dom.pieces:
+        assert set(pc.generators) == _definition_rays(h, pc.index_set), (g_mat, d, pc.index_set)
+    assert same_cone(dom.cone, ref_cone), (g_mat, d)
 
 
 def test_zero_set_pieces_match_their_definition():
@@ -174,8 +211,8 @@ def test_zero_set_pieces_match_their_definition():
 
     rng = random.Random(31)
     counts = {"gram": 0, "zero_diagonal": 0, "strictly_copositive": 0}
-    singular_with_pieces = multi_ray_pieces = 0
-    for trial in range(45):
+    singular_with_pieces = multi_ray_pieces = simplices = 0
+    for trial in range(60):
         kind = list(counts)[trial % 3]
         n = rng.randint(1, 3)
         p = rng.randint(1, 5)
@@ -207,9 +244,16 @@ def test_zero_set_pieces_match_their_definition():
         assert nonneg_form_on_cone(g_mat, d)[0]
         counts[kind] += 1
         pieces = zero_set_pieces(g_mat, d)
-        assert [(pc.index_set, set(pc.generators)) for pc in pieces] == _reference_pieces(g_mat, d)
+        reference = _reference_pieces(g_mat, d)
         dom = dom_f(g_mat, d)
         assert dom.pieces == tuple(pieces)
+        if _lifted_independent(d):
+            assert [(pc.index_set, set(pc.generators)) for pc in pieces] == reference
+            simplices += 1
+        else:
+            z = tuple(zip(*d.generators))
+            rows = [vscale(F(-1), matvec(z, u)) for _, rays in reference for u in rays]
+            _check_pieces_and_domain(dom, PolyCone.from_halfspaces(rows, n), g_mat, d)
         if kind == "strictly_copositive":
             assert not pieces and not dom.pieces
             for _ in range(20):
@@ -221,6 +265,8 @@ def test_zero_set_pieces_match_their_definition():
     assert singular_with_pieces >= 20
     # pieces whose kernel double description runs in two or more coordinates
     assert multi_ray_pieces >= 10
+    # both comparisons run: list equality on simplices, piece by piece otherwise
+    assert simplices >= 10 and sum(counts.values()) - simplices >= 10
 
 
 def _pieces_walk(c, g_mat, d):
@@ -280,24 +326,40 @@ def test_boundedness_from_domain_rows_matches_pieces_walk():
     assert with_lines >= 20
 
 
-def test_generator_cap_precedes_enumeration(monkeypatch):
-    # 13 generators: the cap is checked before any block H_FF is eliminated,
-    # also for a strictly copositive form that needs no zero-set pieces
+def test_face_budget_precedes_elimination(monkeypatch):
+    # more faces of conv(generators) than the budget: it is checked before
+    # any block H_FF is eliminated, also for a strictly copositive form that
+    # needs no zero-set pieces
     def no_elimination(m, ncols):
-        raise AssertionError("a block was eliminated before the cap check")
+        raise AssertionError("a block was eliminated before the budget check")
 
-    monkeypatch.setattr(cone_qp, "LinearSystem", no_elimination)
+    over_budget = (
+        # 11 affinely independent generators in R^10: a simplex, 2^11 faces
+        PolyCone.from_generators([unit(10, i) for i in range(10)] + [(-1,) * 10]),
+        # 24 points on the moment curve: the cyclic 4-polytope has 1,058 faces
+        PolyCone.from_generators([(1, t, t**2, t**3, t**4) for t in range(-12, 12)]),
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(cone_qp, "LinearSystem", no_elimination)
+        for d in over_budget:
+            g = identity(d.dim)
+            for call in (
+                lambda: dom_f(g, d),
+                lambda: is_bounded_below_on_cone(zeros(d.dim), g, d),
+                lambda: nonneg_form_on_cone(g, d),
+                lambda: zero_set_pieces(g, d),
+                lambda: ConeProgram(g, d).minimize(zeros(d.dim)),
+            ):
+                with pytest.raises(SizeCapError):
+                    call()
+    # 13 generators on a segment, which the generator count used to refuse:
+    # conv has 4 faces, the empty one, two ends and the segment
     d = PolyCone.from_generators([(1, k, 0) for k in range(13)], 3)
-    g = identity(3)
-    for call in (
-        lambda: dom_f(g, d),
-        lambda: is_bounded_below_on_cone(vec((0, 0, 0)), g, d),
-        lambda: nonneg_form_on_cone(g, d),
-        lambda: zero_set_pieces(g, d),
-        lambda: ConeProgram(g, d),
-    ):
-        with pytest.raises(SizeCapError):
-            call()
+    assert [free for _, free in cone_qp._Blocks(identity(3), d).pairs] == [
+        tuple(range(13)), (12,), (0,), ()
+    ]
+    dom = dom_f(identity(3), d)
+    assert not dom.is_empty and not dom.pieces and dom.cone.halfspaces == ()
 
 
 def _reference_simplex_min(h):
@@ -403,6 +465,80 @@ def test_sign_test_matches_bordered_simplex_reference():
             assert dom.pieces == tuple(pieces)
     assert min(outcomes.values()) >= 25, outcomes
     assert with_lines >= 60
+
+
+def _subset_walk(blocks):
+    """Blocks that walk every split of the generator indices, active sets by
+    size and then lexicographically, as the cone layer did before it walked
+    only the faces of conv(generators)."""
+    p = blocks.p
+    blocks.pairs = tuple(
+        (active, tuple(j for j in range(p) if j not in active))
+        for size in range(p + 1)
+        for active in itertools.combinations(range(p), size)
+    )
+    return blocks
+
+
+def _face_walk_case(rng, trial):
+    """A seeded cone (up to 7 generators in R^1..R^4) and form; the shapes
+    cover pointed, positively dependent and non-pointed cones, repeated
+    directions and generators inside the hull of the others."""
+    n = rng.randint(1, 4)
+    shape = ("pointed", "spanning", "lines", "repeated", "inside")[trial % 5]
+    form = ("zero", "rank_one", "indefinite", "gram", "definite")[trial // 5 % 5]
+    if shape == "pointed":
+        gens = [(F(rng.randint(1, 3)),) + tuple(F(rng.randint(-2, 2)) for _ in range(n - 1))
+                for _ in range(rng.randint(1, 6))]
+    else:
+        gens = [tuple(F(rng.randint(-2, 2)) for _ in range(n)) for _ in range(rng.randint(n, 5))]
+    gens = [g for g in gens if any(g)] or [unit(n, 0)]
+    if shape == "lines":
+        gens.append(vscale(F(-1), gens[0]))
+    elif shape == "repeated":
+        gens += [vscale(F(2), gens[0]), gens[-1]]
+    elif shape == "inside" and len(gens) > 1:
+        gens += [vscale(F(1, 2), vadd(gens[0], gens[1])),
+                 vscale(F(1, 3), vadd(vadd(gens[0], gens[1]), gens[-1]))]
+        gens = [g for g in gens if any(g)]
+    rows = {"zero": 0, "rank_one": 1, "indefinite": 0, "gram": max(1, n - 1), "definite": n}[form]
+    m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rows)]
+    raw = [[sum(r[i] * r[j] for r in m) + (form == "definite") * (i == j) for j in range(n)]
+           for i in range(n)]
+    if form == "indefinite":
+        for i in range(n):
+            for j in range(i, n):
+                raw[i][j] = raw[j][i] = rng.randint(-2, 2)
+    return Quadratic.build(raw).a, PolyCone(tuple(gens[:7]), n)
+
+
+def test_face_walk_matches_the_subset_walk():
+    # the faces of conv(generators) against all 2^p splits: the same sign,
+    # pieces the definition gives for their index sets, the same dom(f) and
+    # the same minimum values
+    rng = random.Random(20261019)
+    outcomes = dict.fromkeys(("negative", "pieces", "strict", "attained", "unbounded"), 0)
+    fewer = 0
+    for trial in range(300):
+        g, d = _face_walk_case(rng, trial)
+        prog, ref_prog = ConeProgram(g, d), ConeProgram(g, d)
+        _subset_walk(ref_prog.blocks)
+        fewer += len(prog.blocks.pairs) < len(ref_prog.blocks.pairs)
+        dom, ref = prog.dom, ref_prog.dom
+        assert dom.is_empty == ref.is_empty, (g, d)
+        if dom.is_empty:
+            x = dom.negative_ray
+            assert d.with_halfspaces().contains(x) and dot(x, matvec(g, x)) < 0, (g, d)
+            outcomes["negative"] += 1
+        else:
+            _check_pieces_and_domain(dom, ref.cone, g, d)
+            outcomes["pieces" if dom.pieces else "strict"] += 1
+        for _ in range(3):
+            c = tuple(F(rng.randint(-3, 3)) for _ in range(d.dim))
+            v, w = prog.minimize(c), ref_prog.minimize(c)
+            assert (v.kind, v.value) == (w.kind, w.value), (g, d, c)
+            outcomes[v.kind] += 1
+    assert min(outcomes.values()) >= 40 and fewer >= 150, (outcomes, fewer)
 
 
 def test_each_block_is_eliminated_once(monkeypatch):

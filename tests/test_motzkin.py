@@ -309,6 +309,19 @@ def test_ball_in_five_dimensions_closes_its_bracket():
     assert all(v.lower_bound <= q.evaluate(y) for y in _ball_members(rng, f, 1000))
 
 
+def test_ball_hard_case_follows_the_stationary_line():
+    # -x1^2 + x2 on the unit disk: A + 2I is singular at the optimal
+    # multiplier 2, whose minimizers form the line x2 = -1/2; the minimum
+    # -5/4 is taken at (+-sqrt(3)/2, -1/2)
+    q = Quadratic.build([[-2, 0], [0, 0]], [0, 1])
+    f = MotzkinSet(Ball.build((0, 0), 1), PolyCone((), 2))
+    v = minimize_on_motzkin(q, f)
+    assert isinstance(v, Attained)
+    assert v.lower_bound <= F(-5, 4) <= v.value
+    assert v.value - v.lower_bound <= F(1, 10**9)
+    assert v.value == q.evaluate(v.point) and f.compact.contains(v.point)
+
+
 @pytest.mark.parametrize("tol", [F(0), F(-1), -1e-9, float("nan"), float("inf")])
 def test_nonpositive_tolerance_is_rejected(tol):
     q = Quadratic.build([[2, 0], [0, 2]], [-6, 0], 9)
