@@ -88,8 +88,9 @@ from .linalg import (
 from .polyhedra import HPolyhedron, PolyCone, cone_h_to_v, cone_v_to_h, lp_solve
 from .quadratics import Quadratic
 
-# faces of conv(generators) one cone program may walk
-MAX_FACES = 1024
+# faces of conv(generators) one cone program may walk: 2^12, as many as
+# twelve generators can have
+MAX_FACES = 4096
 
 
 @dataclass(frozen=True)
@@ -252,6 +253,10 @@ def _face_pairs(zi: list[list[int]]) -> tuple[tuple[tuple[int, ...], tuple[int, 
     Otherwise one conversion gives the facets of the cone they span, and the
     faces are the facet incidence sets closed under intersection.  A set of
     generators is a bitmask.  SizeCapError once the count passes MAX_FACES.
+    The conversion stops as soon as the hull of the generators inserted so
+    far has more than MAX_FACES / 2 facets, and so, having at least as many
+    ridges as facets, more than MAX_FACES faces: a large hull is refused
+    before it is converted in full.
     """
     p = len(zi)
     lifted = [z + [1] for z in zi]
@@ -261,7 +266,7 @@ def _face_pairs(zi: list[list[int]]) -> tuple[tuple[tuple[int, ...], tuple[int, 
         masks = range(1 << p)
     else:
         masks = {(1 << p) - 1}
-        for h in cone_v_to_h(lifted, len(lifted[0])):
+        for h in cone_v_to_h(lifted, len(lifted[0]), MAX_FACES // 2):
             hi = primitive_ints(h)
             facet = sum(1 << j for j, v in enumerate(lifted) if idot(hi, v) == 0)
             masks |= {m & facet for m in masks}

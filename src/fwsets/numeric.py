@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .linalg import dot, matvec, rat
+from .linalg import dot, matvec, rat, solve
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -213,22 +213,27 @@ def bracket_multiplier(probe, tol: Fraction):
 
 
 def stationary_line_point(g, x, kernel):
-    """The point of the stationary line ``x + t k`` (k the first kernel
-    vector) just inside ``{g <= 0}``, for a quadratic g with a positive
-    definite form: the larger root of ``g(x + t k) = 0``, taken with the
-    lower square-root bound.  x itself when the kernel is empty or the line
-    misses the set.  This is the hard case of the trust-region problem,
-    where the Lagrangian's minimizers form a line."""
+    """A point of the stationary set ``x + span(kernel)`` just inside
+    ``{g <= 0}``, for a quadratic g with a positive definite form.  First
+    the point x0 of the set where g is least, from ``(K^T A K) t =
+    -K^T grad g(x)`` (A the form, K the kernel); then, along the first
+    kernel vector k, the larger root of ``g(x0 + t k) = 0``, taken with the
+    lower square-root bound.  x itself when the kernel is empty or the set
+    misses ``{g <= 0}``.  This is the hard case of the trust-region problem,
+    where the Lagrangian's minimizers form a line or a larger flat."""
     if not kernel:
         return x
-    k = kernel[0]
-    alpha = dot(k, matvec(g.a, k)) / 2
-    beta = dot(k, g.gradient(x))
-    disc = beta * beta - 4 * alpha * g.evaluate(x)
-    if disc < 0:
+    ak = [matvec(g.a, k) for k in kernel]
+    gram = tuple(tuple(dot(a, k) for k in kernel) for a in ak)
+    grad = g.gradient(x)
+    t = solve(gram, tuple(-dot(k, grad) for k in kernel))
+    x0 = tuple(xi + sum(ti * k[i] for ti, k in zip(t, kernel)) for i, xi in enumerate(x))
+    alpha = gram[0][0] / 2
+    value = g.evaluate(x0)
+    if value > 0:
         return x
-    t = (sqrt_bounds(disc)[0] - beta) / (2 * alpha)
-    return tuple(xi + t * ki for xi, ki in zip(x, k))
+    t0 = sqrt_bounds(-4 * alpha * value)[0] / (2 * alpha)
+    return tuple(xi + t0 * ki for xi, ki in zip(x0, kernel[0]))
 
 
 def _short_dyadic(lo: Fraction, hi: Fraction, guess: Fraction, w: Fraction) -> Fraction:

@@ -244,17 +244,21 @@ def same_cone(a: PolyCone, b: PolyCone) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _pointed_dd(rows: list[Vec], d: int) -> list[Vec]:
+def _pointed_dd(rows: list[Vec], d: int, max_rays: int | None = None) -> list[Vec]:
     """Extreme rays of ``{x in R^d : r . x <= 0 for r in rows}``.
 
     Requires the row matrix to have full column rank d (pointed cone).
     Classical incremental double description: seed with a simplicial cone
     from the first d independent rows, then insert the remaining rows one at
-    a time, pairing adjacent rays across the new hyperplane.  It runs on
+    a time, pairing adjacent rays across the new hyperplane (two rays whose
+    common zero set has fewer than d - 2 rows are not adjacent, which is
+    tested before the combinatorial adjacency test).  It runs on
     primitive integer rows and rays: each row is rescaled once by a positive
     factor, which keeps every sign and zero set, and each new ray
     ``v_p r_q - v_q r_p`` is divided by its gcd, which makes it primitive.
-    Zero sets are bitmasks over the row indices.
+    Zero sets are bitmasks over the row indices.  With ``max_rays`` set,
+    SizeCapError as soon as the cone of the rows inserted so far has more
+    extreme rays than that.
     """
     if d == 0:
         return []
@@ -300,7 +304,7 @@ def _pointed_dd(rows: list[Vec], d: int) -> list[Vec]:
         for p in pos_idx:
             for q in neg_idx:
                 common = zero_sets[p] & zero_sets[q]
-                if any(
+                if common.bit_count() < d - 2 or any(
                     k != p and k != q and common & zs == common
                     for k, zs in enumerate(zero_sets)
                 ):
@@ -312,6 +316,8 @@ def _pointed_dd(rows: list[Vec], d: int) -> list[Vec]:
                     continue
                 new_rays.append(tuple(x // g for x in combo))
                 new_zsets.append(common | bit)
+                if max_rays is not None and len(new_rays) > max_rays:
+                    raise SizeCapError(f"the cone has over {max_rays} extreme rays")
         rays, zero_sets = [], []
         seen: dict[tuple[int, ...], int] = {}
         for r, zs in zip(new_rays, new_zsets):
@@ -324,12 +330,13 @@ def _pointed_dd(rows: list[Vec], d: int) -> list[Vec]:
     return [tuple(Fraction(x) for x in r) for r in rays]
 
 
-def cone_h_to_v(rows, d: int) -> tuple[tuple[Vec, ...], list[Vec]]:
+def cone_h_to_v(rows, d: int, max_rays: int | None = None) -> tuple[tuple[Vec, ...], list[Vec]]:
     """Generators of ``{x : r . x <= 0}``: (extreme rays, lineality basis).
 
     The lineality space L is split off: double description runs on the rows
     restricted to the coordinates that are not pivot columns of the reduced
     lineality basis, a complement of L, and each ray is placed back there.
+    ``max_rays`` stops the double description early (see :func:`_pointed_dd`).
     """
     rows = [r for r in map(vec, rows) if not is_zero(r)]
     _check_caps(d, len(rows), "row")
@@ -342,7 +349,7 @@ def cone_h_to_v(rows, d: int) -> tuple[tuple[Vec, ...], list[Vec]]:
         return (), lin
     reduced = [rr for rr in (tuple(r[j] for j in cols) for r in rows) if not is_zero(rr)]
     rays = []
-    for s in _pointed_dd(reduced, len(cols)):
+    for s in _pointed_dd(reduced, len(cols), max_rays):
         x = [ZERO] * d
         for j, coeff in zip(cols, s):
             x[j] = coeff
@@ -350,17 +357,19 @@ def cone_h_to_v(rows, d: int) -> tuple[tuple[Vec, ...], list[Vec]]:
     return tuple(rays), lin
 
 
-def cone_v_to_h(generators, d: int) -> tuple[Vec, ...]:
+def cone_v_to_h(generators, d: int, max_rays: int | None = None) -> tuple[Vec, ...]:
     """Halfspace normals of the cone spanned by ``generators``.
 
     Bipolar construction: the negative polar ``{c : g . c <= 0}`` is an
     H-cone whose generators are exactly the halfspace normals of the input
-    (lineality of the polar contributes an opposite pair).
+    (lineality of the polar contributes an opposite pair).  With
+    ``max_rays`` set, SizeCapError as soon as the cone of the generators
+    inserted so far has more facets than that.
     """
     gens = [primitive(vec(g)) for g in generators]
     gens = [g for g in gens if not is_zero(g)]
     _check_caps(d, len(gens), "generator")
-    rays, lin = cone_h_to_v(gens, d)
+    rays, lin = cone_h_to_v(gens, d, max_rays)
     rows = list(rays)
     for v in lin:
         rows.append(primitive(v))

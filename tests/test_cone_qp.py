@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -333,11 +334,20 @@ def test_face_budget_precedes_elimination(monkeypatch):
     def no_elimination(m, ncols):
         raise AssertionError("a block was eliminated before the budget check")
 
+    rng = random.Random(5)
     over_budget = (
-        # 11 affinely independent generators in R^10: a simplex, 2^11 faces
-        PolyCone.from_generators([unit(10, i) for i in range(10)] + [(-1,) * 10]),
-        # 24 points on the moment curve: the cyclic 4-polytope has 1,058 faces
-        PolyCone.from_generators([(1, t, t**2, t**3, t**4) for t in range(-12, 12)]),
+        # 13 affinely independent generators in R^12: a simplex, 2^13 faces
+        PolyCone.from_generators([unit(12, i) for i in range(12)] + [(-1,) * 12]),
+        # 20 random points at height 10 in R^9: over 4,096 faces, counted
+        PolyCone.from_generators(
+            [tuple(rng.randint(-9, 9) for _ in range(8)) + (10,) for _ in range(20)]
+        ),
+    )
+    # 64 points (1, t, ..., t^9) on the moment curve in R^10: their hull,
+    # a cyclic 9-polytope, has 910,252 facets, so the conversion stops
+    # early, in about a second, instead of listing them
+    moment = PolyCone.from_generators(
+        [(1,) + tuple(t**k for k in range(1, 10)) for t in range(-32, 32)]
     )
     with monkeypatch.context() as patch:
         patch.setattr(cone_qp, "LinearSystem", no_elimination)
@@ -352,6 +362,14 @@ def test_face_budget_precedes_elimination(monkeypatch):
             ):
                 with pytest.raises(SizeCapError):
                     call()
+        start = time.perf_counter()
+        with pytest.raises(SizeCapError):
+            dom_f(identity(10), moment)
+        assert time.perf_counter() - start < 20
+    # 11 affinely independent generators in R^10, a simplex with 2^11 faces,
+    # are within the budget, as they were within the old 12-generator cap
+    simplex = PolyCone.from_generators([unit(10, i) for i in range(10)] + [(-1,) * 10])
+    assert len(cone_qp._Blocks(identity(10), simplex).pairs) == 2**11
     # 13 generators on a segment, which the generator count used to refuse:
     # conv has 4 faces, the empty one, two ends and the segment
     d = PolyCone.from_generators([(1, k, 0) for k in range(13)], 3)

@@ -322,6 +322,21 @@ def test_ball_hard_case_follows_the_stationary_line():
     assert v.value == q.evaluate(v.point) and f.compact.contains(v.point)
 
 
+def test_ball_hard_case_with_a_plane_of_minimizers():
+    # 2(x1 x2 + x1 x3 + x2 x3) + 3(x1 + x2 + x3) on the unit ball: at the
+    # optimal multiplier 2, A + 2I = 2 v v^T (v = (1, 1, 1)), and the
+    # minimizers form the plane v.x = -3/2.  Its least-norm point -v/2 lies
+    # inside the ball, but a line through another of its points can miss the
+    # ball; the minimum -13/4 is taken where the plane meets the sphere
+    q = Quadratic.build([[0, 2, 2], [2, 0, 2], [2, 2, 0]], [3, 3, 3])
+    f = MotzkinSet(Ball.build((0, 0, 0), 1), PolyCone((), 3))
+    v = minimize_on_motzkin(q, f)
+    assert isinstance(v, Attained)
+    assert v.lower_bound <= F(-13, 4) <= v.value
+    assert v.value - v.lower_bound <= F(1, 10**9)
+    assert v.value == q.evaluate(v.point) and f.compact.contains(v.point)
+
+
 @pytest.mark.parametrize("tol", [F(0), F(-1), -1e-9, float("nan"), float("inf")])
 def test_nonpositive_tolerance_is_rejected(tol):
     q = Quadratic.build([[2, 0], [0, 2]], [-6, 0], 9)

@@ -11,6 +11,7 @@ from fwsets.polyhedra import (
     HPolyhedron,
     PolyCone,
     VPolyhedron,
+    cone_v_to_h,
     dd_convert,
     farkas_certificate,
     feasible_point,
@@ -418,6 +419,18 @@ def test_size_cap_errors():
     rhs = [1] * 65
     with pytest.raises(SizeCapError):
         dd_convert(HPolyhedron.from_rows(rows, rhs))
+
+
+def test_conversion_stops_past_max_rays():
+    # the cones over a square and an octagon have 4 and 8 facets
+    square = [(1, 1, 1), (1, -1, 1), (-1, -1, 1), (-1, 1, 1)]
+    octagon = [(2, 1, 3), (1, 2, 3), (-1, 2, 3), (-2, 1, 3), (-2, -1, 3), (-1, -2, 3),
+               (1, -2, 3), (2, -1, 3)]
+    for gens in (square, octagon):
+        facets = cone_v_to_h(gens, 3)
+        assert cone_v_to_h(gens, 3, max_rays=len(facets)) == facets
+        with pytest.raises(SizeCapError):
+            cone_v_to_h(gens, 3, max_rays=len(facets) - 1)
 
 
 def test_checked_cone_rejects_mismatched_forms():
