@@ -252,11 +252,10 @@ def _face_pairs(zi: list[list[int]]) -> tuple[tuple[tuple[int, ...], tuple[int, 
     Q is a simplex and every subset is a face (taken as given for p <= 2).
     Otherwise one conversion gives the facets of the cone they span, and the
     faces are the facet incidence sets closed under intersection.  A set of
-    generators is a bitmask.  SizeCapError once the count passes MAX_FACES.
-    The conversion stops as soon as the hull of the generators inserted so
-    far has more than MAX_FACES / 2 facets, and so, having at least as many
-    ridges as facets, more than MAX_FACES faces: a large hull is refused
-    before it is converted in full.
+    generators is a bitmask.  SizeCapError once the count passes MAX_FACES,
+    or from the conversion once it passes the double description budget
+    (see :mod:`fwsets.polyhedra`), so a large hull is refused after bounded
+    work.
     """
     p = len(zi)
     lifted = [z + [1] for z in zi]
@@ -266,7 +265,7 @@ def _face_pairs(zi: list[list[int]]) -> tuple[tuple[tuple[int, ...], tuple[int, 
         masks = range(1 << p)
     else:
         masks = {(1 << p) - 1}
-        for h in cone_v_to_h(lifted, len(lifted[0]), MAX_FACES // 2):
+        for h in cone_v_to_h(lifted, len(lifted[0])):
             hi = primitive_ints(h)
             facet = sum(1 << j for j, v in enumerate(lifted) if idot(hi, v) == 0)
             masks |= {m & facet for m in masks}
@@ -290,8 +289,9 @@ class _Blocks:
     itself in Fractions, built on first read.  ``pairs``, also built on
     first read, holds the faces of ``conv(dz Z)`` as splits
     ``(active, free)`` (see :func:`_face_pairs`); every walk reads it before
-    it eliminates a block, so the face budget is checked first, and an
-    answer read off the diagonal of H needs no faces.  The shape of G is
+    it eliminates a block, so the face budget and the budget of the facet
+    conversion are checked first, and an answer read off the diagonal of H
+    needs no faces.  The shape of G is
     checked before anything is built: integer dot products of unequal
     lengths would truncate silently.
     """

@@ -17,22 +17,27 @@ Prodon, "Double description method revisited", 1996): rows and rays are
 coprime ints, a new ray is an integer combination divided by its gcd, and
 Fractions are built only for the rays returned.  Projection onto a subset
 of coordinates is one conversion each way: the image of the V-form is
-generated by the kept coordinates of its generators.  Size caps (ambient
-dimension <= 10, at most 64 rows or generators per conversion) therefore
-bound projection too and keep the desk-scale blowup predictable; exceeding
-them raises SizeCapError, and ``FWSETS_SIZE_CAP`` (a positive integer)
-replaces the 64.
+generated by the kept coordinates of its generators.
+
+Two size caps raise SizeCapError: input polyhedra live in dimension at most
+``MAX_INPUT_DIM``, and one double description or exact LP does at most
+``DD_BUDGET`` units of work, stopping before the step that would pass it.
+For each inserted row, double description counts d units per evaluation
+over the current rays, one per candidate pair across its hyperplane and one
+per ray the adjacency test of a pair scans; the input is not counted, so
+redundant rows and points cost only their evaluations.  An exact LP counts
+``LP_ENTRY_UNITS`` per tableau entry it builds and per entry of each row a
+pivot updates.  Projection is two conversions, so the budget bounds it too.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DimensionMismatchError, InvalidParameterError, SizeCapError
+from .errors import DimensionMismatchError, SizeCapError
 from .linalg import (
     Mat,
     ONE,
@@ -54,32 +59,14 @@ from .linalg import (
     zeros,
 )
 
-# user-facing polyhedra live in dimension <= 10; internal cones may need a
-# homogenizing coordinate (n+1), as the faces of conv(generators) in the cone
-# layer do, or the kernel coordinates of a cone-layer block H_FF
+# user-facing polyhedra live in dimension <= 10
 MAX_INPUT_DIM = 10
-MAX_CONE_DIM = 13
-
-
-def _row_cap() -> int:
-    raw = os.environ.get("FWSETS_SIZE_CAP")
-    if raw is None:
-        return 64
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise InvalidParameterError(f"FWSETS_SIZE_CAP must be a positive integer, got {raw!r}")
-    return cap
-
-
-def _check_caps(dim: int, count: int, what: str) -> None:
-    if dim > MAX_CONE_DIM:
-        raise SizeCapError(f"cone dimension {dim} exceeds cap {MAX_CONE_DIM}")
-    cap = _row_cap()
-    if count > cap:
-        raise SizeCapError(f"{what} count {count} exceeds cap {cap}")
+# work one double description or one exact LP may do, in units of about an
+# integer multiply-add or a bitmask test; a unit took 0.08-0.17 us on a
+# 2-CPU box, so a refusal costs at most about 8 s
+DD_BUDGET = 5 * 10**7
+# units an exact LP charges for each Fraction entry it builds or updates
+LP_ENTRY_UNITS = 30
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +231,7 @@ def same_cone(a: PolyCone, b: PolyCone) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _pointed_dd(rows: list[Vec], d: int, max_rays: int | None = None) -> list[Vec]:
+def _pointed_dd(rows: list[Vec], d: int) -> list[Vec]:
     """Extreme rays of ``{x in R^d : r . x <= 0 for r in rows}``.
 
     Requires the row matrix to have full column rank d (pointed cone).
@@ -256,9 +243,8 @@ def _pointed_dd(rows: list[Vec], d: int, max_rays: int | None = None) -> list[Ve
     primitive integer rows and rays: each row is rescaled once by a positive
     factor, which keeps every sign and zero set, and each new ray
     ``v_p r_q - v_q r_p`` is divided by its gcd, which makes it primitive.
-    Zero sets are bitmasks over the row indices.  With ``max_rays`` set,
-    SizeCapError as soon as the cone of the rows inserted so far has more
-    extreme rays than that.
+    Zero sets are bitmasks over the row indices.  SizeCapError as soon as
+    the work counted so far (see the module docstring) passes ``DD_BUDGET``.
     """
     if d == 0:
         return []
@@ -283,12 +269,18 @@ def _pointed_dd(rows: list[Vec], d: int, max_rays: int | None = None) -> list[Ve
         zero_sets.append(all_seed & ~(1 << seed[j]))
 
     seed_set = set(seed)
+    work = 0
     for t, row in enumerate(ints):
         if t in seed_set:
             continue
         bit = 1 << t
         vals = [sum(map(mul, row, r)) for r in rays]
-        if all(v <= 0 for v in vals):
+        pos_idx = [i for i, v in enumerate(vals) if v > 0]
+        neg_idx = [i for i, v in enumerate(vals) if v < 0]
+        work += d * len(vals) + len(pos_idx) * len(neg_idx)
+        if work > DD_BUDGET:
+            raise SizeCapError(f"double description needs over {DD_BUDGET} units of work")
+        if not pos_idx:
             for i, v in enumerate(vals):
                 if v == 0:
                     zero_sets[i] |= bit
@@ -299,25 +291,24 @@ def _pointed_dd(rows: list[Vec], d: int, max_rays: int | None = None) -> list[Ve
             if v <= 0:
                 new_rays.append(rays[i])
                 new_zsets.append(zero_sets[i] | bit if v == 0 else zero_sets[i])
-        pos_idx = [i for i, v in enumerate(vals) if v > 0]
-        neg_idx = [i for i, v in enumerate(vals) if v < 0]
         for p in pos_idx:
             for q in neg_idx:
                 common = zero_sets[p] & zero_sets[q]
-                if common.bit_count() < d - 2 or any(
-                    k != p and k != q and common & zs == common
-                    for k, zs in enumerate(zero_sets)
-                ):
+                if common.bit_count() < d - 2:
                     continue
-                vp, vq, rp, rq = vals[p], vals[q], rays[p], rays[q]
-                combo = [vp * y - vq * x for x, y in zip(rp, rq)]
-                g = gcd(*combo)
-                if g == 0:
-                    continue
-                new_rays.append(tuple(x // g for x in combo))
-                new_zsets.append(common | bit)
-                if max_rays is not None and len(new_rays) > max_rays:
-                    raise SizeCapError(f"the cone has over {max_rays} extreme rays")
+                work += len(zero_sets)
+                if work > DD_BUDGET:
+                    raise SizeCapError(f"double description needs over {DD_BUDGET} units of work")
+                for k, zs in enumerate(zero_sets):
+                    if common & zs == common and k != p and k != q:
+                        break
+                else:
+                    vp, vq, rp, rq = vals[p], vals[q], rays[p], rays[q]
+                    combo = [vp * y - vq * x for x, y in zip(rp, rq)]
+                    g = gcd(*combo)
+                    if g:
+                        new_rays.append(tuple(x // g for x in combo))
+                        new_zsets.append(common | bit)
         rays, zero_sets = [], []
         seen: dict[tuple[int, ...], int] = {}
         for r, zs in zip(new_rays, new_zsets):
@@ -330,16 +321,14 @@ def _pointed_dd(rows: list[Vec], d: int, max_rays: int | None = None) -> list[Ve
     return [tuple(Fraction(x) for x in r) for r in rays]
 
 
-def cone_h_to_v(rows, d: int, max_rays: int | None = None) -> tuple[tuple[Vec, ...], list[Vec]]:
+def cone_h_to_v(rows, d: int) -> tuple[tuple[Vec, ...], list[Vec]]:
     """Generators of ``{x : r . x <= 0}``: (extreme rays, lineality basis).
 
     The lineality space L is split off: double description runs on the rows
     restricted to the coordinates that are not pivot columns of the reduced
     lineality basis, a complement of L, and each ray is placed back there.
-    ``max_rays`` stops the double description early (see :func:`_pointed_dd`).
     """
     rows = [r for r in map(vec, rows) if not is_zero(r)]
-    _check_caps(d, len(rows), "row")
     if not rows:
         return (), [unit(d, i) for i in range(d)]
     lin = kernel_basis(tuple(rows), ncols=d)
@@ -349,7 +338,7 @@ def cone_h_to_v(rows, d: int, max_rays: int | None = None) -> tuple[tuple[Vec, .
         return (), lin
     reduced = [rr for rr in (tuple(r[j] for j in cols) for r in rows) if not is_zero(rr)]
     rays = []
-    for s in _pointed_dd(reduced, len(cols), max_rays):
+    for s in _pointed_dd(reduced, len(cols)):
         x = [ZERO] * d
         for j, coeff in zip(cols, s):
             x[j] = coeff
@@ -357,19 +346,16 @@ def cone_h_to_v(rows, d: int, max_rays: int | None = None) -> tuple[tuple[Vec, .
     return tuple(rays), lin
 
 
-def cone_v_to_h(generators, d: int, max_rays: int | None = None) -> tuple[Vec, ...]:
+def cone_v_to_h(generators, d: int) -> tuple[Vec, ...]:
     """Halfspace normals of the cone spanned by ``generators``.
 
     Bipolar construction: the negative polar ``{c : g . c <= 0}`` is an
     H-cone whose generators are exactly the halfspace normals of the input
-    (lineality of the polar contributes an opposite pair).  With
-    ``max_rays`` set, SizeCapError as soon as the cone of the generators
-    inserted so far has more facets than that.
+    (lineality of the polar contributes an opposite pair).
     """
     gens = [primitive(vec(g)) for g in generators]
     gens = [g for g in gens if not is_zero(g)]
-    _check_caps(d, len(gens), "generator")
-    rays, lin = cone_h_to_v(gens, d, max_rays)
+    rays, lin = cone_h_to_v(gens, d)
     rows = list(rays)
     for v in lin:
         rows.append(primitive(v))
@@ -395,7 +381,6 @@ def dd_convert(p):
 
 def _h_to_v(p: HPolyhedron) -> VPolyhedron:
     n = p.dim
-    _check_caps(n + 1, len(p.a) + 1, "row")
     hom_rows = [row + (-rhs,) for row, rhs in zip(p.a, p.b)]
     hom_rows.append(zeros(n) + (-ONE,))
     rays, lin = cone_h_to_v(hom_rows, n + 1)
@@ -453,7 +438,7 @@ def project_fm(p: HPolyhedron, coords) -> HPolyhedron:
     image is computed through the V-form: convert ``p``, keep the chosen
     coordinates of every vertex, ray and lineality vector (rays and lines
     that vanish are dropped, duplicates merged) and convert back, so the
-    rows are irredundant and the work is bounded by the conversion caps.
+    rows are irredundant and the work is bounded by the conversion budget.
     An empty ``p`` projects to the single row ``0 <= -1``.
     """
     coords = sorted(set(coords))
@@ -556,6 +541,7 @@ class LPResult:
 
 
 def lp_solve(a: Mat, b: Vec, c: Vec) -> LPResult:
+    """Exact two-phase simplex; its work counts against ``DD_BUDGET``."""
     m = len(a)
     n = len(c)
     if m == 0:
@@ -573,6 +559,8 @@ def lp_solve(a: Mat, b: Vec, c: Vec) -> LPResult:
     # standard form: columns are u (n), w (n), s (m); x = u - w
     sigma = [ONE if b[i] >= 0 else -ONE for i in range(m)]
     ncols = 2 * n + m
+    work = [0]
+    _charge(work, m * (ncols + m + 1))
     tab = []
     for i in range(m):
         row = [sigma[i] * a[i][j] for j in range(n)]
@@ -593,7 +581,7 @@ def lp_solve(a: Mat, b: Vec, c: Vec) -> LPResult:
     for i in range(m):
         tab[i] = tab[i][:-1] + [ONE if k == i else ZERO for k in range(m)] + [tab[i][-1]]
 
-    _simplex(tab, art_cost, basis, ncols + m)
+    _simplex(tab, art_cost, basis, ncols + m, work)
     phase1 = -art_cost[-1]
     if phase1 > 0:
         # optimal dual of phase 1, read off the artificial reduced costs:
@@ -610,7 +598,7 @@ def lp_solve(a: Mat, b: Vec, c: Vec) -> LPResult:
             )
             if pivot_col is None:
                 continue  # redundant row; artificial stays basic at zero
-            _pivot(tab, None, i, pivot_col, basis)
+            _pivot(tab, None, i, pivot_col, basis, work)
 
     # phase 2
     cost = [ZERO] * (ncols + m) + [ZERO]
@@ -625,7 +613,7 @@ def lp_solve(a: Mat, b: Vec, c: Vec) -> LPResult:
                     cost[j] -= cb * tab[i][j]
     for i in range(m):
         cost[ncols + i] = ONE  # block artificial columns from re-entering
-    status, ray_col = _simplex(tab, cost, basis, ncols, allowed=ncols)
+    status, ray_col = _simplex(tab, cost, basis, ncols, work, allowed=ncols)
 
     x = _extract_x(tab, basis, n, ncols, m)
     if status == "unbounded":
@@ -648,7 +636,7 @@ def _extract_x(tab, basis, n, ncols, m) -> Vec:
     return tuple(z[j] - z[n + j] for j in range(n))
 
 
-def _simplex(tab, cost, basis, width, allowed=None):
+def _simplex(tab, cost, basis, width, work, allowed=None):
     """Bland-rule simplex on an explicit tableau; mutates in place."""
     m = len(tab)
     limit = allowed if allowed is not None else width
@@ -666,16 +654,25 @@ def _simplex(tab, cost, basis, width, allowed=None):
                     leave = i
         if leave is None:
             return "unbounded", enter
-        _pivot(tab, cost, leave, enter, basis)
+        _pivot(tab, cost, leave, enter, basis, work)
 
 
-def _pivot(tab, cost, row, col, basis):
+def _charge(work: list[int], entries: int) -> None:
+    """Add an LP step over ``entries`` tableau entries to its running work."""
+    work[0] += entries * LP_ENTRY_UNITS
+    if work[0] > DD_BUDGET:
+        raise SizeCapError(f"exact LP needs over {DD_BUDGET} units of work")
+
+
+def _pivot(tab, cost, row, col, basis, work):
+    hit = [i for i in range(len(tab)) if i != row and tab[i][col] != 0]
+    # the pivot row, the rows it updates and the cost row
+    _charge(work, (len(hit) + 2) * len(tab[row]))
     pv = tab[row][col]
     tab[row] = [x / pv for x in tab[row]]
-    for i in range(len(tab)):
-        if i != row and tab[i][col] != 0:
-            f = tab[i][col]
-            tab[i] = [x - f * y for x, y in zip(tab[i], tab[row])]
+    for i in hit:
+        f = tab[i][col]
+        tab[i] = [x - f * y for x, y in zip(tab[i], tab[row])]
     if cost is not None and cost[col] != 0:
         f = cost[col]
         for j in range(len(cost)):

@@ -1,6 +1,7 @@
 """Tests for documents and the command-line interface."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -289,6 +290,45 @@ def test_size_cap_exit_code(tmp_path):
     set_path = write(tmp_path, "p.json", doc)
     code = main(["decompose", set_path])
     assert code == 4
+
+
+def test_conversion_past_the_budget_exits_4(tmp_path, capsys):
+    # the product of three 20-gons in R^6: only 60 rows, but its 8,000
+    # vertices need more work than the double description budget, which
+    # stops the conversion after about 5 s on a 2-CPU box.  Each 20-gon is
+    # tangent to the unit circle at (+-1, 0), (0, +-1), (+-3/5, +-4/5),
+    # (+-4/5, +-3/5), (+-5/13, +-12/13) and (+-12/13, +-5/13).
+    points = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    for a, b in (("3/5", "4/5"), ("5/13", "12/13")):
+        for x, y in ((a, b), (b, a)):
+            points += [(sx + x, sy + y) for sx in ("", "-") for sy in ("", "-")]
+    rows = [["0"] * 2 * i + [str(x), str(y)] + ["0"] * (4 - 2 * i)
+            for i in range(3) for x, y in points]
+    doc = {
+        "version": "1",
+        "kind": "hpolyhedron",
+        "payload": {"rows": rows, "rhs": ["1"] * 60, "dim": 6},
+    }
+    set_path = write(tmp_path, "p.json", doc)
+    start = time.perf_counter()
+    code = main(["decompose", set_path])
+    assert code == 4 and time.perf_counter() - start < 30
+    assert "size cap exceeded" in capsys.readouterr().err
+
+
+def test_empty_system_past_the_lp_budget_exits_4(tmp_path, capsys):
+    # x <= -k for k = 1..2999 and x >= 0: the conversion finds no vertex
+    # after a few units of work per row, but the Farkas certificate's
+    # exact LP would build a tableau of 3,000 x 6,003 Fractions, past the
+    # budget, so it is refused before it is built
+    rows = [["1"]] * 2999 + [["-1"]]
+    rhs = [str(-k) for k in range(1, 3000)] + ["0"]
+    doc = {"version": "1", "kind": "hpolyhedron", "payload": {"rows": rows, "rhs": rhs, "dim": 1}}
+    set_path = write(tmp_path, "p.json", doc)
+    start = time.perf_counter()
+    code = main(["decompose", set_path])
+    assert code == 4 and time.perf_counter() - start < 10
+    assert "exact LP" in capsys.readouterr().err
 
 
 def ball_doc():

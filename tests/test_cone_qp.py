@@ -344,8 +344,8 @@ def test_face_budget_precedes_elimination(monkeypatch):
         ),
     )
     # 64 points (1, t, ..., t^9) on the moment curve in R^10: their hull,
-    # a cyclic 9-polytope, has 910,252 facets, so the conversion stops
-    # early, in about a second, instead of listing them
+    # a cyclic 9-polytope, has 910,252 facets, so the conversion stops at
+    # its work budget instead of listing them
     moment = PolyCone.from_generators(
         [(1,) + tuple(t**k for k in range(1, 10)) for t in range(-32, 32)]
     )
@@ -557,6 +557,36 @@ def test_face_walk_matches_the_subset_walk():
             assert (v.kind, v.value) == (w.kind, w.value), (g, d, c)
             outcomes[v.kind] += 1
     assert min(outcomes.values()) >= 40 and fewer >= 150, (outcomes, fewer)
+
+
+def test_redundant_domain_rows_past_sixty_four_convert():
+    # two seeded p = 12 cones in R^4 that span the space, under a rank-2
+    # Gram form M^T M: the zero set is ker M, so dom(f) is the row space of
+    # M, yet the zero-set rays give 66 and 65 rows: the redundant ones cost
+    # the conversion only their evaluations
+    for seed, rows in ((12, 66), (41, 65)):
+        rng = random.Random(seed)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(12)]
+        m = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(2)]
+        g = tuple(tuple(F(sum(r[i] * r[j] for r in m)) for j in range(4)) for i in range(4))
+        d = PolyCone.from_generators(gens, 4)
+        assert d.with_halfspaces().halfspaces == ()
+        dom = dom_f(g, d)
+        assert len(dom.cone.halfspaces) == rows
+        row_space = PolyCone.from_generators(
+            [vec(r) for r in m] + [vscale(F(-1), vec(r)) for r in m], 4
+        )
+        assert same_cone(dom.cone, row_space)
+
+
+def test_definite_form_on_a_wide_pointed_cone():
+    # 24 points (1, t, ..., t^4) on the moment curve span a pointed cone in
+    # R^5, so x.x > 0 on it and dom(f) is the whole space; the kernel of H's
+    # own block has dimension 19, and the conversion is limited by its work,
+    # not by that dimension
+    d = PolyCone.from_generators([(1, t, t**2, t**3, t**4) for t in range(-12, 12)])
+    dom = dom_f(identity(5), d)
+    assert not dom.is_empty and not dom.pieces and dom.cone.halfspaces == ()
 
 
 def test_each_block_is_eliminated_once(monkeypatch):

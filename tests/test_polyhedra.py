@@ -1,12 +1,14 @@
 """Tests for the exact polyhedral layer: conversion, projection, polarity, LP."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from fwsets import polyhedra
 from fwsets.errors import SizeCapError
-from fwsets.linalg import dot, vec, zeros
+from fwsets.linalg import dot, mat, vec, zeros
 from fwsets.polyhedra import (
     HPolyhedron,
     PolyCone,
@@ -412,25 +414,53 @@ def test_feasible_point_and_farkas_helpers():
     assert farkas_certificate(p) is None
 
 
-def test_size_cap_errors():
+def test_size_cap_errors(monkeypatch):
     with pytest.raises(SizeCapError):
         dd_convert(HPolyhedron((), (), 11))
-    rows = [[1] + [0] * 3] * 65
-    rhs = [1] * 65
+    # 65 copies of x1 <= 1 in R^4: no row count is capped, and the copies
+    # cost only their evaluations: the method runs on a cone in R^2 (the
+    # lines e2, e3, e4 are split off first), and 64 copies each evaluate
+    # its 2 rays at 2 units an evaluation
+    p = HPolyhedron.from_rows([[1] + [0] * 3] * 65, [1] * 65)
+    v = dd_convert(p)
+    assert v.vertices == ((1, 0, 0, 0),) and v.rays == ((-1, 0, 0, 0),)
+    assert len(v.lineality) == 3
+    monkeypatch.setattr(polyhedra, "DD_BUDGET", 64 * 2 * 2 - 1)
     with pytest.raises(SizeCapError):
-        dd_convert(HPolyhedron.from_rows(rows, rhs))
+        dd_convert(p)
 
 
-def test_conversion_stops_past_max_rays():
-    # the cones over a square and an octagon have 4 and 8 facets
+def test_conversion_stops_past_the_budget(monkeypatch):
+    # the cones over a square and an octagon have 4 and 8 facets; in the
+    # square's polar, the fourth generator evaluates 3 seed rays in R^3,
+    # 1 positive and 2 negative, and both pairs scan the 3 rays for the
+    # adjacency test, so the conversion needs 3 * 3 + 1 * 2 + 2 * 3 = 17
+    # units of work
     square = [(1, 1, 1), (1, -1, 1), (-1, -1, 1), (-1, 1, 1)]
     octagon = [(2, 1, 3), (1, 2, 3), (-1, 2, 3), (-2, 1, 3), (-2, -1, 3), (-1, -2, 3),
                (1, -2, 3), (2, -1, 3)]
-    for gens in (square, octagon):
-        facets = cone_v_to_h(gens, 3)
-        assert cone_v_to_h(gens, 3, max_rays=len(facets)) == facets
+    facets = {len(gens): cone_v_to_h(gens, 3) for gens in (square, octagon)}
+    for gens, work in ((square, 17), (octagon, 145)):
+        monkeypatch.setattr(polyhedra, "DD_BUDGET", work)
+        assert cone_v_to_h(gens, 3) == facets[len(gens)]
+        monkeypatch.setattr(polyhedra, "DD_BUDGET", work - 1)
         with pytest.raises(SizeCapError):
-            cone_v_to_h(gens, 3, max_rays=len(facets) - 1)
+            cone_v_to_h(gens, 3)
+
+
+def test_lp_stops_past_the_budget(monkeypatch):
+    # min x1 + x2 over x >= 0, x1 + x2 >= 1: the tableau has 3 rows of
+    # 2 * 2 + 2 * 3 + 1 = 11 entries; its build charges all 33, and its
+    # 3 pivots update 0, 1 and 2 other rows besides the pivot row and the
+    # cost row, at LP_ENTRY_UNITS units an entry
+    a = ((-1, 0), (0, -1), (-1, -1))
+    args = (mat(a), vec((0, 0, -1)), vec((1, 1)))
+    work = (33 + (2 + 3 + 4) * 11) * polyhedra.LP_ENTRY_UNITS
+    monkeypatch.setattr(polyhedra, "DD_BUDGET", work)
+    assert lp_solve(*args).value == 1
+    monkeypatch.setattr(polyhedra, "DD_BUDGET", work - 1)
+    with pytest.raises(SizeCapError):
+        lp_solve(*args)
 
 
 def test_checked_cone_rejects_mismatched_forms():
@@ -447,18 +477,51 @@ def test_checked_cone_rejects_mismatched_forms():
         worse.checked()
 
 
-def test_size_cap_variable_must_be_a_positive_integer(monkeypatch):
-    from fwsets.errors import InvalidParameterError
-
-    # 65 tangents 2k x - y <= k^2 of the parabola y = x^2, every one a facet
+def test_sixty_five_facets_convert():
+    # 65 tangents 2k x - y <= k^2 of the parabola y = x^2, every one a facet:
+    # the count of rows is not capped, only the work
     p = hp([[2 * k, -1] for k in range(-32, 33)], [k * k for k in range(-32, 33)])
-    with pytest.raises(SizeCapError):
-        dd_convert(p)
-    for raw in ("abc", "0", "-3"):
-        monkeypatch.setenv("FWSETS_SIZE_CAP", raw)
-        with pytest.raises(InvalidParameterError, match=f"FWSETS_SIZE_CAP.*{raw}"):
-            dd_convert(p)
-    monkeypatch.setenv("FWSETS_SIZE_CAP", "100")
     v = dd_convert(p)
     assert len(v.vertices) == 64 and as_set(v.rays) == {(-1, 64), (1, 64)}
     assert len(dd_convert(v).a) == 65
+
+
+def twelve_gon_product():
+    """The product of three 12-gons in R^6, each tangent to the unit circle
+    at (+-1, 0), (0, +-1), (+-3/5, +-4/5) and (+-4/5, +-3/5): 36 rows, every
+    one a facet, and 12^3 vertices."""
+    points = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    points += [(sa * F(a, 5), sb * F(b, 5)) for a, b in ((3, 4), (4, 3)) for sa in (1, -1)
+               for sb in (1, -1)]
+    rows = [(0,) * 2 * i + u + (0,) * (4 - 2 * i) for i in range(3) for u in points]
+    return hp(rows, [1] * len(rows))
+
+
+def test_conversions_near_the_budget_finish_in_bounded_time():
+    # seeded inputs on both sides of the double description budget: each
+    # one converts or raises SizeCapError within 20 s (0.2-5 s on a 2-CPU
+    # box), whatever its row or generator count
+    def moment(count, d):
+        ts = range(-(count // 2), count - count // 2)
+        return [(1,) + tuple(t**k for k in range(1, d)) for t in ts]
+
+    rng = random.Random(1)
+    random_cone = [tuple(rng.randint(-9, 9) for _ in range(5)) + (10,) for _ in range(128)]
+    cases = (
+        # 24 points on the moment curve in R^7: the cyclic 6-polytope's facets
+        (lambda: len(cone_v_to_h(moment(24, 7), 7)), 1520),
+        # 40 of them, whose 8,400 facets need more work than the budget
+        (lambda: len(cone_v_to_h(moment(40, 7), 7)), None),
+        # 128 random points at one height in R^6
+        (lambda: len(cone_v_to_h(random_cone, 6)), 1444),
+        # the product of three 12-gons, from its 36 rows
+        (lambda: len(dd_convert(twelve_gon_product()).vertices), 12**3),
+    )
+    for convert, size in cases:
+        start = time.perf_counter()
+        if size is None:
+            with pytest.raises(SizeCapError):
+                convert()
+        else:
+            assert convert() == size
+        assert time.perf_counter() - start < 20

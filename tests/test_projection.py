@@ -11,7 +11,7 @@ out here in Fractions.
 import random
 from fractions import Fraction
 
-from fwsets.polyhedra import HPolyhedron, dd_convert, lp_solve, project_fm
+from fwsets.polyhedra import HPolyhedron, dd_convert, feasible_point, lp_solve, project_fm
 
 F = Fraction
 ZERO = F(0)
@@ -155,3 +155,43 @@ def test_projection_matches_fourier_motzkin_with_irredundant_rows():
         rows_new += len(q.a)
     assert all(count >= 5 for count in shapes.values()), shapes
     assert rows_new < rows_ref
+
+
+def test_projection_of_a_wide_v_form():
+    # a seeded input in R^7, 11 random rows around a feasible integer point,
+    # projected onto 5 coordinates: its V-form has 92 generators, and the
+    # conversion is limited by its work, not by that count.  The image holds
+    # every point the kept coordinates of those generators span, and a
+    # point x lies in it iff its fiber, the dropped coordinates y with
+    # (x, y) in p, is nonempty.
+    rng = random.Random(1007)
+    x0 = [rng.randint(-3, 3) for _ in range(7)]
+    m = rng.randint(9, 17)
+    rows = [[rng.randint(-4, 4) for _ in range(7)] for _ in range(m)]
+    rhs = [_dot(r, x0) + rng.randint(0, 5) for r in rows]
+    coords = sorted(rng.sample(range(1, 8), rng.randint(1, 6)))
+    p = HPolyhedron.from_rows(rows, rhs)
+    v = dd_convert(p)
+    assert (len(v.vertices), len(v.rays), v.lineality) == (49, 43, ())
+    q = project_fm(p, coords)
+    idx = [c - 1 for c in coords]
+    dropped = [j for j in range(7) if j not in idx]
+    vertices = [tuple(x[j] for j in idx) for x in v.vertices]
+    rays = [tuple(r[j] for j in idx) for r in v.rays]
+    inside = 0
+    for _ in range(40):
+        a, b = rng.sample(vertices, 2)
+        t = F(rng.randint(0, 4), 4)
+        point = [x + t * (y - x) for x, y in zip(a, b)]
+        for r in rng.sample(rays, 3):
+            c = rng.randint(0, 2)
+            point = [x + c * y for x, y in zip(point, r)]
+        assert q.contains(tuple(point))
+        x = tuple(round(xi) + rng.randint(-2, 2) for xi in point)
+        fiber = HPolyhedron.from_rows(
+            [[r[j] for j in dropped] for r in rows],
+            [beta - sum(r[j] * xi for j, xi in zip(idx, x)) for r, beta in zip(rows, rhs)],
+        )
+        assert q.contains(x) == (feasible_point(fiber) is not None), x
+        inside += q.contains(x)
+    assert 5 <= inside <= 35, inside
