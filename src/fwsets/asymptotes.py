@@ -41,9 +41,11 @@ from .linalg import (
     kernel_basis,
     matvec,
     solve,
+    unit,
     vadd,
     vec,
     vscale,
+    vsub,
     zeros,
 )
 from .motzkin import (
@@ -151,10 +153,11 @@ def contains(s: SetDescriptor, x: Vec) -> bool | None:
     """Exact membership where decidable; None when genuinely ambiguous
     (only the transcendental epigraph boundary can be)."""
     x = vec(x)
-    if isinstance(s, HPolyhedron):
-        return s.contains(x)
+    forms = _polyhedral_forms(s)
+    if forms is not None:
+        return any(h.contains(x) for h in forms)
     if isinstance(s, MotzkinSet):
-        return _motzkin_contains(s, x)
+        return True if _soc_point_check(s, x) else None
     if isinstance(s, QuadSublevel):
         base = contains(s.base, x)
         if base is not True:
@@ -189,17 +192,22 @@ def contains(s: SetDescriptor, x: Vec) -> bool | None:
     raise UnsupportedKindError(f"unknown descriptor {type(s).__name__}")
 
 
-def _motzkin_contains(s: MotzkinSet, x: Vec) -> bool | None:
-    if isinstance(s.compact, Ball) or isinstance(s.cone, SecondOrderCone):
-        return None if not _soc_point_check(s, x) else True
-    if isinstance(s.compact, FinitePointSet):
-        cone_h = s.cone.with_halfspaces()
-        return any(
-            all(dot(h, tuple(a - b for a, b in zip(x, y))) <= 0 for h in cone_h.halfspaces)
-            for y in s.compact.points
-        )
-    h = dd_convert(motzkin_to_vpoly(s))
-    return h.contains(x)
+def _polyhedral_forms(s: SetDescriptor) -> tuple[HPolyhedron, ...] | None:
+    """The inequality systems whose union is s, for polyhedral data; None
+    for any other set.
+
+    An inequality system is its own form, and a polytope plus a polyhedral
+    cone has one, converted from its V-form.  A finite point set plus a cone
+    has one form per point: the cone's halfspaces shifted to that point.
+    """
+    if isinstance(s, HPolyhedron):
+        return (s,)
+    if not isinstance(s, MotzkinSet) or not s.is_polyhedral_cone or isinstance(s.compact, Ball):
+        return None
+    if isinstance(s.compact, PolytopeK):
+        return (dd_convert(motzkin_to_vpoly(s)),)
+    rows = s.cone.with_halfspaces().halfspaces
+    return tuple(HPolyhedron(rows, tuple(dot(h, y) for h in rows), s.dim) for y in s.compact.points)
 
 
 def _soc_point_check(s: MotzkinSet, x: Vec) -> bool:
@@ -284,32 +292,15 @@ def manifold_projection(m: AffineManifold, x: Vec) -> Vec:
     return out
 
 
-def distance_to_manifold(
-    f: SetDescriptor,
-    m: AffineManifold,
-    evidence_points: tuple[Vec, ...] | None = None,
-) -> DistanceVerdict:
+def distance_to_manifold(f: SetDescriptor, m: AffineManifold) -> DistanceVerdict:
     """Trichotomy of dist(F, M): exact for polyhedral data, and otherwise an
     intersection point, a certified positive bound from a separating slab,
     a zero-evidence sequence, or Unknown."""
     if ambient_dim(f) != m.dim:
         raise DimensionMismatchError("set and manifold dimensions differ")
-    if isinstance(f, HPolyhedron):
-        return _distance_exact_hpoly(f, m)
-    if isinstance(f, MotzkinSet) and f.is_polyhedral_cone and not isinstance(f.compact, Ball):
-        if isinstance(f.compact, FinitePointSet):
-            verdicts = []
-            for y in f.compact.points:
-                member = MotzkinSet(PolytopeK.build([y]), f.cone)
-                verdicts.append(_distance_exact_hpoly(dd_convert(motzkin_to_vpoly(member)), m))
-            for v in verdicts:
-                if v.kind == "intersects":
-                    return v
-            positives = [v for v in verdicts if v.kind == "positive"]
-            if len(positives) < len(verdicts):
-                return DistanceUnknown("a member cone resisted the distance program")
-            return min(positives, key=lambda v: v.lower_bound_sq)
-        return _distance_exact_hpoly(dd_convert(motzkin_to_vpoly(f)), m)
+    forms = _polyhedral_forms(f)
+    if forms is not None:
+        return _distance_exact(forms, m)
 
     inter = intersects_manifold(f, m)
     if inter is True:
@@ -317,10 +308,8 @@ def distance_to_manifold(
     slab = _separating_slab(f, m)
     if slab is not None:
         return slab
-    points = evidence_points
-    if points is None:
-        _ensure_builtin_registrations()
-        points = _EVIDENCE.get((f, m))
+    _ensure_builtin_registrations()
+    points = _EVIDENCE.get((f, m))
     if points is not None and inter is False:
         pairs = []
         for x in points:
@@ -339,35 +328,33 @@ def distance_to_manifold(
     return DistanceUnknown("no separating slab and no zero-distance evidence")
 
 
-def _distance_exact_hpoly(f: HPolyhedron, m: AffineManifold) -> DistanceVerdict:
-    """Exact squared distance via the QP min |x - y|^2, x in F, y in M."""
-    n = f.dim
-    k = len(m.basis)
-    nv = n + k
-    a_rows = tuple(row + zeros(k) for row in f.a)
-    h = HPolyhedron(a_rows, f.b, nv) if a_rows else whole_space(nv)
-    # |x - point - B u|^2 as a quadratic in (x, u)
-    bmat = m.basis
-    amat = [[ZERO] * nv for _ in range(nv)]
-    bvecq = [ZERO] * nv
-    cq = dot(m.point, m.point)
-    for i in range(n):
-        amat[i][i] += 2
-        bvecq[i] += -2 * m.point[i]
-    for r in range(k):
-        for s in range(k):
-            g = dot(bmat[r], bmat[s])
-            amat[n + r][n + s] += 2 * g
-        for i in range(n):
-            amat[i][n + r] += -2 * bmat[r][i]
-            amat[n + r][i] += -2 * bmat[r][i]
-        bvecq[n + r] += 2 * dot(bmat[r], m.point)
-    q = Quadratic(tuple(tuple(row) for row in amat), tuple(bvecq), cq)
-    solved = minimize_over_hpolyhedron(q, h)
-    if solved is None:
+def _distance_exact(forms: tuple[HPolyhedron, ...], m: AffineManifold) -> DistanceVerdict:
+    """Exact squared distance from a union of inequality systems to M.
+
+    With p the flat's point, B its basis and ``N = I - B (B^T B)^-1 B^T``
+    the projector onto the flat's normal space, ``(x - p).N(x - p)`` is the
+    squared distance from x to M; its least value over the systems is
+    attained (a convex quadratic bounded below on a polyhedron).
+    """
+    basis = m.basis
+    gram = tuple(tuple(dot(u, v) for v in basis) for u in basis)
+    normal = []
+    for i in range(m.dim):
+        # e_i less its orthogonal projection onto span(B)
+        row = unit(m.dim, i)
+        for c, u in zip(solve(gram, tuple(u[i] for u in basis)), basis):
+            row = vsub(row, vscale(c, u))
+        normal.append(row)
+    shift = matvec(normal, m.point)
+    q = Quadratic(
+        tuple(vscale(2, row) for row in normal),
+        vscale(-2, shift),
+        dot(m.point, shift),
+    )
+    solved = [s for s in (minimize_over_hpolyhedron(q, h) for h in forms) if s is not None]
+    if not solved:
         return DistanceUnknown("distance program returned no candidates")
-    value, xu = solved
-    x = xu[:n]
+    value, x = min(solved, key=lambda s: s[0])
     if value == 0:
         return Intersects(x)
     return PositiveDistance(value, exact=True, note="attained squared distance")
@@ -383,25 +370,13 @@ def _find_manifold_member(f, m) -> Vec | None:
 
 def intersects_manifold(f: SetDescriptor, m: AffineManifold) -> bool | None:
     """Exact emptiness/nonemptiness of F ∩ M where decidable."""
-    if isinstance(f, HPolyhedron):
-        rows = list(f.a)
-        rhs = list(f.b)
-        for row, b in zip(m.a, m.b):
-            rows.append(row)
-            rhs.append(b)
-            rows.append(vscale(-ONE, row))
-            rhs.append(-b)
-        res = lp_solve(tuple(rows), tuple(rhs), zeros(f.dim))
-        return res.status == "optimal"
-    if isinstance(f, MotzkinSet) and f.is_polyhedral_cone and not isinstance(f.compact, Ball):
-        if isinstance(f.compact, FinitePointSet):
-            return any(
-                intersects_manifold(
-                    dd_convert(motzkin_to_vpoly(MotzkinSet(PolytopeK.build([y]), f.cone))), m
-                )
-                for y in f.compact.points
-            )
-        return intersects_manifold(dd_convert(motzkin_to_vpoly(f)), m)
+    forms = _polyhedral_forms(f)
+    if forms is not None:
+        rows = tuple(r for row in m.a for r in (row, vscale(-ONE, row)))
+        rhs = tuple(v for b in m.b for v in (b, -b))
+        return any(
+            lp_solve(h.a + rows, h.b + rhs, zeros(f.dim)).status == "optimal" for h in forms
+        )
     if isinstance(f, QuadSublevel):
         if m.flat_dim == 0:
             return contains(f, m.point)
@@ -585,13 +560,12 @@ def linear_lower_bound(f: SetDescriptor, w: Vec) -> Fraction | None:
     small grid of nonnegative multipliers (any feasible value is a bound);
     the epigraph uses its minorant ``y >= max(1, x^2)``.
     """
-    if isinstance(f, HPolyhedron):
-        res = lp_solve(f.a, f.b, w)
-        return res.value if res.status == "optimal" else None
-    if isinstance(f, MotzkinSet) and f.is_polyhedral_cone and not isinstance(f.compact, Ball):
-        h = dd_convert(motzkin_to_vpoly(f))
-        res = lp_solve(h.a, h.b, w)
-        return res.value if res.status == "optimal" else None
+    forms = _polyhedral_forms(f)
+    if forms is not None:
+        results = [lp_solve(h.a, h.b, w) for h in forms]
+        if all(res.status == "optimal" for res in results):
+            return min(res.value for res in results)
+        return None
     if isinstance(f, QuadSublevel):
         best = None
         if isinstance(f.base, HPolyhedron):
@@ -674,18 +648,14 @@ def _separating_slab(f: SetDescriptor, m: AffineManifold) -> PositiveDistance | 
 # ---------------------------------------------------------------------------
 
 
-def is_f_asymptote(
-    f: SetDescriptor,
-    m: AffineManifold,
-    evidence_points: tuple[Vec, ...] | None = None,
-) -> bool | None:
+def is_f_asymptote(f: SetDescriptor, m: AffineManifold) -> bool | None:
     """True when F misses M but approaches it arbitrarily closely.
 
     The emptiness leg must be certified (exactly); the zero-distance leg is
     exact for polyhedral data and evidence-based otherwise.  None means one
     leg is undecided.
     """
-    return asymptote_verdict(distance_to_manifold(f, m, evidence_points).kind)
+    return asymptote_verdict(distance_to_manifold(f, m).kind)
 
 
 def asymptote_verdict(kind: str) -> bool | None:

@@ -129,12 +129,7 @@ def _verdict_report(verdict) -> dict:
 def cmd_solve(args) -> int:
     _, fset = _load(args.set, SET_KINDS)
     _, quad = _load(args.quadratic, {"quadratic"})
-    if isinstance(fset, MotzkinSet) and args.tolerance is not None:
-        from .motzkin import minimize_on_motzkin
-
-        verdict = minimize_on_motzkin(quad, fset, tol=args.tolerance)
-    else:
-        verdict = minimize_on_descriptor(quad, fset)
+    verdict = minimize_on_descriptor(quad, fset, args.tolerance)
     report = {"command": "solve", "seed": args.seed, **_verdict_report(verdict)}
     _emit(report, args.format)
     return EXIT_UNKNOWN if verdict.kind == "unknown" else EXIT_OK
@@ -345,7 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance",
         type=_tolerance,
         default=None,
-        help="largest width of the exact bracket around a minimum over a ball (default 1e-9)",
+        help=(
+            "largest width of the exact bracket around a minimum over a ball, "
+            "alone or in a union (default 1e-9)"
+        ),
     )
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)

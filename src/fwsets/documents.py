@@ -21,6 +21,7 @@ from .asymptotes import (
     ProductSet,
     QuadSublevel,
     UnionSet,
+    ambient_dim,
 )
 from .errors import DocumentError
 from .linalg import Vec, vec
@@ -247,6 +248,8 @@ def _parse_set(node, path):
     if kind == "quad_sublevel":
         _require_keys(payload, path, ("base", "constraints"), ("sample_point",))
         base = _parse_set(payload["base"], f"{path}.base")
+        if not isinstance(payload["constraints"], list):
+            raise DocumentError("expected an array of quadratics", path=f"{path}.constraints")
         constraints = tuple(
             _parse_quadratic(c, f"{path}.constraints[{i}]")
             for i, c in enumerate(payload["constraints"])
@@ -268,19 +271,13 @@ def _parse_set(node, path):
             raise DocumentError(str(exc), path=path) from None
     if kind == "product":
         _require_keys(payload, path, ("factors",))
-        return ProductSet(
-            tuple(_parse_set(f, f"{path}.factors[{i}]") for i, f in enumerate(payload["factors"]))
-        )
-    if kind == "union":
+        return ProductSet(_parse_sets(payload["factors"], f"{path}.factors"))
+    if kind in ("union", "intersection"):
         _require_keys(payload, path, ("members",))
-        return UnionSet(
-            tuple(_parse_set(m, f"{path}.members[{i}]") for i, m in enumerate(payload["members"]))
-        )
-    if kind == "intersection":
-        _require_keys(payload, path, ("members",))
-        return IntersectionSet(
-            tuple(_parse_set(m, f"{path}.members[{i}]") for i, m in enumerate(payload["members"]))
-        )
+        members = _parse_sets(payload["members"], f"{path}.members")
+        if len({ambient_dim(m) for m in members}) > 1:
+            raise DocumentError("members live in different dimensions", path=f"{path}.members")
+        return (UnionSet if kind == "union" else IntersectionSet)(members)
     if kind == "affine_image":
         _require_keys(payload, path, ("map", "inner"))
         return AffineImageSet(
@@ -288,6 +285,12 @@ def _parse_set(node, path):
             _parse_set(payload["inner"], f"{path}.inner"),
         )
     raise DocumentError(f"unknown set kind {kind!r}", path=path)
+
+
+def _parse_sets(raw, path) -> tuple:
+    if not isinstance(raw, list) or not raw:
+        raise DocumentError("expected a nonempty array of sets", path=path)
+    return tuple(_parse_set(node, f"{path}[{i}]") for i, node in enumerate(raw))
 
 
 def _require_keys_any(node, path):

@@ -502,7 +502,7 @@ def _verify_ice_cream_cut(data) -> list[CheckResult]:
         )
     )
     # the functional's values approach 0 on the set but never reach it
-    pts = _ice_evidence_points()
+    pts = _ice_curve_points()
     vals = [dot(functional, p) for p in pts]
     approach = all(v < 0 for v in vals) and all(
         a < b for a, b in zip(vals, vals[1:])
@@ -518,7 +518,7 @@ def _verify_ice_cream_cut(data) -> list[CheckResult]:
     return checks
 
 
-def _ice_evidence_points() -> tuple[Vec, ...]:
+def _ice_curve_points() -> tuple[Vec, ...]:
     pts = []
     for k in range(0, 23, 2):
         t = F(2) ** k
@@ -823,7 +823,7 @@ def _register_all():
 
     ice = ice_cream_cut_set()
     register_asymptote_evidence(
-        ice, AffineManifold.hyperplane((1, -1), 0), _ice_evidence_points()
+        ice, AffineManifold.hyperplane((1, -1), 0), _ice_curve_points()
     )
     register_projection_fact(
         ice, (1,), True, "the horizontal image is the whole line"

@@ -19,6 +19,8 @@ exercised directly.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .affine import AffineManifold, AffineMap, subspace
 from .asymptotes import SetDescriptor, UnionSet, ambient_dim
 from .errors import (
@@ -43,6 +45,7 @@ from .linalg import (
     zeros,
 )
 from .motzkin import (
+    Attained,
     AttainmentVerdict,
     Ball,
     FinitePointSet,
@@ -310,21 +313,31 @@ def union_set(members) -> UnionSet:
     return UnionSet(members)
 
 
-def minimize_on_descriptor(q: Quadratic, s: SetDescriptor) -> AttainmentVerdict:
+def minimize_on_descriptor(
+    q: Quadratic, s: SetDescriptor, tol: Fraction | None = None
+) -> AttainmentVerdict:
     """Minimize over a descriptor: Motzkin sums and inequality systems are
-    solved exactly, unions take the best member verdict, anything else is
-    Unknown."""
+    solved exactly (a ball member is bracketed to within ``tol``), anything
+    else but a union is Unknown.
+
+    A union takes its value and point from the member of least value, and
+    its lower bound from the least member bound, an exact member's bound
+    being its value; the verdict is exact only when that bound is the value.
+    """
     if isinstance(s, MotzkinSet):
-        return minimize_on_motzkin(q, s)
+        return minimize_on_motzkin(q, s, tol)
     if isinstance(s, HPolyhedron):
-        return minimize_on_motzkin(q, decompose(s))
+        return minimize_on_motzkin(q, decompose(s), tol)
     if isinstance(s, UnionSet):
-        verdicts = [minimize_on_descriptor(q, m) for m in s.members]
+        verdicts = [minimize_on_descriptor(q, m, tol) for m in s.members]
         for v in verdicts:
             if v.kind == "unbounded":
                 return v
         if any(v.kind == "unknown" for v in verdicts):
             return Unknown("a union member resisted minimization")
-        best = min((v for v in verdicts if v.kind == "attained"), key=lambda v: v.value)
+        best = min(verdicts, key=lambda v: v.value)
+        bound = min(v.value if v.exact else v.lower_bound for v in verdicts)
+        if bound < best.value:
+            return Attained(best.point, best.value, exact=False, lower_bound=bound)
         return best
     return Unknown(f"no exact solver for {type(s).__name__} sets")

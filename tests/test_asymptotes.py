@@ -37,14 +37,17 @@ from fwsets.gallery import (
     parabola_set,
 )
 from fwsets.errors import DimensionMismatchError
-from fwsets.linalg import ZERO, dot, solve, vec, zeros
+from fwsets.cone_qp import minimize_over_hpolyhedron
+from fwsets.linalg import ZERO, dot, rank, solve, vec, zeros
 from fwsets.motzkin import (
     Ball,
+    FinitePointSet,
     MotzkinSet,
     PolytopeK,
     SecondOrderCone,
+    motzkin_to_vpoly,
 )
-from fwsets.polyhedra import HPolyhedron, PolyCone, lp_solve
+from fwsets.polyhedra import HPolyhedron, PolyCone, dd_convert, lp_solve
 from fwsets.quadratics import Quadratic, is_psd
 
 F = Fraction
@@ -92,6 +95,84 @@ def test_hyperbola_axis_zero_evidence():
     dists = [p[2] for p in verdict.pairs]
     assert all(a > b for a, b in zip(dists, dists[1:]))
     assert dists[-1] < F(1, 10**12)
+
+
+def _lifted_distance_sq(h, m):
+    """Reference: min |x - p - B u|^2 over x in h and all u, one program in
+    (x, u) with h's rows padded by zeros; None when h is empty."""
+    n, k = m.dim, len(m.basis)
+    rows = tuple(row + zeros(k) for row in h.a)
+    lifted = HPolyhedron(rows, h.b, n + k) if rows else whole_space(n + k)
+    # the residual x - p - B u is C (x, u) - p with C = [I | -B]
+    cols = [tuple(F(int(i == j)) for i in range(n)) for j in range(n)]
+    cols += [tuple(-x for x in v) for v in m.basis]
+    a = tuple(tuple(2 * dot(c, d) for d in cols) for c in cols)
+    b = tuple(-2 * dot(c, m.point) for c in cols)
+    solved = minimize_over_hpolyhedron(Quadratic(a, b, dot(m.point, m.point)), lifted)
+    return None if solved is None else solved[0]
+
+
+def _reference_distance(f, m):
+    """(kind, squared distance) by the lifted program on each H-form, the
+    members of a point set converted one point at a time."""
+    if isinstance(f, HPolyhedron):
+        forms = [f]
+    elif isinstance(f.compact, FinitePointSet):
+        forms = [
+            dd_convert(motzkin_to_vpoly(MotzkinSet(PolytopeK.build([y]), f.cone)))
+            for y in f.compact.points
+        ]
+    else:
+        forms = [dd_convert(motzkin_to_vpoly(f))]
+    values = [v for v in (_lifted_distance_sq(h, m) for h in forms) if v is not None]
+    if not values:
+        return "unknown", None
+    return ("intersects", None) if min(values) == 0 else ("positive", min(values))
+
+
+def test_distance_matches_the_lifted_program_on_seeded_polyhedral_sets():
+    rng = random.Random(15)
+
+    def ints(count, lo=-3, hi=3):
+        return tuple(rng.randint(lo, hi) for _ in range(count))
+
+    def rays(n):
+        gens = [ints(n) for _ in range(rng.randint(0, 2))]
+        return PolyCone.from_generators([g for g in gens if any(g)], n)
+
+    seen = set()
+    for n in (1, 2, 3):
+        for k in range(n):
+            for trial in range(24):
+                kind = ("hpolyhedron", "polytope", "points")[trial % 3]
+                if kind == "hpolyhedron":
+                    m_rows = rng.randint(n, n + 2)
+                    f = HPolyhedron.from_rows([ints(n) for _ in range(m_rows)], ints(m_rows), n)
+                else:
+                    pts = [ints(n) for _ in range(rng.randint(1, 3))]
+                    compact = PolytopeK.build(pts) if kind == "polytope" else FinitePointSet.build(pts)
+                    f = MotzkinSet(compact, rays(n))
+                while True:
+                    basis = [ints(n, -2, 2) for _ in range(k)]
+                    if not basis or rank(basis) == k:
+                        break
+                m = AffineManifold.from_point_basis(ints(n), basis)
+                verdict = distance_to_manifold(f, m)
+                ref_kind, ref_sq = _reference_distance(f, m)
+                assert verdict.kind == ref_kind, (f, m)
+                seen.add((n, k, kind, ref_kind))
+                if ref_kind == "positive":
+                    assert verdict.exact and verdict.lower_bound_sq == ref_sq
+                    assert intersects_manifold(f, m) is False
+                elif ref_kind == "intersects":
+                    assert contains(f, verdict.point) and m.contains(verdict.point)
+                    assert intersects_manifold(f, m) is True
+    # every flat dimension below n meets every kind of set, and both verdicts occur
+    assert {(n, k, kind) for n, k, kind, _ in seen} == {
+        (n, k, kind) for n in (1, 2, 3) for k in range(n)
+        for kind in ("hpolyhedron", "polytope", "points")
+    }
+    assert {"positive", "intersects"} <= {ref for *_, ref in seen}
 
 
 def test_manifold_projection_is_orthogonal():
@@ -347,7 +428,7 @@ def test_image_closed_facts():
 
 
 def test_image_closed_rejects_a_functional_of_another_length():
-    # both sets lie in the plane; a polyhedron used to answer True for any w
+    # both sets lie in the plane, so a polyhedron too refuses a functional in R^3 or R^1
     for fset in (orthant2(), ice_cream_cut_set()):
         for w in ((1, 2, 3), (1,)):
             with pytest.raises(DimensionMismatchError):

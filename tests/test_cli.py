@@ -153,6 +153,61 @@ def test_solve_unbounded(tmp_path, capsys):
     assert out["verdict"] == "unbounded_below"
 
 
+def test_solve_tolerance_reaches_the_ball_member_of_a_union(tmp_path, capsys):
+    # a ball plus a ray in R^3 whose bracket at tolerance 1/100 is wider than
+    # at the default; wrapping it in a one-member union changes nothing
+    motzkin = {
+        "compact": {"kind": "ball", "center": ["-2", "-2", "1"], "radius": "2"},
+        "cone": {"kind": "polyhedral", "generators": [["-2", "1", "1"]], "dim": 3},
+    }
+    plain = write(tmp_path, "ball.json", {"version": "1", "kind": "motzkin", "payload": motzkin})
+    wrapped = write(
+        tmp_path,
+        "union.json",
+        {"version": "1", "kind": "union", "payload": {"members": [{"kind": "motzkin", **motzkin}]}},
+    )
+    q_path = write(
+        tmp_path, "q.json", quad_doc([[6, -2, 5], [-2, 10, 0], [5, 0, 10]], [-2, -4, -1])
+    )
+    reports = []
+    for set_path in (plain, wrapped):
+        assert main(["--format", "json", "--tolerance", "0.01", "solve", set_path, q_path]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1]
+    width = Fraction(reports[0]["value"]) - Fraction(reports[0]["lower_bound"])
+    assert Fraction(1, 10**6) < width <= Fraction(1, 100)
+
+
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        ("union", {"members": 5}),
+        ("union", {"members": []}),
+        ("intersection", {"members": {"kind": "epigraph", "function": "parabola_exp"}}),
+        (
+            "union",
+            {
+                "members": [
+                    {"kind": "hpolyhedron", "rows": [], "rhs": [], "dim": 1},
+                    {"kind": "hpolyhedron", "rows": [], "rhs": [], "dim": 2},
+                ]
+            },
+        ),
+        ("product", {"factors": []}),
+        ("product", {"factors": "epigraph"}),
+        (
+            "quad_sublevel",
+            {"base": {"kind": "hpolyhedron", "rows": [], "rhs": [], "dim": 1}, "constraints": 1},
+        ),
+    ],
+)
+def test_solve_malformed_compound_set_exits_2(tmp_path, capsys, kind, payload):
+    set_path = write(tmp_path, "set.json", {"version": "1", "kind": kind, "payload": payload})
+    q_path = write(tmp_path, "q.json", quad_doc([["1"]]))
+    assert main(["solve", set_path, q_path]) == 2
+    assert "$.payload." in capsys.readouterr().err
+
+
 def test_solve_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

@@ -367,11 +367,11 @@ def test_face_budget_precedes_elimination(monkeypatch):
             dom_f(identity(10), moment)
         assert time.perf_counter() - start < 20
     # 11 affinely independent generators in R^10, a simplex with 2^11 faces,
-    # are within the budget, as they were within the old 12-generator cap
+    # are within the face budget
     simplex = PolyCone.from_generators([unit(10, i) for i in range(10)] + [(-1,) * 10])
     assert len(cone_qp._Blocks(identity(10), simplex).pairs) == 2**11
-    # 13 generators on a segment, which the generator count used to refuse:
-    # conv has 4 faces, the empty one, two ends and the segment
+    # 13 generators on a segment: only the 4 faces of conv are walked, the
+    # empty one, two ends and the segment, not 2^13 subsets
     d = PolyCone.from_generators([(1, k, 0) for k in range(13)], 3)
     assert [free for _, free in cone_qp._Blocks(identity(3), d).pairs] == [
         tuple(range(13)), (12,), (0,), ()
@@ -381,8 +381,8 @@ def test_face_budget_precedes_elimination(monkeypatch):
 
 
 def _reference_simplex_min(h):
-    """``min {u.H u : u >= 0, sum u = 1}`` by bordered systems, as the sign
-    test used to run it: on each support F, ``2 H_FF u_F = nu e, e.u_F = 1``
+    """``min {u.H u : u >= 0, sum u = 1}`` by bordered systems, independent
+    of the sign test: on each support F, ``2 H_FF u_F = nu e, e.u_F = 1``
     in ``(u_F, nu)`` pins the value at nu/2; the least ``(value, (|F|, F))``
     with a nonnegative solution wins.  Returns the value, F, u_F and whether
     some singular block also carries a point of negative value."""

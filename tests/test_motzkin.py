@@ -7,7 +7,7 @@ import pytest
 
 from fwsets.cone_qp import ConeProgram, value_function_eval
 from fwsets.errors import InvalidParameterError
-from fwsets.linalg import dot, vadd, vec
+from fwsets.linalg import dot, solve, vadd, vec
 from fwsets.motzkin import (
     FEASIBILITY_TOL,
     Attained,
@@ -26,6 +26,7 @@ from fwsets.motzkin import (
 )
 from fwsets.polyhedra import PolyCone
 from fwsets.quadratics import Quadratic
+from fwsets.setops import minimize_on_descriptor, union_set
 
 F = Fraction
 
@@ -272,14 +273,43 @@ def test_ball_verdicts_match_exact_inner_path():
 
 
 def test_seeded_ball_minimum_is_not_the_early_stop_value():
-    # the first n = 3, p = 1 case: two agreeing grid levels used to stop at
-    # 10, while a ball point of value 5.5 exists; the minimum is 4.2347953...
+    # the first n = 3, p = 1 case: a ball point of value 5.5 exists, so the
+    # verdict lies below it; the minimum is 4.2347953...
     q, f = _ball_cases()[4]
     assert f.dim == 3 and len(f.cone.generators) == 1
     v = minimize_on_motzkin(q, f)
     assert isinstance(v, Attained)
     assert v.value < F(11, 2)
     assert v.value - v.lower_bound <= FEASIBILITY_TOL
+
+
+def test_union_bracket_keeps_the_least_member_bound():
+    # a one-point member whose exact value lies inside the ball's bracket
+    # [L, U]: the union's value and point come from it, but its lower bound
+    # is L, so the verdict is not exact
+    q, f = _ball_cases()[4]
+    ball = minimize_on_motzkin(q, f)
+    low, high = ball.lower_bound, ball.value
+    assert low < high
+    # bisect on the segment from the ball's witness to the free minimizer
+    free = solve(q.a, tuple(-b for b in q.b))
+    assert q.evaluate(free) < low
+    lo, hi = F(0), F(1)
+    while True:
+        t = (lo + hi) / 2
+        y = vadd(ball.point, tuple(t * (a - b) for a, b in zip(free, ball.point)))
+        value = q.evaluate(y)
+        if low < value < high:
+            break
+        lo, hi = (t, hi) if value >= high else (lo, t)
+    point = MotzkinSet(PolytopeK.build([y]), PolyCone((), f.dim))
+    v = minimize_on_descriptor(q, union_set([f, point]))
+    assert isinstance(v, Attained) and not v.exact
+    assert (v.point, v.value, v.lower_bound) == (y, value, low)
+    assert v.value - v.lower_bound <= FEASIBILITY_TOL
+    # a union of exact members stays exact
+    v = minimize_on_descriptor(q, union_set([point, point]))
+    assert v.exact and v.value == value and v.lower_bound is None
 
 
 def test_saddle_on_disk_plus_orthant_is_not_attained_at_minus_five():
