@@ -9,7 +9,9 @@ from .linalg import (
     LinearSystem,
     Mat,
     Vec,
+    basis_of_span,
     dot,
+    identity,
     is_zero,
     kernel_basis,
     mat,
@@ -42,8 +44,6 @@ class AffineMap:
 
     @staticmethod
     def identity(n: int) -> "AffineMap":
-        from .linalg import identity
-
         return AffineMap(identity(n), zeros(n))
 
     @property
@@ -104,8 +104,6 @@ class AffineManifold:
         if basis:
             normal_rows = tuple(primitive(v) for v in kernel_basis(tuple(basis), ncols=n))
         else:
-            from .linalg import identity
-
             normal_rows = identity(n)
         a = normal_rows
         b = tuple(dot(row, point) for row in a)
@@ -133,6 +131,4 @@ def subspace(basis_vectors, dim=None) -> AffineManifold:
         if not basis:
             raise DimensionMismatchError("dimension required for the zero subspace")
         dim = len(basis[0])
-    from .linalg import basis_of_span
-
     return AffineManifold.from_point_basis(zeros(dim), basis_of_span(basis, dim))

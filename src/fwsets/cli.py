@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import gallery
-from .affine import AffineManifold
+from .affine import AffineManifold, AffineMap
 from .asymptotes import (
     asymptote_verdict,
     classify_fw_set,
@@ -32,6 +32,7 @@ from .errors import (
     FwsetsError,
     SizeCapError,
 )
+from .linalg import unit
 from .motzkin import MotzkinSet, decompose
 from .polyhedra import HPolyhedron, intersect as intersect_h, project_fm
 from .setops import (
@@ -184,9 +185,6 @@ def cmd_project(args) -> int:
         _emit(report, args.format)
         return EXIT_OK
     if isinstance(fset, MotzkinSet) and fset.is_polyhedral_cone:
-        from .affine import AffineMap
-        from .linalg import unit
-
         rows = [unit(fset.dim, c - 1) for c in coords]
         image = affine_image(fset, AffineMap.build(rows))
         report = {

@@ -55,6 +55,19 @@ kernel (in the cone layer, the signs of the point's integers against
 exact LP on a larger set.  The enumeration keeps the least
 ``(value, face key)``, and a face that cannot beat the incumbent is never
 built.
+
+One work budget, ``polyhedra.DD_BUDGET``, bounds each public call here: a
+``dom_f``, a sign test, a zero-set walk, one ``ConeProgram.minimize``
+query or one ``minimize_over_hpolyhedron``.  The call makes one
+``polyhedra.Work`` counter, and every step charges it before it runs:
+listing the faces (p units a face, which a simplex knows from its count,
+and one unit a mask for each facet's pass of the closure; the QP charges
+one unit a row subset), each elimination (:func:`_elimination_units`),
+each solve, the Fractions built (``LP_ENTRY_UNITS`` each, a product and a
+sum a term of a dot product), and the conversions and LPs inside, which
+charge the same counter.  A program keeps its blocks and dom(f) across
+queries, but the counter lives for one query, which pays for what it
+builds.
 """
 
 from __future__ import annotations
@@ -65,7 +78,7 @@ from fractions import Fraction
 from functools import cache, cached_property, partial
 from math import comb, lcm
 
-from .errors import DimensionMismatchError, FwsetsError, NotInDomainError, SizeCapError
+from .errors import DimensionMismatchError, FwsetsError, NotInDomainError
 from .linalg import (
     LinearSystem,
     Mat,
@@ -85,12 +98,26 @@ from .linalg import (
     vscale,
     zeros,
 )
-from .polyhedra import HPolyhedron, PolyCone, cone_h_to_v, cone_v_to_h, lp_solve
+from .polyhedra import (
+    LP_ENTRY_UNITS,
+    HPolyhedron,
+    PolyCone,
+    Work,
+    cone_h_to_v,
+    cone_v_to_h,
+    lp_solve,
+)
 from .quadratics import Quadratic
 
-# faces of conv(generators) one cone program may walk: 2^12, as many as
-# twelve generators can have
-MAX_FACES = 4096
+# the step a face walk's charges name in SizeCapError
+_WALK = "the face walk"
+
+
+def _elimination_units(rows: int, cols: int) -> int:
+    """Units of a fraction-free elimination of a ``rows x cols`` integer
+    matrix: at most ``rows`` pivots, each updating every row, at two
+    products, a gcd step and a division an entry."""
+    return 4 * rows * rows * cols
 
 
 @dataclass(frozen=True)
@@ -152,20 +179,20 @@ class ConeMinVerdict:
     curvature: str | None = None
 
 
-def _feasible_point(z0: Vec, kernel, g: Mat, h: Vec) -> Vec | None:
+def _feasible_point(z0: Vec, kernel, g: Mat, h: Vec, work: Work) -> Vec | None:
     """A point of ``z0 + span(kernel)`` with ``g z <= h``, or None.
 
     A direct check when the kernel is empty; an interval test on a line
     ``z0 + t k``, where row i reads ``(g_i.k) t <= h_i - g_i.z0`` and the
     point is the one at t = 0 clamped into the interval; an exact LP on a
-    larger kernel.
+    larger kernel, charged to ``work``.
     """
     if not kernel:
         return z0 if all(dot(row, z0) <= hi for row, hi in zip(g, h)) else None
     rows = tuple(tuple(dot(row, kv) for kv in kernel) for row in g)
     rhs = tuple(hi - dot(row, z0) for row, hi in zip(g, h))
     if len(kernel) > 1:
-        res = lp_solve(rows, rhs, zeros(len(kernel)))
+        res = lp_solve(rows, rhs, zeros(len(kernel)), work)
         return _combine(z0, kernel, res.x) if res.status == "optimal" else None
     lo = hi = None
     for (a,), r in zip(rows, rhs):
@@ -190,21 +217,25 @@ def _combine(z0: Vec, vectors, coeffs: Vec) -> Vec:
     )
 
 
-def _least_face(faces):
+def _least_face(faces, work: Work):
     """The least ``(value, key, z)`` over faces with a feasible stationary point.
 
     ``faces`` yields ``(key, value, build)`` for each face whose stationarity
     system is consistent, and ``build()`` returns ``(z0, kernel, g, h)``: the
     solution set is ``z0 + span(kernel)``, the objective equals ``value`` all
     over it, and a candidate must satisfy ``g z <= h``.  A face that cannot
-    beat the incumbent is never built and skips the feasibility step.
-    Returns None when no face has a feasible stationary point.
+    beat the incumbent is never built and skips the feasibility step.  A
+    built face charges ``work`` for its Fractions: the point, its
+    directions and their dot products with each row of g, a product and a
+    sum a term.  Returns None when no face has a feasible stationary point.
     """
     best = None
     for key, value, build in faces:
         if best is not None and (value, key) >= best[:2]:
             continue
-        z = _feasible_point(*build())
+        z0, kernel, g, h = build()
+        work.charge(2 * len(z0) * (1 + len(kernel)) * (1 + len(g)) * LP_ENTRY_UNITS, _WALK)
+        z = _feasible_point(z0, kernel, g, h, work)
         if z is not None:
             best = (value, key, z)
     return best
@@ -243,7 +274,9 @@ def _scatter(idx: tuple[int, ...], values: Vec, p: int) -> Vec:
     return tuple(full)
 
 
-def _face_pairs(zi: list[list[int]]) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+def _face_pairs(
+    zi: list[list[int]], work: Work
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """The faces of ``Q = conv(z_1, ..., z_p)`` as splits ``(active, free)``.
 
     ``free`` holds the generators on the face and ``active`` the others; the
@@ -252,25 +285,24 @@ def _face_pairs(zi: list[list[int]]) -> tuple[tuple[tuple[int, ...], tuple[int, 
     Q is a simplex and every subset is a face (taken as given for p <= 2).
     Otherwise one conversion gives the facets of the cone they span, and the
     faces are the facet incidence sets closed under intersection.  A set of
-    generators is a bitmask.  SizeCapError once the count passes MAX_FACES,
-    or from the conversion once it passes the double description budget
-    (see :mod:`fwsets.polyhedra`), so a large hull is refused after bounded
-    work.
+    generators is a bitmask.  The listing is charged to ``work`` before it
+    is made, p units a face, and so is each facet's pass over the masks
+    found so far, one unit a mask, and the conversion; so a large hull is
+    refused after bounded work, a simplex on its count alone.
     """
     p = len(zi)
     lifted = [z + [1] for z in zi]
     if p <= 2 or (p <= len(lifted[0]) and len(int_rref([v[:] for v in lifted])) == p):
-        if 2**p > MAX_FACES:
-            raise SizeCapError(f"a simplex on {p} generators has {2**p} faces, above {MAX_FACES}")
+        work.charge(p << p, _WALK)
         masks = range(1 << p)
     else:
         masks = {(1 << p) - 1}
-        for h in cone_v_to_h(lifted, len(lifted[0])):
+        for h in cone_v_to_h(lifted, len(lifted[0]), work):
             hi = primitive_ints(h)
             facet = sum(1 << j for j, v in enumerate(lifted) if idot(hi, v) == 0)
+            work.charge(len(masks), _WALK)
             masks |= {m & facet for m in masks}
-            if len(masks) > MAX_FACES:
-                raise SizeCapError(f"conv of the {p} generators has over {MAX_FACES} faces")
+        work.charge(p * len(masks), _WALK)
     actives = sorted(
         (tuple(j for j in range(p) if not m >> j & 1) for m in masks), key=lambda a: (len(a), a)
     )
@@ -286,12 +318,13 @@ class _Blocks:
     ``lam H``, ``lam = dz^2 L``, and :meth:`system` eliminates ``hi_FF`` for
     a free set F on first use and keeps it, so ``H_FF x = b`` is solved as
     ``hi_FF x = lam b``.  The kernels are those of ``H_FF``, and ``h`` is H
-    itself in Fractions, built on first read.  ``pairs``, also built on
-    first read, holds the faces of ``conv(dz Z)`` as splits
-    ``(active, free)`` (see :func:`_face_pairs`); every walk reads it before
-    it eliminates a block, so the face budget and the budget of the facet
-    conversion are checked first, and an answer read off the diagonal of H
-    needs no faces.  The shape of G is
+    itself in Fractions, built on first read.  :meth:`faces` lists, on first
+    use, the faces of ``conv(dz Z)`` as splits ``(active, free)`` (see
+    :func:`_face_pairs`) and keeps them in ``pairs``; every walk reads them
+    before it eliminates a block, so the listing is charged first, and an
+    answer read off the diagonal of H needs no faces.  The blocks live as
+    long as their program, but the work of listing and eliminating is
+    charged to the counter of the call that does it.  The shape of G is
     checked before anything is built: integer dot products of unequal
     lengths would truncate silently.
     """
@@ -310,17 +343,21 @@ class _Blocks:
         self.hi = [[idot(za, gzb) for gzb in gz] for za in zi]
         self.lam = dz * dz * scale
         self._systems: dict[tuple[int, ...], LinearSystem] = {}
+        self.pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None = None
 
-    def system(self, free: tuple[int, ...]) -> LinearSystem:
+    def system(self, free: tuple[int, ...], work: Work) -> LinearSystem:
         system = self._systems.get(free)
         if system is None:
+            k = len(free)
+            work.charge(_elimination_units(k, 2 * k), _WALK)  # [hi_FF | I]
             hi_ff = tuple(tuple(self.hi[a][b] for b in free) for a in free)
-            system = self._systems[free] = LinearSystem(hi_ff, len(free))
+            system = self._systems[free] = LinearSystem(hi_ff, k)
         return system
 
-    @cached_property
-    def pairs(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-        return _face_pairs(self._zi)
+    def faces(self, work: Work) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        if self.pairs is None:
+            self.pairs = _face_pairs(self._zi, work)
+        return self.pairs
 
     @cached_property
     def h(self) -> Mat:
@@ -334,7 +371,7 @@ def _generator_matrix(d: PolyCone) -> Mat:
     return tuple(zip(*d.generators))
 
 
-def _negative_ray(d: PolyCone, blocks: _Blocks) -> Vec | None:
+def _negative_ray(d: PolyCone, blocks: _Blocks, work: Work) -> Vec | None:
     """A ray x of the cone with ``x.G x < 0``, or None when the form is
     nonnegative on it.
 
@@ -349,16 +386,18 @@ def _negative_ray(d: PolyCone, blocks: _Blocks) -> Vec | None:
     ``Z u``, made primitive.  On ints,
     ``hi_FF w = e`` gives ``w = x/den`` and ``v = lam w``, so s has the sign
     of ``sum(x)``, ``1/s = den/(lam sum(x))`` and ``u_F = (x + k)/sum(x)``;
-    Fractions are built only for a support with s < 0.
+    Fractions are built only for a support with s < 0.  Each solve charges
+    ``work`` k^2 units.
     """
     for i, gen in enumerate(d.generators):
         if blocks.hi[i][i] < 0:
             return gen
 
     def faces():
-        for _, free in blocks.pairs:
+        for _, free in blocks.faces(work):
             k = len(free)
-            system = blocks.system(free)
+            system = blocks.system(free, work)
+            work.charge(k * k, _WALK)
             sol = system.solve_ints((1,) * k)
             if sol is None:
                 continue
@@ -368,7 +407,7 @@ def _negative_ray(d: PolyCone, blocks: _Blocks) -> Vec | None:
             if build is not None:
                 yield (k, free), Fraction(den, blocks.lam * s), build
 
-    best = _least_face(faces())
+    best = _least_face(faces(), work)
     if best is None:
         return None
     _, (_, free), u_f = best
@@ -377,11 +416,11 @@ def _negative_ray(d: PolyCone, blocks: _Blocks) -> Vec | None:
 
 def nonneg_form_on_cone(g: Mat, d: PolyCone) -> tuple[bool, Vec | None]:
     """Decide ``x.G x >= 0`` on the cone; on failure return a witness ray."""
-    ray = _negative_ray(d, _Blocks(g, d))
+    ray = _negative_ray(d, _Blocks(g, d), Work())
     return ray is None, ray
 
 
-def zero_set_pieces(g: Mat, d: PolyCone, blocks: _Blocks | None = None) -> list[ZeroSetPiece]:
+def zero_set_pieces(g: Mat, d: PolyCone) -> list[ZeroSetPiece]:
     """The pieces P_I covering ``{u >= 0 : u.(Z^T G Z).u = 0}``.
 
     Precondition: the form is nonnegative on the cone (run
@@ -396,23 +435,32 @@ def zero_set_pieces(g: Mat, d: PolyCone, blocks: _Blocks | None = None) -> list[
     ``G Z u`` is orthogonal to them, so ``H_FF u_F = 0``.  A strictly copositive
     form has no pieces.  Pieces come in the order of I (by size, then
     lexicographically), and a piece whose ray set repeats an earlier one is
-    dropped.  ``blocks``, when given, are the blocks of H already built.
+    dropped.
     """
-    if blocks is None:
-        blocks = _Blocks(g, d)
+    return _zero_set_pieces(_Blocks(g, d), Work())
+
+
+def _zero_set_pieces(blocks: _Blocks, work: Work) -> list[ZeroSetPiece]:
+    """:func:`zero_set_pieces` on blocks already built.  A face charges
+    ``work`` for the Fractions of its kernel N and of the rows ``-N``, and
+    for each ray ``N t``, a product and a sum a term; the conversion
+    charges its own."""
     p = blocks.p
     pieces: list[ZeroSetPiece] = []
     seen: set[frozenset] = set()
-    for active, free in blocks.pairs:
-        system = blocks.system(free)
-        if system.rank == len(free):
+    for active, free in blocks.faces(work):
+        system = blocks.system(free, work)
+        k = len(free)
+        if system.rank == k:
             continue
         kernel = system.kernel
+        work.charge(2 * k * len(kernel) * LP_ENTRY_UNITS, _WALK)
         n_rows = tuple(zip(*kernel))  # u_F = N t
         # N has full column rank, so {t : N t >= 0} is pointed
-        rays_t, _ = cone_h_to_v([vscale(-ONE, row) for row in n_rows], len(kernel))
+        rays_t, _ = cone_h_to_v([vscale(-ONE, row) for row in n_rows], len(kernel), work)
         if not rays_t:
             continue
+        work.charge(2 * len(rays_t) * k * len(kernel) * LP_ENTRY_UNITS, _WALK)
         rays = tuple(primitive(_scatter(free, matvec(n_rows, t), p)) for t in rays_t)
         key = frozenset(rays)
         if key in seen:
@@ -422,23 +470,29 @@ def zero_set_pieces(g: Mat, d: PolyCone, blocks: _Blocks | None = None) -> list[
     return pieces
 
 
-def dom_f(g: Mat, d: PolyCone, blocks: _Blocks | None = None) -> DomF:
-    """The polyhedral domain of ``f(c) = inf_{x in D} c.x + 1/2 x.G x``;
-    ``blocks``, when given, are the blocks of ``H = Z^T G Z`` already built.
+def dom_f(g: Mat, d: PolyCone) -> DomF:
+    """The polyhedral domain of ``f(c) = inf_{x in D} c.x + 1/2 x.G x``.
 
     Its rows are ``-Z u`` for the piece generators u, in piece order, made
-    primitive, with zero rows and repeats dropped.
+    primitive, with zero rows and repeats dropped.  The sign test, the
+    zero-set walk, the n p products and sums of each row and the conversion
+    of the rows share one work budget.
     """
+    return _dom_f(d, _Blocks(g, d), Work())
+
+
+def _dom_f(d: PolyCone, blocks: _Blocks, work: Work) -> DomF:
+    """:func:`dom_f` on the blocks of ``H = Z^T G Z`` already built."""
     n = d.dim
-    if blocks is None:
-        blocks = _Blocks(g, d)
-    ray = _negative_ray(d, blocks)
+    ray = _negative_ray(d, blocks, work)
     if ray is not None:
         return DomF(None, (), n, negative_ray=ray)
-    pieces = tuple(zero_set_pieces(g, d, blocks=blocks))
+    pieces = tuple(_zero_set_pieces(blocks, work))
     z = _generator_matrix(d)
-    rows = [vscale(-ONE, matvec(z, u)) for piece in pieces for u in piece.generators]
-    return DomF(PolyCone.from_halfspaces(rows, n), pieces, n)
+    us = [u for piece in pieces for u in piece.generators]
+    work.charge(2 * len(us) * n * blocks.p * LP_ENTRY_UNITS, _WALK)
+    rows = [vscale(-ONE, matvec(z, u)) for u in us]
+    return DomF(PolyCone.from_halfspaces(rows, n, work), pieces, n)
 
 
 def is_bounded_below_on_cone(
@@ -474,10 +528,12 @@ class ConeProgram:
     """Reusable minimizer of ``c.x + 1/2 x.G x`` over a fixed cone.
 
     Caches the generator matrix, the blocks of ``H = Z^T G Z`` (built once
-    and handed to :func:`dom_f`, so the sign test, the zero set and every
-    query share each eliminated ``H_FF``), and dom(f), whose rows decide
+    and shared by dom(f), so the sign test, the zero set and every query
+    share each eliminated ``H_FF``), and dom(f), whose rows decide
     boundedness, so a family of linear terms (as in the two-level Motzkin
-    reduction) can be minimized without rework.
+    reduction) can be minimized without rework.  Each query has its own
+    work budget, which also pays for the dom(f) or the blocks it is the
+    first to build.
     """
 
     def __init__(self, g: Mat, d: PolyCone):
@@ -495,8 +551,11 @@ class ConeProgram:
 
     @property
     def dom(self) -> DomF:
+        return self._domain(Work())
+
+    def _domain(self, work: Work) -> DomF:
         if self._dom is None:
-            self._dom = dom_f(self.g, self.d, blocks=self.blocks)
+            self._dom = _dom_f(self.d, self.blocks, work)
         return self._dom
 
     def boundedness(self, c: Vec) -> BoundednessResult:
@@ -509,15 +568,18 @@ class ConeProgram:
         rho = lcm(*(x.denominator for x in r))
         return r, [x.numerator * (rho // x.denominator) for x in r], rho
 
-    def _faces(self, rr: list[int], rho: int, constant: Fraction):
+    def _faces(self, rr: list[int], rho: int, constant: Fraction, work: Work):
         """Stationary sets ``H_FF u_F = -r_F`` keyed by active set, for
         ``r = rr / rho``.  Each is solved on ints as ``hi_FF x = -den rr_F``,
         so ``u_F = lam x / (rho den)`` is its point with zero free
         coordinates, and on it the objective is
-        ``r_F.u_F / 2 + constant = lam rr_F.x / (2 rho^2 den) + constant``."""
+        ``r_F.u_F / 2 + constant = lam rr_F.x / (2 rho^2 den) + constant``.
+        A solve and its value charge ``work`` k (k + 1) units."""
         lam = self.blocks.lam
-        for active, free in self.blocks.pairs:
-            system = self.blocks.system(free)
+        for active, free in self.blocks.faces(work):
+            k = len(free)
+            system = self.blocks.system(free, work)
+            work.charge(k * (k + 1), _WALK)
             sol = system.solve_ints([-rr[j] for j in free])
             if sol is None:
                 continue
@@ -528,7 +590,12 @@ class ConeProgram:
                 yield active, value + constant, build
 
     def minimize(self, c: Vec, constant: Fraction = ZERO) -> ConeMinVerdict:
-        bound = self.boundedness(c)
+        work = Work()
+        dom = self._domain(work)
+        # the dot products of c with the rows of dom(f) and the generators
+        rows = dom.cone.halfspaces if dom.cone is not None else ()
+        work.charge(2 * (len(rows) + self.p) * self.d.dim * LP_ENTRY_UNITS, _WALK)
+        bound = is_bounded_below_on_cone(c, self.g, self.d, dom=dom)
         if not bound.bounded:
             d = bound.certificate
             direction = scaled_descent_ray(d, dot(c, d), dot(d, matvec(self.g, d)))
@@ -536,7 +603,7 @@ class ConeProgram:
                 "unbounded", direction=direction, curvature=bound.kind
             )
         r, rr, rho = self._linear_term(c)
-        best = _least_face(self._faces(rr, rho, constant))
+        best = _least_face(self._faces(rr, rho, constant, work), work)
         if best is None:
             raise FwsetsError("bounded program produced no stationary candidates")
         value, active, u_f = best
@@ -590,8 +657,6 @@ def value_function_eval(c: Vec, g: Mat, d: PolyCone) -> Fraction:
 # for squared-distance programs)
 # ---------------------------------------------------------------------------
 
-MAX_FACE_SUBSETS = 200_000
-
 
 def _face_set(num: list[int], den: int, nbasis, kernel, p: HPolyhedron):
     """``(z0, kernel, g, h)`` of a face of ``{A x <= b}``: the point
@@ -626,16 +691,19 @@ def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, V
     ties go to the lexicographically least subset.  Returns None when no face
     carries a feasible stationary point, which can only happen for programs
     that are unbounded below.
+
+    One work budget bounds the call.  The subsets are charged first, one
+    unit each, so a walk that cannot finish is refused before any face is
+    eliminated; then each face charges its two eliminations and the integer
+    products that form the reduced system and the value, and each face
+    built charges its Fractions (see :func:`_least_face`) and its LP.
     """
     n = p.dim
     if q.dim != n:
         raise DimensionMismatchError("quadratic and polyhedron dimensions differ")
     m = len(p.a)
-    total = sum(comb(m, rr) for rr in range(min(m, n) + 1))
-    if total > MAX_FACE_SUBSETS:
-        raise SizeCapError(
-            f"face enumeration needs {total} subsets, exceeding {MAX_FACE_SUBSETS}"
-        )
+    work = Work()
+    work.charge(sum(comb(m, rr) for rr in range(min(m, n) + 1)), _WALK)
     rows_ab = [primitive_ints((*row, rhs)) for row, rhs in zip(p.a, p.b)]
     scale = lcm(
         *(x.denominator for row in q.a for x in row),
@@ -649,12 +717,16 @@ def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, V
     def faces():
         for size in range(min(m, n) + 1):
             for subset in itertools.combinations(range(m), size):
+                work.charge(_elimination_units(size, n + 1), _WALK)
                 rows = [rows_ab[i][:] for i in subset]
                 pivots = int_rref(rows)
                 hull = int_solution(rows, pivots, n)
                 if hull is None or len(pivots) < size:
                     continue
                 x0, d, nbasis = hull
+                nb = len(nbasis)
+                # Q x0, Q N', N'^T Q N' and Q num, then [N'^T Q N' | -N'^T G]
+                work.charge((nb + 2) * n * n + nb * nb * n + _elimination_units(nb, nb + 1), _WALK)
                 grad = [idot(row, x0) + d * bi for row, bi in zip(qm, qb)]
                 if nbasis:
                     qn = [[idot(row, v) for row in qm] for v in nbasis]
@@ -677,7 +749,7 @@ def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, V
                 )
                 yield subset, value, partial(_face_set, num, den, nbasis, kernel, p)
 
-    best = _least_face(faces())
+    best = _least_face(faces(), work)
     if best is None:
         return None
     return best[0], best[2]

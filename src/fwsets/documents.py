@@ -11,9 +11,10 @@ dotted field path (semantic level).
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
-from .affine import AffineManifold, AffineMap
+from .affine import AffineManifold, AffineMap, subspace
 from .asymptotes import (
     AffineImageSet,
     Epigraph1D,
@@ -88,6 +89,18 @@ def _format_matrix(m) -> list:
     return [_format_vector(row) for row in m]
 
 
+@contextmanager
+def _located(path):
+    """Report an error raised while building a value as a DocumentError at
+    ``path``; a DocumentError passes through unchanged."""
+    try:
+        yield
+    except DocumentError:
+        raise
+    except Exception as exc:
+        raise DocumentError(str(exc), path=path) from None
+
+
 def _require_keys(obj, path, required, optional=()):
     if not isinstance(obj, dict):
         raise DocumentError("expected an object", path=path)
@@ -118,10 +131,8 @@ def _parse_quadratic(payload, path) -> Quadratic:
         if "constant" in payload
         else Fraction(0)
     )
-    try:
+    with _located(path):
         return Quadratic.build(a, b, c)
-    except Exception as exc:
-        raise DocumentError(str(exc), path=path) from None
 
 
 def _parse_hpoly(payload, path) -> HPolyhedron:
@@ -129,16 +140,12 @@ def _parse_hpoly(payload, path) -> HPolyhedron:
     rows = _parse_matrix(payload["rows"], f"{path}.rows")
     rhs = _parse_vector(payload["rhs"], f"{path}.rhs")
     dim = payload.get("dim")
-    try:
+    with _located(path):
         if rows:
             return HPolyhedron(rows, rhs, dim if dim is not None else len(rows[0]))
         if dim is None:
             raise DocumentError("dim required when rows are empty", path=path)
         return HPolyhedron((), (), dim)
-    except DocumentError:
-        raise
-    except Exception as exc:
-        raise DocumentError(str(exc), path=path) from None
 
 
 def _parse_vpoly(payload, path) -> VPolyhedron:
@@ -152,10 +159,8 @@ def _parse_vpoly(payload, path) -> VPolyhedron:
         if not groups:
             raise DocumentError("dim required for an empty generator list", path=path)
         dim = len(groups[0])
-    try:
+    with _located(path):
         return VPolyhedron(vertices, rays, lineality, dim)
-    except Exception as exc:
-        raise DocumentError(str(exc), path=path) from None
 
 
 def _parse_cone(payload, path) -> PolyCone:
@@ -166,24 +171,18 @@ def _parse_cone(payload, path) -> PolyCone:
         if not gens:
             raise DocumentError("dim required for the zero cone", path=path)
         dim = len(gens[0])
-    try:
+    with _located(path):
         return PolyCone.from_generators(gens, dim)
-    except Exception as exc:
-        raise DocumentError(str(exc), path=path) from None
 
 
 def _parse_soc(payload, path) -> SecondOrderCone:
     _require_keys(payload, path, ("dim", "axis", "aperture"))
-    try:
+    with _located(path):
         return SecondOrderCone.build(
             payload["dim"],
             _parse_vector(payload["axis"], f"{path}.axis"),
             parse_rational(payload["aperture"], f"{path}.aperture"),
         )
-    except DocumentError:
-        raise
-    except Exception as exc:
-        raise DocumentError(str(exc), path=path) from None
 
 
 def _parse_compact(payload, path):
@@ -191,7 +190,7 @@ def _parse_compact(payload, path):
         payload, path, ("kind",), ("vertices", "points", "center", "radius")
     )
     kind = payload["kind"]
-    try:
+    with _located(path):
         if kind == "polytope":
             _require_keys(payload, path, ("kind", "vertices"))
             return PolytopeK.build(_parse_matrix(payload["vertices"], f"{path}.vertices"))
@@ -204,10 +203,6 @@ def _parse_compact(payload, path):
                 _parse_vector(payload["center"], f"{path}.center"),
                 parse_rational(payload["radius"], f"{path}.radius"),
             )
-    except DocumentError:
-        raise
-    except Exception as exc:
-        raise DocumentError(str(exc), path=path) from None
     raise DocumentError(f"unknown compact kind {kind!r}", path=path)
 
 
@@ -229,10 +224,8 @@ def _parse_motzkin(payload, path) -> MotzkinSet:
     _require_keys(payload, path, ("compact", "cone"))
     compact = _parse_compact(payload["compact"], f"{path}.compact")
     cone = _parse_cone_rep(payload["cone"], f"{path}.cone")
-    try:
+    with _located(path):
         return MotzkinSet(compact, cone)
-    except Exception as exc:
-        raise DocumentError(str(exc), path=path) from None
 
 
 def _parse_set(node, path):
@@ -259,16 +252,12 @@ def _parse_set(node, path):
             if "sample_point" in payload
             else None
         )
-        try:
+        with _located(path):
             return QuadSublevel(base, constraints, sample_point=sample)
-        except Exception as exc:
-            raise DocumentError(str(exc), path=path) from None
     if kind == "epigraph":
         _require_keys(payload, path, ("function",))
-        try:
+        with _located(path):
             return Epigraph1D(payload["function"])
-        except Exception as exc:
-            raise DocumentError(str(exc), path=path) from None
     if kind == "product":
         _require_keys(payload, path, ("factors",))
         return ProductSet(_parse_sets(payload["factors"], f"{path}.factors"))
@@ -306,15 +295,13 @@ def _parse_affine_map(payload, path) -> AffineMap:
         if "offset" in payload
         else None
     )
-    try:
+    with _located(path):
         return AffineMap.build(m, offset)
-    except Exception as exc:
-        raise DocumentError(str(exc), path=path) from None
 
 
 def _parse_manifold(payload, path) -> AffineManifold:
     _require_keys(payload, path, (), ("rows", "rhs", "point", "basis"))
-    try:
+    with _located(path):
         if "rows" in payload:
             _require_keys(payload, path, ("rows", "rhs"))
             return AffineManifold.from_equations(
@@ -326,10 +313,6 @@ def _parse_manifold(payload, path) -> AffineManifold:
             _parse_vector(payload["point"], f"{path}.point"),
             _parse_matrix(payload["basis"], f"{path}.basis"),
         )
-    except DocumentError:
-        raise
-    except Exception as exc:
-        raise DocumentError(str(exc), path=path) from None
 
 
 def _parse_subspace(payload, path) -> AffineManifold:
@@ -340,12 +323,8 @@ def _parse_subspace(payload, path) -> AffineManifold:
         if not basis:
             raise DocumentError("dim required for the zero subspace", path=path)
         dim = len(basis[0])
-    from .affine import subspace
-
-    try:
+    with _located(path):
         return subspace(basis, dim)
-    except Exception as exc:
-        raise DocumentError(str(exc), path=path) from None
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .asymptotes import (
 )
 from .errors import FwsetsError
 from .linalg import Vec, dot, vec, zeros
-from .motzkin import MotzkinSet, PolytopeK, SecondOrderCone, classify_fw
+from .motzkin import MotzkinSet, PolytopeK, SecondOrderCone, classify_fw, minimize_on_motzkin
 from .numeric import bracket_multiplier, exp_bounds, sqrt_upper, stationary_line_point
 from .polyhedra import HPolyhedron, PolyCone, recession_cone
 from .quadratics import Quadratic
@@ -681,8 +681,6 @@ def _verify_orthant(data) -> list[CheckResult]:
     _checks_classification(fset, expected, checks)
     _checks_projections_closed(fset, expected["projections_closed"], checks)
     # exact attainment of (x1 - 1)^2 with the polyhedral solver
-    from .motzkin import minimize_on_motzkin
-
     q = Quadratic.build([[2, 0], [0, 0]], [-2, 0], 1)
     mot = MotzkinSet(
         PolytopeK.build([(0, 0)]),

@@ -33,6 +33,7 @@ from fractions import Fraction
 from .cone_qp import ConeMinVerdict, ConeProgram, minimize_over_hpolyhedron, scaled_descent_ray
 from .errors import (
     DimensionMismatchError,
+    EmptySetError,
     FwsetsError,
     InvalidParameterError,
     UnsupportedKindError,
@@ -294,8 +295,6 @@ def decompose(h: HPolyhedron) -> MotzkinSet:
     """
     v = dd_convert(h)
     if v.is_empty:
-        from .errors import EmptySetError
-
         raise EmptySetError("the polyhedron is empty", certificate=v.empty_certificate)
     gens = list(v.rays)
     for l in v.lineality:

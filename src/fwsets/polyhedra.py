@@ -19,15 +19,19 @@ Fractions are built only for the rays returned.  Projection onto a subset
 of coordinates is one conversion each way: the image of the V-form is
 generated by the kept coordinates of its generators.
 
-Two size caps raise SizeCapError: input polyhedra live in dimension at most
-``MAX_INPUT_DIM``, and one double description or exact LP does at most
-``DD_BUDGET`` units of work, stopping before the step that would pass it.
-For each inserted row, double description counts d units per evaluation
-over the current rays, one per candidate pair across its hyperplane and one
-per ray the adjacency test of a pair scans; the input is not counted, so
-redundant rows and points cost only their evaluations.  An exact LP counts
-``LP_ENTRY_UNITS`` per tableau entry it builds and per entry of each row a
-pivot updates.  Projection is two conversions, so the budget bounds it too.
+Input polyhedra live in dimension at most ``MAX_INPUT_DIM``, and one
+public call does at most ``DD_BUDGET`` units of work: the call makes one
+:class:`Work` counter and hands it to every conversion, LP and face walk it
+runs, and each step is charged before it runs, so SizeCapError comes
+before the step that would pass the budget.  For each inserted row, double
+description charges d units per evaluation over the current rays, one per
+candidate pair across its hyperplane and one per ray the adjacency test of
+a pair scans; the input is not counted, so redundant rows and points cost
+only their evaluations.  An exact LP charges ``LP_ENTRY_UNITS`` per tableau
+entry it builds and per entry of each row a pivot updates.  A conversion
+(with the certificate LP of an empty system) is one call, and a projection
+is one call of two conversions.  The face walks of :mod:`fwsets.cone_qp`
+charge the same counter.
 """
 
 from __future__ import annotations
@@ -61,12 +65,31 @@ from .linalg import (
 
 # user-facing polyhedra live in dimension <= 10
 MAX_INPUT_DIM = 10
-# work one double description or one exact LP may do, in units of about an
-# integer multiply-add or a bitmask test; a unit took 0.08-0.17 us on a
-# 2-CPU box, so a refusal costs at most about 8 s
+# work one public call may do, in units of about an integer multiply-add or
+# a bitmask test; a unit took 0.08-0.17 us on a 2-CPU box, so a refusal
+# costs at most about 8 s
 DD_BUDGET = 5 * 10**7
-# units an exact LP charges for each Fraction entry it builds or updates
+# units charged for each Fraction entry built or updated
 LP_ENTRY_UNITS = 30
+
+
+class Work:
+    """The units of work one public call has done, against ``DD_BUDGET``.
+
+    The call makes one and passes it to every step it runs; a step charges
+    its units before it runs, and SizeCapError names the step that would
+    pass the budget.  The budget is read at each charge.
+    """
+
+    __slots__ = ("units",)
+
+    def __init__(self):
+        self.units = 0
+
+    def charge(self, units: int, step: str) -> None:
+        self.units += units
+        if self.units > DD_BUDGET:
+            raise SizeCapError(f"{step} needs over {DD_BUDGET} units of work")
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +201,10 @@ class PolyCone:
         return PolyCone(gs, dim)
 
     @staticmethod
-    def from_halfspaces(rows, dim) -> "PolyCone":
+    def from_halfspaces(rows, dim, work: Work | None = None) -> "PolyCone":
         hs = tuple(primitive(vec(r)) for r in rows)
         hs = tuple(dict.fromkeys(h for h in hs if not is_zero(h)))
-        rays, lin = cone_h_to_v(hs, dim)
+        rays, lin = cone_h_to_v(hs, dim, work)
         gens = rays + tuple(lin) + tuple(vscale(-ONE, v) for v in lin)
         gens = tuple(dict.fromkeys(primitive(g) for g in gens))
         return PolyCone(gens, dim, halfspaces=hs)
@@ -231,7 +254,7 @@ def same_cone(a: PolyCone, b: PolyCone) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _pointed_dd(rows: list[Vec], d: int) -> list[Vec]:
+def _pointed_dd(rows: list[Vec], d: int, work: Work) -> list[Vec]:
     """Extreme rays of ``{x in R^d : r . x <= 0 for r in rows}``.
 
     Requires the row matrix to have full column rank d (pointed cone).
@@ -243,8 +266,8 @@ def _pointed_dd(rows: list[Vec], d: int) -> list[Vec]:
     primitive integer rows and rays: each row is rescaled once by a positive
     factor, which keeps every sign and zero set, and each new ray
     ``v_p r_q - v_q r_p`` is divided by its gcd, which makes it primitive.
-    Zero sets are bitmasks over the row indices.  SizeCapError as soon as
-    the work counted so far (see the module docstring) passes ``DD_BUDGET``.
+    Zero sets are bitmasks over the row indices.  The work (see the module
+    docstring) is charged to ``work``.
     """
     if d == 0:
         return []
@@ -269,7 +292,6 @@ def _pointed_dd(rows: list[Vec], d: int) -> list[Vec]:
         zero_sets.append(all_seed & ~(1 << seed[j]))
 
     seed_set = set(seed)
-    work = 0
     for t, row in enumerate(ints):
         if t in seed_set:
             continue
@@ -277,9 +299,7 @@ def _pointed_dd(rows: list[Vec], d: int) -> list[Vec]:
         vals = [sum(map(mul, row, r)) for r in rays]
         pos_idx = [i for i, v in enumerate(vals) if v > 0]
         neg_idx = [i for i, v in enumerate(vals) if v < 0]
-        work += d * len(vals) + len(pos_idx) * len(neg_idx)
-        if work > DD_BUDGET:
-            raise SizeCapError(f"double description needs over {DD_BUDGET} units of work")
+        work.charge(d * len(vals) + len(pos_idx) * len(neg_idx), "double description")
         if not pos_idx:
             for i, v in enumerate(vals):
                 if v == 0:
@@ -296,9 +316,7 @@ def _pointed_dd(rows: list[Vec], d: int) -> list[Vec]:
                 common = zero_sets[p] & zero_sets[q]
                 if common.bit_count() < d - 2:
                     continue
-                work += len(zero_sets)
-                if work > DD_BUDGET:
-                    raise SizeCapError(f"double description needs over {DD_BUDGET} units of work")
+                work.charge(len(zero_sets), "double description")
                 for k, zs in enumerate(zero_sets):
                     if common & zs == common and k != p and k != q:
                         break
@@ -321,12 +339,13 @@ def _pointed_dd(rows: list[Vec], d: int) -> list[Vec]:
     return [tuple(Fraction(x) for x in r) for r in rays]
 
 
-def cone_h_to_v(rows, d: int) -> tuple[tuple[Vec, ...], list[Vec]]:
+def cone_h_to_v(rows, d: int, work: Work | None = None) -> tuple[tuple[Vec, ...], list[Vec]]:
     """Generators of ``{x : r . x <= 0}``: (extreme rays, lineality basis).
 
     The lineality space L is split off: double description runs on the rows
     restricted to the coordinates that are not pivot columns of the reduced
     lineality basis, a complement of L, and each ray is placed back there.
+    ``work`` is the counter of a calling public call, a new one if None.
     """
     rows = [r for r in map(vec, rows) if not is_zero(r)]
     if not rows:
@@ -338,7 +357,7 @@ def cone_h_to_v(rows, d: int) -> tuple[tuple[Vec, ...], list[Vec]]:
         return (), lin
     reduced = [rr for rr in (tuple(r[j] for j in cols) for r in rows) if not is_zero(rr)]
     rays = []
-    for s in _pointed_dd(reduced, len(cols)):
+    for s in _pointed_dd(reduced, len(cols), Work() if work is None else work):
         x = [ZERO] * d
         for j, coeff in zip(cols, s):
             x[j] = coeff
@@ -346,16 +365,17 @@ def cone_h_to_v(rows, d: int) -> tuple[tuple[Vec, ...], list[Vec]]:
     return tuple(rays), lin
 
 
-def cone_v_to_h(generators, d: int) -> tuple[Vec, ...]:
+def cone_v_to_h(generators, d: int, work: Work | None = None) -> tuple[Vec, ...]:
     """Halfspace normals of the cone spanned by ``generators``.
 
     Bipolar construction: the negative polar ``{c : g . c <= 0}`` is an
     H-cone whose generators are exactly the halfspace normals of the input
-    (lineality of the polar contributes an opposite pair).
+    (lineality of the polar contributes an opposite pair).  ``work`` as in
+    :func:`cone_h_to_v`.
     """
     gens = [primitive(vec(g)) for g in generators]
     gens = [g for g in gens if not is_zero(g)]
-    rays, lin = cone_h_to_v(gens, d)
+    rays, lin = cone_h_to_v(gens, d, work)
     rows = list(rays)
     for v in lin:
         rows.append(primitive(v))
@@ -368,22 +388,26 @@ def cone_v_to_h(generators, d: int) -> tuple[Vec, ...]:
 # ---------------------------------------------------------------------------
 
 
-def dd_convert(p):
-    """Convert between the two polyhedron representations, exactly."""
+def dd_convert(p, work: Work | None = None):
+    """Convert between the two polyhedron representations, exactly.
+    ``work`` as in :func:`cone_h_to_v`; the certificate LP of an empty
+    system charges the same counter."""
+    if work is None:
+        work = Work()
     if isinstance(p, (HPolyhedron, VPolyhedron)) and p.dim > MAX_INPUT_DIM:
         raise SizeCapError(f"ambient dimension {p.dim} exceeds cap {MAX_INPUT_DIM}")
     if isinstance(p, HPolyhedron):
-        return _h_to_v(p)
+        return _h_to_v(p, work)
     if isinstance(p, VPolyhedron):
-        return _v_to_h(p)
+        return _v_to_h(p, work)
     raise TypeError("dd_convert expects HPolyhedron or VPolyhedron")
 
 
-def _h_to_v(p: HPolyhedron) -> VPolyhedron:
+def _h_to_v(p: HPolyhedron, work: Work) -> VPolyhedron:
     n = p.dim
     hom_rows = [row + (-rhs,) for row, rhs in zip(p.a, p.b)]
     hom_rows.append(zeros(n) + (-ONE,))
-    rays, lin = cone_h_to_v(hom_rows, n + 1)
+    rays, lin = cone_h_to_v(hom_rows, n + 1, work)
     vertices = []
     vrays = []
     for r in rays:
@@ -394,7 +418,7 @@ def _h_to_v(p: HPolyhedron) -> VPolyhedron:
             vrays.append(primitive(r[:n]))
     lineality = tuple(primitive(v[:n]) for v in lin)
     if not vertices:
-        cert = farkas_certificate(p)
+        cert = lp_solve(p.a, p.b, zeros(n), work).farkas
         return VPolyhedron((), (), (), n, empty_certificate=cert)
     return VPolyhedron(
         tuple(dict.fromkeys(vertices)),
@@ -404,7 +428,7 @@ def _h_to_v(p: HPolyhedron) -> VPolyhedron:
     )
 
 
-def _v_to_h(p: VPolyhedron) -> HPolyhedron:
+def _v_to_h(p: VPolyhedron, work: Work) -> HPolyhedron:
     n = p.dim
     if p.is_empty:
         return HPolyhedron((zeros(n),), (-ONE,), n)
@@ -413,7 +437,7 @@ def _v_to_h(p: VPolyhedron) -> HPolyhedron:
     for l in p.lineality:
         gens.append(l + (ZERO,))
         gens.append(vscale(-ONE, l) + (ZERO,))
-    rows = cone_v_to_h(gens, n + 1)
+    rows = cone_v_to_h(gens, n + 1, work)
     a_rows = []
     rhs = []
     for row in rows:
@@ -438,13 +462,14 @@ def project_fm(p: HPolyhedron, coords) -> HPolyhedron:
     image is computed through the V-form: convert ``p``, keep the chosen
     coordinates of every vertex, ray and lineality vector (rays and lines
     that vanish are dropped, duplicates merged) and convert back, so the
-    rows are irredundant and the work is bounded by the conversion budget.
-    An empty ``p`` projects to the single row ``0 <= -1``.
+    rows are irredundant, and one budget bounds both conversions.  An
+    empty ``p`` projects to the single row ``0 <= -1``.
     """
     coords = sorted(set(coords))
     if not coords or coords[0] < 1 or coords[-1] > p.dim:
         raise DimensionMismatchError("coords must be a nonempty subset of {1..n}")
-    v = dd_convert(p)
+    work = Work()
+    v = dd_convert(p, work)
 
     def pick(x: Vec) -> Vec:
         return tuple(x[c - 1] for c in coords)
@@ -454,7 +479,7 @@ def project_fm(p: HPolyhedron, coords) -> HPolyhedron:
 
     vertices = tuple(dict.fromkeys(map(pick, v.vertices)))
     return dd_convert(
-        VPolyhedron(vertices, directions(v.rays), directions(v.lineality), len(coords))
+        VPolyhedron(vertices, directions(v.rays), directions(v.lineality), len(coords)), work
     )
 
 
@@ -540,8 +565,9 @@ class LPResult:
     farkas: Vec | None = None
 
 
-def lp_solve(a: Mat, b: Vec, c: Vec) -> LPResult:
-    """Exact two-phase simplex; its work counts against ``DD_BUDGET``."""
+def lp_solve(a: Mat, b: Vec, c: Vec, work: Work | None = None) -> LPResult:
+    """Exact two-phase simplex; its work is charged to ``work``, the counter
+    of a calling public call, or to a new one if None."""
     m = len(a)
     n = len(c)
     if m == 0:
@@ -559,8 +585,9 @@ def lp_solve(a: Mat, b: Vec, c: Vec) -> LPResult:
     # standard form: columns are u (n), w (n), s (m); x = u - w
     sigma = [ONE if b[i] >= 0 else -ONE for i in range(m)]
     ncols = 2 * n + m
-    work = [0]
-    _charge(work, m * (ncols + m + 1))
+    if work is None:
+        work = Work()
+    work.charge(m * (ncols + m + 1) * LP_ENTRY_UNITS, "exact LP")
     tab = []
     for i in range(m):
         row = [sigma[i] * a[i][j] for j in range(n)]
@@ -657,17 +684,10 @@ def _simplex(tab, cost, basis, width, work, allowed=None):
         _pivot(tab, cost, leave, enter, basis, work)
 
 
-def _charge(work: list[int], entries: int) -> None:
-    """Add an LP step over ``entries`` tableau entries to its running work."""
-    work[0] += entries * LP_ENTRY_UNITS
-    if work[0] > DD_BUDGET:
-        raise SizeCapError(f"exact LP needs over {DD_BUDGET} units of work")
-
-
 def _pivot(tab, cost, row, col, basis, work):
     hit = [i for i in range(len(tab)) if i != row and tab[i][col] != 0]
     # the pivot row, the rows it updates and the cost row
-    _charge(work, (len(hit) + 2) * len(tab[row]))
+    work.charge((len(hit) + 2) * len(tab[row]) * LP_ENTRY_UNITS, "exact LP")
     pv = tab[row][col]
     tab[row] = [x / pv for x in tab[row]]
     for i in hit:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from fwsets import cone_qp
+from fwsets import cone_qp, polyhedra
 from fwsets.cone_qp import (
     ConeProgram,
     dom_f,
@@ -32,7 +32,7 @@ from fwsets.linalg import (
     vscale,
     zeros,
 )
-from fwsets.polyhedra import HPolyhedron, PolyCone, cone_h_to_v, lp_solve, same_cone
+from fwsets.polyhedra import HPolyhedron, PolyCone, Work, cone_h_to_v, lp_solve, same_cone
 from fwsets.quadratics import Quadratic, is_psd
 
 F = Fraction
@@ -328,20 +328,20 @@ def test_boundedness_from_domain_rows_matches_pieces_walk():
 
 
 def test_face_budget_precedes_elimination(monkeypatch):
-    # more faces of conv(generators) than the budget: it is checked before
-    # any block H_FF is eliminated, also for a strictly copositive form that
-    # needs no zero-set pieces
+    # a hull whose faces cost more to list than the work budget is refused
+    # before any block H_FF is eliminated, also for a strictly copositive
+    # form that needs no zero-set pieces
     def no_elimination(m, ncols):
         raise AssertionError("a block was eliminated before the budget check")
 
+    # 22 affinely independent generators in R^21: a simplex, whose 2^22
+    # faces at 22 units each pass the budget on their count alone
+    simplex = PolyCone.from_generators([unit(21, i) for i in range(21)] + [(-1,) * 21])
     rng = random.Random(5)
-    over_budget = (
-        # 13 affinely independent generators in R^12: a simplex, 2^13 faces
-        PolyCone.from_generators([unit(12, i) for i in range(12)] + [(-1,) * 12]),
-        # 20 random points at height 10 in R^9: over 4,096 faces, counted
-        PolyCone.from_generators(
-            [tuple(rng.randint(-9, 9) for _ in range(8)) + (10,) for _ in range(20)]
-        ),
+    # 24 random points at height 10 in R^9: closing their facets' incidence
+    # sets under intersection passes the budget
+    hull = PolyCone.from_generators(
+        [tuple(rng.randint(-9, 9) for _ in range(8)) + (10,) for _ in range(24)]
     )
     # 64 points (1, t, ..., t^9) on the moment curve in R^10: their hull,
     # a cyclic 9-polytope, has 910,252 facets, so the conversion stops at
@@ -351,33 +351,79 @@ def test_face_budget_precedes_elimination(monkeypatch):
     )
     with monkeypatch.context() as patch:
         patch.setattr(cone_qp, "LinearSystem", no_elimination)
-        for d in over_budget:
-            g = identity(d.dim)
-            for call in (
-                lambda: dom_f(g, d),
-                lambda: is_bounded_below_on_cone(zeros(d.dim), g, d),
-                lambda: nonneg_form_on_cone(g, d),
-                lambda: zero_set_pieces(g, d),
-                lambda: ConeProgram(g, d).minimize(zeros(d.dim)),
-            ):
-                with pytest.raises(SizeCapError):
-                    call()
-        start = time.perf_counter()
-        with pytest.raises(SizeCapError):
-            dom_f(identity(10), moment)
-        assert time.perf_counter() - start < 20
-    # 11 affinely independent generators in R^10, a simplex with 2^11 faces,
-    # are within the face budget
+        g = identity(21)
+        for call in (
+            lambda: dom_f(g, simplex),
+            lambda: is_bounded_below_on_cone(zeros(21), g, simplex),
+            lambda: nonneg_form_on_cone(g, simplex),
+            lambda: zero_set_pieces(g, simplex),
+            lambda: ConeProgram(g, simplex).minimize(zeros(21)),
+        ):
+            with pytest.raises(SizeCapError):
+                call()
+        for d in (hull, moment):
+            start = time.perf_counter()
+            with pytest.raises(SizeCapError):
+                dom_f(identity(d.dim), d)
+            assert time.perf_counter() - start < 20
+    # 11 affinely independent generators in R^10: a simplex, every one of
+    # whose 2^11 generator subsets is a face
     simplex = PolyCone.from_generators([unit(10, i) for i in range(10)] + [(-1,) * 10])
-    assert len(cone_qp._Blocks(identity(10), simplex).pairs) == 2**11
+    assert len(cone_qp._Blocks(identity(10), simplex).faces(Work())) == 2**11
     # 13 generators on a segment: only the 4 faces of conv are walked, the
     # empty one, two ends and the segment, not 2^13 subsets
     d = PolyCone.from_generators([(1, k, 0) for k in range(13)], 3)
-    assert [free for _, free in cone_qp._Blocks(identity(3), d).pairs] == [
+    assert [free for _, free in cone_qp._Blocks(identity(3), d).faces(Work())] == [
         tuple(range(13)), (12,), (0,), ()
     ]
     dom = dom_f(identity(3), d)
     assert not dom.is_empty and not dom.pieces and dom.cone.halfspaces == ()
+
+
+def test_dom_f_stops_past_the_budget(monkeypatch):
+    # x1^2 on the orthant in R^2, units counted by hand: listing the 4 faces
+    # of the simplex conv(e1, e2) costs 2 units each (8); the sign test
+    # eliminates [H_FF | I] at 4 k^2 (2k) units (64, 8, 8, 0) and solves at
+    # k^2 (4, 1, 1, 0) (86 in all); the zero-set walk reads the kernels of
+    # the free sets {1, 2} and {2}, at 2 k (dim ker) Fractions for N and -N
+    # (4 and 2) and 2 k (dim ker) for their one ray each (4 and 2), 30 units
+    # a Fraction (360); the one ray left costs 2 n p = 8 Fractions to map
+    # through Z (240); the conversions are one-dimensional and cost nothing
+    d = orthant(2)
+    g = ((F(1), F(0)), (F(0), F(0)))
+    work = 8 + 86 + 360 + 240
+    monkeypatch.setattr(polyhedra, "DD_BUDGET", work)
+    assert dom_f(g, d).cone.halfspaces == ((F(0), F(-1)),)
+    monkeypatch.setattr(polyhedra, "DD_BUDGET", work - 1)
+    with pytest.raises(SizeCapError):
+        dom_f(g, d)
+
+
+def test_each_cone_query_has_its_own_budget(monkeypatch):
+    # the first query of a program also pays for dom(f) and the blocks, the
+    # later ones only for their walk; under a budget equal to the costliest
+    # query one program answers 50 queries, which together cost far more
+    units = []
+
+    class Recording(Work):
+        def __init__(self):
+            super().__init__()
+            units.append(self)
+
+    rng = random.Random(16)
+    d = PolyCone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 2), (-1, 1, 3)], 3)
+    g = Quadratic.build([[2, 1, 0], [1, 2, 0], [0, 0, 0]]).a
+    cs = [vec([rng.randint(-3, 3) for _ in range(3)]) for _ in range(50)]
+    with monkeypatch.context() as patch:
+        patch.setattr(cone_qp, "Work", Recording)
+        prog = ConeProgram(g, d)
+        expected = [prog.minimize(c) for c in cs]
+    costs = [w.units for w in units]
+    assert len(costs) == 50 and sum(costs) > 5 * max(costs)
+    monkeypatch.setattr(polyhedra, "DD_BUDGET", max(costs))
+    prog = ConeProgram(g, d)
+    assert [prog.minimize(c) for c in cs] == expected
+    assert {v.kind for v in expected} == {"attained", "unbounded"}
 
 
 def _reference_simplex_min(h):
@@ -400,10 +446,10 @@ def _reference_simplex_min(h):
             if z0 is not None:
                 faces.append(((size, support), z0[size] / 2, z0, system.kernel, g, zero))
     value, (size, support), z = cone_qp._least_face(
-        (key, v, lambda face=face: face) for key, v, *face in faces
+        ((key, v, lambda face=face: face) for key, v, *face in faces), Work()
     )
     singular = any(
-        v < 0 and kernel and cone_qp._feasible_point(z0, kernel, g, zero) is not None
+        v < 0 and kernel and cone_qp._feasible_point(z0, kernel, g, zero, Work()) is not None
         for _, v, z0, kernel, g, zero in faces
     )
     return value, support, z[:size], singular
@@ -541,7 +587,7 @@ def test_face_walk_matches_the_subset_walk():
         g, d = _face_walk_case(rng, trial)
         prog, ref_prog = ConeProgram(g, d), ConeProgram(g, d)
         _subset_walk(ref_prog.blocks)
-        fewer += len(prog.blocks.pairs) < len(ref_prog.blocks.pairs)
+        fewer += len(prog.blocks.faces(Work())) < len(ref_prog.blocks.faces(Work()))
         dom, ref = prog.dom, ref_prog.dom
         assert dom.is_empty == ref.is_empty, (g, d)
         if dom.is_empty:
@@ -847,8 +893,9 @@ def test_hpoly_qp_rejects_a_dimension_mismatch():
 
 
 def test_face_subset_cap_precedes_enumeration(monkeypatch):
-    # 40 rows in R^10 give 1,221,246,132 row subsets of size <= 10: the cap
-    # is checked before any face is eliminated
+    # 40 rows in R^10 give 1,221,246,132 row subsets of size <= 10, at one
+    # unit each past the work budget: they are counted before any face is
+    # eliminated
     def no_elimination(rows):
         raise AssertionError("a face was eliminated before the cap check")
 
@@ -857,6 +904,49 @@ def test_face_subset_cap_precedes_enumeration(monkeypatch):
     h = HPolyhedron.from_rows(rows, [1] * 40)
     with pytest.raises(SizeCapError):
         minimize_over_hpolyhedron(Quadratic.build(identity(10)), h)
+
+
+def test_hpoly_qp_stops_past_the_budget(monkeypatch):
+    # x^2 - x on [-1, 1], units counted by hand: 3 row subsets of size <= 1
+    # (3); the empty subset has no rows to eliminate, its hull has one
+    # direction, and forming and eliminating the 1 x 2 reduced system costs
+    # (1 + 2) n^2 + n + 4 * 2 = 12; its point 1/2 is built and tested
+    # against the 2 rows at 2 n (1 + 2) = 6 Fractions (180); each one-row
+    # subset eliminates a 1 x 2 system (8) and forms its value (2), which
+    # cannot beat -1/4, so its point is never built
+    q = Quadratic.build([[2]], [-1])
+    h = HPolyhedron.from_rows([[1], [-1]], [1, 1])
+    work = 3 + 12 + 180 + 2 * (8 + 2)
+    monkeypatch.setattr(polyhedra, "DD_BUDGET", work)
+    assert minimize_over_hpolyhedron(q, h) == (F(-1, 4), (F(1, 2),))
+    monkeypatch.setattr(polyhedra, "DD_BUDGET", work - 1)
+    with pytest.raises(SizeCapError):
+        minimize_over_hpolyhedron(q, h)
+
+
+def test_face_walks_past_the_budget_stop_in_bounded_time():
+    # inputs that once ran for a minute or more: each is answered or refused
+    # within 20 s (2.5-5.5 s on a 2-CPU box)
+    rng = random.Random(1)
+    # 12 generators in general position in R^10 under a rank-1 form: their
+    # hull has 3,938 faces, and each singular block adds zero-set rays
+    gens = [tuple(rng.randint(-9, 9) for _ in range(10)) for _ in range(12)]
+    w = [rng.randint(-3, 3) for _ in range(10)]
+    g = tuple(tuple(F(a * b) for b in w) for a in w)
+    # |x|^2 plus a linear term on 18 random rows in R^10: 199,140 subsets
+    rows = [[rng.randint(-3, 3) for _ in range(10)] for _ in range(18)]
+    h = HPolyhedron.from_rows(rows, [rng.randint(1, 9) for _ in range(18)])
+    q = Quadratic.build(identity(10), [rng.randint(-5, 5) for _ in range(10)])
+    for call in (
+        lambda: dom_f(g, PolyCone.from_generators(gens)),
+        lambda: minimize_over_hpolyhedron(q, h),
+    ):
+        start = time.perf_counter()
+        try:
+            call()
+        except SizeCapError:
+            pass
+        assert time.perf_counter() - start < 20
 
 
 def test_hpoly_qp_matches_cone_solver_on_random_cones():
@@ -977,7 +1067,7 @@ def test_line_orthant_interval_matches_lp():
             (cone_qp._nonneg_rows(n, n), answers),
             ((g_rows, h_rows), general),
         ):
-            z = cone_qp._feasible_point(z0, [k], g, h)
+            z = cone_qp._feasible_point(z0, [k], g, h, Work())
             lp = lp_solve(
                 tuple((dot(row, k),) for row in g),
                 tuple(hi - dot(row, z0) for row, hi in zip(g, h)),

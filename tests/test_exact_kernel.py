@@ -27,7 +27,7 @@ from fwsets.linalg import (
     rref,
     solve,
 )
-from fwsets.polyhedra import HPolyhedron, cone_h_to_v
+from fwsets.polyhedra import HPolyhedron, Work, cone_h_to_v
 from fwsets.quadratics import Quadratic
 
 F = Fraction
@@ -475,11 +475,11 @@ def test_face_qp_matches_fraction_face_walk(monkeypatch):
     least_face = cone_qp._least_face
     streams = []
 
-    def recording(faces):
+    def recording(faces, work):
         # every face is built, also those the solver skips
         faces = list(faces)
         streams.append([(key, value, *build()) for key, value, build in faces])
-        return least_face(faces)
+        return least_face(faces, work)
 
     monkeypatch.setattr(cone_qp, "_least_face", recording)
     found = missing = lines = 0
@@ -487,7 +487,8 @@ def test_face_qp_matches_fraction_face_walk(monkeypatch):
         got = minimize_over_hpolyhedron(q, p)
         ref = ref_faces(q, p)
         assert streams.pop() == ref, (q, p)
-        best = least_face((key, value, lambda face=face: face) for key, value, *face in ref)
+        faces = ((key, value, lambda face=face: face) for key, value, *face in ref)
+        best = least_face(faces, Work())
         assert got == (None if best is None else (best[0], best[2])), (q, p)
         if got is None:
             missing += 1
