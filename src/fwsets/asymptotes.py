@@ -40,6 +40,7 @@ from .linalg import (
     dot,
     kernel_basis,
     matvec,
+    rank,
     solve,
     unit,
     vadd,
@@ -612,10 +613,15 @@ def _lagrangian_value(q: Quadratic, constraints, lams):
     bvec = list(q.b)
     const = q.c
     for lam, g in zip(lams, constraints):
+        if not lam:
+            continue
+        # a zero multiplier or entry adds nothing: skip its products
         for i in range(n):
-            for j in range(n):
-                amat[i][j] += lam * g.a[i][j]
-            bvec[i] += lam * g.b[i]
+            for j, v in enumerate(g.a[i]):
+                if v:
+                    amat[i][j] += lam * v
+            if g.b[i]:
+                bvec[i] += lam * g.b[i]
         const += lam * g.c
     amat_t = tuple(tuple(row) for row in amat)
     if not is_psd(amat_t):
@@ -672,27 +678,24 @@ def asymptote_verdict(kind: str) -> bool | None:
 
 
 def projection_closed(f: SetDescriptor, coords) -> tuple[bool | None, str]:
-    """Is the image of F under the coordinate projection closed?
+    """Is the image of F under the projection onto ``coords`` closed?
 
-    Inequality systems and polyhedral Motzkin sums always project to closed
-    sets.  Second-order recession cones are decided by the exact spectral
-    test on the dropped coordinates (sound for any kernel that meets the
-    cone only at 0, contains an interior ray, or has dimension one).
-    Registered set facts answer for the built-in counterexample sets;
-    otherwise the verdict is None.
+    Coordinates are 1-based ints.  Second-order recession cones are decided
+    by the exact spectral test on the dropped coordinates (sound for any
+    kernel that meets the cone only at 0, contains an interior ray, or has
+    dimension one).  Otherwise the projection onto one coordinate j is
+    ``image_closed_1d(f, e_j)``; onto several, polyhedral data, compact sets
+    and sets that :func:`classify_qfw` calls qFW (for a convex set, no flat
+    asymptote means every projection is closed) are closed, and the verdict
+    is None for any other set.
     """
     n = ambient_dim(f)
+    if any(isinstance(c, bool) or not isinstance(c, int) for c in coords):
+        raise DimensionMismatchError("coords must be ints")
     coords = sorted(set(coords))
     if not coords or coords[0] < 1 or coords[-1] > n:
         raise DimensionMismatchError("coords must be a nonempty subset of {1..n}")
-    if isinstance(f, HPolyhedron):
-        return True, "projections of inequality systems are again such systems"
-    if isinstance(f, MotzkinSet):
-        if f.is_polyhedral_cone:
-            return True, (
-                "the projection is the projected compact part plus a projected "
-                "polyhedral cone, which is closed"
-            )
+    if isinstance(f, MotzkinSet) and not f.is_polyhedral_cone:
         verdict = _soc_projection_closed(f.cone, coords)
         if verdict is None:
             return None, "kernel meets the cone boundary in dimension above one"
@@ -701,13 +704,26 @@ def projection_closed(f: SetDescriptor, coords) -> tuple[bool | None, str]:
             "by the second-order cone kernel test"
         )
         return verdict, why
-    _ensure_builtin_registrations()
-    fact = _PROJECTION_FACTS.get((f, tuple(coords)))
-    if fact is not None:
-        return fact.verdict, fact.note
+    if len(coords) == 1:
+        return image_closed_1d(f, unit(n, coords[0] - 1))
+    if _polyhedral(f):
+        return True, _POLYHEDRAL_NOTE
+    return _compact_or_qfw(f) or (None, "no closed-form analysis applies to this set kind")
+
+
+_POLYHEDRAL_NOTE = "linear images of polyhedral sets are closed"
+
+
+def _polyhedral(f: SetDescriptor) -> bool:
+    return isinstance(f, HPolyhedron) or (isinstance(f, MotzkinSet) and f.is_polyhedral_cone)
+
+
+def _compact_or_qfw(f: SetDescriptor) -> tuple[bool, str] | None:
+    if classify_qfw(f).label == "qFW":
+        return True, "the set is qFW: a convex set without flat asymptotes has closed images"
     if isinstance(f, QuadSublevel) and _bounded_base(f):
         return True, "the set is compact (bounded base), so every image is closed"
-    return None, "no closed-form analysis applies to this set kind"
+    return None
 
 
 def _bounded_base(f: QuadSublevel) -> bool:
@@ -745,34 +761,65 @@ def _soc_projection_closed(cone: SecondOrderCone, coords) -> bool | None:
 def image_closed_1d(f: SetDescriptor, functional: Vec) -> tuple[bool | None, str]:
     """Closedness of ``{w.x : x in F}`` for a linear functional w.
 
-    Built on the same machinery as the asymptote test: the image fails to be
-    closed exactly when some level set ``{w.x = beta}`` is a flat asymptote
-    of F.  Registered facts decide the counterexample sets; polyhedral data
-    are always closed.  A functional of another length than the ambient
-    dimension raises DimensionMismatchError.
+    The image fails to be closed exactly when some level set ``{w.x = beta}``
+    is a flat asymptote of F.  The rules, cheapest first:
+
+    1. polyhedral data, or w = 0 (the image is one value): closed;
+    2. a quadratic sublevel set over an inequality system in the plane: the
+       kernel of w is span(k), k = (-w2, w1), and the asymptotic cone of F
+       lies in ``C = {d : a.d <= 0 for every base row, d.A d <= 0 for every
+       constraint form}``.  If neither k nor -k is in C, the image is closed,
+       since a closed set whose asymptotic cone meets the kernel only at 0
+       has a closed linear image (Auslender and Teboulle, *Asymptotic Cones
+       and Functions*, 2003).  If k or -k is strictly negative on every row
+       and every form, each fibre line eventually lies in F, so the image is
+       the whole line;
+    3. a registered asymptote candidate with its normal parallel to w that
+       :func:`is_f_asymptote` confirms: not closed, on evidence;
+    4. compact sets, or sets that :func:`classify_qfw` calls qFW (for convex
+       sets, no flat asymptote means closed images): closed.
+
+    Otherwise the verdict is None; no rule guesses.  A functional of another
+    length than the ambient dimension raises DimensionMismatchError.
     """
-    if len(functional) != ambient_dim(f):
+    n = ambient_dim(f)
+    if len(functional) != n:
         raise DimensionMismatchError("the functional's length differs from the ambient dimension")
-    if isinstance(f, HPolyhedron) or (
-        isinstance(f, MotzkinSet) and f.is_polyhedral_cone
-    ):
-        return True, "linear images of polyhedral sets are closed"
+    w = vec(functional)
+    if _polyhedral(f):
+        return True, _POLYHEDRAL_NOTE
+    if not any(w):
+        return True, "the zero functional takes a single value"
+    if isinstance(f, QuadSublevel) and isinstance(f.base, HPolyhedron) and n == 2:
+        verdict = _kernel_test(f, (-w[1], w[0]))
+        if verdict is not None:
+            return verdict
     _ensure_builtin_registrations()
-    fact = _IMAGE_FACTS.get((f, vec(functional)))
-    if fact is not None:
-        return fact.verdict, fact.note
-    return None, "no closed-form analysis applies to this functional"
+    for m in _ASYMPTOTE_CANDIDATES.get(f, ()):
+        if rank((w, *m.a)) == 1 and is_f_asymptote(f, m) is True:
+            return False, (
+                "evidence of a flat asymptote {w.x = beta} (a certified miss and "
+                "sampled zero-distance points): beta is approached but not attained"
+            )
+    return _compact_or_qfw(f) or (None, "no closed-form analysis applies to this functional")
+
+
+def _kernel_test(f: QuadSublevel, k: Vec) -> tuple[bool, str] | None:
+    """Rule 2 of :func:`image_closed_1d`: the signs of the base rows and the
+    constraint forms along k and -k, the kernel directions of w."""
+    forms = [dot(k, matvec(q.a, k)) for q in f.constraints]
+    rows = [dot(a, k) for a in f.base.a]
+    signs = (rows + forms, [-v for v in rows] + forms)
+    if all(any(v > 0 for v in s) for s in signs):
+        return True, "the asymptotic cone meets the kernel only at 0, so the image is closed"
+    if any(all(v < 0 for v in s) for s in signs):
+        return True, "every fibre line eventually lies in the set, so the image is the whole line"
+    return None
 
 
 # ---------------------------------------------------------------------------
 # registries for the counterexample sets (populated by the gallery module)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StoredFact:
-    verdict: bool
-    note: str
 
 
 @dataclass(frozen=True)
@@ -788,8 +835,6 @@ class NonAttainmentWitness:
 
 _EVIDENCE: dict[tuple, tuple[Vec, ...]] = {}
 _ASYMPTOTE_CANDIDATES: dict[SetDescriptor, tuple[AffineManifold, ...]] = {}
-_PROJECTION_FACTS: dict[tuple, StoredFact] = {}
-_IMAGE_FACTS: dict[tuple, StoredFact] = {}
 _FW_WITNESSES: dict[SetDescriptor, NonAttainmentWitness] = {}
 _registrations_loaded = False
 
@@ -798,14 +843,6 @@ def register_asymptote_evidence(f, m, points):
     _EVIDENCE[(f, m)] = tuple(tuple(vec(p)) for p in points)
     _ASYMPTOTE_CANDIDATES.setdefault(f, ())
     _ASYMPTOTE_CANDIDATES[f] = _ASYMPTOTE_CANDIDATES[f] + (m,)
-
-
-def register_projection_fact(f, coords, verdict, note):
-    _PROJECTION_FACTS[(f, tuple(sorted(coords)))] = StoredFact(verdict, note)
-
-
-def register_image_fact(f, functional, verdict, note):
-    _IMAGE_FACTS[(f, vec(functional))] = StoredFact(verdict, note)
 
 
 def register_fw_witness(f, witness: NonAttainmentWitness):

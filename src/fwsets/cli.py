@@ -20,6 +20,7 @@ from fractions import Fraction
 from . import gallery
 from .affine import AffineManifold, AffineMap
 from .asymptotes import (
+    ambient_dim,
     asymptote_verdict,
     classify_fw_set,
     classify_qfw,
@@ -27,6 +28,7 @@ from .asymptotes import (
 )
 from .documents import SET_KINDS, format_rational, parse, payload_of
 from .errors import (
+    DimensionMismatchError,
     DocumentError,
     EmptySetError,
     FwsetsError,
@@ -170,7 +172,9 @@ def cmd_decompose(args) -> int:
 
 def cmd_project(args) -> int:
     kind, fset = _load(args.set, SET_KINDS)
-    coords = [int(c) for c in args.coords.split(",") if c.strip()]
+    coords = args.coords
+    if max(coords) > ambient_dim(fset):
+        raise DimensionMismatchError(f"coordinate {max(coords)} exceeds the dimension")
     if isinstance(fset, HPolyhedron):
         image = project_fm(fset, coords)
         report = {
@@ -325,6 +329,18 @@ def _tolerance(text: str) -> Fraction:
     return tol
 
 
+def _coords(text: str) -> list[int]:
+    """A comma-separated list of 1-based coordinates (a usage error
+    otherwise, exit code 2)."""
+    try:
+        coords = [int(c) for c in text.split(",") if c.strip()]
+    except ValueError:
+        coords = []
+    if not coords or min(coords) < 1:
+        raise argparse.ArgumentTypeError(f"need comma-separated integers from 1 up, got {text!r}")
+    return coords
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fwsets",
@@ -361,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("project", help="exact coordinate projection")
     p.add_argument("set")
-    p.add_argument("--coords", required=True, help="comma-separated 1-based list")
+    p.add_argument("--coords", type=_coords, required=True, help="comma-separated 1-based list")
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("intersect", help="intersect two sets (or set and subspace)")

@@ -11,8 +11,8 @@ the expected verdict encodes the published claim and the verifier checks
 everything checkable.
 
 Case data (claims, tolerances, citations) ships in ``gallery_data/*.json``;
-importing this module registers the sets' asymptote candidates, witnesses,
-and projection facts with the classification layer.
+importing this module registers the sets' asymptote candidates and
+witnesses with the classification layer.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from .asymptotes import (
     projection_closed,
     register_asymptote_evidence,
     register_fw_witness,
-    register_image_fact,
-    register_projection_fact,
     whole_space,
     _bounded_base,
     _lagrangian_value,
@@ -344,7 +342,7 @@ def _verify_luo_zhang_ex1(data) -> list[CheckResult]:
     battery = {"x3_floor": AffineManifold.hyperplane((0, 0, 1, 0), -1)}
     _checks_asymptote_battery(fset, battery, expected["asymptote_battery_verdicts"], checks)
     _checks_projections_closed(fset, expected["projections_closed"], checks)
-    # witness curves behind the projection facts, sampled exactly
+    # members on the section curve x3 = x1^2, sampled exactly
     for t in (F(-3), F(0), F(5, 2)):
         checks.append(
             _check(
@@ -761,14 +759,6 @@ def _register_all():
             ),
         ),
     )
-    for coords in ((1,), (2,), (3,), (4,)):
-        register_projection_fact(
-            lz,
-            coords,
-            True,
-            "coordinate images are full lines or closed halflines with "
-            "polynomial section witnesses",
-        )
 
     epi = epigraph_set()
     register_fw_witness(
@@ -783,15 +773,6 @@ def _register_all():
             ),
         ),
     )
-    register_projection_fact(
-        epi, (1,), True, "the first coordinate image is the whole line"
-    )
-    register_projection_fact(
-        epi,
-        (2,),
-        True,
-        "the height image is [1, oo): the boundary minimum 1 is attained at 0",
-    )
 
     hyp = hyperbola_set()
     register_asymptote_evidence(
@@ -804,37 +785,10 @@ def _register_all():
         AffineManifold.hyperplane((1, 0), 0),
         [(F(1) / F(2) ** k, F(2) ** k) for k in range(0, 23, 2)],
     )
-    register_projection_fact(
-        hyp,
-        (1,),
-        False,
-        "the image is the open halfline (0, oo): 0 is approached but its "
-        "section is empty",
-    )
-    register_projection_fact(
-        hyp,
-        (2,),
-        False,
-        "the image is the open halfline (0, oo): 0 is approached but its "
-        "section is empty",
-    )
 
     ice = ice_cream_cut_set()
     register_asymptote_evidence(
         ice, AffineManifold.hyperplane((1, -1), 0), _ice_curve_points()
-    )
-    register_projection_fact(
-        ice, (1,), True, "the horizontal image is the whole line"
-    )
-    register_projection_fact(
-        ice, (2,), True, "the height image is [1, oo), attained on the axis"
-    )
-    register_image_fact(
-        ice,
-        (1, -1),
-        False,
-        "x - z takes every negative value but not 0: the diagonal section is "
-        "empty while the gap shrinks like 1/(2x)",
     )
 
     cyl = cylinder_parabolic_set()
@@ -849,22 +803,6 @@ def _register_all():
                 "with x3 = x2/x1, which tends to 0 without reaching it"
             ),
         ),
-    )
-    for coords in ((1,), (2,), (3,), (4,)):
-        register_projection_fact(
-            cyl,
-            coords,
-            True,
-            "coordinate images are closed intervals, lines, or halflines "
-            "with rational witnesses",
-        )
-
-    par = parabola_set()
-    register_projection_fact(
-        par, (1,), True, "the first coordinate image is the whole line"
-    )
-    register_projection_fact(
-        par, (2,), True, "the height image is [0, oo), attained at the vertex"
     )
 
 

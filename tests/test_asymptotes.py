@@ -16,6 +16,7 @@ from fwsets.asymptotes import (
     Epigraph1D,
     ProductSet,
     QuadSublevel,
+    ambient_dim,
     classify_fw_set,
     classify_qfw,
     contains,
@@ -425,6 +426,76 @@ def test_image_closed_facts():
     assert verdict is False
     verdict, _ = image_closed_1d(orthant2(), (1, -1))
     assert verdict is True
+
+
+def test_closedness_is_computed_for_unregistered_sets():
+    # {z >= 2, x^2 + 4 <= z^2}, never registered: the row and the form are
+    # negative along e2, the kernel of x (the whole line), and the form is
+    # positive along +-e1, the kernel of z (closed)
+    cut = QuadSublevel(
+        HPolyhedron.from_rows([[0, -1]], [-2]),
+        (Quadratic.build([[2, 0], [0, -2]], [0, 0], 4),),
+    )
+    assert projection_closed(cut, [1])[0] is True
+    assert projection_closed(cut, [2])[0] is True
+    # the rules never guess: {x, y >= 0, x y >= 4} has no registered
+    # asymptote, its constraint 4 - x y is not a convex quadratic, and it is
+    # not compact
+    hyp = QuadSublevel(orthant2(), (Quadratic.build([[0, -1], [-1, 0]], [0, 0], 4),))
+    assert projection_closed(hyp, [1])[0] is None
+    assert image_closed_1d(hyp, (1, -1))[0] is True
+    assert image_closed_1d(hyp, (1, 1))[0] is True
+
+
+def test_image_closed_off_the_axes_of_the_hyperbola():
+    for w in ((1, 1), (1, -1)):
+        assert image_closed_1d(hyperbola_set(), w)[0] is True
+
+
+def test_several_coordinates_of_a_qfw_set():
+    assert projection_closed(luo_zhang_set(), [1, 2])[0] is True
+
+
+def test_zero_functional_has_a_closed_image():
+    # the ice-cream cut's registered diagonal must not be read as parallel to 0
+    for fset in gallery.case_sets().values():
+        assert image_closed_1d(fset, zeros(ambient_dim(fset)))[0] is True
+
+
+def test_projection_rejects_coordinates_that_are_not_ints():
+    for coords in (["1"], [True], [F(1)], [1.0]):
+        with pytest.raises(DimensionMismatchError):
+            projection_closed(ice_cream_cut_set(), coords)
+
+
+def test_whole_line_images_meet_every_level_set():
+    # where the kernel rule says the image is the whole line, every level set
+    # {w.x = beta} meets the set, checked by the exact line sections
+    rng = random.Random(5)
+    seen = 0
+    for _ in range(80):
+        rows, rhs = [], []
+        for _ in range(rng.randint(0, 2)):
+            rows.append([rng.randint(-2, 2), rng.randint(-2, 2)])
+            rhs.append(rng.randint(-3, 3))
+        d = rng.randint(-2, 2)
+        form = Quadratic.build(
+            [[rng.randint(-3, 3), d], [d, rng.randint(-3, 3)]],
+            [rng.randint(-2, 2), rng.randint(-2, 2)],
+            rng.randint(-4, 4),
+        )
+        fset = QuadSublevel(HPolyhedron.from_rows(rows, rhs, 2), (form,))
+        w = (0, 0)
+        while not any(w):
+            w = (rng.randint(-2, 2), rng.randint(-2, 2))
+        verdict, note = image_closed_1d(fset, w)
+        if "whole line" not in note:
+            continue
+        assert verdict is True
+        seen += 1
+        for beta in range(-6, 7, 3):
+            assert intersects_manifold(fset, AffineManifold.hyperplane(w, beta)) is True
+    assert seen >= 20
 
 
 def test_image_closed_rejects_a_functional_of_another_length():

@@ -263,6 +263,30 @@ def test_project_hpolyhedron(tmp_path, capsys):
     assert out["hpolyhedron"]["dim"] == 1
 
 
+@pytest.mark.parametrize("coords", ["a", "1,x", "", ",", "0"])
+def test_project_rejects_unusable_coords(tmp_path, capsys, coords):
+    set_path = write(tmp_path, "set.json", orthant_doc())
+    with pytest.raises(SystemExit) as exc:
+        main(["project", set_path, "--coords", coords])
+    assert exc.value.code == 2
+    assert "--coords" in capsys.readouterr().err
+
+
+def test_project_past_the_dimension_errors(tmp_path, capsys):
+    # a polyhedral Motzkin sum used to map a missing coordinate to 0
+    doc = {
+        "version": "1",
+        "kind": "motzkin",
+        "payload": {
+            "compact": {"kind": "polytope", "vertices": [["1", "1"]]},
+            "cone": {"kind": "polyhedral", "generators": [["1", "0"], ["0", "1"]], "dim": 2},
+        },
+    }
+    set_path = write(tmp_path, "set.json", doc)
+    assert main(["project", set_path, "--coords", "3"]) == 3
+    assert "exceeds the dimension" in capsys.readouterr().err
+
+
 def test_intersect_hpolyhedra(tmp_path, capsys):
     a = write(tmp_path, "a.json", orthant_doc())
     b = write(
