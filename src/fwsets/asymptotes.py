@@ -27,6 +27,7 @@ evidence attached.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -50,16 +51,15 @@ from .linalg import (
     zeros,
 )
 from .motzkin import (
-    Ball,
     Classification,
     FinitePointSet,
     MotzkinSet,
     PolytopeK,
     SecondOrderCone,
     classify_fw as classify_fw_motzkin,
-    motzkin_to_vpoly,
+    polyhedral_forms,
 )
-from .numeric import exp_bounds, surd, surd_cmp, surd_float
+from .numeric import exp_bounds, sqrt_bounds, surd, surd_cmp
 from .polyhedra import HPolyhedron, dd_convert, lp_solve
 from .quadratics import Quadratic, is_convex, is_psd
 
@@ -154,7 +154,7 @@ def contains(s: SetDescriptor, x: Vec) -> bool | None:
     """Exact membership where decidable; None when genuinely ambiguous
     (only the transcendental epigraph boundary can be)."""
     x = vec(x)
-    forms = _polyhedral_forms(s)
+    forms = polyhedral_forms(s)
     if forms is not None:
         return any(h.contains(x) for h in forms)
     if isinstance(s, MotzkinSet):
@@ -191,24 +191,6 @@ def contains(s: SetDescriptor, x: Vec) -> bool | None:
     if isinstance(s, AffineImageSet):
         return None  # membership in an image needs a preimage search
     raise UnsupportedKindError(f"unknown descriptor {type(s).__name__}")
-
-
-def _polyhedral_forms(s: SetDescriptor) -> tuple[HPolyhedron, ...] | None:
-    """The inequality systems whose union is s, for polyhedral data; None
-    for any other set.
-
-    An inequality system is its own form, and a polytope plus a polyhedral
-    cone has one, converted from its V-form.  A finite point set plus a cone
-    has one form per point: the cone's halfspaces shifted to that point.
-    """
-    if isinstance(s, HPolyhedron):
-        return (s,)
-    if not isinstance(s, MotzkinSet) or not s.is_polyhedral_cone or isinstance(s.compact, Ball):
-        return None
-    if isinstance(s.compact, PolytopeK):
-        return (dd_convert(motzkin_to_vpoly(s)),)
-    rows = s.cone.with_halfspaces().halfspaces
-    return tuple(HPolyhedron(rows, tuple(dot(h, y) for h in rows), s.dim) for y in s.compact.points)
 
 
 def _soc_point_check(s: MotzkinSet, x: Vec) -> bool:
@@ -299,7 +281,7 @@ def distance_to_manifold(f: SetDescriptor, m: AffineManifold) -> DistanceVerdict
     a zero-evidence sequence, or Unknown."""
     if ambient_dim(f) != m.dim:
         raise DimensionMismatchError("set and manifold dimensions differ")
-    forms = _polyhedral_forms(f)
+    forms = polyhedral_forms(f)
     if forms is not None:
         return _distance_exact(forms, m)
 
@@ -371,7 +353,7 @@ def _find_manifold_member(f, m) -> Vec | None:
 
 def intersects_manifold(f: SetDescriptor, m: AffineManifold) -> bool | None:
     """Exact emptiness/nonemptiness of F ∩ M where decidable."""
-    forms = _polyhedral_forms(f)
+    forms = polyhedral_forms(f)
     if forms is not None:
         rows = tuple(r for row in m.a for r in (row, vscale(-ONE, row)))
         rhs = tuple(v for b in m.b for v in (b, -b))
@@ -481,7 +463,13 @@ def _line_section_feasible(f: QuadSublevel, point: Vec, direction: Vec) -> bool 
 
 
 def _line_section_point(f: QuadSublevel, point: Vec, direction: Vec) -> Vec | None:
-    """A rational point of F on the line, when one is easy to pin down."""
+    """A rational point of F on the line, when one is easy to pin down.
+
+    Each interval offers its rational endpoints; a half-line also offers the
+    floor (or ceiling) of a rational bound of its endpoint, and a bounded
+    interval a rational between its endpoints, whose square-root enclosures
+    are refined until they separate.
+    """
     intervals = _line_section_intervals(f, point, direction)
     if not intervals:
         return None
@@ -491,22 +479,30 @@ def _line_section_point(f: QuadSublevel, point: Vec, direction: Vec) -> Vec | No
             candidates.append(lo[0])
         if hi is not _PINF and hi[1] == 0:
             candidates.append(hi[0])
-        approx = []
         if lo is _NINF and hi is _PINF:
-            approx = [ZERO]
+            candidates.append(ZERO)
         elif lo is _NINF:
-            approx = [Fraction(int(surd_float(hi)) - 1)]
+            candidates.append(Fraction(math.floor(_surd_bounds(hi)[0])))
         elif hi is _PINF:
-            approx = [Fraction(int(surd_float(lo)) + 1)]
-        else:
-            mid = (surd_float(lo) + surd_float(hi)) / 2
-            approx = [Fraction(mid).limit_denominator(10**6)]
-        candidates.extend(approx)
+            candidates.append(Fraction(math.ceil(_surd_bounds(lo)[1])))
+        elif _ep_cmp(lo, hi) < 0:
+            scale = 10**12
+            while (left := _surd_bounds(lo, scale)[1]) >= (right := _surd_bounds(hi, scale)[0]):
+                scale *= scale
+            candidates.append((left + right) / 2)
     for t in candidates:
         x = vadd(point, vscale(t, direction))
         if contains(f, x) is True:
             return x
     return None
+
+
+def _surd_bounds(s, scale: int = 10**12) -> tuple[Fraction, Fraction]:
+    """Rational ``(lo, hi)`` around the surd ``a + b sqrt(m)``, about
+    ``|b| / scale`` wide."""
+    a, b, m = s
+    ends = [a + b * r for r in sqrt_bounds(m, scale)]
+    return min(ends), max(ends)
 
 
 def _epigraph_line_intersects(m: AffineManifold) -> bool | None:
@@ -561,7 +557,7 @@ def linear_lower_bound(f: SetDescriptor, w: Vec) -> Fraction | None:
     small grid of nonnegative multipliers (any feasible value is a bound);
     the epigraph uses its minorant ``y >= max(1, x^2)``.
     """
-    forms = _polyhedral_forms(f)
+    forms = polyhedral_forms(f)
     if forms is not None:
         results = [lp_solve(h.a, h.b, w) for h in forms]
         if all(res.status == "optimal" for res in results):

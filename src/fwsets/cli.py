@@ -236,8 +236,8 @@ def cmd_intersect(args) -> int:
             "seed": args.seed,
             "motzkin": payload_of("motzkin", result),
             "justification": (
-                "binary intersections route through the product and the "
-                "diagonal subspace"
+                "binary intersections stack the two inequality systems and "
+                "decompose the result"
             ),
         }
         _emit(report, args.format)

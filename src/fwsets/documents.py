@@ -101,6 +101,16 @@ def _located(path):
         raise DocumentError(str(exc), path=path) from None
 
 
+def _parse_dim(payload, path) -> int | None:
+    """The optional ``dim`` field: an int of at least 1 (not a bool)."""
+    dim = payload.get("dim")
+    if dim is not None and (isinstance(dim, bool) or not isinstance(dim, int) or dim < 1):
+        raise DocumentError(
+            f"expected an integer dimension >= 1, got {dim!r}", path=f"{path}.dim"
+        )
+    return dim
+
+
 def _require_keys(obj, path, required, optional=()):
     if not isinstance(obj, dict):
         raise DocumentError("expected an object", path=path)
@@ -139,7 +149,7 @@ def _parse_hpoly(payload, path) -> HPolyhedron:
     _require_keys(payload, path, ("rows", "rhs"), ("dim",))
     rows = _parse_matrix(payload["rows"], f"{path}.rows")
     rhs = _parse_vector(payload["rhs"], f"{path}.rhs")
-    dim = payload.get("dim")
+    dim = _parse_dim(payload, path)
     with _located(path):
         if rows:
             return HPolyhedron(rows, rhs, dim if dim is not None else len(rows[0]))
@@ -153,7 +163,7 @@ def _parse_vpoly(payload, path) -> VPolyhedron:
     vertices = _parse_matrix(payload["vertices"], f"{path}.vertices")
     rays = _parse_matrix(payload.get("rays", []), f"{path}.rays")
     lineality = _parse_matrix(payload.get("lineality", []), f"{path}.lineality")
-    dim = payload.get("dim")
+    dim = _parse_dim(payload, path)
     if dim is None:
         groups = vertices or rays or lineality
         if not groups:
@@ -166,7 +176,7 @@ def _parse_vpoly(payload, path) -> VPolyhedron:
 def _parse_cone(payload, path) -> PolyCone:
     _require_keys(payload, path, ("generators",), ("dim",))
     gens = _parse_matrix(payload["generators"], f"{path}.generators")
-    dim = payload.get("dim")
+    dim = _parse_dim(payload, path)
     if dim is None:
         if not gens:
             raise DocumentError("dim required for the zero cone", path=path)
@@ -179,7 +189,7 @@ def _parse_soc(payload, path) -> SecondOrderCone:
     _require_keys(payload, path, ("dim", "axis", "aperture"))
     with _located(path):
         return SecondOrderCone.build(
-            payload["dim"],
+            _parse_dim(payload, path),
             _parse_vector(payload["axis"], f"{path}.axis"),
             parse_rational(payload["aperture"], f"{path}.aperture"),
         )
@@ -318,7 +328,7 @@ def _parse_manifold(payload, path) -> AffineManifold:
 def _parse_subspace(payload, path) -> AffineManifold:
     _require_keys(payload, path, ("basis",), ("dim",))
     basis = _parse_matrix(payload["basis"], f"{path}.basis")
-    dim = payload.get("dim")
+    dim = _parse_dim(payload, path)
     if dim is None:
         if not basis:
             raise DocumentError("dim required for the zero subspace", path=path)

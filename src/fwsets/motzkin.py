@@ -286,6 +286,24 @@ def motzkin_to_vpoly(f: MotzkinSet) -> VPolyhedron:
     return VPolyhedron(tuple(pts), f.cone.generators, (), f.dim)
 
 
+def polyhedral_forms(s) -> tuple[HPolyhedron, ...] | None:
+    """The inequality systems whose union is s, for polyhedral data; None
+    for any other set.
+
+    An inequality system is its own form, and a polytope plus a polyhedral
+    cone has one, converted from its V-form.  A finite point set plus a cone
+    has one form per point: the cone's halfspaces shifted to that point.
+    """
+    if isinstance(s, HPolyhedron):
+        return (s,)
+    if not isinstance(s, MotzkinSet) or not s.is_polyhedral_cone or isinstance(s.compact, Ball):
+        return None
+    if isinstance(s.compact, PolytopeK):
+        return (dd_convert(motzkin_to_vpoly(s)),)
+    rows = s.cone.with_halfspaces().halfspaces
+    return tuple(HPolyhedron(rows, tuple(dot(h, y) for h in rows), s.dim) for y in s.compact.points)
+
+
 def decompose(h: HPolyhedron) -> MotzkinSet:
     """Split a nonempty inequality system into a polytope plus a cone.
 
@@ -376,7 +394,7 @@ def _minimize_over_polytope(q, f: MotzkinSet, prog: ConeProgram) -> AttainmentVe
         res = prog.boundedness(c)
         if not res.bounded:
             return _unbounded_at(y, prog.minimize(c))
-    hform = dd_convert(motzkin_to_vpoly(f))
+    (hform,) = polyhedral_forms(f)
     solved = minimize_over_hpolyhedron(q, hform)
     if solved is None:
         raise FwsetsError("bounded polyhedral program produced no candidates")

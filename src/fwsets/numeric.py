@@ -128,11 +128,6 @@ def surd_cmp(x: Surd, y: Surd) -> int:
     return sq_diff if left_sign > 0 else -sq_diff
 
 
-def surd_float(s: Surd) -> float:
-    a, b, m = s
-    return float(a) + float(b) * float(m) ** 0.5
-
-
 # ---------------------------------------------------------------------------
 # multiplier search: an exact bracket of a minimum under one convex constraint
 # ---------------------------------------------------------------------------

@@ -2,15 +2,17 @@
 
 The class of compact-plus-polyhedral-cone sets is closed under affine
 images, sums with subspaces, finite products, subspace intersections, finite
-intersections, and affine preimages, with each closure constructive:
+intersections, and affine preimages, with each closure constructive.  The
+sections and the preimage work on the set's inequality form
+(:func:`motzkin.polyhedral_forms`):
 
 * ``(K + D) ∩ L = K0 + (D ∩ L)`` for a subspace L, where K0 comes from the
   vertex part of the double-description conversion and the cone part is
   verified against D ∩ L by mutual generator membership;
-* the binary intersection is the diagonal trick: form the product in doubled
-  dimension, intersect with the diagonal subspace, and project back;
-* the affine preimage composes the restricted inverse on the orthogonal
-  complement of the kernel with a sum along the kernel.
+* the binary intersection stacks the two inequality systems and decomposes
+  the result;
+* the affine preimage substitutes the map into the inequalities, solved in
+  the coordinates of the map's row space, and adds the map's kernel.
 
 The order cancellation law (``A + K ⊆ B + K`` with compact K forces
 ``A ⊆ B``) is exposed as a checker over V-polyhedra so the property can be
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .affine import AffineManifold, AffineMap, subspace
+from .affine import AffineManifold, AffineMap
 from .asymptotes import SetDescriptor, UnionSet, ambient_dim
 from .errors import (
     DimensionMismatchError,
@@ -37,8 +39,9 @@ from .linalg import (
     identity,
     is_zero,
     kernel_basis,
-    solve,
-    unit,
+    matmul,
+    matvec,
+    transpose,
     vec,
     vscale,
     vsub,
@@ -54,13 +57,14 @@ from .motzkin import (
     Unknown,
     decompose,
     minimize_on_motzkin,
-    motzkin_to_vpoly,
+    polyhedral_forms,
 )
 from .polyhedra import (
     HPolyhedron,
     PolyCone,
     VPolyhedron,
     dd_convert,
+    intersect as intersect_h,
     minkowski_sum,
     same_cone,
 )
@@ -171,6 +175,17 @@ def cone_intersect_subspace(d: PolyCone, l: AffineManifold) -> PolyCone:
     return PolyCone.from_halfspaces(tuple(rows), d.dim)
 
 
+def _inequality_form(f: MotzkinSet, op: str) -> HPolyhedron:
+    """The one inequality system of a polytope (or a point) plus a
+    polyhedral cone."""
+    forms = polyhedral_forms(f)
+    if forms is None or len(forms) != 1:
+        raise UnsupportedKindError(
+            f"{op} needs a polytope or a single point plus a polyhedral cone"
+        )
+    return forms[0]
+
+
 def intersect_subspace_motzkin(f: MotzkinSet, l: AffineManifold) -> MotzkinSet:
     """``(K + D) ∩ L`` recomposed as ``K0 + (D ∩ L)``.
 
@@ -179,12 +194,9 @@ def intersect_subspace_motzkin(f: MotzkinSet, l: AffineManifold) -> MotzkinSet:
     to equal D ∩ L exactly.  Raises EmptySetError with a Farkas certificate
     when the intersection is empty.
     """
-    _require_polyhedral(f, "intersect_subspace_motzkin")
-    if not isinstance(f.compact, PolytopeK):
-        raise UnsupportedKindError("the compact part must be a polytope")
     if l.dim != f.dim:
         raise DimensionMismatchError("subspace dimension differs from the set's")
-    h = dd_convert(motzkin_to_vpoly(f))
+    h = _inequality_form(f, "intersect_subspace_motzkin")
     eq_rows, eq_rhs = _subspace_equalities(l)
     stacked = HPolyhedron(h.a + eq_rows, h.b + eq_rhs, f.dim)
     v = dd_convert(stacked)
@@ -204,73 +216,39 @@ def intersect_subspace_motzkin(f: MotzkinSet, l: AffineManifold) -> MotzkinSet:
 
 
 def intersect_fwm(f1: MotzkinSet, f2: MotzkinSet) -> MotzkinSet:
-    """Binary intersection via product, diagonal subspace, and projection."""
+    """``F1 ∩ F2``: the two inequality systems stacked and decomposed.
+
+    Raises EmptySetError with a Farkas certificate when the sets are
+    disjoint.
+    """
     if f1.dim != f2.dim:
         raise DimensionMismatchError("intersecting sets of different dimensions")
-    n = f1.dim
-    prod = product(_as_polytope_compact(f1), _as_polytope_compact(f2))
-    diag = subspace([unit(n, i) + unit(n, i) for i in range(n)], 2 * n)
-    inter = intersect_subspace_motzkin(prod, diag)
-    proj = AffineMap.build(
-        [[ONE if j == i else 0 for j in range(2 * n)] for i in range(n)]
-    )
-    return affine_image(inter, proj)
-
-
-def _as_polytope_compact(f: MotzkinSet) -> MotzkinSet:
-    if isinstance(f.compact, PolytopeK):
-        return f
-    if isinstance(f.compact, FinitePointSet) and len(f.compact.points) == 1:
-        return MotzkinSet(PolytopeK(f.compact.points, f.dim), f.cone)
-    raise UnsupportedKindError("intersection needs convex (polytope) compact parts")
+    h1 = _inequality_form(f1, "intersect_fwm")
+    h2 = _inequality_form(f2, "intersect_fwm")
+    return decompose(intersect_h(h1, h2))
 
 
 def affine_preimage(f: MotzkinSet, t: AffineMap) -> MotzkinSet:
-    """``T^{-1}(K + D)`` via the range intersection and the kernel sum.
+    """``T^{-1}(K + D)`` by substituting ``T(x) = M x + t0`` into ``A y <= b``.
 
-    Writing T = M x + t0, the preimage is the restricted inverse of
-    ``(F - t0) ∩ range(M)`` on the orthogonal complement of ker(M), plus
-    ker(M) itself.  Empty preimages raise EmptySetError.
+    The preimage is its part in the row space of M plus ker(M).  With R a
+    basis of the row space, that part is ``R^T z`` over the solutions z of
+    ``A M R^T z <= b - A t0``, a system in rank(M) unknowns, so the source
+    space may exceed the dimension cap of double description.  Empty
+    preimages raise EmptySetError with a Farkas certificate.
     """
-    _require_polyhedral(f, "affine_preimage")
     if t.target_dim != f.dim:
         raise DimensionMismatchError("map target dimension differs from the set's")
-    if not isinstance(f.compact, PolytopeK):
-        raise UnsupportedKindError("the compact part must be a polytope")
+    h = _inequality_form(f, "affine_preimage")
     n = t.source_dim
-    m = t.target_dim
-    shifted = MotzkinSet(
-        PolytopeK(tuple(vsub(p, t.offset) for p in f.compact.vertices), m), f.cone
-    )
-    col_basis = basis_of_span(tuple(zip(*t.matrix)) if t.matrix else (), m)
-    if len(col_basis) < m:
-        range_space = AffineManifold.from_point_basis(zeros(m), tuple(col_basis))
-        restricted = intersect_subspace_motzkin(shifted, range_space)
-    else:
-        restricted = shifted
-    ker = kernel_basis(t.matrix, ncols=n)
-    ker_rows = tuple(ker)
-    solve_rows = t.matrix + ker_rows
-    verts = tuple(
-        _solve_in_complement(solve_rows, v, n, len(ker)) for v in restricted.compact.vertices
-    )
-    gens = tuple(
-        _solve_in_complement(solve_rows, g, n, len(ker)) for g in restricted.cone.generators
-    )
-    gens = tuple(g for g in gens if not is_zero(g))
-    pre = MotzkinSet(
-        PolytopeK(verts, n),
-        PolyCone.from_generators(gens, n) if gens else PolyCone((), n),
-    )
-    return sum_with_subspace(pre, ker)
-
-
-def _solve_in_complement(solve_rows, target: Vec, n: int, ker_count: int) -> Vec:
-    rhs = tuple(target) + zeros(ker_count)
-    w = solve(solve_rows, rhs)
-    if w is None:
-        raise FwsetsError("range member has no preimage in the kernel complement")
-    return w
+    # a constant map keeps one (zero) unknown: a system needs a dimension
+    row_basis = basis_of_span(t.matrix, n) or [zeros(n)]
+    lift = transpose(row_basis)
+    rows = matmul(h.a, matmul(t.matrix, lift))
+    rhs = vsub(h.b, matvec(h.a, t.offset))
+    part = decompose(HPolyhedron(rows, rhs, len(row_basis)))
+    image = affine_image(part, AffineMap.build(lift))
+    return sum_with_subspace(image, kernel_basis(t.matrix, ncols=n))
 
 
 def order_cancellation_check(

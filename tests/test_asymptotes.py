@@ -271,6 +271,23 @@ def test_line_section_emptiness_is_exact():
     assert intersects_manifold(f, diag) is True
 
 
+@pytest.mark.parametrize(
+    "rows, rhs, constraints",
+    [
+        # a bound past the float range
+        ([[1, 0]], [10**400], [([[0, 0], [0, 2]], -1)]),
+        # 2 - 10^-12 <= x^2 <= 2: an interval about 3.5 * 10^-13 wide
+        ([[-1, 0]], [0], [([[2, 0], [0, 0]], -2), ([[-2, 0], [0, 0]], 2 - F(1, 10**12))]),
+    ],
+)
+def test_line_section_point_is_an_exact_member(rows, rhs, constraints):
+    forms = tuple(Quadratic.build(a, [0, 0], c) for a, c in constraints)
+    f = QuadSublevel(HPolyhedron.from_rows(rows, rhs), forms)
+    verdict = distance_to_manifold(f, AffineManifold.hyperplane((0, 1), 0))
+    assert verdict.kind == "intersects"
+    assert verdict.point[1] == 0 and contains(f, verdict.point) is True
+
+
 def test_epigraph_line_analysis():
     f = epigraph_set()
     assert intersects_manifold(f, AffineManifold.hyperplane((0, 1), 0)) is False

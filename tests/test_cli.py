@@ -208,6 +208,47 @@ def test_solve_malformed_compound_set_exits_2(tmp_path, capsys, kind, payload):
     assert "$.payload." in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, payload, field",
+    [
+        ("hpolyhedron", {"rows": [["-1", "0"]], "rhs": ["0"], "dim": 2.0}, "dim"),
+        ("hpolyhedron", {"rows": [["-1"]], "rhs": ["0"], "dim": True}, "dim"),
+        ("hpolyhedron", {"rows": [], "rhs": [], "dim": 0}, "dim"),
+        ("vpolyhedron", {"vertices": [["0", "0"]], "dim": 2.0}, "dim"),
+        (
+            "motzkin",
+            {
+                "compact": {"kind": "polytope", "vertices": [["0", "0"]]},
+                "cone": {"kind": "polyhedral", "generators": [["1", "0"]], "dim": 2.0},
+            },
+            "cone.dim",
+        ),
+        (
+            "motzkin",
+            {
+                "compact": {"kind": "polytope", "vertices": [["0", "0", "0"]]},
+                "cone": {
+                    "kind": "second_order",
+                    "dim": 3.0,
+                    "axis": ["0", "0", "1"],
+                    "aperture": "1/2",
+                },
+            },
+            "cone.dim",
+        ),
+        ("subspace", {"basis": [["1", "0"]], "dim": "2"}, "dim"),
+    ],
+)
+def test_non_integer_dim_exits_2_at_its_field(tmp_path, capsys, kind, payload, field):
+    doc = write(tmp_path, "doc.json", {"version": "1", "kind": kind, "payload": payload})
+    if kind == "subspace":
+        argv = ["intersect", write(tmp_path, "set.json", orthant_doc()), doc]
+    else:
+        argv = ["solve", doc, write(tmp_path, "q.json", quad_doc([["1"]]))]
+    assert main(argv) == 2
+    assert f"$.payload.{field}" in capsys.readouterr().err
+
+
 def test_solve_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

@@ -1,5 +1,6 @@
 """Tests for the Motzkin-sum invariance operations."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,18 @@ import pytest
 from fwsets.affine import AffineManifold, AffineMap, subspace
 from fwsets.asymptotes import classify_fw_set
 from fwsets.errors import DimensionMismatchError, EmptySetError, UnsupportedKindError
-from fwsets.linalg import dot, unit, vec, zeros
+from fwsets.linalg import (
+    dot,
+    kernel_basis,
+    matvec,
+    primitive,
+    solve,
+    unit,
+    vec,
+    vscale,
+    vsub,
+    zeros,
+)
 from fwsets.motzkin import (
     Ball,
     FinitePointSet,
@@ -311,6 +323,108 @@ def test_empty_preimage_raises():
     t = AffineMap.build([[1], [0]])
     with pytest.raises(EmptySetError):
         affine_preimage(f, t)
+
+
+def diagonal_intersection(f1, f2):
+    """F1 ∩ F2 as the projection of (F1 x F2) ∩ {(x, x)}: the reference."""
+    n = f1.dim
+    diag = subspace([unit(n, i) + unit(n, i) for i in range(n)], 2 * n)
+    inter = intersect_subspace_motzkin(product(f1, f2), diag)
+    return affine_image(inter, AffineMap.build([unit(2 * n, i) for i in range(n)]))
+
+
+def section_preimage(f, t):
+    """T^{-1}(F) as the restricted inverse of (F - t0) ∩ range(M) on the
+    complement of ker(M), plus ker(M): the reference."""
+    shifted = MotzkinSet(
+        PolytopeK(tuple(vsub(p, t.offset) for p in f.compact.vertices), f.dim), f.cone
+    )
+    restricted = intersect_subspace_motzkin(shifted, subspace(zip(*t.matrix), f.dim))
+    ker = kernel_basis(t.matrix, ncols=t.source_dim)
+
+    def lift(y):
+        return solve(t.matrix + tuple(ker), tuple(y) + zeros(len(ker)))
+
+    gens = [g for g in map(lift, restricted.cone.generators) if any(g)]
+    cone = PolyCone.from_generators(gens, t.source_dim) if gens else PolyCone((), t.source_dim)
+    pre = MotzkinSet(PolytopeK(tuple(map(lift, restricted.compact.vertices)), t.source_dim), cone)
+    return sum_with_subspace(pre, ker)
+
+
+def seeded_motzkin(rng, n):
+    pts = [tuple(F(rng.randint(-2, 2)) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+    gens = [tuple(F(rng.randint(-1, 1)) for _ in range(n)) for _ in range(rng.randint(0, 2))]
+    gens = [g for g in gens if any(g)]
+    cone = PolyCone.from_generators(gens, n) if gens else PolyCone((), n)
+    return MotzkinSet(PolytopeK.build(pts), cone)
+
+
+def agree_or_both_empty(new, old, rng, n):
+    """Both calls raise EmptySetError, or their results agree on 30 seeded
+    points of R^n; True when they answered."""
+    try:
+        expected = old()
+    except EmptySetError:
+        with pytest.raises(EmptySetError):
+            new()
+        return False
+    got = new()
+    h_got, h_expected = members(got), members(expected)
+    for _ in range(30):
+        x = tuple(F(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(n))
+        assert h_got.contains(x) == h_expected.contains(x)
+    return True
+
+
+def test_inequality_paths_match_the_section_constructions():
+    rng = random.Random(41)
+    outcomes = set()
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        f1, f2 = seeded_motzkin(rng, n), seeded_motzkin(rng, n)
+        answered = agree_or_both_empty(
+            lambda: intersect_fwm(f1, f2), lambda: diagonal_intersection(f1, f2), rng, n
+        )
+        outcomes.add(("intersect", answered))
+    for _ in range(40):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        f = seeded_motzkin(rng, m)
+        t = AffineMap.build(
+            [[rng.randint(-1, 1) for _ in range(n)] for _ in range(m)],
+            [rng.randint(-1, 1) for _ in range(m)],
+        )
+        answered = agree_or_both_empty(
+            lambda: affine_preimage(f, t), lambda: section_preimage(f, t), rng, n
+        )
+        outcomes.add(("preimage", answered))
+    # the seed reaches both outcomes of both operations
+    assert len(outcomes) == 4
+
+
+def test_intersection_in_r6_and_preimage_into_r12_answer():
+    n = 6
+    corners = itertools.product((0, 2), repeat=n)
+    box = MotzkinSet(PolytopeK.build(corners), PolyCone((), n))
+    g = intersect_fwm(box, MotzkinSet(PolytopeK.build([(1,) * n]), orthant(n)))
+    assert set(g.compact.vertices) == set(vec(v) for v in itertools.product((1, 2), repeat=n))
+    assert g.cone.is_trivial()
+
+    # T^{-1}(F) is the set P when P maps into F, T(P) covers F, and P
+    # contains every line of ker(M)
+    f = MotzkinSet(unit_square(), orthant())
+    rng = random.Random(7)
+    t = AffineMap.build([[rng.randint(-2, 2) for _ in range(12)] for _ in range(2)], [1, -1])
+    pre = affine_preimage(f, t)
+    hf = members(f)
+    assert all(hf.contains(t.apply(v)) for v in pre.compact.vertices)
+    assert all(f.cone.contains(matvec(t.matrix, g)) for g in pre.cone.generators)
+    image = members(affine_image(pre, t))
+    for _ in range(50):
+        y = (F(rng.randint(-2, 8), 2), F(rng.randint(-2, 8), 2))
+        assert image.contains(y) == hf.contains(y)
+    gens = set(pre.cone.generators)
+    for k in kernel_basis(t.matrix, ncols=12):
+        assert {primitive(k), primitive(vscale(-1, k))} <= gens
 
 
 # ---------------------------------------------------------------------------
