@@ -278,20 +278,36 @@ def manifold_projection(m: AffineManifold, x: Vec) -> Vec:
 def distance_to_manifold(f: SetDescriptor, m: AffineManifold) -> DistanceVerdict:
     """Trichotomy of dist(F, M): exact for polyhedral data, and otherwise an
     intersection point, a certified positive bound from a separating slab,
-    a zero-evidence sequence, or Unknown."""
+    a zero-evidence sequence, or Unknown.
+
+    The verdict of a registered pair (one with asymptote evidence) is
+    computed once per process and then returned as stored, until the next
+    registration empties the store; any other pair is computed on every
+    call and never stored.
+    """
     if ambient_dim(f) != m.dim:
         raise DimensionMismatchError("set and manifold dimensions differ")
     forms = polyhedral_forms(f)
     if forms is not None:
         return _distance_exact(forms, m)
+    _ensure_builtin_registrations()
+    key = (f, m)
+    verdict = _VERDICTS.get(key)
+    if verdict is None:
+        verdict = _distance_bound(f, m)
+        if key in _EVIDENCE:
+            _VERDICTS[key] = verdict
+    return verdict
 
+
+def _distance_bound(f: SetDescriptor, m: AffineManifold) -> DistanceVerdict:
+    """The non-polyhedral leg of :func:`distance_to_manifold`."""
     inter = intersects_manifold(f, m)
     if inter is True:
         return Intersects(_find_manifold_member(f, m))
     slab = _separating_slab(f, m)
     if slab is not None:
         return slab
-    _ensure_builtin_registrations()
     points = _EVIDENCE.get((f, m))
     if points is not None and inter is False:
         pairs = []
@@ -771,7 +787,9 @@ def image_closed_1d(f: SetDescriptor, functional: Vec) -> tuple[bool | None, str
        and every form, each fibre line eventually lies in F, so the image is
        the whole line;
     3. a registered asymptote candidate with its normal parallel to w that
-       :func:`is_f_asymptote` confirms: not closed, on evidence;
+       :func:`is_f_asymptote` confirms: not closed, on evidence.  The
+       candidate's distance verdict is computed once per process and
+       stored (see :func:`distance_to_manifold`);
     4. compact sets, or sets that :func:`classify_qfw` calls qFW (for convex
        sets, no flat asymptote means closed images): closed.
 
@@ -832,17 +850,25 @@ class NonAttainmentWitness:
 _EVIDENCE: dict[tuple, tuple[Vec, ...]] = {}
 _ASYMPTOTE_CANDIDATES: dict[SetDescriptor, tuple[AffineManifold, ...]] = {}
 _FW_WITNESSES: dict[SetDescriptor, NonAttainmentWitness] = {}
+# verdicts of registered pairs: (set, manifold) -> its distance verdict and
+# (set, witness) -> whether the witness validates; every registration empties it
+_VERDICTS: dict[tuple, DistanceVerdict | bool] = {}
 _registrations_loaded = False
 
 
 def register_asymptote_evidence(f, m, points):
+    """Register zero-distance evidence for (f, m) and m as an asymptote
+    candidate of f; registering a pair again replaces its evidence."""
     _EVIDENCE[(f, m)] = tuple(tuple(vec(p)) for p in points)
-    _ASYMPTOTE_CANDIDATES.setdefault(f, ())
-    _ASYMPTOTE_CANDIDATES[f] = _ASYMPTOTE_CANDIDATES[f] + (m,)
+    candidates = _ASYMPTOTE_CANDIDATES.get(f, ())
+    if m not in candidates:
+        _ASYMPTOTE_CANDIDATES[f] = candidates + (m,)
+    _VERDICTS.clear()
 
 
 def register_fw_witness(f, witness: NonAttainmentWitness):
     _FW_WITNESSES[f] = witness
+    _VERDICTS.clear()
 
 
 def _ensure_builtin_registrations():
@@ -977,11 +1003,15 @@ def classify_fw_set(f: SetDescriptor) -> Classification:
     if isinstance(f, MotzkinSet):
         return classify_fw_motzkin(f)
     witness = _FW_WITNESSES.get(f)
-    if witness is not None and _witness_validates(f, witness):
-        return Classification(
-            "NotFW",
-            f"witness evidence at sampled curve points: {witness.note}",
-        )
+    if witness is not None:
+        key = (f, witness)
+        if key not in _VERDICTS:
+            _VERDICTS[key] = _witness_validates(f, witness)
+        if _VERDICTS[key]:
+            return Classification(
+                "NotFW",
+                f"witness evidence at sampled curve points: {witness.note}",
+            )
     if isinstance(f, QuadSublevel):
         if (
             isinstance(f.base, HPolyhedron)

@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import gallery
 from .affine import AffineManifold, AffineMap
@@ -341,6 +342,8 @@ def _coords(text: str) -> list[int]:
     return coords
 
 
+# built once per process: each parse_args call fills a fresh namespace
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fwsets",

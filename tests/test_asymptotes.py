@@ -29,7 +29,7 @@ from fwsets.asymptotes import (
     projection_closed,
     whole_space,
 )
-from fwsets import gallery
+from fwsets import asymptotes, cli, gallery
 from fwsets.gallery import (
     epigraph_set,
     hyperbola_set,
@@ -675,3 +675,123 @@ def test_gallery_coherence_asymptote_vs_projection():
             closed_flags.append(v)
         all_closed = all(closed_flags)
         assert has_asym != all_closed  # strict xor in the theorem's direction
+
+
+# ---------------------------------------------------------------------------
+# verdicts of registered pairs, stored once per process
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def registries():
+    """Put the registries and the stored verdicts back after the test."""
+    asymptotes._ensure_builtin_registrations()
+    saved = [
+        (d, dict(d))
+        for d in (
+            asymptotes._EVIDENCE,
+            asymptotes._ASYMPTOTE_CANDIDATES,
+            asymptotes._FW_WITNESSES,
+            asymptotes._VERDICTS,
+        )
+    ]
+    yield
+    for d, copy in saved:
+        d.clear()
+        d.update(copy)
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(asymptotes, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(asymptotes, name, counted)
+    return calls
+
+
+def test_registered_verdicts_are_computed_once(registries, monkeypatch):
+    distances = count_calls(monkeypatch, "_distance_bound")
+    witnesses = count_calls(monkeypatch, "_witness_validates")
+    asymptotes._VERDICTS.clear()
+    registered = list(asymptotes._ASYMPTOTE_CANDIDATES) + list(asymptotes._FW_WITNESSES)
+
+    def verdicts():
+        out = []
+        for f in registered:
+            n = ambient_dim(f)
+            functionals = [m.a[0] for m in asymptotes._ASYMPTOTE_CANDIDATES.get(f, ())]
+            functionals += [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
+            out.append(classify_fw_set(f))
+            out.append(classify_qfw(f))
+            out.extend(image_closed_1d(f, w) for w in functionals)
+        return out
+
+    first = verdicts()
+    assert distances and witnesses
+    assert len(asymptotes._VERDICTS) == 6  # the gallery's six registrations
+    distances.clear()
+    witnesses.clear()
+    assert verdicts() == first
+    assert distances == [] and witnesses == []
+
+
+def test_a_registration_after_a_stored_verdict_takes_effect(registries):
+    hyp, lz = hyperbola_set(), luo_zhang_set()
+    axis = AffineManifold.hyperplane((0, 1), 0)
+    assert is_f_asymptote(hyp, axis) is True
+    # distances 1 and 1/4 never pass below the evidence thresholds
+    asymptotes.register_asymptote_evidence(hyp, axis, [(1, 1), (2, F(1, 2))])
+    assert is_f_asymptote(hyp, axis) is None
+    assert image_closed_1d(hyp, (0, 1))[0] is None
+    assert classify_fw_set(lz).label == "NotFW"
+    witness = asymptotes._FW_WITNESSES[lz]
+    asymptotes.register_fw_witness(
+        lz, asymptotes.NonAttainmentWitness(witness.objective, F(0), (), witness.note)
+    )
+    assert classify_fw_set(lz).label != "NotFW"
+    # the superseded witness's verdict is not kept: one entry per registration
+    assert (lz, witness) not in asymptotes._VERDICTS
+
+
+def test_registering_a_pair_again_keeps_one_candidate(registries):
+    hyp = hyperbola_set()
+    axis = AffineManifold.hyperplane((0, 1), 0)
+    before = asymptotes._ASYMPTOTE_CANDIDATES[hyp]
+    asymptotes.register_asymptote_evidence(hyp, axis, [(1, 1)])
+    assert asymptotes._ASYMPTOTE_CANDIDATES[hyp] == before
+    assert asymptotes._EVIDENCE[(hyp, axis)] == ((1, 1),)
+
+
+def test_unregistered_pairs_are_never_stored(registries):
+    rng = random.Random(53)
+    hyp4 = QuadSublevel(orthant2(), (Quadratic.build([[0, -1], [-1, 0]], [0, 0], 4),))
+    sets = (hyperbola_set(), ice_cream_cut_set(), parabola_set(), hyp4)
+    for f in sets:
+        classify_qfw(f)
+    stored = set(asymptotes._VERDICTS)
+    seen = 0
+    for _ in range(40):
+        f = rng.choice(sets)
+        normal = tuple(F(rng.randint(-3, 3)) for _ in range(2))
+        if not any(normal):
+            continue
+        m = AffineManifold.hyperplane(normal, F(rng.randint(-4, 4), rng.randint(1, 3)))
+        if (f, m) in asymptotes._EVIDENCE:
+            continue
+        distance_to_manifold(f, m)
+        seen += 1
+    assert seen >= 30
+    assert set(asymptotes._VERDICTS) == stored
+
+
+def test_gallery_runs_twice_byte_identical(registries, capsys):
+    asymptotes._VERDICTS.clear()
+    outputs = []
+    for _ in range(2):
+        assert cli.main(["--format", "json", "gallery", "run", "all"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]

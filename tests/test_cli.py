@@ -1,8 +1,12 @@
 """Tests for documents and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -486,3 +490,34 @@ def test_solve_ball_with_tolerance(tmp_path, capsys):
     # the bracket is part of the report: a certified bound within the tolerance
     assert 0 <= Fraction(out["value"]) - Fraction(out["lower_bound"]) <= Fraction(1, 10**6)
     assert "exact bracket" in out["justification"]
+
+
+def test_main_calls_in_one_process_match_cold_runs(tmp_path, capsys):
+    # the parser is built once per process, so no argument of one call may
+    # reach the next: each in-process call must print what a fresh
+    # interpreter prints for the same arguments
+    set_path = write(tmp_path, "ball.json", ball_doc())
+    # the squared distance to (3, -3), least at an irrational point of the set
+    q_path = write(tmp_path, "q.json", quad_doc([["2", "0"], ["0", "2"]], ["-6", "6"], "18"))
+    calls = [
+        ["--format", "json", "--tolerance", "0", "solve", set_path, q_path],
+        ["--format", "json", "--tolerance", "0.01", "--seed", "5", "solve", set_path, q_path],
+        ["--format", "json", "solve", set_path, q_path],
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    seen = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        cold = subprocess.run([sys.executable, "-m", "fwsets.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (code, captured.out, captured.err) == (cold.returncode, cold.stdout, cold.stderr)
+        seen.append((code, captured.out))
+    assert seen[0][0] == 2 and seen[1][0] == seen[2][0] == 0
+    # the tolerance and the seed show in the report, so a leaked one would be seen
+    assert seen[1][1] != seen[2][1]
