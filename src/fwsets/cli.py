@@ -3,7 +3,11 @@
 Subcommands: ``solve``, ``classify``, ``decompose``, ``project``,
 ``intersect``, ``asymptote``, and ``gallery``.  Inputs are documents (see
 :mod:`fwsets.documents`); reports go to stdout as JSON (the stable machine
-contract) or a text summary, diagnostics to stderr.
+contract) or a text summary, diagnostics to stderr.  Each ``cmd_*`` returns
+``(report, exit code)`` and prints nothing on success; :func:`main` alone
+stamps a report with ``command`` and ``seed`` and emits it.  A report of None
+means the command printed its own output (the gallery's text listing) or
+only a line on stderr.
 
 Exit codes: 0 success, 1 empty or infeasible input, 2 parse error,
 3 verdict Unknown, 4 size cap exceeded.
@@ -27,7 +31,7 @@ from .asymptotes import (
     classify_qfw,
     distance_to_manifold,
 )
-from .documents import SET_KINDS, format_rational, parse, payload_of
+from .documents import SET_KINDS, format_rational, format_vector, parse, payload_of
 from .errors import (
     DimensionMismatchError,
     DocumentError,
@@ -86,22 +90,18 @@ def _text_lines(report, indent=0):
     return lines
 
 
-def _rat_list(v):
-    return [format_rational(x) for x in v]
-
-
 def _verdict_report(verdict) -> dict:
     if verdict.kind == "attained":
         exact = getattr(verdict, "exact", True)
         report = {
             "verdict": "attained",
             "value": format_rational(verdict.value),
-            "point": _rat_list(verdict.point),
+            "point": format_vector(verdict.point),
             "exact": exact,
             "justification": (
                 "bounded-below quadratics on polyhedral data attain their "
-                "infima (Frank-Wolfe / Kummer); the witness passed exact "
-                "stationarity and multiplier checks"
+                "infima (Frank-Wolfe / Kummer); the value is the least over "
+                "the exact stationary points of the faces"
                 if exact
                 else "exact bracket: the value is q at the member point, and a "
                 "weak-duality lower bound lies within the tolerance below it"
@@ -113,8 +113,8 @@ def _verdict_report(verdict) -> dict:
     if verdict.kind == "unbounded":
         return {
             "verdict": "unbounded_below",
-            "base": _rat_list(verdict.base),
-            "direction": _rat_list(verdict.direction),
+            "base": format_vector(verdict.base),
+            "direction": format_vector(verdict.direction),
             "justification": verdict.note
             or "objective decreases without bound along the certificate ray",
         }
@@ -130,136 +130,84 @@ def _verdict_report(verdict) -> dict:
     return report
 
 
-def cmd_solve(args) -> int:
+def _set_report(kind: str, value, justification: str) -> dict:
+    return {kind: payload_of(kind, value), "justification": justification}
+
+
+def cmd_solve(args):
     _, fset = _load(args.set, SET_KINDS)
     _, quad = _load(args.quadratic, {"quadratic"})
     verdict = minimize_on_descriptor(quad, fset, args.tolerance)
-    report = {"command": "solve", "seed": args.seed, **_verdict_report(verdict)}
-    _emit(report, args.format)
-    return EXIT_UNKNOWN if verdict.kind == "unknown" else EXIT_OK
+    return _verdict_report(verdict), EXIT_UNKNOWN if verdict.kind == "unknown" else EXIT_OK
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args):
     _, fset = _load(args.set, SET_KINDS)
     fw = classify_fw_set(fset)
     qfw = classify_qfw(fset)
     report = {
-        "command": "classify",
-        "seed": args.seed,
         "attainment": {"label": fw.label, "justification": fw.justification},
         "quasi_attainment": {"label": qfw.label, "justification": qfw.justification},
     }
-    _emit(report, args.format)
-    if fw.label == "Unknown" and qfw.label == "Unknown":
-        return EXIT_UNKNOWN
-    return EXIT_OK
+    unknown = fw.label == "Unknown" and qfw.label == "Unknown"
+    return report, EXIT_UNKNOWN if unknown else EXIT_OK
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args):
     _, hpoly = _load(args.hpolyhedron, {"hpolyhedron"})
-    mot = decompose(hpoly)
-    report = {
-        "command": "decompose",
-        "seed": args.seed,
-        "motzkin": payload_of("motzkin", mot),
-        "justification": (
-            "every inequality system splits into a polytope plus its "
-            "recession cone (Motzkin/Minkowski-Weyl decomposition)"
-        ),
-    }
-    _emit(report, args.format)
-    return EXIT_OK
+    justification = (
+        "every inequality system splits into a polytope plus its "
+        "recession cone (Motzkin/Minkowski-Weyl decomposition)"
+    )
+    return _set_report("motzkin", decompose(hpoly), justification), EXIT_OK
 
 
-def cmd_project(args) -> int:
-    kind, fset = _load(args.set, SET_KINDS)
+def cmd_project(args):
+    _, fset = _load(args.set, SET_KINDS)
     coords = args.coords
     if max(coords) > ambient_dim(fset):
         raise DimensionMismatchError(f"coordinate {max(coords)} exceeds the dimension")
     if isinstance(fset, HPolyhedron):
-        image = project_fm(fset, coords)
-        report = {
-            "command": "project",
-            "seed": args.seed,
-            "hpolyhedron": payload_of("hpolyhedron", image),
-            "justification": (
-                "the image is generated by the kept coordinates of the "
-                "set's vertices, rays and lines, converted back to rows exactly"
-            ),
-        }
-        _emit(report, args.format)
-        return EXIT_OK
+        justification = (
+            "the image is generated by the kept coordinates of the "
+            "set's vertices, rays and lines, converted back to rows exactly"
+        )
+        return _set_report("hpolyhedron", project_fm(fset, coords), justification), EXIT_OK
     if isinstance(fset, MotzkinSet) and fset.is_polyhedral_cone:
-        rows = [unit(fset.dim, c - 1) for c in coords]
-        image = affine_image(fset, AffineMap.build(rows))
-        report = {
-            "command": "project",
-            "seed": args.seed,
-            "motzkin": payload_of("motzkin", image),
-            "justification": "coordinate images of compact-plus-cone sums are computed generator-wise",
-        }
-        _emit(report, args.format)
-        return EXIT_OK
+        image = affine_image(fset, AffineMap.build([unit(fset.dim, c - 1) for c in coords]))
+        justification = "coordinate images of compact-plus-cone sums are computed generator-wise"
+        return _set_report("motzkin", image, justification), EXIT_OK
     print("projection is only exact for polyhedral data", file=sys.stderr)
-    return EXIT_UNKNOWN
+    return None, EXIT_UNKNOWN
 
 
-def cmd_intersect(args) -> int:
-    kind_a, a = _load(args.left, SET_KINDS)
-    kind_b, b = _load(args.right, {*SET_KINDS, "subspace", "manifold"})
-    if isinstance(a, HPolyhedron) and isinstance(b, HPolyhedron):
-        result = intersect_h(a, b)
-        report = {
-            "command": "intersect",
-            "seed": args.seed,
-            "hpolyhedron": payload_of("hpolyhedron", result),
-            "justification": "inequality systems intersect by stacking rows",
-        }
-        _emit(report, args.format)
-        return EXIT_OK
-    if isinstance(a, MotzkinSet) and isinstance(b, AffineManifold):
-        result = intersect_subspace_motzkin(a, b)
-        report = {
-            "command": "intersect",
-            "seed": args.seed,
-            "motzkin": payload_of("motzkin", result),
-            "justification": (
-                "subspace sections of compact-plus-cone sums recompose as a "
-                "polytope plus the intersected cone"
-            ),
-        }
-        _emit(report, args.format)
-        return EXIT_OK
-    if isinstance(a, MotzkinSet) and isinstance(b, MotzkinSet):
-        result = intersect_fwm(a, b)
-        report = {
-            "command": "intersect",
-            "seed": args.seed,
-            "motzkin": payload_of("motzkin", result),
-            "justification": (
-                "binary intersections stack the two inequality systems and "
-                "decompose the result"
-            ),
-        }
-        _emit(report, args.format)
-        return EXIT_OK
+# (left type, right type, operation, result kind, justification)
+_INTERSECTIONS = (
+    (HPolyhedron, HPolyhedron, intersect_h, "hpolyhedron",
+     "inequality systems intersect by stacking rows"),
+    (MotzkinSet, AffineManifold, intersect_subspace_motzkin, "motzkin",
+     "subspace sections of compact-plus-cone sums recompose as a polytope plus the intersected cone"),
+    (MotzkinSet, MotzkinSet, intersect_fwm, "motzkin",
+     "binary intersections stack the two inequality systems and decompose the result"),
+)
+
+
+def cmd_intersect(args):
+    _, a = _load(args.left, SET_KINDS)
+    _, b = _load(args.right, {*SET_KINDS, "subspace", "manifold"})
+    for left, right, operation, kind, justification in _INTERSECTIONS:
+        if isinstance(a, left) and isinstance(b, right):
+            return _set_report(kind, operation(a, b), justification), EXIT_OK
     print("unsupported intersection combination", file=sys.stderr)
-    return EXIT_UNKNOWN
+    return None, EXIT_UNKNOWN
 
 
-def cmd_asymptote(args) -> int:
+def cmd_asymptote(args):
     _, fset = _load(args.set, SET_KINDS)
     _, manifold = _load(args.manifold, {"manifold", "subspace"})
     dist = distance_to_manifold(fset, manifold)
     verdict = asymptote_verdict(dist.kind)
-    detail = {"distance_kind": dist.kind}
-    if dist.kind == "positive":
-        detail["distance_squared_lower_bound"] = format_rational(dist.lower_bound_sq)
-    if dist.kind == "zero_evidence":
-        detail["closest_distance_squared"] = format_rational(dist.pairs[-1][2])
     report = {
-        "command": "asymptote",
-        "seed": args.seed,
         "is_f_asymptote": verdict,
         "justification": (
             "the manifold misses the set while the distance evidence "
@@ -270,47 +218,39 @@ def cmd_asymptote(args) -> int:
             if verdict is False
             else "one leg of the asymptote test is undecided"
         ),
-        **detail,
+        "distance_kind": dist.kind,
     }
-    _emit(report, args.format)
-    return EXIT_UNKNOWN if verdict is None else EXIT_OK
+    if dist.kind == "positive":
+        report["distance_squared_lower_bound"] = format_rational(dist.lower_bound_sq)
+    if dist.kind == "zero_evidence":
+        report["closest_distance_squared"] = format_rational(dist.pairs[-1][2])
+    return report, EXIT_UNKNOWN if verdict is None else EXIT_OK
 
 
-def cmd_gallery(args) -> int:
+def cmd_gallery(args):
     if args.action == "list":
-        report = {"command": "gallery", "cases": gallery.list_cases()}
-        _emit(report, args.format)
-        return EXIT_OK
+        return {"cases": gallery.list_cases()}, EXIT_OK
     name = args.name or "all"
     reports = gallery.run_all() if name == "all" else [gallery.run_case(name)]
-    payload = {
-        "command": "gallery",
-        "seed": args.seed,
-        "cases": {
-            r.name: {
-                "passed": r.passed,
-                "checks": [
-                    {
-                        "name": c.name,
-                        "passed": c.passed,
-                        "claimed": c.claimed,
-                        "computed": c.computed,
-                    }
-                    for c in r.checks
-                ],
-                "references": list(r.references),
-            }
-            for r in reports
-        },
-        "all_passed": all(r.passed for r in reports),
-    }
+    all_passed = all(r.passed for r in reports)
+    code = EXIT_OK if all_passed else EXIT_EMPTY
     if args.format == "text":
         for r in sorted(reports, key=lambda r: r.name):
             for line in r.lines():
                 print(line)
-    else:
-        _emit(payload, args.format)
-    return EXIT_OK if payload["all_passed"] else EXIT_EMPTY
+        return None, code
+    cases = {
+        r.name: {
+            "passed": r.passed,
+            "checks": [
+                {"name": c.name, "passed": c.passed, "claimed": c.claimed, "computed": c.computed}
+                for c in r.checks
+            ],
+            "references": list(r.references),
+        }
+        for r in reports
+    }
+    return {"cases": cases, "all_passed": all_passed}, code
 
 
 def _tolerance(text: str) -> Fraction:
@@ -331,13 +271,13 @@ def _tolerance(text: str) -> Fraction:
 
 
 def _coords(text: str) -> list[int]:
-    """A comma-separated list of 1-based coordinates (a usage error
-    otherwise, exit code 2)."""
+    """A comma-separated set of 1-based coordinates, sorted, each once (a
+    usage error otherwise, exit code 2)."""
     try:
-        coords = [int(c) for c in text.split(",") if c.strip()]
+        coords = sorted({int(c) for c in text.split(",") if c.strip()})
     except ValueError:
         coords = []
-    if not coords or min(coords) < 1:
+    if not coords or coords[0] < 1:
         raise argparse.ArgumentTypeError(f"need comma-separated integers from 1 up, got {text!r}")
     return coords
 
@@ -405,7 +345,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        report, code = args.func(args)
     except DocumentError as exc:
         loc = ""
         if exc.line is not None:
@@ -428,6 +368,9 @@ def main(argv=None) -> int:
     except FwsetsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
+    if report is not None:
+        _emit({**report, "command": args.command, "seed": args.seed}, args.format)
+    return code
 
 
 if __name__ == "__main__":

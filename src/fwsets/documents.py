@@ -5,7 +5,9 @@ rationals serialized as strings like ``"3/4"`` (plain integers are accepted
 on input), matrices as row-major arrays, and nested set nodes carrying their
 own ``kind`` tag.  Unknown fields are rejected so stale or misspelled
 documents fail loudly; parse errors carry line/column (JSON level) or a
-dotted field path (semantic level).
+dotted field path (semantic level).  A ``vpolyhedron`` set node is read as
+its Motzkin set (:func:`motzkin.vpoly_to_motzkin`); one without a vertex
+raises EmptySetError.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .motzkin import (
     MotzkinSet,
     PolytopeK,
     SecondOrderCone,
+    vpoly_to_motzkin,
 )
 from .polyhedra import HPolyhedron, PolyCone, VPolyhedron
 from .quadratics import Quadratic
@@ -81,12 +84,12 @@ def _parse_matrix(raw, path):
     return tuple(_parse_vector(row, f"{path}[{i}]") for i, row in enumerate(raw))
 
 
-def _format_vector(v) -> list:
+def format_vector(v) -> list:
     return [format_rational(x) for x in v]
 
 
 def _format_matrix(m) -> list:
-    return [_format_vector(row) for row in m]
+    return [format_vector(row) for row in m]
 
 
 @contextmanager
@@ -245,7 +248,7 @@ def _parse_set(node, path):
     if kind == "hpolyhedron":
         return _parse_hpoly(payload, path)
     if kind == "vpolyhedron":
-        return _parse_vpoly(payload, path)
+        return vpoly_to_motzkin(_parse_vpoly(payload, path), "the V-form has no vertex")
     if kind == "motzkin":
         return _parse_motzkin(payload, path)
     if kind == "quad_sublevel":
@@ -373,7 +376,8 @@ def parse(text: str):
 
 
 def serialize(kind: str, value) -> str:
-    """Canonical text of a document, which :func:`parse` reads back.
+    """Canonical text of a document, which :func:`parse` reads back (a
+    vpolyhedron as its Motzkin set).
 
     Only the kinds :func:`payload_of` handles are written: quadratic,
     hpolyhedron, vpolyhedron, cone, second_order_cone, motzkin, manifold and
@@ -389,13 +393,13 @@ def payload_of(kind, value):
     if kind == "quadratic":
         return {
             "matrix": _format_matrix(value.a),
-            "linear": _format_vector(value.b),
+            "linear": format_vector(value.b),
             "constant": format_rational(value.c),
         }
     if kind == "hpolyhedron":
         return {
             "rows": _format_matrix(value.a),
-            "rhs": _format_vector(value.b),
+            "rhs": format_vector(value.b),
             "dim": value.dim,
         }
     if kind == "vpolyhedron":
@@ -410,7 +414,7 @@ def payload_of(kind, value):
     if kind == "second_order_cone":
         return {
             "dim": value.dim,
-            "axis": _format_vector(value.axis),
+            "axis": format_vector(value.axis),
             "aperture": format_rational(value.aperture),
         }
     if kind == "motzkin":
@@ -419,11 +423,11 @@ def payload_of(kind, value):
             "cone": _cone_rep_payload(value.cone),
         }
     if kind == "manifold":
-        return {"rows": _format_matrix(value.a), "rhs": _format_vector(value.b)}
+        return {"rows": _format_matrix(value.a), "rhs": format_vector(value.b)}
     if kind == "affine_map":
         return {
             "matrix": _format_matrix(value.matrix),
-            "offset": _format_vector(value.offset),
+            "offset": format_vector(value.offset),
         }
     raise DocumentError(f"cannot serialize kind {kind!r}")
 
@@ -435,7 +439,7 @@ def _compact_payload(k):
         return {"kind": "points", "points": _format_matrix(k.points)}
     return {
         "kind": "ball",
-        "center": _format_vector(k.center),
+        "center": format_vector(k.center),
         "radius": format_rational(k.radius),
     }
 
@@ -450,6 +454,6 @@ def _cone_rep_payload(c):
     return {
         "kind": "second_order",
         "dim": c.dim,
-        "axis": _format_vector(c.axis),
+        "axis": format_vector(c.axis),
         "aperture": format_rational(c.aperture),
     }

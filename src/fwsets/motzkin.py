@@ -304,6 +304,21 @@ def polyhedral_forms(s) -> tuple[HPolyhedron, ...] | None:
     return tuple(HPolyhedron(rows, tuple(dot(h, y) for h in rows), s.dim) for y in s.compact.points)
 
 
+def vpoly_to_motzkin(v: VPolyhedron, empty_message: str) -> MotzkinSet:
+    """The Motzkin set of a V-form: the polytope of its vertices plus the
+    cone of its rays and lines, each line followed by its negative.
+
+    A V-form without a vertex is empty and raises EmptySetError with the
+    message ``empty_message`` and the V-form's certificate.
+    """
+    if v.is_empty:
+        raise EmptySetError(empty_message, certificate=v.empty_certificate)
+    gens = list(v.rays)
+    for line in v.lineality:
+        gens += [line, vscale(-ONE, line)]
+    return MotzkinSet(PolytopeK(v.vertices, v.dim), PolyCone.from_generators(gens, v.dim))
+
+
 def decompose(h: HPolyhedron) -> MotzkinSet:
     """Split a nonempty inequality system into a polytope plus a cone.
 
@@ -311,15 +326,7 @@ def decompose(h: HPolyhedron) -> MotzkinSet:
     polyhedron, computed by double description; lines of the recession cone
     appear as opposite generator pairs.
     """
-    v = dd_convert(h)
-    if v.is_empty:
-        raise EmptySetError("the polyhedron is empty", certificate=v.empty_certificate)
-    gens = list(v.rays)
-    for l in v.lineality:
-        gens.append(l)
-        gens.append(vscale(-ONE, l))
-    cone = PolyCone.from_generators(gens, h.dim) if gens else PolyCone((), h.dim)
-    return MotzkinSet(PolytopeK(v.vertices, h.dim), cone)
+    return vpoly_to_motzkin(dd_convert(h), "the polyhedron is empty")
 
 
 # ---------------------------------------------------------------------------

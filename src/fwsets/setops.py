@@ -27,7 +27,6 @@ from .affine import AffineManifold, AffineMap
 from .asymptotes import SetDescriptor, UnionSet, ambient_dim
 from .errors import (
     DimensionMismatchError,
-    EmptySetError,
     FwsetsError,
     UnsupportedKindError,
 )
@@ -58,6 +57,7 @@ from .motzkin import (
     decompose,
     minimize_on_motzkin,
     polyhedral_forms,
+    vpoly_to_motzkin,
 )
 from .polyhedra import (
     HPolyhedron,
@@ -98,7 +98,7 @@ def affine_image(f: MotzkinSet, t: AffineMap) -> MotzkinSet:
         img = t.apply_linear(g)
         if not is_zero(img):
             gens.append(img)
-    cone = PolyCone.from_generators(gens, t.target_dim) if gens else PolyCone((), t.target_dim)
+    cone = PolyCone.from_generators(gens, t.target_dim)
     if isinstance(f.compact, Ball):
         m = t.matrix
         mt_m = tuple(
@@ -128,7 +128,7 @@ def sum_with_subspace(f: MotzkinSet, basis) -> MotzkinSet:
             continue
         gens.append(v)
         gens.append(vscale(-ONE, v))
-    cone = PolyCone.from_generators(gens, f.dim) if gens else PolyCone((), f.dim)
+    cone = PolyCone.from_generators(gens, f.dim)
     return MotzkinSet(f.compact, cone)
 
 
@@ -139,7 +139,7 @@ def product(f1: MotzkinSet, f2: MotzkinSet) -> MotzkinSet:
     n1, n2 = f1.dim, f2.dim
     gens = [g + zeros(n2) for g in f1.cone.generators]
     gens += [zeros(n1) + g for g in f2.cone.generators]
-    cone = PolyCone.from_generators(gens, n1 + n2) if gens else PolyCone((), n1 + n2)
+    cone = PolyCone.from_generators(gens, n1 + n2)
     k1, k2 = f1.compact, f2.compact
     if isinstance(k1, PolytopeK) and isinstance(k2, PolytopeK):
         pts = tuple(a + b for a in k1.vertices for b in k2.vertices)
@@ -199,20 +199,11 @@ def intersect_subspace_motzkin(f: MotzkinSet, l: AffineManifold) -> MotzkinSet:
     h = _inequality_form(f, "intersect_subspace_motzkin")
     eq_rows, eq_rhs = _subspace_equalities(l)
     stacked = HPolyhedron(h.a + eq_rows, h.b + eq_rhs, f.dim)
-    v = dd_convert(stacked)
-    if v.is_empty:
-        raise EmptySetError(
-            "the set does not meet the subspace", certificate=v.empty_certificate
-        )
-    gens = list(v.rays)
-    for line in v.lineality:
-        gens.append(line)
-        gens.append(vscale(-ONE, line))
-    result_cone = PolyCone.from_generators(gens, f.dim) if gens else PolyCone((), f.dim)
+    section = vpoly_to_motzkin(dd_convert(stacked), "the set does not meet the subspace")
     expected = cone_intersect_subspace(f.cone, l)
-    if not same_cone(result_cone, expected):
+    if not same_cone(section.cone, expected):
         raise FwsetsError("recomposed cone differs from the intersected cone")
-    return MotzkinSet(PolytopeK(v.vertices, f.dim), expected)
+    return MotzkinSet(section.compact, expected)
 
 
 def intersect_fwm(f1: MotzkinSet, f2: MotzkinSet) -> MotzkinSet:

@@ -521,3 +521,156 @@ def test_main_calls_in_one_process_match_cold_runs(tmp_path, capsys):
     assert seen[0][0] == 2 and seen[1][0] == seen[2][0] == 0
     # the tolerance and the seed show in the report, so a leaked one would be seen
     assert seen[1][1] != seen[2][1]
+
+
+# ---------------------------------------------------------------------------
+# one report path: commands compute, main stamps and emits
+# ---------------------------------------------------------------------------
+
+
+def subspace_doc(basis):
+    return {"version": "1", "kind": "subspace", "payload": {"basis": basis}}
+
+
+def manifold_doc(rows, rhs):
+    return {"version": "1", "kind": "manifold", "payload": {"rows": rows, "rhs": rhs}}
+
+
+def polytope_plus_ray_docs():
+    """The segment [(0, 0), (1, 0)] plus the ray (1, 1): a Motzkin document
+    and its inequality form y >= 0, 0 <= x - y <= 1."""
+    motzkin = {
+        "version": "1",
+        "kind": "motzkin",
+        "payload": {
+            "compact": {"kind": "polytope", "vertices": [["0", "0"], ["1", "0"]]},
+            "cone": {"kind": "polyhedral", "generators": [["1", "1"]], "dim": 2},
+        },
+    }
+    hpoly = {
+        "version": "1",
+        "kind": "hpolyhedron",
+        "payload": {"rows": [["0", "-1"], ["-1", "1"], ["1", "-1"]], "rhs": ["0", "0", "1"]},
+    }
+    return motzkin, hpoly
+
+
+def test_every_json_report_carries_command_and_seed(tmp_path, capsys):
+    orthant = write(tmp_path, "orthant.json", orthant_doc())
+    q_path = write(tmp_path, "q.json", quad_doc([["2", "0"], ["0", "2"]]))
+    plane = write(tmp_path, "plane.json", subspace_doc([["1", "0"]]))
+    line = write(tmp_path, "line.json", manifold_doc([["0", "1"]], ["-1"]))
+    motzkin = write(tmp_path, "motzkin.json", polytope_plus_ray_docs()[0])
+    calls = [
+        ["solve", orthant, q_path],
+        ["classify", orthant],
+        ["decompose", orthant],
+        ["project", orthant, "--coords", "1"],
+        ["intersect", motzkin, plane],
+        ["asymptote", orthant, line],
+        ["gallery", "list"],
+        ["gallery", "run", "orthant"],
+    ]
+    for argv in calls:
+        code = main(["--format", "json", "--seed", "11", *argv])
+        out = capsys.readouterr().out
+        report = json.loads(out)  # exactly one JSON object
+        assert code == 0, argv
+        assert (report["command"], report["seed"]) == (argv[0], 11)
+
+
+def test_unsupported_project_and_intersect_print_nothing_on_stdout(tmp_path, capsys):
+    hyperbola = write(tmp_path, "hyperbola.json", hyperbola_doc())
+    orthant = write(tmp_path, "orthant.json", orthant_doc())
+    motzkin = write(tmp_path, "motzkin.json", polytope_plus_ray_docs()[0])
+    for argv, message in [
+        (["project", hyperbola, "--coords", "1"], "projection is only exact"),
+        (["intersect", orthant, motzkin], "unsupported intersection combination"),
+    ]:
+        assert main(["--format", "json", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["motzkin", "hpolyhedron"])
+def test_project_coords_are_a_set(tmp_path, capsys, which):
+    # the Motzkin branch once swapped axes for 2,1 and built a 2-D diagonal for 1,1
+    set_path = write(tmp_path, "set.json", polytope_plus_ray_docs()[which])
+    reports = {}
+    for coords in ("1,2", "2,1", "1,1,2", "1", "1,1"):
+        assert main(["--format", "json", "project", set_path, "--coords", coords]) == 0
+        reports[coords] = capsys.readouterr().out
+    assert reports["2,1"] == reports["1,1,2"] == reports["1,2"]
+    assert reports["1,1"] == reports["1"]
+
+
+def vpoly_and_motzkin_twin():
+    """A segment plus a ray and a line in R^3, as a V-form and as the
+    Motzkin set it reads as."""
+    vertices = [["0", "0", "0"], ["1", "0", "0"]]
+    vpoly = {
+        "version": "1",
+        "kind": "vpolyhedron",
+        "payload": {"vertices": vertices, "rays": [["0", "1", "0"]], "lineality": [["1", "0", "1"]]},
+    }
+    gens = [["0", "1", "0"], ["1", "0", "1"], ["-1", "0", "-1"]]
+    twin = {
+        "version": "1",
+        "kind": "motzkin",
+        "payload": {
+            "compact": {"kind": "polytope", "vertices": vertices},
+            "cone": {"kind": "polyhedral", "generators": gens, "dim": 3},
+        },
+    }
+    return vpoly, twin
+
+
+def test_vpolyhedron_documents_read_as_their_motzkin_twin(tmp_path, capsys):
+    vpoly, twin = vpoly_and_motzkin_twin()
+    assert parse(json.dumps(vpoly)) == ("vpolyhedron", parse(json.dumps(twin))[1])
+    q_path = write(
+        tmp_path, "q.json", quad_doc([[2, 0, 0], [0, 2, 0], [0, 0, 2]], [-4, 2, 0], "5")
+    )
+    plane = write(tmp_path, "plane.json", subspace_doc([["1", "0", "0"], ["0", "1", "0"]]))
+    far = write(tmp_path, "far.json", manifold_doc([["0", "1", "0"]], ["-1"]))
+    outputs = []
+    for doc in (vpoly, twin):
+        set_path = write(tmp_path, "set.json", doc)
+        seen = []
+        for argv in (
+            ["solve", set_path, q_path],
+            ["classify", set_path],
+            ["project", set_path, "--coords", "1,3"],
+            ["intersect", set_path, plane],
+            ["asymptote", set_path, far],
+        ):
+            code = main(["--format", "json", *argv])
+            seen.append((code, capsys.readouterr()))
+        outputs.append(seen)
+    assert outputs[0] == outputs[1]
+    assert [code for code, _ in outputs[0]] == [0] * 5
+    solved = json.loads(outputs[0][0][1].out)
+    # (x - 2)^2 + (y + 1)^2 + z^2, least at (3/2, 0, 1/2)
+    assert (solved["verdict"], solved["value"]) == ("attained", "3/2")
+
+
+def test_empty_vpolyhedron_exits_1(tmp_path, capsys):
+    doc = {"version": "1", "kind": "vpolyhedron", "payload": {"vertices": [], "dim": 2}}
+    set_path = write(tmp_path, "set.json", doc)
+    assert main(["classify", set_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "empty set" in captured.err
+
+
+def test_exact_polytope_reports_claim_no_multiplier_check(tmp_path, capsys):
+    # the polytope path solves each face's stationarity system and keeps the
+    # least value; it checks no multipliers, so its report must not say so
+    q_path = write(tmp_path, "q.json", quad_doc([["2", "0"], ["0", "2"]], ["-6", "2"], "0"))
+    for doc in polytope_plus_ray_docs():
+        set_path = write(tmp_path, "set.json", doc)
+        assert main(["--format", "json", "solve", set_path, q_path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "attained" and report["exact"] is True
+        assert "multiplier" not in report["justification"]
+        assert "stationary points of the faces" in report["justification"]

@@ -1,0 +1,45 @@
+"""Import hygiene: every name a library module imports is used there.
+
+A name imported only for its side effect carries ``# noqa: F401`` on its
+line.  ``__init__.py`` is skipped, because it imports in order to export.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "fwsets"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" in lines[alias.lineno - 1]:
+                    continue
+                name = alias.asname or alias.name.split(".")[0]
+                imported.append((alias.lineno, name))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [(line, name) for line, name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_unused_import_is_caught_and_noqa_is_honoured():
+    source = (
+        "from os import path, sep\n"
+        "import json  # noqa: F401\n"
+        "import sys\n"
+        "print(sep, sys.argv)\n"
+    )
+    assert unused_imports(source) == [(1, "path")]
