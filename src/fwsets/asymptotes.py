@@ -59,7 +59,7 @@ from .motzkin import (
     classify_fw as classify_fw_motzkin,
     polyhedral_forms,
 )
-from .numeric import exp_bounds, sqrt_bounds, surd, surd_cmp
+from .numeric import exp_bounds, lagrangian_value, sqrt_bounds, surd, surd_cmp
 from .polyhedra import HPolyhedron, dd_convert, lp_solve
 from .quadratics import Quadratic, is_convex, is_psd
 
@@ -592,7 +592,7 @@ def linear_lower_bound(f: SetDescriptor, w: Vec) -> Fraction | None:
             for lams in itertools.product(lam_grid, repeat=len(f.constraints)):
                 if all(l == 0 for l in lams):
                     continue
-                lag = _lagrangian_value(linear, f.constraints, lams)
+                lag = lagrangian_value(linear, f.constraints, lams)
                 if lag is not None and (best is None or lag[0] > best):
                     best = lag[0]
         return best
@@ -609,39 +609,6 @@ def linear_lower_bound(f: SetDescriptor, w: Vec) -> Fraction | None:
             return ZERO
         return None
     return None
-
-
-def _lagrangian_value(q: Quadratic, constraints, lams):
-    """Minimize ``q + sum(lam_i q_i)`` over all of R^n, when that is finite.
-
-    Returns ``(value, x0, kernel)``: the minimizers form ``x0 + span(kernel)``
-    and, by weak duality, the value bounds q from below on ``{q_i <= 0}``.
-    The combined quadratic must be PSD with a consistent stationarity system
-    (else None: not convex, or the linear term escapes along the kernel to
-    -inf); its value at x0 simplifies to ``b.x0 / 2 + c`` of the combination.
-    """
-    n = q.dim
-    amat = [list(row) for row in q.a]
-    bvec = list(q.b)
-    const = q.c
-    for lam, g in zip(lams, constraints):
-        if not lam:
-            continue
-        # a zero multiplier or entry adds nothing: skip its products
-        for i in range(n):
-            for j, v in enumerate(g.a[i]):
-                if v:
-                    amat[i][j] += lam * v
-            if g.b[i]:
-                bvec[i] += lam * g.b[i]
-        const += lam * g.c
-    amat_t = tuple(tuple(row) for row in amat)
-    if not is_psd(amat_t):
-        return None
-    x0 = solve(amat_t, tuple(-v for v in bvec))
-    if x0 is None:
-        return None
-    return dot(tuple(bvec), x0) / 2 + const, x0, kernel_basis(amat_t)
 
 
 def _separating_slab(f: SetDescriptor, m: AffineManifold) -> PositiveDistance | None:
@@ -733,12 +700,12 @@ def _polyhedral(f: SetDescriptor) -> bool:
 def _compact_or_qfw(f: SetDescriptor) -> tuple[bool, str] | None:
     if classify_qfw(f).label == "qFW":
         return True, "the set is qFW: a convex set without flat asymptotes has closed images"
-    if isinstance(f, QuadSublevel) and _bounded_base(f):
+    if isinstance(f, QuadSublevel) and bounded_base(f):
         return True, "the set is compact (bounded base), so every image is closed"
     return None
 
 
-def _bounded_base(f: QuadSublevel) -> bool:
+def bounded_base(f: QuadSublevel) -> bool:
     """True when f's base is a nonempty bounded inequality system, which
     makes f (closed constraints on a compact base) compact."""
     if not isinstance(f.base, HPolyhedron):

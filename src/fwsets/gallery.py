@@ -27,6 +27,7 @@ from .asymptotes import (
     Epigraph1D,
     NonAttainmentWitness,
     QuadSublevel,
+    bounded_base,
     classify_fw_set,
     classify_qfw,
     contains,
@@ -36,13 +37,11 @@ from .asymptotes import (
     register_asymptote_evidence,
     register_fw_witness,
     whole_space,
-    _bounded_base,
-    _lagrangian_value,
 )
 from .errors import FwsetsError
 from .linalg import Vec, dot, vec, zeros
 from .motzkin import MotzkinSet, PolytopeK, SecondOrderCone, classify_fw, minimize_on_motzkin
-from .numeric import bracket_multiplier, exp_bounds, sqrt_upper, stationary_line_point
+from .numeric import exp_bounds, one_constraint_bracket, sqrt_upper
 from .polyhedra import HPolyhedron, PolyCone, recession_cone
 from .quadratics import Quadratic
 
@@ -580,7 +579,7 @@ def _verify_luo_zhang_theorem(data) -> list[CheckResult]:
     expected = data["expected"]
     width = F(expected["bracket_width_max"])
     _checks_classification(fset, expected, checks)
-    attains = _bounded_base(fset) and contains(fset, fset.sample_point) is True
+    attains = bounded_base(fset) and contains(fset, fset.sample_point) is True
     for idx, q in enumerate(luo_zhang_theorem_battery()):
         lower, upper, witness = _lagrangian_bracket(fset, q, width)
         checks.append(
@@ -607,29 +606,12 @@ def _verify_luo_zhang_theorem(data) -> list[CheckResult]:
 def _lagrangian_bracket(fset: QuadSublevel, q: Quadratic, width: Fraction):
     """Exact ``(lower, upper, witness)`` around the minimum of q on fset.
 
-    fset has one constraint g with a positive definite form, such as a disk.
-    For rational mu >= 0 with q + mu g convex, its minimum over all of R^n
-    is a lower bound (weak duality).  A point x of its stationary set with
-    g(x) <= 0 closes the gap to ``-mu g(x)`` when x is a member, with the
-    upper bound q(x); a stationary line (the hard case of the trust-region
-    problem) is followed to a rational point just inside g = 0.  The slack
-    ``-g(x)`` steers :func:`numeric.bracket_multiplier` until the width is
-    at most ``width``; the sample point is the fallback witness.
+    fset has one constraint with a positive definite form, such as a disk:
+    :func:`numeric.one_constraint_bracket`, with the sample point as the
+    fallback witness.
     """
     (g,) = fset.constraints
-
-    def probe(mu):
-        res = _lagrangian_value(q, (g,), (mu,))
-        if res is None:
-            return None
-        lower, x, kernel = res
-        x = stationary_line_point(g, x, kernel)
-        slack = -g.evaluate(x)
-        if slack >= 0 and contains(fset, x) is True:
-            return slack, lower, q.evaluate(x), x
-        return slack, lower, None, None
-
-    lower, upper, witness = bracket_multiplier(probe, width)
+    lower, upper, witness = one_constraint_bracket(q, g, width, lambda x: contains(fset, x) is True)
     fallback = q.evaluate(fset.sample_point)
     if upper is None or fallback < upper:
         upper, witness = fallback, fset.sample_point

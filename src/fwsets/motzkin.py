@@ -17,11 +17,13 @@ Minimization over F uses the two-level reduction
 with the inner value f supplied exactly by the cone program.  For polytope
 and finite compact parts both levels are exact.  On a ball the minimum is
 bracketed between two exact rationals: each multiplier mu of the ball
-constraint gives a weak-duality lower bound, one cone program over D, and
-the point of that program gives a member whose objective value is an upper
-bound.  :func:`numeric.bracket_multiplier` searches mu until the bracket is
-at most the tolerance wide; for a convex objective the dual is tight
-(Slater, then the S-lemma), so the bracket closes.
+constraint g gives a weak-duality lower bound (:func:`numeric.lagrangian_value`
+of q + mu g plus one cone program over D), and the point of that program
+gives a member whose objective value is an upper bound.
+:func:`numeric.bracket_multiplier` searches mu until the bracket is at most
+the tolerance wide; for a convex objective the dual is tight (Slater, then
+the S-lemma), so the bracket closes.  A ball alone is bracketed as the
+gallery's disks are, by :func:`numeric.one_constraint_bracket`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .errors import (
 )
 from .linalg import (
     ONE,
-    LinearSystem,
     Vec,
     ZERO,
     dot,
@@ -52,7 +53,7 @@ from .linalg import (
     vadd,
     vec,
     vscale,
-    zeros,
+    vsub,
 )
 from .polyhedra import (
     HPolyhedron,
@@ -62,8 +63,8 @@ from .polyhedra import (
     recession_cone,
     same_cone,
 )
-from .numeric import bracket_multiplier, stationary_line_point
-from .quadratics import Quadratic, is_psd
+from .numeric import bracket_multiplier, lagrangian_value, one_constraint_bracket
+from .quadratics import Quadratic
 
 #: default width of the exact bracket around a minimum over a ball;
 #: polyhedral verdicts are exact
@@ -414,7 +415,12 @@ def _minimize_over_ball(q, f: MotzkinSet, prog: ConeProgram, tol: Fraction) -> A
     escape = _ball_escapes_domain(q, ball, prog)
     if escape is not None:
         return _unbounded_at(escape, prog.minimize(inner_linear_term(q, escape)))
-    lower, upper, point = bracket_multiplier(_ball_probe(q, ball, f.cone), tol)
+    c, r2 = ball.center, ball.radius * ball.radius
+    g = Quadratic(identity(ball.dim), vscale(-ONE, c), (dot(c, c) - r2) / 2)  # (|y - c|^2 - r^2)/2
+    if f.cone.generators:
+        lower, upper, point = bracket_multiplier(_ball_probe(q, ball, g, f.cone), tol)
+    else:
+        lower, upper, point = one_constraint_bracket(q, g, tol, lambda y: True)
     if upper is not None and upper - lower <= tol:
         return Attained(point=point, value=upper, exact=False, lower_bound=lower)
     return Unknown(
@@ -424,61 +430,42 @@ def _minimize_over_ball(q, f: MotzkinSet, prog: ConeProgram, tol: Fraction) -> A
     )
 
 
-def _ball_probe(q, ball: Ball, cone: PolyCone):
+def _ball_probe(q, ball: Ball, g: Quadratic, cone: PolyCone):
     """The probe of :func:`numeric.bracket_multiplier` for q on ``ball + cone``.
 
-    For rational mu >= 0 with ``A + mu I`` positive definite, put
-    ``g0 = A c + b``, ``M = (A + mu I)^-1`` and ``y = c + s``.  The minimum
-    over s of ``q(y + x) + (mu/2)(|s|^2 - r^2)`` is taken at
-    ``s = -M (A x + g0)``, and what is left is ``mu`` times the cone program
-    ``1/2 x.(A M) x + (M g0).x`` over D plus ``q(c) - g0.M g0/2 - mu r^2/2``
-    (``A M = I - mu M``).  Its exact minimum is a lower bound on q over the
-    set (weak duality); at its point x, ``(c + s) + x`` is a member when
-    ``|s| <= r``, and q there is an upper bound.  At mu = 0 this is the
-    projection of the unconstrained minimizer of q onto ``c + D``.  None when
-    ``A + mu I`` is not positive semidefinite or the cone program is
-    unbounded.
-
-    On a ball alone (D = {0}) no cone program is needed: the minimizers s
-    of ``q(c + s) + (mu/2)(|s|^2 - r^2)`` form ``s0 + span(kernel)``, with
-    the value ``q(c) + g0.s0/2 - mu r^2/2``.  A singular ``A + mu I`` (the
-    hard case of the trust-region problem) leaves a kernel, and
-    :func:`numeric.stationary_line_point` follows its line to a point just
-    inside ``|s| <= r``.  With D != {0} the probe gives None there.
+    g is the ball's constraint ``(|y - c|^2 - r^2)/2``.  For rational
+    mu >= 0 with ``A + mu I`` positive definite, put ``g0 = A c + b``,
+    ``M = (A + mu I)^-1`` and ``y = c + s``.  The minimum over s of
+    ``q(y + x) + mu g(y)`` is taken at ``s = -M (A x + g0)``, and what is
+    left is ``mu`` times the cone program ``1/2 x.(A M) x + (M g0).x`` over
+    D plus the bound :func:`numeric.lagrangian_value` of q + mu g (``A M =
+    I - mu M``; its point y0 gives ``M g0 = c - y0``, its system the columns
+    of M).  The sum is a lower bound on q over the set (weak duality); at
+    the program's point x, ``(c + s) + x`` is a member when ``|s| <= r``,
+    and q there is an upper bound.  At mu = 0 this is the projection of the
+    unconstrained minimizer of q onto ``c + D``.  None when ``A + mu I`` is
+    singular or not PSD, or the cone program is unbounded.
     """
     n = ball.dim
     c, r2 = ball.center, ball.radius * ball.radius
     g0 = q.gradient(c)
-    base = q.evaluate(c)
-    ball_form = Quadratic(identity(n), zeros(n), -r2 / 2)  # (|s|^2 - r^2)/2
 
     def probe(mu):
-        shifted = tuple(
-            tuple(x + mu if i == j else x for j, x in enumerate(row)) for i, row in enumerate(q.a)
-        )
-        system = LinearSystem(shifted, n)
-        if (system.rank < n and cone.generators) or not is_psd(shifted):
+        res = lagrangian_value(q, (g,), (mu,))
+        if res is None or res[2].rank < n:
             return None
-        if not cone.generators:
-            s = system.solve(vscale(-ONE, g0))
-            if s is None:
-                return None
-            lower = base + dot(g0, s) / 2 - mu * r2 / 2
-            x, s = zeros(n), stationary_line_point(ball_form, s, system.kernel)
-        else:
-            m = tuple(system.solve(unit(n, i)) for i in range(n))
-            mg = matvec(m, g0)
-            g = tuple(tuple((i == j) - mu * x for j, x in enumerate(row)) for i, row in enumerate(m))
-            verdict = ConeProgram(g, cone).minimize(mg)
-            if verdict.kind != "attained":
-                return None
-            x = verdict.point
-            s = vscale(-ONE, matvec(m, vadd(matvec(q.a, x), g0)))
-            lower = mu * verdict.value + base - dot(g0, mg) / 2 - mu * r2 / 2
+        bound, y0, system = res
+        m = tuple(system.solve(unit(n, i)) for i in range(n))
+        gm = tuple(tuple((i == j) - mu * x for j, x in enumerate(row)) for i, row in enumerate(m))
+        verdict = ConeProgram(gm, cone).minimize(vsub(c, y0))
+        if verdict.kind != "attained":
+            return None
+        s = vscale(-ONE, matvec(m, vadd(matvec(q.a, verdict.point), g0)))
+        lower = mu * verdict.value + bound
         slack = r2 - dot(s, s)
         if slack < 0:
             return slack, lower, None, None
-        point = vadd(vadd(c, s), x)
+        point = vadd(vadd(c, s), verdict.point)
         return slack, lower, q.evaluate(point), point
 
     return probe

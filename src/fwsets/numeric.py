@@ -3,9 +3,9 @@
 The polyhedral layers never need these; they exist so that membership in the
 one built-in non-algebraic set (the epigraph of x^2 + exp(-x^2)) and
 square-root comparisons for ball data can be certified with rational
-arithmetic instead of floats.  The multiplier search at the end brackets the
-minimum of a quadratic under one convex constraint between two exact
-rationals.
+arithmetic instead of floats.  The weak-duality section at the end forms
+the one Lagrangian bound, :func:`lagrangian_value`, and the one bracket of a
+minimum under one convex constraint, :func:`one_constraint_bracket`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .linalg import dot, matvec, rat, solve
+from .linalg import LinearSystem, dot, matvec, rat, solve
+from .quadratics import is_psd
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -129,8 +130,68 @@ def surd_cmp(x: Surd, y: Surd) -> int:
 
 
 # ---------------------------------------------------------------------------
-# multiplier search: an exact bracket of a minimum under one convex constraint
+# weak duality: the Lagrangian bound, and exact brackets by multiplier search
 # ---------------------------------------------------------------------------
+
+
+def lagrangian_value(q, constraints, lams):
+    """Minimize ``q + sum(lam_i g_i)`` over all of R^n, when that is finite.
+
+    Returns ``(value, x0, system)``: the minimizers form ``x0 +
+    span(system.kernel)``, system being the :class:`linalg.LinearSystem` of
+    the combined form, and by weak duality the value bounds q from below on
+    ``{g_i <= 0}``.  None unless the combination is PSD with a consistent
+    stationarity system; the value at x0 is ``b.x0 / 2 + c`` of it.
+    """
+    n = q.dim
+    amat = [list(row) for row in q.a]
+    bvec = list(q.b)
+    const = q.c
+    for lam, g in zip(lams, constraints):
+        if not lam:
+            continue
+        # a zero multiplier or entry adds nothing: skip its products
+        for i in range(n):
+            for j, v in enumerate(g.a[i]):
+                if v:
+                    amat[i][j] += lam * v
+            if g.b[i]:
+                bvec[i] += lam * g.b[i]
+        const += lam * g.c
+    amat_t = tuple(tuple(row) for row in amat)
+    if not is_psd(amat_t):
+        return None
+    system = LinearSystem(amat_t, n)
+    x0 = system.solve(tuple(-v for v in bvec))
+    if x0 is None:
+        return None
+    return dot(tuple(bvec), x0) / 2 + const, x0, system
+
+
+def one_constraint_bracket(q, g, tol: Fraction, member):
+    """Exact ``(lower, upper, witness)`` around the minimum of q on ``{g <= 0}``.
+
+    g has a positive definite form, such as a disk.  :func:`lagrangian_value`
+    of q + mu g is the lower bound; its point x, moved along a stationary
+    line (the trust-region hard case) by :func:`stationary_line_point`,
+    gives the upper bound q(x) when ``g(x) <= 0`` and ``member(x)``.  The
+    slack ``-g(x)`` steers :func:`bracket_multiplier`; any of the three may
+    be None.
+    """
+
+    def probe(mu):
+        res = lagrangian_value(q, (g,), (mu,))
+        if res is None:
+            return None
+        lower, x, system = res
+        x = stationary_line_point(g, x, system.kernel)
+        slack = -g.evaluate(x)
+        if slack >= 0 and member(x):
+            return slack, lower, q.evaluate(x), x
+        return slack, lower, None, None
+
+    return bracket_multiplier(probe, tol)
+
 
 # mu doubles at most this often, and at most this many steps refine the bracket
 _DOUBLINGS = 64

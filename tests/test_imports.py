@@ -1,4 +1,5 @@
-"""Import hygiene: every name a library module imports is used there.
+"""Import hygiene: every name a library module imports is used there, and
+no library module imports a private (``_``-prefixed) name of another.
 
 A name imported only for its side effect carries ``# noqa: F401`` on its
 line.  ``__init__.py`` is skipped, because it imports in order to export.
@@ -43,3 +44,35 @@ def test_an_unused_import_is_caught_and_noqa_is_honoured():
         "print(sep, sys.argv)\n"
     )
     assert unused_imports(source) == [(1, "path")]
+
+
+def private_imports(source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` for each ``_``-prefixed name imported from a package
+    module: a relative import, or one from ``fwsets`` itself."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").split(".")[0] != "fwsets":
+            continue
+        found.extend((alias.lineno, alias.name) for alias in node.names if alias.name.startswith("_"))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_names_imported_across_modules(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_private_import_is_caught():
+    source = (
+        "from os import _exit\n"
+        "from .linalg import dot, _kernel_from_rows\n"
+        "from fwsets.numeric import _short_dyadic\n"
+        "from . import _private\n"
+    )
+    assert private_imports(source) == [
+        (2, "_kernel_from_rows"),
+        (3, "_short_dyadic"),
+        (4, "_private"),
+    ]

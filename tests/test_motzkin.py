@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from fwsets import gallery
+from fwsets.asymptotes import QuadSublevel, whole_space
 from fwsets.cone_qp import ConeProgram, value_function_eval
 from fwsets.errors import InvalidParameterError
 from fwsets.linalg import dot, solve, vadd, vec
@@ -365,6 +367,31 @@ def test_ball_hard_case_with_a_plane_of_minimizers():
     assert v.lower_bound <= F(-13, 4) <= v.value
     assert v.value - v.lower_bound <= F(1, 10**9)
     assert v.value == q.evaluate(v.point) and f.compact.contains(v.point)
+
+
+def test_ball_alone_and_the_gallery_disk_share_one_bracket():
+    # a ball alone and the same disk as a quadratic sublevel set both go
+    # through numeric.one_constraint_bracket: over seeded indefinite
+    # objectives and the two hard cases above, the lower bound, value and
+    # point agree exactly
+    rng = random.Random(21)
+    cases = []
+    for idx in range(20):
+        n = 2 + idx % 2
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        q = Quadratic.build(a, [rng.randint(-4, 4) for _ in range(n)], rng.randint(-3, 3))
+        cases.append((q, Ball.build([rng.randint(-2, 2) for _ in range(n)], F(rng.randint(1, 4), 2))))
+    cases.append((Quadratic.build([[-2, 0], [0, 0]], [0, 1]), Ball.build((0, 0), 1)))
+    cases.append((Quadratic.build([[0, 2, 2], [2, 0, 2], [2, 2, 0]], [3, 3, 3]), Ball.build((0, 0, 0), 1)))
+    for q, ball in cases:
+        n, c, r = ball.dim, ball.center, ball.radius
+        v = minimize_on_motzkin(q, MotzkinSet(ball, PolyCone((), n)))
+        assert isinstance(v, Attained)
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        g = Quadratic.build(ident, [-x for x in c], (dot(c, c) - r * r) / 2)
+        disk = QuadSublevel(whole_space(n), (g,), sample_point=c)
+        bracket = gallery._lagrangian_bracket(disk, q, FEASIBILITY_TOL)
+        assert (v.lower_bound, v.value, v.point) == bracket
 
 
 @pytest.mark.parametrize("tol", [F(0), F(-1), -1e-9, float("nan"), float("inf")])

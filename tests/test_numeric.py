@@ -1,0 +1,108 @@
+"""Tests for the weak-duality bound :func:`numeric.lagrangian_value`."""
+
+import random
+from fractions import Fraction
+
+from fwsets.linalg import dot, kernel_basis, matvec
+from fwsets.numeric import lagrangian_value
+from fwsets.quadratics import Quadratic, is_psd
+
+F = Fraction
+
+
+def _combination(q, constraints, lams):
+    # q + sum(lam_i g_i), term by term
+    n = q.dim
+    a = [[q.a[i][j] + sum(lam * g.a[i][j] for lam, g in zip(lams, constraints)) for j in range(n)]
+         for i in range(n)]
+    b = [q.b[i] + sum(lam * g.b[i] for lam, g in zip(lams, constraints)) for i in range(n)]
+    c = q.c + sum(lam * g.c for lam, g in zip(lams, constraints))
+    return Quadratic.build(a, b, c)
+
+
+def _random_quadratic(rng, n, kind, const_hi):
+    """A seeded quadratic whose form is PSD (a Gram matrix of n rows),
+    singular (of fewer rows; half of these get a linear term in the form's
+    range, so that sums of them stay consistent) or indefinite."""
+    b = [rng.randint(-3, 3) for _ in range(n)]
+    if kind == "indefinite":
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    else:
+        rows = n if kind == "psd" else rng.randint(0, n - 1)
+        m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rows)]
+        a = [[sum(r[i] * r[j] for r in m) for j in range(n)] for i in range(n)]
+        if kind == "singular" and rng.random() < 0.5:
+            b = matvec(a, b)
+    return Quadratic.build(a, b, rng.randint(-const_hi, const_hi))
+
+
+def _ball_form(c, r):
+    # (|x - c|^2 - r^2)/2
+    n = len(c)
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    return Quadratic.build(ident, [-x for x in c], (dot(c, c) - r * r) / 2)
+
+
+def _cases():
+    """Seeded objectives and constraints with multipliers: PSD, singular and
+    indefinite forms, and ball constraints; every fourth case is singular
+    throughout, so that flats of minimizers occur; last the hard case
+    ``-x1^2 + x2`` on the unit disk, at its multiplier 2 and above."""
+    rng = random.Random(2021)
+    kinds = ("psd", "singular", "indefinite")
+    cases = []
+    for idx in range(120):
+        flat = idx % 4 == 3
+        n = rng.randint(2, 3) if flat else rng.randint(1, 3) if idx % 3 else 2
+        q = _random_quadratic(rng, n, "singular" if flat else kinds[idx % 3], 3)
+        constraints = []
+        for _ in range(rng.randint(1, 3)):
+            if flat:
+                constraints.append(_random_quadratic(rng, n, "singular", 4))
+            elif rng.random() < 0.3:
+                c = [F(rng.randint(-4, 4), 2) for _ in range(n)]
+                constraints.append(_ball_form(c, F(rng.randint(1, 4), 2)))
+            else:
+                constraints.append(_random_quadratic(rng, n, rng.choice(kinds), 4))
+        lams = [rng.choice((F(0), F(1, 4), F(1, 2), F(1), F(2))) for _ in constraints]
+        cases.append((q, constraints, lams))
+    disk = _ball_form((F(0), F(0)), F(1))
+    cases.append((Quadratic.build([[-2, 0], [0, 0]], [0, 1]), [disk], [F(2)]))
+    cases.append((Quadratic.build([[-2, 0], [0, 0]], [0, 1]), [disk], [F(3)]))
+    return cases
+
+
+def test_lagrangian_value_is_the_minimum_of_the_combination():
+    outcomes = {"not psd": 0, "inconsistent": 0, "unique": 0, "flat": 0}
+    for q, constraints, lams in _cases():
+        comb = _combination(q, constraints, lams)
+        res = lagrangian_value(q, constraints, lams)
+        kernel = kernel_basis(comb.a, ncols=comb.dim)
+        if not is_psd(comb.a):
+            assert res is None
+            outcomes["not psd"] += 1
+            continue
+        # A x = -b is consistent iff b is orthogonal to the kernel of the
+        # symmetric A
+        if any(dot(comb.b, k) for k in kernel):
+            assert res is None
+            outcomes["inconsistent"] += 1
+            continue
+        assert res is not None
+        value, x0, system = res
+        assert all(v == 0 for v in comb.gradient(x0))
+        assert all(all(v == 0 for v in matvec(comb.a, k)) for k in system.kernel)
+        assert len(system.kernel) == len(kernel)
+        assert value == comb.evaluate(x0)
+        outcomes["flat" if kernel else "unique"] += 1
+    assert all(outcomes.values()), outcomes
+
+
+def test_lagrangian_value_of_the_disk_hard_case():
+    # -x1^2 + x2 + 2 (|x|^2 - 1)/2: the minimizers form the line x2 = -1/2,
+    # with value -5/4
+    q = Quadratic.build([[-2, 0], [0, 0]], [0, 1])
+    value, x0, system = lagrangian_value(q, (_ball_form((F(0), F(0)), F(1)),), (F(2),))
+    assert value == F(-5, 4)
+    assert x0[1] == F(-1, 2)
+    assert len(system.kernel) == 1 and system.kernel[0][1] == 0
