@@ -20,10 +20,11 @@ bracketed between two exact rationals: each multiplier mu of the ball
 constraint g gives a weak-duality lower bound (:func:`numeric.lagrangian_value`
 of q + mu g plus one cone program over D), and the point of that program
 gives a member whose objective value is an upper bound.
-:func:`numeric.bracket_multiplier` searches mu until the bracket is at most
-the tolerance wide; for a convex objective the dual is tight (Slater, then
-the S-lemma), so the bracket closes.  A ball alone is bracketed as the
-gallery's disks are, by :func:`numeric.one_constraint_bracket`.
+:func:`numeric.bracket_multiplier` searches mu, by secant steps on the
+secular function ``1/|s| - 1/r`` of the ball point ``c + s``, until the
+bracket is at most the tolerance wide; for a convex objective the dual is
+tight (Slater, then the S-lemma), so the bracket closes.  A ball alone is
+bracketed as the gallery's disks are, by :func:`numeric.one_constraint_bracket`.
 """
 
 from __future__ import annotations
@@ -418,7 +419,7 @@ def _minimize_over_ball(q, f: MotzkinSet, prog: ConeProgram, tol: Fraction) -> A
     c, r2 = ball.center, ball.radius * ball.radius
     g = Quadratic(identity(ball.dim), vscale(-ONE, c), (dot(c, c) - r2) / 2)  # (|y - c|^2 - r^2)/2
     if f.cone.generators:
-        lower, upper, point = bracket_multiplier(_ball_probe(q, ball, g, f.cone), tol)
+        lower, upper, point = bracket_multiplier(_ball_probe(q, ball, g, f.cone), tol, r2)
     else:
         lower, upper, point = one_constraint_bracket(q, g, tol, lambda y: True)
     if upper is not None and upper - lower <= tol:
@@ -442,7 +443,8 @@ def _ball_probe(q, ball: Ball, g: Quadratic, cone: PolyCone):
     I - mu M``; its point y0 gives ``M g0 = c - y0``, its system the columns
     of M).  The sum is a lower bound on q over the set (weak duality); at
     the program's point x, ``(c + s) + x`` is a member when ``|s| <= r``,
-    and q there is an upper bound.  At mu = 0 this is the projection of the
+    and q there is an upper bound.  The slack is ``r^2 - |s|^2``, measured
+    from the level r^2.  At mu = 0 this is the projection of the
     unconstrained minimizer of q onto ``c + D``.  None when ``A + mu I`` is
     singular or not PSD, or the cone program is unbounded.
     """

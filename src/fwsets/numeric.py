@@ -5,13 +5,15 @@ one built-in non-algebraic set (the epigraph of x^2 + exp(-x^2)) and
 square-root comparisons for ball data can be certified with rational
 arithmetic instead of floats.  The weak-duality section at the end forms
 the one Lagrangian bound, :func:`lagrangian_value`, and the one bracket of a
-minimum under one convex constraint, :func:`one_constraint_bracket`.
+minimum under one convex constraint, :func:`one_constraint_bracket`; its
+multiplier search :func:`bracket_multiplier` is the one place floats
+appear, and they only choose which exact multiplier to probe next.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import inf, isfinite, isqrt, sqrt
 
 from .linalg import LinearSystem, dot, matvec, rat, solve
 from .quadratics import is_psd
@@ -171,12 +173,13 @@ def lagrangian_value(q, constraints, lams):
 def one_constraint_bracket(q, g, tol: Fraction, member):
     """Exact ``(lower, upper, witness)`` around the minimum of q on ``{g <= 0}``.
 
-    g has a positive definite form, such as a disk.  :func:`lagrangian_value`
-    of q + mu g is the lower bound; its point x, moved along a stationary
-    line (the trust-region hard case) by :func:`stationary_line_point`,
-    gives the upper bound q(x) when ``g(x) <= 0`` and ``member(x)``.  The
-    slack ``-g(x)`` steers :func:`bracket_multiplier`; any of the three may
-    be None.
+    g has a positive definite form, such as a disk, and takes negative
+    values.  :func:`lagrangian_value` of q + mu g is the lower bound; its
+    point x, moved along a stationary line (the trust-region hard case) by
+    :func:`stationary_line_point`, gives the upper bound q(x) when
+    ``g(x) <= 0`` and ``member(x)``.  The slack ``-g(x)``, measured from the
+    level ``-min g`` that one ``solve`` gives, steers
+    :func:`bracket_multiplier`; any of the three may be None.
     """
 
     def probe(mu):
@@ -190,15 +193,17 @@ def one_constraint_bracket(q, g, tol: Fraction, member):
             return slack, lower, q.evaluate(x), x
         return slack, lower, None, None
 
-    return bracket_multiplier(probe, tol)
+    centre = solve(g.a, tuple(-v for v in g.b))
+    return bracket_multiplier(probe, tol, -g.evaluate(centre))
 
 
-# mu doubles at most this often, and at most this many steps refine the bracket
-_DOUBLINGS = 64
+# at most this many probes raise mu to a feasible one, and at most this many
+# refine the bracket
+_EXTRAPOLATIONS = 64
 _STEPS = 128
 
 
-def bracket_multiplier(probe, tol: Fraction):
+def bracket_multiplier(probe, tol: Fraction, level: Fraction):
     """Search rational multipliers mu >= 0 for an exact bracket of width <= tol.
 
     ``probe(mu)`` returns None when mu is too small to give a bound, and
@@ -206,65 +211,98 @@ def bracket_multiplier(probe, tol: Fraction):
     weak duality), the objective ``upper`` at a feasible ``witness`` (both
     None when the probe has none), and the exact constraint slack at the
     probe's point, which does not decrease as mu grows and is >= 0 once mu
-    is large enough.  mu = 0 comes first, and a slack >= 0 there ends the
-    search.  Otherwise mu doubles from 1 until the slack is >= 0; then
-    secant steps on the slack (regula falsi with the Illinois safeguard;
-    midpoints while the low end has no slack) run until
-    ``upper - lower <= tol``.  Each step aims just past the secant root, by
-    the step over which the slack, at the secant's slope, would grow to
-    ``tol / (2 mu)``: the gap of a feasible probe is mu (or mu/2) times its
-    slack, so landing there closes the bracket.  Every mu is
-    a short dyadic strictly inside the bracketing interval.  Returns the
-    best ``(lower, upper, witness)`` seen; any of them may be None.
+    is large enough.  ``level > 0`` is the level the slack is measured from:
+    ``level - slack`` is a squared norm, such as ``|s|^2`` for a ball point
+    ``c + s`` of radius ``sqrt(level)``.
+
+    mu = 0 comes first, and a slack >= 0 there ends the search.  Otherwise
+    mu rises until the slack is >= 0, and then refines inside the interval
+    between the last infeasible and the least feasible mu, until ``upper -
+    lower <= tol``.  Both phases take secant steps through the last two
+    probes on the secular function ``psi = 1/sqrt(level - slack) -
+    1/sqrt(level)``, which is nearly linear in mu (More and Sorensen,
+    "Computing a trust region step", 1983).  Each step aims just past the
+    root, at the psi of the slack ``tol / (2 mu)``: the gap of a feasible
+    probe is mu (or mu/2) times its slack, so landing there closes the
+    bracket.  Without a rising secant through two finite psi (a probe
+    returned None, or its point is the centre, where psi is infinite), mu
+    doubles from 1 while rising and bisects while refining.
+    Floats only choose mu: every mu is a short dyadic, strictly inside the
+    refined interval, and every bound comes from ``probe``.  Returns the best
+    ``(lower, upper, witness)`` seen; any of them may be None.
     """
     best = [None, None, None]
+    radius = sqrt(level)
 
     def run(mu):
+        # the exact slack, and psi in floats (None without a probe)
         res = probe(mu)
         if res is None:
-            return None
+            return None, None
         slack, lower, upper, witness = res
         if lower is not None and (best[0] is None or lower > best[0]):
             best[0] = lower
         if upper is not None and (best[1] is None or upper < best[1]):
             best[1], best[2] = upper, witness
-        return slack
+        gap = float(level - slack)
+        return slack, 1 / sqrt(gap) - 1 / radius if gap else inf
 
     def closed():
         return best[0] is not None and best[1] is not None and best[1] - best[0] <= tol
 
-    lo, f_lo = ZERO, run(ZERO)
-    if f_lo is not None and f_lo >= 0:
+    def aim(prev, last, hi):
+        # (target, width): where the secant through the last two probes
+        # reaches the psi of the slack tol/(2 mu), and how far past its
+        # root that is; None without two finite psi on a rising secant
+        if prev is None or prev[1] is None or last[1] is None:
+            return None
+        (mu0, psi0), (mu1, psi1) = prev, last
+        slope = (psi1 - psi0) / float(mu1 - mu0)
+        if not 0 < slope < inf:
+            return None
+        shift = psi1 / slope
+        if not isfinite(shift):
+            return None
+        root = mu1 - Fraction(shift)
+        # psi at the slack tol/(2 ref) is at least that slack / (2 radius^3)
+        ref = max(root, mu1) if hi is None else hi
+        width = float(tol / (2 * ref)) / (2 * radius**3 * slope)
+        if not 0 < width < inf:
+            return None
+        return root + Fraction(width), Fraction(width)
+
+    slack, psi = run(ZERO)
+    if slack is not None and slack >= 0:
         return tuple(best)
-    hi = ONE
-    for _ in range(_DOUBLINGS):
-        f_hi = run(hi)
-        if closed() or (f_hi is not None and f_hi >= 0):
+    lo, prev, last = ZERO, None, (ZERO, psi)
+    for _ in range(_EXTRAPOLATIONS):
+        step = aim(prev, last, None)
+        if step is not None and step[0] > lo:
+            target, width = step
+            mu = _short_dyadic(lo, 2 * target - lo, target, width)
+        else:
+            mu = 2 * lo if lo else ONE
+        slack, psi = run(mu)
+        prev, last = last, (mu, psi)
+        if closed():
+            return tuple(best)
+        if slack is not None and slack >= 0:
+            hi = mu
             break
-        lo, f_lo, hi = hi, f_hi, 2 * hi
+        lo = mu
     else:
         return tuple(best)
-    side = None
     for _ in range(_STEPS):
         if closed():
             break
-        if f_lo is None:
-            mu = (lo + hi) / 2
+        step = aim(prev, last, hi)
+        mu = (lo + hi) / 2 if step is None else _short_dyadic(lo, hi, *step)
+        slack, psi = run(mu)
+        prev, last = last, (mu, psi)
+        if slack is None or slack < 0:
+            lo = mu
         else:
-            slope = (f_hi - f_lo) / (hi - lo)
-            step = tol / (2 * hi * slope)
-            mu = _short_dyadic(lo, hi, lo - f_lo / slope + step, step)
-        f = run(mu)
-        if f is None or f < 0:
-            lo, f_lo = mu, f
-            if side == "lo":
-                f_hi /= 2
-            side = "lo"
-        else:
-            hi, f_hi = mu, f
-            if side == "hi" and f_lo is not None:
-                f_lo /= 2
-            side = "hi"
+            hi = mu
     return tuple(best)
 
 
@@ -293,12 +331,12 @@ def stationary_line_point(g, x, kernel):
 
 
 def _short_dyadic(lo: Fraction, hi: Fraction, guess: Fraction, w: Fraction) -> Fraction:
-    """A dyadic rational within ``w/2`` of guess, once guess is kept a
-    1024th of ``(lo, hi)`` inside it and w is at most that margin, so it
-    lies strictly inside.  Its denominator is the power of two just above
-    ``1/w``."""
-    span = (hi - lo) / 1024
-    guess = min(max(guess, lo + span), hi - span)
-    w = min(w, span)
-    scale = 1 << (w.denominator // w.numerator).bit_length()
+    """A dyadic rational strictly inside ``(lo, hi)`` near guess.  With the
+    margin ``m = min((hi - lo)/1024, w)``, guess is kept m inside the
+    interval and rounded to the power of two just above ``1/m``, which moves
+    it by less than ``m/2``: a guess already well inside moves by less than
+    ``w/2``."""
+    m = min((hi - lo) / 1024, w)
+    guess = min(max(guess, lo + m), hi - m)
+    scale = 1 << (m.denominator // m.numerator).bit_length()
     return Fraction(round(guess * scale), scale)

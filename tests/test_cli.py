@@ -523,6 +523,31 @@ def test_main_calls_in_one_process_match_cold_runs(tmp_path, capsys):
     assert seen[1][1] != seen[2][1]
 
 
+def test_ball_solve_is_the_same_under_any_hash_seed(tmp_path):
+    # floats choose the multipliers of a ball bracket, so its report must
+    # not depend on the interpreter: two hash seeds give the same bytes
+    set_path = write(tmp_path, "ball.json", {"version": "1", "kind": "motzkin", "payload": {
+        "compact": {"kind": "ball", "center": ["-2", "-2", "1"], "radius": "2"},
+        "cone": {"kind": "polyhedral", "generators": [["-2", "1", "1"]], "dim": 3},
+    }})
+    q_path = write(
+        tmp_path, "q.json", quad_doc([[6, -2, 5], [-2, 10, 0], [5, 0, 10]], [-2, -4, -1])
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        run = subprocess.run(
+            [sys.executable, "-m", "fwsets.cli", "--format", "json", "solve", set_path, q_path],
+            env=env, capture_output=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+    report = json.loads(outs[0])
+    assert report["verdict"] == "attained" and report["exact"] is False
+
+
 # ---------------------------------------------------------------------------
 # one report path: commands compute, main stamps and emits
 # ---------------------------------------------------------------------------

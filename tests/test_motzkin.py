@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fwsets import gallery
+from fwsets import gallery, motzkin
 from fwsets.asymptotes import QuadSublevel, whole_space
 from fwsets.cone_qp import ConeProgram, value_function_eval
 from fwsets.errors import InvalidParameterError
@@ -272,6 +272,30 @@ def test_ball_verdicts_match_exact_inner_path():
         assert v.value == q.evaluate(v.point)
         assert _in_ball_plus_cone(v.point, f)
         assert all(v.lower_bound <= q.evaluate(y) for y in _ball_members(rng, f, 1000))
+
+
+def test_ball_brackets_take_few_probes(monkeypatch):
+    # the count repeats exactly: over the twelve convex cases the secant
+    # steps on the secular function take at most 55 probes (95 with regula
+    # falsi on the raw slack)
+    count = 0
+    real = motzkin._ball_probe
+
+    def counting(*args):
+        probe = real(*args)
+
+        def counted(mu):
+            nonlocal count
+            count += 1
+            return probe(mu)
+
+        return counted
+
+    monkeypatch.setattr(motzkin, "_ball_probe", counting)
+    for q, f in _ball_cases()[:-1]:
+        v = minimize_on_motzkin(q, f)
+        assert isinstance(v, Attained) and v.value - v.lower_bound <= FEASIBILITY_TOL
+    assert count <= 55
 
 
 def test_seeded_ball_minimum_is_not_the_early_stop_value():

@@ -1,10 +1,14 @@
-"""Tests for the weak-duality bound :func:`numeric.lagrangian_value`."""
+"""Tests for the weak-duality bound :func:`numeric.lagrangian_value` and the
+multiplier search :func:`numeric.bracket_multiplier`."""
 
 import random
 from fractions import Fraction
 
+import pytest
+
+from fwsets import numeric
 from fwsets.linalg import dot, kernel_basis, matvec
-from fwsets.numeric import lagrangian_value
+from fwsets.numeric import bracket_multiplier, lagrangian_value, one_constraint_bracket
 from fwsets.quadratics import Quadratic, is_psd
 
 F = Fraction
@@ -106,3 +110,65 @@ def test_lagrangian_value_of_the_disk_hard_case():
     assert value == F(-5, 4)
     assert x0[1] == F(-1, 2)
     assert len(system.kernel) == 1 and system.kernel[0][1] == 0
+
+
+# ---------------------------------------------------------------------------
+# the multiplier search
+# ---------------------------------------------------------------------------
+
+TOL = F(1, 10**9)
+
+
+def test_bracket_multiplier_steps_past_a_probe_at_the_centre():
+    # a synthetic probe whose point |s| = 3 (1 - mu) reaches the centre at
+    # mu = 1 and stays there: psi is infinite there, so the refinement
+    # bisects instead of taking a secant through it; the gap of a feasible
+    # probe is mu times its slack, as for a ball, around the minimum 0
+    seen = []
+
+    def probe(mu):
+        s = 3 * max(1 - mu, F(0))
+        slack = 1 - s * s
+        seen.append(slack)
+        if slack < 0:
+            return slack, mu * slack, None, None
+        return slack, -mu * slack / 2, mu * slack / 2, (mu,)
+
+    lower, upper, witness = bracket_multiplier(probe, TOL, F(1))
+    assert F(1) in seen
+    assert lower <= 0 <= upper and upper - lower <= TOL
+    assert witness[0] > F(2, 3) - TOL
+
+
+def test_bracket_multiplier_on_a_nonconvex_disk_probes_none_below_the_least_eigenvalue(monkeypatch):
+    # -3/2 x1^2 + x1/3 + x2^2/2 on the unit disk: q + mu g is PSD only for
+    # mu >= 3, and inconsistent at 3, so every probe up to 3 is None; the
+    # minimum -11/6 is taken at (-1, 0), with multiplier 10/3
+    q = Quadratic.build([[-3, 0], [0, 1]], [F(1, 3), 0])
+    g = _ball_form((F(0), F(0)), F(1))
+    probed = []
+
+    def recording(q_, constraints, lams):
+        res = lagrangian_value(q_, constraints, lams)
+        probed.append((lams[0], res is None))
+        return res
+
+    monkeypatch.setattr(numeric, "lagrangian_value", recording)
+    lower, upper, witness = one_constraint_bracket(q, g, TOL, lambda x: True)
+    assert any(none for _, none in probed)
+    assert all(none == (mu <= 3) for mu, none in probed)
+    assert lower <= F(-11, 6) <= upper and upper - lower <= TOL
+    assert upper == q.evaluate(witness) and g.evaluate(witness) <= 0
+
+
+@pytest.mark.parametrize("q, n, minimum", [
+    (Quadratic.build([[-2, 0], [0, 0]], [0, 1]), 2, F(-5, 4)),
+    (Quadratic.build([[0, 2, 2], [2, 0, 2], [2, 2, 0]], [3, 3, 3]), 3, F(-13, 4)),
+])
+def test_one_constraint_bracket_closes_the_hard_cases(q, n, minimum):
+    # the two trust-region hard cases of the ball tests: the multiplier 2
+    # makes q + mu g singular, and the search must land on it exactly
+    g = _ball_form(tuple(F(0) for _ in range(n)), F(1))
+    lower, upper, witness = one_constraint_bracket(q, g, TOL, lambda x: True)
+    assert lower <= minimum <= upper and upper - lower <= TOL
+    assert upper == q.evaluate(witness) and g.evaluate(witness) <= 0
