@@ -206,7 +206,13 @@ def _epigraph_contains(x: Vec) -> bool | None:
     if len(x) != 2:
         raise DimensionMismatchError("the epigraph lives in the plane")
     t, y = x
-    # f(t) = t^2 + exp(-t^2); certify with rational bounds, widening on demand
+    # f(t) = t^2 + exp(-t^2) and 0 < exp(-t^2) <= 1: outside the band
+    # t^2 < y < t^2 + 1 no enclosure is needed
+    if y <= t * t:
+        return False
+    if y >= t * t + 1:
+        return True
+    # certify with rational bounds, widening on demand
     for terms in (16, 48, 120):
         lo, hi = exp_bounds(-t * t, terms)
         if y >= t * t + hi:
@@ -586,15 +592,9 @@ def linear_lower_bound(f: SetDescriptor, w: Vec) -> Fraction | None:
             if res.status == "optimal":
                 best = res.value
         if len(f.constraints) <= 3:
-            n = len(w)
-            linear = Quadratic(tuple((ZERO,) * n for _ in range(n)), tuple(w), ZERO)
-            lam_grid = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4)]
-            for lams in itertools.product(lam_grid, repeat=len(f.constraints)):
-                if all(l == 0 for l in lams):
-                    continue
-                lag = lagrangian_value(linear, f.constraints, lams)
-                if lag is not None and (best is None or lag[0] > best):
-                    best = lag[0]
+            for value in _multiplier_grid_values(f.constraints, w):
+                if best is None or value > best:
+                    best = value
         return best
     if isinstance(f, Epigraph1D):
         alpha, beta = w
@@ -609,6 +609,45 @@ def linear_lower_bound(f: SetDescriptor, w: Vec) -> Fraction | None:
             return ZERO
         return None
     return None
+
+
+_LAM_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4))
+
+
+def _multiplier_grid_values(constraints, w: Vec):
+    """The finite values ``inf_x w.x + sum(lam_i g_i(x))`` over the grid.
+
+    Consistency is decided once per support S = {i : lam_i > 0}.  When every
+    form in S is PSD, the combined form is PSD with kernel the common kernel
+    K of those forms, whatever the positive multipliers, so the stationarity
+    system is consistent iff ``(w + sum(lam_i b_i)).k = 0`` for each k in K;
+    only those combinations reach :func:`lagrangian_value`.  A positive
+    multiple of one non-PSD form is never PSD, so such a support is skipped;
+    a mixed support of several forms goes to :func:`lagrangian_value` as is.
+    """
+    n = len(w)
+    linear = Quadratic(tuple((ZERO,) * n for _ in range(n)), tuple(w), ZERO)
+    psd = [is_psd(g.a) for g in constraints]
+    # per all-PSD support: (k.w, (k.b_i for i in S)) for each k in K
+    tests = {}
+    for lams in itertools.product(_LAM_GRID, repeat=len(constraints)):
+        support = tuple(i for i, lam in enumerate(lams) if lam)
+        if not support:
+            continue
+        if all(psd[i] for i in support):
+            if support not in tests:
+                rows = [row for i in support for row in constraints[i].a]
+                tests[support] = [
+                    (dot(k, w), [dot(k, constraints[i].b) for i in support])
+                    for k in kernel_basis(rows, n)
+                ]
+            if any(kw + sum(lams[i] * kb for i, kb in zip(support, kbs)) for kw, kbs in tests[support]):
+                continue
+        elif len(support) == 1:
+            continue
+        lag = lagrangian_value(linear, constraints, lams)
+        if lag is not None:
+            yield lag[0]
 
 
 def _separating_slab(f: SetDescriptor, m: AffineManifold) -> PositiveDistance | None:

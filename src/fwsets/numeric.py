@@ -13,7 +13,7 @@ appear, and they only choose which exact multiplier to probe next.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, isfinite, isqrt, sqrt
+from math import factorial, inf, isfinite, isqrt, sqrt
 
 from .linalg import LinearSystem, dot, matvec, rat, solve
 from .quadratics import is_psd
@@ -25,23 +25,30 @@ ZERO = Fraction(0)
 def exp_bounds(x, terms: int = 24) -> tuple[Fraction, Fraction]:
     """Rational ``(lo, hi)`` with ``lo <= exp(x) <= hi``.
 
-    Taylor partial sums with the geometric tail bound; negative arguments
-    go through ``exp(x) = 1/exp(-x)`` so the enclosure stays valid.
+    For x >= 0, lo is the Taylor sum of x^k/k! over k <= n, with
+    ``n = max(terms, 3 floor(x) + 8)``, and hi adds a geometric bound of the
+    remainder: the term of index n + j is the previous one times x/(n + j),
+    for j >= 2 that ratio is at most x/(n + 2), and x/(n + 2) < 1 because
+    n >= 3 floor(x) + 8 > x - 2; so the remainder is at most
+    ``x^n/n! * x/(n + 1) / (1 - x/(n + 2))``.  The sum runs by Horner's rule
+    on integers, with x = p/q, and becomes one Fraction at the end.
+    Negative arguments go through ``exp(x) = 1/exp(-x)`` so the enclosure
+    stays valid.
     """
     x = rat(x)
     if x < 0:
         lo, hi = exp_bounds(-x, terms)
         return ONE / hi, ONE / lo
+    p, q = x.numerator, x.denominator
     n = max(terms, int(x) * 3 + 8)
-    term = ONE
-    total = ONE
-    for k in range(1, n + 1):
-        term *= x / k
-        total += term
-    tail_ratio = x / (n + 2)
-    if tail_ratio >= 1:
-        return exp_bounds(x, 2 * n)
-    tail = term * (x / (n + 1)) / (1 - tail_ratio)
+    # 1 + x/1 (1 + x/2 (... (1 + x/n))) as num/den, innermost first
+    num = den = 1
+    for k in range(n, 0, -1):
+        den *= k * q
+        num = den + p * num
+    total = Fraction(num, den)
+    # x^n/n! * x/(n + 1) / (1 - x/(n + 2))
+    tail = Fraction(p ** (n + 1) * (n + 2), q**n * factorial(n + 1) * ((n + 2) * q - p))
     return total, total + tail
 
 

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -296,6 +297,19 @@ def test_epigraph_line_analysis():
     assert contains(f, vec((0, F(99, 100)))) is False
 
 
+def test_far_epigraph_points_are_decided_without_an_enclosure():
+    # 0 < exp(-t^2) <= 1 decides y <= t^2 and y >= t^2 + 1 at once; an
+    # enclosure of exp(-10^4) would sum 30,008 Taylor terms
+    f = epigraph_set()
+    for y, verdict in ((0, False), (10000, None), (10001, False)):
+        point = AffineManifold.from_equations([[1, 0], [0, 1]], [100, y])
+        start = time.perf_counter()
+        assert is_f_asymptote(f, point) is verdict
+        assert time.perf_counter() - start < 1
+    assert contains(f, vec((100, 10000))) is False
+    assert contains(f, vec((100, 10001))) is True
+
+
 # ---------------------------------------------------------------------------
 # separating slabs / linear bounds
 # ---------------------------------------------------------------------------
@@ -394,6 +408,34 @@ def test_linear_lower_bound_matches_reference_lagrangian():
     assert len(sets) == 37
     assert sum(v is None for v in values) >= 15
     assert sum(v is not None for v in values) >= 60
+
+
+def test_multiplier_grid_solves_only_consistent_combinations(monkeypatch):
+    # consistency is decided once per support from the forms' common kernel:
+    # the 16 queries +-e_j on two gallery sets with two PSD constraints each
+    # solve 28 of their 560 grid combinations
+    calls = count_calls(monkeypatch, "lagrangian_value")
+    for f in (luo_zhang_set(), gallery.cylinder_parabolic_set()):
+        for j in range(4):
+            for sign in (1, -1):
+                w = vec(sign * int(i == j) for i in range(4))
+                assert linear_lower_bound(f, w) == _reference_quad_lower_bound(f, w)
+    assert len(calls) <= 40
+
+
+def test_multiplier_grid_with_a_psd_and_an_indefinite_form(monkeypatch):
+    # a support that mixes both kinds is solved combination by combination;
+    # 4 lam1 >= lam2 makes lam1 (4I) + lam2 diag(1, -1) PSD
+    rng = random.Random(20261019)
+    psd = Quadratic.build([[4, 0], [0, 4]], [rng.randint(-3, 3) for _ in range(2)], rng.randint(-4, 0))
+    indefinite = Quadratic.build([[1, 0], [0, -1]], [rng.randint(-3, 3) for _ in range(2)], rng.randint(-4, 4))
+    f = QuadSublevel(whole_space(2), (psd, indefinite))
+    calls = count_calls(monkeypatch, "lagrangian_value")
+    for _ in range(6):
+        w = vec(rng.randint(-3, 3) for _ in range(2))
+        assert linear_lower_bound(f, w) == _reference_quad_lower_bound(f, w)
+    mixed = [lams for _, _, lams in calls if all(lams)]
+    assert mixed and len(mixed) == len(calls) - 6 * 5  # and the PSD form alone
 
 
 # ---------------------------------------------------------------------------

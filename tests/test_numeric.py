@@ -1,6 +1,8 @@
-"""Tests for the weak-duality bound :func:`numeric.lagrangian_value` and the
-multiplier search :func:`numeric.bracket_multiplier`."""
+"""Tests for the weak-duality bound :func:`numeric.lagrangian_value`, the
+multiplier search :func:`numeric.bracket_multiplier` and the exponential
+enclosure :func:`numeric.exp_bounds`."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -172,3 +174,41 @@ def test_one_constraint_bracket_closes_the_hard_cases(q, n, minimum):
     lower, upper, witness = one_constraint_bracket(q, g, TOL, lambda x: True)
     assert lower <= minimum <= upper and upper - lower <= TOL
     assert upper == q.evaluate(witness) and g.evaluate(witness) <= 0
+
+
+# ---------------------------------------------------------------------------
+# the exponential enclosure
+# ---------------------------------------------------------------------------
+
+
+def _reference_exp_bounds(x, terms):
+    # the Fraction Taylor loop that the integer Horner sum replaced
+    if x < 0:
+        lo, hi = _reference_exp_bounds(-x, terms)
+        return 1 / hi, 1 / lo
+    n = max(terms, int(x) * 3 + 8)
+    term = total = F(1)
+    for k in range(1, n + 1):
+        term *= x / k
+        total += term
+    tail = term * (x / (n + 1)) / (1 - x / (n + 2))
+    return total, total + tail
+
+
+def test_exp_bounds_match_the_fraction_taylor_loop():
+    rng = random.Random(20261019)
+    xs = [F(0), F(-49), F(49)]
+    for _ in range(40):
+        den = rng.randint(1, 9)
+        xs.append(F(rng.randint(-49 * den, 49 * den), den))
+    assert any(x < 0 for x in xs) and any(x > 0 for x in xs)
+    for x in xs:
+        for terms in (16, 24, 32, 40, 120):
+            lo, hi = numeric.exp_bounds(x, terms)
+            assert (lo, hi) == _reference_exp_bounds(x, terms), (x, terms)
+            # the enclosure is exact only at 0
+            assert lo < hi if x else lo == hi == 1
+            # it may be narrower than the float's rounding error
+            e = math.exp(float(x))
+            if e != 0 and math.isfinite(e):
+                assert lo <= e * (1 + 1e-12) and hi >= e * (1 - 1e-12), (x, terms)
