@@ -212,8 +212,13 @@ def _epigraph_contains(x: Vec) -> bool | None:
         return False
     if y >= t * t + 1:
         return True
-    # certify with rational bounds, widening on demand
-    for terms in (16, 48, 120):
+    # exp(-s) <= 1/(1 + s) leaves only a band of width below 1/(1 + t^2)
+    if y >= t * t + 1 / (1 + t * t):
+        return True
+    # certify with rational bounds, widening on demand; exp_bounds sums at
+    # least 3 floor(t^2) + 8 terms, so a pass below that count repeats it
+    least = 3 * int(t * t) + 8
+    for terms in sorted({max(k, least) for k in (16, 48, 120)}):
         lo, hi = exp_bounds(-t * t, terms)
         if y >= t * t + hi:
             return True

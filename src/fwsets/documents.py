@@ -351,28 +351,35 @@ def parse(text: str):
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(exc.msg, line=exc.lineno, column=exc.colno) from None
-    _require_keys(raw, "$", ("version", "kind", "payload"))
+    return parse_document(raw)
+
+
+def parse_document(raw, path: str = "$"):
+    """Parse an already decoded document found at ``path``; returns (kind,
+    value).  Semantic errors carry paths below ``path``."""
+    _require_keys(raw, path, ("version", "kind", "payload"))
     if raw["version"] != "1":
-        raise DocumentError(f"unsupported version {raw['version']!r}", path="$.version")
+        raise DocumentError(f"unsupported version {raw['version']!r}", path=f"{path}.version")
     kind = raw["kind"]
     payload = raw["payload"]
+    at = f"{path}.payload"
+    if not isinstance(payload, dict):
+        raise DocumentError("expected an object", path=at)
     if kind in SET_KINDS:
-        node = dict(payload)
-        node["kind"] = kind
-        return kind, _parse_set(node, "$.payload")
+        return kind, _parse_set({**payload, "kind": kind}, at)
     if kind == "quadratic":
-        return kind, _parse_quadratic(payload, "$.payload")
+        return kind, _parse_quadratic(payload, at)
     if kind == "cone":
-        return kind, _parse_cone(payload, "$.payload")
+        return kind, _parse_cone(payload, at)
     if kind == "second_order_cone":
-        return kind, _parse_soc(payload, "$.payload")
+        return kind, _parse_soc(payload, at)
     if kind == "affine_map":
-        return kind, _parse_affine_map(payload, "$.payload")
+        return kind, _parse_affine_map(payload, at)
     if kind == "manifold":
-        return kind, _parse_manifold(payload, "$.payload")
+        return kind, _parse_manifold(payload, at)
     if kind == "subspace":
-        return kind, _parse_subspace(payload, "$.payload")
-    raise DocumentError(f"unknown document kind {kind!r}", path="$.kind")
+        return kind, _parse_subspace(payload, at)
+    raise DocumentError(f"unknown document kind {kind!r}", path=f"{path}.kind")
 
 
 def serialize(kind: str, value) -> str:

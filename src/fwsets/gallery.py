@@ -1,18 +1,18 @@
 """Executable gallery of attainment counterexamples and theorem instances.
 
-Every case couples a set (and usually an objective) with the published
-verdict and a verifier that reproduces the verdict: exact rational checks
-wherever the data is algebraic (curve membership, section emptiness,
-separating slabs, truncation lower bounds, weak-duality brackets of minima
-on compact sets).  Non-attainment itself cannot be
-certified by finite sampling, so those verdicts pair a decreasing evidence
-curve with exact positive lower bounds over growing compact truncations;
-the expected verdict encodes the published claim and the verifier checks
-everything checkable.
+Every case couples a set (and usually objectives) with the published verdict
+and the checks that reproduce it: exact rational checks wherever the data is
+algebraic (curve membership, section emptiness, separating slabs, truncation
+lower bounds, weak-duality brackets of minima on compact sets).
+Non-attainment itself cannot be certified by finite sampling, so those
+verdicts pair a decreasing evidence curve with exact positive lower bounds
+over growing compact truncations; the expected verdict encodes the published
+claim and the checks test everything checkable.
 
-Case data (claims, tolerances, citations) ships in ``gallery_data/*.json``;
-importing this module registers the sets' asymptote candidates and
-witnesses with the classification layer.
+Each case is a data file ``gallery_data/<case>.json`` (README, "Gallery"),
+read, checked and parsed once per process; only non-algebraic data is built
+in (``BUILTIN_*``).  The classification layer imports this module on first
+use, and the import hands it the cases' witnesses and asymptote evidence.
 """
 
 from __future__ import annotations
@@ -20,13 +20,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial, reduce
 from importlib import resources
+from types import SimpleNamespace
 
-from .affine import AffineManifold
 from .asymptotes import (
-    Epigraph1D,
     NonAttainmentWitness,
     QuadSublevel,
+    ambient_dim,
     bounded_base,
     classify_fw_set,
     classify_qfw,
@@ -36,16 +37,16 @@ from .asymptotes import (
     projection_closed,
     register_asymptote_evidence,
     register_fw_witness,
-    whole_space,
 )
-from .errors import FwsetsError
-from .linalg import Vec, dot, vec, zeros
-from .motzkin import MotzkinSet, PolytopeK, SecondOrderCone, classify_fw, minimize_on_motzkin
+from .documents import SET_KINDS, parse_document, parse_rational
+from .errors import DocumentError, FwsetsError
+from .linalg import Vec, dot
+from .motzkin import minimize_on_motzkin
 from .numeric import exp_bounds, one_constraint_bracket, sqrt_upper
-from .polyhedra import HPolyhedron, PolyCone, recession_cone
+from .polyhedra import recession_cone
 from .quadratics import Quadratic
 
-F = Fraction
+_DATA = resources.files("fwsets") / "gallery_data"
 
 
 @dataclass(frozen=True)
@@ -73,123 +74,11 @@ class CaseReport:
         return out
 
 
-def _load_data(name: str) -> dict:
-    path = resources.files("fwsets").joinpath("gallery_data", f"{name}.json")
-    data = json.loads(path.read_text())
-    if data.get("version") != "1":
-        raise FwsetsError(f"unsupported gallery data version in {name}")
-    return data
-
-
 def _check(name, passed, claimed, computed, detail="") -> CheckResult:
     return CheckResult(name, bool(passed), str(claimed), str(computed), detail)
 
 
-# ---------------------------------------------------------------------------
-# set and objective builders
-# ---------------------------------------------------------------------------
-
-
-def luo_zhang_set() -> QuadSublevel:
-    c1 = Quadratic.build(
-        [[2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], [0, 0, -1, 0]
-    )
-    c2 = Quadratic.build(
-        [[0, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], [0, 0, 0, -1]
-    )
-    return QuadSublevel(whole_space(4), (c1, c2), sample_point=zeros(4))
-
-
-def luo_zhang_objective() -> Quadratic:
-    a = [[2, -2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
-    return Quadratic.build(a, zeros(4), 1)
-
-
-def luo_zhang_curve(ts) -> tuple[Vec, ...]:
-    return tuple(vec((t, 1 / t, t * t, 1 / (t * t))) for t in ts)
-
-
-def epigraph_set() -> Epigraph1D:
-    return Epigraph1D("parabola_exp")
-
-
-def epigraph_objective() -> Quadratic:
-    return Quadratic.build([[-2, 0], [0, 0]], [0, 1])
-
-
-def epigraph_curve(ks) -> tuple[Vec, ...]:
-    pts = []
-    for k in ks:
-        k = F(k)
-        _, hi = exp_bounds(-k * k, 40)
-        pts.append((k, k * k + hi))
-    return tuple(pts)
-
-
-def hyperbola_set() -> QuadSublevel:
-    base = HPolyhedron.from_rows([[-1, 0], [0, -1]], [0, 0])
-    q = Quadratic.build([[0, -1], [-1, 0]], [0, 0], 1)  # 1 - x y <= 0
-    return QuadSublevel(base, (q,), sample_point=vec((1, 1)))
-
-
-def ice_cream_cut_set() -> QuadSublevel:
-    base = HPolyhedron.from_rows([[0, -1]], [-1])  # z >= 1
-    q = Quadratic.build([[2, 0], [0, -2]], [0, 0], 1)  # x^2 + 1 - z^2 <= 0
-    return QuadSublevel(base, (q,), sample_point=vec((0, 1)))
-
-
-def ice_cream_cone() -> MotzkinSet:
-    soc = SecondOrderCone.build(3, (0, 0, 1), F(1, 2))
-    return MotzkinSet(PolytopeK.build([(0, 0, 0)]), soc)
-
-
-def cylinder_parabolic_set() -> QuadSublevel:
-    disk = Quadratic.build(
-        [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], [-2, 0, 0, 0]
-    )  # (x1-1)^2 + x2^2 - 1 <= 0
-    par = Quadratic.build(
-        [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0]], [0, 0, 0, -1]
-    )  # x3^2 - x4 <= 0
-    return QuadSublevel(whole_space(4), (disk, par), sample_point=vec((1, 0, 0, 0)))
-
-
-def cylinder_parabolic_objective() -> Quadratic:
-    a = [[0, 0, 0, 1], [0, 0, -2, 0], [0, -2, 0, 0], [1, 0, 0, 0]]
-    return Quadratic.build(a, zeros(4), 2)
-
-
-def circle_point(t: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational parametrization of (x1-1)^2 + x2^2 = 1 with x1 -> 0 as t -> 0."""
-    den = 1 + t * t
-    return 2 * t * t / den, 2 * t / den
-
-
-def cylinder_parabolic_curve(ts) -> tuple[Vec, ...]:
-    pts = []
-    for t in ts:
-        t = F(t)
-        x1, x2 = circle_point(t)
-        x3 = 1 / t
-        pts.append(vec((x1, x2, x3, x3 * x3)))
-    return tuple(pts)
-
-
-def luo_zhang_theorem_set() -> QuadSublevel:
-    box = HPolyhedron.from_rows(
-        [[1, 0], [-1, 0], [0, 1], [0, -1]], [2, 2, 2, 2]
-    )
-    disk = Quadratic.build([[2, 0], [0, 2]], [0, 0], -2)  # x1^2 + x2^2 <= 2
-    return QuadSublevel(box, (disk,), sample_point=zeros(2))
-
-
-def luo_zhang_theorem_battery() -> tuple[Quadratic, ...]:
-    return (
-        Quadratic.build([[2, 0], [0, 2]], [-6, 0], 9),  # (x1-3)^2 + x2^2
-        Quadratic.build([[0, 1], [1, 0]], [0, 0], 0),  # x1 x2
-        Quadratic.build([[-2, 0], [0, 0]], [0, 1], 0),  # -x1^2 + x2
-    )
-
-
+# built-in (non-algebraic) case data, selected by name
 @dataclass(frozen=True)
 class ReducedCylinderObjective:
     """The cubic ``x3^2 x1 - 2 x2 x3 + 2`` (not a quadratic; exact on rationals)."""
@@ -199,408 +88,181 @@ class ReducedCylinderObjective:
         return x3 * x3 * x1 - 2 * x2 * x3 + 2
 
 
-def program_p_set() -> QuadSublevel:
-    disk = Quadratic.build(
-        [[2, 0, 0], [0, 2, 0], [0, 0, 0]], [-2, 0, 0]
-    )  # (x1-1)^2 + x2^2 - 1 <= 0
-    return QuadSublevel(whole_space(3), (disk,), sample_point=vec((1, 0, 0)))
+BUILTIN_OBJECTIVES = {"reduced_cylinder": ReducedCylinderObjective()}
+BUILTIN_CURVES = {
+    # the epigraph's boundary (t, t^2 + exp(-t^2)), lifted to exp's upper bound
+    "exp_bounds": lambda t: (t, t * t + exp_bounds(-t * t, 40)[1]),
+    # the cone section's boundary z^2 = t^2 + 1, z rounded up
+    "sqrt_upper": lambda t: (t, sqrt_upper(t * t + 1)),
+}
+# the epigraph's truncation bound exp(-r), from below
+BUILTIN_BOUNDS = {"exp_truncation": lambda r: exp_bounds(-r, 40)[0]}
 
 
-def program_p_curve(ts) -> tuple[Vec, ...]:
-    pts = []
-    for t in ts:
-        t = F(t)
-        x1, x2 = circle_point(t)
-        pts.append(vec((x1, x2, 1 / t)))
-    return tuple(pts)
+def _horner(coeffs, t) -> Fraction:
+    return reduce(lambda value, c: value * t + c, reversed(coeffs), Fraction(0))
 
 
-def parabola_set() -> QuadSublevel:
-    q = Quadratic.build([[2, 0], [0, 0]], [0, -1])  # x^2 - y <= 0
-    return QuadSublevel(whole_space(2), (q,), sample_point=zeros(2))
-
-
-def orthant_set() -> HPolyhedron:
-    return HPolyhedron.from_rows([[-1, 0], [0, -1]], [0, 0])
+def _sample(curve, ts, path="$") -> tuple[Vec, ...]:
+    try:
+        return tuple(curve(Fraction(t)) for t in ts)
+    except ZeroDivisionError:
+        raise DocumentError("the curve has a pole at one of its ts", path=path) from None
 
 
 # ---------------------------------------------------------------------------
-# shared check fragments
+# check fragments: one per check kind, each yielding its checks
 # ---------------------------------------------------------------------------
 
 
-def _checks_curve_evidence(fset, objective, points, infimum, threshold, checks):
-    memberships = [contains(fset, p) for p in points]
-    checks.append(
-        _check(
-            "evidence memberships exact",
-            all(m is True for m in memberships),
-            "all member",
-            f"{sum(1 for m in memberships if m is True)}/{len(points)}",
-        )
-    )
-    vals = [objective.evaluate(p) for p in points]
+def _point_text(p) -> str:
+    return f"({', '.join(map(str, p))})"
+
+
+def _classification(case, set=None, prefix="", fw=None, qfw=None):
+    fset = case.set if set is None else set
+    want_fw, want_qfw = fw or case.expected["classify_fw"], qfw or case.expected["classify_qfw"]
+    got_fw, got_qfw = classify_fw_set(fset).label, classify_qfw(fset).label
+    yield _check(f"{prefix}attainment class", got_fw == want_fw, want_fw, got_fw)
+    yield _check(f"{prefix}quasi-attainment class", got_qfw == want_qfw, want_qfw, got_qfw)
+
+
+def _asymptote_battery(case):
+    for name, entry in case.battery.items():
+        verdict, want = is_f_asymptote(case.set, entry["manifold"]), entry["asymptote"]
+        yield _check(f"asymptote battery: {name}", verdict is want, want, verdict)
+
+
+def _projections(case, closed, coords=(), coordinates=()):
+    targets = [(f"coords {c}", list(c)) for c in coords]
+    targets += [(f"coordinate {k}", [k]) for k in coordinates]
+    for label, cs in targets:
+        verdict, note = projection_closed(case.set, cs)
+        yield _check(f"projection onto {label} closed", verdict is closed, closed, verdict, note)
+
+
+def _curve_evidence(case, points, infimum, threshold, equals_coordinate=None):
+    count = sum(1 for p in points if contains(case.set, p) is True)
+    vals = [case.objectives[0].evaluate(p) for p in points]
     decreasing = all(a > b for a, b in zip(vals, vals[1:]))
     above = all(v > infimum for v in vals)
-    reached = vals[-1] - infimum < threshold
-    checks.append(
-        _check(
-            "evidence decreases strictly toward the infimum",
-            decreasing and above,
-            "strictly decreasing, above infimum",
-            f"decreasing={decreasing}, above={above}",
-        )
+    yield _check("evidence memberships exact", count == len(points), "all member", f"{count}/{len(points)}")
+    yield _check(
+        "evidence decreases strictly toward the infimum",
+        decreasing and above,
+        "strictly decreasing, above infimum",
+        f"decreasing={decreasing}, above={above}",
     )
-    checks.append(
-        _check(
-            f"evidence value within {threshold} of the infimum",
-            reached,
-            f"< {infimum + threshold}",
-            str(vals[-1]),
-        )
+    yield _check(
+        f"evidence value within {threshold} of the infimum",
+        vals[-1] - infimum < threshold,
+        f"< {infimum + threshold}",
+        vals[-1],
     )
-    return vals
+    if equals_coordinate is not None:
+        k = equals_coordinate
+        same = all(v == p[k - 1] for v, p in zip(vals, points))
+        yield _check(
+            f"curve values equal the {('first', 'second', 'third', 'fourth')[k - 1]} coordinate",
+            same,
+            f"q(curve(t)) == x{k}(t)",
+            "verified" if same else "mismatch",
+        )
 
 
-def _checks_truncated_positive(radii, exact_bound, checks):
+def _truncated_bound(case, radii, bound, argument=""):
+    """``bound(r)`` is a positive lower bound of the objective on the set
+    within radius r, for each radius; a long bound is shown to 3 digits."""
     for r in radii:
-        bound = exact_bound(r)
-        checks.append(
-            _check(
-                f"truncated minimum over radius {r} stays positive",
-                bound > 0,
-                "> 0",
-                f"certified lower bound {bound}",
-            )
+        value = bound(r)
+        text = str(value) if len(str(value)) <= 20 else f"{float(value):.3g}"
+        yield _check(
+            f"truncated minimum over radius {r} stays positive",
+            value > 0,
+            "> 0",
+            f"certified lower bound {text}",
+            argument,
         )
 
 
-def _checks_classification(fset, expected, checks, fw=None, qfw=None):
-    fw_label = (fw or classify_fw_set(fset)).label
-    qfw_label = (qfw or classify_qfw(fset)).label
-    checks.append(
-        _check("attainment class", fw_label == expected["classify_fw"], expected["classify_fw"], fw_label)
+def _members(case, points, name, words=False, member=True):
+    """Each point is a member (a non-member); ``name`` may show the point as
+    ``{point}`` and its coordinates as ``{p[i]}``."""
+    for p in points:
+        verdict = contains(case.set, p)
+        shown = ("member" if verdict else "not member") if words else verdict
+        claimed = "member" if member else False
+        yield _check(name.format(p=p, point=_point_text(p)), verdict is member, claimed, shown)
+
+
+def _recession_cone(case, generators, points, steps):
+    cone = recession_cone(case.set.base).generators
+    moved = all(
+        contains(case.set, tuple(a + t * b for a, b in zip(x, d))) is True
+        for x in points
+        for d in generators
+        for t in steps
     )
-    checks.append(
-        _check(
-            "quasi-attainment class",
-            qfw_label == expected["classify_qfw"],
-            expected["classify_qfw"],
-            qfw_label,
-        )
+    yield _check(
+        "recession cone of the base equals the claimed cone",
+        set(cone) == set(generators),
+        sorted(generators),
+        sorted(cone),
+    )
+    yield _check("claimed generators are recession directions", moved, True, moved)
+
+
+def _open_image(case, points, functional, label, within):
+    """The image of the set under ``functional`` misses its boundary value 0,
+    which the values along the curve approach from below."""
+    verdict, note = image_closed_1d(case.set, functional)
+    yield _check(f"image under {label} is not closed", verdict is False, False, verdict, note)
+    vals = [dot(functional, p) for p in points]
+    rising = all(a < b for a, b in zip(vals, vals[1:]))
+    yield _check(
+        "functional values approach the missing boundary value",
+        rising and all(v < 0 for v in vals) and vals[-1] > -within,
+        "monotone, negative, approaching 0",
+        f"last value {float(vals[-1]):.3g}",
     )
 
 
-def _checks_asymptote_battery(fset, battery, expected_map, checks):
-    for name, manifold in battery.items():
-        verdict = is_f_asymptote(fset, manifold)
-        want = expected_map[name]
-        checks.append(
-            _check(
-                f"asymptote battery: {name}",
-                verdict is want,
-                str(want),
-                str(verdict),
-            )
-        )
-
-
-def _checks_projections_closed(fset, coord_lists, checks, expected=True):
-    for coords in coord_lists:
-        verdict, note = projection_closed(fset, coords)
-        checks.append(
-            _check(
-                f"projection onto coords {tuple(coords)} closed",
-                verdict is expected,
-                str(expected),
-                str(verdict),
-                note,
-            )
-        )
-
-
-# ---------------------------------------------------------------------------
-# case verifiers
-# ---------------------------------------------------------------------------
-
-
-def _verify_luo_zhang_ex1(data) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-    fset = luo_zhang_set()
-    q = luo_zhang_objective()
-    expected = data["expected"]
-    threshold = F(expected["evidence_threshold"])
-    infimum = F(expected["infimum"])
-    ts = [F(1, 2**k) for k in range(7)]
-    _checks_curve_evidence(fset, q, luo_zhang_curve(ts), infimum, threshold, checks)
-
-    # two-branch bound on |xi| <= r boxes: either |x1| < 1/(2r), which forces
-    # |x1 x2| < 1/2 and (x1 x2 - 1)^2 > 1/4, or q >= x1^2 >= 1/(4 r^2)
-    _checks_truncated_positive(expected["truncation_radii"], lambda r: F(1, 4 * r * r), checks)
-    _checks_classification(fset, expected, checks)
-    battery = {"x3_floor": AffineManifold.hyperplane((0, 0, 1, 0), -1)}
-    _checks_asymptote_battery(fset, battery, expected["asymptote_battery_verdicts"], checks)
-    _checks_projections_closed(fset, expected["projections_closed"], checks)
-    # members on the section curve x3 = x1^2, sampled exactly
-    for t in (F(-3), F(0), F(5, 2)):
-        checks.append(
-            _check(
-                f"first-coordinate section witness at {t}",
-                contains(fset, vec((t, 0, t * t, 0))) is True,
-                "member",
-                "member" if contains(fset, vec((t, 0, t * t, 0))) else "not member",
-            )
-        )
-    return checks
-
-
-def _verify_epigraph_exp(data) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-    fset = epigraph_set()
-    q = epigraph_objective()
-    expected = data["expected"]
-    threshold = F(expected["evidence_threshold"])
-    infimum = F(expected["infimum"])
-    pts = epigraph_curve(range(1, 7))
-    _checks_curve_evidence(fset, q, pts, infimum, threshold, checks)
-    # q = y - x^2 >= exp(-x^2) > 0 on the whole set, so every truncation stays
-    # positive; certify with the exp lower bound at the truncation radius
-    for r in expected["truncation_radii"]:
-        lo, _ = exp_bounds(-F(r), 40)
-        checks.append(
-            _check(
-                f"truncated minimum over radius {r} stays positive",
-                lo > 0,
-                "> 0",
-                f"certified lower bound {float(lo):.3g}",
-            )
-        )
-    _checks_classification(fset, expected, checks)
-    battery = {"x_axis": AffineManifold.hyperplane((0, 1), 0)}
-    _checks_asymptote_battery(fset, battery, expected["asymptote_battery_verdicts"], checks)
-    _checks_projections_closed(fset, expected["projections_closed"], checks)
-    checks.append(
-        _check(
-            "boundary point (0, 1) belongs to the set",
-            contains(fset, vec((0, 1))) is True,
-            "member",
-            str(contains(fset, vec((0, 1)))),
-        )
-    )
-    return checks
-
-
-def _verify_hyperbola_set(data) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-    fset = hyperbola_set()
-    expected = data["expected"]
-    battery = {
-        "x_axis": AffineManifold.hyperplane((0, 1), 0),
-        "y_axis": AffineManifold.hyperplane((1, 0), 0),
-        "y_floor": AffineManifold.hyperplane((0, 1), -1),
-    }
-    _checks_asymptote_battery(fset, battery, expected["asymptote_battery_verdicts"], checks)
-    _checks_classification(fset, expected, checks)
-
-    claimed_gens = tuple(vec(g) for g in expected["recession_cone_generators"])
-    base_cone = recession_cone(fset.base)
-    checks.append(
-        _check(
-            "recession cone of the base equals the claimed cone",
-            set(base_cone.generators) == set(claimed_gens),
-            str(sorted(claimed_gens)),
-            str(sorted(base_cone.generators)),
-        )
-    )
-    # claimed generators are genuine recession directions of the set itself
-    samples = [vec((1, 1)), vec((2, 1)), vec((F(1, 2), 2))]
-    ok = True
-    for x in samples:
-        for d in claimed_gens:
-            for t in (F(1), F(10), F(100)):
-                moved = tuple(a + t * b for a, b in zip(x, d))
-                ok = ok and (contains(fset, moved) is True)
-    checks.append(
-        _check("claimed generators are recession directions", ok, "True", str(ok))
-    )
-    escape = tuple(a - 100 * b for a, b in zip(samples[0], claimed_gens[0]))
-    checks.append(
-        _check(
-            "directions outside the orthant eventually leave",
-            contains(fset, escape) is False,
-            "False",
-            str(contains(fset, escape)),
-        )
-    )
-    for coords, want in expected["projections_closed_verdicts"].items():
-        verdict, note = projection_closed(fset, [int(coords)])
-        checks.append(
-            _check(
-                f"projection onto coordinate {coords} closed",
-                verdict is want,
-                str(want),
-                str(verdict),
-                note,
-            )
-        )
-    return checks
-
-
-def _verify_ice_cream_cut(data) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-    fset = ice_cream_cut_set()
-    expected = data["expected"]
-    battery = {
-        "diagonal": AffineManifold.hyperplane((1, -1), 0),
-        "z_floor": AffineManifold.hyperplane((0, 1), 0),
-    }
-    _checks_asymptote_battery(fset, battery, expected["asymptote_battery_verdicts"], checks)
-    _checks_classification(fset, expected, checks)
-
-    cone = ice_cream_cone()
-    cone_fw = classify_fw(cone)
-    cone_qfw = classify_qfw(cone)
-    checks.append(
-        _check(
-            "cone attainment class",
-            cone_fw.label == expected["cone_classify_fw"],
-            expected["cone_classify_fw"],
-            cone_fw.label,
-        )
-    )
-    checks.append(
-        _check(
-            "cone quasi-attainment class",
-            cone_qfw.label == expected["cone_classify_qfw"],
-            expected["cone_classify_qfw"],
-            cone_qfw.label,
-        )
-    )
-    for coords, want in expected["projections_closed_verdicts"].items():
-        verdict, note = projection_closed(fset, [int(coords)])
-        checks.append(
-            _check(
-                f"projection onto coordinate {coords} closed",
-                verdict is want,
-                str(want),
-                str(verdict),
-                note,
-            )
-        )
-    functional = vec(expected["nonclosed_functional"])
-    verdict, note = image_closed_1d(fset, functional)
-    checks.append(
-        _check(
-            "image under x - z is not closed",
-            verdict is False,
-            "False",
-            str(verdict),
-            note,
-        )
-    )
-    # the functional's values approach 0 on the set but never reach it
-    pts = _ice_curve_points()
-    vals = [dot(functional, p) for p in pts]
-    approach = all(v < 0 for v in vals) and all(
-        a < b for a, b in zip(vals, vals[1:])
-    ) and vals[-1] > -F(1, 10**6)
-    checks.append(
-        _check(
-            "functional values approach the missing boundary value",
-            approach,
-            "monotone, negative, approaching 0",
-            f"last value {float(vals[-1]):.3g}",
-        )
-    )
-    return checks
-
-
-def _ice_curve_points() -> tuple[Vec, ...]:
-    pts = []
-    for k in range(0, 23, 2):
-        t = F(2) ** k
-        z = sqrt_upper(t * t + 1)
-        pts.append(vec((t, z)))
-    return tuple(pts)
-
-
-def _verify_cylinder_parabolic(data) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-    fset = cylinder_parabolic_set()
-    q = cylinder_parabolic_objective()
-    expected = data["expected"]
-    threshold = F(expected["evidence_threshold"])
-    infimum = F(expected["infimum"])
-    ts = [F(1, 2**k) for k in range(7)]
-    pts = cylinder_parabolic_curve(ts)
-    vals = _checks_curve_evidence(fset, q, pts, infimum, threshold, checks)
-    # along the curve the value equals the first coordinate exactly
-    checks.append(
-        _check(
-            "curve values equal the first coordinate",
-            all(v == p[0] for v, p in zip(vals, pts)),
-            "q(curve(t)) == x1(t)",
-            "verified" if all(v == p[0] for v, p in zip(vals, pts)) else "mismatch",
-        )
-    )
-    # two-branch bound: x1 <= 1/(8r) forces |x2 x3| <= 1/2 hence q >= 1;
-    # otherwise q >= x1 > 1/(8r)
-    _checks_truncated_positive(expected["truncation_radii"], lambda r: F(1, 8 * r), checks)
-    _checks_classification(fset, expected, checks)
-    battery = {
-        "x4_floor": AffineManifold.hyperplane((0, 0, 0, 1), -1),
-        "x1_wall": AffineManifold.hyperplane((1, 0, 0, 0), 3),
-    }
-    _checks_asymptote_battery(fset, battery, expected["asymptote_battery_verdicts"], checks)
-    _checks_projections_closed(fset, expected["projections_closed"], checks)
-    for c in (F(0), F(1, 7), F(2)):
-        member = contains(fset, vec((c, 0, 0, 0)))
-        checks.append(
-            _check(
-                f"first-coordinate witness at {c}",
-                member is True,
-                "member",
-                str(member),
-            )
-        )
-    return checks
-
-
-def _verify_luo_zhang_theorem(data) -> list[CheckResult]:
-    """Certify attainment and bracket each battery minimum exactly.
-
-    The base box is bounded, so the set is compact and, holding a member,
-    every objective attains its minimum on it.  The value is pinned by
-    :func:`_lagrangian_bracket` between a weak-duality lower bound and the
-    objective at an exact member.
-    """
-    checks: list[CheckResult] = []
-    fset = luo_zhang_theorem_set()
-    expected = data["expected"]
-    width = F(expected["bracket_width_max"])
-    _checks_classification(fset, expected, checks)
+def _bracket(case, width):
+    """The base is bounded, so the set is compact and, holding a member,
+    every objective attains its minimum on it; :func:`_lagrangian_bracket`
+    pins it between a weak-duality bound and the objective at a member."""
+    fset = case.set
     attains = bounded_base(fset) and contains(fset, fset.sample_point) is True
-    for idx, q in enumerate(luo_zhang_theorem_battery()):
+    for idx, q in enumerate(case.objectives):
         lower, upper, witness = _lagrangian_bracket(fset, q, width)
-        checks.append(
-            _check(
-                f"objective {idx} attains (compact set)",
-                attains == expected["all_attain"],
-                expected["all_attain"],
-                attains,
-            )
-        )
         member = contains(fset, witness)
-        checks.append(
-            _check(
-                f"objective {idx} exact bracket",
-                upper - lower <= width and member is True,
-                f"width <= {width}, member witness",
-                f"width {upper - lower}, witness {member}",
-                f"minimum in [{lower}, {upper}], witness ({', '.join(map(str, witness))})",
-            )
+        yield _check(f"objective {idx} attains (compact set)", attains is True, True, attains)
+        yield _check(
+            f"objective {idx} exact bracket",
+            upper - lower <= width and member is True,
+            f"width <= {width}, member witness",
+            f"width {upper - lower}, witness {member}",
+            f"minimum in [{lower}, {upper}], witness {_point_text(witness)}",
         )
-    return checks
+
+
+def _attains(case, set, value):
+    """The objective attains ``value`` on a Motzkin set, exactly."""
+    verdict = minimize_on_motzkin(case.objectives[0], set)
+    yield _check(
+        "baseline objective attains its infimum exactly",
+        verdict.kind == "attained" and verdict.value == value,
+        value,
+        f"{verdict.kind}, value {getattr(verdict, 'value', None)}",
+    )
+
+
+def _register_witness(case, points, infimum, note):
+    register_fw_witness(case.set, NonAttainmentWitness(case.objectives[0], infimum, points, note))
+
+
+def _register_evidence(case, candidate, points):
+    register_asymptote_evidence(case.set, candidate["manifold"], points)
 
 
 def _lagrangian_bracket(fset: QuadSublevel, q: Quadratic, width: Fraction):
@@ -618,174 +280,260 @@ def _lagrangian_bracket(fset: QuadSublevel, q: Quadratic, width: Fraction):
     return lower, upper, witness
 
 
-def _verify_program_p(data) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-    fset = program_p_set()
-    obj = ReducedCylinderObjective()
-    expected = data["expected"]
-    threshold = F(expected["evidence_threshold"])
-    infimum = F(expected["infimum"])
-    ts = [F(1, 2**k) for k in range(7)]
-    pts = program_p_curve(ts)
-    _checks_curve_evidence(fset, obj, pts, infimum, threshold, checks)
-    _checks_truncated_positive(expected["truncation_radii"], lambda r: F(1, 8 * r * r), checks)
-    _checks_classification(fset, expected, checks)
-    return checks
-
-
-def _verify_parabola(data) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-    fset = parabola_set()
-    expected = data["expected"]
-    battery = {
-        "y_floor": AffineManifold.hyperplane((0, 1), -1),
-        "tilted_missing_line": AffineManifold.hyperplane((-1, 1), -5),
-        "diagonal": AffineManifold.hyperplane((-1, 1), 0),
-    }
-    _checks_asymptote_battery(fset, battery, expected["asymptote_battery_verdicts"], checks)
-    _checks_classification(fset, expected, checks)
-    _checks_projections_closed(fset, expected["projections_closed"], checks)
-    return checks
-
-
-def _verify_orthant(data) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-    fset = orthant_set()
-    expected = data["expected"]
-    battery = {
-        "y_floor": AffineManifold.hyperplane((0, 1), -1),
-        "shifted_diagonal": AffineManifold.hyperplane((1, -1), 5),
-        "diagonal": AffineManifold.hyperplane((1, -1), 0),
-    }
-    _checks_asymptote_battery(fset, battery, expected["asymptote_battery_verdicts"], checks)
-    _checks_classification(fset, expected, checks)
-    _checks_projections_closed(fset, expected["projections_closed"], checks)
-    # exact attainment of (x1 - 1)^2 with the polyhedral solver
-    q = Quadratic.build([[2, 0], [0, 0]], [-2, 0], 1)
-    mot = MotzkinSet(
-        PolytopeK.build([(0, 0)]),
-        PolyCone.from_generators([(1, 0), (0, 1)]),
-    )
-    verdict = minimize_on_motzkin(q, mot)
-    checks.append(
-        _check(
-            "baseline objective attains its infimum exactly",
-            verdict.kind == "attained" and verdict.value == F(expected["objective_value"]),
-            expected["objective_value"],
-            f"{verdict.kind}, value {getattr(verdict, 'value', None)}",
-        )
-    )
-    return checks
-
-
-# ---------------------------------------------------------------------------
-# registry population and the public API
-# ---------------------------------------------------------------------------
-
-_VERIFIERS = {
-    "luo_zhang_ex1": _verify_luo_zhang_ex1,
-    "epigraph_exp": _verify_epigraph_exp,
-    "hyperbola_set": _verify_hyperbola_set,
-    "ice_cream_cut": _verify_ice_cream_cut,
-    "cylinder_parabolic": _verify_cylinder_parabolic,
-    "luo_zhang_theorem": _verify_luo_zhang_theorem,
-    "program_p": _verify_program_p,
-    "parabola": _verify_parabola,
-    "orthant": _verify_orthant,
+# kind: (fragment, required fields, optional fields)
+_CHECKS = {
+    "classification": (_classification, (), ("set", "prefix", "fw", "qfw")),
+    "asymptote_battery": (_asymptote_battery, (), ()),
+    "projections": (_projections, ("closed",), ("coords", "coordinates")),
+    "curve_evidence": (_curve_evidence, ("points", "infimum", "threshold"), ("equals_coordinate",)),
+    "truncated_bound": (_truncated_bound, ("radii", "bound"), ("argument",)),
+    "members": (_members, ("points", "name"), ("words",)),
+    "non_members": (partial(_members, member=False), ("points", "name"), ()),
+    "recession_cone": (_recession_cone, ("generators", "points", "steps"), ()),
+    "open_image": (_open_image, ("points", "functional", "label", "within"), ()),
+    "bracket": (_bracket, ("width",), ()),
+    "attains": (_attains, ("set", "value"), ()),
+}
+_REGISTRATIONS = {
+    "fw_witness": (_register_witness, ("points", "infimum", "note"), ()),
+    "asymptote_evidence": (_register_evidence, ("candidate", "points"), ()),
 }
 
 
+# ---------------------------------------------------------------------------
+# case files: every field checked, then parsed by its name
+# ---------------------------------------------------------------------------
+
+
+def _expect(raw, kind, path, what):
+    if type(raw) is not kind:
+        raise DocumentError(f"expected {what}", path=path)
+    return raw
+
+
+def _record(raw, path, ctx, required, optional=()):
+    """An object's fields, each parsed by its name in ``_FIELDS``, in that
+    table's order.  The parsers see ``ctx``: the case's own record."""
+    _expect(raw, dict, path, "an object")
+    if missing := sorted(set(required) - set(raw)):
+        raise DocumentError(f"missing fields {missing}", path=path)
+    if unknown := sorted(set(raw) - set(required) - set(optional)):
+        raise DocumentError(f"unknown fields {unknown}", path=path)
+    out = {}
+    for key in (k for k in _FIELDS if k in raw):
+        out[key] = _FIELDS[key](raw[key], f"{path}.{key}", out if ctx is None else ctx)
+    return out
+
+
+def _object(required, optional=()):
+    return lambda raw, path, ctx: _record(raw, path, ctx, required, optional)
+
+
+def _typed(kind, what):
+    return lambda raw, path, ctx: _expect(raw, kind, path, what)
+
+
+def _rational(raw, path, ctx):
+    return parse_rational(raw, path)
+
+
+def _array(item):
+    return lambda raw, path, ctx: tuple(
+        item(v, f"{path}[{i}]", ctx) for i, v in enumerate(_expect(raw, list, path, "an array"))
+    )
+
+
+def _mapping(item):
+    return lambda raw, path, ctx: {
+        k: item(v, f"{path}.{k}", ctx) for k, v in _expect(raw, dict, path, "an object").items()
+    }
+
+
+def _choice(table):
+    def parse(raw, path, ctx):
+        if isinstance(raw, (bool, list, dict)) or raw not in table:
+            raise DocumentError(f"expected one of {sorted(table)}", path=path)
+        return table[raw]
+
+    return parse
+
+
+def _named(part):
+    """A name of one of the case's curves or battery manifolds."""
+    return lambda raw, path, ctx: _choice(ctx.get(part, {}))(raw, path, ctx)
+
+
+def _or_builtin(table, item):
+    """``{"builtin": name}`` from ``table``, or what ``item`` parses."""
+
+    def parse(raw, path, ctx):
+        if isinstance(raw, dict) and "builtin" in raw:
+            name = _record(raw, path, ctx, ("builtin",))["builtin"]
+            return _choice(table)(name, f"{path}.builtin", ctx)
+        return item(raw, path, ctx)
+
+    return parse
+
+
+def _document(*kinds):
+    def parse(raw, path, ctx):
+        kind, value = parse_document(raw, path)
+        if kind not in kinds:
+            raise DocumentError(f"expected one of {sorted(kinds)}, got {kind!r}", path=f"{path}.kind")
+        return value
+
+    return parse
+
+
+def _rational_curve(raw, path, ctx):
+    """``t -> (num_i(t) / den_i(t))_i``, coefficients by ascending power."""
+    coords = [(c["num"], c.get("den", (1,))) for c in _array(_object(("num",), ("den",)))(raw, path, ctx)]
+    return lambda t: tuple(_horner(num, t) / _horner(den, t) for num, den in coords)
+
+
+def _power_bound(raw, path, ctx):
+    """The truncation bound ``r -> scale / r^power``."""
+    fields = _record(raw, path, ctx, ("scale", "power"))
+    return lambda r: fields["scale"] / r ** fields["power"]
+
+
+def _entry(kinds):
+    """One ``{"kind": ..., fields}`` as an (action, fields) pair.  A ``curve``
+    of the case sampled at ``ts`` may stand for the ``points``."""
+
+    def parse(raw, path, ctx):
+        kind = raw.get("kind") if isinstance(raw, dict) else None
+        action, required, optional = _choice(kinds)(kind, f"{path}.kind", ctx)
+        if "curve" in raw and "points" in required:
+            required = tuple(k for k in required if k != "points") + ("curve", "ts")
+        values = _record(raw, path, ctx, ("kind", *required), optional)
+        del values["kind"]
+        if "curve" in values:
+            values["points"] = _sample(values.pop("curve"), values.pop("ts"), f"{path}.ts")
+        dim = ambient_dim(ctx["set"])
+        if any(len(p) != dim for p in values.get("points", ())):
+            raise DocumentError(f"expected points with {dim} coordinates", path=path)
+        return action, values
+
+    return parse
+
+
+_string, _flag, _integer = _typed(str, "a string"), _typed(bool, "true or false"), _typed(int, "an integer")
+_rationals = _array(_rational)
+# every field of a case file and its parser; a record parses its fields in
+# this order, so a case's set, battery and curves come before the checks and
+# registrations that use them
+_FIELDS = {
+    "version": _choice({"1": "1"}),
+    "set": _document(*SET_KINDS),
+    "objectives": _array(_or_builtin(BUILTIN_OBJECTIVES, _document("quadratic"))),
+    "battery": _mapping(_object(("manifold", "asymptote"))),
+    "curves": _mapping(_or_builtin(BUILTIN_CURVES, _rational_curve)),
+    "expected": _object(("classify_fw", "classify_qfw")),
+    "references": _array(_object(("fact", "source"))),
+    "checks": _array(_entry(_CHECKS)),
+    "registrations": _array(_entry(_REGISTRATIONS)),
+    "manifold": _document("manifold"),
+    "curve": _named("curves"),
+    "candidate": _named("battery"),
+    "bound": _or_builtin(BUILTIN_BOUNDS, _power_bound),
+    "equals_coordinate": _choice({1: 1, 2: 2, 3: 3, 4: 4}),
+    "coords": _array(_array(_integer)),
+    "coordinates": _array(_integer),
+    "power": _integer,
+    **dict.fromkeys(("asymptote", "closed", "words"), _flag),
+    **dict.fromkeys(("name", "summary", "kind", "classify_fw", "classify_qfw", "fact", "source"), _string),
+    **dict.fromkeys(("prefix", "fw", "qfw", "label", "note", "argument", "builtin"), _string),
+    **dict.fromkeys(("infimum", "threshold", "within", "width", "value", "scale"), _rational),
+    **dict.fromkeys(("ts", "radii", "steps", "functional", "num", "den"), _rationals),
+    **dict.fromkeys(("points", "generators"), _array(_rationals)),
+}
+
+
+def parse_case(data) -> SimpleNamespace:
+    """Check and parse one decoded case file into a namespace of its parsed
+    fields.  A defect raises DocumentError naming the case and the field
+    path."""
+    required = ("version", "name", "summary", "expected", "set", "checks", "references")
+    optional = ("objectives", "battery", "curves", "registrations")
+    try:
+        fields = _record(data, "$", None, required, optional)
+    except DocumentError as exc:
+        name = data.get("name") if isinstance(data, dict) else None
+        raise DocumentError(f"gallery case {name!r}, {exc.path}: {exc}", path=exc.path) from None
+    return SimpleNamespace(**{"objectives": (), "battery": {}, "curves": {}, "registrations": (), **fields})
+
+
+def replay(case) -> CaseReport:
+    """Run a parsed case's checks in order."""
+    checks = tuple(c for fragment, values in case.checks for c in fragment(case, **values))
+    sources = tuple(r["source"] for r in case.references)
+    return CaseReport(case.name, all(c.passed for c in checks), checks, sources)
+
+
+@cache
+def _case(name: str):
+    if name not in list_cases():
+        raise FwsetsError(f"no gallery case named {name!r}")
+    case = parse_case(json.loads((_DATA / f"{name}.json").read_text(encoding="utf-8")))
+    if case.name != name:
+        raise DocumentError(f"gallery case file {name}.json names the case {case.name!r}", path="$.name")
+    return case
+
+
+# ---------------------------------------------------------------------------
+# the public API
+# ---------------------------------------------------------------------------
+
+
 def list_cases() -> list[str]:
-    return sorted(_VERIFIERS)
+    return sorted(p.name[: -len(".json")] for p in _DATA.iterdir() if p.name.endswith(".json"))
 
 
 def case_sets() -> dict[str, object]:
     """The gallery's set descriptors, keyed by case name."""
-    return {
-        "luo_zhang_ex1": luo_zhang_set(),
-        "epigraph_exp": epigraph_set(),
-        "hyperbola_set": hyperbola_set(),
-        "ice_cream_cut": ice_cream_cut_set(),
-        "cylinder_parabolic": cylinder_parabolic_set(),
-        "luo_zhang_theorem": luo_zhang_theorem_set(),
-        "program_p": program_p_set(),
-        "parabola": parabola_set(),
-        "orthant": orthant_set(),
-    }
+    return {name: _case(name).set for name in list_cases()}
 
 
 def run_case(name: str) -> CaseReport:
-    if name not in _VERIFIERS:
-        raise FwsetsError(f"no gallery case named {name!r}")
-    data = _load_data(name)
-    checks = tuple(_VERIFIERS[name](data))
-    refs = tuple(r["source"] for r in data.get("references", ()))
-    return CaseReport(name, all(c.passed for c in checks), checks, refs)
+    return replay(_case(name))
 
 
 def run_all() -> list[CaseReport]:
     return [run_case(name) for name in list_cases()]
 
 
+def _case_part(name, part, index=None):
+    value = getattr(_case(name), part)
+    return value if index is None else value[index]
+
+
+def _case_curve(name, curve, ts):
+    return _sample(_case(name).curves[curve], ts)
+
+
+# the builders, objectives and curves that callers import by name
+luo_zhang_set = partial(_case_part, "luo_zhang_ex1", "set")
+luo_zhang_objective = partial(_case_part, "luo_zhang_ex1", "objectives", 0)
+luo_zhang_curve = partial(_case_curve, "luo_zhang_ex1", "witness")
+epigraph_set = partial(_case_part, "epigraph_exp", "set")
+hyperbola_set = partial(_case_part, "hyperbola_set", "set")
+ice_cream_cut_set = partial(_case_part, "ice_cream_cut", "set")
+cylinder_parabolic_set = partial(_case_part, "cylinder_parabolic", "set")
+cylinder_parabolic_objective = partial(_case_part, "cylinder_parabolic", "objectives", 0)
+cylinder_parabolic_curve = partial(_case_curve, "cylinder_parabolic", "witness")
+luo_zhang_theorem_set = partial(_case_part, "luo_zhang_theorem", "set")
+luo_zhang_theorem_battery = partial(_case_part, "luo_zhang_theorem", "objectives")
+program_p_set = partial(_case_part, "program_p", "set")
+program_p_curve = partial(_case_curve, "program_p", "witness")
+parabola_set = partial(_case_part, "parabola", "set")
+
+
 def _register_all():
-    lz = luo_zhang_set()
-    register_fw_witness(
-        lz,
-        NonAttainmentWitness(
-            objective=luo_zhang_objective(),
-            infimum=F(0),
-            curve_points=luo_zhang_curve([F(1, 2**k) for k in range(8)]),
-            note=(
-                "objective with infimum 0 approached along (t, 1/t, t^2, 1/t^2) "
-                "but never attained (Luo and Zhang, 1999)"
-            ),
-        ),
-    )
-
-    epi = epigraph_set()
-    register_fw_witness(
-        epi,
-        NonAttainmentWitness(
-            objective=epigraph_objective(),
-            infimum=F(0),
-            curve_points=epigraph_curve(range(1, 7)),
-            note=(
-                "the vertical gap y - x^2 equals exp(-x^2) on the boundary: "
-                "positive everywhere, vanishing at infinity"
-            ),
-        ),
-    )
-
-    hyp = hyperbola_set()
-    register_asymptote_evidence(
-        hyp,
-        AffineManifold.hyperplane((0, 1), 0),
-        [(F(2) ** k, F(1) / F(2) ** k) for k in range(0, 23, 2)],
-    )
-    register_asymptote_evidence(
-        hyp,
-        AffineManifold.hyperplane((1, 0), 0),
-        [(F(1) / F(2) ** k, F(2) ** k) for k in range(0, 23, 2)],
-    )
-
-    ice = ice_cream_cut_set()
-    register_asymptote_evidence(
-        ice, AffineManifold.hyperplane((1, -1), 0), _ice_curve_points()
-    )
-
-    cyl = cylinder_parabolic_set()
-    register_fw_witness(
-        cyl,
-        NonAttainmentWitness(
-            objective=cylinder_parabolic_objective(),
-            infimum=F(0),
-            curve_points=cylinder_parabolic_curve([F(1, 2**k) for k in range(8)]),
-            note=(
-                "values equal the first coordinate along the circle curve "
-                "with x3 = x2/x1, which tends to 0 without reaching it"
-            ),
-        ),
-    )
+    for name in list_cases():
+        case = _case(name)
+        for register, values in case.registrations:
+            register(case, **values)
 
 
 _register_all()

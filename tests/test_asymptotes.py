@@ -837,3 +837,28 @@ def test_gallery_runs_twice_byte_identical(registries, capsys):
         assert cli.main(["--format", "json", "gallery", "run", "all"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_epigraph_membership_in_the_band(monkeypatch):
+    # exp(-s) <= 1/(1 + s) decides (200, 80001/2) at once, without summing the
+    # 120,008 Taylor terms of exp(-40000)
+    start = time.monotonic()
+    assert contains(epigraph_set(), (F(200), F(80001, 2))) is True
+    assert time.monotonic() - start < 1
+    band = {
+        (F(3), 9 + F(1, 10**4)): False,
+        (F(3), 9 + F(1, 10**3)): True,
+        (F(1, 2), F(643, 625)): False,
+        (F(1, 2), F(10289, 10000)): True,
+        (F(7), 49 + F(1, 10**21)): True,
+        (F(7), 49 + F(1, 10**22)): False,
+        (F(10), 100 + F(1, 10**43)): True,
+        (F(10), 100 + F(1, 10**44)): False,
+    }
+    for point, member in band.items():
+        assert contains(epigraph_set(), point) is member, point
+    # at t = 10 every pass sums 3 * 100 + 8 terms: an undecided point runs one
+    lo, _ = asymptotes.exp_bounds(F(-100), 16)
+    calls = count_calls(monkeypatch, "exp_bounds")
+    assert contains(epigraph_set(), (F(10), 100 + lo)) is None
+    assert len(calls) == 1

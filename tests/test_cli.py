@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -699,3 +700,19 @@ def test_exact_polytope_reports_claim_no_multiplier_check(tmp_path, capsys):
         assert report["verdict"] == "attained" and report["exact"] is True
         assert "multiplier" not in report["justification"]
         assert "stationary points of the faces" in report["justification"]
+
+
+def test_every_gallery_set_is_a_classify_input(tmp_path, capsys):
+    # a case file's set is an ordinary document; the registries match sets by
+    # value, so a freshly parsed copy gets the case's labels (witnesses too)
+    folder = resources.files("fwsets") / "gallery_data"
+    names = sorted(p.name for p in folder.iterdir() if p.name.endswith(".json"))
+    assert len(names) == 9
+    for name in names:
+        case = json.loads((folder / name).read_text(encoding="utf-8"))
+        path = tmp_path / name
+        path.write_text(json.dumps(case["set"]), encoding="utf-8")
+        assert main(["--format", "json", "classify", str(path)]) == 0, name
+        report = json.loads(capsys.readouterr().out)
+        labels = (report["attainment"]["label"], report["quasi_attainment"]["label"])
+        assert labels == (case["expected"]["classify_fw"], case["expected"]["classify_qfw"]), name

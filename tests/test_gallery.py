@@ -1,7 +1,9 @@
 """Tests for the counterexample gallery."""
 
+import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -112,3 +114,34 @@ def test_lagrangian_bracket_on_seeded_box_disk_sets():
             assert upper - lower <= F(1, 10**9)
             closed += 1
     assert closed >= 12
+
+
+def _case_data(name):
+    return json.loads((resources.files("fwsets") / "gallery_data" / f"{name}.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda d: d["checks"].append({"kind": "no_such_check"}), r"\$\.checks\[6\]\.kind: expected one of"),
+        (lambda d: d["checks"][0].update(bogus=1), r"\$\.checks\[0\]: unknown fields \['bogus'\]"),
+        (lambda d: d["registrations"][0].update(infimum=0.5), r"\$\.registrations\[0\]\.infimum"),
+        (lambda d: d["battery"]["x3_floor"]["manifold"]["payload"].update(rows="x"),
+         r"\$\.battery\.x3_floor\.manifold\.payload\.rows"),
+        (lambda d: d["checks"][0].update(curve="no_such_curve"), r"\$\.checks\[0\]\.curve"),
+    ],
+)
+def test_case_data_is_checked_not_trusted(edit, where):
+    data = _case_data("luo_zhang_ex1")
+    edit(data)
+    with pytest.raises(FwsetsError, match=rf"gallery case 'luo_zhang_ex1', {where}"):
+        gallery.parse_case(data)
+
+
+def test_a_curve_moved_off_the_set_fails_the_replay():
+    data = _case_data("luo_zhang_ex1")
+    assert gallery.replay(gallery.parse_case(data)).passed
+    data["curves"]["witness"][2]["num"] = [0, 0, "1/2"]  # x3 = t^2/2 < x1^2
+    report = gallery.replay(gallery.parse_case(data))
+    assert not report.passed
+    assert [c.name for c in report.checks if not c.passed][0] == "evidence memberships exact"
