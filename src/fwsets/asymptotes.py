@@ -206,23 +206,30 @@ def _epigraph_contains(x: Vec) -> bool | None:
     if len(x) != 2:
         raise DimensionMismatchError("the epigraph lives in the plane")
     t, y = x
-    # f(t) = t^2 + exp(-t^2) and 0 < exp(-t^2) <= 1: outside the band
-    # t^2 < y < t^2 + 1 no enclosure is needed
-    if y <= t * t:
+    s = t * t
+    # f(t) = s + exp(-s) and 0 < exp(-s) <= 1: outside the band
+    # s < y < s + 1 no enclosure is needed
+    if y <= s:
         return False
-    if y >= t * t + 1:
+    if y >= s + 1:
         return True
-    # exp(-s) <= 1/(1 + s) leaves only a band of width below 1/(1 + t^2)
-    if y >= t * t + 1 / (1 + t * t):
-        return True
-    # certify with rational bounds, widening on demand; exp_bounds sums at
-    # least 3 floor(t^2) + 8 terms, so a pass below that count repeats it
-    least = 3 * int(t * t) + 8
-    for terms in sorted({max(k, least) for k in (16, 48, 120)}):
-        lo, hi = exp_bounds(-t * t, terms)
-        if y >= t * t + hi:
+    # exp(-s) <= 1/sum_{j<=k} s^j/j! for s >= 0: k = 1 leaves only a band
+    # of width below 1/(1 + s), and k = 2, 4, 8, 16 narrow it at large t
+    # without the long sums of the enclosure below
+    total = term = ONE
+    for j in range(1, 17):
+        term = term * s / j
+        total += term
+        if j in (1, 2, 4, 8, 16) and (y - s) * total >= 1:
             return True
-        if y < t * t + lo:
+    # certify with rational bounds, widening on demand; exp_bounds sums at
+    # least 3 floor(s) + 8 terms, so a pass below that count repeats it
+    least = 3 * int(s) + 8
+    for terms in sorted({max(k, least) for k in (16, 48, 120)}):
+        lo, hi = exp_bounds(-s, terms)
+        if y >= s + hi:
+            return True
+        if y < s + lo:
             return False
     return None
 

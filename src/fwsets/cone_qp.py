@@ -33,6 +33,16 @@ rows ``N t >= 0`` alone.  dom(f) is the intersection of the halfspaces
 from these rows: a row that c violates is, negated, a zero-set ray along
 which the objective decreases.  Everything here is exact.
 
+A convex form needs no walk.  When H is positive semidefinite (G is PSD on
+the span of D), the sign test has nothing to find, and the zero set is the
+one piece ``P_0 = {u >= 0 : H u = 0}``: for PSD H the form ``x.H x`` is
+nonnegative on all of R^p, so a zero u minimizes it there and its gradient
+``2 H u`` vanishes.  Every other piece ``P_I = P_0 & {u_I = 0}`` is a face
+of ``P_0``, so its rays are rays of ``P_0``, and the walk's rows, which
+start with ``P_0``'s, are ``P_0``'s alone.  A :class:`ConeProgram` tests H
+once on ints and reads dom(f) from that one block's kernel; the public
+``dom_f`` and ``zero_set_pieces`` keep the walk and all its pieces.
+
 The cone layer runs on Python ints.  H is formed once as the integer matrix
 ``lam H`` (the generators and G scaled by the lcms of their denominators),
 each block is eliminated fraction-free, and the sign test and the
@@ -49,10 +59,12 @@ elimination on ints: the cone layer reads the cached blocks ``H_FF``, and the
 QP over ``{A x <= b}`` runs two fraction-free eliminations per face.  A face
 comes with its value, a single Fraction, and a thunk that builds its
 solution set ``z0 + span(kernel)``, which carries that constant objective;
-one feasibility ladder picks a point of it: a direct check for an empty
-kernel (in the cone layer, the signs of the point's integers against
-``u >= 0``, before the face is offered), an interval test on a line, an
-exact LP on a larger set.  The enumeration keeps the least
+one feasibility ladder picks a point of it, deciding on the integers of
+``z0`` over its denominator and of the primitive rows: a direct check for an
+empty kernel (in the cone layer, the signs of the point's integers against
+``u >= 0``, before the face is offered), an interval test on a line by
+cross-multiplication, an exact LP on a larger set.  The Fraction point is
+built only for a face that passes.  The enumeration keeps the least
 ``(value, face key)``, and a face that cannot beat the incumbent is never
 built.
 
@@ -62,7 +74,8 @@ query or one ``minimize_over_hpolyhedron``.  The call makes one
 ``polyhedra.Work`` counter, and every step charges it before it runs:
 listing the faces (p units a face, which a simplex knows from its count,
 and one unit a mask for each facet's pass of the closure; the QP charges
-one unit a row subset), each elimination (:func:`_elimination_units`),
+one unit a row subset), each elimination (:func:`_elimination_units`; the
+PSD test of H is charged as one elimination of H),
 each solve, the Fractions built (``LP_ENTRY_UNITS`` each, a product and a
 sum a term of a dot product), and the conversions and LPs inside, which
 charge the same counter.  A program keeps its blocks and dom(f) across
@@ -107,7 +120,7 @@ from .polyhedra import (
     cone_v_to_h,
     lp_solve,
 )
-from .quadratics import Quadratic
+from .quadratics import Quadratic, is_psd
 
 # the step a face walk's charges name in SizeCapError
 _WALK = "the face walk"
@@ -179,34 +192,101 @@ class ConeMinVerdict:
     curvature: str | None = None
 
 
-def _feasible_point(z0: Vec, kernel, g: Mat, h: Vec, work: Work) -> Vec | None:
-    """A point of ``z0 + span(kernel)`` with ``g z <= h``, or None.
+class _Bounds:
+    """The rows ``g z <= h`` of a face solver: in Fractions for the LP, and
+    as ``rows``, the pairs ``(a, b)`` of the primitive integer row
+    ``(g_i, h_i)``, a positive multiple with the same solutions, which the
+    ladder decides on."""
 
-    A direct check when the kernel is empty; an interval test on a line
-    ``z0 + t k``, where row i reads ``(g_i.k) t <= h_i - g_i.z0`` and the
-    point is the one at t = 0 clamped into the interval; an exact LP on a
-    larger kernel, charged to ``work``.
-    """
-    if not kernel:
-        return z0 if all(dot(row, z0) <= hi for row, hi in zip(g, h)) else None
-    rows = tuple(tuple(dot(row, kv) for kv in kernel) for row in g)
-    rhs = tuple(hi - dot(row, z0) for row, hi in zip(g, h))
-    if len(kernel) > 1:
-        res = lp_solve(rows, rhs, zeros(len(kernel)), work)
-        return _combine(z0, kernel, res.x) if res.status == "optimal" else None
-    lo = hi = None
-    for (a,), r in zip(rows, rhs):
-        if a > 0:
-            hi = r / a if hi is None else min(hi, r / a)
-        elif a < 0:
-            lo = r / a if lo is None else max(lo, r / a)
-        elif r < 0:
+    __slots__ = ("g", "h", "rows")
+
+    def __init__(self, g: Mat, h: Vec, rows: tuple[tuple[list[int], int], ...]):
+        self.g, self.h, self.rows = g, h, rows
+
+    @staticmethod
+    def of(g: Mat, h: Vec) -> "_Bounds":
+        ints = [primitive_ints((*row, hi)) for row, hi in zip(g, h)]
+        return _Bounds(g, h, tuple((row[:-1], row[-1]) for row in ints))
+
+
+_NO_BOUNDS = _Bounds((), (), ())
+
+
+class _Face:
+    """The solution set ``num/den + span(kernel)`` of a face's stationarity
+    system, to be met with ``bounds``: the point over one integer
+    denominator (den != 0), the kernel in Fractions.  Iterating gives its
+    Fractions ``(z0, kernel, g, h)``."""
+
+    __slots__ = ("num", "den", "kernel", "bounds")
+
+    def __init__(self, num: list[int], den: int, kernel, bounds: _Bounds):
+        if den < 0:
+            num, den = [-x for x in num], -den
+        self.num, self.den, self.kernel, self.bounds = num, den, kernel, bounds
+
+    @staticmethod
+    def of(z0: Vec, kernel, g: Mat, h: Vec) -> "_Face":
+        """The face of a set given in Fractions."""
+        den = lcm(*(x.denominator for x in z0))
+        num = [x.numerator * (den // x.denominator) for x in z0]
+        return _Face(num, den, kernel, _Bounds.of(g, h))
+
+    def point(self) -> Vec:
+        return tuple(Fraction(x, self.den) if x else ZERO for x in self.num)
+
+    def __iter__(self):
+        return iter((self.point(), self.kernel, self.bounds.g, self.bounds.h))
+
+    def feasible_point(self, work: Work) -> Vec | None:
+        """A point of the set with ``g z <= h``, or None.
+
+        The ladder decides on ints, and the Fraction point is built only
+        when one is found.  With an empty kernel, row (a, b) holds at the
+        point iff ``a.num <= b den``.  On a line ``num/den + t k``, k the
+        primitive integer multiple of the kernel vector, row (a, b) reads
+        ``(a.k) t den <= r`` with ``r = b den - a.num``; the endpoints
+        ``r / (a.k)`` of ``t den`` are compared by cross-multiplication, and
+        the point is the one at t = 0 clamped into the interval.  A larger kernel runs the
+        exact LP in its Fractions, charged to ``work``.
+        """
+        num, den, rows = self.num, self.den, self.bounds.rows
+        if not self.kernel:
+            return self.point() if all(idot(a, num) <= b * den for a, b in rows) else None
+        if len(self.kernel) > 1:
+            z0, kernel, g, h = self
+            lp_rows = tuple(tuple(dot(row, kv) for kv in kernel) for row in g)
+            rhs = tuple(hi - dot(row, z0) for row, hi in zip(g, h))
+            res = lp_solve(lp_rows, rhs, zeros(len(kernel)), work)
+            return _combine(z0, kernel, res.x) if res.status == "optimal" else None
+        k = primitive_ints(self.kernel[0])
+        lo = hi = None  # endpoints (x, y), y > 0, of t den = x / y
+        for a, b in rows:
+            ak, r = idot(a, k), b * den - idot(a, num)
+            if ak > 0:
+                if hi is None or r * hi[1] < hi[0] * ak:
+                    hi = (r, ak)
+            elif ak < 0:
+                if lo is None or -r * lo[1] > lo[0] * -ak:
+                    lo = (-r, -ak)
+            elif r < 0:
+                return None
+        if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
             return None
-    if lo is not None and hi is not None and lo > hi:
-        return None
-    t = ZERO if lo is None else max(lo, ZERO)
-    t = t if hi is None else min(t, hi)
-    return _combine(z0, kernel, (t,))
+        t = lo if lo is not None and lo[0] > 0 else (0, 1)
+        if hi is not None and t[0] * hi[1] > hi[0] * t[1]:
+            t = hi
+        x, y = t
+        return tuple(
+            Fraction(ni * y + x * ki, den * y) if ni * y + x * ki else ZERO
+            for ni, ki in zip(num, k)
+        )
+
+
+def _feasible_point(z0: Vec, kernel, g: Mat, h: Vec, work: Work) -> Vec | None:
+    """A point of ``z0 + span(kernel)`` with ``g z <= h``, or None: the
+    ladder of :meth:`_Face.feasible_point` on a set given in Fractions."""
+    return _Face.of(z0, kernel, g, h).feasible_point(work)
 
 
 def _combine(z0: Vec, vectors, coeffs: Vec) -> Vec:
@@ -221,30 +301,34 @@ def _least_face(faces, work: Work):
     """The least ``(value, key, z)`` over faces with a feasible stationary point.
 
     ``faces`` yields ``(key, value, build)`` for each face whose stationarity
-    system is consistent, and ``build()`` returns ``(z0, kernel, g, h)``: the
-    solution set is ``z0 + span(kernel)``, the objective equals ``value`` all
-    over it, and a candidate must satisfy ``g z <= h``.  A face that cannot
-    beat the incumbent is never built and skips the feasibility step.  A
-    built face charges ``work`` for its Fractions: the point, its
-    directions and their dot products with each row of g, a product and a
-    sum a term.  Returns None when no face has a feasible stationary point.
+    system is consistent, and ``build()`` returns a :class:`_Face`, or the
+    Fractions ``(z0, kernel, g, h)`` of one: the solution set is
+    ``z0 + span(kernel)``, the objective equals ``value`` all over it, and a
+    candidate must satisfy ``g z <= h``.  A face that cannot beat the
+    incumbent is never built and skips the feasibility step.  A built face
+    charges ``work`` for its Fractions: the point, its directions and their
+    dot products with each row of g, a product and a sum a term.  Returns
+    None when no face has a feasible stationary point.
     """
     best = None
     for key, value, build in faces:
         if best is not None and (value, key) >= best[:2]:
             continue
-        z0, kernel, g, h = build()
-        work.charge(2 * len(z0) * (1 + len(kernel)) * (1 + len(g)) * LP_ENTRY_UNITS, _WALK)
-        z = _feasible_point(z0, kernel, g, h, work)
+        face = build()
+        if not isinstance(face, _Face):
+            face = _Face.of(*face)
+        m = len(face.bounds.rows)
+        work.charge(2 * len(face.num) * (1 + len(face.kernel)) * (1 + m) * LP_ENTRY_UNITS, _WALK)
+        z = face.feasible_point(work)
         if z is not None:
             best = (value, key, z)
     return best
 
 
-def _stationary_set(num: list[int], den: int, system: LinearSystem, bounds: tuple[Mat, Vec]):
-    """``(z0, kernel, g, h)`` for the set ``num/den + span(kernel)`` of a
-    block's solutions inside ``bounds``; den may be negative."""
-    return (tuple(Fraction(x, den) if x else ZERO for x in num), system.kernel) + bounds
+def _stationary_set(num: list[int], den: int, system: LinearSystem, bounds: _Bounds) -> _Face:
+    """The set ``num/den + span(kernel)`` of a block's solutions inside
+    ``bounds``; den may be negative."""
+    return _Face(num, den, system.kernel, bounds)
 
 
 def _orthant_face(num: list[int], den: int, system: LinearSystem):
@@ -254,16 +338,22 @@ def _orthant_face(num: list[int], den: int, system: LinearSystem):
     ``u >= 0`` and the thunk carries no rows to check."""
     k = len(num)
     if system.rank < k:
-        return partial(_stationary_set, num, den, system, _nonneg_rows(k, k))
+        return partial(_stationary_set, num, den, system, _orthant_bounds(k))
     if any(x and (x < 0) != (den < 0) for x in num):
         return None
-    return partial(_stationary_set, num, den, system, ((), ()))
+    return partial(_stationary_set, num, den, system, _NO_BOUNDS)
 
 
 @cache
 def _nonneg_rows(k: int, width: int) -> tuple[Mat, Vec]:
     """``-z_i <= 0`` for the first k of ``width`` coordinates."""
     return tuple(vscale(-ONE, unit(width, i)) for i in range(k)), zeros(k)
+
+
+@cache
+def _orthant_bounds(k: int) -> _Bounds:
+    """``u >= 0`` in k coordinates."""
+    return _Bounds.of(*_nonneg_rows(k, k))
 
 
 def _scatter(idx: tuple[int, ...], values: Vec, p: int) -> Vec:
@@ -441,33 +531,42 @@ def zero_set_pieces(g: Mat, d: PolyCone) -> list[ZeroSetPiece]:
 
 
 def _zero_set_pieces(blocks: _Blocks, work: Work) -> list[ZeroSetPiece]:
-    """:func:`zero_set_pieces` on blocks already built.  A face charges
-    ``work`` for the Fractions of its kernel N and of the rows ``-N``, and
-    for each ray ``N t``, a product and a sum a term; the conversion
-    charges its own."""
-    p = blocks.p
+    """:func:`zero_set_pieces` on blocks already built."""
     pieces: list[ZeroSetPiece] = []
     seen: set[frozenset] = set()
     for active, free in blocks.faces(work):
-        system = blocks.system(free, work)
-        k = len(free)
-        if system.rank == k:
+        piece = _piece(blocks, active, free, work)
+        if piece is None:
             continue
-        kernel = system.kernel
-        work.charge(2 * k * len(kernel) * LP_ENTRY_UNITS, _WALK)
-        n_rows = tuple(zip(*kernel))  # u_F = N t
-        # N has full column rank, so {t : N t >= 0} is pointed
-        rays_t, _ = cone_h_to_v([vscale(-ONE, row) for row in n_rows], len(kernel), work)
-        if not rays_t:
-            continue
-        work.charge(2 * len(rays_t) * k * len(kernel) * LP_ENTRY_UNITS, _WALK)
-        rays = tuple(primitive(_scatter(free, matvec(n_rows, t), p)) for t in rays_t)
-        key = frozenset(rays)
+        key = frozenset(piece.generators)
         if key in seen:
             continue
         seen.add(key)
-        pieces.append(ZeroSetPiece(frozenset(active), PolyCone(rays, p), rays))
+        pieces.append(piece)
     return pieces
+
+
+def _piece(
+    blocks: _Blocks, active: tuple[int, ...], free: tuple[int, ...], work: Work
+) -> ZeroSetPiece | None:
+    """The piece ``P_I`` of the face with the generators ``free`` on it and
+    ``active`` off it, or None when it is ``{0}``.  It charges ``work`` for
+    the Fractions of its kernel N and of the rows ``-N``, and for each ray
+    ``N t``, a product and a sum a term; the conversion charges its own."""
+    system = blocks.system(free, work)
+    k = len(free)
+    if system.rank == k:
+        return None
+    kernel = system.kernel
+    work.charge(2 * k * len(kernel) * LP_ENTRY_UNITS, _WALK)
+    n_rows = tuple(zip(*kernel))  # u_F = N t
+    # N has full column rank, so {t : N t >= 0} is pointed
+    rays_t, _ = cone_h_to_v([vscale(-ONE, row) for row in n_rows], len(kernel), work)
+    if not rays_t:
+        return None
+    work.charge(2 * len(rays_t) * k * len(kernel) * LP_ENTRY_UNITS, _WALK)
+    rays = tuple(primitive(_scatter(free, matvec(n_rows, t), blocks.p)) for t in rays_t)
+    return ZeroSetPiece(frozenset(active), PolyCone(rays, blocks.p), rays)
 
 
 def dom_f(g: Mat, d: PolyCone) -> DomF:
@@ -483,16 +582,41 @@ def dom_f(g: Mat, d: PolyCone) -> DomF:
 
 def _dom_f(d: PolyCone, blocks: _Blocks, work: Work) -> DomF:
     """:func:`dom_f` on the blocks of ``H = Z^T G Z`` already built."""
-    n = d.dim
     ray = _negative_ray(d, blocks, work)
     if ray is not None:
-        return DomF(None, (), n, negative_ray=ray)
-    pieces = tuple(_zero_set_pieces(blocks, work))
+        return DomF(None, (), d.dim, negative_ray=ray)
+    return _domain_of(d, blocks, tuple(_zero_set_pieces(blocks, work)), work)
+
+
+def _domain_of(
+    d: PolyCone, blocks: _Blocks, pieces: tuple[ZeroSetPiece, ...], work: Work
+) -> DomF:
+    """dom(f) cut out by the rows ``-Z u`` over the pieces' generators u,
+    which cost ``work`` n p products and sums each, and their conversion."""
+    n = d.dim
     z = _generator_matrix(d)
     us = [u for piece in pieces for u in piece.generators]
     work.charge(2 * len(us) * n * blocks.p * LP_ENTRY_UNITS, _WALK)
     rows = [vscale(-ONE, matvec(z, u)) for u in us]
     return DomF(PolyCone.from_halfspaces(rows, n, work), pieces, n)
+
+
+def _convex_dom(d: PolyCone, blocks: _Blocks, work: Work) -> DomF | None:
+    """dom(f) from the one block H when H is positive semidefinite, else None.
+
+    The faces are listed first, as every walk lists them, so the face budget
+    refuses before any block is eliminated; then H is tested by one integer
+    elimination (:func:`quadratics.is_psd`), charged as one.  For PSD H the
+    zero set is the one piece ``P_0`` (see the module docstring), and the
+    rows are the walk's, in its order.
+    """
+    p = blocks.p
+    blocks.faces(work)
+    work.charge(_elimination_units(p, p), _WALK)
+    if not is_psd(blocks.hi):
+        return None
+    piece = _piece(blocks, (), tuple(range(p)), work)
+    return _domain_of(d, blocks, (piece,) if piece is not None else (), work)
 
 
 def is_bounded_below_on_cone(
@@ -554,8 +678,11 @@ class ConeProgram:
         return self._domain(Work())
 
     def _domain(self, work: Work) -> DomF:
+        """dom(f), from H's one block when H is PSD (:func:`_convex_dom`),
+        else by :func:`_dom_f`'s walk."""
         if self._dom is None:
-            self._dom = _dom_f(self.d, self.blocks, work)
+            dom = _convex_dom(self.d, self.blocks, work)
+            self._dom = dom if dom is not None else _dom_f(self.d, self.blocks, work)
         return self._dom
 
     def boundedness(self, c: Vec) -> BoundednessResult:
@@ -658,19 +785,18 @@ def value_function_eval(c: Vec, g: Mat, d: PolyCone) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _face_set(num: list[int], den: int, nbasis, kernel, p: HPolyhedron):
-    """``(z0, kernel, g, h)`` of a face of ``{A x <= b}``: the point
-    ``num / den`` and the directions ``N' k / den`` for the integer kernel
-    vectors k of the reduced system, inside ``A x <= b``."""
-    base = tuple(Fraction(x, den) for x in num)
+def _face_set(num: list[int], den: int, nbasis, kernel, bounds: _Bounds) -> _Face:
+    """The face of ``{A x <= b}`` with the point ``num / den`` and the
+    directions ``N' k / den`` for the integer kernel vectors k of the
+    reduced system, inside ``A x <= b``."""
     dirs = [
         tuple(
             Fraction(sum(v[i] * ki for v, ki in zip(nbasis, kv) if ki), den)
-            for i in range(p.dim)
+            for i in range(len(num))
         )
         for kv in kernel
     ]
-    return base, dirs, p.a, p.b
+    return _Face(num, den, dirs, bounds)
 
 
 def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, Vec] | None:
@@ -705,6 +831,7 @@ def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, V
     work = Work()
     work.charge(sum(comb(m, rr) for rr in range(min(m, n) + 1)), _WALK)
     rows_ab = [primitive_ints((*row, rhs)) for row, rhs in zip(p.a, p.b)]
+    bounds = _Bounds(p.a, p.b, tuple((row[:n], row[n]) for row in rows_ab))
     scale = lcm(
         *(x.denominator for row in q.a for x in row),
         *(x.denominator for x in q.b),
@@ -747,7 +874,7 @@ def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, V
                     idot(num, qnum) + 2 * den * idot(qb, num) + 2 * qc * den * den,
                     2 * scale * den * den,
                 )
-                yield subset, value, partial(_face_set, num, den, nbasis, kernel, p)
+                yield subset, value, partial(_face_set, num, den, nbasis, kernel, bounds)
 
     best = _least_face(faces(), work)
     if best is None:

@@ -397,12 +397,15 @@ def _minimize_over_points(q, points, prog: ConeProgram) -> AttainmentVerdict:
 
 def _minimize_over_polytope(q, f: MotzkinSet, prog: ConeProgram) -> AttainmentVerdict:
     # boundedness via the vertices: the inner linear term is affine in y and
-    # dom(f) is convex, so vertex membership decides membership for all of K
-    for y in f.compact.vertices:
-        c = inner_linear_term(q, y)
-        res = prog.boundedness(c)
-        if not res.bounded:
-            return _unbounded_at(y, prog.minimize(c))
+    # dom(f) is convex, so vertex membership decides membership for all of K;
+    # an empty dom(f) fails at the first vertex, and one without rows holds
+    # at every vertex
+    dom = prog.dom
+    if dom.is_empty or dom.cone.halfspaces:
+        for y in f.compact.vertices:
+            c = inner_linear_term(q, y)
+            if not prog.boundedness(c).bounded:
+                return _unbounded_at(y, prog.minimize(c))
     (hform,) = polyhedral_forms(f)
     solved = minimize_over_hpolyhedron(q, hform)
     if solved is None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .affine import AffineManifold, AffineMap
 from .errors import DimensionMismatchError
@@ -72,35 +73,35 @@ class Quadratic:
         return vadd(matvec(self.a, x), self.b)
 
 
-def is_psd(a: Mat) -> bool:
-    """Exact positive-semidefiniteness by symmetric elimination.
+def is_psd(a) -> bool:
+    """Exact positive-semidefiniteness by symmetric elimination on ints.
 
-    Pivots on strictly positive diagonal entries; a negative diagonal entry
-    refutes, and a trailing block with zero diagonal must vanish entirely.
+    The matrix (Fractions or Python ints) is scaled to integers by the lcm
+    of its denominators.  Pivots are strictly positive diagonal entries,
+    and each pivot pv updates the remaining block fraction-free,
+    ``s_kl <- (pv s_kl - s_kp s_pl) / prev`` with prev the previous pivot
+    (1 at first); Bareiss's division is exact, and the update is the Schur
+    complement times ``pv / prev > 0``, so it keeps symmetry and signs.  A
+    negative diagonal entry refutes, and a trailing block with zero
+    diagonal must vanish entirely.
     """
-    n = len(a)
-    s = [list(row) for row in a]
-    active = list(range(n))
+    scale = lcm(*(x.denominator for row in a for x in row))
+    s = [[x.numerator * (scale // x.denominator) for x in row] for row in a]
+    active = list(range(len(s)))
+    prev = 1
     while active:
+        if any(s[k][k] < 0 for k in active):
+            return False
         pivot = next((k for k in active if s[k][k] > 0), None)
         if pivot is None:
-            for k in active:
-                if s[k][k] < 0:
-                    return False
-            for k in active:
-                for l in active:
-                    if s[k][l] != 0:
-                        return False
-            return True
+            return all(s[k][l] == 0 for k in active for l in active)
         active.remove(pivot)
-        pv = s[pivot][pivot]
+        pv, prow = s[pivot][pivot], s[pivot]
         for k in active:
-            f = s[k][pivot] / pv
-            if f == 0:
-                continue
+            row, f = s[k], s[k][pivot]
             for l in active:
-                s[k][l] -= f * s[pivot][l]
-            s[k][pivot] = Fraction(0)
+                row[l] = (pv * row[l] - f * prow[l]) // prev
+        prev = pv
     return True
 
 

@@ -862,3 +862,43 @@ def test_epigraph_membership_in_the_band(monkeypatch):
     calls = count_calls(monkeypatch, "exp_bounds")
     assert contains(epigraph_set(), (F(10), 100 + lo)) is None
     assert len(calls) == 1
+
+
+def test_epigraph_band_at_large_t_takes_short_sums():
+    # exp(-s) <= 1/(1 + s + s^2/2) decides (200, 40000 + 1/80002) without
+    # the 120,008 Taylor terms of exp(-40000)
+    start = time.monotonic()
+    assert contains(Epigraph1D(), (F(200), 40000 + F(1, 80002))) is True
+    assert time.monotonic() - start < 1
+
+
+def _enclosure_contains(t, y):
+    """Membership in the epigraph of t^2 + exp(-t^2) by the exp_bounds
+    enclosure alone, widening as the library does."""
+    s = t * t
+    for terms in sorted({max(k, 3 * int(s) + 8) for k in (16, 48, 120)}):
+        lo, hi = asymptotes.exp_bounds(-s, terms)
+        if y >= s + hi:
+            return True
+        if y < s + lo:
+            return False
+    return None
+
+
+def test_epigraph_short_sums_match_the_enclosure():
+    # a seeded grid at |t| <= 3 across the band s < y < s + 1/(1 + s):
+    # the short sums answer only where the enclosure answers the same
+    rng = random.Random(20261020)
+    answers = {True: 0, False: 0}
+    for _ in range(400):
+        t = F(rng.randint(-300, 300), 100)
+        s = t * t
+        y = s + F(rng.randint(1, 999), 1000) / (1 + s)
+        if rng.random() < 0.5:  # near the boundary, from either side
+            lo, hi = asymptotes.exp_bounds(-s, 40)
+            y = s + (lo + hi) / 2 + F(rng.randint(-50, 50), 10**6) * hi
+        ref = _enclosure_contains(t, y)
+        assert ref is not None
+        assert contains(Epigraph1D(), (t, y)) is ref, (t, y)
+        answers[ref] += 1
+    assert min(answers.values()) >= 100, answers

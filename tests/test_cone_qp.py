@@ -1086,3 +1086,135 @@ def test_line_orthant_interval_matches_lp():
         zero_blocks += any(c == 0 and z < 0 for z, c in zip(z0, k))
     assert min(answers.values()) >= 150 and min(general.values()) >= 150
     assert ties >= 8 and zero_blocks >= 80
+
+
+# ---------------------------------------------------------------------------
+# dom(f) from one block when H = Z^T G Z is positive semidefinite
+# ---------------------------------------------------------------------------
+
+
+def _psd_on_span_case(rng, trial):
+    """A seeded cone (1 to 8 generators in R^1..R^4) and a form that is
+    positive semidefinite on its span: Gram forms of every rank on R^n, or
+    forms indefinite on R^n that are Gram forms on a proper subspace V
+    holding the cone, in coordinates mixed by a unimodular map."""
+    n = rng.randint(1, 4)
+    kind = ("gram", "span")[trial % 2] if n > 1 else "gram"
+    shape = ("any", "lines", "pointed")[trial // 2 % 3]
+    k = n if kind == "gram" else rng.randint(1, n - 1)  # V = first k coordinates
+    gens = []
+    for _ in range(rng.randint(1, 8)):
+        head = (F(rng.randint(1, 3)),) if shape == "pointed" else (F(rng.randint(-2, 2)),)
+        gens.append(head + tuple(F(rng.randint(-2, 2)) for _ in range(k - 1)) + zeros(n - k))
+    gens = [g for g in gens if any(g)] or [unit(n, 0)]
+    if shape == "lines":
+        gens.append(vscale(F(-1), gens[-1]))
+    rank = rng.randint(0, k)
+    m = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(rank)]
+    raw = [[F(sum(r[i] * r[j] for r in m)) if i < k and j < k else F(0) for j in range(n)]
+           for i in range(n)]
+    if kind == "span":
+        # entries off V x V: the form is indefinite on R^n, but not on V
+        for i in range(n):
+            for j in range(max(i, k), n):
+                raw[i][j] = raw[j][i] = F(rng.randint(-2, 2))
+        raw[n - 1][n - 1] = F(-rng.randint(1, 2))
+    # x -> T x with T unit lower triangular: generators T v, form T^-T G T^-1
+    t = [[F(1) if i == j else F(rng.randint(-1, 1)) if j < i else F(0) for j in range(n)]
+         for i in range(n)]
+    t_inv = [list(unit(n, i)) for i in range(n)]
+    for i in range(n):  # forward substitution: T t_inv = I, column by column
+        for j in range(n):
+            t_inv[i][j] = (F(i == j) - sum((t[i][l] * t_inv[l][j] for l in range(i)), F(0)))
+    g = tuple(
+        tuple(sum((t_inv[a][i] * raw[a][b] * t_inv[b][j] for a in range(n) for b in range(n)), F(0))
+              for j in range(n))
+        for i in range(n)
+    )
+    gens = [tuple(dot(row, v) for row in t) for v in gens]
+    return g, PolyCone(tuple(gens), n), kind
+
+
+def test_convex_domain_from_one_block_matches_the_walk():
+    # on forms PSD on the cone's span, the program's dom(f), read from the
+    # kernel of H's one block, has the walk's rows in the walk's order and
+    # the same generators; its one piece is P_0, or none when P_0 is {0}
+    rng = random.Random(20261020)
+    seen = {"span": 0, "gram": 0, "lines": 0, "non_simplex": 0, "rows": 0, "no_piece": 0}
+    ranks = set()
+    for trial in range(1000):
+        g, d, kind = _psd_on_span_case(rng, trial)
+        prog = ConeProgram(g, d)
+        assert is_psd(prog.h), (g, d)
+        ref = dom_f(g, d)
+        got = prog.dom
+        assert ref.negative_ray is None and got.negative_ray is None, (g, d)
+        assert got.cone.halfspaces == ref.cone.halfspaces, (g, d)
+        assert got.cone.generators == ref.cone.generators, (g, d)
+        assert [pc.index_set for pc in got.pieces] in ([], [frozenset()]), (g, d)
+        p, n = len(d.generators), d.dim
+        seen[kind] += 1
+        seen["lines"] += any(vscale(F(-1), v) in d.generators for v in d.generators)
+        seen["non_simplex"] += len(prog.blocks.faces(Work())) < 2**p
+        seen["rows"] += bool(got.cone.halfspaces)
+        seen["no_piece"] += not got.pieces
+        if kind == "span":
+            assert not is_psd(g), (g, d)
+        else:
+            ranks.add((n, sum(1 for _ in basis_of_span(g, n))))
+    assert min(seen.values()) >= 100, seen
+    assert all((n, r) in ranks for n in range(1, 5) for r in range(n + 1)), ranks
+
+
+def test_convex_program_builds_one_block_after_the_faces(monkeypatch):
+    # a bounded program with PSD H answers boundedness from the kernel of
+    # its one block, eliminated after the faces are listed
+    events = []
+
+    def counting_system(m, ncols):
+        events.append("block")
+        return LinearSystem(m, ncols)
+
+    def listing(zi, work):
+        events.append("faces")
+        return face_pairs(zi, work)
+
+    face_pairs = cone_qp._face_pairs
+    monkeypatch.setattr(cone_qp, "LinearSystem", counting_system)
+    monkeypatch.setattr(cone_qp, "_face_pairs", listing)
+    # x_1^2 on a cone of 4 generators in R^2: zero set the ray (0, 1)
+    d = PolyCone.from_generators([(1, 0), (0, 1), (1, 1), (1, 2)], 2)
+    g = ((F(1), F(0)), (F(0), F(0)))
+    prog = ConeProgram(g, d)
+    assert prog.boundedness(vec((1, 1))).bounded
+    assert events == ["faces", "block"]
+    assert prog.dom.cone.halfspaces == ((F(0), F(-1)),)
+    assert not prog.boundedness(vec((1, -1))).bounded
+    assert events == ["faces", "block"]
+
+
+def test_convex_program_answers_a_hull_the_walk_refuses():
+    # 12 generators in general position in R^10 under a rank-1 form w w^T:
+    # the walk over the 3,938 faces of their hull passes the work budget,
+    # but the form is PSD, so the program reads dom(f) from one block; its
+    # rows are the negated extreme rays of D & w^perp, computed apart
+    rng = random.Random(1)
+    gens = [tuple(rng.randint(-9, 9) for _ in range(10)) for _ in range(12)]
+    w = [rng.randint(-3, 3) for _ in range(10)]
+    g = tuple(tuple(F(a * b) for b in w) for a in w)
+    d = PolyCone.from_generators(gens)
+    start = time.perf_counter()
+    prog = ConeProgram(g, d)
+    c = tuple(F(rng.randint(-3, 3)) for _ in range(10))
+    res = prog.boundedness(c)
+    assert time.perf_counter() - start < 2
+    assert len(prog.blocks.faces(Work())) == 3938
+    cut = list(d.with_halfspaces().halfspaces) + [vec(w), vec(-x for x in w)]
+    rays, lines = cone_h_to_v(cut, 10)
+    assert not lines
+    rows = prog.dom.cone.halfspaces
+    assert {primitive(vscale(F(-1), h)) for h in rows} == {primitive(r) for r in rays}
+    violated = [h for h in rows if dot(h, c) > 0]
+    assert res.bounded == (not violated)
+    if violated:
+        assert res.certificate == vscale(F(-1), violated[0])

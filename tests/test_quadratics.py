@@ -67,6 +67,70 @@ def test_is_psd_semidefinite_cases():
     assert is_psd(((F(2), F(-2)), (F(-2), F(2))))
 
 
+def test_is_psd_on_python_ints():
+    # an int matrix is decided on ints: Schur complements in floats would
+    # misjudge these two, a rank-1 form v v^T and a definite form whose
+    # complement is 1 against entries near 10^18
+    v = (3, 10**9 + 7)
+    assert is_psd([[x * y for y in v] for x in v])
+    assert not is_psd([[9, 3 * v[1]], [3 * v[1], v[1] ** 2 - 1]])
+    k = 10**9
+    assert is_psd([[k * k, k * (k + 1)], [k * (k + 1), (k + 1) ** 2 + 1]])
+    assert not is_psd([[k * k, k * (k + 1)], [k * (k + 1), (k + 1) ** 2 - 1]])
+    assert is_psd([]) and is_psd([[0]]) and not is_psd([[-1]])
+    assert not is_psd([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+
+
+def _reference_is_psd(a):
+    """Symmetric elimination on Fractions: pivot on positive diagonal
+    entries; a negative diagonal entry refutes, and a trailing block with
+    zero diagonal must vanish."""
+    s = [list(row) for row in a]
+    active = list(range(len(s)))
+    while active:
+        pivot = next((k for k in active if s[k][k] > 0), None)
+        if pivot is None:
+            return all(s[k][k] >= 0 for k in active) and all(
+                s[k][l] == 0 for k in active for l in active
+            )
+        active.remove(pivot)
+        for k in active:
+            f = s[k][pivot] / s[pivot][pivot]
+            for l in active:
+                s[k][l] -= f * s[pivot][l]
+    return True
+
+
+def test_is_psd_matches_fraction_elimination():
+    # Gram forms of every rank (singular ones included), zero-diagonal and
+    # indefinite forms, with rational entries, against Fraction elimination
+    rng = random.Random(20261020)
+    answers = {True: 0, False: 0}
+    singular = zero_diagonal = 0
+    for trial in range(3000):
+        n = rng.randint(1, 6)
+        kind = trial % 3
+        if kind == 0:
+            w = [[F(rng.randint(-3, 3), rng.choice((1, 2, 3, 7))) for _ in range(n)]
+                 for _ in range(rng.randint(1, n))]
+            a = [[sum((r[i] * r[j] for r in w), F(0)) for j in range(n)] for i in range(n)]
+        else:
+            a = [[F(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    a[i][j] = a[j][i] = F(rng.randint(-2, 3), rng.choice((1, 2)))
+            if kind == 2:
+                for i in range(n):
+                    a[i][i] = F(rng.choice((0, 0, 1)))
+        a = tuple(map(tuple, a))
+        ref = _reference_is_psd(a)
+        assert is_psd(a) == ref, a
+        answers[ref] += 1
+        singular += ref and kind == 0 and len(w) < n
+        zero_diagonal += any(a[i][i] == 0 for i in range(n)) and kind == 2
+    assert min(answers.values()) >= 1000 and singular >= 300 and zero_diagonal >= 500
+
+
 def test_psd_matches_midpoint_convexity():
     rng = random.Random(42)
     for _ in range(25):
