@@ -29,9 +29,10 @@ copositive form minimizes it over ``u >= 0``, so ``H u >= 0`` there.  A
 piece is empty unless ``H_FF`` is singular; otherwise double description
 runs in the coordinates t of ``u_F = N t`` for a kernel basis N, on the
 rows ``N t >= 0`` alone.  dom(f) is the intersection of the halfspaces
-``c . (Z u) >= 0`` over all piece generators, and boundedness below is read
-from these rows: a row that c violates is, negated, a zero-set ray along
-which the objective decreases.  Everything here is exact.
+``c . (Z u) >= 0`` over all piece generators, kept as these rows and never
+converted to generators, and boundedness below is read from them: a row
+that c violates is, negated, a zero-set ray along which the objective
+decreases.  Everything here is exact.
 
 A convex form needs no walk.  When H is positive semidefinite (G is PSD on
 the span of D), the sign test has nothing to find, and the zero set is the
@@ -39,9 +40,11 @@ one piece ``P_0 = {u >= 0 : H u = 0}``: for PSD H the form ``x.H x`` is
 nonnegative on all of R^p, so a zero u minimizes it there and its gradient
 ``2 H u`` vanishes.  Every other piece ``P_I = P_0 & {u_I = 0}`` is a face
 of ``P_0``, so its rays are rays of ``P_0``, and the walk's rows, which
-start with ``P_0``'s, are ``P_0``'s alone.  A :class:`ConeProgram` tests H
-once on ints and reads dom(f) from that one block's kernel; the public
-``dom_f`` and ``zero_set_pieces`` keep the walk and all its pieces.
+start with ``P_0``'s, are ``P_0``'s alone.  So dom(f), wherever it is
+computed (``dom_f``, ``is_bounded_below_on_cone`` and :class:`ConeProgram`
+share one function), tests H once on ints and, for PSD H, reads the rows
+from that one block's kernel; ``zero_set_pieces`` keeps the walk and all
+its pieces.
 
 The cone layer runs on Python ints.  H is formed once as the integer matrix
 ``lam H`` (the generators and G scaled by the lcms of their denominators),
@@ -138,29 +141,32 @@ class ZeroSetPiece:
     """One polyhedral piece of ``{u >= 0 : u.H u = 0}`` in parameter space."""
 
     index_set: frozenset[int]
-    cone: PolyCone
     generators: tuple[Vec, ...]
 
 
 @dataclass(frozen=True)
 class DomF:
-    """The domain of the cone value function, as a polyhedral cone of
-    admissible linear terms; ``None`` cone means the domain is empty
-    (the form is negative somewhere on D, witnessed by ``negative_ray``)."""
+    """The domain of the cone value function: the linear terms c with
+    ``h.c <= 0`` for every row h.  It is empty when the form is negative
+    somewhere on D, witnessed by ``negative_ray``, and then has no rows."""
 
-    cone: PolyCone | None
-    pieces: tuple[ZeroSetPiece, ...]
+    rows: tuple[Vec, ...]
     dim: int
     negative_ray: Vec | None = None
 
     @property
     def is_empty(self) -> bool:
-        return self.cone is None
+        return self.negative_ray is not None
 
     def contains(self, c: Vec) -> bool:
-        if self.cone is None:
-            return False
-        return all(dot(h, c) <= 0 for h in (self.cone.halfspaces or ()))
+        return self._violated_row(c) is None and not self.is_empty
+
+    def _violated_row(self, c: Vec) -> Vec | None:
+        """The first row h with ``h.c > 0``, or None; c must have the
+        domain's dimension, even where no row reads it."""
+        if len(c) != self.dim:
+            raise DimensionMismatchError(f"a linear term of length {len(c)} in R^{self.dim}")
+        return next((h for h in self.rows if dot(h, c) > 0), None)
 
 
 @dataclass(frozen=True)
@@ -566,57 +572,48 @@ def _piece(
         return None
     work.charge(2 * len(rays_t) * k * len(kernel) * LP_ENTRY_UNITS, _WALK)
     rays = tuple(primitive(_scatter(free, matvec(n_rows, t), blocks.p)) for t in rays_t)
-    return ZeroSetPiece(frozenset(active), PolyCone(rays, blocks.p), rays)
+    return ZeroSetPiece(frozenset(active), rays)
 
 
 def dom_f(g: Mat, d: PolyCone) -> DomF:
     """The polyhedral domain of ``f(c) = inf_{x in D} c.x + 1/2 x.G x``.
 
-    Its rows are ``-Z u`` for the piece generators u, in piece order, made
-    primitive, with zero rows and repeats dropped.  The sign test, the
-    zero-set walk, the n p products and sums of each row and the conversion
-    of the rows share one work budget.
+    Its rows are ``-Z u`` for the zero-set rays u (see :func:`_domain`);
+    every step shares one work budget.
     """
-    return _dom_f(d, _Blocks(g, d), Work())
+    return _domain(d, _Blocks(g, d), Work())
 
 
-def _dom_f(d: PolyCone, blocks: _Blocks, work: Work) -> DomF:
-    """:func:`dom_f` on the blocks of ``H = Z^T G Z`` already built."""
-    ray = _negative_ray(d, blocks, work)
-    if ray is not None:
-        return DomF(None, (), d.dim, negative_ray=ray)
-    return _domain_of(d, blocks, tuple(_zero_set_pieces(blocks, work)), work)
+def _domain(d: PolyCone, blocks: _Blocks, work: Work) -> DomF:
+    """dom(f) on the blocks of ``H = Z^T G Z`` already built.
 
-
-def _domain_of(
-    d: PolyCone, blocks: _Blocks, pieces: tuple[ZeroSetPiece, ...], work: Work
-) -> DomF:
-    """dom(f) cut out by the rows ``-Z u`` over the pieces' generators u,
-    which cost ``work`` n p products and sums each, and their conversion."""
-    n = d.dim
-    z = _generator_matrix(d)
-    us = [u for piece in pieces for u in piece.generators]
-    work.charge(2 * len(us) * n * blocks.p * LP_ENTRY_UNITS, _WALK)
-    rows = [vscale(-ONE, matvec(z, u)) for u in us]
-    return DomF(PolyCone.from_halfspaces(rows, n, work), pieces, n)
-
-
-def _convex_dom(d: PolyCone, blocks: _Blocks, work: Work) -> DomF | None:
-    """dom(f) from the one block H when H is positive semidefinite, else None.
-
-    The faces are listed first, as every walk lists them, so the face budget
-    refuses before any block is eliminated; then H is tested by one integer
-    elimination (:func:`quadratics.is_psd`), charged as one.  For PSD H the
-    zero set is the one piece ``P_0`` (see the module docstring), and the
-    rows are the walk's, in its order.
+    A negative diagonal entry of H empties it before any face is listed.
+    Otherwise the faces are listed first, so the face budget refuses before
+    any block is eliminated, and H is tested by one integer elimination
+    (:func:`quadratics.is_psd`), charged as one.  For PSD H the zero set is
+    the one piece ``P_0`` (see the module docstring); otherwise the sign test
+    runs, and then the zero-set walk.  The rows are ``-Z u`` over the pieces'
+    rays u, in piece order, made primitive, with zero rows and repeats
+    dropped; they cost ``work`` n p products and sums each.
     """
     p = blocks.p
+    if any(blocks.hi[i][i] < 0 for i in range(p)):  # a generator, with no faces
+        return DomF((), d.dim, _negative_ray(d, blocks, work))
     blocks.faces(work)
     work.charge(_elimination_units(p, p), _WALK)
-    if not is_psd(blocks.hi):
-        return None
-    piece = _piece(blocks, (), tuple(range(p)), work)
-    return _domain_of(d, blocks, (piece,) if piece is not None else (), work)
+    if is_psd(blocks.hi):
+        piece = _piece(blocks, (), tuple(range(p)), work)
+        pieces = [piece] if piece is not None else []
+    else:
+        ray = _negative_ray(d, blocks, work)
+        if ray is not None:
+            return DomF((), d.dim, ray)
+        pieces = _zero_set_pieces(blocks, work)
+    z = _generator_matrix(d)
+    us = [u for piece in pieces for u in piece.generators]
+    work.charge(2 * len(us) * d.dim * p * LP_ENTRY_UNITS, _WALK)
+    rows = (primitive(vscale(-ONE, matvec(z, u))) for u in us)
+    return DomF(tuple(dict.fromkeys(h for h in rows if any(h))), d.dim)
 
 
 def is_bounded_below_on_cone(
@@ -628,14 +625,15 @@ def is_bounded_below_on_cone(
     value, or a ray in the zero set of the form with ``c . ray < 0`` (values
     decrease linearly along it).  The second is ``-h`` for the first row h of
     dom(f) with ``h . c > 0``; ``dom``, when given, is dom(f) already computed.
+    A c of another length raises DimensionMismatchError.
     """
     if dom is None:
         dom = dom_f(g, d)
+    h = dom._violated_row(c)
     if dom.is_empty:
         return BoundednessResult(False, dom.negative_ray, "negative_curvature")
-    for h in dom.cone.halfspaces:
-        if dot(h, c) > 0:
-            return BoundednessResult(False, vscale(-ONE, h), "negative_slope")
+    if h is not None:
+        return BoundednessResult(False, vscale(-ONE, h), "negative_slope")
     return BoundednessResult(True)
 
 
@@ -678,11 +676,8 @@ class ConeProgram:
         return self._domain(Work())
 
     def _domain(self, work: Work) -> DomF:
-        """dom(f), from H's one block when H is PSD (:func:`_convex_dom`),
-        else by :func:`_dom_f`'s walk."""
         if self._dom is None:
-            dom = _convex_dom(self.d, self.blocks, work)
-            self._dom = dom if dom is not None else _dom_f(self.d, self.blocks, work)
+            self._dom = _domain(self.d, self.blocks, work)
         return self._dom
 
     def boundedness(self, c: Vec) -> BoundednessResult:
@@ -720,8 +715,7 @@ class ConeProgram:
         work = Work()
         dom = self._domain(work)
         # the dot products of c with the rows of dom(f) and the generators
-        rows = dom.cone.halfspaces if dom.cone is not None else ()
-        work.charge(2 * (len(rows) + self.p) * self.d.dim * LP_ENTRY_UNITS, _WALK)
+        work.charge(2 * (len(dom.rows) + self.p) * self.d.dim * LP_ENTRY_UNITS, _WALK)
         bound = is_bounded_below_on_cone(c, self.g, self.d, dom=dom)
         if not bound.bounded:
             d = bound.certificate

@@ -401,7 +401,7 @@ def _minimize_over_polytope(q, f: MotzkinSet, prog: ConeProgram) -> AttainmentVe
     # an empty dom(f) fails at the first vertex, and one without rows holds
     # at every vertex
     dom = prog.dom
-    if dom.is_empty or dom.cone.halfspaces:
+    if dom.is_empty or dom.rows:
         for y in f.compact.vertices:
             c = inner_linear_term(q, y)
             if not prog.boundedness(c).bounded:
@@ -485,7 +485,7 @@ def _ball_escapes_domain(q, ball: Ball, prog: ConeProgram) -> Vec | None:
     dom = prog.dom
     if dom.is_empty:
         return ball.center
-    for w in dom.cone.halfspaces or ():
+    for w in dom.rows:
         # dom rows are "h . c <= 0"; c(y) = A y + b
         center_val = dot(w, inner_linear_term(q, ball.center))
         atw = matvec(q.a, w)  # A^T w = A w (A symmetric)

@@ -201,10 +201,10 @@ class PolyCone:
         return PolyCone(gs, dim)
 
     @staticmethod
-    def from_halfspaces(rows, dim, work: Work | None = None) -> "PolyCone":
+    def from_halfspaces(rows, dim) -> "PolyCone":
         hs = tuple(primitive(vec(r)) for r in rows)
         hs = tuple(dict.fromkeys(h for h in hs if not is_zero(h)))
-        rays, lin = cone_h_to_v(hs, dim, work)
+        rays, lin = cone_h_to_v(hs, dim)
         gens = rays + tuple(lin) + tuple(vscale(-ONE, v) for v in lin)
         gens = tuple(dict.fromkeys(primitive(g) for g in gens))
         return PolyCone(gens, dim, halfspaces=hs)

@@ -149,9 +149,9 @@ def test_zero_set_pieces_cover_and_satisfy_equations():
             hu = matvec(h, u)
             if dot(u, hu) != 0:
                 continue
-            assert any(piece.cone.with_halfspaces().contains(u) for piece in pieces) or all(
-                x == 0 for x in u
-            )
+            assert any(
+                PolyCone(piece.generators, pp).with_halfspaces().contains(u) for piece in pieces
+            ) or all(x == 0 for x in u)
 
 
 def _definition_rays(h, idx):
@@ -192,13 +192,21 @@ def _lifted_independent(d):
     return len(basis_of_span([g + (F(1),) for g in d.generators], d.dim + 1)) == len(d.generators)
 
 
-def _check_pieces_and_domain(dom, ref_cone, g_mat, d):
-    """Each piece of dom(f) is the one its index set defines, and dom(f) is
-    the reference cone."""
+def _walk_rows(pieces, d):
+    """dom(f)'s rows read off the walk's pieces: ``-Z u`` over their rays u,
+    made primitive, with zero rows and repeats dropped."""
+    z = tuple(zip(*d.generators))
+    rows = (primitive(vscale(F(-1), matvec(z, u))) for pc in pieces for u in pc.generators)
+    return tuple(dict.fromkeys(h for h in rows if any(h)))
+
+
+def _check_pieces_and_domain(dom, pieces, ref_cone, g_mat, d):
+    """Each piece of the zero-set walk is the one its index set defines, and
+    dom(f) is the reference cone."""
     h = _form_matrix(g_mat, d)
-    for pc in dom.pieces:
+    for pc in pieces:
         assert set(pc.generators) == _definition_rays(h, pc.index_set), (g_mat, d, pc.index_set)
-    assert same_cone(dom.cone, ref_cone), (g_mat, d)
+    assert same_cone(PolyCone.from_halfspaces(dom.rows, dom.dim), ref_cone), (g_mat, d)
 
 
 def test_zero_set_pieces_match_their_definition():
@@ -247,16 +255,16 @@ def test_zero_set_pieces_match_their_definition():
         pieces = zero_set_pieces(g_mat, d)
         reference = _reference_pieces(g_mat, d)
         dom = dom_f(g_mat, d)
-        assert dom.pieces == tuple(pieces)
+        assert dom.rows == _walk_rows(pieces, d)
         if _lifted_independent(d):
             assert [(pc.index_set, set(pc.generators)) for pc in pieces] == reference
             simplices += 1
         else:
             z = tuple(zip(*d.generators))
             rows = [vscale(F(-1), matvec(z, u)) for _, rays in reference for u in rays]
-            _check_pieces_and_domain(dom, PolyCone.from_halfspaces(rows, n), g_mat, d)
+            _check_pieces_and_domain(dom, pieces, PolyCone.from_halfspaces(rows, n), g_mat, d)
         if kind == "strictly_copositive":
-            assert not pieces and not dom.pieces
+            assert not pieces and not dom.rows
             for _ in range(20):
                 assert dom.contains(tuple(F(rng.randint(-5, 5)) for _ in range(n)))
         else:
@@ -366,6 +374,11 @@ def test_face_budget_precedes_elimination(monkeypatch):
             with pytest.raises(SizeCapError):
                 dom_f(identity(d.dim), d)
             assert time.perf_counter() - start < 20
+            # a negative diagonal entry of H empties dom(f) before any face
+            # is listed
+            neg = tuple(vscale(F(-1), row) for row in identity(d.dim))
+            for dom in (dom_f(neg, d), ConeProgram(neg, d).dom):
+                assert dom.negative_ray == d.generators[0] and dom.rows == ()
     # 11 affinely independent generators in R^10: a simplex, every one of
     # whose 2^11 generator subsets is a face
     simplex = PolyCone.from_generators([unit(10, i) for i in range(10)] + [(-1,) * 10])
@@ -377,23 +390,44 @@ def test_face_budget_precedes_elimination(monkeypatch):
         tuple(range(13)), (12,), (0,), ()
     ]
     dom = dom_f(identity(3), d)
-    assert not dom.is_empty and not dom.pieces and dom.cone.halfspaces == ()
+    assert not dom.is_empty and not zero_set_pieces(identity(3), d) and dom.rows == ()
 
 
 def test_dom_f_stops_past_the_budget(monkeypatch):
     # x1^2 on the orthant in R^2, units counted by hand: listing the 4 faces
-    # of the simplex conv(e1, e2) costs 2 units each (8); the sign test
-    # eliminates [H_FF | I] at 4 k^2 (2k) units (64, 8, 8, 0) and solves at
-    # k^2 (4, 1, 1, 0) (86 in all); the zero-set walk reads the kernels of
-    # the free sets {1, 2} and {2}, at 2 k (dim ker) Fractions for N and -N
-    # (4 and 2) and 2 k (dim ker) for their one ray each (4 and 2), 30 units
-    # a Fraction (360); the one ray left costs 2 n p = 8 Fractions to map
-    # through Z (240); the conversions are one-dimensional and cost nothing
+    # of the simplex conv(e1, e2) costs 2 units each (8); H is PSD, and its
+    # test is charged as one elimination of the 2 x 2 matrix H at 4 r^2 c
+    # (32); the block [H | I] of the zero set's one piece P_0 costs
+    # 4 k^2 (2k) (64); its kernel N and the rows -N are 2 k (dim ker) = 4
+    # Fractions (120), its one ray 2 k (dim ker) = 4 more (120), and that
+    # ray's row 2 n p = 8 Fractions to map through Z (240), 30 units a
+    # Fraction; the conversion is one-dimensional and costs nothing
     d = orthant(2)
     g = ((F(1), F(0)), (F(0), F(0)))
-    work = 8 + 86 + 360 + 240
+    work = 8 + 32 + 64 + 120 + 120 + 240
     monkeypatch.setattr(polyhedra, "DD_BUDGET", work)
-    assert dom_f(g, d).cone.halfspaces == ((F(0), F(-1)),)
+    assert dom_f(g, d).rows == ((F(0), F(-1)),)
+    monkeypatch.setattr(polyhedra, "DD_BUDGET", work - 1)
+    with pytest.raises(SizeCapError):
+        dom_f(g, d)
+
+
+def test_dom_f_walk_stops_past_the_budget(monkeypatch):
+    # 2 x1 x2 on the orthant in R^2 is copositive but not PSD, so dom(f)
+    # takes the sign test and the zero-set walk; units counted by hand: the
+    # 4 faces (8) and the PSD test (32) as above; the sign test eliminates
+    # [H_FF | I] at 4 k^2 (2k) units (64, 8, 8, 0) and solves at k^2
+    # (4, 1, 1, 0) (86 in all), and finds s = 2 > 0 on the one consistent
+    # face; the walk reads the kernels of the free sets {2} and {1}, at
+    # 2 k (dim ker) = 2 Fractions for N and -N and 2 for the one ray of each
+    # (240); the two rays cost 2 n p = 8 Fractions each to map through Z
+    # (480), 30 units a Fraction; the conversions are one-dimensional
+    d = orthant(2)
+    g = ((F(0), F(1)), (F(1), F(0)))
+    assert not is_psd(g) and nonneg_form_on_cone(g, d) == (True, None)
+    work = 8 + 32 + 86 + 240 + 480
+    monkeypatch.setattr(polyhedra, "DD_BUDGET", work)
+    assert dom_f(g, d).rows == ((F(0), F(-1)), (F(-1), F(0)))
     monkeypatch.setattr(polyhedra, "DD_BUDGET", work - 1)
     with pytest.raises(SizeCapError):
         dom_f(g, d)
@@ -526,7 +560,7 @@ def test_sign_test_matches_bordered_simplex_reference():
         if sign >= 0:
             pieces = zero_set_pieces(g_mat, d)
             assert (not pieces) == (sign > 0), (raw, gens)
-            assert dom.pieces == tuple(pieces)
+            assert dom.rows == _walk_rows(pieces, d)
     assert min(outcomes.values()) >= 25, outcomes
     assert with_lines >= 60
 
@@ -595,8 +629,10 @@ def test_face_walk_matches_the_subset_walk():
             assert d.with_halfspaces().contains(x) and dot(x, matvec(g, x)) < 0, (g, d)
             outcomes["negative"] += 1
         else:
-            _check_pieces_and_domain(dom, ref.cone, g, d)
-            outcomes["pieces" if dom.pieces else "strict"] += 1
+            pieces = zero_set_pieces(g, d)
+            ref_cone = PolyCone.from_halfspaces(ref.rows, ref.dim)
+            _check_pieces_and_domain(dom, pieces, ref_cone, g, d)
+            outcomes["pieces" if pieces else "strict"] += 1
         for _ in range(3):
             c = tuple(F(rng.randint(-3, 3)) for _ in range(d.dim))
             v, w = prog.minimize(c), ref_prog.minimize(c)
@@ -618,11 +654,11 @@ def test_redundant_domain_rows_past_sixty_four_convert():
         d = PolyCone.from_generators(gens, 4)
         assert d.with_halfspaces().halfspaces == ()
         dom = dom_f(g, d)
-        assert len(dom.cone.halfspaces) == rows
+        assert len(dom.rows) == rows
         row_space = PolyCone.from_generators(
             [vec(r) for r in m] + [vscale(F(-1), vec(r)) for r in m], 4
         )
-        assert same_cone(dom.cone, row_space)
+        assert same_cone(PolyCone.from_halfspaces(dom.rows, 4), row_space)
 
 
 def test_definite_form_on_a_wide_pointed_cone():
@@ -632,7 +668,7 @@ def test_definite_form_on_a_wide_pointed_cone():
     # not by that dimension
     d = PolyCone.from_generators([(1, t, t**2, t**3, t**4) for t in range(-12, 12)])
     dom = dom_f(identity(5), d)
-    assert not dom.is_empty and not dom.pieces and dom.cone.halfspaces == ()
+    assert not dom.is_empty and not zero_set_pieces(identity(5), d) and dom.rows == ()
 
 
 def test_each_block_is_eliminated_once(monkeypatch):
@@ -648,7 +684,7 @@ def test_each_block_is_eliminated_once(monkeypatch):
     d = PolyCone.from_generators([(1, 0), (0, 1), (1, 1), (1, 2)], 2)
     g = ((F(1), F(0)), (F(0), F(0)))  # x_1^2: nonnegative, zero set the x_2 axis
     prog = ConeProgram(g, d)
-    assert not prog.dom.is_empty and prog.dom.pieces
+    assert not prog.dom.is_empty and prog.dom.rows
     for c in ((1, 1), (-1, 2), (0, 3)):
         assert prog.minimize(vec(c)).kind == "attained"
     for c in ((2, 1), (-3, 1), (1, 5)):
@@ -699,7 +735,7 @@ def test_integer_blocks_match_rational_data():
         assert dom.negative_ray == ray, (g, gens)
         outcomes["negative" if sign < 0 else "pieces" if sign == 0 else "strict"] += 1
         if sign >= 0:
-            assert dom.cone.halfspaces == dom_f(g, prim).cone.halfspaces, (g, gens)
+            assert dom.rows == dom_f(g, prim).rows, (g, gens)
         prog, ref_prog = ConeProgram(g, d), ConeProgram(g, prim)
         for _ in range(4):
             c = tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n))
@@ -1136,9 +1172,10 @@ def _psd_on_span_case(rng, trial):
 
 
 def test_convex_domain_from_one_block_matches_the_walk():
-    # on forms PSD on the cone's span, the program's dom(f), read from the
-    # kernel of H's one block, has the walk's rows in the walk's order and
-    # the same generators; its one piece is P_0, or none when P_0 is {0}
+    # on forms PSD on the cone's span, dom(f), read from the kernel of H's
+    # one block, has the rows of the walk's pieces in the walk's order; the
+    # walk's first piece is P_0, or there is none when P_0 is {0}, and every
+    # other piece's rays are rays of P_0
     rng = random.Random(20261020)
     seen = {"span": 0, "gram": 0, "lines": 0, "non_simplex": 0, "rows": 0, "no_piece": 0}
     ranks = set()
@@ -1146,18 +1183,18 @@ def test_convex_domain_from_one_block_matches_the_walk():
         g, d, kind = _psd_on_span_case(rng, trial)
         prog = ConeProgram(g, d)
         assert is_psd(prog.h), (g, d)
-        ref = dom_f(g, d)
+        pieces = zero_set_pieces(g, d)
         got = prog.dom
-        assert ref.negative_ray is None and got.negative_ray is None, (g, d)
-        assert got.cone.halfspaces == ref.cone.halfspaces, (g, d)
-        assert got.cone.generators == ref.cone.generators, (g, d)
-        assert [pc.index_set for pc in got.pieces] in ([], [frozenset()]), (g, d)
+        assert got.negative_ray is None and dom_f(g, d) == got, (g, d)
+        assert got.rows == _walk_rows(pieces, d), (g, d)
+        assert [pc.index_set for pc in pieces[:1]] in ([], [frozenset()]), (g, d)
+        assert all(set(pc.generators) <= set(pieces[0].generators) for pc in pieces), (g, d)
         p, n = len(d.generators), d.dim
         seen[kind] += 1
         seen["lines"] += any(vscale(F(-1), v) in d.generators for v in d.generators)
         seen["non_simplex"] += len(prog.blocks.faces(Work())) < 2**p
-        seen["rows"] += bool(got.cone.halfspaces)
-        seen["no_piece"] += not got.pieces
+        seen["rows"] += bool(got.rows)
+        seen["no_piece"] += not pieces
         if kind == "span":
             assert not is_psd(g), (g, d)
         else:
@@ -1188,21 +1225,27 @@ def test_convex_program_builds_one_block_after_the_faces(monkeypatch):
     prog = ConeProgram(g, d)
     assert prog.boundedness(vec((1, 1))).bounded
     assert events == ["faces", "block"]
-    assert prog.dom.cone.halfspaces == ((F(0), F(-1)),)
+    assert prog.dom.rows == ((F(0), F(-1)),)
     assert not prog.boundedness(vec((1, -1))).bounded
     assert events == ["faces", "block"]
 
 
-def test_convex_program_answers_a_hull_the_walk_refuses():
-    # 12 generators in general position in R^10 under a rank-1 form w w^T:
-    # the walk over the 3,938 faces of their hull passes the work budget,
-    # but the form is PSD, so the program reads dom(f) from one block; its
-    # rows are the negated extreme rays of D & w^perp, computed apart
+def _rank_one_hull():
+    """12 generators in general position in R^10 under a rank-1 form
+    ``w w^T``, with the rng that drew them."""
     rng = random.Random(1)
     gens = [tuple(rng.randint(-9, 9) for _ in range(10)) for _ in range(12)]
     w = [rng.randint(-3, 3) for _ in range(10)]
     g = tuple(tuple(F(a * b) for b in w) for a in w)
-    d = PolyCone.from_generators(gens)
+    return g, PolyCone.from_generators(gens), w, rng
+
+
+def test_convex_program_answers_a_hull_the_walk_refuses():
+    # the walk over the 3,938 faces of the rank-1 hull passes the work
+    # budget, but the form is PSD, so the program reads dom(f) from one
+    # block; its rows are the negated extreme rays of D & w^perp, computed
+    # apart
+    g, d, w, rng = _rank_one_hull()
     start = time.perf_counter()
     prog = ConeProgram(g, d)
     c = tuple(F(rng.randint(-3, 3)) for _ in range(10))
@@ -1212,9 +1255,60 @@ def test_convex_program_answers_a_hull_the_walk_refuses():
     cut = list(d.with_halfspaces().halfspaces) + [vec(w), vec(-x for x in w)]
     rays, lines = cone_h_to_v(cut, 10)
     assert not lines
-    rows = prog.dom.cone.halfspaces
+    rows = prog.dom.rows
     assert {primitive(vscale(F(-1), h)) for h in rows} == {primitive(r) for r in rays}
     violated = [h for h in rows if dot(h, c) > 0]
     assert res.bounded == (not violated)
     if violated:
         assert res.certificate == vscale(F(-1), violated[0])
+
+
+def test_dom_f_answers_the_rank_one_hull():
+    # the public dom_f reads the rank-1 hull's dom(f) from one block too,
+    # with the program's rows
+    g, d, _, _ = _rank_one_hull()
+    start = time.perf_counter()
+    dom = dom_f(g, d)
+    assert time.perf_counter() - start < 2
+    assert not dom.is_empty and dom.rows and dom.rows == ConeProgram(g, d).dom.rows
+
+
+def test_convex_domain_converts_no_rows(monkeypatch):
+    # dom(f) of a PSD program keeps its rows as they are: the one
+    # conversion left is the one that gives P_0's rays
+    calls = []
+
+    def counting(rows, dim, work=None):
+        calls.append(len(rows))
+        return cone_h_to_v(rows, dim, work)
+
+    monkeypatch.setattr(cone_qp, "cone_h_to_v", counting)
+    monkeypatch.setattr(polyhedra, "cone_h_to_v", counting)
+    d = PolyCone.from_generators([(1, 0), (0, 1)], 2)  # a simplex: no facet conversion
+    g = ((F(1), F(0)), (F(0), F(0)))
+    assert ConeProgram(g, d).dom.rows == ((F(0), F(-1)),)
+    assert calls == [2]  # {t : N t >= 0} for the 2 x 1 kernel basis N
+
+
+def test_a_linear_term_of_another_length_is_refused():
+    # c is checked against dom(f)'s dimension even where no row reads it
+    d = orthant(2)
+    forms = {
+        "empty": ((F(-1), F(0)), (F(0), F(1))),
+        "no rows": identity(2),
+        "rows": ((F(1), F(0)), (F(0), F(0))),
+    }
+    for kind, g in forms.items():
+        dom = dom_f(g, d)
+        assert (dom.is_empty, bool(dom.rows)) == {
+            "empty": (True, False), "no rows": (False, False), "rows": (False, True)
+        }[kind]
+        for c in ((F(1),), (F(1), F(1), F(1))):
+            for call in (
+                lambda: is_bounded_below_on_cone(c, g, d),
+                lambda: ConeProgram(g, d).boundedness(c),
+                lambda: dom.contains(c),
+            ):
+                with pytest.raises(DimensionMismatchError):
+                    call()
+        assert dom.contains((F(1), F(1))) == (kind != "empty")
