@@ -107,6 +107,10 @@ class AffineImageSet:
     map: AffineMap
     inner: "SetDescriptor"
 
+    def __post_init__(self):
+        if self.map.source_dim != ambient_dim(self.inner):
+            raise DimensionMismatchError("map source dimension differs from the inner set's")
+
 
 @dataclass(frozen=True)
 class IntersectionSet:

@@ -763,8 +763,6 @@ def minimize_on_polyhedral_cone(q: Quadratic, d: PolyCone) -> ConeMinVerdict:
     quadratic is bounded below (the classical attainment fact for quadratics
     on polyhedra guarantees one exists), and a decreasing ray otherwise.
     """
-    if q.dim != d.dim:
-        raise FwsetsError("quadratic and cone dimensions differ")
     return ConeProgram(q.a, d).minimize(q.b, q.c)
 
 

@@ -1,4 +1,5 @@
-"""Versioned JSON documents for sets, quadratics, maps, and manifolds.
+"""Versioned JSON documents for sets, quadratics, maps, and manifolds, and
+the one checker that reads them.
 
 A document is ``{"version": "1", "kind": <kind>, "payload": {...}}`` with
 rationals serialized as strings like ``"3/4"`` (plain integers are accepted
@@ -8,13 +9,20 @@ documents fail loudly; parse errors carry line/column (JSON level) or a
 dotted field path (semantic level).  A ``vpolyhedron`` set node is read as
 its Motzkin set (:func:`motzkin.vpoly_to_motzkin`); one without a vertex
 raises EmptySetError.
+
+The checker is two tables.  ``FIELDS`` maps every field name to its parser,
+and an object's fields are parsed in that table's order.  ``KINDS`` maps
+every kind (top-level documents, set nodes, compact parts and cones) to its
+builder and its required and optional fields.  The gallery's case files are
+read by the same combinators: :mod:`fwsets.gallery` adds its fields to
+``FIELDS``.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache, partial
 
 from .affine import AffineManifold, AffineMap, subspace
 from .asymptotes import (
@@ -26,8 +34,7 @@ from .asymptotes import (
     UnionSet,
     ambient_dim,
 )
-from .errors import DocumentError
-from .linalg import Vec, vec
+from .errors import DocumentError, FwsetsError
 from .motzkin import (
     Ball,
     FinitePointSet,
@@ -50,38 +57,13 @@ SET_KINDS = (
     "intersection",
     "affine_image",
 )
-
-
-def parse_rational(raw, path: str) -> Fraction:
-    if isinstance(raw, bool):
-        raise DocumentError(f"expected a rational, got a boolean", path=path)
-    if isinstance(raw, int):
-        return Fraction(raw)
-    if isinstance(raw, str):
-        try:
-            value = Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(f"bad rational {raw!r}: {exc}", path=path) from None
-        return value
-    raise DocumentError(f"expected a rational, got {type(raw).__name__}", path=path)
+DOCUMENT_KINDS = (*SET_KINDS, "quadratic", "cone", "second_order_cone", "affine_map", "manifold", "subspace")
 
 
 def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def _parse_vector(raw, path) -> Vec:
-    if not isinstance(raw, list):
-        raise DocumentError("expected an array of rationals", path=path)
-    return tuple(parse_rational(v, f"{path}[{i}]") for i, v in enumerate(raw))
-
-
-def _parse_matrix(raw, path):
-    if not isinstance(raw, list):
-        raise DocumentError("expected an array of rows", path=path)
-    return tuple(_parse_vector(row, f"{path}[{i}]") for i, row in enumerate(raw))
 
 
 def format_vector(v) -> list:
@@ -92,252 +74,210 @@ def _format_matrix(m) -> list:
     return [format_vector(row) for row in m]
 
 
-@contextmanager
-def _located(path):
-    """Report an error raised while building a value as a DocumentError at
-    ``path``; a DocumentError passes through unchanged."""
+# ---------------------------------------------------------------------------
+# combinators: a parser ``(raw, path, ctx) -> value`` raises DocumentError at
+# ``path``; ``ctx`` is the outermost record, for fields that name its parts
+# ---------------------------------------------------------------------------
+
+
+def _expect(raw, kind, path, what):
+    if type(raw) is not kind:
+        raise DocumentError(f"expected {what}", path=path)
+    return raw
+
+
+def typed(kind, what):
+    return lambda raw, path, ctx: _expect(raw, kind, path, what)
+
+
+def rational(raw, path, ctx=None) -> Fraction:
+    """A rational: a string such as ``"3/4"`` or an integer."""
+    if type(raw) is str:
+        try:
+            return Fraction(raw)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DocumentError(f"bad rational {raw!r}: {exc}", path=path) from None
+    if type(raw) is int:
+        return Fraction(raw)
+    got = "a boolean" if type(raw) is bool else type(raw).__name__
+    raise DocumentError(f"expected a rational, got {got}", path=path)
+
+
+def array(item):
+    def parse(raw, path, ctx):
+        return tuple([item(v, f"{path}[{i}]", ctx) for i, v in enumerate(_expect(raw, list, path, "an array"))])
+
+    return parse
+
+
+def mapping(item):
+    return lambda raw, path, ctx: {
+        k: item(v, f"{path}.{k}", ctx) for k, v in _expect(raw, dict, path, "an object").items()
+    }
+
+
+def choice(table):
+    def parse(raw, path, ctx):
+        if isinstance(raw, (bool, list, dict)) or raw not in table:
+            raise DocumentError(f"expected one of {sorted(table)}", path=path)
+        return table[raw]
+
+    return parse
+
+
+@cache
+def _shape(required, optional):
+    names = (*required, *optional)
+    return tuple(sorted(names, key=list(FIELDS).index)), frozenset(names)
+
+
+def parse_record(raw, path, ctx, required, optional=()) -> dict:
+    """An object's fields, each parsed by its name in ``FIELDS``, in that
+    table's order.  The parsers see ``ctx``, or else the record itself."""
+    _expect(raw, dict, path, "an object")
+    order, allowed = _shape(required, optional)
+    if missing := sorted(k for k in required if k not in raw):
+        raise DocumentError(f"missing fields {missing}", path=path)
+    if not allowed.issuperset(raw):
+        raise DocumentError(f"unknown fields {sorted(set(raw) - allowed)}", path=path)
+    out = {}
+    for key in order:
+        if key in raw:
+            out[key] = FIELDS[key](raw[key], f"{path}.{key}", out if ctx is None else ctx)
+    return out
+
+
+def record(required, optional=()):
+    return lambda raw, path, ctx: parse_record(raw, path, ctx, required, optional)
+
+
+def build(kind, raw, path, ctx=None, tag=()):
+    """The value of ``kind`` read from the object ``raw``: its fields
+    checked and parsed, then its builder in ``KINDS``, whose errors are
+    reported at ``path``.  ``tag`` is ``("kind",)`` for a node that names
+    its own kind."""
+    builder, required, optional = KINDS[kind]
+    fields = parse_record(raw, path, ctx, required, (*optional, *tag))
+    fields.pop("kind", None)
     try:
-        yield
-    except DocumentError:
-        raise
-    except Exception as exc:
+        value = builder(**fields)
+    except Exception as exc:  # the data is outside input: what it breaks is its defect
         raise DocumentError(str(exc), path=path) from None
+    # outside the relabelling: a V-form without a vertex is empty, not malformed
+    return vpoly_to_motzkin(value, "the V-form has no vertex") if isinstance(value, VPolyhedron) else value
 
 
-def _parse_dim(payload, path) -> int | None:
-    """The optional ``dim`` field: an int of at least 1 (not a bool)."""
-    dim = payload.get("dim")
-    if dim is not None and (isinstance(dim, bool) or not isinstance(dim, int) or dim < 1):
-        raise DocumentError(
-            f"expected an integer dimension >= 1, got {dim!r}", path=f"{path}.dim"
-        )
-    return dim
+def tagged(*kinds):
+    """A node ``{"kind": <one of kinds>, ...}``, built by its kind."""
 
+    def parse(raw, path, ctx):
+        kind = raw.get("kind") if type(raw) is dict else None
+        if type(kind) is not str or kind not in kinds:
+            raise DocumentError(f"expected an object whose kind is one of {sorted(kinds)}", path=path)
+        return build(kind, raw, path, ctx, ("kind",))
 
-def _require_keys(obj, path, required, optional=()):
-    if not isinstance(obj, dict):
-        raise DocumentError("expected an object", path=path)
-    keys = set(obj)
-    missing = set(required) - keys
-    if missing:
-        raise DocumentError(f"missing fields {sorted(missing)}", path=path)
-    unknown = keys - set(required) - set(optional)
-    if unknown:
-        raise DocumentError(f"unknown fields {sorted(unknown)}", path=path)
+    return parse
 
 
 # ---------------------------------------------------------------------------
-# per-kind constructors
+# the tables
 # ---------------------------------------------------------------------------
 
 
-def _parse_quadratic(payload, path) -> Quadratic:
-    _require_keys(payload, path, ("matrix",), ("linear", "constant"))
-    a = _parse_matrix(payload["matrix"], f"{path}.matrix")
-    b = (
-        _parse_vector(payload["linear"], f"{path}.linear")
-        if "linear" in payload
-        else None
-    )
-    c = (
-        parse_rational(payload["constant"], f"{path}.constant")
-        if "constant" in payload
-        else Fraction(0)
-    )
-    with _located(path):
-        return Quadratic.build(a, b, c)
+def _dim(raw, path, ctx):
+    """A dimension: an integer of at least 1 (null stands for none)."""
+    if raw is not None and (type(raw) is not int or raw < 1):
+        raise DocumentError(f"expected an integer dimension >= 1, got {raw!r}", path=path)
+    return raw
 
 
-def _parse_hpoly(payload, path) -> HPolyhedron:
-    _require_keys(payload, path, ("rows", "rhs"), ("dim",))
-    rows = _parse_matrix(payload["rows"], f"{path}.rows")
-    rhs = _parse_vector(payload["rhs"], f"{path}.rhs")
-    dim = _parse_dim(payload, path)
-    with _located(path):
-        if rows:
-            return HPolyhedron(rows, rhs, dim if dim is not None else len(rows[0]))
-        if dim is None:
-            raise DocumentError("dim required when rows are empty", path=path)
-        return HPolyhedron((), (), dim)
+def _width(dim, *groups):
+    """``dim``, or else the length of the first entry of the first nonempty group."""
+    if dim is not None:
+        return dim
+    for group in groups:
+        if group:
+            return len(group[0])
+    raise FwsetsError("dim required for an empty list")
 
 
-def _parse_vpoly(payload, path) -> VPolyhedron:
-    _require_keys(payload, path, ("vertices",), ("rays", "lineality", "dim"))
-    vertices = _parse_matrix(payload["vertices"], f"{path}.vertices")
-    rays = _parse_matrix(payload.get("rays", []), f"{path}.rays")
-    lineality = _parse_matrix(payload.get("lineality", []), f"{path}.lineality")
-    dim = _parse_dim(payload, path)
-    if dim is None:
-        groups = vertices or rays or lineality
-        if not groups:
-            raise DocumentError("dim required for an empty generator list", path=path)
-        dim = len(groups[0])
-    with _located(path):
-        return VPolyhedron(vertices, rays, lineality, dim)
-
-
-def _parse_cone(payload, path) -> PolyCone:
-    _require_keys(payload, path, ("generators",), ("dim",))
-    gens = _parse_matrix(payload["generators"], f"{path}.generators")
-    dim = _parse_dim(payload, path)
-    if dim is None:
-        if not gens:
-            raise DocumentError("dim required for the zero cone", path=path)
-        dim = len(gens[0])
-    with _located(path):
-        return PolyCone.from_generators(gens, dim)
-
-
-def _parse_soc(payload, path) -> SecondOrderCone:
-    _require_keys(payload, path, ("dim", "axis", "aperture"))
-    with _located(path):
-        return SecondOrderCone.build(
-            _parse_dim(payload, path),
-            _parse_vector(payload["axis"], f"{path}.axis"),
-            parse_rational(payload["aperture"], f"{path}.aperture"),
-        )
-
-
-def _parse_compact(payload, path):
-    _require_keys(
-        payload, path, ("kind",), ("vertices", "points", "center", "radius")
-    )
-    kind = payload["kind"]
-    with _located(path):
-        if kind == "polytope":
-            _require_keys(payload, path, ("kind", "vertices"))
-            return PolytopeK.build(_parse_matrix(payload["vertices"], f"{path}.vertices"))
-        if kind == "points":
-            _require_keys(payload, path, ("kind", "points"))
-            return FinitePointSet.build(_parse_matrix(payload["points"], f"{path}.points"))
-        if kind == "ball":
-            _require_keys(payload, path, ("kind", "center", "radius"))
-            return Ball.build(
-                _parse_vector(payload["center"], f"{path}.center"),
-                parse_rational(payload["radius"], f"{path}.radius"),
-            )
-    raise DocumentError(f"unknown compact kind {kind!r}", path=path)
-
-
-def _parse_cone_rep(payload, path):
-    _require_keys(
-        payload, path, ("kind",), ("generators", "dim", "axis", "aperture")
-    )
-    kind = payload["kind"]
-    if kind == "polyhedral":
-        inner = {k: v for k, v in payload.items() if k != "kind"}
-        return _parse_cone(inner, path)
-    if kind == "second_order":
-        inner = {k: v for k, v in payload.items() if k != "kind"}
-        return _parse_soc(inner, path)
-    raise DocumentError(f"unknown cone kind {kind!r}", path=path)
-
-
-def _parse_motzkin(payload, path) -> MotzkinSet:
-    _require_keys(payload, path, ("compact", "cone"))
-    compact = _parse_compact(payload["compact"], f"{path}.compact")
-    cone = _parse_cone_rep(payload["cone"], f"{path}.cone")
-    with _located(path):
-        return MotzkinSet(compact, cone)
-
-
-def _parse_set(node, path):
-    _require_keys_any(node, path)
-    kind = node["kind"]
-    payload = {k: v for k, v in node.items() if k != "kind"}
-    if kind == "hpolyhedron":
-        return _parse_hpoly(payload, path)
-    if kind == "vpolyhedron":
-        return vpoly_to_motzkin(_parse_vpoly(payload, path), "the V-form has no vertex")
-    if kind == "motzkin":
-        return _parse_motzkin(payload, path)
-    if kind == "quad_sublevel":
-        _require_keys(payload, path, ("base", "constraints"), ("sample_point",))
-        base = _parse_set(payload["base"], f"{path}.base")
-        if not isinstance(payload["constraints"], list):
-            raise DocumentError("expected an array of quadratics", path=f"{path}.constraints")
-        constraints = tuple(
-            _parse_quadratic(c, f"{path}.constraints[{i}]")
-            for i, c in enumerate(payload["constraints"])
-        )
-        sample = (
-            vec(_parse_vector(payload["sample_point"], f"{path}.sample_point"))
-            if "sample_point" in payload
-            else None
-        )
-        with _located(path):
-            return QuadSublevel(base, constraints, sample_point=sample)
-    if kind == "epigraph":
-        _require_keys(payload, path, ("function",))
-        with _located(path):
-            return Epigraph1D(payload["function"])
-    if kind == "product":
-        _require_keys(payload, path, ("factors",))
-        return ProductSet(_parse_sets(payload["factors"], f"{path}.factors"))
-    if kind in ("union", "intersection"):
-        _require_keys(payload, path, ("members",))
-        members = _parse_sets(payload["members"], f"{path}.members")
-        if len({ambient_dim(m) for m in members}) > 1:
-            raise DocumentError("members live in different dimensions", path=f"{path}.members")
-        return (UnionSet if kind == "union" else IntersectionSet)(members)
-    if kind == "affine_image":
-        _require_keys(payload, path, ("map", "inner"))
-        return AffineImageSet(
-            _parse_affine_map(payload["map"], f"{path}.map"),
-            _parse_set(payload["inner"], f"{path}.inner"),
-        )
-    raise DocumentError(f"unknown set kind {kind!r}", path=path)
-
-
-def _parse_sets(raw, path) -> tuple:
-    if not isinstance(raw, list) or not raw:
+def _sets(raw, path, ctx):
+    sets = array(_set_node)(raw, path, ctx)
+    if not sets:
         raise DocumentError("expected a nonempty array of sets", path=path)
-    return tuple(_parse_set(node, f"{path}[{i}]") for i, node in enumerate(raw))
+    return sets
 
 
-def _require_keys_any(node, path):
-    if not isinstance(node, dict) or "kind" not in node:
-        raise DocumentError("expected an object with a 'kind' field", path=path)
+def _members(raw, path, ctx):
+    members = _sets(raw, path, ctx)
+    if len({ambient_dim(m) for m in members}) > 1:
+        raise DocumentError("members live in different dimensions", path=path)
+    return members
 
 
-def _parse_affine_map(payload, path) -> AffineMap:
-    _require_keys(payload, path, ("matrix",), ("offset",))
-    m = _parse_matrix(payload["matrix"], f"{path}.matrix")
-    offset = (
-        _parse_vector(payload["offset"], f"{path}.offset")
-        if "offset" in payload
-        else None
-    )
-    with _located(path):
-        return AffineMap.build(m, offset)
-
-
-def _parse_manifold(payload, path) -> AffineManifold:
-    _require_keys(payload, path, (), ("rows", "rhs", "point", "basis"))
-    with _located(path):
-        if "rows" in payload:
-            _require_keys(payload, path, ("rows", "rhs"))
-            return AffineManifold.from_equations(
-                _parse_matrix(payload["rows"], f"{path}.rows"),
-                _parse_vector(payload["rhs"], f"{path}.rhs"),
-            )
-        _require_keys(payload, path, ("point", "basis"))
-        return AffineManifold.from_point_basis(
-            _parse_vector(payload["point"], f"{path}.point"),
-            _parse_matrix(payload["basis"], f"{path}.basis"),
-        )
-
-
-def _parse_subspace(payload, path) -> AffineManifold:
-    _require_keys(payload, path, ("basis",), ("dim",))
-    basis = _parse_matrix(payload["basis"], f"{path}.basis")
-    dim = _parse_dim(payload, path)
-    if dim is None:
-        if not basis:
-            raise DocumentError("dim required for the zero subspace", path=path)
-        dim = len(basis[0])
-    with _located(path):
-        return subspace(basis, dim)
+rationals = array(rational)
+_matrix = array(rationals)
+_set_node = tagged(*SET_KINDS)
+# every field and its parser; a record parses its fields in this order, so
+# an error in a row is reported before one in the dim that follows it
+FIELDS = {
+    "version": choice({"1": "1"}),
+    "payload": typed(dict, "an object"),
+    "kind": typed(str, "a string"),
+    **dict.fromkeys(("matrix", "rows", "vertices", "rays", "lineality", "generators", "points"), _matrix),
+    **dict.fromkeys(("linear", "rhs", "point", "center", "offset"), rationals),
+    "basis": _matrix,
+    "dim": _dim,
+    "axis": rationals,
+    **dict.fromkeys(("constant", "aperture", "radius"), rational),
+    "compact": tagged("polytope", "points", "ball"),
+    "cone": tagged("polyhedral", "second_order"),
+    "base": _set_node,
+    "constraints": array(partial(build, "quadratic")),
+    "sample_point": rationals,
+    "function": lambda raw, path, ctx: raw,
+    "factors": _sets,
+    "members": _members,
+    "map": partial(build, "affine_map"),
+    "inner": _set_node,
+}
+# kind: (builder, required fields, optional fields)
+KINDS = {
+    "quadratic": (
+        lambda matrix, linear=None, constant=0: Quadratic.build(matrix, linear, constant),
+        ("matrix",),
+        ("linear", "constant"),
+    ),
+    "hpolyhedron": (lambda rows, rhs, dim=None: HPolyhedron(rows, rhs, _width(dim, rows)), ("rows", "rhs"), ("dim",)),
+    "vpolyhedron": (
+        lambda vertices, rays=(), lineality=(), dim=None: VPolyhedron(
+            vertices, rays, lineality, _width(dim, vertices, rays, lineality)
+        ),
+        ("vertices",),
+        ("rays", "lineality", "dim"),
+    ),
+    "motzkin": (MotzkinSet, ("compact", "cone"), ()),
+    "quad_sublevel": (QuadSublevel, ("base", "constraints"), ("sample_point",)),
+    "epigraph": (Epigraph1D, ("function",), ()),
+    "product": (ProductSet, ("factors",), ()),
+    "union": (UnionSet, ("members",), ()),
+    "intersection": (IntersectionSet, ("members",), ()),
+    "affine_image": (AffineImageSet, ("map", "inner"), ()),
+    "polytope": (lambda vertices: PolytopeK.build(vertices), ("vertices",), ()),
+    "points": (FinitePointSet.build, ("points",), ()),
+    "ball": (Ball.build, ("center", "radius"), ()),
+    "polyhedral": (
+        lambda generators, dim=None: PolyCone.from_generators(generators, _width(dim, generators)),
+        ("generators",),
+        ("dim",),
+    ),
+    "second_order": (SecondOrderCone.build, ("dim", "axis", "aperture"), ()),
+    "affine_map": (AffineMap.build, ("matrix",), ("offset",)),
+    "manifold": (lambda rows, rhs: AffineManifold.from_equations(rows, rhs), ("rows", "rhs"), ()),
+    "manifold_basis": (AffineManifold.from_point_basis, ("point", "basis"), ()),
+    "subspace": (lambda basis, dim=None: subspace(basis, _width(dim, basis)), ("basis",), ("dim",)),
+}
+KINDS["cone"], KINDS["second_order_cone"] = KINDS["polyhedral"], KINDS["second_order"]
 
 
 # ---------------------------------------------------------------------------
@@ -354,32 +294,17 @@ def parse(text: str):
     return parse_document(raw)
 
 
-def parse_document(raw, path: str = "$"):
-    """Parse an already decoded document found at ``path``; returns (kind,
-    value).  Semantic errors carry paths below ``path``."""
-    _require_keys(raw, path, ("version", "kind", "payload"))
-    if raw["version"] != "1":
-        raise DocumentError(f"unsupported version {raw['version']!r}", path=f"{path}.version")
-    kind = raw["kind"]
-    payload = raw["payload"]
-    at = f"{path}.payload"
-    if not isinstance(payload, dict):
-        raise DocumentError("expected an object", path=at)
-    if kind in SET_KINDS:
-        return kind, _parse_set({**payload, "kind": kind}, at)
-    if kind == "quadratic":
-        return kind, _parse_quadratic(payload, at)
-    if kind == "cone":
-        return kind, _parse_cone(payload, at)
-    if kind == "second_order_cone":
-        return kind, _parse_soc(payload, at)
-    if kind == "affine_map":
-        return kind, _parse_affine_map(payload, at)
-    if kind == "manifold":
-        return kind, _parse_manifold(payload, at)
-    if kind == "subspace":
-        return kind, _parse_subspace(payload, at)
-    raise DocumentError(f"unknown document kind {kind!r}", path=f"{path}.kind")
+def parse_document(raw, path: str = "$", kinds=DOCUMENT_KINDS):
+    """Parse an already decoded document found at ``path`` whose kind is one
+    of ``kinds``; returns (kind, value).  Semantic errors carry paths below
+    ``path``."""
+    doc = parse_record(raw, path, None, ("version", "kind", "payload"))
+    kind, payload = doc["kind"], doc["payload"]
+    if kind not in kinds:
+        raise DocumentError(f"expected one of {sorted(kinds)}, got {kind!r}", path=f"{path}.kind")
+    # a manifold is given by its equations, or else by a point and a basis
+    form = "manifold_basis" if kind == "manifold" and "rows" not in payload else kind
+    return kind, build(form, payload, f"{path}.payload")
 
 
 def serialize(kind: str, value) -> str:

@@ -10,8 +10,9 @@ over growing compact truncations; the expected verdict encodes the published
 claim and the checks test everything checkable.
 
 Each case is a data file ``gallery_data/<case>.json`` (README, "Gallery"),
-read, checked and parsed once per process; only non-algebraic data is built
-in (``BUILTIN_*``).  The classification layer imports this module on first
+read, checked and parsed once per process by the documents' checker: the
+case-file fields below extend :data:`fwsets.documents.FIELDS`, the one field
+table.  Only non-algebraic data is built in (``BUILTIN_*``).  The classification layer imports this module on first
 use, and the import hands it the cases' witnesses and asymptote evidence.
 """
 
@@ -38,7 +39,19 @@ from .asymptotes import (
     register_asymptote_evidence,
     register_fw_witness,
 )
-from .documents import SET_KINDS, parse_document, parse_rational
+from .documents import (
+    FIELDS,
+    SET_KINDS,
+    array,
+    choice,
+    mapping,
+    parse_document,
+    parse_record,
+    rational,
+    rationals,
+    record,
+    typed,
+)
 from .errors import DocumentError, FwsetsError
 from .linalg import Vec, dot
 from .motzkin import minimize_on_motzkin
@@ -301,66 +314,14 @@ _REGISTRATIONS = {
 
 
 # ---------------------------------------------------------------------------
-# case files: every field checked, then parsed by its name
+# case files: every field checked, then parsed by its name in the documents'
+# field table, which these fields extend
 # ---------------------------------------------------------------------------
-
-
-def _expect(raw, kind, path, what):
-    if type(raw) is not kind:
-        raise DocumentError(f"expected {what}", path=path)
-    return raw
-
-
-def _record(raw, path, ctx, required, optional=()):
-    """An object's fields, each parsed by its name in ``_FIELDS``, in that
-    table's order.  The parsers see ``ctx``: the case's own record."""
-    _expect(raw, dict, path, "an object")
-    if missing := sorted(set(required) - set(raw)):
-        raise DocumentError(f"missing fields {missing}", path=path)
-    if unknown := sorted(set(raw) - set(required) - set(optional)):
-        raise DocumentError(f"unknown fields {unknown}", path=path)
-    out = {}
-    for key in (k for k in _FIELDS if k in raw):
-        out[key] = _FIELDS[key](raw[key], f"{path}.{key}", out if ctx is None else ctx)
-    return out
-
-
-def _object(required, optional=()):
-    return lambda raw, path, ctx: _record(raw, path, ctx, required, optional)
-
-
-def _typed(kind, what):
-    return lambda raw, path, ctx: _expect(raw, kind, path, what)
-
-
-def _rational(raw, path, ctx):
-    return parse_rational(raw, path)
-
-
-def _array(item):
-    return lambda raw, path, ctx: tuple(
-        item(v, f"{path}[{i}]", ctx) for i, v in enumerate(_expect(raw, list, path, "an array"))
-    )
-
-
-def _mapping(item):
-    return lambda raw, path, ctx: {
-        k: item(v, f"{path}.{k}", ctx) for k, v in _expect(raw, dict, path, "an object").items()
-    }
-
-
-def _choice(table):
-    def parse(raw, path, ctx):
-        if isinstance(raw, (bool, list, dict)) or raw not in table:
-            raise DocumentError(f"expected one of {sorted(table)}", path=path)
-        return table[raw]
-
-    return parse
 
 
 def _named(part):
     """A name of one of the case's curves or battery manifolds."""
-    return lambda raw, path, ctx: _choice(ctx.get(part, {}))(raw, path, ctx)
+    return lambda raw, path, ctx: choice(ctx.get(part, {}))(raw, path, ctx)
 
 
 def _or_builtin(table, item):
@@ -368,32 +329,26 @@ def _or_builtin(table, item):
 
     def parse(raw, path, ctx):
         if isinstance(raw, dict) and "builtin" in raw:
-            name = _record(raw, path, ctx, ("builtin",))["builtin"]
-            return _choice(table)(name, f"{path}.builtin", ctx)
+            name = parse_record(raw, path, ctx, ("builtin",))["builtin"]
+            return choice(table)(name, f"{path}.builtin", ctx)
         return item(raw, path, ctx)
 
     return parse
 
 
 def _document(*kinds):
-    def parse(raw, path, ctx):
-        kind, value = parse_document(raw, path)
-        if kind not in kinds:
-            raise DocumentError(f"expected one of {sorted(kinds)}, got {kind!r}", path=f"{path}.kind")
-        return value
-
-    return parse
+    return lambda raw, path, ctx: parse_document(raw, path, kinds)[1]
 
 
 def _rational_curve(raw, path, ctx):
     """``t -> (num_i(t) / den_i(t))_i``, coefficients by ascending power."""
-    coords = [(c["num"], c.get("den", (1,))) for c in _array(_object(("num",), ("den",)))(raw, path, ctx)]
+    coords = [(c["num"], c.get("den", (1,))) for c in array(record(("num",), ("den",)))(raw, path, ctx)]
     return lambda t: tuple(_horner(num, t) / _horner(den, t) for num, den in coords)
 
 
 def _power_bound(raw, path, ctx):
     """The truncation bound ``r -> scale / r^power``."""
-    fields = _record(raw, path, ctx, ("scale", "power"))
+    fields = parse_record(raw, path, ctx, ("scale", "power"))
     return lambda r: fields["scale"] / r ** fields["power"]
 
 
@@ -403,10 +358,10 @@ def _entry(kinds):
 
     def parse(raw, path, ctx):
         kind = raw.get("kind") if isinstance(raw, dict) else None
-        action, required, optional = _choice(kinds)(kind, f"{path}.kind", ctx)
+        action, required, optional = choice(kinds)(kind, f"{path}.kind", ctx)
         if "curve" in raw and "points" in required:
             required = tuple(k for k in required if k != "points") + ("curve", "ts")
-        values = _record(raw, path, ctx, ("kind", *required), optional)
+        values = parse_record(raw, path, ctx, ("kind", *required), optional)
         del values["kind"]
         if "curve" in values:
             values["points"] = _sample(values.pop("curve"), values.pop("ts"), f"{path}.ts")
@@ -418,46 +373,44 @@ def _entry(kinds):
     return parse
 
 
-_string, _flag, _integer = _typed(str, "a string"), _typed(bool, "true or false"), _typed(int, "an integer")
-_rationals = _array(_rational)
-# every field of a case file and its parser; a record parses its fields in
-# this order, so a case's set, battery and curves come before the checks and
-# registrations that use them
-_FIELDS = {
-    "version": _choice({"1": "1"}),
+_string, _flag, _integer = typed(str, "a string"), typed(bool, "true or false"), typed(int, "an integer")
+# a record parses its fields in the table's order, so a case's set, battery
+# and curves come before the checks and registrations that use them
+FIELDS.update({
     "set": _document(*SET_KINDS),
-    "objectives": _array(_or_builtin(BUILTIN_OBJECTIVES, _document("quadratic"))),
-    "battery": _mapping(_object(("manifold", "asymptote"))),
-    "curves": _mapping(_or_builtin(BUILTIN_CURVES, _rational_curve)),
-    "expected": _object(("classify_fw", "classify_qfw")),
-    "references": _array(_object(("fact", "source"))),
-    "checks": _array(_entry(_CHECKS)),
-    "registrations": _array(_entry(_REGISTRATIONS)),
+    "objectives": array(_or_builtin(BUILTIN_OBJECTIVES, _document("quadratic"))),
+    "battery": mapping(record(("manifold", "asymptote"))),
+    "curves": mapping(_or_builtin(BUILTIN_CURVES, _rational_curve)),
+    "expected": record(("classify_fw", "classify_qfw")),
+    "references": array(record(("fact", "source"))),
+    "checks": array(_entry(_CHECKS)),
+    "registrations": array(_entry(_REGISTRATIONS)),
     "manifold": _document("manifold"),
     "curve": _named("curves"),
     "candidate": _named("battery"),
     "bound": _or_builtin(BUILTIN_BOUNDS, _power_bound),
-    "equals_coordinate": _choice({1: 1, 2: 2, 3: 3, 4: 4}),
-    "coords": _array(_array(_integer)),
-    "coordinates": _array(_integer),
+    "equals_coordinate": choice({1: 1, 2: 2, 3: 3, 4: 4}),
+    "coords": array(array(_integer)),
+    "coordinates": array(_integer),
     "power": _integer,
     **dict.fromkeys(("asymptote", "closed", "words"), _flag),
-    **dict.fromkeys(("name", "summary", "kind", "classify_fw", "classify_qfw", "fact", "source"), _string),
+    **dict.fromkeys(("name", "summary", "classify_fw", "classify_qfw", "fact", "source"), _string),
     **dict.fromkeys(("prefix", "fw", "qfw", "label", "note", "argument", "builtin"), _string),
-    **dict.fromkeys(("infimum", "threshold", "within", "width", "value", "scale"), _rational),
-    **dict.fromkeys(("ts", "radii", "steps", "functional", "num", "den"), _rationals),
-    **dict.fromkeys(("points", "generators"), _array(_rationals)),
-}
+    **dict.fromkeys(("infimum", "threshold", "within", "width", "value", "scale"), rational),
+    **dict.fromkeys(("ts", "radii", "steps", "functional", "num", "den"), rationals),
+})
+_CASE = (
+    ("version", "name", "summary", "expected", "set", "checks", "references"),
+    ("objectives", "battery", "curves", "registrations"),
+)
 
 
 def parse_case(data) -> SimpleNamespace:
     """Check and parse one decoded case file into a namespace of its parsed
     fields.  A defect raises DocumentError naming the case and the field
     path."""
-    required = ("version", "name", "summary", "expected", "set", "checks", "references")
-    optional = ("objectives", "battery", "curves", "registrations")
     try:
-        fields = _record(data, "$", None, required, optional)
+        fields = parse_record(data, "$", None, *_CASE)
     except DocumentError as exc:
         name = data.get("name") if isinstance(data, dict) else None
         raise DocumentError(f"gallery case {name!r}, {exc.path}: {exc}", path=exc.path) from None

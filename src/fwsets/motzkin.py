@@ -84,6 +84,10 @@ class PolytopeK:
     vertices: tuple[Vec, ...]
     dim: int
 
+    def __post_init__(self):
+        if any(len(v) != self.dim for v in self.vertices):
+            raise DimensionMismatchError("vertex dimension mismatch")
+
     @staticmethod
     def build(points) -> "PolytopeK":
         pts = tuple(vec(p) for p in points)
@@ -121,6 +125,10 @@ def vsub_sq(x: Vec, y: Vec) -> Fraction:
 class FinitePointSet:
     points: tuple[Vec, ...]
     dim: int
+
+    def __post_init__(self):
+        if any(len(p) != self.dim for p in self.points):
+            raise DimensionMismatchError("point dimension mismatch")
 
     @staticmethod
     def build(points) -> "FinitePointSet":

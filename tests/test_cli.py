@@ -11,13 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from fwsets import asymptotes, cli
-from fwsets.asymptotes import distance_to_manifold
+from fwsets import asymptotes, cli, documents, gallery
+from fwsets.affine import AffineMap
+from fwsets.asymptotes import AffineImageSet, distance_to_manifold
 from fwsets.cli import main
 from fwsets.documents import parse, serialize
-from fwsets.errors import DocumentError
-from fwsets.motzkin import MotzkinSet, PolytopeK
-from fwsets.polyhedra import PolyCone
+from fwsets.errors import DimensionMismatchError, DocumentError
+from fwsets.motzkin import FinitePointSet, MotzkinSet, PolytopeK
+from fwsets.polyhedra import HPolyhedron, PolyCone
 from fwsets.quadratics import Quadratic
 
 F = Fraction
@@ -716,3 +717,128 @@ def test_every_gallery_set_is_a_classify_input(tmp_path, capsys):
         report = json.loads(capsys.readouterr().out)
         labels = (report["attainment"]["label"], report["quasi_attainment"]["label"])
         assert labels == (case["expected"]["classify_fw"], case["expected"]["classify_qfw"]), name
+
+
+# ---------------------------------------------------------------------------
+# the one field table
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "compact",
+    [
+        {"kind": "points", "points": [["0", "0"], ["1"]]},
+        {"kind": "polytope", "vertices": [["0", "0"], ["1"]]},
+    ],
+)
+def test_ragged_compact_parts_are_refused(tmp_path, capsys, compact):
+    build = FinitePointSet.build if compact["kind"] == "points" else PolytopeK.build
+    with pytest.raises(DimensionMismatchError):
+        build([(0, 0), (1,)])
+    doc = {
+        "version": "1",
+        "kind": "motzkin",
+        "payload": {"compact": compact, "cone": {"kind": "polyhedral", "generators": [["1", "0"]]}},
+    }
+    set_path = write(tmp_path, "set.json", doc)
+    q_path = write(tmp_path, "q.json", quad_doc([["1", "0"], ["0", "1"]]))
+    for argv in (["classify", set_path], ["solve", set_path, q_path]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "(at $.payload.compact)" in captured.err
+
+
+def test_an_affine_image_map_starts_in_the_inner_dimension(tmp_path, capsys):
+    # an R^3 -> R^2 map over an inequality system in R^2
+    inner = {"kind": "hpolyhedron", "rows": [["-1", "0"], ["0", "-1"]], "rhs": ["0", "0"]}
+    matrix = [["1", "0", "0"], ["0", "1", "0"]]
+    with pytest.raises(DimensionMismatchError):
+        AffineImageSet(AffineMap.build(matrix), HPolyhedron.from_rows([(-1, 0), (0, -1)], (0, 0)))
+    doc = {"version": "1", "kind": "affine_image", "payload": {"map": {"matrix": matrix}, "inner": inner}}
+    assert main(["classify", write(tmp_path, "set.json", doc)]) == 2
+    assert "(at $.payload)" in capsys.readouterr().err
+
+
+def _case_files():
+    folder = resources.files("fwsets") / "gallery_data"
+    return [json.loads(p.read_text(encoding="utf-8")) for p in sorted(folder.iterdir()) if p.name.endswith(".json")]
+
+
+def test_every_field_a_kind_reads_has_a_parser():
+    shapes = [(required, optional) for _, required, optional in documents.KINDS.values()]
+    shapes += [(required, optional) for _, required, optional in gallery._CHECKS.values()]
+    shapes += [(required, optional) for _, required, optional in gallery._REGISTRATIONS.values()]
+    shapes.append(gallery._CASE)
+    missing = {name for shape in shapes for names in shape for name in names} - set(documents.FIELDS)
+    assert missing == set()
+
+
+def _one_document_of_each_kind():
+    h = {"rows": [["-1", "0"], ["0", "-1"]], "rhs": ["0", "0"], "dim": 2}
+    node = {"kind": "hpolyhedron", **h}
+    q = {"matrix": [["1", "0"], ["0", "1"]], "linear": ["0", "1"], "constant": "-1"}
+    soc = {"dim": 3, "axis": ["0", "0", "1"], "aperture": "1/2"}
+    payloads = {
+        "hpolyhedron": h,
+        "vpolyhedron": {"vertices": [["0", "0"]], "rays": [["1", "0"]], "lineality": [["0", "1"]], "dim": 2},
+        "motzkin": {"compact": {"kind": "ball", "center": ["0", "0", "0"], "radius": "1"},
+                    "cone": {"kind": "second_order", **soc}},
+        "quad_sublevel": {"base": node, "constraints": [q], "sample_point": ["0", "0"]},
+        "epigraph": {"function": "parabola_exp"},
+        "product": {"factors": [node, node]},
+        "union": {"members": [node, node]},
+        "intersection": {"members": [node, node]},
+        "affine_image": {"map": {"matrix": [["1", "1"]], "offset": ["2"]}, "inner": node},
+        "quadratic": q,
+        "cone": {"generators": [["1", "0"]], "dim": 2},
+        "second_order_cone": soc,
+        "affine_map": {"matrix": [["1", "0"]], "offset": ["1"]},
+        "manifold": {"rows": [["0", "1"]], "rhs": ["1"]},
+        "subspace": {"basis": [["1", "0"]], "dim": 2},
+    }
+    docs = [{"version": "1", "kind": kind, "payload": payload} for kind, payload in payloads.items()]
+    docs.append({"version": "1", "kind": "manifold", "payload": {"point": ["0", "1"], "basis": [["1", "0"]]}})
+    for compact in ({"kind": "points", "points": [["0", "0"]]}, {"kind": "polytope", "vertices": [["0", "0"]]}):
+        cone = {"kind": "polyhedral", "generators": [["1", "0"]], "dim": 2}
+        docs.append({"version": "1", "kind": "motzkin", "payload": {"compact": compact, "cone": cone}})
+    return docs
+
+
+def test_every_table_entry_is_read_by_some_kind(monkeypatch):
+    docs = _one_document_of_each_kind()
+    assert {doc["kind"] for doc in docs} == set(documents.DOCUMENT_KINDS)
+    read = set()
+    for name, parser in list(documents.FIELDS.items()):
+        def spy(raw, path, ctx, name=name, parser=parser):
+            read.add(name)
+            return parser(raw, path, ctx)
+
+        monkeypatch.setitem(documents.FIELDS, name, spy)
+    for doc in docs:
+        parse(json.dumps(doc))
+    for data in _case_files():
+        gallery.parse_case(data)
+    assert set(documents.FIELDS) - read == set()
+
+
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        ("luo_zhang_ex1", lambda s: s["payload"]["base"].update(dim=2.0)),
+        ("luo_zhang_ex1", lambda s: s["payload"]["constraints"][1]["matrix"][2].append("1/0")),
+        ("luo_zhang_ex1", lambda s: s["payload"]["base"].update(kind="round")),
+        ("orthant", lambda s: s["payload"]["rows"][1].__setitem__(1, "x")),
+        ("orthant", lambda s: s["payload"].update(extra=1)),
+        ("parabola", lambda s: s.update(version="2")),
+        ("hyperbola_set", lambda s: s["payload"].update(sample_point=["1"])),
+    ],
+)
+def test_a_case_set_reports_the_path_of_its_document(name, edit):
+    case = next(data for data in _case_files() if data["name"] == name)
+    edit(case["set"])
+    with pytest.raises(DocumentError) as alone:
+        parse(json.dumps(case["set"]))
+    with pytest.raises(DocumentError) as inside:
+        gallery.parse_case(case)
+    assert inside.value.path == "$.set" + alone.value.path[1:]
+    assert str(inside.value).endswith(f"{inside.value.path}: {alone.value}")

@@ -703,6 +703,21 @@ def test_cone_layer_rejects_a_form_of_another_dimension():
                 call(g, d)
 
 
+def test_a_quadratic_of_another_dimension_is_one_error_everywhere():
+    # a 3 x 3 identity on the orthant of R^2: the cone entry point, the
+    # program and the polyhedron solver raise the same error type
+    q = Quadratic.build(identity(3))
+    orthant = PolyCone.from_generators([(1, 0), (0, 1)])
+    calls = (
+        lambda: minimize_on_polyhedral_cone(q, orthant),
+        lambda: ConeProgram(q.a, orthant).minimize(q.b),
+        lambda: minimize_over_hpolyhedron(q, HPolyhedron.from_rows([(-1, 0), (0, -1)], (0, 0))),
+    )
+    for call in calls:
+        with pytest.raises(DimensionMismatchError):
+            call()
+
+
 def test_integer_blocks_match_rational_data():
     # generators with denominators 2, 3, 5, 6 and forms with half-integer
     # entries: the blocks run on lam H with lam > 1, and every answer is the
