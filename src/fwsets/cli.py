@@ -55,16 +55,13 @@ EXIT_PARSE = 2
 EXIT_UNKNOWN = 3
 EXIT_CAP = 4
 
-def _load(path: str, want=None):
+def _load(path: str, want):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
-    kind, value = parse(text)
-    if want is not None and kind not in want:
-        raise DocumentError(f"{path}: expected one of {sorted(want)}, got {kind}")
-    return kind, value
+    return parse(text, want)
 
 
 def _emit(report: dict, fmt: str) -> None:

@@ -1,5 +1,5 @@
-"""Versioned JSON documents for sets, quadratics, maps, and manifolds, and
-the one checker that reads them.
+"""Versioned JSON documents for sets, quadratics, maps, and manifolds: the
+one checker that reads them, and the writer that reads the same table.
 
 A document is ``{"version": "1", "kind": <kind>, "payload": {...}}`` with
 rationals serialized as strings like ``"3/4"`` (plain integers are accepted
@@ -16,6 +16,10 @@ every kind (top-level documents, set nodes, compact parts and cones) to its
 builder and its required and optional fields.  The gallery's case files are
 read by the same combinators: :mod:`fwsets.gallery` adds its fields to
 ``FIELDS``.
+
+``KINDS`` works both ways: :func:`serialize` writes a value of a kind as the
+fields ``KINDS`` lists for it, each from the value's attribute of that name,
+so every kind that :func:`parse` reads is also written.
 """
 
 from __future__ import annotations
@@ -68,10 +72,6 @@ def format_rational(x: Fraction) -> str:
 
 def format_vector(v) -> list:
     return [format_rational(x) for x in v]
-
-
-def _format_matrix(m) -> list:
-    return [format_vector(row) for row in m]
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +285,13 @@ KINDS["cone"], KINDS["second_order_cone"] = KINDS["polyhedral"], KINDS["second_o
 # ---------------------------------------------------------------------------
 
 
-def parse(text: str):
-    """Parse a document; returns (kind, value)."""
+def parse(text: str, kinds=DOCUMENT_KINDS):
+    """Parse a document whose kind is one of ``kinds``; returns (kind, value)."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(exc.msg, line=exc.lineno, column=exc.colno) from None
-    return parse_document(raw)
+    return parse_document(raw, kinds=kinds)
 
 
 def parse_document(raw, path: str = "$", kinds=DOCUMENT_KINDS):
@@ -308,84 +308,48 @@ def parse_document(raw, path: str = "$", kinds=DOCUMENT_KINDS):
 
 
 def serialize(kind: str, value) -> str:
-    """Canonical text of a document, which :func:`parse` reads back (a
-    vpolyhedron as its Motzkin set).
-
-    Only the kinds :func:`payload_of` handles are written: quadratic,
-    hpolyhedron, vpolyhedron, cone, second_order_cone, motzkin, manifold and
-    affine_map.  The compound set kinds (quad_sublevel, epigraph, product,
-    union, intersection, affine_image) and subspace raise DocumentError.
-    """
+    """Canonical text of a document, which :func:`parse` reads back: a
+    vpolyhedron as its Motzkin set, a manifold by its equations."""
+    if kind not in DOCUMENT_KINDS:
+        raise DocumentError(f"cannot serialize kind {kind!r}")
     doc = {"version": "1", "kind": kind, "payload": payload_of(kind, value)}
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
 
 
-def payload_of(kind, value):
-    """The JSON-ready ``payload`` object of a document of ``kind``."""
-    if kind == "quadratic":
-        return {
-            "matrix": _format_matrix(value.a),
-            "linear": format_vector(value.b),
-            "constant": format_rational(value.c),
-        }
-    if kind == "hpolyhedron":
-        return {
-            "rows": _format_matrix(value.a),
-            "rhs": format_vector(value.b),
-            "dim": value.dim,
-        }
-    if kind == "vpolyhedron":
-        return {
-            "vertices": _format_matrix(value.vertices),
-            "rays": _format_matrix(value.rays),
-            "lineality": _format_matrix(value.lineality),
-            "dim": value.dim,
-        }
-    if kind == "cone":
-        return {"generators": _format_matrix(value.generators), "dim": value.dim}
-    if kind == "second_order_cone":
-        return {
-            "dim": value.dim,
-            "axis": format_vector(value.axis),
-            "aperture": format_rational(value.aperture),
-        }
-    if kind == "motzkin":
-        return {
-            "compact": _compact_payload(value.compact),
-            "cone": _cone_rep_payload(value.cone),
-        }
-    if kind == "manifold":
-        return {"rows": _format_matrix(value.a), "rhs": format_vector(value.b)}
-    if kind == "affine_map":
-        return {
-            "matrix": _format_matrix(value.matrix),
-            "offset": format_vector(value.offset),
-        }
-    raise DocumentError(f"cannot serialize kind {kind!r}")
+# the attribute a field is written from, where it is not the field's name
+_ATTRIBUTES = {
+    "quadratic": {"matrix": "a", "linear": "b", "constant": "c"},
+    **dict.fromkeys(("hpolyhedron", "manifold"), {"rows": "a", "rhs": "b"}),
+}
+# the kind a value in a field is written as: a node names it, a quadratic or
+# a map does not, as "constraints" and "map" are read
+_NODE_KINDS = {
+    HPolyhedron: "hpolyhedron", MotzkinSet: "motzkin", QuadSublevel: "quad_sublevel", Epigraph1D: "epigraph",
+    ProductSet: "product", UnionSet: "union", IntersectionSet: "intersection", AffineImageSet: "affine_image",
+    PolytopeK: "polytope", FinitePointSet: "points", Ball: "ball",
+    PolyCone: "polyhedral", SecondOrderCone: "second_order",
+}
+_UNTAGGED_KINDS = {Quadratic: "quadratic", AffineMap: "affine_map"}
 
 
-def _compact_payload(k):
-    if isinstance(k, PolytopeK):
-        return {"kind": "polytope", "vertices": _format_matrix(k.vertices)}
-    if isinstance(k, FinitePointSet):
-        return {"kind": "points", "points": _format_matrix(k.points)}
-    return {
-        "kind": "ball",
-        "center": format_vector(k.center),
-        "radius": format_rational(k.radius),
-    }
+def payload_of(kind, value) -> dict:
+    """The JSON-ready ``payload`` of ``value`` as a document of ``kind``:
+    every field ``KINDS`` lists for the kind, from the value's attribute of
+    that name (or the one ``_ATTRIBUTES`` names), except a field whose value
+    is None."""
+    _, required, optional = KINDS[kind]
+    attribute = _ATTRIBUTES.get(kind, {})
+    fields = {name: getattr(value, attribute.get(name, name)) for name in (*required, *optional)}
+    return {name: _json(v) for name, v in fields.items() if v is not None}
 
 
-def _cone_rep_payload(c):
-    if isinstance(c, PolyCone):
-        return {
-            "kind": "polyhedral",
-            "generators": _format_matrix(c.generators),
-            "dim": c.dim,
-        }
-    return {
-        "kind": "second_order",
-        "dim": c.dim,
-        "axis": format_vector(c.axis),
-        "aperture": format_rational(c.aperture),
-    }
+def _json(value):
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    if kind := _UNTAGGED_KINDS.get(type(value)):
+        return payload_of(kind, value)
+    if kind := _NODE_KINDS.get(type(value)):
+        return {"kind": kind, **payload_of(kind, value)}
+    return value

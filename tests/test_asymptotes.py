@@ -902,3 +902,12 @@ def test_epigraph_short_sums_match_the_enclosure():
         assert contains(Epigraph1D(), (t, y)) is ref, (t, y)
         answers[ref] += 1
     assert min(answers.values()) >= 100, answers
+
+
+def test_membership_in_a_segment_plus_a_second_order_cone():
+    # [0, e1] plus the 45-degree cone about e3: a point reached from a vertex
+    # is a member; one reached from neither vertex is undecided, since
+    # membership of such a sum is only checked one way
+    seg = MotzkinSet(PolytopeK.build([(0, 0, 0), (1, 0, 0)]), SecondOrderCone.build(3, (0, 0, 1), Fraction(1, 2)))
+    assert contains(seg, (0, 0, 5)) is True
+    assert contains(seg, (5, 0, 1)) is None

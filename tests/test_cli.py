@@ -12,13 +12,14 @@ from pathlib import Path
 import pytest
 
 from fwsets import asymptotes, cli, documents, gallery
-from fwsets.affine import AffineMap
-from fwsets.asymptotes import AffineImageSet, distance_to_manifold
+from fwsets.affine import AffineMap, subspace
+from fwsets.asymptotes import AffineImageSet, IntersectionSet, ProductSet, UnionSet, distance_to_manifold
 from fwsets.cli import main
 from fwsets.documents import parse, serialize
 from fwsets.errors import DimensionMismatchError, DocumentError
-from fwsets.motzkin import FinitePointSet, MotzkinSet, PolytopeK
-from fwsets.polyhedra import HPolyhedron, PolyCone
+from fwsets.linalg import vec
+from fwsets.motzkin import Ball, FinitePointSet, MotzkinSet, PolytopeK, SecondOrderCone
+from fwsets.polyhedra import HPolyhedron, PolyCone, VPolyhedron
 from fwsets.quadratics import Quadratic
 
 F = Fraction
@@ -842,3 +843,162 @@ def test_a_case_set_reports_the_path_of_its_document(name, edit):
         gallery.parse_case(case)
     assert inside.value.path == "$.set" + alone.value.path[1:]
     assert str(inside.value).endswith(f"{inside.value.path}: {alone.value}")
+
+
+# ---------------------------------------------------------------------------
+# documents both ways: serialize writes every kind parse reads
+# ---------------------------------------------------------------------------
+
+
+def _gallery_documents():
+    """Every document in the case files: sets, objectives and battery manifolds."""
+    docs = []
+    for data in _case_files():
+        docs.append(data["set"])
+        docs += [doc for doc in data.get("objectives", ()) if "builtin" not in doc]
+        docs += [entry["manifold"] for entry in data.get("battery", {}).values()]
+    return docs
+
+
+def test_every_gallery_document_is_written_as_it_is_read():
+    docs = _gallery_documents()
+    assert len(docs) == 31
+    for doc in docs:
+        kind, value = parse(json.dumps(doc))
+        text = serialize(kind, value)
+        assert parse(text) == (kind, value), doc["kind"]
+        assert serialize(*parse(text)) == text, doc["kind"]
+
+
+def _line():
+    return HPolyhedron((), (), 1)
+
+
+def _orthant():
+    return HPolyhedron.from_rows([(-1, 0), (0, -1)], (0, 0))
+
+
+# name: (kind, the value), built when a test asks
+_WRITTEN = {
+    "motzkin_soc": lambda: (
+        "motzkin",
+        MotzkinSet(PolytopeK.build([(0, 0, 0), (1, 0, 0)]), SecondOrderCone.build(3, (0, 0, 1), F(1, 2))),
+    ),
+    "motzkin_ball": lambda: ("motzkin", MotzkinSet(Ball.build((0, 1), 2), PolyCone.from_generators([(1, 0)]))),
+    "orthant_x_line": lambda: ("product", ProductSet((_orthant(), _line()))),
+    "hyperbola_x_line": lambda: ("product", ProductSet((gallery.hyperbola_set(), _line()))),
+    "luo_zhang_x_line": lambda: ("product", ProductSet((gallery.luo_zhang_set(), _line()))),
+    "union": lambda: ("union", UnionSet((_orthant(), _orthant()))),
+    "intersection": lambda: ("intersection", IntersectionSet((_orthant(), gallery.parabola_set()))),
+    "affine_image": lambda: ("affine_image", AffineImageSet(AffineMap.build([[1, 1]]), _orthant())),
+    "subspace": lambda: ("subspace", subspace([(1, 0, 2), (0, 1, 0)])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRITTEN))
+def test_compound_and_conic_documents_round_trip(name):
+    kind, value = _WRITTEN[name]()
+    text = serialize(kind, value)
+    assert parse(text) == (kind, value)
+    assert serialize(*parse(text)) == text
+
+
+def test_a_vpolyhedron_is_written_and_reads_back_as_its_motzkin_set():
+    _, twin = vpoly_and_motzkin_twin()
+    vpoly = VPolyhedron((vec((0, 0, 0)), vec((1, 0, 0))), (vec((0, 1, 0)),), (vec((1, 0, 1)),), 3)
+    assert parse(serialize("vpolyhedron", vpoly)) == ("vpolyhedron", parse(json.dumps(twin))[1])
+
+
+@pytest.mark.parametrize("kind", ["manifold_basis", "sphere"])
+def test_only_document_kinds_are_written(kind):
+    with pytest.raises(DocumentError, match="cannot serialize"):
+        serialize(kind, _orthant())
+
+
+# ---------------------------------------------------------------------------
+# a document of the wrong kind is refused at $.kind
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("matrix", [[["1", "0"], ["0", "1"]], [["1", "x"], ["0"]]], ids=["well_formed", "malformed"])
+def test_a_document_of_the_wrong_kind_exits_2_at_its_kind(tmp_path, capsys, matrix):
+    # the kind is checked before the payload is read, so a malformed payload
+    # of the wrong kind is reported by its kind
+    q_path = write(tmp_path, "q.json", quad_doc(matrix))
+    set_path = write(tmp_path, "set.json", orthant_doc())
+    for argv in (["classify", q_path], ["solve", q_path, q_path], ["solve", set_path, set_path]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "(at $.kind)" in captured.err and "expected one of" in captured.err
+    with pytest.raises(DocumentError) as exc:
+        parse(json.dumps(quad_doc(matrix)), documents.SET_KINDS)
+    assert exc.value.path == "$.kind"
+
+
+# ---------------------------------------------------------------------------
+# text, the default format
+# ---------------------------------------------------------------------------
+
+
+def _square_plus_orthant(tmp_path):
+    doc = {
+        "version": "1",
+        "kind": "motzkin",
+        "payload": {
+            "compact": {"kind": "polytope", "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]},
+            "cone": {"kind": "polyhedral", "generators": [["1", "0"], ["0", "1"]], "dim": 2},
+        },
+    }
+    return write(tmp_path, "set.json", doc)
+
+
+def test_solve_prints_text_by_default(tmp_path, capsys):
+    # |x|^2 - 2 x1 - 4 x2 is least at (1, 2) with value -5
+    q_path = write(tmp_path, "q.json", quad_doc([["2", "0"], ["0", "2"]], ["-2", "-4"]))
+    assert main(["solve", _square_plus_orthant(tmp_path), q_path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "verdict: attained" in lines and "value: -5" in lines
+    keys = [line.split(":")[0] for line in lines]
+    assert keys == sorted(keys) and "command" in keys
+
+
+def test_classify_text_indents_each_verdict(tmp_path, capsys):
+    assert main(["classify", _square_plus_orthant(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # keys in sorted order: "command" is the first after the attainment block
+    block = lines[lines.index("attainment:") + 1 : lines.index("command: classify")]
+    assert "  label: FW" in block and all(line.startswith("  ") for line in block)
+
+
+def test_gallery_run_prints_text_by_default(capsys):
+    assert main(["gallery", "run", "orthant"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "[PASS] orthant"
+    assert len(lines) > 1 and all(line.startswith("    ok ") for line in lines[1:])
+
+
+# ---------------------------------------------------------------------------
+# compound set documents through classify
+# ---------------------------------------------------------------------------
+
+
+# name in _WRITTEN: (attainment label, quasi-attainment label), exit code
+_CLASSIFIED = {
+    "orthant_x_line": (("FW", "qFW"), 0),
+    "hyperbola_x_line": (("NotFW", "NotQFW"), 0),
+    "luo_zhang_x_line": (("NotFW", "qFW"), 0),
+    "union": (("FW", "Unknown"), 0),
+    "intersection": (("Unknown", "Unknown"), 3),
+    "affine_image": (("FW", "qFW"), 0),
+}
+
+
+@pytest.mark.parametrize("name", list(_CLASSIFIED))
+def test_compound_set_documents_classify(tmp_path, capsys, name):
+    labels, code = _CLASSIFIED[name]
+    path = tmp_path / "set.json"
+    path.write_text(serialize(*_WRITTEN[name]()), encoding="utf-8")
+    assert main(["--format", "json", "classify", str(path)]) == code
+    report = json.loads(capsys.readouterr().out)
+    assert (report["attainment"]["label"], report["quasi_attainment"]["label"]) == labels

@@ -9,7 +9,7 @@ from fwsets import gallery, motzkin
 from fwsets.asymptotes import QuadSublevel, whole_space
 from fwsets.cone_qp import ConeProgram, value_function_eval
 from fwsets.errors import InvalidParameterError
-from fwsets.linalg import dot, solve, vadd, vec
+from fwsets.linalg import dot, matvec, solve, vadd, vec
 from fwsets.motzkin import (
     FEASIBILITY_TOL,
     Attained,
@@ -491,3 +491,34 @@ def test_bounded_below_always_attains_on_polyhedral_motzkin():
         if v.kind == "attained":
             attained += 1
     assert attained > 10  # the filter keeps a healthy share of bounded cases
+
+
+# ---------------------------------------------------------------------------
+# a ball whose inner linear term leaves dom(f)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "a, gens, base",
+    [
+        # x1 x2 on cone(e1): dom(f) is {c : c1 >= 0}; the centre's inner
+        # term (1, 0) lies in it, and the first point tried past the
+        # crossing, (0, -1) on the rim, has inner term (-1, 0)
+        ([[0, 1], [1, 0]], [(1, 0)], (0, -1)),
+        # -x1^2/2 curves down along e1, so dom(f) is empty: the centre escapes
+        ([[-1, 0], [0, 0]], [(1, 0), (0, 1)], (0, 1)),
+    ],
+    ids=["row_crossing", "empty_domain"],
+)
+def test_a_ball_escapes_dom_f_along_a_descent_ray(a, gens, base):
+    ball = Ball.build((0, 1), 2)
+    q = Quadratic.build(a)
+    verdict = minimize_on_motzkin(q, MotzkinSet(ball, PolyCone.from_generators(gens)))
+    assert isinstance(verdict, UnboundedBelow)
+    assert verdict.base == vec(base)
+    offset = tuple(x - c for x, c in zip(verdict.base, ball.center))
+    assert dot(offset, offset) <= ball.radius * ball.radius
+    # q(base + t d) = q(base) + t g.d + t^2 d.Ad / 2 decreases strictly in t > 0
+    d = verdict.direction
+    slope, curvature = dot(q.gradient(verdict.base), d), dot(d, matvec(q.a, d))
+    assert curvature <= 0 and slope <= 0 and (slope < 0 or curvature < 0)
