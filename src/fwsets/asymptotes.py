@@ -18,10 +18,10 @@ quadratic sublevel sets get exact line-section emptiness tests plus
 certified one-sided bounds, and everything else may answer Unknown, which
 is a first-class verdict throughout.
 
-Known counterexample sets register their asymptote candidates and
-non-attainment witnesses in module-level registries (the gallery does this
-on import), so classification reproduces the published verdicts with the
-evidence attached.
+Known counterexample sets carry their asymptote candidates and
+non-attainment witnesses in the gallery's case files, read on first use
+through :func:`fwsets.gallery.evidence`, so classification reproduces the
+published verdicts with the evidence attached.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .affine import AffineManifold, AffineMap
 from .cone_qp import minimize_over_hpolyhedron
@@ -302,24 +303,23 @@ def distance_to_manifold(f: SetDescriptor, m: AffineManifold) -> DistanceVerdict
     intersection point, a certified positive bound from a separating slab,
     a zero-evidence sequence, or Unknown.
 
-    The verdict of a registered pair (one with asymptote evidence) is
-    computed once per process and then returned as stored, until the next
-    registration empties the store; any other pair is computed on every
-    call and never stored.
+    The verdict of a pair with gallery evidence is computed once per
+    process; any other pair is computed on every call and never kept.
     """
     if ambient_dim(f) != m.dim:
         raise DimensionMismatchError("set and manifold dimensions differ")
     forms = polyhedral_forms(f)
     if forms is not None:
         return _distance_exact(forms, m)
-    _ensure_builtin_registrations()
-    key = (f, m)
-    verdict = _VERDICTS.get(key)
-    if verdict is None:
-        verdict = _distance_bound(f, m)
-        if key in _EVIDENCE:
-            _VERDICTS[key] = verdict
-    return verdict
+    if (f, m) in _evidence().points:
+        return _evidenced_distance(f, m)
+    return _distance_bound(f, m)
+
+
+@cache
+def _evidenced_distance(f: SetDescriptor, m: AffineManifold) -> DistanceVerdict:
+    """:func:`_distance_bound` of a pair with gallery evidence, kept."""
+    return _distance_bound(f, m)
 
 
 def _distance_bound(f: SetDescriptor, m: AffineManifold) -> DistanceVerdict:
@@ -330,7 +330,7 @@ def _distance_bound(f: SetDescriptor, m: AffineManifold) -> DistanceVerdict:
     slab = _separating_slab(f, m)
     if slab is not None:
         return slab
-    points = _EVIDENCE.get((f, m))
+    points = _evidence().points.get((f, m))
     if points is not None and inter is False:
         pairs = []
         for x in points:
@@ -808,10 +808,10 @@ def image_closed_1d(f: SetDescriptor, functional: Vec) -> tuple[bool | None, str
        and Functions*, 2003).  If k or -k is strictly negative on every row
        and every form, each fibre line eventually lies in F, so the image is
        the whole line;
-    3. a registered asymptote candidate with its normal parallel to w that
+    3. a gallery asymptote candidate with its normal parallel to w that
        :func:`is_f_asymptote` confirms: not closed, on evidence.  The
-       candidate's distance verdict is computed once per process and
-       stored (see :func:`distance_to_manifold`);
+       candidate's distance verdict is computed once per process (see
+       :func:`distance_to_manifold`);
     4. compact sets, or sets that :func:`classify_qfw` calls qFW (for convex
        sets, no flat asymptote means closed images): closed.
 
@@ -830,8 +830,7 @@ def image_closed_1d(f: SetDescriptor, functional: Vec) -> tuple[bool | None, str
         verdict = _kernel_test(f, (-w[1], w[0]))
         if verdict is not None:
             return verdict
-    _ensure_builtin_registrations()
-    for m in _ASYMPTOTE_CANDIDATES.get(f, ()):
+    for m in _evidence().candidates.get(f, ()):
         if rank((w, *m.a)) == 1 and is_f_asymptote(f, m) is True:
             return False, (
                 "evidence of a flat asymptote {w.x = beta} (a certified miss and "
@@ -854,7 +853,7 @@ def _kernel_test(f: QuadSublevel, k: Vec) -> tuple[bool, str] | None:
 
 
 # ---------------------------------------------------------------------------
-# registries for the counterexample sets (populated by the gallery module)
+# evidence for the counterexample sets, read from the gallery's case files
 # ---------------------------------------------------------------------------
 
 
@@ -869,36 +868,13 @@ class NonAttainmentWitness:
     note: str
 
 
-_EVIDENCE: dict[tuple, tuple[Vec, ...]] = {}
-_ASYMPTOTE_CANDIDATES: dict[SetDescriptor, tuple[AffineManifold, ...]] = {}
-_FW_WITNESSES: dict[SetDescriptor, NonAttainmentWitness] = {}
-# verdicts of registered pairs: (set, manifold) -> its distance verdict and
-# (set, witness) -> whether the witness validates; every registration empties it
-_VERDICTS: dict[tuple, DistanceVerdict | bool] = {}
-_registrations_loaded = False
+def _evidence():
+    """The gallery's witnesses, asymptote candidates and evidence points
+    (:func:`fwsets.gallery.evidence`); the gallery imports this module, so
+    it is imported here on first use."""
+    from .gallery import evidence
 
-
-def register_asymptote_evidence(f, m, points):
-    """Register zero-distance evidence for (f, m) and m as an asymptote
-    candidate of f; registering a pair again replaces its evidence."""
-    _EVIDENCE[(f, m)] = tuple(tuple(vec(p)) for p in points)
-    candidates = _ASYMPTOTE_CANDIDATES.get(f, ())
-    if m not in candidates:
-        _ASYMPTOTE_CANDIDATES[f] = candidates + (m,)
-    _VERDICTS.clear()
-
-
-def register_fw_witness(f, witness: NonAttainmentWitness):
-    _FW_WITNESSES[f] = witness
-    _VERDICTS.clear()
-
-
-def _ensure_builtin_registrations():
-    global _registrations_loaded
-    if _registrations_loaded:
-        return
-    _registrations_loaded = True
-    from . import gallery  # noqa: F401  (import populates the registries)
+    return evidence()
 
 
 # ---------------------------------------------------------------------------
@@ -915,7 +891,6 @@ def classify_qfw(f: SetDescriptor) -> Classification:
     affine images preserve the property; evidence of a flat asymptote
     disqualifies.  Unknown is returned when no rule applies.
     """
-    _ensure_builtin_registrations()
     if isinstance(f, HPolyhedron):
         return Classification(
             "qFW", "closed convex polyhedra attain all bounded-below quadratics"
@@ -995,7 +970,7 @@ def classify_qfw(f: SetDescriptor) -> Classification:
 
 
 def _find_registered_asymptote(f) -> AffineManifold | None:
-    for m in _ASYMPTOTE_CANDIDATES.get(f, ()):
+    for m in _evidence().candidates.get(f, ()):
         if is_f_asymptote(f, m) is True:
             return m
     return None
@@ -1014,26 +989,21 @@ def classify_fw_set(f: SetDescriptor) -> Classification:
     Sound rules only: polyhedra and single convex quadratic sublevel sets
     over a polyhedral base attain (the latter is the Luo-Zhang theorem);
     Motzkin sums are decided by their recession cone; evidence refutes: a
-    registered non-attainment witness whose curve points check out, or a
+    gallery non-attainment witness whose curve points check out, or a
     flat asymptote; finite unions and affine images preserve the property.
     """
-    _ensure_builtin_registrations()
     if isinstance(f, HPolyhedron):
         return Classification(
             "FW", "the classical attainment theorem for quadratics on polyhedra"
         )
     if isinstance(f, MotzkinSet):
         return classify_fw_motzkin(f)
-    witness = _FW_WITNESSES.get(f)
-    if witness is not None:
-        key = (f, witness)
-        if key not in _VERDICTS:
-            _VERDICTS[key] = _witness_validates(f, witness)
-        if _VERDICTS[key]:
-            return Classification(
-                "NotFW",
-                f"witness evidence at sampled curve points: {witness.note}",
-            )
+    witness = _evidence().witnesses.get(f)
+    if witness is not None and _witness_validates(f):
+        return Classification(
+            "NotFW",
+            f"witness evidence at sampled curve points: {witness.note}",
+        )
     if isinstance(f, QuadSublevel):
         if (
             isinstance(f.base, HPolyhedron)
@@ -1093,9 +1063,12 @@ def _is_whole_space(f) -> bool:
     return isinstance(f, HPolyhedron) and len(f.a) == 0
 
 
-def _witness_validates(f, witness: NonAttainmentWitness) -> bool:
-    """Check the witness evidence: curve points are members, values strictly
-    decrease toward the claimed infimum, and stay above it."""
+@cache
+def _witness_validates(f) -> bool:
+    """Check the gallery witness of f, once per process: curve points are
+    members, values strictly decrease toward the claimed infimum, and stay
+    above it."""
+    witness = _evidence().witnesses[f]
     vals = []
     for x in witness.curve_points:
         if contains(f, x) is not True:

@@ -61,7 +61,10 @@ def _load(path: str, want):
             text = fh.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
-    return parse(text, want)
+    try:
+        return parse(text, want)
+    except DocumentError as exc:
+        raise DocumentError(f"{path}: {exc}", exc.line, exc.column, exc.path) from None
 
 
 def _emit(report: dict, fmt: str) -> None:

@@ -12,8 +12,10 @@ claim and the checks test everything checkable.
 Each case is a data file ``gallery_data/<case>.json`` (README, "Gallery"),
 read, checked and parsed once per process by the documents' checker: the
 case-file fields below extend :data:`fwsets.documents.FIELDS`, the one field
-table.  Only non-algebraic data is built in (``BUILTIN_*``).  The classification layer imports this module on first
-use, and the import hands it the cases' witnesses and asymptote evidence.
+table.  Only non-algebraic data is built in (``BUILTIN_*``).  The
+classification layer reads the cases' witnesses and asymptote evidence
+through :func:`evidence` when it first needs them; importing this module
+parses no case file.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ from .asymptotes import (
     image_closed_1d,
     is_f_asymptote,
     projection_closed,
-    register_asymptote_evidence,
-    register_fw_witness,
 )
 from .documents import (
     FIELDS,
@@ -270,12 +270,14 @@ def _attains(case, set, value):
     )
 
 
-def _register_witness(case, points, infimum, note):
-    register_fw_witness(case.set, NonAttainmentWitness(case.objectives[0], infimum, points, note))
+def _add_witness(found, case, points, infimum, note):
+    found.witnesses[case.set] = NonAttainmentWitness(case.objectives[0], infimum, points, note)
 
 
-def _register_evidence(case, candidate, points):
-    register_asymptote_evidence(case.set, candidate["manifold"], points)
+def _add_evidence(found, case, candidate, points):
+    m = candidate["manifold"]
+    found.candidates[case.set] = found.candidates.get(case.set, ()) + (m,)
+    found.points[(case.set, m)] = points
 
 
 def _lagrangian_bracket(fset: QuadSublevel, q: Quadratic, width: Fraction):
@@ -308,8 +310,8 @@ _CHECKS = {
     "attains": (_attains, ("set", "value"), ()),
 }
 _REGISTRATIONS = {
-    "fw_witness": (_register_witness, ("points", "infimum", "note"), ()),
-    "asymptote_evidence": (_register_evidence, ("candidate", "points"), ()),
+    "fw_witness": (_add_witness, ("points", "infimum", "note"), ()),
+    "asymptote_evidence": (_add_evidence, ("candidate", "points"), ()),
 }
 
 
@@ -482,11 +484,14 @@ program_p_curve = partial(_case_curve, "program_p", "witness")
 parabola_set = partial(_case_part, "parabola", "set")
 
 
-def _register_all():
+@cache
+def evidence() -> SimpleNamespace:
+    """The cases' ``registrations``, read once: ``witnesses`` (set -> its
+    NonAttainmentWitness), ``candidates`` (set -> its asymptote manifolds, in
+    case-file order) and ``points`` ((set, manifold) -> evidence points)."""
+    found = SimpleNamespace(witnesses={}, candidates={}, points={})
     for name in list_cases():
         case = _case(name)
-        for register, values in case.registrations:
-            register(case, **values)
-
-
-_register_all()
+        for add, values in case.registrations:
+            add(found, case, **values)
+    return found

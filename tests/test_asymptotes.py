@@ -9,6 +9,7 @@ import textwrap
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -720,27 +721,24 @@ def test_gallery_coherence_asymptote_vs_projection():
 
 
 # ---------------------------------------------------------------------------
-# verdicts of registered pairs, stored once per process
+# verdicts of pairs with gallery evidence, computed once per process
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
-def registries():
-    """Put the registries and the stored verdicts back after the test."""
-    asymptotes._ensure_builtin_registrations()
-    saved = [
-        (d, dict(d))
-        for d in (
-            asymptotes._EVIDENCE,
-            asymptotes._ASYMPTOTE_CANDIDATES,
-            asymptotes._FW_WITNESSES,
-            asymptotes._VERDICTS,
-        )
-    ]
+def fresh_caches():
+    """Empty the kept verdicts of evidenced pairs and witnesses before and
+    after the test."""
+    caches = (asymptotes._evidenced_distance, asymptotes._witness_validates)
+    for c in caches:
+        c.cache_clear()
     yield
-    for d, copy in saved:
-        d.clear()
-        d.update(copy)
+    for c in caches:
+        c.cache_clear()
+
+
+def kept_verdicts():
+    return sum(c.cache_info().currsize for c in (asymptotes._evidenced_distance, asymptotes._witness_validates))
 
 
 def count_calls(monkeypatch, name):
@@ -755,17 +753,16 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def test_registered_verdicts_are_computed_once(registries, monkeypatch):
+def test_registered_verdicts_are_computed_once(fresh_caches, monkeypatch):
     distances = count_calls(monkeypatch, "_distance_bound")
-    witnesses = count_calls(monkeypatch, "_witness_validates")
-    asymptotes._VERDICTS.clear()
-    registered = list(asymptotes._ASYMPTOTE_CANDIDATES) + list(asymptotes._FW_WITNESSES)
+    found = gallery.evidence()
+    registered = list(found.candidates) + list(found.witnesses)
 
     def verdicts():
         out = []
         for f in registered:
             n = ambient_dim(f)
-            functionals = [m.a[0] for m in asymptotes._ASYMPTOTE_CANDIDATES.get(f, ())]
+            functionals = [m.a[0] for m in found.candidates.get(f, ())]
             functionals += [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
             out.append(classify_fw_set(f))
             out.append(classify_qfw(f))
@@ -773,48 +770,43 @@ def test_registered_verdicts_are_computed_once(registries, monkeypatch):
         return out
 
     first = verdicts()
-    assert distances and witnesses
-    assert len(asymptotes._VERDICTS) == 6  # the gallery's six registrations
+    witness_checks = asymptotes._witness_validates.cache_info().misses
+    assert distances and witness_checks
+    assert kept_verdicts() == 6  # the gallery's six registrations
     distances.clear()
-    witnesses.clear()
     assert verdicts() == first
-    assert distances == [] and witnesses == []
+    assert distances == []
+    assert asymptotes._witness_validates.cache_info().misses == witness_checks
 
 
-def test_a_registration_after_a_stored_verdict_takes_effect(registries):
+def test_weak_evidence_and_an_empty_witness_decide_nothing(fresh_caches, monkeypatch):
     hyp, lz = hyperbola_set(), luo_zhang_set()
     axis = AffineManifold.hyperplane((0, 1), 0)
     assert is_f_asymptote(hyp, axis) is True
-    # distances 1 and 1/4 never pass below the evidence thresholds
-    asymptotes.register_asymptote_evidence(hyp, axis, [(1, 1), (2, F(1, 2))])
+    assert classify_fw_set(lz).label == "NotFW"
+    found = gallery.evidence()
+    witness = found.witnesses[lz]
+    weak = SimpleNamespace(
+        candidates=found.candidates,
+        # distances 1 and 1/4 never pass below the evidence thresholds
+        points={**found.points, (hyp, axis): ((F(1), F(1)), (F(2), F(1, 2)))},
+        witnesses={**found.witnesses, lz: asymptotes.NonAttainmentWitness(witness.objective, F(0), (), witness.note)},
+    )
+    monkeypatch.setattr(asymptotes, "_evidence", lambda: weak)
+    asymptotes._evidenced_distance.cache_clear()
+    asymptotes._witness_validates.cache_clear()
     assert is_f_asymptote(hyp, axis) is None
     assert image_closed_1d(hyp, (0, 1))[0] is None
-    assert classify_fw_set(lz).label == "NotFW"
-    witness = asymptotes._FW_WITNESSES[lz]
-    asymptotes.register_fw_witness(
-        lz, asymptotes.NonAttainmentWitness(witness.objective, F(0), (), witness.note)
-    )
     assert classify_fw_set(lz).label != "NotFW"
-    # the superseded witness's verdict is not kept: one entry per registration
-    assert (lz, witness) not in asymptotes._VERDICTS
 
 
-def test_registering_a_pair_again_keeps_one_candidate(registries):
-    hyp = hyperbola_set()
-    axis = AffineManifold.hyperplane((0, 1), 0)
-    before = asymptotes._ASYMPTOTE_CANDIDATES[hyp]
-    asymptotes.register_asymptote_evidence(hyp, axis, [(1, 1)])
-    assert asymptotes._ASYMPTOTE_CANDIDATES[hyp] == before
-    assert asymptotes._EVIDENCE[(hyp, axis)] == ((1, 1),)
-
-
-def test_unregistered_pairs_are_never_stored(registries):
+def test_unregistered_pairs_are_never_stored(fresh_caches):
     rng = random.Random(53)
     hyp4 = QuadSublevel(orthant2(), (Quadratic.build([[0, -1], [-1, 0]], [0, 0], 4),))
     sets = (hyperbola_set(), ice_cream_cut_set(), parabola_set(), hyp4)
     for f in sets:
         classify_qfw(f)
-    stored = set(asymptotes._VERDICTS)
+    stored = kept_verdicts()
     seen = 0
     for _ in range(40):
         f = rng.choice(sets)
@@ -822,21 +814,41 @@ def test_unregistered_pairs_are_never_stored(registries):
         if not any(normal):
             continue
         m = AffineManifold.hyperplane(normal, F(rng.randint(-4, 4), rng.randint(1, 3)))
-        if (f, m) in asymptotes._EVIDENCE:
+        if (f, m) in gallery.evidence().points:
             continue
         distance_to_manifold(f, m)
         seen += 1
     assert seen >= 30
-    assert set(asymptotes._VERDICTS) == stored
+    assert kept_verdicts() == stored
 
 
-def test_gallery_runs_twice_byte_identical(registries, capsys):
-    asymptotes._VERDICTS.clear()
+def test_gallery_runs_twice_byte_identical(capsys):
     outputs = []
     for _ in range(2):
         assert cli.main(["--format", "json", "gallery", "run", "all"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_importing_the_gallery_parses_no_case_file():
+    # a fresh interpreter: the gallery and a polyhedron's classification
+    # read no case file; only evidence that is looked up is read
+    script = textwrap.dedent(
+        """
+        from fwsets import gallery
+        from fwsets.asymptotes import classify_qfw
+        from fwsets.polyhedra import HPolyhedron
+
+        assert classify_qfw(HPolyhedron.from_rows([[-1, 0]], [0])).label == "qFW"
+        print(gallery._case.cache_info().currsize)
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "0"
 
 
 def test_epigraph_membership_in_the_band(monkeypatch):

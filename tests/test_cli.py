@@ -264,6 +264,27 @@ def test_solve_malformed_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_solve_with_its_arguments_swapped_names_the_file(tmp_path, capsys):
+    set_path = write(tmp_path, "set.json", orthant_doc())
+    q_path = write(tmp_path, "q.json", quad_doc([["1", "0"], ["0", "1"]]))
+    assert main(["solve", q_path, set_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {q_path}: expected one of") and "(at $.kind)" in err
+    assert main(["solve", set_path, set_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {set_path}: expected one of ['quadratic']") and "(at $.kind)" in err
+
+
+def test_a_malformed_second_file_of_intersect_is_named(tmp_path, capsys):
+    set_path = write(tmp_path, "set.json", orthant_doc())
+    bad = tmp_path / "bad.json"
+    bad.write_text("{broken")
+    assert main(["intersect", set_path, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"parse error: {bad}: ")
+    assert "(line 1, column 2)" in captured.err and set_path not in captured.err
+
+
 def test_classify_hyperbola_not_qfw(tmp_path, capsys):
     set_path = write(tmp_path, "set.json", hyperbola_doc())
     code = main(["--format", "json", "classify", set_path])
@@ -705,8 +726,9 @@ def test_exact_polytope_reports_claim_no_multiplier_check(tmp_path, capsys):
 
 
 def test_every_gallery_set_is_a_classify_input(tmp_path, capsys):
-    # a case file's set is an ordinary document; the registries match sets by
-    # value, so a freshly parsed copy gets the case's labels (witnesses too)
+    # a case file's set is an ordinary document; gallery.evidence() is keyed
+    # by set value, so a freshly parsed copy gets the case's labels (witnesses
+    # too)
     folder = resources.files("fwsets") / "gallery_data"
     names = sorted(p.name for p in folder.iterdir() if p.name.endswith(".json"))
     assert len(names) == 9
