@@ -135,10 +135,6 @@ SetDescriptor = (
 )
 
 
-def whole_space(n: int) -> HPolyhedron:
-    return HPolyhedron((), (), n)
-
-
 def ambient_dim(s: SetDescriptor) -> int:
     if isinstance(s, (MotzkinSet, HPolyhedron)):
         return s.dim
@@ -337,8 +333,8 @@ def _distance_bound(f: SetDescriptor, m: AffineManifold) -> DistanceVerdict:
             if contains(f, x) is not True:
                 raise DimensionMismatchError("evidence point is not a member of the set")
             y = manifold_projection(m, x)
-            d2 = sum((a - b) * (a - b) for a, b in zip(x, y))
-            pairs.append((tuple(x), tuple(y), d2))
+            d = vsub(x, y)
+            pairs.append((tuple(x), tuple(y), dot(d, d)))
         dists = [p[2] for p in pairs]
         if all(a > b for a, b in zip(dists, dists[1:])) and all(
             any(d < thr for d in dists) for thr in EVIDENCE_THRESHOLDS_SQ

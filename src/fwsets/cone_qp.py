@@ -79,7 +79,7 @@ listing the faces (p units a face, which a simplex knows from its count,
 and one unit a mask for each facet's pass of the closure; the QP charges
 one unit a row subset), each elimination (:func:`_elimination_units`; the
 PSD test of H is charged as one elimination of H),
-each solve, the Fractions built (``LP_ENTRY_UNITS`` each, a product and a
+each solve, the Fractions built (``FRACTION_UNITS`` each, a product and a
 sum a term of a dot product), and the conversions and LPs inside, which
 charge the same counter.  A program keeps its blocks and dom(f) across
 queries, but the counter lives for one query, which pays for what it
@@ -115,7 +115,6 @@ from .linalg import (
     zeros,
 )
 from .polyhedra import (
-    LP_ENTRY_UNITS,
     HPolyhedron,
     PolyCone,
     Work,
@@ -127,6 +126,8 @@ from .quadratics import Quadratic, is_psd
 
 # the step a face walk's charges name in SizeCapError
 _WALK = "the face walk"
+# units charged for each Fraction built
+FRACTION_UNITS = 30
 
 
 def _elimination_units(rows: int, cols: int) -> int:
@@ -289,18 +290,9 @@ class _Face:
         )
 
 
-def _feasible_point(z0: Vec, kernel, g: Mat, h: Vec, work: Work) -> Vec | None:
-    """A point of ``z0 + span(kernel)`` with ``g z <= h``, or None: the
-    ladder of :meth:`_Face.feasible_point` on a set given in Fractions."""
-    return _Face.of(z0, kernel, g, h).feasible_point(work)
-
-
 def _combine(z0: Vec, vectors, coeffs: Vec) -> Vec:
     """``z0 + sum_i coeffs[i] vectors[i]``."""
-    return tuple(
-        z0[i] + sum((v[i] * s for v, s in zip(vectors, coeffs)), ZERO)
-        for i in range(len(z0))
-    )
+    return tuple(z0[i] + dot([v[i] for v in vectors], coeffs) for i in range(len(z0)))
 
 
 def _least_face(faces, work: Work):
@@ -324,7 +316,7 @@ def _least_face(faces, work: Work):
         if not isinstance(face, _Face):
             face = _Face.of(*face)
         m = len(face.bounds.rows)
-        work.charge(2 * len(face.num) * (1 + len(face.kernel)) * (1 + m) * LP_ENTRY_UNITS, _WALK)
+        work.charge(2 * len(face.num) * (1 + len(face.kernel)) * (1 + m) * FRACTION_UNITS, _WALK)
         z = face.feasible_point(work)
         if z is not None:
             best = (value, key, z)
@@ -564,13 +556,13 @@ def _piece(
     if system.rank == k:
         return None
     kernel = system.kernel
-    work.charge(2 * k * len(kernel) * LP_ENTRY_UNITS, _WALK)
+    work.charge(2 * k * len(kernel) * FRACTION_UNITS, _WALK)
     n_rows = tuple(zip(*kernel))  # u_F = N t
     # N has full column rank, so {t : N t >= 0} is pointed
     rays_t, _ = cone_h_to_v([vscale(-ONE, row) for row in n_rows], len(kernel), work)
     if not rays_t:
         return None
-    work.charge(2 * len(rays_t) * k * len(kernel) * LP_ENTRY_UNITS, _WALK)
+    work.charge(2 * len(rays_t) * k * len(kernel) * FRACTION_UNITS, _WALK)
     rays = tuple(primitive(_scatter(free, matvec(n_rows, t), blocks.p)) for t in rays_t)
     return ZeroSetPiece(frozenset(active), rays)
 
@@ -611,7 +603,7 @@ def _domain(d: PolyCone, blocks: _Blocks, work: Work) -> DomF:
         pieces = _zero_set_pieces(blocks, work)
     z = _generator_matrix(d)
     us = [u for piece in pieces for u in piece.generators]
-    work.charge(2 * len(us) * d.dim * p * LP_ENTRY_UNITS, _WALK)
+    work.charge(2 * len(us) * d.dim * p * FRACTION_UNITS, _WALK)
     rows = (primitive(vscale(-ONE, matvec(z, u))) for u in us)
     return DomF(tuple(dict.fromkeys(h for h in rows if any(h))), d.dim)
 
@@ -715,7 +707,7 @@ class ConeProgram:
         work = Work()
         dom = self._domain(work)
         # the dot products of c with the rows of dom(f) and the generators
-        work.charge(2 * (len(dom.rows) + self.p) * self.d.dim * LP_ENTRY_UNITS, _WALK)
+        work.charge(2 * (len(dom.rows) + self.p) * self.d.dim * FRACTION_UNITS, _WALK)
         bound = is_bounded_below_on_cone(c, self.g, self.d, dom=dom)
         if not bound.bounded:
             d = bound.certificate

@@ -14,7 +14,9 @@ rows.  The reduced row echelon form is unique, so the results are the ones
 Fraction elimination gives.  :func:`solve`, :func:`kernel_basis` and
 :class:`LinearSystem` read their Fractions straight off the integer rows, one
 per nonzero entry of a result; a :class:`LinearSystem` answers each right-hand
-side with integer dot products.
+side with integer dot products.  :func:`dot`, the one exact dot product of
+Fraction vectors, sums the terms' numerators on ints over one running
+denominator and builds one Fraction, for the result.
 
 No floating point enters this module.
 """
@@ -78,9 +80,27 @@ def identity(n: int) -> Mat:
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    """The exact dot product of two rational (or int) sequences.
+
+    The sum accumulates on ints over one running denominator: a term whose
+    denominator is the running one adds its numerator, any other moves both
+    to their lcm, and zero terms are skipped.  One Fraction is built, for the
+    result.
+    """
     if len(a) != len(b):
         raise DimensionMismatchError("dot of unequal lengths")
-    return sum((x * y for x, y in zip(a, b)), ZERO)
+    num, den = 0, 1
+    for x, y in zip(a, b):
+        if x and y:
+            tn = x.numerator * y.numerator
+            td = x.denominator * y.denominator
+            if td == den:
+                num += tn
+            else:
+                m = lcm(den, td)
+                num = num * (m // den) + tn * (m // td)
+                den = m
+    return Fraction(num, den)
 
 
 def vadd(a: Vec, b: Vec) -> Vec:

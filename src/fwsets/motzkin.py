@@ -44,7 +44,6 @@ from .errors import (
 from .linalg import (
     ONE,
     Vec,
-    ZERO,
     dot,
     identity,
     is_zero,
@@ -61,8 +60,6 @@ from .polyhedra import (
     PolyCone,
     VPolyhedron,
     dd_convert,
-    recession_cone,
-    same_cone,
 )
 from .numeric import bracket_multiplier, lagrangian_value, one_constraint_bracket
 from .quadratics import Quadratic
@@ -118,7 +115,8 @@ class Ball:
 
 
 def vsub_sq(x: Vec, y: Vec) -> Fraction:
-    return sum(((a - b) * (a - b) for a, b in zip(x, y)), ZERO)
+    d = vsub(x, y)
+    return dot(d, d)
 
 
 @dataclass(frozen=True)
@@ -560,11 +558,3 @@ def _some_compact_point(k: CompactPart) -> Vec:
     if isinstance(k, FinitePointSet):
         return k.points[0]
     return k.center
-
-
-def cross_check_recession(f: MotzkinSet) -> bool:
-    """For polyhedral data: the declared cone equals the recession cone of
-    the converted H-form, by mutual generator membership."""
-    if not f.is_polyhedral_cone or isinstance(f.compact, Ball):
-        raise UnsupportedKindError("cross-check requires polyhedral data")
-    return same_cone(recession_cone(dd_convert(motzkin_to_vpoly(f))), f.cone)

@@ -328,7 +328,7 @@ def stationary_line_point(g, x, kernel):
     gram = tuple(tuple(dot(a, k) for k in kernel) for a in ak)
     grad = g.gradient(x)
     t = solve(gram, tuple(-dot(k, grad) for k in kernel))
-    x0 = tuple(xi + sum(ti * k[i] for ti, k in zip(t, kernel)) for i, xi in enumerate(x))
+    x0 = tuple(xi + dot(t, [k[i] for k in kernel]) for i, xi in enumerate(x))
     alpha = gram[0][0] / 2
     value = g.evaluate(x0)
     if value > 0:

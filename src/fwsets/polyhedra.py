@@ -17,7 +17,12 @@ Prodon, "Double description method revisited", 1996): rows and rays are
 coprime ints, a new ray is an integer combination divided by its gcd, and
 Fractions are built only for the rays returned.  Projection onto a subset
 of coordinates is one conversion each way: the image of the V-form is
-generated by the kept coordinates of its generators.
+generated by the kept coordinates of its generators.  The exact simplex
+(two phases, Bland's rule) pivots on a fraction-free tableau: each row is a
+list of ints over one positive row denominator, divided by its gcd after
+every update, and its ratio tests compare by cross-multiplication.  Its
+pivots are those of the Fraction tableau, and its results are the same
+Fractions, built once at the end.
 
 Input polyhedra live in dimension at most ``MAX_INPUT_DIM``, and one
 public call does at most ``DD_BUDGET`` units of work: the call makes one
@@ -27,8 +32,9 @@ before the step that would pass the budget.  For each inserted row, double
 description charges d units per evaluation over the current rays, one per
 candidate pair across its hyperplane and one per ray the adjacency test of
 a pair scans; the input is not counted, so redundant rows and points cost
-only their evaluations.  An exact LP charges ``LP_ENTRY_UNITS`` per tableau
-entry it builds and per entry of each row a pivot updates.  A conversion
+only their evaluations.  An exact LP charges ``LP_ENTRY_UNITS`` per integer
+tableau entry it builds and per entry of each row a pivot updates (the pivot
+row, the rows it hits and the cost row).  A conversion
 (with the certificate LP of an empty system) is one call, and a projection
 is one call of two conversions.  The face walks of :mod:`fwsets.cone_qp`
 charge the same counter.
@@ -69,8 +75,9 @@ MAX_INPUT_DIM = 10
 # a bitmask test; a unit took 0.08-0.17 us on a 2-CPU box, so a refusal
 # costs at most about 8 s
 DD_BUDGET = 5 * 10**7
-# units charged for each Fraction entry built or updated
-LP_ENTRY_UNITS = 30
+# units charged for each integer tableau entry an LP builds or updates; an
+# entry took 0.14-0.28 us on a 2-CPU box, so a unit costs 0.05-0.09 us
+LP_ENTRY_UNITS = 3
 
 
 class Work:
@@ -567,7 +574,14 @@ class LPResult:
 
 def lp_solve(a: Mat, b: Vec, c: Vec, work: Work | None = None) -> LPResult:
     """Exact two-phase simplex; its work is charged to ``work``, the counter
-    of a calling public call, or to a new one if None."""
+    of a calling public call, or to a new one if None.
+
+    The tableau is fraction-free: row i is a list of ints ``rows[i]`` over
+    one positive denominator ``dens[i]``, kept primitive, and the cost row
+    is one such pair.  Signs, ratio tests (by cross-multiplication, where
+    the row denominators cancel) and so every pivot are those of the
+    Fraction tableau, and the results are built as Fractions at the end.
+    """
     m = len(a)
     n = len(c)
     if m == 0:
@@ -582,133 +596,146 @@ def lp_solve(a: Mat, b: Vec, c: Vec, work: Work | None = None) -> LPResult:
         lam = tuple(ONE if i == bad else ZERO for i in range(m))
         return LPResult("infeasible", farkas=lam)
 
-    # standard form: columns are u (n), w (n), s (m); x = u - w
-    sigma = [ONE if b[i] >= 0 else -ONE for i in range(m)]
+    # standard form: columns are u (n), w (n), s (m), then the m artificials
+    # and the right-hand side; x = u - w, and row i is multiplied by the sign
+    # of b_i so that its right-hand side is >= 0
     ncols = 2 * n + m
+    width = ncols + m + 1
     if work is None:
         work = Work()
-    work.charge(m * (ncols + m + 1) * LP_ENTRY_UNITS, "exact LP")
-    tab = []
+    work.charge(m * width * LP_ENTRY_UNITS, "exact LP")
+    signs = []
+    rows = []
+    dens = []
     for i in range(m):
-        row = [sigma[i] * a[i][j] for j in range(n)]
-        row += [-sigma[i] * a[i][j] for j in range(n)]
-        row += [sigma[i] if k == i else ZERO for k in range(m)]
-        row.append(sigma[i] * b[i])
-        tab.append(row)
+        den = lcm(b[i].denominator, *(x.denominator for x in a[i]))
+        s = 1 if b[i] >= 0 else -1
+        ai = [s * x.numerator * (den // x.denominator) for x in a[i]]
+        row = ai + [-x for x in ai] + [0] * (2 * m) + [s * b[i].numerator * (den // b[i].denominator)]
+        row[2 * n + i] = s * den
+        row[ncols + i] = den
+        row, den = _primitive_row(row, den)
+        signs.append(s)
+        rows.append(row)
+        dens.append(den)
     basis = list(range(ncols, ncols + m))  # artificial indices
 
-    # phase 1 objective row: reduced costs of min sum(artificials)
-    art_cost = [ZERO] * (ncols + m) + [ZERO]
-    for j in range(ncols):
-        art_cost[j] = -sum(tab[i][j] for i in range(m))
+    # phase 1 objective row: reduced costs of min sum(artificials), which are
+    # minus the column sums off the artificial columns
+    cost = _row_sum([(-1, i) for i in range(m)], rows, dens, [0] * width, 1)
     for i in range(m):
-        art_cost[ncols + i] = ZERO
-    art_cost[-1] = -sum(tab[i][-1] for i in range(m))
-    # extend tableau with artificial columns
-    for i in range(m):
-        tab[i] = tab[i][:-1] + [ONE if k == i else ZERO for k in range(m)] + [tab[i][-1]]
-
-    _simplex(tab, art_cost, basis, ncols + m, work)
-    phase1 = -art_cost[-1]
-    if phase1 > 0:
+        cost[0][ncols + i] = 0
+    _simplex(rows, dens, cost, basis, ncols + m, work)
+    if cost[0][-1] < 0:
         # optimal dual of phase 1, read off the artificial reduced costs:
         # y_i = 1 - redcost(a_i); then lambda = -sigma*y is the Farkas witness
-        y = [ONE - art_cost[ncols + i] for i in range(m)]
-        lam = tuple(-sigma[i] * y[i] for i in range(m))
+        den = cost[1]
+        lam = tuple(Fraction(-s * (den - cost[0][ncols + i]), den) for i, s in enumerate(signs))
         return LPResult("infeasible", farkas=lam)
 
     # drive artificials out of the basis
     for i in range(m):
         if basis[i] >= ncols:
-            pivot_col = next(
-                (j for j in range(ncols) if tab[i][j] != 0), None
-            )
+            pivot_col = next((j for j in range(ncols) if rows[i][j]), None)
             if pivot_col is None:
                 continue  # redundant row; artificial stays basic at zero
-            _pivot(tab, None, i, pivot_col, basis, work)
+            _pivot(rows, dens, None, i, pivot_col, basis, work)
 
-    # phase 2
-    cost = [ZERO] * (ncols + m) + [ZERO]
-    full_c = list(c) + [-ci for ci in c] + [ZERO] * m
-    for j in range(ncols):
-        cost[j] = full_c[j]
+    # phase 2: the costs of c over the lcm of their denominators, minus the
+    # basic rows times their costs
+    den = lcm(*(ci.denominator for ci in c))
+    cs = [ci.numerator * (den // ci.denominator) for ci in c]
+    full = cs + [-x for x in cs] + [0] * m
+    basic = [(-full[basis[i]], i) for i in range(m) if basis[i] < ncols and full[basis[i]]]
+    cost = _row_sum(basic, rows, dens, full + [0] * (m + 1), den)
+    for i in range(m):
+        cost[0][ncols + i] = cost[1]  # block artificial columns from re-entering
+    status, ray_col = _simplex(rows, dens, cost, basis, ncols, work)
+
+    z = [ZERO] * ncols
     for i in range(m):
         if basis[i] < ncols:
-            cb = full_c[basis[i]]
-            if cb != 0:
-                for j in range(ncols + m + 1):
-                    cost[j] -= cb * tab[i][j]
-    for i in range(m):
-        cost[ncols + i] = ONE  # block artificial columns from re-entering
-    status, ray_col = _simplex(tab, cost, basis, ncols, work, allowed=ncols)
-
-    x = _extract_x(tab, basis, n, ncols, m)
+            z[basis[i]] = Fraction(rows[i][-1], dens[i])
+    x = tuple(z[j] - z[n + j] for j in range(n))
     if status == "unbounded":
         direction = [ZERO] * ncols
         direction[ray_col] = ONE
         for i in range(m):
             if basis[i] < ncols:
-                direction[basis[i]] = -tab[i][ray_col]
+                direction[basis[i]] = Fraction(-rows[i][ray_col], dens[i])
         ray = tuple(direction[j] - direction[n + j] for j in range(n))
         return LPResult("unbounded", x, None, ray)
-    value = dot(c, x)
-    return LPResult("optimal", x, value)
+    return LPResult("optimal", x, dot(c, x))
 
 
-def _extract_x(tab, basis, n, ncols, m) -> Vec:
-    z = [ZERO] * ncols
-    for i in range(m):
-        if basis[i] < ncols:
-            z[basis[i]] = tab[i][-1]
-    return tuple(z[j] - z[n + j] for j in range(n))
+def _primitive_row(row: list[int], den: int) -> tuple[list[int], int]:
+    """``(row, den)`` divided by the gcd of its entries and den."""
+    g = gcd(den, *row)
+    return ([x // g for x in row], den // g) if g > 1 else (row, den)
 
 
-def _simplex(tab, cost, basis, width, work, allowed=None):
-    """Bland-rule simplex on an explicit tableau; mutates in place."""
-    m = len(tab)
-    limit = allowed if allowed is not None else width
+def _row_sum(terms, rows, dens, base: list[int], base_den: int) -> list:
+    """The pair ``[ints, den]`` of ``(base + sum_k f_k rows[i_k] / dens[i_k])
+    / base_den`` for the int factors ``(f_k, i_k)`` of ``terms``."""
+    scale = lcm(*(dens[i] for _, i in terms))
+    out = [x * scale for x in base]
+    for f, i in terms:
+        k = f * (scale // dens[i])
+        out = [x + k * y if y else x for x, y in zip(out, rows[i])]
+    return list(_primitive_row(out, base_den * scale))
+
+
+def _simplex(rows, dens, cost, basis, limit, work):
+    """Bland-rule simplex on the integer tableau; mutates it in place.  The
+    entering column is the first of the first ``limit`` with a negative
+    reduced cost, and the leaving row has the least ratio ``rhs / entry``
+    over the positive entries, ties broken by the least basis index."""
     while True:
-        enter = next((j for j in range(limit) if cost[j] < 0), None)
+        enter = next((j for j in range(limit) if cost[0][j] < 0), None)
         if enter is None:
             return "optimal", None
         leave = None
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+        for i, row in enumerate(rows):
+            t = row[enter]
+            if t > 0:
+                # row[-1] / t against num / den: the row denominator cancels
+                if leave is None:
+                    leave, num, den = i, row[-1], t
+                else:
+                    lhs, rhs = row[-1] * den, num * t
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave, num, den = i, row[-1], t
         if leave is None:
             return "unbounded", enter
-        _pivot(tab, cost, leave, enter, basis, work)
+        _pivot(rows, dens, cost, leave, enter, basis, work)
 
 
-def _pivot(tab, cost, row, col, basis, work):
-    hit = [i for i in range(len(tab)) if i != row and tab[i][col] != 0]
+def _pivot(rows, dens, cost, row, col, basis, work):
+    hit = [i for i in range(len(rows)) if i != row and rows[i][col]]
     # the pivot row, the rows it updates and the cost row
-    work.charge((len(hit) + 2) * len(tab[row]) * LP_ENTRY_UNITS, "exact LP")
-    pv = tab[row][col]
-    tab[row] = [x / pv for x in tab[row]]
+    work.charge((len(hit) + 2) * len(rows[row]) * LP_ENTRY_UNITS, "exact LP")
+    # the pivot row over its pivot entry is the row's ints over that entry
+    prow = rows[row]
+    if prow[col] < 0:
+        prow = [-x for x in prow]
+    prow, pd = _primitive_row(prow, prow[col])
+    rows[row], dens[row] = prow, pd
     for i in hit:
-        f = tab[i][col]
-        tab[i] = [x - f * y for x, y in zip(tab[i], tab[row])]
-    if cost is not None and cost[col] != 0:
-        f = cost[col]
-        for j in range(len(cost)):
-            cost[j] -= f * tab[row][j]
+        rows[i], dens[i] = _eliminate(rows[i], dens[i], prow, pd, col)
+    if cost is not None and cost[0][col]:
+        cost[0], cost[1] = _eliminate(cost[0], cost[1], prow, pd, col)
     basis[row] = col
+
+
+def _eliminate(row: list[int], den: int, prow: list[int], pd: int, col: int):
+    """``row / den - (row[col] / den) prow / pd``, primitive, for a pivot row
+    with ``prow[col] == pd``: zero at col."""
+    f = row[col]
+    out = [pd * x - f * y if y else pd * x for x, y in zip(row, prow)]
+    return _primitive_row(out, den * pd)
 
 
 def feasible_point(p: HPolyhedron) -> Vec | None:
     res = lp_solve(p.a, p.b, zeros(p.dim))
     return res.x if res.status == "optimal" else None
-
-
-def farkas_certificate(p: HPolyhedron) -> Vec | None:
-    """Farkas witness of infeasibility, or None when the system is feasible."""
-    res = lp_solve(p.a, p.b, zeros(p.dim))
-    if res.status != "infeasible":
-        return None
-    return res.farkas
 

@@ -29,7 +29,6 @@ from fwsets.asymptotes import (
     linear_lower_bound,
     manifold_projection,
     projection_closed,
-    whole_space,
 )
 from fwsets import asymptotes, cli, gallery
 from fwsets.gallery import (
@@ -54,6 +53,10 @@ from fwsets.polyhedra import HPolyhedron, PolyCone, dd_convert, lp_solve
 from fwsets.quadratics import Quadratic, is_psd
 
 F = Fraction
+
+
+def whole_space(n):
+    return HPolyhedron((), (), n)
 
 
 def orthant2():

@@ -46,6 +46,12 @@ def zero_matrix(n):
     return tuple(zeros(n) for _ in range(n))
 
 
+def _feasible_point(z0, kernel, g, h, work):
+    """A point of ``z0 + span(kernel)`` with ``g z <= h``, or None: the
+    face ladder on a set given in Fractions."""
+    return cone_qp._Face.of(z0, kernel, g, h).feasible_point(work)
+
+
 # ---------------------------------------------------------------------------
 # boundedness and dom(f)
 # ---------------------------------------------------------------------------
@@ -483,7 +489,7 @@ def _reference_simplex_min(h):
         ((key, v, lambda face=face: face) for key, v, *face in faces), Work()
     )
     singular = any(
-        v < 0 and kernel and cone_qp._feasible_point(z0, kernel, g, zero, Work()) is not None
+        v < 0 and kernel and _feasible_point(z0, kernel, g, zero, Work()) is not None
         for _, v, z0, kernel, g, zero in faces
     )
     return value, support, z[:size], singular
@@ -1118,7 +1124,7 @@ def test_line_orthant_interval_matches_lp():
             (cone_qp._nonneg_rows(n, n), answers),
             ((g_rows, h_rows), general),
         ):
-            z = cone_qp._feasible_point(z0, [k], g, h, Work())
+            z = _feasible_point(z0, [k], g, h, Work())
             lp = lp_solve(
                 tuple((dot(row, k),) for row in g),
                 tuple(hi - dot(row, z0) for row, hi in zip(g, h)),

@@ -1,8 +1,9 @@
 """The integer exact kernel against the Fraction algorithms it replaced.
 
-``linalg.rref`` eliminates fraction-free on ints, ``LinearSystem``,
-``solve`` and ``kernel_basis`` read their results off integer rows,
-``polyhedra`` runs double description on primitive integer vectors, and
+``linalg.dot`` accumulates on ints, ``linalg.rref`` eliminates
+fraction-free on ints, ``LinearSystem``, ``solve`` and ``kernel_basis`` read
+their results off integer rows, ``polyhedra`` runs double description on
+primitive integer vectors and the simplex on a fraction-free tableau, and
 ``cone_qp.minimize_over_hpolyhedron`` solves each face on ints.  Each must
 return exactly what the Fraction algorithm returns: the references below are
 those algorithms, written out here in Fractions.
@@ -15,11 +16,12 @@ from math import gcd
 
 import pytest
 
-from fwsets import cone_qp
+from fwsets import cone_qp, polyhedra
 from fwsets.cone_qp import minimize_over_hpolyhedron
 from fwsets.errors import DimensionMismatchError
 from fwsets.linalg import (
     LinearSystem,
+    dot,
     int_rref,
     int_solution,
     kernel_basis,
@@ -27,7 +29,7 @@ from fwsets.linalg import (
     rref,
     solve,
 )
-from fwsets.polyhedra import HPolyhedron, Work, cone_h_to_v
+from fwsets.polyhedra import HPolyhedron, Work, cone_h_to_v, lp_solve
 from fwsets.quadratics import Quadratic
 
 F = Fraction
@@ -201,8 +203,139 @@ def ref_cone_h_to_v(rows, d):
     return tuple(dict.fromkeys(rays)), lin
 
 
+def ref_lp_solve(a, b, c, ties):
+    """The two-phase Bland-rule simplex on a Fraction tableau, as
+    ``(status, x, value, ray, farkas)``; ``ties`` counts the ratio ties
+    broken by basis index, the artificials driven out after phase 1, and
+    the tableau entries built and updated (the rows a pivot hits, the pivot
+    row and the cost row)."""
+    m, n = len(a), len(c)
+    sigma = [ONE if b[i] >= 0 else -ONE for i in range(m)]
+    ncols = 2 * n + m
+    ties["entries"] = m * (ncols + m + 1)
+    tab = []
+    for i in range(m):
+        row = [sigma[i] * a[i][j] for j in range(n)]
+        row += [-sigma[i] * a[i][j] for j in range(n)]
+        row += [sigma[i] if k == i else ZERO for k in range(m)]
+        row += [ONE if k == i else ZERO for k in range(m)]
+        tab.append(row + [sigma[i] * b[i]])
+    basis = list(range(ncols, ncols + m))
+
+    def pivot(cost, r, col):
+        ties["entries"] += (sum(i != r and tab[i][col] != 0 for i in range(m)) + 2) * len(tab[r])
+        pv = tab[r][col]
+        tab[r] = [x / pv for x in tab[r]]
+        for i in range(m):
+            if i != r and tab[i][col] != 0:
+                f = tab[i][col]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[r])]
+        if cost is not None and cost[col] != 0:
+            f = cost[col]
+            cost[:] = [x - f * y for x, y in zip(cost, tab[r])]
+        basis[r] = col
+
+    def simplex(cost, limit):
+        while True:
+            enter = next((j for j in range(limit) if cost[j] < 0), None)
+            if enter is None:
+                return "optimal", None
+            leave = best = None
+            for i in range(m):
+                if tab[i][enter] > 0:
+                    ratio = tab[i][-1] / tab[i][enter]
+                    if best is not None and ratio == best:
+                        ties["ratio"] += 1
+                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                        best, leave = ratio, i
+            if leave is None:
+                return "unbounded", enter
+            pivot(cost, leave, enter)
+
+    art_cost = [-sum(tab[i][j] for i in range(m)) for j in range(ncols)]
+    art_cost += [ZERO] * m + [-sum(tab[i][-1] for i in range(m))]
+    simplex(art_cost, ncols + m)
+    if -art_cost[-1] > 0:
+        farkas = tuple(-sigma[i] * (ONE - art_cost[ncols + i]) for i in range(m))
+        return "infeasible", None, None, None, farkas
+    for i in range(m):
+        if basis[i] >= ncols:
+            col = next((j for j in range(ncols) if tab[i][j] != 0), None)
+            if col is not None:
+                ties["driven_out"] += 1
+                pivot(None, i, col)
+    full_c = list(c) + [-ci for ci in c] + [ZERO] * m
+    cost = full_c + [ZERO] * (m + 1)
+    for i in range(m):
+        if basis[i] < ncols and full_c[basis[i]] != 0:
+            cost = [x - full_c[basis[i]] * y for x, y in zip(cost, tab[i])]
+    for i in range(m):
+        cost[ncols + i] = ONE
+    status, ray_col = simplex(cost, ncols)
+    z = [ZERO] * ncols
+    for i in range(m):
+        if basis[i] < ncols:
+            z[basis[i]] = tab[i][-1]
+    x = tuple(z[j] - z[n + j] for j in range(n))
+    if status == "unbounded":
+        d = [ZERO] * ncols
+        d[ray_col] = ONE
+        for i in range(m):
+            if basis[i] < ncols:
+                d[basis[i]] = -tab[i][ray_col]
+        return "unbounded", x, None, tuple(d[j] - d[n + j] for j in range(n)), None
+    return "optimal", x, ref_dot(c, x), None, None
+
+
 def all_fractions(vectors):
     return all(type(x) is Fraction for v in vectors for x in v)
+
+
+# ---------------------------------------------------------------------------
+# dot
+# ---------------------------------------------------------------------------
+
+
+def _dot_entry(rng, kind):
+    if kind == "int":
+        return rng.randint(-9, 9)
+    if kind == "small":
+        return F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7, 12)))
+    # a 40-bit dyadic, as the ball multiplier brackets make
+    return F(rng.getrandbits(40) - (1 << 39), 1 << rng.randint(0, 40))
+
+
+def test_dot_matches_fraction_sum():
+    rng = random.Random(20261020)
+    kinds = ("int", "small", "dyadic")
+    seen = {"mixed": 0, "zeros": 0, "ints": 0}
+    for _ in range(3000):
+        n = rng.randint(0, 8)
+        pair = []
+        for _ in range(2):
+            v = [_dot_entry(rng, rng.choice(kinds)) for _ in range(n)]
+            if rng.random() < 0.3:  # zeros, as int 0 and as Fraction 0
+                for j in rng.sample(range(n), n // 2):
+                    v[j] = rng.choice((0, ZERO))
+            if rng.random() < 0.3:  # all ints
+                v = [rng.randint(-5, 5) for _ in range(n)]
+            pair.append(tuple(v))
+        a, b = pair
+        got = dot(a, b)
+        assert got == ref_dot(a, b) and type(got) is Fraction, (a, b)
+        entries = a + b
+        seen["mixed"] += any(type(x) is int for x in entries) and any(type(x) is F for x in entries)
+        seen["zeros"] += any(x == 0 for x in entries)
+        seen["ints"] += bool(entries) and all(type(x) is int for x in entries)
+    assert min(seen.values()) >= 300, seen
+    assert dot((), ()) == 0 and type(dot((), ())) is Fraction
+    assert dot((F(1, 3), F(1, 6)), (F(1, 2), 3)) == F(2, 3)
+
+
+def test_dot_of_unequal_lengths_raises():
+    for a, b in (((ONE,), ()), ((), (1,)), ((1, 2), (F(1, 2),))):
+        with pytest.raises(DimensionMismatchError):
+            dot(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -497,3 +630,56 @@ def test_face_qp_matches_fraction_face_walk(monkeypatch):
             assert type(got[0]) is Fraction and all_fractions([got[1]])
         lines += any(face[3] for face in ref)
     assert found >= 400 and missing >= 100 and lines >= 300
+
+
+# ---------------------------------------------------------------------------
+# the simplex
+# ---------------------------------------------------------------------------
+
+
+def _lp_cases():
+    rng = random.Random(20261021)
+    cases = []
+    for k in range(700):
+        n = rng.randint(1, 4)
+        m = rng.randint(1, 7)
+        a = [[_rational(rng, -3, 3) for _ in range(n)] for _ in range(m)]
+        center = [F(rng.randint(-2, 2)) for _ in range(n)]
+        if k % 3:  # feasible through center, with some rows tight there
+            b = [ref_dot(row, center) + rng.choice((0, 0, 1, F(1, 2), 3)) for row in a]
+        else:  # often infeasible
+            b = [_rational(rng) for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:  # a redundant duplicate row
+            a[-1], b[-1] = list(a[0]), b[0]
+        if m > 2 and rng.random() < 0.2:  # a rescaled duplicate, negative b
+            a[1] = [F(-2) * x for x in a[0]]
+            b[1] = F(-2) * b[0] - rng.randint(0, 1)
+        if k % 5 == 0:
+            c = [ZERO] * n
+        else:
+            c = [_rational(rng, -2, 2) for _ in range(n)]
+        cases.append((tuple(map(tuple, a)), tuple(b), tuple(c)))
+    return cases
+
+
+def test_simplex_matches_fraction_tableau():
+    ties = {"ratio": 0, "driven_out": 0, "entries": 0}
+    statuses = {"optimal": 0, "unbounded": 0, "infeasible": 0}
+    negative_b = zero_c = 0
+    for a, b, c in _lp_cases():
+        work = Work()
+        got = lp_solve(a, b, c, work)
+        ref = ref_lp_solve(a, b, c, ties)
+        assert (got.status, got.x, got.value, got.ray, got.farkas) == ref, (a, b, c)
+        # the same pivots on the same rows, so the same charges
+        assert work.units == ties["entries"] * polyhedra.LP_ENTRY_UNITS
+        for v in (got.x, got.ray, got.farkas):
+            assert v is None or all_fractions([v])
+        assert got.value is None or type(got.value) is Fraction
+        statuses[got.status] += 1
+        negative_b += any(x < 0 for x in b)
+        zero_c += not any(c)
+    assert min(statuses.values()) >= 60, statuses
+    assert ties["ratio"] >= 300 and ties["driven_out"] >= 30, ties
+    assert negative_b >= 300 and zero_c >= 100
+

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from fwsets import gallery, motzkin
-from fwsets.asymptotes import QuadSublevel, whole_space
+from fwsets.asymptotes import QuadSublevel
 from fwsets.cone_qp import ConeProgram, value_function_eval
-from fwsets.errors import InvalidParameterError
+from fwsets.errors import InvalidParameterError, UnsupportedKindError
 from fwsets.linalg import dot, matvec, solve, vadd, vec
 from fwsets.motzkin import (
     FEASIBILITY_TOL,
@@ -21,16 +21,28 @@ from fwsets.motzkin import (
     Unknown,
     UnboundedBelow,
     classify_fw,
-    cross_check_recession,
     inner_linear_term,
     minimize_on_motzkin,
+    motzkin_to_vpoly,
     recession_cone_of,
 )
-from fwsets.polyhedra import PolyCone
+from fwsets.polyhedra import HPolyhedron, PolyCone, dd_convert, recession_cone, same_cone
 from fwsets.quadratics import Quadratic
 from fwsets.setops import minimize_on_descriptor, union_set
 
 F = Fraction
+
+
+def whole_space(n):
+    return HPolyhedron((), (), n)
+
+
+def cross_check_recession(f):
+    """For polyhedral data: the declared cone equals the recession cone of
+    the converted H-form, by mutual generator membership."""
+    if not f.is_polyhedral_cone or isinstance(f.compact, Ball):
+        raise UnsupportedKindError("cross-check requires polyhedral data")
+    return same_cone(recession_cone(dd_convert(motzkin_to_vpoly(f))), f.cone)
 
 
 def orthant(n):
@@ -97,8 +109,6 @@ def test_second_order_cone_membership():
 
 
 def test_second_order_cone_rejects_low_dimension():
-    from fwsets.errors import UnsupportedKindError
-
     with pytest.raises(UnsupportedKindError):
         SecondOrderCone.build(2, (0, 1), F(1, 2))
 
