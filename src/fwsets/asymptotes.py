@@ -714,10 +714,9 @@ def projection_closed(f: SetDescriptor, coords) -> tuple[bool | None, str]:
     by the exact spectral test on the dropped coordinates (sound for any
     kernel that meets the cone only at 0, contains an interior ray, or has
     dimension one).  Otherwise the projection onto one coordinate j is
-    ``image_closed_1d(f, e_j)``; onto several, polyhedral data, compact sets
-    and sets that :func:`classify_qfw` calls qFW (for a convex set, no flat
-    asymptote means every projection is closed) are closed, and the verdict
-    is None for any other set.
+    ``image_closed_1d(f, e_j)``; onto several, sets that :func:`classify`
+    calls qFW (polyhedral data among them, as it is FW) and compact sets
+    are closed, and the verdict is None for any other set.
     """
     n = ambient_dim(f)
     if any(isinstance(c, bool) or not isinstance(c, int) for c in coords):
@@ -736,21 +735,21 @@ def projection_closed(f: SetDescriptor, coords) -> tuple[bool | None, str]:
         return verdict, why
     if len(coords) == 1:
         return image_closed_1d(f, unit(n, coords[0] - 1))
-    if _polyhedral(f):
-        return True, _POLYHEDRAL_NOTE
-    return _compact_or_qfw(f) or (None, "no closed-form analysis applies to this set kind")
+    closed = _closed_as_qfw(f) or _closed_as_compact(f)
+    return closed or (None, "no closed-form analysis applies to this set kind")
 
 
-_POLYHEDRAL_NOTE = "linear images of polyhedral sets are closed"
+def _closed_as_qfw(f: SetDescriptor) -> tuple[bool, str] | None:
+    """True for a set that :func:`classify` calls qFW: a missing limit point
+    of an image would leave the squared distance to it, a convex quadratic
+    bounded below by 0, unattained.  The evidence only refutes, so the
+    labels of f's kind decide qFW without reading it."""
+    if _lattice(*_kind_rules(f))[1].label != "qFW":
+        return None
+    return True, "the set is qFW, so its linear images are closed"
 
 
-def _polyhedral(f: SetDescriptor) -> bool:
-    return isinstance(f, HPolyhedron) or (isinstance(f, MotzkinSet) and f.is_polyhedral_cone)
-
-
-def _compact_or_qfw(f: SetDescriptor) -> tuple[bool, str] | None:
-    if classify_qfw(f).label == "qFW":
-        return True, "the set is qFW: a convex set without flat asymptotes has closed images"
+def _closed_as_compact(f: SetDescriptor) -> tuple[bool, str] | None:
     if isinstance(f, QuadSublevel) and bounded_base(f):
         return True, "the set is compact (bounded base), so every image is closed"
     return None
@@ -792,9 +791,9 @@ def image_closed_1d(f: SetDescriptor, functional: Vec) -> tuple[bool | None, str
     """Closedness of ``{w.x : x in F}`` for a linear functional w.
 
     The image fails to be closed exactly when some level set ``{w.x = beta}``
-    is a flat asymptote of F.  The rules, cheapest first:
+    is a flat asymptote of F.  The rules, in the order they are tried:
 
-    1. polyhedral data, or w = 0 (the image is one value): closed;
+    1. w = 0 (the image is one value): closed;
     2. a quadratic sublevel set over an inequality system in the plane: the
        kernel of w is span(k), k = (-w2, w1), and the asymptotic cone of F
        lies in ``C = {d : a.d <= 0 for every base row, d.A d <= 0 for every
@@ -804,13 +803,17 @@ def image_closed_1d(f: SetDescriptor, functional: Vec) -> tuple[bool | None, str
        and Functions*, 2003).  If k or -k is strictly negative on every row
        and every form, each fibre line eventually lies in F, so the image is
        the whole line;
-    3. a gallery asymptote candidate with its normal parallel to w that
+    3. sets that :func:`classify` calls qFW: closed, since a missing limit
+       point beta would leave ``(w.x - beta)^2``, a convex quadratic bounded
+       below by 0, unattained.  Polyhedral data is FW, hence qFW.  No case
+       file is read for this rule;
+    4. a gallery asymptote candidate with its normal parallel to w that
        :func:`is_f_asymptote` confirms: not closed, on evidence.  The
        candidate's distance verdict is computed once per process (see
        :func:`distance_to_manifold`);
-    4. compact sets, or sets that :func:`classify_qfw` calls qFW (for convex
-       sets, no flat asymptote means closed images): closed.
+    5. compact sets: closed.
 
+    For consistent data rule 4 and rules 3 and 5 cannot both fire.
     Otherwise the verdict is None; no rule guesses.  A functional of another
     length than the ambient dimension raises DimensionMismatchError.
     """
@@ -818,21 +821,22 @@ def image_closed_1d(f: SetDescriptor, functional: Vec) -> tuple[bool | None, str
     if len(functional) != n:
         raise DimensionMismatchError("the functional's length differs from the ambient dimension")
     w = vec(functional)
-    if _polyhedral(f):
-        return True, _POLYHEDRAL_NOTE
     if not any(w):
         return True, "the zero functional takes a single value"
     if isinstance(f, QuadSublevel) and isinstance(f.base, HPolyhedron) and n == 2:
         verdict = _kernel_test(f, (-w[1], w[0]))
         if verdict is not None:
             return verdict
+    closed = _closed_as_qfw(f)
+    if closed is not None:
+        return closed
     for m in _evidence().candidates.get(f, ()):
         if rank((w, *m.a)) == 1 and is_f_asymptote(f, m) is True:
             return False, (
                 "evidence of a flat asymptote {w.x = beta} (a certified miss and "
                 "sampled zero-distance points): beta is approached but not attained"
             )
-    return _compact_or_qfw(f) or (None, "no closed-form analysis applies to this functional")
+    return _closed_as_compact(f) or (None, "no closed-form analysis applies to this functional")
 
 
 def _kernel_test(f: QuadSublevel, k: Vec) -> tuple[bool, str] | None:
@@ -878,98 +882,145 @@ def _evidence():
 # ---------------------------------------------------------------------------
 
 
-def classify_qfw(f: SetDescriptor) -> Classification:
-    """Quasi-attainment classification of a convex set descriptor.
+def classify(f: SetDescriptor) -> tuple[Classification, Classification]:
+    """The attainment and quasi-attainment labels of a set descriptor.
 
-    Rules: polyhedral sets and Motzkin sums with polyhedral recession cones
-    qualify; a second-order recession cone disqualifies (Mirkil); nonempty
-    intersections with convex quadratic sublevels, finite products, and
-    affine images preserve the property; evidence of a flat asymptote
-    disqualifies.  Unknown is returned when no rule applies.
+    F is FW when every quadratic bounded below on F attains its infimum
+    there, and qFW when every quasi-convex one does.  Each descriptor kind
+    is visited once, and each rule is stated once:
+
+    * a polyhedron is FW (the classical theorem); a Motzkin sum is decided
+      by its recession cone (:func:`fwsets.motzkin.classify_fw`), and a
+      second-order cone also makes it NotQFW (Mirkil) unless a finite
+      compact part may make the sum nonconvex;
+    * convex quadratic constraints on a nonempty set: one over a polyhedron
+      is FW (Luo-Zhang), and any number over a qFW base is qFW;
+    * the epigraph of ``x^2 + exp(-x^2)`` is qFW;
+    * a product is NotFW, or NotQFW, when a factor is, qFW when every
+      factor is, and FW when every factor is FW and all but one are whole
+      spaces; an affine image and a finite union are FW, or qFW, when
+      every inner set is (the least member minimum is attained); an
+      intersection gets no label;
+    * the gallery's evidence decides what is left: a confirmed flat
+      asymptote makes F NotQFW, and a witness whose curve points check out
+      makes it NotFW.
+
+    Then FW implies qFW, and NotQFW implies NotFW.  The implications are
+    applied before the evidence is read, so a set that its kind decides
+    reads no case file.  Unknown is returned where no rule applies.
     """
+    fw, qfw = _lattice(*_kind_rules(f))
+    if fw.label != "Unknown" and qfw.label != "Unknown":
+        return fw, qfw
+    found = _evidence()
+    if qfw.label == "Unknown" and any(is_f_asymptote(f, m) is True for m in found.candidates.get(f, ())):
+        return _lattice(fw, Classification(
+            "NotQFW",
+            "evidence of a flat asymptote (a certified miss and sampled "
+            "zero-distance points), so quasi-convex attainment fails",
+        ))
+    witness = found.witnesses.get(f) if fw.label == "Unknown" else None
+    if witness is not None and _witness_validates(f):
+        fw = Classification("NotFW", f"witness evidence at sampled curve points: {witness.note}")
+    return fw, qfw
+
+
+def classify_fw_set(f: SetDescriptor) -> Classification:
+    """The attainment label of :func:`classify`."""
+    return classify(f)[0]
+
+
+def classify_qfw(f: SetDescriptor) -> Classification:
+    """The quasi-attainment label of :func:`classify`."""
+    return classify(f)[1]
+
+
+def _lattice(fw: Classification, qfw: Classification) -> tuple[Classification, Classification]:
+    """FW implies qFW, and NotQFW implies NotFW."""
+    if fw.label == "FW" and qfw.label == "Unknown":
+        qfw = Classification("qFW", f"FW implies qFW: {fw.justification}")
+    elif qfw.label == "NotQFW" and fw.label == "Unknown":
+        fw = Classification("NotFW", f"NotQFW implies NotFW: {qfw.justification}")
+    return fw, qfw
+
+
+_NO_RULE = Classification("Unknown", "no structural rule applies")
+
+
+def _kind_rules(f: SetDescriptor) -> tuple[Classification, Classification]:
+    """The labels that f's kind decides, before the lattice and the evidence."""
     if isinstance(f, HPolyhedron):
-        return Classification(
-            "qFW", "closed convex polyhedra attain all bounded-below quadratics"
-        )
+        return Classification("FW", "the classical attainment theorem for quadratics on polyhedra"), _NO_RULE
     if isinstance(f, MotzkinSet):
+        fw = classify_fw_motzkin(f)
+        if fw.label == "FW":
+            return fw, _NO_RULE
         if isinstance(f.compact, FinitePointSet) and len(f.compact.points) > 1:
-            return Classification(
-                "Unknown", "a finite compact part may make the sum nonconvex"
-            )
-        if f.is_polyhedral_cone:
-            return Classification(
-                "qFW",
-                "polyhedral recession cone: the sum attains bounded-below "
-                "quadratics (Kummer), and convex attainment sets are qFW",
-            )
-        return Classification(
+            return fw, Classification("Unknown", "a finite compact part may make the sum nonconvex")
+        return fw, Classification(
             "NotQFW",
             "second-order recession cone: some planar projection is not "
             "closed (Mirkil), so a flat asymptote exists",
         )
     if isinstance(f, QuadSublevel):
-        asym = _find_registered_asymptote(f)
-        if asym is not None:
+        if not all(is_convex(q) for q in f.constraints):
+            return _NO_RULE, _NO_RULE
+        if _nonempty_witness(f) is None:
+            return _NO_RULE, Classification("Unknown", "nonemptiness not established")
+        if isinstance(f.base, HPolyhedron) and len(f.constraints) == 1:
             return Classification(
-                "NotQFW",
-                "evidence of a flat asymptote (a certified miss and sampled "
-                "zero-distance points), so quasi-convex attainment fails",
+                "FW",
+                "a polyhedron with one convex quadratic constraint attains "
+                "bounded-below quadratics (Luo-Zhang)",
+            ), _NO_RULE
+        if classify(f.base)[1].label == "qFW":
+            return _NO_RULE, Classification(
+                "qFW",
+                "nonempty intersection of a quasi-attainment set with "
+                "convex quadratic sublevel sets stays quasi-attainment",
             )
-        base_cls = classify_qfw(f.base)
-        if base_cls.label == "qFW" and all(is_convex(q) for q in f.constraints):
-            if _nonempty_witness(f) is not None:
-                return Classification(
-                    "qFW",
-                    "nonempty intersection of a quasi-attainment set with "
-                    "convex quadratic sublevel sets stays quasi-attainment",
-                )
-            return Classification("Unknown", "nonemptiness not established")
-        return Classification("Unknown", "no structural rule applies")
+        return _NO_RULE, _NO_RULE
     if isinstance(f, Epigraph1D):
-        return Classification(
+        return _NO_RULE, Classification(
             "qFW",
             "convex epigraph with no flat asymptotes (the boundary grows "
             "like x^2, faster than every line)",
         )
     if isinstance(f, ProductSet):
-        labels = [classify_qfw(fac) for fac in f.factors]
-        if all(c.label == "qFW" for c in labels):
-            return Classification(
-                "qFW", "finite products of quasi-attainment sets are quasi-attainment"
-            )
-        if any(c.label == "NotQFW" for c in labels):
-            return Classification(
+        fws, qfws = zip(*(classify(fac) for fac in f.factors))
+        if any(c.label == "NotFW" for c in fws):
+            fw = Classification("NotFW", "a coordinate projection onto a factor fails attainment")
+        elif all(c.label == "FW" for c in fws) and sum(not _is_whole_space(fac) for fac in f.factors) <= 1:
+            fw = Classification("FW", "product of an attainment set with full coordinate spaces")
+        else:
+            fw = Classification("Unknown", "products of attainment sets do not attain in general")
+        if all(c.label == "qFW" for c in qfws):
+            qfw = Classification("qFW", "finite products of quasi-attainment sets are quasi-attainment")
+        elif any(c.label == "NotQFW" for c in qfws):
+            qfw = Classification(
                 "NotQFW",
                 "a coordinate projection of the product is a factor that "
                 "fails quasi-attainment",
             )
-        return Classification("Unknown", "a factor resisted classification")
+        else:
+            qfw = Classification("Unknown", "a factor resisted classification")
+        return fw, qfw
+    if isinstance(f, (AffineImageSet, UnionSet)):
+        image = isinstance(f, AffineImageSet)
+        fws, qfws = zip(*map(classify, (f.inner,) if image else f.members))
+        what = "affine images" if image else "finite unions"
+        fw = qfw = Classification("Unknown", "an inner set resisted classification")
+        if all(c.label == "FW" for c in fws):
+            fw = Classification("FW", f"{what} of attainment sets attain")
+        if all(c.label == "qFW" for c in qfws):
+            qfw = Classification("qFW", f"{what} of quasi-attainment sets are quasi-attainment")
+        return fw, qfw
     if isinstance(f, IntersectionSet):
-        labels = [classify_qfw(m) for m in f.members]
-        if all(c.label == "qFW" for c in labels):
-            return Classification(
-                "Unknown",
-                "members are quasi-attainment but nonemptiness of the "
-                "intersection was not established",
-            )
-        return Classification("Unknown", "a member resisted classification")
-    if isinstance(f, AffineImageSet):
-        inner = classify_qfw(f.inner)
-        if inner.label == "qFW":
-            return Classification(
-                "qFW", "affine images of quasi-attainment sets are quasi-attainment"
-            )
-        return Classification("Unknown", "inner set resisted classification")
-    if isinstance(f, UnionSet):
-        return Classification("Unknown", "unions of convex sets need not be convex")
+        return (
+            Classification("Unknown", "intersections of attainment sets do not attain in general"),
+            Classification("Unknown", "no rule classifies an intersection"),
+        )
     raise UnsupportedKindError(f"unknown descriptor {type(f).__name__}")
-
-
-def _find_registered_asymptote(f) -> AffineManifold | None:
-    for m in _evidence().candidates.get(f, ()):
-        if is_f_asymptote(f, m) is True:
-            return m
-    return None
 
 
 def _nonempty_witness(f: QuadSublevel) -> Vec | None:
@@ -977,82 +1028,6 @@ def _nonempty_witness(f: QuadSublevel) -> Vec | None:
         return f.sample_point
     origin = zeros(ambient_dim(f))
     return origin if contains(f, origin) is True else None
-
-
-def classify_fw_set(f: SetDescriptor) -> Classification:
-    """Attainment classification of a set descriptor.
-
-    Sound rules only: polyhedra and single convex quadratic sublevel sets
-    over a polyhedral base attain (the latter is the Luo-Zhang theorem);
-    Motzkin sums are decided by their recession cone; evidence refutes: a
-    gallery non-attainment witness whose curve points check out, or a
-    flat asymptote; finite unions and affine images preserve the property.
-    """
-    if isinstance(f, HPolyhedron):
-        return Classification(
-            "FW", "the classical attainment theorem for quadratics on polyhedra"
-        )
-    if isinstance(f, MotzkinSet):
-        return classify_fw_motzkin(f)
-    witness = _evidence().witnesses.get(f)
-    if witness is not None and _witness_validates(f):
-        return Classification(
-            "NotFW",
-            f"witness evidence at sampled curve points: {witness.note}",
-        )
-    if isinstance(f, QuadSublevel):
-        if (
-            isinstance(f.base, HPolyhedron)
-            and len(f.constraints) == 1
-            and is_convex(f.constraints[0])
-            and _nonempty_witness(f) is not None
-        ):
-            return Classification(
-                "FW",
-                "a polyhedron with one convex quadratic constraint attains "
-                "bounded-below quadratics (Luo-Zhang)",
-            )
-        asym = _find_registered_asymptote(f)
-        if asym is not None:
-            return Classification(
-                "NotFW",
-                "evidence of a flat asymptote, to which the squared "
-                "distance is bounded below but unattained",
-            )
-        return Classification("Unknown", "no structural rule applies")
-    if isinstance(f, Epigraph1D):
-        return Classification("Unknown", "no structural rule applies")
-    if isinstance(f, UnionSet):
-        labels = [classify_fw_set(m) for m in f.members]
-        if all(c.label == "FW" for c in labels):
-            return Classification("FW", "finite unions of attainment sets attain")
-        return Classification(
-            "Unknown", "the union rule needs every member to attain"
-        )
-    if isinstance(f, AffineImageSet):
-        inner = classify_fw_set(f.inner)
-        if inner.label == "FW":
-            return Classification("FW", "affine images of attainment sets attain")
-        return Classification("Unknown", "inner set resisted classification")
-    if isinstance(f, ProductSet):
-        labels = [classify_fw_set(fac) for fac in f.factors]
-        if any(c.label == "NotFW" for c in labels):
-            return Classification(
-                "NotFW", "a coordinate projection onto a factor fails attainment"
-            )
-        flat = [fac for fac in f.factors if _is_whole_space(fac)]
-        if all(c.label == "FW" for c in labels) and len(flat) >= len(f.factors) - 1:
-            return Classification(
-                "FW", "product of an attainment set with full coordinate spaces"
-            )
-        return Classification(
-            "Unknown", "products of attainment sets do not attain in general"
-        )
-    if isinstance(f, IntersectionSet):
-        return Classification(
-            "Unknown", "intersections of attainment sets do not attain in general"
-        )
-    raise UnsupportedKindError(f"unknown descriptor {type(f).__name__}")
 
 
 def _is_whole_space(f) -> bool:

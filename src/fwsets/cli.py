@@ -27,8 +27,7 @@ from .affine import AffineManifold, AffineMap
 from .asymptotes import (
     ambient_dim,
     asymptote_verdict,
-    classify_fw_set,
-    classify_qfw,
+    classify,
     distance_to_manifold,
 )
 from .documents import SET_KINDS, format_rational, format_vector, parse, payload_of
@@ -143,8 +142,7 @@ def cmd_solve(args):
 
 def cmd_classify(args):
     _, fset = _load(args.set, SET_KINDS)
-    fw = classify_fw_set(fset)
-    qfw = classify_qfw(fset)
+    fw, qfw = classify(fset)
     report = {
         "attainment": {"label": fw.label, "justification": fw.justification},
         "quasi_attainment": {"label": qfw.label, "justification": qfw.justification},

@@ -232,13 +232,6 @@ class _Face:
             num, den = [-x for x in num], -den
         self.num, self.den, self.kernel, self.bounds = num, den, kernel, bounds
 
-    @staticmethod
-    def of(z0: Vec, kernel, g: Mat, h: Vec) -> "_Face":
-        """The face of a set given in Fractions."""
-        den = lcm(*(x.denominator for x in z0))
-        num = [x.numerator * (den // x.denominator) for x in z0]
-        return _Face(num, den, kernel, _Bounds.of(g, h))
-
     def point(self) -> Vec:
         return tuple(Fraction(x, self.den) if x else ZERO for x in self.num)
 
@@ -299,22 +292,20 @@ def _least_face(faces, work: Work):
     """The least ``(value, key, z)`` over faces with a feasible stationary point.
 
     ``faces`` yields ``(key, value, build)`` for each face whose stationarity
-    system is consistent, and ``build()`` returns a :class:`_Face`, or the
-    Fractions ``(z0, kernel, g, h)`` of one: the solution set is
-    ``z0 + span(kernel)``, the objective equals ``value`` all over it, and a
-    candidate must satisfy ``g z <= h``.  A face that cannot beat the
-    incumbent is never built and skips the feasibility step.  A built face
-    charges ``work`` for its Fractions: the point, its directions and their
-    dot products with each row of g, a product and a sum a term.  Returns
-    None when no face has a feasible stationary point.
+    system is consistent, and ``build()`` returns its :class:`_Face`: the
+    solution set ``z0 + span(kernel)``, on which the objective equals
+    ``value``, and the rows ``g z <= h`` that a candidate must satisfy.  A
+    face that cannot beat the incumbent is never built and skips the
+    feasibility step.  A built face charges ``work`` for its Fractions: the
+    point, its directions and their dot products with each row of g, a
+    product and a sum a term.  Returns None when no face has a feasible
+    stationary point.
     """
     best = None
     for key, value, build in faces:
         if best is not None and (value, key) >= best[:2]:
             continue
         face = build()
-        if not isinstance(face, _Face):
-            face = _Face.of(*face)
         m = len(face.bounds.rows)
         work.charge(2 * len(face.num) * (1 + len(face.kernel)) * (1 + m) * FRACTION_UNITS, _WALK)
         z = face.feasible_point(work)

@@ -32,8 +32,7 @@ from .asymptotes import (
     QuadSublevel,
     ambient_dim,
     bounded_base,
-    classify_fw_set,
-    classify_qfw,
+    classify,
     contains,
     image_closed_1d,
     is_f_asymptote,
@@ -135,7 +134,7 @@ def _point_text(p) -> str:
 def _classification(case, set=None, prefix="", fw=None, qfw=None):
     fset = case.set if set is None else set
     want_fw, want_qfw = fw or case.expected["classify_fw"], qfw or case.expected["classify_qfw"]
-    got_fw, got_qfw = classify_fw_set(fset).label, classify_qfw(fset).label
+    got_fw, got_qfw = (c.label for c in classify(fset))
     yield _check(f"{prefix}attainment class", got_fw == want_fw, want_fw, got_fw)
     yield _check(f"{prefix}quasi-attainment class", got_qfw == want_qfw, want_qfw, got_qfw)
 

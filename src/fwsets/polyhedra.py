@@ -733,9 +733,3 @@ def _eliminate(row: list[int], den: int, prow: list[int], pd: int, col: int):
     f = row[col]
     out = [pd * x - f * y if y else pd * x for x, y in zip(row, prow)]
     return _primitive_row(out, den * pd)
-
-
-def feasible_point(p: HPolyhedron) -> Vec | None:
-    res = lp_solve(p.a, p.b, zeros(p.dim))
-    return res.x if res.status == "optimal" else None
-

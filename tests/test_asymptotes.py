@@ -16,9 +16,12 @@ import pytest
 from fwsets.affine import AffineManifold, subspace
 from fwsets.asymptotes import (
     Epigraph1D,
+    IntersectionSet,
     ProductSet,
     QuadSublevel,
+    UnionSet,
     ambient_dim,
+    classify,
     classify_fw_set,
     classify_qfw,
     contains,
@@ -622,6 +625,101 @@ def test_ball_motzkin_classifies():
     f = MotzkinSet(Ball.build((0, 0), 1), PolyCone.from_generators([(1, 0)]))
     assert classify_qfw(f).label == "qFW"
     assert classify_fw_set(f).label == "FW"
+    # closed because it is FW, hence qFW; the disk makes it no polyhedron
+    closed, why = projection_closed(f, [1, 2])
+    assert closed is True and "qFW" in why and "polyhedral" not in why
+
+
+# the labels over the gallery inputs of :func:`gallery_inputs`: F, N or ? for
+# FW, NotFW or Unknown, then q, n or ? for qFW, NotQFW or Unknown; a row per
+# set in sorted name order, "--" where two sets differ in dimension
+_CODES = ({"FW": "F", "NotFW": "N", "Unknown": "?"}, {"qFW": "q", "NotQFW": "n", "Unknown": "?"})
+
+# the labels without FW => qFW, NotQFW => NotFW and the qFW union rule: none
+# that is decided here may move
+_BEFORE_LATTICE = {
+    "set": ("Nq Nq Nn Nn Nq Fq Fq Fq Fq",),
+    "product": (
+        "Nq Nq Nn Nn Nq Nq Nq Nq Nq",
+        "Nq Nq Nn Nn Nq Nq Nq Nq Nq",
+        "Nn Nn Nn Nn Nn Nn Nn Nn Nn",
+        "Nn Nn Nn Nn Nn Nn Nn Nn Nn",
+        "Nq Nq Nn Nn Nq Nq Nq Nq Nq",
+        "Nq Nq Nn Nn Nq ?q ?q ?q ?q",
+        "Nq Nq Nn Nn Nq ?q ?q ?q ?q",
+        "Nq Nq Nn Nn Nq ?q ?q ?q ?q",
+        "Nq Nq Nn Nn Nq ?q ?q ?q ?q",
+    ),
+    "union": (
+        "?? -- -- -- ?? -- -- -- --",
+        "-- ?? ?? ?? -- ?? ?? ?? --",
+        "-- ?? ?? ?? -- ?? ?? ?? --",
+        "-- ?? ?? ?? -- ?? ?? ?? --",
+        "?? -- -- -- ?? -- -- -- --",
+        "-- ?? ?? ?? -- F? F? F? --",
+        "-- ?? ?? ?? -- F? F? F? --",
+        "-- ?? ?? ?? -- F? F? F? --",
+        "-- -- -- -- -- -- -- -- F?",
+    ),
+    "intersection": (
+        "?? -- -- -- ?? -- -- -- --",
+        "-- ?? ?? ?? -- ?? ?? ?? --",
+        "-- ?? ?? ?? -- ?? ?? ?? --",
+        "-- ?? ?? ?? -- ?? ?? ?? --",
+        "?? -- -- -- ?? -- -- -- --",
+        "-- ?? ?? ?? -- ?? ?? ?? --",
+        "-- ?? ?? ?? -- ?? ?? ?? --",
+        "-- ?? ?? ?? -- ?? ?? ?? --",
+        "-- -- -- -- -- -- -- -- ??",
+    ),
+}
+
+_UNIONS = (
+    "?q -- -- -- ?q -- -- -- --",
+    "-- ?q ?? ?? -- ?q ?q ?q --",
+    "-- ?? ?? ?? -- ?? ?? ?? --",
+    "-- ?? ?? ?? -- ?? ?? ?? --",
+    "?q -- -- -- ?q -- -- -- --",
+    "-- ?q ?? ?? -- Fq Fq Fq --",
+    "-- ?q ?? ?? -- Fq Fq Fq --",
+    "-- ?q ?? ?? -- Fq Fq Fq --",
+    "-- -- -- -- -- -- -- -- Fq",
+)
+
+
+def gallery_inputs():
+    """``(kind, i, j) -> set`` over the nine gallery sets in name order:
+    each set, the product of every ordered pair, and the union and the
+    intersection of every ordered pair of one dimension (172 inputs)."""
+    sets = [s for _, s in sorted(gallery.case_sets().items())]
+    inputs = {("set", 0, i): s for i, s in enumerate(sets)}
+    for (i, a), (j, b) in itertools.product(enumerate(sets), repeat=2):
+        inputs["product", i, j] = ProductSet((a, b))
+        if ambient_dim(a) == ambient_dim(b):
+            inputs["union", i, j] = UnionSet((a, b))
+            inputs["intersection", i, j] = IntersectionSet((a, b))
+    return inputs
+
+
+def test_the_lattice_holds_on_every_gallery_input():
+    inputs = gallery_inputs()
+    assert len(inputs) == 172
+    moved = []
+    for (kind, i, j), f in inputs.items():
+        fw, qfw = (c.label for c in classify(f))
+        assert fw != "FW" or qfw == "qFW", (kind, i, j)
+        assert qfw != "NotQFW" or fw == "NotFW", (kind, i, j)
+        got = _CODES[0][fw] + _CODES[1][qfw]
+        before = _BEFORE_LATTICE[kind][i].split()[j]
+        # a label decided before stays; an Unknown one may be decided now
+        for side in (0, 1):
+            if got[side] != before[side]:
+                assert before[side] == "?", (kind, i, j)
+                moved.append((kind, side))
+        if kind == "union":
+            assert got == _UNIONS[i].split()[j], (i, j)
+    # FW => qFW decides 10 unions, and the union rule for qFW 11 more
+    assert moved == [("union", 1)] * 21
 
 
 def test_fw_motzkin_sets_have_no_asymptotes():
@@ -834,15 +932,19 @@ def test_gallery_runs_twice_byte_identical(capsys):
 
 
 def test_importing_the_gallery_parses_no_case_file():
-    # a fresh interpreter: the gallery and a polyhedron's classification
-    # read no case file; only evidence that is looked up is read
+    # a fresh interpreter: the gallery, a polyhedron's classification and its
+    # closed images read no case file; only evidence that is looked up is
+    # read, and a polyhedron is FW, hence qFW, before the evidence rules
     script = textwrap.dedent(
         """
         from fwsets import gallery
-        from fwsets.asymptotes import classify_qfw
+        from fwsets.asymptotes import classify_qfw, image_closed_1d, projection_closed
         from fwsets.polyhedra import HPolyhedron
 
-        assert classify_qfw(HPolyhedron.from_rows([[-1, 0]], [0])).label == "qFW"
+        h = HPolyhedron.from_rows([[-1, 0]], [0])
+        assert classify_qfw(h).label == "qFW"
+        assert image_closed_1d(h, (1, 2))[0] is True
+        assert projection_closed(h, [1, 2])[0] is True
         print(gallery._case.cache_info().currsize)
         """
     )

@@ -1010,7 +1010,7 @@ _CLASSIFIED = {
     "orthant_x_line": (("FW", "qFW"), 0),
     "hyperbola_x_line": (("NotFW", "NotQFW"), 0),
     "luo_zhang_x_line": (("NotFW", "qFW"), 0),
-    "union": (("FW", "Unknown"), 0),
+    "union": (("FW", "qFW"), 0),
     "intersection": (("Unknown", "Unknown"), 3),
     "affine_image": (("FW", "qFW"), 0),
 }

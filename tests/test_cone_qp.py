@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -46,10 +47,18 @@ def zero_matrix(n):
     return tuple(zeros(n) for _ in range(n))
 
 
+def _face_of(z0, kernel, g, h):
+    """The face solver's set ``z0 + span(kernel)`` with rows ``g z <= h``,
+    given in Fractions: the point goes over one integer denominator."""
+    den = lcm(*(x.denominator for x in z0))
+    num = [x.numerator * (den // x.denominator) for x in z0]
+    return cone_qp._Face(num, den, kernel, cone_qp._Bounds.of(g, h))
+
+
 def _feasible_point(z0, kernel, g, h, work):
     """A point of ``z0 + span(kernel)`` with ``g z <= h``, or None: the
     face ladder on a set given in Fractions."""
-    return cone_qp._Face.of(z0, kernel, g, h).feasible_point(work)
+    return _face_of(z0, kernel, g, h).feasible_point(work)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +495,7 @@ def _reference_simplex_min(h):
             if z0 is not None:
                 faces.append(((size, support), z0[size] / 2, z0, system.kernel, g, zero))
     value, (size, support), z = cone_qp._least_face(
-        ((key, v, lambda face=face: face) for key, v, *face in faces), Work()
+        ((key, v, lambda face=face: _face_of(*face)) for key, v, *face in faces), Work()
     )
     singular = any(
         v < 0 and kernel and _feasible_point(z0, kernel, g, zero, Work()) is not None

@@ -12,7 +12,7 @@ those algorithms, written out here in Fractions.
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -556,6 +556,14 @@ def ref_faces(q, p):
     return faces
 
 
+def face_of(z0, kernel, g, h):
+    """The face solver's set for a face of :func:`ref_faces`: the point
+    over one integer denominator, and the rows made primitive integers."""
+    den = lcm(*(x.denominator for x in z0))
+    num = [x.numerator * (den // x.denominator) for x in z0]
+    return cone_qp._Face(num, den, kernel, cone_qp._Bounds.of(g, h))
+
+
 def _qp_form(rng, kind, n):
     def rat():
         return F(rng.randint(-4, 4), rng.choice((1, 2, 3, 7)))
@@ -620,7 +628,7 @@ def test_face_qp_matches_fraction_face_walk(monkeypatch):
         got = minimize_over_hpolyhedron(q, p)
         ref = ref_faces(q, p)
         assert streams.pop() == ref, (q, p)
-        faces = ((key, value, lambda face=face: face) for key, value, *face in ref)
+        faces = ((key, value, lambda face=face: face_of(*face)) for key, value, *face in ref)
         best = least_face(faces, Work())
         assert got == (None if best is None else (best[0], best[2])), (q, p)
         if got is None:

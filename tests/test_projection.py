@@ -11,7 +11,8 @@ out here in Fractions.
 import random
 from fractions import Fraction
 
-from fwsets.polyhedra import HPolyhedron, dd_convert, feasible_point, lp_solve, project_fm
+from fwsets.linalg import zeros
+from fwsets.polyhedra import HPolyhedron, dd_convert, lp_solve, project_fm
 
 F = Fraction
 ZERO = F(0)
@@ -109,6 +110,12 @@ def generators_inside(v, h):
         and all(_dot(a, r) <= 0 for r in v.rays for a in h.a)
         and all(_dot(a, d) == 0 for d in v.lineality for a in h.a)
     )
+
+
+def feasible_point(p):
+    """A point of p, or None when p is empty: the LP with zero cost."""
+    res = lp_solve(p.a, p.b, zeros(p.dim))
+    return res.x if res.status == "optimal" else None
 
 
 def rows_implied(inner, outer):
