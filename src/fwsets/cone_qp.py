@@ -50,9 +50,11 @@ The cone layer runs on Python ints.  H is formed once as the integer matrix
 ``lam H`` (the generators and G scaled by the lcms of their denominators),
 each block is eliminated fraction-free, and the sign test and the
 stationary systems are solved over one common denominator; the sign of
-``s`` is decided on ints, and Fractions are built only for the values,
-points and kernels that are read.  The results are the Fractions that
-elimination of H itself gives.
+``s`` is decided on ints.  The zero-set walk reads each block's kernel on
+ints, and the rays and the rows of dom(f) are formed on ints, from the
+integer generators.  Fractions are built only for the values, points, rays
+and rows that are returned, and they are the Fractions that elimination of
+H itself gives.
 
 Every minimum here (the form on the simplex, the cone program, the QP over
 ``{A x <= b}``) is found by one face solver: a quadratic bounded below on a
@@ -61,13 +63,17 @@ Wolfe).  Each caller solves the stationarity system of a face by
 elimination on ints: the cone layer reads the cached blocks ``H_FF``, and the
 QP over ``{A x <= b}`` runs two fraction-free eliminations per face.  A face
 comes with its value, a single Fraction, and a thunk that builds its
-solution set ``z0 + span(kernel)``, which carries that constant objective;
-one feasibility ladder picks a point of it, deciding on the integers of
-``z0`` over its denominator and of the primitive rows: a direct check for an
+solution set, which carries that constant objective, on ints: an integer
+point and integer directions over one denominator, and integer rows
+``a.z <= b`` that all share one positive scale.  One feasibility ladder
+picks a point of it, deciding on these integers: a direct check for an
 empty kernel (in the cone layer, the signs of the point's integers against
 ``u >= 0``, before the face is offered), an interval test on a line by
-cross-multiplication, an exact LP on a larger set.  The Fraction point is
-built only for a face that passes.  The enumeration keeps the least
+cross-multiplication, an exact LP in the coordinates along the directions
+on a larger set.  The LP's phase 1 weighs each row's artificial variable by
+the row's scale, so one common scale (not each row made primitive) keeps
+the pivots, and so the point, of the LP in Fractions.  The Fraction point
+is built only for a face that passes.  The enumeration keeps the least
 ``(value, face key)``, and a face that cannot beat the incumbent is never
 built.
 
@@ -79,9 +85,10 @@ listing the faces (p units a face, which a simplex knows from its count,
 and one unit a mask for each facet's pass of the closure; the QP charges
 one unit a row subset), each elimination (:func:`_elimination_units`; the
 PSD test of H is charged as one elimination of H),
-each solve, the Fractions built (``FRACTION_UNITS`` each, a product and a
-sum a term of a dot product), and the conversions and LPs inside, which
-charge the same counter.  A program keeps its blocks and dom(f) across
+each solve, ``FRACTION_UNITS`` for each entry a face or the zero set forms
+(a product and a sum a term of a dot product; the rate was set when these
+entries were Fractions), and the conversions and LPs inside, which charge
+the same counter.  A program keeps its blocks and dom(f) across
 queries, but the counter lives for one query, which pays for what it
 builds.
 """
@@ -108,7 +115,6 @@ from .linalg import (
     matvec,
     primitive,
     primitive_ints,
-    unit,
     vadd,
     vec,
     vscale,
@@ -199,68 +205,59 @@ class ConeMinVerdict:
     curvature: str | None = None
 
 
-class _Bounds:
-    """The rows ``g z <= h`` of a face solver: in Fractions for the LP, and
-    as ``rows``, the pairs ``(a, b)`` of the primitive integer row
-    ``(g_i, h_i)``, a positive multiple with the same solutions, which the
-    ladder decides on."""
-
-    __slots__ = ("g", "h", "rows")
-
-    def __init__(self, g: Mat, h: Vec, rows: tuple[tuple[list[int], int], ...]):
-        self.g, self.h, self.rows = g, h, rows
-
-    @staticmethod
-    def of(g: Mat, h: Vec) -> "_Bounds":
-        ints = [primitive_ints((*row, hi)) for row, hi in zip(g, h)]
-        return _Bounds(g, h, tuple((row[:-1], row[-1]) for row in ints))
-
-
-_NO_BOUNDS = _Bounds((), (), ())
-
-
 class _Face:
-    """The solution set ``num/den + span(kernel)`` of a face's stationarity
-    system, to be met with ``bounds``: the point over one integer
-    denominator (den != 0), the kernel in Fractions.  Iterating gives its
-    Fractions ``(z0, kernel, g, h)``."""
+    """The solution set of a face's stationarity system, to be met with
+    ``rows``, all on ints: the points ``(num + sum_j s_j k_j) / den`` (den !=
+    0) for the integer directions k_j of ``kernel``, each a positive multiple
+    of a stationary direction, and the pairs ``(a, b)`` of the rows
+    ``a.z <= b``, scaled by one common positive integer."""
 
-    __slots__ = ("num", "den", "kernel", "bounds")
+    __slots__ = ("num", "den", "kernel", "rows")
 
-    def __init__(self, num: list[int], den: int, kernel, bounds: _Bounds):
+    def __init__(self, num: list[int], den: int, kernel, rows):
         if den < 0:
             num, den = [-x for x in num], -den
-        self.num, self.den, self.kernel, self.bounds = num, den, kernel, bounds
+        self.num, self.den, self.kernel, self.rows = num, den, kernel, rows
 
-    def point(self) -> Vec:
-        return tuple(Fraction(x, self.den) if x else ZERO for x in self.num)
-
-    def __iter__(self):
-        return iter((self.point(), self.kernel, self.bounds.g, self.bounds.h))
+    def point(self, s: tuple[int, ...] = (), y: int = 1) -> Vec:
+        """The point ``(num + sum_j s_j k_j / y) / den`` for the integers
+        ``s`` (none, or one per direction) and y > 0."""
+        cols = zip(*self.kernel) if s else itertools.repeat(())
+        return tuple(
+            Fraction(x, self.den * y) if (x := ni * y + idot(col, s)) else ZERO
+            for ni, col in zip(self.num, cols)
+        )
 
     def feasible_point(self, work: Work) -> Vec | None:
-        """A point of the set with ``g z <= h``, or None.
+        """A point of the set that satisfies every row, or None.
 
         The ladder decides on ints, and the Fraction point is built only
         when one is found.  With an empty kernel, row (a, b) holds at the
-        point iff ``a.num <= b den``.  On a line ``num/den + t k``, k the
-        primitive integer multiple of the kernel vector, row (a, b) reads
-        ``(a.k) t den <= r`` with ``r = b den - a.num``; the endpoints
-        ``r / (a.k)`` of ``t den`` are compared by cross-multiplication, and
-        the point is the one at t = 0 clamped into the interval.  A larger kernel runs the
-        exact LP in its Fractions, charged to ``work``.
+        point iff ``a.num <= b den``.  On a line ``(num + s k) / den``, row
+        (a, b) reads ``(a.k) s <= r`` with ``r = b den - a.num``; the
+        endpoints ``r / (a.k)`` of s are compared by cross-multiplication,
+        and the point is the one at s = 0 clamped into the interval.  A
+        larger kernel runs the exact LP in s on the rows ``(a.k_1, ...)``
+        with right-hand sides r, charged to ``work``; as the rows share one
+        scale, it takes the pivots, and ends at the point, of the LP on the
+        rows in Fractions.
         """
-        num, den, rows = self.num, self.den, self.bounds.rows
-        if not self.kernel:
+        num, den, kernel, rows = self.num, self.den, self.kernel, self.rows
+        if not kernel:
             return self.point() if all(idot(a, num) <= b * den for a, b in rows) else None
-        if len(self.kernel) > 1:
-            z0, kernel, g, h = self
-            lp_rows = tuple(tuple(dot(row, kv) for kv in kernel) for row in g)
-            rhs = tuple(hi - dot(row, z0) for row, hi in zip(g, h))
-            res = lp_solve(lp_rows, rhs, zeros(len(kernel)), work)
-            return _combine(z0, kernel, res.x) if res.status == "optimal" else None
-        k = primitive_ints(self.kernel[0])
-        lo = hi = None  # endpoints (x, y), y > 0, of t den = x / y
+        if len(kernel) > 1:
+            res = lp_solve(
+                tuple(tuple(idot(a, k) for k in kernel) for a, _ in rows),
+                tuple(b * den - idot(a, num) for a, b in rows),
+                zeros(len(kernel)),
+                work,
+            )
+            if res.status != "optimal":
+                return None
+            y = lcm(*(x.denominator for x in res.x))
+            return self.point(tuple(x.numerator * (y // x.denominator) for x in res.x), y)
+        k = kernel[0]
+        lo = hi = None  # endpoints (x, y), y > 0, of s = x / y
         for a, b in rows:
             ak, r = idot(a, k), b * den - idot(a, num)
             if ak > 0:
@@ -276,16 +273,7 @@ class _Face:
         t = lo if lo is not None and lo[0] > 0 else (0, 1)
         if hi is not None and t[0] * hi[1] > hi[0] * t[1]:
             t = hi
-        x, y = t
-        return tuple(
-            Fraction(ni * y + x * ki, den * y) if ni * y + x * ki else ZERO
-            for ni, ki in zip(num, k)
-        )
-
-
-def _combine(z0: Vec, vectors, coeffs: Vec) -> Vec:
-    """``z0 + sum_i coeffs[i] vectors[i]``."""
-    return tuple(z0[i] + dot([v[i] for v in vectors], coeffs) for i in range(len(z0)))
+        return self.point((t[0],), t[1])
 
 
 def _least_face(faces, work: Work):
@@ -293,31 +281,24 @@ def _least_face(faces, work: Work):
 
     ``faces`` yields ``(key, value, build)`` for each face whose stationarity
     system is consistent, and ``build()`` returns its :class:`_Face`: the
-    solution set ``z0 + span(kernel)``, on which the objective equals
-    ``value``, and the rows ``g z <= h`` that a candidate must satisfy.  A
-    face that cannot beat the incumbent is never built and skips the
-    feasibility step.  A built face charges ``work`` for its Fractions: the
-    point, its directions and their dot products with each row of g, a
-    product and a sum a term.  Returns None when no face has a feasible
-    stationary point.
+    solution set on which the objective equals ``value``, and the rows that
+    a candidate must satisfy.  A face that cannot beat the incumbent is
+    never built and skips the feasibility step.  A built face charges
+    ``work`` for its point, its directions and their dot products with each
+    row, ``FRACTION_UNITS`` for a product and a sum a term.  Returns None
+    when no face has a feasible stationary point.
     """
     best = None
     for key, value, build in faces:
         if best is not None and (value, key) >= best[:2]:
             continue
         face = build()
-        m = len(face.bounds.rows)
+        m = len(face.rows)
         work.charge(2 * len(face.num) * (1 + len(face.kernel)) * (1 + m) * FRACTION_UNITS, _WALK)
         z = face.feasible_point(work)
         if z is not None:
             best = (value, key, z)
     return best
-
-
-def _stationary_set(num: list[int], den: int, system: LinearSystem, bounds: _Bounds) -> _Face:
-    """The set ``num/den + span(kernel)`` of a block's solutions inside
-    ``bounds``; den may be negative."""
-    return _Face(num, den, system.kernel, bounds)
 
 
 def _orthant_face(num: list[int], den: int, system: LinearSystem):
@@ -327,22 +308,16 @@ def _orthant_face(num: list[int], den: int, system: LinearSystem):
     ``u >= 0`` and the thunk carries no rows to check."""
     k = len(num)
     if system.rank < k:
-        return partial(_stationary_set, num, den, system, _orthant_bounds(k))
+        return lambda: _Face(num, den, system.int_kernel, _orthant_rows(k))
     if any(x and (x < 0) != (den < 0) for x in num):
         return None
-    return partial(_stationary_set, num, den, system, _NO_BOUNDS)
+    return partial(_Face, num, den, (), ())
 
 
 @cache
-def _nonneg_rows(k: int, width: int) -> tuple[Mat, Vec]:
-    """``-z_i <= 0`` for the first k of ``width`` coordinates."""
-    return tuple(vscale(-ONE, unit(width, i)) for i in range(k)), zeros(k)
-
-
-@cache
-def _orthant_bounds(k: int) -> _Bounds:
-    """``u >= 0`` in k coordinates."""
-    return _Bounds.of(*_nonneg_rows(k, k))
+def _orthant_rows(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """``u >= 0`` in k coordinates, as the rows ``-u_i <= 0``."""
+    return tuple((tuple(-1 if j == i else 0 for j in range(k)), 0) for i in range(k))
 
 
 def _scatter(idx: tuple[int, ...], values: Vec, p: int) -> Vec:
@@ -539,23 +514,28 @@ def _piece(
     blocks: _Blocks, active: tuple[int, ...], free: tuple[int, ...], work: Work
 ) -> ZeroSetPiece | None:
     """The piece ``P_I`` of the face with the generators ``free`` on it and
-    ``active`` off it, or None when it is ``{0}``.  It charges ``work`` for
-    the Fractions of its kernel N and of the rows ``-N``, and for each ray
-    ``N t``, a product and a sum a term; the conversion charges its own."""
+    ``active`` off it, or None when it is ``{0}``.  The integer kernel N of
+    the block gives the rows ``-N`` of the conversion and each ray, the
+    primitive of ``N t`` on ints.  It charges ``work`` for the kernel and
+    the rows, and for each ray, ``FRACTION_UNITS`` for a product and a sum
+    a term; the conversion charges its own."""
     system = blocks.system(free, work)
     k = len(free)
     if system.rank == k:
         return None
-    kernel = system.kernel
+    kernel = system.int_kernel
     work.charge(2 * k * len(kernel) * FRACTION_UNITS, _WALK)
     n_rows = tuple(zip(*kernel))  # u_F = N t
     # N has full column rank, so {t : N t >= 0} is pointed
-    rays_t, _ = cone_h_to_v([vscale(-ONE, row) for row in n_rows], len(kernel), work)
+    rays_t, _ = cone_h_to_v([[-x for x in row] for row in n_rows], len(kernel), work)
     if not rays_t:
         return None
     work.charge(2 * len(rays_t) * k * len(kernel) * FRACTION_UNITS, _WALK)
-    rays = tuple(primitive(_scatter(free, matvec(n_rows, t), blocks.p)) for t in rays_t)
-    return ZeroSetPiece(frozenset(active), rays)
+    rays = []
+    for t in rays_t:
+        ti = [x.numerator for x in t]  # the conversion's rays are integer vectors
+        rays.append(primitive(_scatter(free, [idot(row, ti) for row in n_rows], blocks.p)))
+    return ZeroSetPiece(frozenset(active), tuple(rays))
 
 
 def dom_f(g: Mat, d: PolyCone) -> DomF:
@@ -577,7 +557,8 @@ def _domain(d: PolyCone, blocks: _Blocks, work: Work) -> DomF:
     the one piece ``P_0`` (see the module docstring); otherwise the sign test
     runs, and then the zero-set walk.  The rows are ``-Z u`` over the pieces'
     rays u, in piece order, made primitive, with zero rows and repeats
-    dropped; they cost ``work`` n p products and sums each.
+    dropped.  They are formed on ints from the blocks' integer generators,
+    ``-dz Z u`` (dz > 0), and cost ``work`` n p products and sums each.
     """
     p = blocks.p
     if any(blocks.hi[i][i] < 0 for i in range(p)):  # a generator, with no faces
@@ -592,10 +573,10 @@ def _domain(d: PolyCone, blocks: _Blocks, work: Work) -> DomF:
         if ray is not None:
             return DomF((), d.dim, ray)
         pieces = _zero_set_pieces(blocks, work)
-    z = _generator_matrix(d)
-    us = [u for piece in pieces for u in piece.generators]
+    us = [[x.numerator for x in u] for piece in pieces for u in piece.generators]
     work.charge(2 * len(us) * d.dim * p * FRACTION_UNITS, _WALK)
-    rows = (primitive(vscale(-ONE, matvec(z, u))) for u in us)
+    cols = tuple(zip(*blocks._zi))
+    rows = (primitive([-idot(col, u) for col in cols]) for u in us)
     return DomF(tuple(dict.fromkeys(h for h in rows if any(h))), d.dim)
 
 
@@ -760,20 +741,6 @@ def value_function_eval(c: Vec, g: Mat, d: PolyCone) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _face_set(num: list[int], den: int, nbasis, kernel, bounds: _Bounds) -> _Face:
-    """The face of ``{A x <= b}`` with the point ``num / den`` and the
-    directions ``N' k / den`` for the integer kernel vectors k of the
-    reduced system, inside ``A x <= b``."""
-    dirs = [
-        tuple(
-            Fraction(sum(v[i] * ki for v, ki in zip(nbasis, kv) if ki), den)
-            for i in range(len(num))
-        )
-        for kv in kernel
-    ]
-    return _Face(num, den, dirs, bounds)
-
-
 def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, Vec] | None:
     """Exact min of q over ``{A x <= b}`` assuming the infimum is attained.
 
@@ -781,23 +748,24 @@ def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, V
     On the affine hull ``A_J x = b_J`` of one, written ``x0 + N t``, the
     stationarity system ``N^T Q N t = -N^T grad q(x0)`` fixes the value, and
     the face solver looks for a point of its solution set inside ``A x <= b``.
-    Each face is solved on Python ints: the rows ``(a_i, b_i)`` are scaled to
-    primitive integers and q by the lcm L of its denominators once; one
-    fraction-free elimination of ``[A_J | b_J]`` gives ``x0 = X0/d`` and
+    Each face is solved on Python ints: ``(A, b)`` is scaled to integers by
+    the lcm of all its denominators, and q by the lcm L of its own, once;
+    one fraction-free elimination of ``[A_J | b_J]`` gives ``x0 = X0/d`` and
     ``N' = d N``, and one of ``[N'^T Q N' | -N'^T G]``, with
-    ``G = Q X0 + d b = d L grad q(x0)``, gives the stationary point over a
-    common denominator, so the value is a single Fraction and Fractions are
-    built only for the face's point and stationary directions.  The
-    attained minimum is the least value over faces with a feasible point;
-    ties go to the lexicographically least subset.  Returns None when no face
-    carries a feasible stationary point, which can only happen for programs
-    that are unbounded below.
+    ``G = Q X0 + d b = d L grad q(x0)``, gives the stationary point and the
+    integer stationary directions over a common denominator, so the value is
+    a single Fraction, and the face solver meets the face with the same
+    integer rows.  The attained minimum is the least value over faces with a
+    feasible point; ties go to the lexicographically least subset.  Returns
+    None when no face carries a feasible stationary point, which can only
+    happen for programs that are unbounded below.
 
     One work budget bounds the call.  The subsets are charged first, one
     unit each, so a walk that cannot finish is refused before any face is
     eliminated; then each face charges its two eliminations and the integer
     products that form the reduced system and the value, and each face
-    built charges its Fractions (see :func:`_least_face`) and its LP.
+    built charges its point and directions (see :func:`_least_face`) and
+    its LP.
     """
     n = p.dim
     if q.dim != n:
@@ -805,8 +773,9 @@ def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, V
     m = len(p.a)
     work = Work()
     work.charge(sum(comb(m, rr) for rr in range(min(m, n) + 1)), _WALK)
-    rows_ab = [primitive_ints((*row, rhs)) for row, rhs in zip(p.a, p.b)]
-    bounds = _Bounds(p.a, p.b, tuple((row[:n], row[n]) for row in rows_ab))
+    ab = lcm(*(x.denominator for row in p.a for x in row), *(x.denominator for x in p.b))
+    rows_ab = [[x.numerator * (ab // x.denominator) for x in (*a, b)] for a, b in zip(p.a, p.b)]
+    face_rows = tuple((row[:n], row[n]) for row in rows_ab)
     scale = lcm(
         *(x.denominator for row in q.a for x in row),
         *(x.denominator for x in q.b),
@@ -838,18 +807,17 @@ def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, V
                         continue
                     s, e, kernel = stationary
                     den = d * e
-                    num = [
-                        e * xi + sum(v[i] * si for v, si in zip(nbasis, s) if si)
-                        for i, xi in enumerate(x0)
-                    ]
+                    cols = tuple(zip(*nbasis))
+                    num = [e * xi + idot(col, s) for xi, col in zip(x0, cols)]
+                    dirs = [[idot(col, kv) for col in cols] for kv in kernel]
                 else:
-                    den, num, kernel = d, x0, ()
+                    den, num, dirs = d, x0, ()
                 qnum = [idot(row, num) for row in qm]
                 value = Fraction(
                     idot(num, qnum) + 2 * den * idot(qb, num) + 2 * qc * den * den,
                     2 * scale * den * den,
                 )
-                yield subset, value, partial(_face_set, num, den, nbasis, kernel, bounds)
+                yield subset, value, partial(_Face, num, den, dirs, face_rows)
 
     best = _least_face(faces(), work)
     if best is None:

@@ -210,6 +210,17 @@ def int_solution(
     x = [0] * n
     for row, pc, s in zip(rows, pivots, scales):
         x[pc] = row[n] * s
+    return x, d, _int_kernel(rows, pivots, scales, d, n)
+
+
+def _int_kernel(
+    rows: list[list[int]], pivots: Sequence[int], scales: Sequence[int], d: int, n: int
+) -> list[list[int]]:
+    """d times the kernel basis of the first n columns of the rows
+    :func:`int_rref` left, on ints: for each free column j, the vector with
+    d at j and ``-row[j] d / row[pc]`` at the pivot column pc of each row,
+    where ``scales[r] = d / row[pc]`` and d is a common multiple of the
+    pivot entries.  ``pivots`` are the pivot columns below n."""
     pivot_set = set(pivots)
     kernel = []
     for j in range(n):
@@ -221,7 +232,7 @@ def int_solution(
             if row[j]:
                 v[pc] = -row[j] * s
         kernel.append(v)
-    return x, d, kernel
+    return kernel
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
@@ -305,8 +316,9 @@ class LinearSystem:
     denominators, are eliminated once by :func:`int_rref` to ``[E | T]``
     with ``T m = E``: the leading rows of E are multiples of the reduced row
     echelon form of m, and the rows of T below the rank span the left kernel
-    of m.  The rank, the kernel basis (read on first use) and, for each b,
-    the consistency test and the particular solution with zero free
+    of m.  The rank, the kernel basis (read on first use, in Fractions and,
+    as ``int_kernel``, on ints over the common pivot denominator) and, for
+    each b, the consistency test and the particular solution with zero free
     coordinates all follow without eliminating again, on ints; they are the
     Fractions :func:`solve` and :func:`kernel_basis` return.
     """
@@ -332,6 +344,12 @@ class LinearSystem:
     @cached_property
     def kernel(self) -> list[Vec]:
         return _kernel_from_rows(self._rows, self.pivots, self.ncols)
+
+    @cached_property
+    def int_kernel(self) -> list[list[int]]:
+        """The kernel basis on ints: each vector is d times the matching
+        vector of :attr:`kernel`, for the common pivot denominator d > 0."""
+        return _int_kernel(self._rows, self.pivots, self._scales, self._den, self.ncols)
 
     def solve_ints(self, b: Sequence[int]) -> tuple[list[int], int] | None:
         """``(x, d)`` with ``x / d`` the particular solution of ``m x = b`` for

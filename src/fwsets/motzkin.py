@@ -173,12 +173,6 @@ class SecondOrderCone:
             return False
         return ax * ax >= self.gamma * dot(self.axis, self.axis) * dot(x, x)
 
-    def strictly_contains(self, x: Vec) -> bool:
-        ax = dot(self.axis, x)
-        if ax <= 0:
-            return False
-        return ax * ax > self.gamma * dot(self.axis, self.axis) * dot(x, x)
-
 
 CompactPart = PolytopeK | Ball | FinitePointSet
 ConeRep = PolyCone | SecondOrderCone

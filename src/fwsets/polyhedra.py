@@ -245,9 +245,6 @@ class PolyCone:
     def _as_vpoly(self) -> "VPolyhedron":
         return VPolyhedron((zeros(self.dim),), self.generators, (), self.dim)
 
-    def is_trivial(self) -> bool:
-        return not self.generators
-
 
 def same_cone(a: PolyCone, b: PolyCone) -> bool:
     """Whether two cones are equal, by mutual generator membership."""

@@ -27,6 +27,7 @@ from fwsets.linalg import (
     identity,
     matvec,
     primitive,
+    primitive_ints,
     unit,
     vadd,
     vec,
@@ -47,12 +48,21 @@ def zero_matrix(n):
     return tuple(zeros(n) for _ in range(n))
 
 
+def _nonneg_rows(k, width):
+    """``-z_i <= 0`` for the first k of ``width`` coordinates."""
+    return tuple(vscale(F(-1), unit(width, i)) for i in range(k)), zeros(k)
+
+
 def _face_of(z0, kernel, g, h):
     """The face solver's set ``z0 + span(kernel)`` with rows ``g z <= h``,
-    given in Fractions: the point goes over one integer denominator."""
+    given in Fractions, on ints: the point over one denominator, each
+    direction as its primitive integers and the rows at one common scale."""
     den = lcm(*(x.denominator for x in z0))
     num = [x.numerator * (den // x.denominator) for x in z0]
-    return cone_qp._Face(num, den, kernel, cone_qp._Bounds.of(g, h))
+    scale = lcm(*(x.denominator for row in g for x in row), *(x.denominator for x in h))
+    ints = [[x.numerator * (scale // x.denominator) for x in (*row, hi)] for row, hi in zip(g, h)]
+    rows = tuple((row[:-1], row[-1]) for row in ints)
+    return cone_qp._Face(num, den, [primitive_ints(kv) for kv in kernel], rows)
 
 
 def _feasible_point(z0, kernel, g, h, work):
@@ -484,7 +494,7 @@ def _reference_simplex_min(h):
     p = len(h)
     faces = []
     for size in range(1, p + 1):
-        g, zero = cone_qp._nonneg_rows(size, size + 1)
+        g, zero = _nonneg_rows(size, size + 1)
         rhs = zeros(size) + (F(1),)
         for support in itertools.combinations(range(p), size):
             rows = tuple(
@@ -1130,7 +1140,7 @@ def test_line_orthant_interval_matches_lp():
         g_rows = tuple(tuple(F(rows_rng.randint(-2, 2)) for _ in range(n)) for _ in range(m))
         h_rows = tuple(F(rows_rng.randint(-3, 3)) for _ in range(m))
         for (g, h), counts in (
-            (cone_qp._nonneg_rows(n, n), answers),
+            (_nonneg_rows(n, n), answers),
             ((g_rows, h_rows), general),
         ):
             z = _feasible_point(z0, [k], g, h, Work())

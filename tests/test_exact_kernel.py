@@ -429,6 +429,12 @@ def test_linear_system_solve_and_kernel_match_fraction_gauss_jordan():
         ref_k = ref_kernel(m, n)
         assert system.kernel == ref_k and all_fractions(system.kernel), m
         assert kernel_basis(m, n) == ref_k, m
+        # the integer kernel is one positive multiple d of the Fraction one
+        ints = system.int_kernel
+        assert len(ints) == len(ref_k) and all(type(x) is int for v in ints for x in v), m
+        if ints:
+            d = ints[0][next(j for j, x in enumerate(ref_k[0]) if x)] / next(x for x in ref_k[0] if x)
+            assert d > 0 and [tuple(d * x for x in v) for v in ref_k] == [tuple(v) for v in ints], m
         seen["deficient"] += system.rank < len(m)
         y = [_rational(rng) for _ in range(n)]
         rhss = [
@@ -556,12 +562,27 @@ def ref_faces(q, p):
     return faces
 
 
+def int_rows(g, h):
+    """The rows ``g z <= h`` as the integer pairs ``(a, b)`` of the face
+    solver, all scaled by one factor, the lcm of their denominators."""
+    scale = lcm(*(x.denominator for row in g for x in row), *(x.denominator for x in h))
+    ints = [[x.numerator * (scale // x.denominator) for x in (*row, hi)] for row, hi in zip(g, h)]
+    return tuple((row[:-1], row[-1]) for row in ints)
+
+
 def face_of(z0, kernel, g, h):
     """The face solver's set for a face of :func:`ref_faces`: the point
-    over one integer denominator, and the rows made primitive integers."""
+    over one integer denominator, each direction as its primitive integers
+    and the rows of :func:`int_rows`."""
     den = lcm(*(x.denominator for x in z0))
     num = [x.numerator * (den // x.denominator) for x in z0]
-    return cone_qp._Face(num, den, kernel, cone_qp._Bounds.of(g, h))
+    return cone_qp._Face(num, den, [primitive_ints(kv) for kv in kernel], int_rows(g, h))
+
+
+def face_parts(z0, kernel, g, h):
+    """A face by its point, its directions made primitive and its integer
+    rows: what the face solver reads of it."""
+    return z0, [primitive_ints(kv) for kv in kernel], int_rows(g, h)
 
 
 def _qp_form(rng, kind, n):
@@ -610,16 +631,65 @@ def _qp_cases():
     return cases
 
 
+def ref_face_point(z0, kernel, g, h):
+    """A point of ``z0 + span(kernel)`` with ``g z <= h`` by the Fraction LP
+    in t: rows ``g_i . k_j``, right-hand sides ``h_i - g_i . z0``, and the
+    point ``z0 + sum_j t_j k_j``; None when the LP is infeasible."""
+    res = lp_solve(
+        tuple(tuple(ref_dot(row, kv) for kv in kernel) for row in g),
+        tuple(hi - ref_dot(row, z0) for row, hi in zip(g, h)),
+        (ZERO,) * len(kernel),
+    )
+    if res.status != "optimal":
+        return None
+    return tuple(z0[i] + sum((t * kv[i] for t, kv in zip(res.x, kernel)), ZERO) for i in range(len(z0)))
+
+
+def test_face_point_matches_fraction_lp():
+    # faces with 2-5 directions, met by the exact LP: the integer rows share
+    # one scale, so the LP takes the Fraction LP's pivots and ends at its
+    # point; the rows here are not primitive, each scaled by 1, 2 or 6
+    rng = random.Random(20261104)
+    answers = {True: 0, False: 0}
+    for _ in range(3000):
+        r = rng.randint(2, 5)
+        n = rng.randint(r, 6)
+        z0 = tuple(_rational(rng) for _ in range(n))
+        kernel = [tuple(_rational(rng, -2, 2) for _ in range(n)) for _ in range(r)]
+        if not all(any(kv) for kv in kernel):
+            continue
+        g, h = [], []
+        for _ in range(rng.randint(1, 8)):
+            row = [_rational(rng, -3, 3) for _ in range(n)]
+            # through a point of the set, or just off it
+            t = [F(rng.randint(-2, 2)) for _ in range(r)]
+            at = tuple(z0[i] + ref_dot(t, [kv[i] for kv in kernel]) for i in range(n))
+            rhs = ref_dot(row, at) + rng.choice((0, 1, F(1, 2), 3, -1, -F(1, 3), -2))
+            c = rng.choice((1, 2, 6))
+            g.append(tuple(c * x for x in row))
+            h.append(c * rhs)
+        ref = ref_face_point(z0, kernel, g, h)
+        got = face_of(z0, kernel, g, h).feasible_point(Work())
+        assert got == ref, (z0, kernel, g, h)
+        assert got is None or all_fractions([got])
+        answers[got is not None] += 1
+    assert answers[True] >= 2000 and answers[False] >= 500, answers
+
+
 def test_face_qp_matches_fraction_face_walk(monkeypatch):
-    # every face reaches the feasibility step with the value, point and
-    # stationary directions of the Fraction walk, so the answers agree too
+    # every face reaches the feasibility step with the value, point,
+    # stationary directions and rows of the Fraction walk, so the answers
+    # agree too
     least_face = cone_qp._least_face
     streams = []
 
     def recording(faces, work):
         # every face is built, also those the solver skips
         faces = list(faces)
-        streams.append([(key, value, *build()) for key, value, build in faces])
+        built = [(key, value, build()) for key, value, build in faces]
+        streams.append(
+            [(key, value, f.point(), [primitive_ints(k) for k in f.kernel], f.rows) for key, value, f in built]
+        )
         return least_face(faces, work)
 
     monkeypatch.setattr(cone_qp, "_least_face", recording)
@@ -627,7 +697,7 @@ def test_face_qp_matches_fraction_face_walk(monkeypatch):
     for q, p in _qp_cases():
         got = minimize_over_hpolyhedron(q, p)
         ref = ref_faces(q, p)
-        assert streams.pop() == ref, (q, p)
+        assert streams.pop() == [(key, value, *face_parts(*face)) for key, value, *face in ref], (q, p)
         faces = ((key, value, lambda face=face: face_of(*face)) for key, value, *face in ref)
         best = least_face(faces, Work())
         assert got == (None if best is None else (best[0], best[2])), (q, p)

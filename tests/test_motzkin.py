@@ -104,8 +104,6 @@ def test_second_order_cone_membership():
     assert soc.contains(vec((1, 0, 1)))  # boundary at 45 degrees
     assert not soc.contains(vec((2, 0, 1)))
     assert not soc.contains(vec((0, 0, -1)))
-    assert soc.strictly_contains(vec((F(1, 2), 0, 1)))
-    assert not soc.strictly_contains(vec((1, 0, 1)))
 
 
 def test_second_order_cone_rejects_low_dimension():
