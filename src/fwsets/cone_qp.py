@@ -114,7 +114,6 @@ from .linalg import (
     int_solution,
     matvec,
     primitive,
-    primitive_ints,
     vadd,
     vec,
     vscale,
@@ -124,8 +123,7 @@ from .polyhedra import (
     HPolyhedron,
     PolyCone,
     Work,
-    cone_h_to_v,
-    cone_v_to_h,
+    int_cone_h_to_v,
     lp_solve,
 )
 from .quadratics import Quadratic, is_psd
@@ -351,9 +349,11 @@ def _face_pairs(
         masks = range(1 << p)
     else:
         masks = {(1 << p) - 1}
-        for h in cone_v_to_h(lifted, len(lifted[0]), work):
-            hi = primitive_ints(h)
-            facet = sum(1 << j for j, v in enumerate(lifted) if idot(hi, v) == 0)
+        # the facet normals are the rays of {c : v . c <= 0} and both signs
+        # of each of its lines; a line is zero on every generator
+        rays, lines = int_cone_h_to_v(lifted, len(lifted[0]), work)
+        for h in rays + lines + lines:
+            facet = sum(1 << j for j, v in enumerate(lifted) if idot(h, v) == 0)
             work.charge(len(masks), _WALK)
             masks |= {m & facet for m in masks}
         work.charge(p * len(masks), _WALK)
@@ -527,14 +527,13 @@ def _piece(
     work.charge(2 * k * len(kernel) * FRACTION_UNITS, _WALK)
     n_rows = tuple(zip(*kernel))  # u_F = N t
     # N has full column rank, so {t : N t >= 0} is pointed
-    rays_t, _ = cone_h_to_v([[-x for x in row] for row in n_rows], len(kernel), work)
+    rays_t, _ = int_cone_h_to_v([[-x for x in row] for row in n_rows], len(kernel), work)
     if not rays_t:
         return None
     work.charge(2 * len(rays_t) * k * len(kernel) * FRACTION_UNITS, _WALK)
     rays = []
     for t in rays_t:
-        ti = [x.numerator for x in t]  # the conversion's rays are integer vectors
-        rays.append(primitive(_scatter(free, [idot(row, ti) for row in n_rows], blocks.p)))
+        rays.append(primitive(_scatter(free, [idot(row, t) for row in n_rows], blocks.p)))
     return ZeroSetPiece(frozenset(active), tuple(rays))
 
 

@@ -150,6 +150,13 @@ def primitive_ints(v: Sequence[Fraction]) -> list[int]:
     return [k // g for k in ints] if g > 1 else ints
 
 
+def int_primitive(v: Sequence[int]) -> tuple[int, ...]:
+    """The integer vector ``v`` divided by the gcd of its entries; a zero
+    vector is returned as it is."""
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
 def primitive(v: Sequence[Fraction]) -> Vec:
     """Scale ``v`` by a positive rational so entries are coprime integers.
 
@@ -233,6 +240,18 @@ def _int_kernel(
                 v[pc] = -row[j] * s
         kernel.append(v)
     return kernel
+
+
+def int_kernel_basis(rows: list[list[int]], pivots: list[int], n: int) -> list[tuple[int, ...]]:
+    """The kernel basis of the first n columns of the rows :func:`int_rref`
+    left, as primitive integer vectors: each is a positive multiple of the
+    vector :func:`kernel_basis` gives for its free column j, whose 1 at j is
+    its last nonzero entry (a reduced row is zero before its pivot, so every
+    other entry sits at a pivot column below j).  ``pivots`` are the pivot
+    columns below n."""
+    leads = [row[pc] for row, pc in zip(rows, pivots)]
+    d = lcm(*leads)
+    return [int_primitive(v) for v in _int_kernel(rows, pivots, [d // x for x in leads], d, n)]
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:

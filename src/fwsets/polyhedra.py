@@ -12,17 +12,22 @@ Conventions
 All arithmetic is rational.  Conversion between the two polyhedron forms is
 the double description method run on a pointed homogenized cone; lineality is
 split off exactly beforehand, so the classical combinatorial adjacency test
-applies.  The method itself runs on primitive integer vectors (Fukuda &
-Prodon, "Double description method revisited", 1996): rows and rays are
-coprime ints, a new ray is an integer combination divided by its gcd, and
-Fractions are built only for the rays returned.  Projection onto a subset
-of coordinates is one conversion each way: the image of the V-form is
-generated by the kept coordinates of its generators.  The exact simplex
-(two phases, Bland's rule) pivots on a fraction-free tableau: each row is a
-list of ints over one positive row denominator, divided by its gcd after
-every update, and its ratio tests compare by cross-multiplication.  Its
-pivots are those of the Fraction tableau, and its results are the same
-Fractions, built once at the end.
+applies.  Every conversion runs on primitive integer vectors from its input
+rows to its output (Fukuda & Prodon, "Double description method
+revisited", 1996): rows and rays are coprime ints, a new ray is an integer
+combination divided by its gcd, and the lineality basis is read off the
+fraction-free elimination of the rows.  :func:`int_cone_h_to_v` is that
+core on integer rows.  The public conversions merge repeats on int tuples
+and build each Fraction once, on the way out: a vertex ``(x, t)`` as
+``x / t``, and each entry of a row or ray as an integer.  A row, generator
+or point of another width is refused at entry.  Projection onto a subset of
+coordinates is one conversion each way: the image is generated by the kept
+coordinates of the homogenized integer generators.  The exact simplex (two
+phases, Bland's rule) pivots on a fraction-free tableau: each row is a list
+of ints over one positive row denominator, divided by its gcd after every
+update, and its ratio tests compare by cross-multiplication.  Its pivots
+are those of the Fraction tableau, and its results are the same Fractions,
+built once at the end.
 
 Input polyhedra live in dimension at most ``MAX_INPUT_DIM``, and one
 public call does at most ``DD_BUDGET`` units of work: the call makes one
@@ -56,13 +61,13 @@ from .linalg import (
     basis_of_span,
     dot,
     independent_rows,
+    int_kernel_basis,
+    int_primitive,
     int_rref,
     is_zero,
-    kernel_basis,
     mat,
     primitive,
     primitive_ints,
-    unit,
     vadd,
     vec,
     vscale,
@@ -209,12 +214,10 @@ class PolyCone:
 
     @staticmethod
     def from_halfspaces(rows, dim) -> "PolyCone":
-        hs = tuple(primitive(vec(r)) for r in rows)
-        hs = tuple(dict.fromkeys(h for h in hs if not is_zero(h)))
-        rays, lin = cone_h_to_v(hs, dim)
-        gens = rays + tuple(lin) + tuple(vscale(-ONE, v) for v in lin)
-        gens = tuple(dict.fromkeys(primitive(g) for g in gens))
-        return PolyCone(gens, dim, halfspaces=hs)
+        hs = list(dict.fromkeys(tuple(primitive_ints(vec(r))) for r in rows))
+        rays, lin = int_cone_h_to_v(hs, dim)
+        gens = rays + lin + [_neg(v) for v in lin]
+        return PolyCone(_fractions(gens), dim, halfspaces=_fractions(h for h in hs if any(h)))
 
     def with_halfspaces(self) -> "PolyCone":
         if self.halfspaces is not None:
@@ -258,7 +261,7 @@ def same_cone(a: PolyCone, b: PolyCone) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _pointed_dd(rows: list[Vec], d: int, work: Work) -> list[Vec]:
+def _pointed_dd(rows: list[tuple[int, ...]], d: int, work: Work) -> list[tuple[int, ...]]:
     """Extreme rays of ``{x in R^d : r . x <= 0 for r in rows}``.
 
     Requires the row matrix to have full column rank d (pointed cone).
@@ -266,24 +269,22 @@ def _pointed_dd(rows: list[Vec], d: int, work: Work) -> list[Vec]:
     from the first d independent rows, then insert the remaining rows one at
     a time, pairing adjacent rays across the new hyperplane (two rays whose
     common zero set has fewer than d - 2 rows are not adjacent, which is
-    tested before the combinatorial adjacency test).  It runs on
-    primitive integer rows and rays: each row is rescaled once by a positive
-    factor, which keeps every sign and zero set, and each new ray
-    ``v_p r_q - v_q r_p`` is divided by its gcd, which makes it primitive.
-    Zero sets are bitmasks over the row indices.  The work (see the module
-    docstring) is charged to ``work``.
+    tested before the combinatorial adjacency test).  The rows are primitive
+    integer vectors, and so are the rays returned: each new ray
+    ``v_p r_q - v_q r_p`` is divided by its gcd.  Zero sets are bitmasks over
+    the row indices.  The work (see the module docstring) is charged to
+    ``work``.
     """
     if d == 0:
         return []
-    ints = [primitive_ints(r) for r in rows]
-    seed = independent_rows(ints, d)
+    seed = independent_rows(rows, d)
     if len(seed) < d:
         raise DimensionMismatchError("cone is not pointed: rows do not have full rank")
 
     # rays of the simplicial seed cone: columns of -M^{-1}.  [M | -I] reduces
     # to rows p_k (e_k | (-M^{-1})_k) with p_k of either sign, so scaling row k
     # by L / p_k (L = lcm |p_k| > 0) leaves -M^{-1} times the positive L.
-    aug = [ints[i] + [-1 if k == j else 0 for k in range(d)] for j, i in enumerate(seed)]
+    aug = [list(rows[i]) + [-1 if k == j else 0 for k in range(d)] for j, i in enumerate(seed)]
     int_rref(aug)
     scale = lcm(*(row[k] for k, row in enumerate(aug)))
     rays: list[tuple[int, ...]] = []
@@ -296,7 +297,7 @@ def _pointed_dd(rows: list[Vec], d: int, work: Work) -> list[Vec]:
         zero_sets.append(all_seed & ~(1 << seed[j]))
 
     seed_set = set(seed)
-    for t, row in enumerate(ints):
+    for t, row in enumerate(rows):
         if t in seed_set:
             continue
         bit = 1 << t
@@ -340,51 +341,86 @@ def _pointed_dd(rows: list[Vec], d: int, work: Work) -> list[Vec]:
                 seen[r] = len(rays)
                 rays.append(r)
                 zero_sets.append(zs)
-    return [tuple(Fraction(x) for x in r) for r in rays]
+    return rays
 
 
-def cone_h_to_v(rows, d: int, work: Work | None = None) -> tuple[tuple[Vec, ...], list[Vec]]:
-    """Generators of ``{x : r . x <= 0}``: (extreme rays, lineality basis).
+def int_cone_h_to_v(
+    rows, d: int, work: Work | None = None
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Generators of ``{x : r . x <= 0}`` for integer rows r of width d:
+    (extreme rays, lineality basis), both as primitive integer vectors.
 
-    The lineality space L is split off: double description runs on the rows
+    The lineality space L is the kernel of the rows, read off their
+    fraction-free elimination: the basis :func:`linalg.kernel_basis` gives,
+    each vector made primitive.  Double description runs on the rows
     restricted to the coordinates that are not pivot columns of the reduced
     lineality basis, a complement of L, and each ray is placed back there.
     ``work`` is the counter of a calling public call, a new one if None.
+    A row of another width raises DimensionMismatchError.
     """
-    rows = [r for r in map(vec, rows) if not is_zero(r)]
+    if any(len(r) != d for r in rows):
+        raise DimensionMismatchError("row width differs from the cone's dimension")
+    rows = [r for r in rows if any(r)]
     if not rows:
-        return (), [unit(d, i) for i in range(d)]
-    lin = kernel_basis(tuple(rows), ncols=d)
-    lin_pivots = int_rref([primitive_ints(v) for v in lin])
+        return [], [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    ech = [list(r) for r in rows]
+    lin = int_kernel_basis(ech, int_rref(ech), d)
+    lin_pivots = int_rref([list(v) for v in lin])
     cols = [j for j in range(d) if j not in lin_pivots]
     if not cols:
-        return (), lin
-    reduced = [rr for rr in (tuple(r[j] for j in cols) for r in rows) if not is_zero(rr)]
+        return [], lin
+    reduced = [rr for rr in (int_primitive([r[j] for j in cols]) for r in rows) if any(rr)]
     rays = []
     for s in _pointed_dd(reduced, len(cols), Work() if work is None else work):
-        x = [ZERO] * d
-        for j, coeff in zip(cols, s):
-            x[j] = coeff
+        x = [0] * d
+        for j, k in zip(cols, s):
+            x[j] = k
         rays.append(tuple(x))
-    return tuple(rays), lin
+    return rays, lin
+
+
+def cone_h_to_v(rows, d: int, work: Work | None = None) -> tuple[tuple[Vec, ...], list[Vec]]:
+    """:func:`int_cone_h_to_v` on rational rows, in Fractions: the rays, and
+    the lineality basis :func:`linalg.kernel_basis` gives, each primitive
+    vector over its last nonzero entry (its free column's)."""
+    rays, lin = int_cone_h_to_v([primitive_ints(vec(r)) for r in rows], d, work)
+    return _fractions(rays), [_over_last(v) for v in lin]
 
 
 def cone_v_to_h(generators, d: int, work: Work | None = None) -> tuple[Vec, ...]:
-    """Halfspace normals of the cone spanned by ``generators``.
+    """Halfspace normals of the cone spanned by ``generators``, made
+    primitive; ``work`` as in :func:`cone_h_to_v`."""
+    return _fractions(_int_cone_v_to_h([primitive_ints(vec(g)) for g in generators], d, work))
+
+
+def _int_cone_v_to_h(gens, d: int, work: Work | None) -> list[tuple[int, ...]]:
+    """Halfspace normals of the cone spanned by the integer ``gens``.
 
     Bipolar construction: the negative polar ``{c : g . c <= 0}`` is an
-    H-cone whose generators are exactly the halfspace normals of the input
-    (lineality of the polar contributes an opposite pair).  ``work`` as in
-    :func:`cone_h_to_v`.
+    H-cone whose generators are exactly the halfspace normals of the input:
+    its rays, and an opposite pair for each line.  They are distinct, since
+    the rays are zero at the lineality basis's pivot columns.
     """
-    gens = [primitive(vec(g)) for g in generators]
-    gens = [g for g in gens if not is_zero(g)]
-    rays, lin = cone_h_to_v(gens, d, work)
-    rows = list(rays)
+    rays, lin = int_cone_h_to_v(gens, d, work)
     for v in lin:
-        rows.append(primitive(v))
-        rows.append(primitive(vscale(-ONE, v)))
-    return tuple(dict.fromkeys(rows))
+        rays.append(v)
+        rays.append(_neg(v))
+    return rays
+
+
+def _neg(v: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-x for x in v)
+
+
+def _fractions(vs) -> tuple[Vec, ...]:
+    """The integer vectors ``vs`` as Fraction vectors."""
+    return tuple(tuple(map(Fraction, v)) for v in vs)
+
+
+def _over_last(v: tuple[int, ...]) -> Vec:
+    """The Fraction vector ``v`` over its last nonzero entry."""
+    t = next(x for x in reversed(v) if x)
+    return tuple(Fraction(x, t) if x else ZERO for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -407,50 +443,52 @@ def dd_convert(p, work: Work | None = None):
     raise TypeError("dd_convert expects HPolyhedron or VPolyhedron")
 
 
+def _homogenized_v(
+    p: HPolyhedron, work: Work
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The integer rays and lineality basis of ``{(x, t) : A x <= b t,
+    t >= 0}``: a ray ``(x, t)`` with t > 0 is the vertex ``x / t`` of p, one
+    with t = 0 is a ray, and every line has t = 0."""
+    n = p.dim
+    rows = [primitive_ints(row + (-rhs,)) for row, rhs in zip(p.a, p.b)]
+    rows.append([0] * n + [-1])
+    return int_cone_h_to_v(rows, n + 1, work)
+
+
 def _h_to_v(p: HPolyhedron, work: Work) -> VPolyhedron:
     n = p.dim
-    hom_rows = [row + (-rhs,) for row, rhs in zip(p.a, p.b)]
-    hom_rows.append(zeros(n) + (-ONE,))
-    rays, lin = cone_h_to_v(hom_rows, n + 1, work)
-    vertices = []
-    vrays = []
-    for r in rays:
-        t = r[n]
-        if t > 0:
-            vertices.append(tuple(x / t for x in r[:n]))
-        else:
-            vrays.append(primitive(r[:n]))
-    lineality = tuple(primitive(v[:n]) for v in lin)
+    rays, lin = _homogenized_v(p, work)
+    vertices = tuple(tuple(Fraction(x, r[n]) if x else ZERO for x in r[:n]) for r in rays if r[n])
     if not vertices:
         cert = lp_solve(p.a, p.b, zeros(n), work).farkas
         return VPolyhedron((), (), (), n, empty_certificate=cert)
-    return VPolyhedron(
-        tuple(dict.fromkeys(vertices)),
-        tuple(dict.fromkeys(vrays)),
-        lineality,
-        n,
-    )
+    vrays = _fractions(r[:n] for r in rays if not r[n])
+    return VPolyhedron(vertices, vrays, _fractions(v[:n] for v in lin), n)
 
 
 def _v_to_h(p: VPolyhedron, work: Work) -> HPolyhedron:
     n = p.dim
     if p.is_empty:
         return HPolyhedron((zeros(n),), (-ONE,), n)
-    gens = [v + (ONE,) for v in p.vertices]
-    gens += [r + (ZERO,) for r in p.rays]
+    gens = [primitive_ints(v + (ONE,)) for v in p.vertices]
+    gens += [primitive_ints(r + (ZERO,)) for r in p.rays]
     for l in p.lineality:
-        gens.append(l + (ZERO,))
-        gens.append(vscale(-ONE, l) + (ZERO,))
-    rows = cone_v_to_h(gens, n + 1, work)
+        line = tuple(primitive_ints(l + (ZERO,)))
+        gens += [line, _neg(line)]
+    return _homogenized_h(gens, n, work)
+
+
+def _homogenized_h(gens, n: int, work: Work) -> HPolyhedron:
+    """The H-form of the polyhedron whose homogenized generators ``(x, t)``
+    are the integer ``gens``: each normal ``(a, beta)`` of their cone is the
+    row ``a . x <= -beta``, and a normal with a = 0 (which bounds only t) is
+    dropped."""
     a_rows = []
     rhs = []
-    for row in rows:
-        coeffs, beta = row[:n], row[n]
-        if is_zero(coeffs):
-            # row constrains only the homogenizing coordinate
-            continue
-        a_rows.append(coeffs)
-        rhs.append(-beta)
+    for row in _int_cone_v_to_h(gens, n + 1, work):
+        if any(row[:n]):
+            a_rows.append(tuple(map(Fraction, row[:n])))
+            rhs.append(Fraction(-row[n]))
     return HPolyhedron(tuple(a_rows), tuple(rhs), n)
 
 
@@ -463,28 +501,36 @@ def project_fm(p: HPolyhedron, coords) -> HPolyhedron:
     """Exact image of ``p`` under the projection onto ``coords`` (1-based).
 
     The name is historical (it once ran Fourier-Motzkin elimination).  The
-    image is computed through the V-form: convert ``p``, keep the chosen
-    coordinates of every vertex, ray and lineality vector (rays and lines
-    that vanish are dropped, duplicates merged) and convert back, so the
-    rows are irredundant, and one budget bounds both conversions.  An
-    empty ``p`` projects to the single row ``0 <= -1``.
+    image is computed through the V-form, on ints: convert ``p`` to its
+    homogenized generators ``(x, t)``, keep the chosen coordinates of x and
+    t, made primitive (rays and lines that vanish are dropped, duplicates
+    merged) and convert back, so the rows are irredundant, and one budget
+    bounds both conversions.  An empty ``p`` projects to the single row
+    ``0 <= -1``.
     """
     coords = sorted(set(coords))
     if not coords or coords[0] < 1 or coords[-1] > p.dim:
         raise DimensionMismatchError("coords must be a nonempty subset of {1..n}")
+    if p.dim > MAX_INPUT_DIM:
+        raise SizeCapError(f"ambient dimension {p.dim} exceeds cap {MAX_INPUT_DIM}")
+    n, k = p.dim, len(coords)
     work = Work()
-    v = dd_convert(p, work)
-
-    def pick(x: Vec) -> Vec:
-        return tuple(x[c - 1] for c in coords)
-
-    def directions(vs) -> tuple[Vec, ...]:
-        return tuple(dict.fromkeys(primitive(d) for d in map(pick, vs) if not is_zero(d)))
-
-    vertices = tuple(dict.fromkeys(map(pick, v.vertices)))
-    return dd_convert(
-        VPolyhedron(vertices, directions(v.rays), directions(v.lineality), len(coords)), work
-    )
+    rays, lin = _homogenized_v(p, work)
+    if not any(r[n] for r in rays):
+        return HPolyhedron((zeros(k),), (-ONE,), k)
+    keep = [c - 1 for c in coords] + [n]
+    points, directions = {}, {}
+    for r in rays:
+        g = int_primitive([r[j] for j in keep])
+        if r[n]:
+            points[g] = None
+        elif any(g):
+            directions[g] = None
+    lines = dict.fromkeys(g for g in (int_primitive([v[j] for j in keep]) for v in lin) if any(g))
+    gens = [*points, *directions]
+    for g in lines:
+        gens += [g, _neg(g)]
+    return _homogenized_h(gens, k, work)
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +571,8 @@ def recession_cone(p: HPolyhedron) -> PolyCone:
 
 def vpoly_contains(p: VPolyhedron, x: Vec) -> bool:
     """Exact membership in a V-polyhedron via LP feasibility."""
+    if len(x) != p.dim:
+        raise DimensionMismatchError("point dimension mismatch")
     if p.is_empty:
         return False
     nv, nr, nl = len(p.vertices), len(p.rays), len(p.lineality)
@@ -581,6 +629,8 @@ def lp_solve(a: Mat, b: Vec, c: Vec, work: Work | None = None) -> LPResult:
     """
     m = len(a)
     n = len(c)
+    if len(b) != m or any(len(row) != n for row in a):
+        raise DimensionMismatchError("LP rows must match the cost's width and b's length")
     if m == 0:
         if is_zero(c):
             return LPResult("optimal", zeros(n), ZERO)

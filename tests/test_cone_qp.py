@@ -34,7 +34,15 @@ from fwsets.linalg import (
     vscale,
     zeros,
 )
-from fwsets.polyhedra import HPolyhedron, PolyCone, Work, cone_h_to_v, lp_solve, same_cone
+from fwsets.polyhedra import (
+    HPolyhedron,
+    PolyCone,
+    Work,
+    cone_h_to_v,
+    int_cone_h_to_v,
+    lp_solve,
+    same_cone,
+)
 from fwsets.quadratics import Quadratic, is_psd
 
 F = Fraction
@@ -1320,10 +1328,10 @@ def test_convex_domain_converts_no_rows(monkeypatch):
 
     def counting(rows, dim, work=None):
         calls.append(len(rows))
-        return cone_h_to_v(rows, dim, work)
+        return int_cone_h_to_v(rows, dim, work)
 
-    monkeypatch.setattr(cone_qp, "cone_h_to_v", counting)
-    monkeypatch.setattr(polyhedra, "cone_h_to_v", counting)
+    monkeypatch.setattr(cone_qp, "int_cone_h_to_v", counting)
+    monkeypatch.setattr(polyhedra, "int_cone_h_to_v", counting)
     d = PolyCone.from_generators([(1, 0), (0, 1)], 2)  # a simplex: no facet conversion
     g = ((F(1), F(0)), (F(0), F(0)))
     assert ConeProgram(g, d).dom.rows == ((F(0), F(-1)),)

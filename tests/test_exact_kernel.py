@@ -29,7 +29,17 @@ from fwsets.linalg import (
     rref,
     solve,
 )
-from fwsets.polyhedra import HPolyhedron, Work, cone_h_to_v, lp_solve
+from fwsets.polyhedra import (
+    HPolyhedron,
+    PolyCone,
+    VPolyhedron,
+    Work,
+    cone_h_to_v,
+    cone_v_to_h,
+    dd_convert,
+    lp_solve,
+    project_fm,
+)
 from fwsets.quadratics import Quadratic
 
 F = Fraction
@@ -522,6 +532,180 @@ def test_double_description_matches_fraction_reference():
         lineal += bool(lin)
         multi_ray += len(rays) > d
     assert lineal >= 15 and multi_ray >= 12
+
+
+# The conversions built on double description, as they were written in
+# Fractions: each input is made Fraction, each conversion returns Fraction
+# vectors, and duplicates are merged on Fraction tuples.
+
+
+def ref_cone_v_to_h(gens, d):
+    gens = [ref_primitive(tuple(F(x) for x in g)) for g in gens]
+    rays, lin = ref_cone_h_to_v([g for g in gens if any(g)], d)
+    rows = list(rays)
+    for v in lin:
+        rows += [ref_primitive(v), ref_primitive(tuple(-x for x in v))]
+    return tuple(dict.fromkeys(rows))
+
+
+def ref_from_halfspaces(rows, d):
+    """``(generators, halfspaces)`` of ``PolyCone.from_halfspaces``."""
+    hs = tuple(ref_primitive(tuple(F(x) for x in r)) for r in rows)
+    hs = tuple(dict.fromkeys(h for h in hs if any(h)))
+    rays, lin = ref_cone_h_to_v(hs, d)
+    gens = rays + tuple(lin) + tuple(tuple(-x for x in v) for v in lin)
+    return tuple(dict.fromkeys(ref_primitive(g) for g in gens)), hs
+
+
+def ref_h_to_v(a, b, n):
+    """``(vertices, rays, lineality, empty_certificate)`` of ``{A x <= b}``."""
+    hom = [tuple(row) + (-rhs,) for row, rhs in zip(a, b)]
+    rays, lin = ref_cone_h_to_v(hom + [(ZERO,) * n + (-ONE,)], n + 1)
+    vertices = tuple(dict.fromkeys(tuple(x / r[n] for x in r[:n]) for r in rays if r[n] > 0))
+    if not vertices:
+        farkas = ref_lp_solve(a, b, (ZERO,) * n, {"ratio": 0, "driven_out": 0})[4]
+        return (), (), (), farkas
+    vrays = tuple(dict.fromkeys(ref_primitive(r[:n]) for r in rays if r[n] == 0))
+    return vertices, vrays, tuple(ref_primitive(v[:n]) for v in lin), None
+
+
+def ref_v_to_h(vertices, rays, lineality, n):
+    """``(A, b)`` of the V-form."""
+    if not vertices:
+        return ((ZERO,) * n,), (-ONE,)
+    gens = [v + (ONE,) for v in vertices] + [r + (ZERO,) for r in rays]
+    for v in lineality:
+        gens += [v + (ZERO,), tuple(-x for x in v) + (ZERO,)]
+    rows = [row for row in ref_cone_v_to_h(gens, n + 1) if any(row[:n])]
+    return tuple(row[:n] for row in rows), tuple(-row[n] for row in rows)
+
+
+def ref_project(a, b, n, coords):
+    vertices, rays, lin, _ = ref_h_to_v(a, b, n)
+
+    def pick(x):
+        return tuple(x[c - 1] for c in coords)
+
+    def directions(vs):
+        return tuple(dict.fromkeys(ref_primitive(d) for d in map(pick, vs) if any(d)))
+
+    return ref_v_to_h(
+        tuple(dict.fromkeys(map(pick, vertices))), directions(rays), directions(lin), len(coords)
+    )
+
+
+def _hpoly_cases():
+    """Rational systems ``(A, b, n)``: some with lineality, duplicate,
+    rescaled or opposite rows, some bounded, some empty."""
+    rng = random.Random(20261022)
+    cases = []
+    for n in range(1, 5):
+        for _ in range(40):
+            m = rng.randint(1, 2 * n + 2)
+            a = [[_rational(rng, -3, 3) for _ in range(n)] for _ in range(m)]
+            b = [_rational(rng, 0, 4) for _ in range(m)]
+            if n > 1 and rng.random() < 0.3:  # lineality: every row orthogonal to w
+                w = [F(rng.randint(-2, 2)) for _ in range(n)]
+                j = next((i for i, x in enumerate(w) if x), None)
+                if j is not None:
+                    for row in a:
+                        row[j] -= ref_dot(row, w) / w[j]
+            elif rng.random() < 0.4:  # a box, so that there are vertices
+                for i in range(n):
+                    for sign in (1, -1):
+                        a.append([F(sign) if k == i else ZERO for k in range(n)])
+                        b.append(F(rng.randint(1, 3), rng.randint(1, 2)))
+            if rng.random() < 0.4:  # a duplicate and a rescaled copy
+                i = rng.randrange(m)
+                a.append(list(a[i]))
+                b.append(b[i])
+                scale = F(rng.randint(1, 5), rng.randint(1, 4))
+                a.append([scale * x for x in a[i]])
+                b.append(scale * b[i])
+            if rng.random() < 0.3:  # an equation, or an empty slab
+                i = rng.randrange(m)
+                a.append([-x for x in a[i]])
+                b.append(-b[i] - rng.choice((0, 0, 1, F(1, 2))))
+            order = list(range(len(a)))
+            rng.shuffle(order)
+            cases.append((tuple(tuple(a[i]) for i in order), tuple(b[i] for i in order), n))
+    cases.append((((ONE,), (-ONE,)), (-ONE, ZERO), 1))  # x <= -1, x >= 0
+    cases.append((((ZERO, ZERO),), (F(-1, 2),), 2))  # 0 <= -1/2
+    return cases
+
+
+def _vpoly_cases():
+    """V-forms with redundant and repeated points, rescaled rays and
+    lineality, and the empty set."""
+    rng = random.Random(20261023)
+    cases = []
+    for n in range(1, 5):
+        for _ in range(25):
+            points = [tuple(_rational(rng) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+            if len(points) > 1 and rng.random() < 0.5:  # a midpoint and a repeat
+                p, q = rng.sample(points, 2)
+                points += [tuple((x + y) / 2 for x, y in zip(p, q)), p]
+            rays = []
+            for _ in range(rng.randint(0, 3)):
+                r = tuple(F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n))
+                if any(r):
+                    rays += [r, tuple(F(3, 2) * x for x in r)] if rng.random() < 0.3 else [r]
+            lin = []
+            if rng.random() < 0.25:
+                lin.append(tuple(F(rng.randint(-2, 2), 2) for _ in range(n)))
+            cases.append((tuple(points), tuple(rays), tuple(lin), n))
+        cases.append(((), (), (), n))
+    return cases
+
+
+def test_conversions_match_fraction_reference(monkeypatch):
+    # dd_convert both ways, cone_v_to_h, PolyCone.from_halfspaces and
+    # project_fm run on ints from their inputs to their outputs; they must
+    # return the values, the order and the Fraction type of the conversions
+    # written in Fractions, and hand each cone conversion as many nonzero
+    # rows, so that repeats are merged where they were
+    rows_in = {"got": [], "ref": []}
+
+    def counted(convert, key):
+        def wrapper(rows, d, *work):
+            rows_in[key].append(sum(map(any, rows)))
+            return convert(rows, d, *work)
+
+        return wrapper
+
+    monkeypatch.setattr(polyhedra, "int_cone_h_to_v", counted(polyhedra.int_cone_h_to_v, "got"))
+    monkeypatch.setitem(globals(), "ref_cone_h_to_v", counted(ref_cone_h_to_v, "ref"))
+    rng = random.Random(20261024)
+    seen = {"empty": 0, "lineality": 0, "rays": 0, "coords dropped": 0}
+    for a, b, n in _hpoly_cases():
+        v = dd_convert(HPolyhedron(a, b, n))
+        got = (v.vertices, v.rays, v.lineality, v.empty_certificate)
+        assert got == ref_h_to_v(a, b, n), (a, b)
+        assert all_fractions(v.vertices + v.rays + v.lineality + (v.empty_certificate or (),))
+        seen["empty"] += v.is_empty
+        seen["lineality"] += bool(v.lineality)
+        seen["rays"] += bool(v.rays)
+        coords = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+        image = project_fm(HPolyhedron(a, b, n), coords)
+        assert (image.a, image.b) == ref_project(a, b, n, coords), (a, b, coords)
+        assert all_fractions(image.a + (image.b,))
+        seen["coords dropped"] += len(coords) < n
+    assert min(seen.values()) >= 12, seen
+    # the lines (-1, 1, 0) and (-2, 0, 1) keep x_1 in two scales of one line
+    a, b = ((ONE, ONE, F(2)),), (ONE,)
+    image = project_fm(HPolyhedron(a, b, 3), [1])
+    assert (image.a, image.b) == ref_project(a, b, 3, [1]) == ((), ())
+    for vertices, rays, lin, n in _vpoly_cases():
+        h = dd_convert(VPolyhedron(vertices, rays, lin, n))
+        assert (h.a, h.b) == ref_v_to_h(vertices, rays, lin, n), (vertices, rays, lin)
+        assert all_fractions(h.a + (h.b,))
+    for rows, d in _dd_cases():
+        facets = cone_v_to_h(rows, d)
+        assert facets == ref_cone_v_to_h(rows, d), (rows, d)
+        cone = PolyCone.from_halfspaces(rows, d)
+        assert (cone.generators, cone.halfspaces) == ref_from_halfspaces(rows, d), (rows, d)
+        assert all_fractions(facets + cone.generators + cone.halfspaces)
+    assert rows_in["got"] == rows_in["ref"]
 
 
 # ---------------------------------------------------------------------------

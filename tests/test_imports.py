@@ -1,11 +1,14 @@
-"""Import hygiene: every name a library module imports is used there, and
-no library module imports a private (``_``-prefixed) name of another.
+"""Import hygiene: every name a library module imports is used there, no
+library module imports a private (``_``-prefixed) name of another, and the
+runtime imports nothing outside the standard library and ``fwsets``.
 
 A name imported only for its side effect carries ``# noqa: F401`` on its
-line.  ``__init__.py`` is skipped, because it imports in order to export.
+line.  ``__init__.py`` is skipped by the first two checks, because it
+imports in order to export.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,3 +79,37 @@ def test_a_private_import_is_caught():
         (3, "_short_dyadic"),
         (4, "_private"),
     ]
+
+
+def third_party_imports(source: str) -> list[tuple[int, str]]:
+    """``(line, module)`` for each absolute import of a top-level module that
+    is neither in the standard library nor ``fwsets``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [(node.lineno, node.module)]
+        else:
+            continue
+        for line, name in names:
+            top = name.split(".")[0]
+            if top != "fwsets" and top not in sys.stdlib_module_names:
+                found.append((line, top))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_runtime_imports_only_the_standard_library(path):
+    assert third_party_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_third_party_import_is_caught():
+    source = (
+        "import os.path, numpy as np\n"
+        "from fractions import Fraction\n"
+        "from scipy.optimize import linprog\n"
+        "from . import linalg\n"
+        "from fwsets.polyhedra import dd_convert\n"
+    )
+    assert third_party_imports(source) == [(1, "numpy"), (3, "scipy")]

@@ -7,14 +7,16 @@ from fractions import Fraction
 import pytest
 
 from fwsets import polyhedra
-from fwsets.errors import SizeCapError
+from fwsets.errors import DimensionMismatchError, SizeCapError
 from fwsets.linalg import dot, mat, vec, zeros
 from fwsets.polyhedra import (
     HPolyhedron,
     PolyCone,
     VPolyhedron,
+    cone_h_to_v,
     cone_v_to_h,
     dd_convert,
+    int_cone_h_to_v,
     intersect,
     lp_solve,
     minkowski_sum,
@@ -471,8 +473,6 @@ def test_lp_stops_past_the_budget(monkeypatch):
 def test_checked_cone_rejects_mismatched_forms():
     good = PolyCone.from_halfspaces([(-1, 0), (0, -1)], 2)
     good.checked()  # generators and halfspaces describe the same cone
-    from fwsets.errors import DimensionMismatchError
-
     bad = PolyCone(((1, 0),), 2, halfspaces=((-1, 0), (0, -1)))
     with pytest.raises(DimensionMismatchError):
         # halfspace form is the full orthant, strictly larger than ray(1,0)
@@ -480,6 +480,34 @@ def test_checked_cone_rejects_mismatched_forms():
     worse = PolyCone(((1, 1), (-1, 0)), 2, halfspaces=((0, -1),))
     with pytest.raises(DimensionMismatchError):
         worse.checked()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[(1, 2, 3)], [(1,)], [(1, 0), (0, 1, 1)], [(0, 0, 0)]],
+    ids=["wide", "narrow", "ragged", "wide zero"],
+)
+def test_rows_of_another_width_are_refused(rows):
+    # the conversions raise at entry instead of returning vectors of the
+    # rows' width, raising IndexError or cutting a row short
+    for convert in (cone_h_to_v, cone_v_to_h, int_cone_h_to_v):
+        with pytest.raises(DimensionMismatchError):
+            convert(rows, 2)
+    with pytest.raises(DimensionMismatchError):
+        PolyCone.from_halfspaces(rows, 2)
+    a = tuple((F(1),) * len(r) for r in rows)
+    with pytest.raises(DimensionMismatchError):
+        lp_solve(a, tuple(F(1) for _ in rows), zeros(2))
+
+
+def test_a_point_of_another_dimension_is_refused():
+    v = dd_convert(hp([(1, 0), (0, 1), (-1, -1)], [1, 1, 0]))
+    assert vpoly_contains(v, vec((0, 0)))
+    for x in ((0, 0, 0), (0,), ()):
+        with pytest.raises(DimensionMismatchError):
+            vpoly_contains(v, vec(x))
+    with pytest.raises(DimensionMismatchError):
+        lp_solve(mat([(1, 0)]), vec((1, 1)), zeros(2))  # b longer than A
 
 
 def test_sixty_five_facets_convert():
