@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DimensionMismatchError, EmptySetError
 from .linalg import (
     LinearSystem,
     Mat,
+    ONE,
     Vec,
     basis_of_span,
     dot,
@@ -20,6 +21,7 @@ from .linalg import (
     rank,
     vadd,
     vec,
+    vscale,
     zeros,
 )
 
@@ -65,14 +67,18 @@ class AffineMap:
 class AffineManifold:
     """A flat, held in both forms: ``{x : A x = b}`` and ``point + span(basis)``.
 
-    The two forms are kept consistent by the constructors; ``basis`` has full
-    rank and ``A @ basis_vector = 0`` for every basis vector.
+    It compares and hashes by its canonical equations alone: A's rows are the
+    primitive kernel basis of the direction space, one per codimension (one
+    zero row for the whole space), so every spelling of one flat gives the
+    same rows, and ``b = A @ point``.
+    ``point`` and ``basis`` are those it was built from or solved for;
+    ``basis`` has full rank.
     """
 
     a: Mat
     b: Vec
-    point: Vec
-    basis: tuple[Vec, ...]
+    point: Vec = field(compare=False)
+    basis: tuple[Vec, ...] = field(compare=False)
     dim: int
 
     @staticmethod
@@ -86,7 +92,7 @@ class AffineManifold:
         x0 = system.solve(b)
         if x0 is None:
             raise EmptySetError("the equation system has no solution")
-        return AffineManifold(a, b, x0, tuple(system.kernel), n)
+        return AffineManifold._canonical(x0, tuple(system.kernel), n)
 
     @staticmethod
     def from_point_basis(point, basis) -> "AffineManifold":
@@ -98,16 +104,21 @@ class AffineManifold:
                 raise DimensionMismatchError("basis vector dimension mismatch")
         if basis and rank(basis) < len(basis):
             raise DimensionMismatchError("basis vectors must be independent")
+        return AffineManifold._canonical(point, basis, n)
+
+    @staticmethod
+    def _canonical(point: Vec, basis: tuple[Vec, ...], n: int) -> "AffineManifold":
+        """The flat through ``point`` along the independent ``basis``, with
+        its canonical equations."""
         # rows spanning the orthogonal complement of the direction space:
         # a . b = 0 for every basis vector b means a lies in the kernel of
-        # the matrix whose rows are the basis vectors
+        # the matrix whose rows are the basis vectors; the whole space keeps
+        # one zero row, so that its equations still give its dimension
         if basis:
-            normal_rows = tuple(primitive(v) for v in kernel_basis(tuple(basis), ncols=n))
+            a = tuple(primitive(v) for v in kernel_basis(basis, ncols=n)) or (zeros(n),)
         else:
-            normal_rows = identity(n)
-        a = normal_rows
-        b = tuple(dot(row, point) for row in a)
-        return AffineManifold(a, b, point, basis, n)
+            a = identity(n)
+        return AffineManifold(a, tuple(dot(row, point) for row in a), point, basis, n)
 
     @staticmethod
     def hyperplane(normal, value) -> "AffineManifold":
@@ -117,6 +128,12 @@ class AffineManifold:
         if len(x) != self.dim:
             raise DimensionMismatchError("point dimension mismatch")
         return all(dot(row, x) == rhs for row, rhs in zip(self.a, self.b))
+
+    def inequalities(self) -> tuple[Mat, Vec]:
+        """``(rows, rhs)`` of the flat as inequalities: each equation
+        ``a . x = b`` as ``a . x <= b`` followed by ``-a . x <= -b``."""
+        rows = tuple(r for row in self.a for r in (row, vscale(-ONE, row)))
+        return rows, tuple(v for rhs in self.b for v in (rhs, -rhs))
 
     @property
     def flat_dim(self) -> int:

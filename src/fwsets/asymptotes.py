@@ -52,12 +52,13 @@ from .linalg import (
     zeros,
 )
 from .motzkin import (
+    Ball,
     Classification,
     FinitePointSet,
     MotzkinSet,
-    PolytopeK,
     SecondOrderCone,
     classify_fw as classify_fw_motzkin,
+    compact_points,
     polyhedral_forms,
 )
 from .numeric import exp_bounds, lagrangian_value, sqrt_bounds, surd, surd_cmp
@@ -197,10 +198,9 @@ def contains(s: SetDescriptor, x: Vec) -> bool | None:
 def _soc_point_check(s: MotzkinSet, x: Vec) -> bool:
     # sound only one way; exact membership of sums with balls or second-order
     # cones is not available, so callers treat non-True as None
-    if isinstance(s.compact, (PolytopeK, FinitePointSet)):
-        pts = s.compact.vertices if isinstance(s.compact, PolytopeK) else s.compact.points
-        return any(s.cone.contains(tuple(a - b for a, b in zip(x, y))) for y in pts)
-    return False
+    if isinstance(s.compact, Ball):
+        return False
+    return any(s.cone.contains(tuple(a - b for a, b in zip(x, y))) for y in compact_points(s.compact))
 
 
 def _epigraph_contains(x: Vec) -> bool | None:
@@ -389,8 +389,7 @@ def intersects_manifold(f: SetDescriptor, m: AffineManifold) -> bool | None:
     """Exact emptiness/nonemptiness of F ∩ M where decidable."""
     forms = polyhedral_forms(f)
     if forms is not None:
-        rows = tuple(r for row in m.a for r in (row, vscale(-ONE, row)))
-        rhs = tuple(v for b in m.b for v in (b, -b))
+        rows, rhs = m.inequalities()
         return any(
             lp_solve(h.a + rows, h.b + rhs, zeros(f.dim)).status == "optimal" for h in forms
         )

@@ -282,10 +282,16 @@ def motzkin_to_vpoly(f: MotzkinSet) -> VPolyhedron:
     """V-form of ``conv(K) + D`` for polyhedral data."""
     if not f.is_polyhedral_cone:
         raise UnsupportedKindError("only polyhedral cones convert to V-form")
-    if isinstance(f.compact, Ball):
-        raise UnsupportedKindError("ball compact parts have no exact V-form")
-    pts = f.compact.vertices if isinstance(f.compact, PolytopeK) else f.compact.points
-    return VPolyhedron(tuple(pts), f.cone.generators, (), f.dim)
+    return VPolyhedron(tuple(compact_points(f.compact)), f.cone.generators, (), f.dim)
+
+
+def compact_points(k: CompactPart) -> tuple[Vec, ...]:
+    """The points whose convex hull is a polytope or finite compact part."""
+    if isinstance(k, PolytopeK):
+        return k.vertices
+    if isinstance(k, FinitePointSet):
+        return k.points
+    raise UnsupportedKindError("ball compact parts are not supported here")
 
 
 def polyhedral_forms(s) -> tuple[HPolyhedron, ...] | None:
@@ -302,7 +308,7 @@ def polyhedral_forms(s) -> tuple[HPolyhedron, ...] | None:
         return None
     if isinstance(s.compact, PolytopeK):
         return (dd_convert(motzkin_to_vpoly(s)),)
-    rows = s.cone.with_halfspaces().halfspaces
+    rows = s.cone.halfspaces
     return tuple(HPolyhedron(rows, tuple(dot(h, y) for h in rows), s.dim) for y in s.compact.points)
 
 

@@ -6,8 +6,8 @@ Conventions
 * ``VPolyhedron`` is ``conv(vertices) + cone(rays) + span(lineality)``;
   an empty vertex list encodes the empty set.
 * ``PolyCone`` is generated by finitely many rays (lines appear as opposite
-  ray pairs); its optional H-form is ``{x : h . x <= 0}`` for each stored
-  halfspace normal ``h``.
+  ray pairs); its H-form ``{x : h . x <= 0}`` for each halfspace normal
+  ``h`` is derived from the generators and kept once computed.
 
 All arithmetic is rational.  Conversion between the two polyhedron forms is
 the double description method run on a pointed homogenized cone; lineality is
@@ -48,6 +48,7 @@ charge the same counter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -182,14 +183,14 @@ class VPolyhedron:
 class PolyCone:
     """Polyhedral convex cone spanned by ``generators`` (V-form).
 
-    ``halfspaces``, when present, is an H-form of the same cone:
-    ``{x : h . x <= 0 for every h}``.  Consistency of the two forms is
-    checked by :meth:`checked`.
+    A cone stores only its generators and dimension, and compares and hashes
+    by them.  Its H-form ``halfspaces``, ``{x : h . x <= 0 for every h}``, is
+    derived: :func:`cone_v_to_h` computes it on first read, and
+    :meth:`from_halfspaces` keeps the rows it was given.
     """
 
     generators: tuple[Vec, ...]
     dim: int
-    halfspaces: tuple[Vec, ...] | None = None
 
     def __post_init__(self):
         for g in self.generators:
@@ -197,10 +198,6 @@ class PolyCone:
                 raise DimensionMismatchError("generator dimension mismatch")
             if is_zero(g):
                 raise DimensionMismatchError("zero vector is not a valid generator")
-        if self.halfspaces is not None:
-            for h in self.halfspaces:
-                if len(h) != self.dim:
-                    raise DimensionMismatchError("halfspace dimension mismatch")
 
     @staticmethod
     def from_generators(gens, dim=None) -> "PolyCone":
@@ -216,44 +213,27 @@ class PolyCone:
     def from_halfspaces(rows, dim) -> "PolyCone":
         hs = list(dict.fromkeys(tuple(primitive_ints(vec(r))) for r in rows))
         rays, lin = int_cone_h_to_v(hs, dim)
-        gens = rays + lin + [_neg(v) for v in lin]
-        return PolyCone(_fractions(gens), dim, halfspaces=_fractions(h for h in hs if any(h)))
+        cone = PolyCone(_fractions(rays + lin + [_neg(v) for v in lin]), dim)
+        cone.__dict__["halfspaces"] = _fractions(h for h in hs if any(h))
+        return cone
+
+    @cached_property
+    def halfspaces(self) -> tuple[Vec, ...]:
+        return cone_v_to_h(self.generators, self.dim)
 
     def with_halfspaces(self) -> "PolyCone":
-        if self.halfspaces is not None:
-            return self
-        return PolyCone(self.generators, self.dim, halfspaces=cone_v_to_h(self.generators, self.dim))
+        """The cone itself, whose ``halfspaces`` are derived on first read."""
+        return self
 
     def contains(self, x: Vec) -> bool:
         if len(x) != self.dim:
             raise DimensionMismatchError("point dimension mismatch")
-        if self.halfspaces is not None:
-            return all(dot(h, x) <= 0 for h in self.halfspaces)
-        return is_zero(x) or vpoly_contains(self._as_vpoly(), x)
-
-    def checked(self) -> "PolyCone":
-        """Verify mutual membership of the two stored forms; return self."""
-        if self.halfspaces is None:
-            return self
-        for g in self.generators:
-            if any(dot(h, g) > 0 for h in self.halfspaces):
-                raise DimensionMismatchError("generator violates a stored halfspace")
-        rays, lin = cone_h_to_v(self.halfspaces, self.dim)
-        v = self._as_vpoly()
-        for r in rays + tuple(lin) + tuple(vscale(-ONE, l) for l in lin):
-            if not vpoly_contains(v, r):
-                raise DimensionMismatchError("halfspace form is larger than the generator form")
-        return self
-
-    def _as_vpoly(self) -> "VPolyhedron":
-        return VPolyhedron((zeros(self.dim),), self.generators, (), self.dim)
+        return all(dot(h, x) <= 0 for h in self.halfspaces)
 
 
 def same_cone(a: PolyCone, b: PolyCone) -> bool:
     """Whether two cones are equal, by mutual generator membership."""
-    return all(map(b.with_halfspaces().contains, a.generators)) and all(
-        map(a.with_halfspaces().contains, b.generators)
-    )
+    return all(map(b.contains, a.generators)) and all(map(a.contains, b.generators))
 
 
 # ---------------------------------------------------------------------------

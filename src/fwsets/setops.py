@@ -32,7 +32,6 @@ from .errors import (
 )
 from .linalg import (
     ONE,
-    Vec,
     basis_of_span,
     dot,
     identity,
@@ -54,6 +53,7 @@ from .motzkin import (
     MotzkinSet,
     PolytopeK,
     Unknown,
+    compact_points,
     decompose,
     minimize_on_motzkin,
     polyhedral_forms,
@@ -74,14 +74,6 @@ from .quadratics import Quadratic
 def _require_polyhedral(f: MotzkinSet, op: str) -> None:
     if not f.is_polyhedral_cone:
         raise UnsupportedKindError(f"{op} requires a polyhedral recession cone")
-
-
-def _compact_points(k) -> tuple[Vec, ...]:
-    if isinstance(k, PolytopeK):
-        return k.vertices
-    if isinstance(k, FinitePointSet):
-        return k.points
-    raise UnsupportedKindError("ball compact parts are not supported here")
 
 
 def affine_image(f: MotzkinSet, t: AffineMap) -> MotzkinSet:
@@ -110,7 +102,7 @@ def affine_image(f: MotzkinSet, t: AffineMap) -> MotzkinSet:
                 "a ball maps to an ellipsoid under a non-isometric map"
             )
         return MotzkinSet(Ball(t.apply(f.compact.center), f.compact.radius), cone)
-    pts = tuple(t.apply(p) for p in _compact_points(f.compact))
+    pts = tuple(t.apply(p) for p in compact_points(f.compact))
     if isinstance(f.compact, PolytopeK):
         return MotzkinSet(PolytopeK(tuple(dict.fromkeys(pts)), t.target_dim), cone)
     return MotzkinSet(FinitePointSet(tuple(dict.fromkeys(pts)), t.target_dim), cone)
@@ -152,27 +144,10 @@ def product(f1: MotzkinSet, f2: MotzkinSet) -> MotzkinSet:
     )
 
 
-def _subspace_equalities(l: AffineManifold) -> tuple[tuple[Vec, ...], tuple]:
-    if not l.contains(zeros(l.dim)):
-        raise UnsupportedKindError("expected a linear subspace through the origin")
-    rows = []
-    rhs = []
-    for row in l.a:
-        rows.append(row)
-        rhs.append(0 * ONE)
-        rows.append(vscale(-ONE, row))
-        rhs.append(0 * ONE)
-    return tuple(rows), tuple(rhs)
-
-
 def cone_intersect_subspace(d: PolyCone, l: AffineManifold) -> PolyCone:
     """Generators of ``D ∩ L`` from the stacked halfspace system."""
-    dh = d.with_halfspaces()
-    rows = list(dh.halfspaces)
-    for row in l.a:
-        rows.append(row)
-        rows.append(vscale(-ONE, row))
-    return PolyCone.from_halfspaces(tuple(rows), d.dim)
+    rows, _ = l.inequalities()
+    return PolyCone.from_halfspaces(d.halfspaces + rows, d.dim)
 
 
 def _inequality_form(f: MotzkinSet, op: str) -> HPolyhedron:
@@ -197,7 +172,9 @@ def intersect_subspace_motzkin(f: MotzkinSet, l: AffineManifold) -> MotzkinSet:
     if l.dim != f.dim:
         raise DimensionMismatchError("subspace dimension differs from the set's")
     h = _inequality_form(f, "intersect_subspace_motzkin")
-    eq_rows, eq_rhs = _subspace_equalities(l)
+    if not l.contains(zeros(l.dim)):
+        raise UnsupportedKindError("expected a linear subspace through the origin")
+    eq_rows, eq_rhs = l.inequalities()
     stacked = HPolyhedron(h.a + eq_rows, h.b + eq_rhs, f.dim)
     section = vpoly_to_motzkin(dd_convert(stacked), "the set does not meet the subspace")
     expected = cone_intersect_subspace(f.cone, l)

@@ -106,6 +106,37 @@ def test_hyperbola_axis_zero_evidence():
     assert dists[-1] < F(1, 10**12)
 
 
+@pytest.mark.parametrize(
+    "make_set, flat",
+    [
+        (hyperbola_set, lambda: AffineManifold.hyperplane((0, -1), 0)),
+        (hyperbola_set, lambda: AffineManifold.hyperplane((0, 2), 0)),
+        (hyperbola_set, lambda: AffineManifold.from_point_basis((5, 0), [(-3, 0)])),
+        (ice_cream_cut_set, lambda: AffineManifold.hyperplane((-1, 1), 0)),
+    ],
+    ids=["hyperbola -y", "hyperbola 2y", "hyperbola point-basis", "ice cream -x + z"],
+)
+def test_an_asymptote_is_found_by_its_flat_not_its_spelling(make_set, flat):
+    # the case files name one equation of each flat; the evidence is keyed
+    # by the flat, so every spelling of it is an equal key
+    f, m = make_set(), flat()
+    assert is_f_asymptote(f, m) is True
+    assert distance_to_manifold(f, m).kind == "zero_evidence"
+
+
+def test_flats_compare_by_their_canonical_equations():
+    x_axis = AffineManifold.hyperplane((0, 1), 0)
+    for spelling in (
+        AffineManifold.hyperplane((0, -1), 0),
+        AffineManifold.from_equations([(0, 2), (0, -3)], (0, 0)),
+        AffineManifold.from_point_basis((7, 0), [(2, 0)]),
+    ):
+        assert spelling == x_axis and hash(spelling) == hash(x_axis)
+        assert (spelling.a, spelling.b) == (((0, 1),), (0,))
+    assert AffineManifold.hyperplane((0, 1), 1) != x_axis
+    assert AffineManifold.hyperplane((1, 0), 0) != x_axis
+
+
 def _lifted_distance_sq(h, m):
     """Reference: min |x - p - B u|^2 over x in h and all u, one program in
     (x, u) with h's rows padded by zeros; None when h is empty."""

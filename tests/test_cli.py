@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from fwsets import asymptotes, cli, documents, gallery
-from fwsets.affine import AffineMap, subspace
+from fwsets.affine import AffineManifold, AffineMap, subspace
 from fwsets.asymptotes import AffineImageSet, IntersectionSet, ProductSet, UnionSet, distance_to_manifold
 from fwsets.cli import main
 from fwsets.documents import parse, serialize
@@ -21,6 +21,7 @@ from fwsets.linalg import vec
 from fwsets.motzkin import Ball, FinitePointSet, MotzkinSet, PolytopeK, SecondOrderCone
 from fwsets.polyhedra import HPolyhedron, PolyCone, VPolyhedron
 from fwsets.quadratics import Quadratic
+from fwsets.setops import intersect_subspace_motzkin
 
 F = Fraction
 
@@ -914,6 +915,22 @@ _WRITTEN = {
     "intersection": lambda: ("intersection", IntersectionSet((_orthant(), gallery.parabola_set()))),
     "affine_image": lambda: ("affine_image", AffineImageSet(AffineMap.build([[1, 1]]), _orthant())),
     "subspace": lambda: ("subspace", subspace([(1, 0, 2), (0, 1, 0)])),
+    # a section keeps the H-form its cone was built from, which the
+    # document does not carry
+    "section": lambda: (
+        "motzkin",
+        intersect_subspace_motzkin(
+            MotzkinSet(
+                PolytopeK.build([(0, 0, 0), (1, 0, 0)]),
+                PolyCone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+            ),
+            subspace([(1, 0, 0), (0, 1, 1)]),
+        ),
+    ),
+    # written by its equations, which solve for another point and basis
+    "point_basis_manifold": lambda: ("manifold", AffineManifold.from_point_basis((0, 1), [(1, 1)])),
+    # the whole space is written as one zero row, which gives its dimension
+    "whole_space_manifold": lambda: ("manifold", AffineManifold.from_point_basis((0, 1), [(1, 1), (0, 1)])),
 }
 
 

@@ -8,7 +8,8 @@ import pytest
 
 from fwsets import polyhedra
 from fwsets.errors import DimensionMismatchError, SizeCapError
-from fwsets.linalg import dot, mat, vec, zeros
+from fwsets.linalg import dot, mat, primitive, vec, zeros
+from fwsets.motzkin import MotzkinSet, PolytopeK
 from fwsets.polyhedra import (
     HPolyhedron,
     PolyCone,
@@ -470,16 +471,28 @@ def test_lp_stops_past_the_budget(monkeypatch):
         lp_solve(*args)
 
 
-def test_checked_cone_rejects_mismatched_forms():
-    good = PolyCone.from_halfspaces([(-1, 0), (0, -1)], 2)
-    good.checked()  # generators and halfspaces describe the same cone
-    bad = PolyCone(((1, 0),), 2, halfspaces=((-1, 0), (0, -1)))
-    with pytest.raises(DimensionMismatchError):
-        # halfspace form is the full orthant, strictly larger than ray(1,0)
-        bad.checked()
-    worse = PolyCone(((1, 1), (-1, 0)), 2, halfspaces=((0, -1),))
-    with pytest.raises(DimensionMismatchError):
-        worse.checked()
+@pytest.mark.parametrize(
+    "rows, d",
+    [
+        ([(-1, 0), (0, -1)], 2),
+        ([(-2, 0), (0, -3), (-1, -1)], 2),
+        ([(1, 1, 0)], 3),
+        ([(1, 0, -1), (0, 1, -1), (-1, -1, 0)], 3),
+        ([(1, 0), (-1, 0), (0, 1), (0, -1)], 2),
+    ],
+    ids=["orthant", "redundant", "half-space", "pointed", "zero"],
+)
+def test_a_cone_equals_the_cone_of_its_generators(rows, d):
+    # a cone compares by its generators alone, so the H-form that
+    # from_halfspaces keeps does not tell it from the same generators
+    cone = PolyCone.from_halfspaces(rows, d)
+    twin = PolyCone.from_generators(cone.generators, d)
+    assert cone == twin and hash(cone) == hash(twin)
+    assert cone.halfspaces == tuple(dict.fromkeys(primitive(vec(r)) for r in rows if any(r)))
+    assert all(map(cone.contains, twin.generators)) and all(map(twin.contains, cone.generators))
+    segment = PolytopeK.build([(0,) * d, (1,) * d])
+    assert MotzkinSet(segment, cone) == MotzkinSet(segment, twin)
+    assert hash(MotzkinSet(segment, cone)) == hash(MotzkinSet(segment, twin))
 
 
 @pytest.mark.parametrize(
