@@ -34,8 +34,17 @@ from .errors import DimensionMismatchError
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+# one shared Fraction for each small integer: the conversions meet small
+# entries most, and sharing them saves building and keeping a new object
+_SMALL = {k: Fraction(k) for k in range(-64, 65)}
+ZERO = _SMALL[0]
+ONE = _SMALL[1]
+
+
+def int_fraction(k: int) -> Fraction:
+    """The int ``k`` as a Fraction, shared for ``|k| <= 64``."""
+    f = _SMALL.get(k)
+    return Fraction(k) if f is None else f
 
 
 def rat(x) -> Fraction:

@@ -10,17 +10,22 @@ Conventions
   ``h`` is derived from the generators and kept once computed.
 
 All arithmetic is rational.  Conversion between the two polyhedron forms is
-the double description method run on a pointed homogenized cone; lineality is
-split off exactly beforehand, so the classical combinatorial adjacency test
-applies.  Every conversion runs on primitive integer vectors from its input
-rows to its output (Fukuda & Prodon, "Double description method
-revisited", 1996): rows and rays are coprime ints, a new ray is an integer
-combination divided by its gcd, and the lineality basis is read off the
-fraction-free elimination of the rows.  :func:`int_cone_h_to_v` is that
+the double description method on the homogenized cone, after Fukuda &
+Prodon ("Double description method revisited", 1996): it starts from the
+whole space, the unit vectors as lines, and one pass over the rows
+eliminates the lines, which gives the rank, the seed rows and the rays of
+the simplicial seed cone at once.  The rays are kept on a complement of
+the lineality, where the cone is pointed, so the classical combinatorial
+adjacency test applies to the rows inserted after the seed.  Every
+conversion runs on primitive integer vectors from its input rows to its
+output: rows and rays are coprime ints, a new ray is an integer combination
+divided by its gcd, and when lines are left the lineality basis is read off
+the fraction-free elimination of the rows.  :func:`int_cone_h_to_v` is that
 core on integer rows.  The public conversions merge repeats on int tuples
 and build each Fraction once, on the way out: a vertex ``(x, t)`` as
-``x / t``, and each entry of a row or ray as an integer.  A row, generator
-or point of another width is refused at entry.  Projection onto a subset of
+``x / t``, and each entry of a row or ray as an integer, one shared
+Fraction for each small integer.  A row, generator or point of another
+width is refused at entry.  Projection onto a subset of
 coordinates is one conversion each way: the image is generated by the kept
 coordinates of the homogenized integer generators.  The exact simplex (two
 phases, Bland's rule) pivots on a fraction-free tableau: each row is a list
@@ -33,11 +38,12 @@ Input polyhedra live in dimension at most ``MAX_INPUT_DIM``, and one
 public call does at most ``DD_BUDGET`` units of work: the call makes one
 :class:`Work` counter and hands it to every conversion, LP and face walk it
 runs, and each step is charged before it runs, so SizeCapError comes
-before the step that would pass the budget.  For each inserted row, double
-description charges d units per evaluation over the current rays, one per
-candidate pair across its hyperplane and one per ray the adjacency test of
-a pair scans; the input is not counted, so redundant rows and points cost
-only their evaluations.  An exact LP charges ``LP_ENTRY_UNITS`` per integer
+before the step that would pass the budget.  For each row inserted after
+the seed, double description charges r units (r the rank of the rows) per
+evaluation over the current rays, one per candidate pair across its
+hyperplane and one per ray the adjacency test of a pair scans; the input
+and the seed are not counted, so redundant rows and points cost only their
+evaluations.  An exact LP charges ``LP_ENTRY_UNITS`` per integer
 tableau entry it builds and per entry of each row a pivot updates (the pivot
 row, the rows it hits and the cost row).  A conversion
 (with the certificate LP of an empty system) is one call, and a projection
@@ -61,7 +67,7 @@ from .linalg import (
     ZERO,
     basis_of_span,
     dot,
-    independent_rows,
+    int_fraction,
     int_kernel_basis,
     int_primitive,
     int_rref,
@@ -237,54 +243,82 @@ def same_cone(a: PolyCone, b: PolyCone) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# double description on a pointed cone
+# double description
 # ---------------------------------------------------------------------------
 
 
-def _pointed_dd(rows: list[tuple[int, ...]], d: int, work: Work) -> list[tuple[int, ...]]:
-    """Extreme rays of ``{x in R^d : r . x <= 0 for r in rows}``.
+def int_cone_h_to_v(
+    rows, d: int, work: Work | None = None
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Generators of ``{x : r . x <= 0}`` for integer rows r of width d:
+    (extreme rays, lineality basis), both as primitive integer vectors.
 
-    Requires the row matrix to have full column rank d (pointed cone).
-    Classical incremental double description: seed with a simplicial cone
-    from the first d independent rows, then insert the remaining rows one at
-    a time, pairing adjacent rays across the new hyperplane (two rays whose
-    common zero set has fewer than d - 2 rows are not adjacent, which is
-    tested before the combinatorial adjacency test).  The rows are primitive
-    integer vectors, and so are the rays returned: each new ray
-    ``v_p r_q - v_q r_p`` is divided by its gcd.  Zero sets are bitmasks over
-    the row indices.  The work (see the module docstring) is charged to
-    ``work``.
+    Double description after Fukuda & Prodon: the cone starts as the whole
+    space, the d unit vectors as lines, and one pass over the primitive
+    nonzero rows eliminates them.  A row a that is nonzero on some line is
+    the next seed row: its first such line l0 (``v0 = a . l0``, s the sign
+    of v0) becomes the ray ``-s l0``, and every other line and earlier seed
+    ray x becomes ``s (v0 x - (a . x) l0)``, which a is zero on; a row that
+    is zero on every line is left for later.  So the seed rows are the
+    greedy first independent rows, their number is the rank, and each seed
+    ray is zero on the other seed rows and negative on its own: the
+    simplicial cone of the classical seed.  When lines are left, the lineality basis is the
+    one :func:`linalg.kernel_basis` gives, each vector made primitive, and
+    each seed ray is moved along it to zero at the pivot columns of its
+    reduced form, a complement of the lineality on which the cone is
+    pointed.
+
+    Every other row is then inserted one at a time in index order, pairing
+    adjacent rays across the new hyperplane: two rays whose common zero set
+    has fewer than rank - 2 rows are not adjacent, which is tested before
+    the combinatorial adjacency test.  Each new ray ``v_p r_q - v_q r_p``
+    is divided by its gcd, and zero sets are bitmasks over the row indices.
+    The work (see the module docstring) is charged to ``work``, the counter
+    of a calling public call, a new one if None.  A row of another width
+    raises DimensionMismatchError.
     """
-    if d == 0:
-        return []
-    seed = independent_rows(rows, d)
-    if len(seed) < d:
-        raise DimensionMismatchError("cone is not pointed: rows do not have full rank")
-
-    # rays of the simplicial seed cone: columns of -M^{-1}.  [M | -I] reduces
-    # to rows p_k (e_k | (-M^{-1})_k) with p_k of either sign, so scaling row k
-    # by L / p_k (L = lcm |p_k| > 0) leaves -M^{-1} times the positive L.
-    aug = [list(rows[i]) + [-1 if k == j else 0 for k in range(d)] for j, i in enumerate(seed)]
-    int_rref(aug)
-    scale = lcm(*(row[k] for k, row in enumerate(aug)))
+    if any(len(r) != d for r in rows):
+        raise DimensionMismatchError("row width differs from the cone's dimension")
+    rows = [int_primitive(r) for r in rows if any(r)]
+    lines = [tuple(int(j == i) for j in range(d)) for i in range(d)]
     rays: list[tuple[int, ...]] = []
-    zero_sets: list[int] = []
-    all_seed = sum(1 << i for i in seed)
-    for j in range(d):
-        col = [row[d + j] * (scale // row[k]) for k, row in enumerate(aug)]
-        g = gcd(*col)
-        rays.append(tuple(x // g for x in col))
-        zero_sets.append(all_seed & ~(1 << seed[j]))
-
-    seed_set = set(seed)
-    for t, row in enumerate(rows):
-        if t in seed_set:
+    seed: list[int] = []
+    for t, a in enumerate(rows):
+        vals = [sum(map(mul, a, x)) for x in lines]
+        k = next((i for i, v in enumerate(vals) if v), None)
+        if k is None:
             continue
+        l0, v0 = lines.pop(k), vals.pop(k)
+        s = 1 if v0 > 0 else -1
+        lines = [_along(x, s * v, l0, abs(v0)) for x, v in zip(lines, vals)]
+        rays = [_along(x, s * sum(map(mul, a, x)), l0, abs(v0)) for x in rays]
+        rays.append(tuple(-s * y for y in l0))
+        seed.append(t)
+        if not lines:
+            break
+    lin: list[tuple[int, ...]] = []
+    if lines:
+        ech = [list(r) for r in rows]
+        lin = int_kernel_basis(ech, int_rref(ech), d)
+        basis = [list(v) for v in lin]
+        for p, b in zip(int_rref(basis), basis):
+            if b[p] < 0:
+                b = [-y for y in b]
+            rays = [_along(x, x[p], b, b[p]) for x in rays]
+
+    rank = len(rays)
+    all_seed = sum(1 << i for i in seed)
+    zero_sets = [all_seed & ~(1 << i) for i in seed]
+    if work is None:
+        work = Work()
+    for t, row in enumerate(rows):
         bit = 1 << t
+        if all_seed & bit:
+            continue
         vals = [sum(map(mul, row, r)) for r in rays]
         pos_idx = [i for i, v in enumerate(vals) if v > 0]
         neg_idx = [i for i, v in enumerate(vals) if v < 0]
-        work.charge(d * len(vals) + len(pos_idx) * len(neg_idx), "double description")
+        work.charge(rank * len(vals) + len(pos_idx) * len(neg_idx), "double description")
         if not pos_idx:
             for i, v in enumerate(vals):
                 if v == 0:
@@ -299,7 +333,7 @@ def _pointed_dd(rows: list[tuple[int, ...]], d: int, work: Work) -> list[tuple[i
         for p in pos_idx:
             for q in neg_idx:
                 common = zero_sets[p] & zero_sets[q]
-                if common.bit_count() < d - 2:
+                if common.bit_count() < rank - 2:
                     continue
                 work.charge(len(zero_sets), "double description")
                 for k, zs in enumerate(zero_sets):
@@ -321,42 +355,15 @@ def _pointed_dd(rows: list[tuple[int, ...]], d: int, work: Work) -> list[tuple[i
                 seen[r] = len(rays)
                 rays.append(r)
                 zero_sets.append(zs)
-    return rays
-
-
-def int_cone_h_to_v(
-    rows, d: int, work: Work | None = None
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Generators of ``{x : r . x <= 0}`` for integer rows r of width d:
-    (extreme rays, lineality basis), both as primitive integer vectors.
-
-    The lineality space L is the kernel of the rows, read off their
-    fraction-free elimination: the basis :func:`linalg.kernel_basis` gives,
-    each vector made primitive.  Double description runs on the rows
-    restricted to the coordinates that are not pivot columns of the reduced
-    lineality basis, a complement of L, and each ray is placed back there.
-    ``work`` is the counter of a calling public call, a new one if None.
-    A row of another width raises DimensionMismatchError.
-    """
-    if any(len(r) != d for r in rows):
-        raise DimensionMismatchError("row width differs from the cone's dimension")
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return [], [tuple(int(j == i) for j in range(d)) for i in range(d)]
-    ech = [list(r) for r in rows]
-    lin = int_kernel_basis(ech, int_rref(ech), d)
-    lin_pivots = int_rref([list(v) for v in lin])
-    cols = [j for j in range(d) if j not in lin_pivots]
-    if not cols:
-        return [], lin
-    reduced = [rr for rr in (int_primitive([r[j] for j in cols]) for r in rows) if any(rr)]
-    rays = []
-    for s in _pointed_dd(reduced, len(cols), Work() if work is None else work):
-        x = [0] * d
-        for j, k in zip(cols, s):
-            x[j] = k
-        rays.append(tuple(x))
     return rays, lin
+
+
+def _along(x: tuple[int, ...], f: int, l: tuple[int, ...], c: int) -> tuple[int, ...]:
+    """The primitive x moved along l, ``c x - f l`` made primitive for
+    c > 0: x itself when f is 0."""
+    if not f:
+        return x
+    return int_primitive([c * y - f * z for y, z in zip(x, l)])
 
 
 def cone_h_to_v(rows, d: int, work: Work | None = None) -> tuple[tuple[Vec, ...], list[Vec]]:
@@ -394,7 +401,7 @@ def _neg(v: tuple[int, ...]) -> tuple[int, ...]:
 
 def _fractions(vs) -> tuple[Vec, ...]:
     """The integer vectors ``vs`` as Fraction vectors."""
-    return tuple(tuple(map(Fraction, v)) for v in vs)
+    return tuple(tuple(map(int_fraction, v)) for v in vs)
 
 
 def _over_last(v: tuple[int, ...]) -> Vec:
@@ -438,7 +445,13 @@ def _homogenized_v(
 def _h_to_v(p: HPolyhedron, work: Work) -> VPolyhedron:
     n = p.dim
     rays, lin = _homogenized_v(p, work)
-    vertices = tuple(tuple(Fraction(x, r[n]) if x else ZERO for x in r[:n]) for r in rays if r[n])
+    vertices = tuple(
+        tuple(map(int_fraction, r[:n]))
+        if r[n] == 1
+        else tuple(Fraction(x, r[n]) if x else ZERO for x in r[:n])
+        for r in rays
+        if r[n]
+    )
     if not vertices:
         cert = lp_solve(p.a, p.b, zeros(n), work).farkas
         return VPolyhedron((), (), (), n, empty_certificate=cert)
@@ -467,8 +480,8 @@ def _homogenized_h(gens, n: int, work: Work) -> HPolyhedron:
     rhs = []
     for row in _int_cone_v_to_h(gens, n + 1, work):
         if any(row[:n]):
-            a_rows.append(tuple(map(Fraction, row[:n])))
-            rhs.append(Fraction(-row[n]))
+            a_rows.append(tuple(map(int_fraction, row[:n])))
+            rhs.append(int_fraction(-row[n]))
     return HPolyhedron(tuple(a_rows), tuple(rhs), n)
 
 

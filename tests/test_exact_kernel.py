@@ -16,7 +16,7 @@ from math import gcd, lcm
 
 import pytest
 
-from fwsets import cone_qp, polyhedra
+from fwsets import cone_qp, linalg, polyhedra
 from fwsets.cone_qp import minimize_over_hpolyhedron
 from fwsets.errors import DimensionMismatchError
 from fwsets.linalg import (
@@ -37,6 +37,7 @@ from fwsets.polyhedra import (
     cone_h_to_v,
     cone_v_to_h,
     dd_convert,
+    int_cone_h_to_v,
     lp_solve,
     project_fm,
 )
@@ -137,8 +138,12 @@ def ref_solution_set(m, b, n):
 
 
 def ref_pointed_dd(rows, d):
+    """``(rays, units)``: the extreme rays, and the work units the library
+    charges: d per ray a non-seed row is evaluated on, one per pair across
+    its hyperplane, and one per current ray for each pair whose common zero
+    set has at least d - 2 rows."""
     if d == 0:
-        return []
+        return [], 0
     seed, chosen = [], []
     for i, row in enumerate(rows):
         if len(ref_rref(chosen + [row])[1]) > len(chosen):
@@ -154,10 +159,12 @@ def ref_pointed_dd(rows, d):
         rays.append(ref_primitive(col))
         zero_sets.append({seed[k] for k in range(d) if k != j})
     processed = set(seed)
+    units = 0
     for t, row in enumerate(rows):
         if t in processed:
             continue
         vals = [ref_dot(row, r) for r in rays]
+        units += d * len(vals) + sum(v > 0 for v in vals) * sum(v < 0 for v in vals)
         if all(v <= 0 for v in vals):
             for i, v in enumerate(vals):
                 if v == 0:
@@ -172,6 +179,8 @@ def ref_pointed_dd(rows, d):
         for p in (i for i, v in enumerate(vals) if v > 0):
             for q in (i for i, v in enumerate(vals) if v < 0):
                 common = zero_sets[p] & zero_sets[q]
+                if len(common) >= d - 2:
+                    units += len(rays)
                 if any(
                     k != p and k != q and common <= zero_sets[k] for k in range(len(rays))
                 ):
@@ -192,25 +201,27 @@ def ref_pointed_dd(rows, d):
                 rays.append(r)
                 zero_sets.append(zs)
         processed.add(t)
-    return rays
+    return rays, units
 
 
 def ref_cone_h_to_v(rows, d):
+    """``(rays, lineality basis, units)``, the units as in :func:`ref_pointed_dd`."""
     rows = [tuple(F(x) for x in r) for r in rows]
     rows = [r for r in rows if any(r)]
     lin = ref_kernel(rows, d) if rows else [ref_unit(d, i) for i in range(d)]
     pivots = ref_rref(lin)[1] if lin else []
     comp = [ref_unit(d, j) for j in range(d) if j not in pivots]
     if not comp:
-        return (), lin
+        return (), lin, 0
     reduced = [rr for rr in (tuple(ref_dot(r, c) for c in comp) for r in rows) if any(rr)]
     rays = []
-    for s in ref_pointed_dd(reduced, len(comp)):
+    pointed, units = ref_pointed_dd(reduced, len(comp))
+    for s in pointed:
         x = [ZERO] * d
         for coeff, c in zip(s, comp):
             x = [xi + coeff * ci for xi, ci in zip(x, c)]
         rays.append(ref_primitive(x))
-    return tuple(dict.fromkeys(rays)), lin
+    return tuple(dict.fromkeys(rays)), lin, units
 
 
 def ref_lp_solve(a, b, c, ties):
@@ -522,16 +533,66 @@ def _dd_cases():
 
 
 def test_double_description_matches_fraction_reference():
+    # the rays, their order, the lineality basis and the work charged, so
+    # that no refusal moves
     lineal = multi_ray = 0
     for rows, d in _dd_cases():
-        rays, lin = cone_h_to_v(rows, d)
-        ref_rays, ref_lin = ref_cone_h_to_v(rows, d)
+        work = Work()
+        rays, lin = cone_h_to_v(rows, d, work)
+        ref_rays, ref_lin, ref_units = ref_cone_h_to_v(rows, d)
         assert list(rays) == list(ref_rays), (rows, d)
         assert lin == ref_lin, (rows, d)
+        assert work.units == ref_units, (rows, d)
         assert all_fractions(rays) and all_fractions(lin)
         lineal += bool(lin)
         multi_ray += len(rays) > d
     assert lineal >= 15 and multi_ray >= 12
+
+
+def test_integer_rows_match_fraction_reference():
+    # the face walks hand int_cone_h_to_v integer rows that are not
+    # primitive, and zero rows: each row scaled by a positive integer, and
+    # zero rows inserted
+    rng = random.Random(20261020)
+    zero_rows = 0
+    for rows, d in _dd_cases():
+        ints = [[rng.randint(1, 6) * x for x in primitive_ints(r)] for r in rows]
+        for _ in range(rng.randint(0, 2)):
+            ints.insert(rng.randint(0, len(ints)), [0] * d)
+            zero_rows += 1
+        work = Work()
+        rays, lin = int_cone_h_to_v(ints, d, work)
+        ref_rays, ref_lin, ref_units = ref_cone_h_to_v(ints, d)
+        assert [tuple(map(F, r)) for r in rays] == list(ref_rays), (ints, d)
+        assert [tuple(map(F, v)) for v in lin] == [ref_primitive(v) for v in ref_lin], (ints, d)
+        assert work.units == ref_units, (ints, d)
+    assert zero_rows >= 20
+
+
+def test_line_elimination_replaces_the_seed_eliminations(monkeypatch):
+    # the seed comes from one pass over the rows: a full-rank system is
+    # eliminated nowhere else, and one with lineality only for its kernel
+    # basis and that basis's pivot columns
+    calls = {"int_rref": 0, "independent_rows": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(polyhedra, "int_rref", counted("int_rref", linalg.int_rref))
+    monkeypatch.setattr(
+        linalg, "independent_rows", counted("independent_rows", linalg.independent_rows)
+    )
+    rows = [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (-1, -1, 0), (1, 1, -1)]
+    assert int_cone_h_to_v(rows, 3) == ([(0, 0, 1), (1, 0, 1), (0, 1, 1)], [])
+    assert calls == {"int_rref": 0, "independent_rows": 0}
+    # every row is orthogonal to the line (1, 1, 1)
+    rows = [(-1, 1, 0), (0, -1, 1), (0, 0, 0), (-1, 0, 1)]
+    assert int_cone_h_to_v(rows, 3) == ([(0, -1, -1), (0, 0, -1)], [(1, 1, 1)])
+    assert calls == {"int_rref": 2, "independent_rows": 0}
 
 
 # The conversions built on double description, as they were written in
@@ -541,7 +602,7 @@ def test_double_description_matches_fraction_reference():
 
 def ref_cone_v_to_h(gens, d):
     gens = [ref_primitive(tuple(F(x) for x in g)) for g in gens]
-    rays, lin = ref_cone_h_to_v([g for g in gens if any(g)], d)
+    rays, lin, _ = ref_cone_h_to_v([g for g in gens if any(g)], d)
     rows = list(rays)
     for v in lin:
         rows += [ref_primitive(v), ref_primitive(tuple(-x for x in v))]
@@ -552,7 +613,7 @@ def ref_from_halfspaces(rows, d):
     """``(generators, halfspaces)`` of ``PolyCone.from_halfspaces``."""
     hs = tuple(ref_primitive(tuple(F(x) for x in r)) for r in rows)
     hs = tuple(dict.fromkeys(h for h in hs if any(h)))
-    rays, lin = ref_cone_h_to_v(hs, d)
+    rays, lin, _ = ref_cone_h_to_v(hs, d)
     gens = rays + tuple(lin) + tuple(tuple(-x for x in v) for v in lin)
     return tuple(dict.fromkeys(ref_primitive(g) for g in gens)), hs
 
@@ -560,7 +621,7 @@ def ref_from_halfspaces(rows, d):
 def ref_h_to_v(a, b, n):
     """``(vertices, rays, lineality, empty_certificate)`` of ``{A x <= b}``."""
     hom = [tuple(row) + (-rhs,) for row, rhs in zip(a, b)]
-    rays, lin = ref_cone_h_to_v(hom + [(ZERO,) * n + (-ONE,)], n + 1)
+    rays, lin, _ = ref_cone_h_to_v(hom + [(ZERO,) * n + (-ONE,)], n + 1)
     vertices = tuple(dict.fromkeys(tuple(x / r[n] for x in r[:n]) for r in rays if r[n] > 0))
     if not vertices:
         farkas = ref_lp_solve(a, b, (ZERO,) * n, {"ratio": 0, "driven_out": 0})[4]

@@ -426,9 +426,9 @@ def test_size_cap_errors(monkeypatch):
     with pytest.raises(SizeCapError):
         dd_convert(HPolyhedron((), (), 11))
     # 65 copies of x1 <= 1 in R^4: no row count is capped, and the copies
-    # cost only their evaluations: the method runs on a cone in R^2 (the
-    # lines e2, e3, e4 are split off first), and 64 copies each evaluate
-    # its 2 rays at 2 units an evaluation
+    # cost only their evaluations: the homogenized rows have rank 2 (the
+    # lines e2, e3, e4 are never eliminated), and 64 copies each evaluate
+    # the 2 seed rays at 2 units an evaluation
     p = HPolyhedron.from_rows([[1] + [0] * 3] * 65, [1] * 65)
     v = dd_convert(p)
     assert v.vertices == ((1, 0, 0, 0),) and v.rays == ((-1, 0, 0, 0),)
