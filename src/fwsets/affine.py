@@ -12,6 +12,7 @@ from .linalg import (
     Vec,
     basis_of_span,
     dot,
+    hash_once,
     identity,
     is_zero,
     kernel_basis,
@@ -80,6 +81,8 @@ class AffineManifold:
     point: Vec = field(compare=False)
     basis: tuple[Vec, ...] = field(compare=False)
     dim: int
+
+    __hash__ = hash_once
 
     @staticmethod
     def from_equations(a, b) -> "AffineManifold":

@@ -30,18 +30,24 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 from .affine import AffineManifold, AffineMap
 from .cone_qp import minimize_over_hpolyhedron
 from .errors import DimensionMismatchError, UnsupportedKindError
 from .linalg import (
     ONE,
+    LinearSystem,
+    Mat,
     Vec,
     ZERO,
     dot,
+    hash_once,
+    int_kernel_basis,
+    int_rref,
     kernel_basis,
     matvec,
+    primitive_ints,
     rank,
     solve,
     unit,
@@ -63,7 +69,7 @@ from .motzkin import (
 )
 from .numeric import exp_bounds, lagrangian_value, sqrt_bounds, surd, surd_cmp
 from .polyhedra import HPolyhedron, dd_convert, lp_solve
-from .quadratics import Quadratic, is_convex, is_psd
+from .quadratics import Quadratic, is_psd
 
 # ---------------------------------------------------------------------------
 # descriptor nodes
@@ -72,11 +78,17 @@ from .quadratics import Quadratic, is_convex, is_psd
 
 @dataclass(frozen=True)
 class QuadSublevel:
-    """``{x in base : q(x) <= 0 for every constraint q}``."""
+    """``{x in base : q(x) <= 0 for every constraint q}``.
+
+    Facts of the set that do not depend on a query are derived on first
+    read and kept: :attr:`psd_forms` and :attr:`psd_supports`.
+    """
 
     base: "SetDescriptor"
     constraints: tuple[Quadratic, ...]
     sample_point: Vec | None = field(default=None, compare=False)
+
+    __hash__ = hash_once
 
     def __post_init__(self):
         n = ambient_dim(self.base)
@@ -85,6 +97,34 @@ class QuadSublevel:
                 raise DimensionMismatchError("constraint dimension differs from base")
         if self.sample_point is not None and contains(self, self.sample_point) is False:
             raise DimensionMismatchError("sample point is not a member")
+
+    @cached_property
+    def psd_forms(self) -> tuple[bool, ...]:
+        """Whether each constraint's form is positive semidefinite."""
+        return tuple(is_psd(g.a) for g in self.constraints)
+
+    @cached_property
+    def psd_supports(self) -> dict[tuple[int, ...], tuple[list[tuple[int, ...]], Mat, LinearSystem]]:
+        """For each support S (increasing constraint indices) whose forms
+        are all PSD: the common kernel K of those forms, as primitive
+        integer vectors, the matrix ``(k . b_i)``, a row for each k in K and
+        a column for each i in S, and its :class:`LinearSystem`.
+
+        For multipliers lam_i > 0 on S, the combined form is PSD with kernel
+        K, so ``w.x + sum(lam_i g_i(x))`` is bounded below iff ``sum(lam_i
+        (k . b_i)) = -k . w`` for every k in K: a linear system in lam.
+        """
+        n = ambient_dim(self)
+        out = {}
+        for size in range(1, len(self.constraints) + 1):
+            for support in itertools.combinations(range(len(self.constraints)), size):
+                if not all(self.psd_forms[i] for i in support):
+                    continue
+                rows = [primitive_ints(row) for i in support for row in self.constraints[i].a]
+                kernel = int_kernel_basis(rows, int_rref(rows), n)
+                kb = tuple(tuple(dot(k, self.constraints[i].b) for i in support) for k in kernel)
+                out[support] = kernel, kb, LinearSystem(kb, size)
+        return out
 
 
 @dataclass(frozen=True)
@@ -586,9 +626,9 @@ def linear_lower_bound(f: SetDescriptor, w: Vec) -> Fraction | None:
     """A certified lower bound of ``inf {w.x : x in F}``, or None.
 
     Polyhedral data is exact; quadratic sublevel sets combine the base
-    relaxation with a weak-duality sweep ``inf_x w.x + sum(lam q(x))`` over a
-    small grid of nonnegative multipliers (any feasible value is a bound);
-    the epigraph uses its minorant ``y >= max(1, x^2)``.
+    relaxation with the weak-duality bounds ``inf_x w.x + sum(lam q(x))``
+    of :func:`_lagrangian_bounds` (any feasible value is a bound); the
+    epigraph uses its minorant ``y >= max(1, x^2)``.
     """
     forms = polyhedral_forms(f)
     if forms is not None:
@@ -603,7 +643,7 @@ def linear_lower_bound(f: SetDescriptor, w: Vec) -> Fraction | None:
             if res.status == "optimal":
                 best = res.value
         if len(f.constraints) <= 3:
-            for value in _multiplier_grid_values(f.constraints, w):
+            for value in _lagrangian_bounds(f, w):
                 if best is None or value > best:
                     best = value
         return best
@@ -622,43 +662,56 @@ def linear_lower_bound(f: SetDescriptor, w: Vec) -> Fraction | None:
     return None
 
 
-_LAM_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4))
+# the positive multipliers tried on a support whose multipliers stay free
+_LAM_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4))
 
 
-def _multiplier_grid_values(constraints, w: Vec):
-    """The finite values ``inf_x w.x + sum(lam_i g_i(x))`` over the grid.
+def _lagrangian_bounds(f: QuadSublevel, w: Vec):
+    """The finite values ``inf_x w.x + sum(lam_i g_i(x))`` that each support
+    S = {i : lam_i > 0} offers.
 
-    Consistency is decided once per support S = {i : lam_i > 0}.  When every
-    form in S is PSD, the combined form is PSD with kernel the common kernel
-    K of those forms, whatever the positive multipliers, so the stationarity
-    system is consistent iff ``(w + sum(lam_i b_i)).k = 0`` for each k in K;
-    only those combinations reach :func:`lagrangian_value`.  A positive
-    multiple of one non-PSD form is never PSD, so such a support is skipped;
-    a mixed support of several forms goes to :func:`lagrangian_value` as is.
+    When every form in S is PSD, the stationarity system is consistent iff
+    lam solves the system of :attr:`QuadSublevel.psd_supports`, which is
+    solved once.  When it fixes lam, that lam is the only consistent one:
+    if it is positive, its bound is the best on S, and otherwise S gives
+    none, as it does when the system is inconsistent.  While lam stays
+    free, the consistent combinations of ``_LAM_GRID`` are tried.  A
+    positive multiple of one non-PSD form is never PSD, so such a support
+    is skipped; a mixed support of several forms tries the whole grid, and
+    :func:`lagrangian_value` decides each combination.
     """
-    n = len(w)
+    n, k = len(w), len(f.constraints)
     linear = Quadratic(tuple((ZERO,) * n for _ in range(n)), tuple(w), ZERO)
-    psd = [is_psd(g.a) for g in constraints]
-    # per all-PSD support: (k.w, (k.b_i for i in S)) for each k in K
-    tests = {}
-    for lams in itertools.product(_LAM_GRID, repeat=len(constraints)):
-        support = tuple(i for i, lam in enumerate(lams) if lam)
-        if not support:
-            continue
-        if all(psd[i] for i in support):
-            if support not in tests:
-                rows = [row for i in support for row in constraints[i].a]
-                tests[support] = [
-                    (dot(k, w), [dot(k, constraints[i].b) for i in support])
-                    for k in kernel_basis(rows, n)
-                ]
-            if any(kw + sum(lams[i] * kb for i, kb in zip(support, kbs)) for kw, kbs in tests[support]):
-                continue
-        elif len(support) == 1:
-            continue
-        lag = lagrangian_value(linear, constraints, lams)
-        if lag is not None:
-            yield lag[0]
+    for size in range(1, k + 1):
+        for support in itertools.combinations(range(k), size):
+            facts = f.psd_supports.get(support)
+            if facts is None:
+                if size == 1:
+                    continue
+                choices = itertools.product(_LAM_GRID, repeat=size)
+            else:
+                kernel, kb, system = facts
+                rhs = tuple(-dot(v, w) for v in kernel)
+                lam = system.solve(rhs)
+                if lam is None:
+                    continue
+                if system.rank == size:
+                    if not all(x > 0 for x in lam):
+                        continue
+                    choices = (lam,)
+                else:
+                    choices = (
+                        lams
+                        for lams in itertools.product(_LAM_GRID, repeat=size)
+                        if all(dot(row, lams) == r for row, r in zip(kb, rhs))
+                    )
+            for lams in choices:
+                full = [ZERO] * k
+                for i, x in zip(support, lams):
+                    full[i] = x
+                lag = lagrangian_value(linear, f.constraints, full)
+                if lag is not None:
+                    yield lag[0]
 
 
 def _separating_slab(f: SetDescriptor, m: AffineManifold) -> PositiveDistance | None:
@@ -962,7 +1015,7 @@ def _kind_rules(f: SetDescriptor) -> tuple[Classification, Classification]:
             "closed (Mirkil), so a flat asymptote exists",
         )
     if isinstance(f, QuadSublevel):
-        if not all(is_convex(q) for q in f.constraints):
+        if not all(f.psd_forms):
             return _NO_RULE, _NO_RULE
         if _nonempty_witness(f) is None:
             return _NO_RULE, Classification("Unknown", "nonemptiness not established")

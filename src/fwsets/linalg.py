@@ -23,6 +23,7 @@ No floating point enters this module.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -39,6 +40,17 @@ Mat = tuple[Vec, ...]
 _SMALL = {k: Fraction(k) for k in range(-64, 65)}
 ZERO = _SMALL[0]
 ONE = _SMALL[1]
+
+
+def hash_once(value) -> int:
+    """The ``__hash__`` of a frozen value class, bound as ``__hash__ =
+    hash_once``: the hash of its compared fields, the one the dataclass would
+    compute, worked out on first use and kept outside its fields."""
+    h = value.__dict__.get("_hash")
+    if h is None:
+        h = hash(tuple(getattr(value, f.name) for f in fields(value) if f.compare))
+        value.__dict__["_hash"] = h
+    return h
 
 
 def int_fraction(k: int) -> Fraction:
@@ -342,22 +354,27 @@ class LinearSystem:
 
     The rows of ``[m | I]``, each scaled to integers by the lcm of its
     denominators, are eliminated once by :func:`int_rref` to ``[E | T]``
-    with ``T m = E``: the leading rows of E are multiples of the reduced row
-    echelon form of m, and the rows of T below the rank span the left kernel
-    of m.  The rank, the kernel basis (read on first use, in Fractions and,
-    as ``int_kernel``, on ints over the common pivot denominator) and, for
-    each b, the consistency test and the particular solution with zero free
-    coordinates all follow without eliminating again, on ints; they are the
-    Fractions :func:`solve` and :func:`kernel_basis` return.
+    with ``T m = E``.  Given ``den``, m is a matrix of ints that stands for
+    ``m / den``, and ``[m | den I]`` is eliminated as it is.  The leading
+    rows of E are multiples of the reduced row echelon form of m, and the
+    rows of T below the rank span the left kernel of m.  The rank, the
+    kernel basis (read on first use, in Fractions and, as ``int_kernel``, on
+    ints over the common pivot denominator) and, for each b, the consistency
+    test and the particular solution with zero free coordinates all follow
+    without eliminating again, on ints; they are the Fractions
+    :func:`solve` and :func:`kernel_basis` return.
     """
 
-    def __init__(self, m: Mat, ncols: int):
+    def __init__(self, m: Mat, ncols: int, den: int | None = None):
         k = len(m)
         rows = []
         for i, row in enumerate(m):
-            den = lcm(*(x.denominator for x in row))
-            ints = [x.numerator * (den // x.denominator) for x in row]
-            ints.extend(den if j == i else 0 for j in range(k))
+            if den is None:
+                d = lcm(*(x.denominator for x in row))
+                ints = [x.numerator * (d // x.denominator) for x in row]
+            else:
+                d, ints = den, list(row)
+            ints.extend(d if j == i else 0 for j in range(k))
             rows.append(ints)
         pivots = int_rref(rows)
         self.ncols = ncols

@@ -45,6 +45,7 @@ from .linalg import (
     ONE,
     Vec,
     dot,
+    hash_once,
     identity,
     is_zero,
     matvec,
@@ -184,6 +185,8 @@ class MotzkinSet:
 
     compact: CompactPart
     cone: ConeRep
+
+    __hash__ = hash_once
 
     def __post_init__(self):
         if self.compact.dim != self.cone.dim:

@@ -13,10 +13,10 @@ appear, and they only choose which exact multiplier to probe next.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, inf, isfinite, isqrt, sqrt
+from math import factorial, inf, isfinite, isqrt, lcm, sqrt
 
-from .linalg import LinearSystem, dot, matvec, rat, solve
-from .quadratics import is_psd
+from .linalg import LinearSystem, dot, idot, matvec, rat, solve
+from .quadratics import int_is_psd
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -150,31 +150,40 @@ def lagrangian_value(q, constraints, lams):
     span(system.kernel)``, system being the :class:`linalg.LinearSystem` of
     the combined form, and by weak duality the value bounds q from below on
     ``{g_i <= 0}``.  None unless the combination is PSD with a consistent
-    stationarity system; the value at x0 is ``b.x0 / 2 + c`` of it.
+    stationarity system; the value at x0 is ``b.x0 / 2 + c`` of it.  The
+    combination runs on ints: each term ``lam g`` is ``p (A, b, c) / (r d)``
+    for ``lam = p / r`` and the ints of :attr:`Quadratic.ints`, all over
+    the lcm L of those denominators, and x0 and the value are built as
+    Fractions once, at the end.
     """
     n = q.dim
-    amat = [list(row) for row in q.a]
-    bvec = list(q.b)
-    const = q.c
-    for lam, g in zip(lams, constraints):
-        if not lam:
-            continue
-        # a zero multiplier or entry adds nothing: skip its products
+    terms = [(ONE, q)] + [(lam, g) for lam, g in zip(lams, constraints) if lam]
+    scale = lcm(*(lam.denominator * g.ints[3] for lam, g in terms))
+    amat = [[0] * n for _ in range(n)]
+    bvec = [0] * n
+    const = 0
+    for lam, g in terms:
+        ga, gb, gc, gd = g.ints
+        f = lam.numerator * (scale // (lam.denominator * gd))
+        # a zero entry adds nothing: skip its products
         for i in range(n):
-            for j, v in enumerate(g.a[i]):
+            row = amat[i]
+            for j, v in enumerate(ga[i]):
                 if v:
-                    amat[i][j] += lam * v
-            if g.b[i]:
-                bvec[i] += lam * g.b[i]
-        const += lam * g.c
-    amat_t = tuple(tuple(row) for row in amat)
-    if not is_psd(amat_t):
+                    row[j] += f * v
+            if gb[i]:
+                bvec[i] += f * gb[i]
+        const += f * gc
+    if not int_is_psd([row[:] for row in amat]):
         return None
-    system = LinearSystem(amat_t, n)
-    x0 = system.solve(tuple(-v for v in bvec))
-    if x0 is None:
+    system = LinearSystem(amat, n, scale)
+    # (amat / L) y = -bvec gives y = L x0
+    sol = system.solve_ints([-v for v in bvec])
+    if sol is None:
         return None
-    return dot(tuple(bvec), x0) / 2 + const, x0, system
+    y, d = sol
+    x0 = tuple(Fraction(v, d * scale) if v else ZERO for v in y)
+    return Fraction(idot(bvec, y) + 2 * d * scale * const, 2 * d * scale * scale), x0, system
 
 
 def one_constraint_bracket(q, g, tol: Fraction, member):

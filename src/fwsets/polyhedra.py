@@ -67,6 +67,7 @@ from .linalg import (
     ZERO,
     basis_of_span,
     dot,
+    hash_once,
     int_fraction,
     int_kernel_basis,
     int_primitive,
@@ -123,6 +124,8 @@ class HPolyhedron:
     a: Mat
     b: Vec
     dim: int
+
+    __hash__ = hash_once
 
     def __post_init__(self):
         if len(self.a) != len(self.b):
@@ -197,6 +200,8 @@ class PolyCone:
 
     generators: tuple[Vec, ...]
     dim: int
+
+    __hash__ = hash_once
 
     def __post_init__(self):
         for g in self.generators:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .affine import AffineManifold, AffineMap
@@ -17,7 +18,8 @@ from .errors import DimensionMismatchError
 from .linalg import (
     Mat,
     Vec,
-    dot,
+    hash_once,
+    idot,
     mat,
     matmul,
     matvec,
@@ -36,6 +38,8 @@ class Quadratic:
     a: Mat
     b: Vec
     c: Fraction
+
+    __hash__ = hash_once
 
     def __post_init__(self):
         n = len(self.b)
@@ -63,11 +67,33 @@ class Quadratic:
     def dim(self) -> int:
         return len(self.b)
 
+    @cached_property
+    def ints(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int, int]:
+        """``(A, b, c, d)`` on ints with ``q = (A, b, c) / d``, d the lcm of
+        q's denominators."""
+        d = lcm(
+            *(x.denominator for row in self.a for x in row),
+            *(x.denominator for x in self.b),
+            self.c.denominator,
+        )
+        return (
+            tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in self.a),
+            tuple(x.numerator * (d // x.denominator) for x in self.b),
+            self.c.numerator * (d // self.c.denominator),
+            d,
+        )
+
     def evaluate(self, x: Vec) -> Fraction:
+        """q(x), on ints: with x = X / s over the lcm s of x's denominators,
+        ``q(x) = (X.A X + 2 s b.X + 2 s^2 c) / (2 s^2 d)`` for the ints of
+        :attr:`ints`, one Fraction."""
         if len(x) != self.dim:
             raise DimensionMismatchError("point dimension mismatch")
-        ax = matvec(self.a, x)
-        return dot(x, ax) / 2 + dot(self.b, x) + self.c
+        a, b, c, d = self.ints
+        s = lcm(*(xi.denominator for xi in x))
+        xs = [xi.numerator * (s // xi.denominator) for xi in x]
+        quad = idot(xs, [idot(row, xs) for row in a])
+        return Fraction(quad + 2 * s * (idot(b, xs) + s * c), 2 * s * s * d)
 
     def gradient(self, x: Vec) -> Vec:
         return vadd(matvec(self.a, x), self.b)
@@ -86,7 +112,11 @@ def is_psd(a) -> bool:
     diagonal must vanish entirely.
     """
     scale = lcm(*(x.denominator for row in a for x in row))
-    s = [[x.numerator * (scale // x.denominator) for x in row] for row in a]
+    return int_is_psd([[x.numerator * (scale // x.denominator) for x in row] for row in a])
+
+
+def int_is_psd(s: list[list[int]]) -> bool:
+    """:func:`is_psd` of a symmetric matrix of ints, eliminated in place."""
     active = list(range(len(s)))
     prev = 1
     while active:

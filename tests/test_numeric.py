@@ -100,6 +100,11 @@ def test_lagrangian_value_is_the_minimum_of_the_combination():
         assert all(all(v == 0 for v in matvec(comb.a, k)) for k in system.kernel)
         assert len(system.kernel) == len(kernel)
         assert value == comb.evaluate(x0)
+        if not kernel:
+            # the system is the combined form's own: it solves for its inverse
+            for i in range(comb.dim):
+                e = tuple(F(int(i == j)) for j in range(comb.dim))
+                assert matvec(comb.a, system.solve(e)) == e
         outcomes["flat" if kernel else "unique"] += 1
     assert all(outcomes.values()), outcomes
 

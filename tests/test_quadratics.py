@@ -45,6 +45,20 @@ def test_eval_at_origin_is_constant():
         assert q.evaluate(zeros(n)) == c
 
 
+def test_eval_on_ints_matches_fraction_arithmetic():
+    # rational forms at rational and integer points: one Fraction from the
+    # ints over one scale equals the term-by-term Fraction sum
+    rng = random.Random(20261020)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        frac = lambda: F(rng.randint(-6, 6), rng.randint(1, 5))
+        q = Quadratic.build([[frac() for _ in range(n)] for _ in range(n)], [frac() for _ in range(n)], frac())
+        x = tuple(frac() for _ in range(n)) if rng.random() < 0.7 else tuple(rng.randint(-3, 3) for _ in range(n))
+        ref = sum(xi * q.a[i][j] * xj for i, xi in enumerate(x) for j, xj in enumerate(x)) / 2
+        ref += sum(bi * xi for bi, xi in zip(q.b, x)) + q.c
+        assert q.evaluate(x) == ref
+
+
 def test_build_symmetrizes():
     q = Quadratic.build([[0, 2], [0, 0]])
     assert q.a == ((0, 1), (1, 0))
