@@ -11,6 +11,7 @@ from .linalg import (
     ONE,
     Vec,
     basis_of_span,
+    dim_of,
     dot,
     hash_once,
     identity,
@@ -20,6 +21,7 @@ from .linalg import (
     matvec,
     primitive,
     rank,
+    set_fields,
     vadd,
     vec,
     vscale,
@@ -29,21 +31,17 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class AffineMap:
-    """``T(x) = matrix @ x + offset`` from R^n to R^m."""
+    """``T(x) = matrix @ x + offset`` from R^n to R^m; ``offset`` defaults to
+    zeros."""
 
     matrix: Mat
-    offset: Vec
+    offset: Vec | None = None
 
     def __post_init__(self):
+        m = mat(self.matrix)
+        set_fields(self, matrix=m, offset=zeros(len(m)) if self.offset is None else vec(self.offset))
         if len(self.matrix) != len(self.offset):
             raise DimensionMismatchError("offset length differs from row count")
-
-    @staticmethod
-    def build(matrix, offset=None) -> "AffineMap":
-        m = mat(matrix)
-        if offset is None:
-            offset = zeros(len(m))
-        return AffineMap(m, vec(offset))
 
     @staticmethod
     def identity(n: int) -> "AffineMap":
@@ -84,6 +82,9 @@ class AffineManifold:
 
     __hash__ = hash_once
 
+    def __post_init__(self):
+        set_fields(self, a=mat(self.a), b=vec(self.b), point=vec(self.point), basis=mat(self.basis))
+
     @staticmethod
     def from_equations(a, b) -> "AffineManifold":
         a = mat(a)
@@ -99,12 +100,10 @@ class AffineManifold:
 
     @staticmethod
     def from_point_basis(point, basis) -> "AffineManifold":
-        point = vec(point)
+        point, basis = vec(point), mat(basis)
         n = len(point)
-        basis = tuple(vec(v) for v in basis)
-        for v in basis:
-            if len(v) != n:
-                raise DimensionMismatchError("basis vector dimension mismatch")
+        if basis and len(basis[0]) != n:
+            raise DimensionMismatchError("basis vector dimension mismatch")
         if basis and rank(basis) < len(basis):
             raise DimensionMismatchError("basis vectors must be independent")
         return AffineManifold._canonical(point, basis, n)
@@ -125,7 +124,7 @@ class AffineManifold:
 
     @staticmethod
     def hyperplane(normal, value) -> "AffineManifold":
-        return AffineManifold.from_equations((vec(normal),), (value,))
+        return AffineManifold.from_equations((normal,), (value,))
 
     def contains(self, x: Vec) -> bool:
         if len(x) != self.dim:
@@ -143,12 +142,10 @@ class AffineManifold:
         return len(self.basis)
 
 
-def subspace(basis_vectors, dim=None) -> AffineManifold:
-    """The linear subspace spanned by ``basis_vectors`` through the origin."""
-    basis = [vec(v) for v in basis_vectors]
-    basis = [v for v in basis if not is_zero(v)]
-    if dim is None:
-        if not basis:
-            raise DimensionMismatchError("dimension required for the zero subspace")
-        dim = len(basis[0])
-    return AffineManifold.from_point_basis(zeros(dim), basis_of_span(basis, dim))
+def subspace(basis, dim=None) -> AffineManifold:
+    """The linear subspace spanned by ``basis`` through the origin; ``dim``
+    defaults to the vectors' width."""
+    vectors = mat(basis)
+    dim = dim_of(dim, vectors)
+    vectors = [v for v in vectors if not is_zero(v)]
+    return AffineManifold.from_point_basis(zeros(dim), basis_of_span(vectors, dim))

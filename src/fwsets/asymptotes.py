@@ -49,6 +49,7 @@ from .linalg import (
     matvec,
     primitive_ints,
     rank,
+    set_fields,
     solve,
     unit,
     vadd,
@@ -91,6 +92,8 @@ class QuadSublevel:
     __hash__ = hash_once
 
     def __post_init__(self):
+        sample = self.sample_point
+        set_fields(self, constraints=tuple(self.constraints), sample_point=sample if sample is None else vec(sample))
         n = ambient_dim(self.base)
         for q in self.constraints:
             if q.dim != n:
@@ -143,6 +146,9 @@ class Epigraph1D:
 class ProductSet:
     factors: tuple["SetDescriptor", ...]
 
+    def __post_init__(self):
+        set_fields(self, factors=tuple(self.factors))
+
 
 @dataclass(frozen=True)
 class AffineImageSet:
@@ -158,10 +164,16 @@ class AffineImageSet:
 class IntersectionSet:
     members: tuple["SetDescriptor", ...]
 
+    def __post_init__(self):
+        set_fields(self, members=tuple(self.members))
+
 
 @dataclass(frozen=True)
 class UnionSet:
     members: tuple["SetDescriptor", ...]
+
+    def __post_init__(self):
+        set_fields(self, members=tuple(self.members))
 
 
 SetDescriptor = (

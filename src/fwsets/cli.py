@@ -172,7 +172,7 @@ def cmd_project(args):
         )
         return _set_report("hpolyhedron", project_fm(fset, coords), justification), EXIT_OK
     if isinstance(fset, MotzkinSet) and fset.is_polyhedral_cone:
-        image = affine_image(fset, AffineMap.build([unit(fset.dim, c - 1) for c in coords]))
+        image = affine_image(fset, AffineMap([unit(fset.dim, c - 1) for c in coords]))
         justification = "coordinate images of compact-plus-cone sums are computed generator-wise"
         return _set_report("motzkin", image, justification), EXIT_OK
     print("projection is only exact for polyhedral data", file=sys.stderr)

@@ -126,7 +126,7 @@ from .polyhedra import (
     int_cone_h_to_v,
     lp_solve,
 )
-from .quadratics import Quadratic, is_psd
+from .quadratics import Quadratic, int_is_psd
 
 # the step a face walk's charges name in SizeCapError
 _WALK = "the face walk"
@@ -552,19 +552,20 @@ def _domain(d: PolyCone, blocks: _Blocks, work: Work) -> DomF:
     A negative diagonal entry of H empties it before any face is listed.
     Otherwise the faces are listed first, so the face budget refuses before
     any block is eliminated, and H is tested by one integer elimination
-    (:func:`quadratics.is_psd`), charged as one.  For PSD H the zero set is
-    the one piece ``P_0`` (see the module docstring); otherwise the sign test
-    runs, and then the zero-set walk.  The rows are ``-Z u`` over the pieces'
-    rays u, in piece order, made primitive, with zero rows and repeats
-    dropped.  They are formed on ints from the blocks' integer generators,
-    ``-dz Z u`` (dz > 0), and cost ``work`` n p products and sums each.
+    (:func:`quadratics.int_is_psd`, on a copy of its rows), charged as one.
+    For PSD H the zero set is the one piece ``P_0`` (see the module
+    docstring); otherwise the sign test runs, and then the zero-set walk.
+    The rows are ``-Z u`` over the pieces' rays u, in piece order, made
+    primitive, with zero rows and repeats dropped.  They are formed on ints
+    from the blocks' integer generators, ``-dz Z u`` (dz > 0), and cost
+    ``work`` n p products and sums each.
     """
     p = blocks.p
     if any(blocks.hi[i][i] < 0 for i in range(p)):  # a generator, with no faces
         return DomF((), d.dim, _negative_ray(d, blocks, work))
     blocks.faces(work)
     work.charge(_elimination_units(p, p), _WALK)
-    if is_psd(blocks.hi):
+    if int_is_psd([row[:] for row in blocks.hi]):
         piece = _piece(blocks, (), tuple(range(p)), work)
         pieces = [piece] if piece is not None else []
     else:
@@ -748,8 +749,9 @@ def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, V
     stationarity system ``N^T Q N t = -N^T grad q(x0)`` fixes the value, and
     the face solver looks for a point of its solution set inside ``A x <= b``.
     Each face is solved on Python ints: ``(A, b)`` is scaled to integers by
-    the lcm of all its denominators, and q by the lcm L of its own, once;
-    one fraction-free elimination of ``[A_J | b_J]`` gives ``x0 = X0/d`` and
+    the lcm of all its denominators, and q is read on its ints
+    (``Quadratic.ints``, over the lcm L of its own denominators); one
+    fraction-free elimination of ``[A_J | b_J]`` gives ``x0 = X0/d`` and
     ``N' = d N``, and one of ``[N'^T Q N' | -N'^T G]``, with
     ``G = Q X0 + d b = d L grad q(x0)``, gives the stationary point and the
     integer stationary directions over a common denominator, so the value is
@@ -775,14 +777,7 @@ def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, V
     ab = lcm(*(x.denominator for row in p.a for x in row), *(x.denominator for x in p.b))
     rows_ab = [[x.numerator * (ab // x.denominator) for x in (*a, b)] for a, b in zip(p.a, p.b)]
     face_rows = tuple((row[:n], row[n]) for row in rows_ab)
-    scale = lcm(
-        *(x.denominator for row in q.a for x in row),
-        *(x.denominator for x in q.b),
-        q.c.denominator,
-    )
-    qm = [[x.numerator * (scale // x.denominator) for x in row] for row in q.a]
-    qb = [x.numerator * (scale // x.denominator) for x in q.b]
-    qc = q.c.numerator * (scale // q.c.denominator)
+    qm, qb, qc, scale = q.ints
 
     def faces():
         for size in range(min(m, n) + 1):

@@ -38,7 +38,7 @@ from .asymptotes import (
     UnionSet,
     ambient_dim,
 )
-from .errors import DocumentError, FwsetsError
+from .errors import DocumentError
 from .motzkin import (
     Ball,
     FinitePointSet,
@@ -191,16 +191,6 @@ def _dim(raw, path, ctx):
     return raw
 
 
-def _width(dim, *groups):
-    """``dim``, or else the length of the first entry of the first nonempty group."""
-    if dim is not None:
-        return dim
-    for group in groups:
-        if group:
-            return len(group[0])
-    raise FwsetsError("dim required for an empty list")
-
-
 def _sets(raw, path, ctx):
     sets = array(_set_node)(raw, path, ctx)
     if not sets:
@@ -248,14 +238,8 @@ KINDS = {
         ("matrix",),
         ("linear", "constant"),
     ),
-    "hpolyhedron": (lambda rows, rhs, dim=None: HPolyhedron(rows, rhs, _width(dim, rows)), ("rows", "rhs"), ("dim",)),
-    "vpolyhedron": (
-        lambda vertices, rays=(), lineality=(), dim=None: VPolyhedron(
-            vertices, rays, lineality, _width(dim, vertices, rays, lineality)
-        ),
-        ("vertices",),
-        ("rays", "lineality", "dim"),
-    ),
+    "hpolyhedron": (lambda rows, rhs, dim=None: HPolyhedron(rows, rhs, dim), ("rows", "rhs"), ("dim",)),
+    "vpolyhedron": (VPolyhedron, ("vertices",), ("rays", "lineality", "dim")),
     "motzkin": (MotzkinSet, ("compact", "cone"), ()),
     "quad_sublevel": (QuadSublevel, ("base", "constraints"), ("sample_point",)),
     "epigraph": (Epigraph1D, ("function",), ()),
@@ -263,19 +247,15 @@ KINDS = {
     "union": (UnionSet, ("members",), ()),
     "intersection": (IntersectionSet, ("members",), ()),
     "affine_image": (AffineImageSet, ("map", "inner"), ()),
-    "polytope": (lambda vertices: PolytopeK.build(vertices), ("vertices",), ()),
-    "points": (FinitePointSet.build, ("points",), ()),
-    "ball": (Ball.build, ("center", "radius"), ()),
-    "polyhedral": (
-        lambda generators, dim=None: PolyCone.from_generators(generators, _width(dim, generators)),
-        ("generators",),
-        ("dim",),
-    ),
-    "second_order": (SecondOrderCone.build, ("dim", "axis", "aperture"), ()),
-    "affine_map": (AffineMap.build, ("matrix",), ("offset",)),
+    "polytope": (PolytopeK, ("vertices",), ()),
+    "points": (FinitePointSet, ("points",), ()),
+    "ball": (Ball, ("center", "radius"), ()),
+    "polyhedral": (PolyCone.from_generators, ("generators",), ("dim",)),
+    "second_order": (SecondOrderCone, ("dim", "axis", "aperture"), ()),
+    "affine_map": (AffineMap, ("matrix",), ("offset",)),
     "manifold": (lambda rows, rhs: AffineManifold.from_equations(rows, rhs), ("rows", "rhs"), ()),
     "manifold_basis": (AffineManifold.from_point_basis, ("point", "basis"), ()),
-    "subspace": (lambda basis, dim=None: subspace(basis, _width(dim, basis)), ("basis",), ("dim",)),
+    "subspace": (subspace, ("basis",), ("dim",)),
 }
 KINDS["cone"], KINDS["second_order_cone"] = KINDS["polyhedral"], KINDS["second_order"]
 

@@ -30,7 +30,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InvalidParameterError
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -40,6 +40,8 @@ Mat = tuple[Vec, ...]
 _SMALL = {k: Fraction(k) for k in range(-64, 65)}
 ZERO = _SMALL[0]
 ONE = _SMALL[1]
+# the entry type of a canonical vector
+_FRACTION = frozenset({Fraction})
 
 
 def hash_once(value) -> int:
@@ -53,6 +55,25 @@ def hash_once(value) -> int:
     return h
 
 
+def set_fields(value, **fields) -> None:
+    """Set fields of a frozen value, from its ``__post_init__``: how a value
+    class puts its fields into canonical form at construction.  Each field
+    is set as the dataclass sets it, so no instance ``__dict__`` is built."""
+    for name, field_value in fields.items():
+        object.__setattr__(value, name, field_value)
+
+
+def dim_of(dim: int | None, *groups) -> int:
+    """``dim``, or else the length of the first vector of the first nonempty
+    group; DimensionMismatchError when every group is empty."""
+    if dim is not None:
+        return dim
+    for group in groups:
+        if group:
+            return len(group[0])
+    raise DimensionMismatchError("dimension required for an empty list")
+
+
 def int_fraction(k: int) -> Fraction:
     """The int ``k`` as a Fraction, shared for ``|k| <= 64``."""
     f = _SMALL.get(k)
@@ -60,31 +81,47 @@ def int_fraction(k: int) -> Fraction:
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like ``"3/4"``, and Fractions to Fraction."""
+    """Coerce ints, strings like ``"3/4"``, and Fractions to Fraction; any
+    other entry is refused with InvalidParameterError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, bool):
-        raise TypeError("bool is not a rational")
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, (int, str, float)) and not isinstance(x, bool):
         # Floats are accepted only at numeric boundaries (tolerances);
         # the conversion is exact.
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as a rational")
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise InvalidParameterError(f"cannot interpret {x!r} as a rational: {exc}") from None
+    raise InvalidParameterError(f"cannot interpret {x!r} as a rational")
 
 
 def vec(xs: Iterable) -> Vec:
-    return tuple(rat(x) for x in xs)
+    """``xs`` as a tuple of Fractions; a tuple of Fractions is returned as
+    it is, after one scan of its entry types."""
+    if type(xs) is tuple and _FRACTION.issuperset(map(type, xs)):
+        return xs
+    try:
+        return tuple(map(rat, xs))
+    except TypeError:
+        raise InvalidParameterError(f"cannot interpret {xs!r} as a vector") from None
 
 
 def mat(rows: Iterable[Iterable]) -> Mat:
-    out = tuple(vec(r) for r in rows)
-    if out:
-        width = len(out[0])
-        for r in out:
-            if len(r) != width:
-                raise DimensionMismatchError("ragged matrix rows")
+    """``rows`` as a tuple of :func:`vec` rows of one width; a tuple of such
+    rows is returned as it is, after one scan of its rows."""
+    if type(rows) is tuple and (not rows or type(rows[0]) is tuple):
+        width = len(rows[0]) if rows else 0
+        for r in rows:
+            if type(r) is not tuple or len(r) != width or not _FRACTION.issuperset(map(type, r)):
+                break
+        else:
+            return rows
+    try:
+        out = tuple(map(vec, rows))
+    except TypeError:
+        raise InvalidParameterError(f"cannot interpret {rows!r} as a matrix") from None
+    if len(set(map(len, out))) > 1:
+        raise DimensionMismatchError("ragged matrix rows")
     return out
 
 
@@ -270,9 +307,22 @@ def int_kernel_basis(rows: list[list[int]], pivots: list[int], n: int) -> list[t
     its last nonzero entry (a reduced row is zero before its pivot, so every
     other entry sits at a pivot column below j).  ``pivots`` are the pivot
     columns below n."""
+    return [int_primitive(v) for v in _scaled_kernel(rows, pivots, n)[0]]
+
+
+def _scaled_kernel(rows: list[list[int]], pivots: list[int], n: int) -> tuple[list[list[int]], int]:
+    """``(kernel, d)``: :func:`_int_kernel` over d, the lcm of the pivot entries."""
     leads = [row[pc] for row, pc in zip(rows, pivots)]
     d = lcm(*leads)
-    return [int_primitive(v) for v in _int_kernel(rows, pivots, [d // x for x in leads], d, n)]
+    return _int_kernel(rows, pivots, [d // x for x in leads], d, n), d
+
+
+def _over(kernel: list[list[int]], d: int) -> list[Vec]:
+    """The integer vectors of ``kernel`` divided by their common d > 0; an
+    entry d, the 1 at a free column, is the shared ``ONE``."""
+    if d == 1:
+        return [tuple(map(int_fraction, v)) for v in kernel]
+    return [tuple(ONE if x == d else Fraction(x, d) if x else ZERO for x in v) for v in kernel]
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
@@ -297,25 +347,6 @@ def idot(a, b) -> int:
     return sum(map(mul, a, b))
 
 
-def _kernel_from_rows(rows: list[list[int]], pivots: Sequence[int], n: int) -> list[Vec]:
-    """Kernel basis of the first n columns, read off the rows :func:`int_rref`
-    left: for each free column j, the vector with 1 at j and
-    ``-row[j] / row[pc]`` at the pivot column pc of each row.  ``pivots`` are
-    the pivot columns below n."""
-    pivot_set = set(pivots)
-    basis = []
-    for j in range(n):
-        if j in pivot_set:
-            continue
-        v = [ZERO] * n
-        v[j] = ONE
-        for row, pc in zip(rows, pivots):
-            if row[j]:
-                v[pc] = Fraction(-row[j], row[pc])
-        basis.append(tuple(v))
-    return basis
-
-
 def kernel_basis(m: Mat, ncols: int | None = None) -> list[Vec]:
     """Basis of ``{x : m x = 0}``.  ``ncols`` is needed when ``m`` is empty."""
     if not m:
@@ -323,7 +354,7 @@ def kernel_basis(m: Mat, ncols: int | None = None) -> list[Vec]:
             raise ValueError("ncols required for an empty matrix")
         return [unit(ncols, i) for i in range(ncols)]
     rows = [primitive_ints(r) for r in m]
-    return _kernel_from_rows(rows, int_rref(rows), len(m[0]))
+    return _over(*_scaled_kernel(rows, int_rref(rows), len(m[0])))
 
 
 def solve(m: Mat, b: Vec) -> Vec | None:
@@ -388,7 +419,7 @@ class LinearSystem:
 
     @cached_property
     def kernel(self) -> list[Vec]:
-        return _kernel_from_rows(self._rows, self.pivots, self.ncols)
+        return _over(self.int_kernel, self._den)
 
     @cached_property
     def int_kernel(self) -> list[list[int]]:

@@ -44,12 +44,15 @@ from .errors import (
 from .linalg import (
     ONE,
     Vec,
+    dim_of,
     dot,
     hash_once,
     identity,
     is_zero,
+    mat,
     matvec,
     rat,
+    set_fields,
     unit,
     vadd,
     vec,
@@ -77,21 +80,19 @@ FEASIBILITY_TOL = Fraction(1, 10**9)
 
 @dataclass(frozen=True)
 class PolytopeK:
-    """Convex hull of finitely many points."""
+    """Convex hull of finitely many points; ``dim`` defaults to their width."""
 
     vertices: tuple[Vec, ...]
-    dim: int
+    dim: int | None = None
 
     def __post_init__(self):
-        if any(len(v) != self.dim for v in self.vertices):
+        vertices = mat(self.vertices)
+        set_fields(self, vertices=vertices, dim=dim_of(self.dim, vertices))
+        if vertices and len(vertices[0]) != self.dim:
             raise DimensionMismatchError("vertex dimension mismatch")
 
-    @staticmethod
-    def build(points) -> "PolytopeK":
-        pts = tuple(vec(p) for p in points)
-        if not pts:
-            raise DimensionMismatchError("a polytope needs at least one point")
-        return PolytopeK(pts, len(pts[0]))
+
+PolytopeK.build = PolytopeK  # the spelling bench/workloads.py calls
 
 
 @dataclass(frozen=True)
@@ -100,12 +101,9 @@ class Ball:
     radius: Fraction
 
     def __post_init__(self):
+        set_fields(self, center=vec(self.center), radius=rat(self.radius))
         if self.radius <= 0:
             raise DimensionMismatchError("ball radius must be positive")
-
-    @staticmethod
-    def build(center, radius) -> "Ball":
-        return Ball(vec(center), rat(radius))
 
     @property
     def dim(self) -> int:
@@ -122,19 +120,16 @@ def vsub_sq(x: Vec, y: Vec) -> Fraction:
 
 @dataclass(frozen=True)
 class FinitePointSet:
+    """Finitely many points; ``dim`` defaults to their width."""
+
     points: tuple[Vec, ...]
-    dim: int
+    dim: int | None = None
 
     def __post_init__(self):
-        if any(len(p) != self.dim for p in self.points):
+        points = mat(self.points)
+        set_fields(self, points=points, dim=dim_of(self.dim, points))
+        if points and len(points[0]) != self.dim:
             raise DimensionMismatchError("point dimension mismatch")
-
-    @staticmethod
-    def build(points) -> "FinitePointSet":
-        pts = tuple(vec(p) for p in points)
-        if not pts:
-            raise DimensionMismatchError("a point set needs at least one point")
-        return FinitePointSet(pts, len(pts[0]))
 
 
 @dataclass(frozen=True)
@@ -153,16 +148,13 @@ class SecondOrderCone:
     aperture: Fraction
 
     def __post_init__(self):
+        set_fields(self, axis=vec(self.axis), aperture=rat(self.aperture))
         if self.dim < 3:
             raise UnsupportedKindError("second-order cones require dimension >= 3")
         if len(self.axis) != self.dim or is_zero(self.axis):
             raise DimensionMismatchError("axis must be a nonzero vector of the right size")
         if not (0 < self.aperture < 1):
             raise DimensionMismatchError("aperture must lie strictly between 0 and 1")
-
-    @staticmethod
-    def build(dim, axis, aperture) -> "SecondOrderCone":
-        return SecondOrderCone(dim, vec(axis), rat(aperture))
 
     @property
     def gamma(self) -> Fraction:
@@ -173,6 +165,9 @@ class SecondOrderCone:
         if ax < 0:
             return False
         return ax * ax >= self.gamma * dot(self.axis, self.axis) * dot(x, x)
+
+
+SecondOrderCone.build = SecondOrderCone  # the spelling bench/workloads.py calls
 
 
 CompactPart = PolytopeK | Ball | FinitePointSet

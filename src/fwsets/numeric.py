@@ -15,11 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, inf, isfinite, isqrt, lcm, sqrt
 
-from .linalg import LinearSystem, dot, idot, matvec, rat, solve
+from .linalg import ONE, ZERO, LinearSystem, dot, idot, matvec, rat, solve
 from .quadratics import int_is_psd
-
-ONE = Fraction(1)
-ZERO = Fraction(0)
 
 
 def exp_bounds(x, terms: int = 24) -> tuple[Fraction, Fraction]:

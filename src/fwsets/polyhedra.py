@@ -66,6 +66,7 @@ from .linalg import (
     Vec,
     ZERO,
     basis_of_span,
+    dim_of,
     dot,
     hash_once,
     int_fraction,
@@ -76,6 +77,7 @@ from .linalg import (
     mat,
     primitive,
     primitive_ints,
+    set_fields,
     vadd,
     vec,
     vscale,
@@ -119,31 +121,24 @@ class Work:
 
 @dataclass(frozen=True)
 class HPolyhedron:
-    """Inequality system ``{x in R^dim : A x <= b}``."""
+    """Inequality system ``{x in R^dim : A x <= b}``; ``dim`` defaults to the
+    width of A's rows."""
 
     a: Mat
     b: Vec
-    dim: int
+    dim: int | None = None
 
     __hash__ = hash_once
 
     def __post_init__(self):
-        if len(self.a) != len(self.b):
+        a = mat(self.a)
+        set_fields(self, a=a, b=vec(self.b), dim=dim_of(self.dim, a))
+        if len(a) != len(self.b):
             raise DimensionMismatchError("row count of A differs from length of b")
-        for row in self.a:
-            if len(row) != self.dim:
-                raise DimensionMismatchError("row width differs from ambient dimension")
+        if a and len(a[0]) != self.dim:
+            raise DimensionMismatchError("row width differs from ambient dimension")
         if self.dim < 1:
             raise DimensionMismatchError("ambient dimension must be at least 1")
-
-    @staticmethod
-    def from_rows(rows, rhs, dim=None) -> "HPolyhedron":
-        m = mat(rows)
-        if dim is None:
-            if not m:
-                raise DimensionMismatchError("dimension required for an empty system")
-            dim = len(m[0])
-        return HPolyhedron(m, vec(rhs), dim)
 
     def contains(self, x: Vec) -> bool:
         if len(x) != self.dim:
@@ -153,39 +148,35 @@ class HPolyhedron:
 
 @dataclass(frozen=True)
 class VPolyhedron:
-    """Generator form; empty ``vertices`` means the empty set.
+    """Generator form; empty ``vertices`` means the empty set.  ``dim``
+    defaults to the width of the first generator.
 
     ``empty_certificate`` carries a Farkas witness when this value was
     produced by converting an infeasible inequality system.
     """
 
     vertices: tuple[Vec, ...]
-    rays: tuple[Vec, ...]
-    lineality: tuple[Vec, ...]
-    dim: int
+    rays: tuple[Vec, ...] = ()
+    lineality: tuple[Vec, ...] = ()
+    dim: int | None = None
     empty_certificate: Vec | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        for group in (self.vertices, self.rays, self.lineality):
-            for g in group:
-                if len(g) != self.dim:
-                    raise DimensionMismatchError("generator dimension mismatch")
-        for r in self.rays:
-            if is_zero(r):
-                raise DimensionMismatchError("zero vector is not a valid ray")
+        groups = vertices, rays, lineality = mat(self.vertices), mat(self.rays), mat(self.lineality)
+        cert = self.empty_certificate
+        set_fields(self, vertices=vertices, rays=rays, lineality=lineality, dim=dim_of(self.dim, *groups))
+        set_fields(self, empty_certificate=cert if cert is None else vec(cert))
+        if any(group and len(group[0]) != self.dim for group in groups):
+            raise DimensionMismatchError("generator dimension mismatch")
+        if any(map(is_zero, rays)):
+            raise DimensionMismatchError("zero vector is not a valid ray")
 
     @property
     def is_empty(self) -> bool:
         return not self.vertices
 
-    @staticmethod
-    def from_points(points, dim=None) -> "VPolyhedron":
-        pts = tuple(vec(p) for p in points)
-        if dim is None:
-            if not pts:
-                raise DimensionMismatchError("dimension required for an empty point set")
-            dim = len(pts[0])
-        return VPolyhedron(pts, (), (), dim)
+
+VPolyhedron.from_points = VPolyhedron  # the spelling bench/workloads.py calls
 
 
 @dataclass(frozen=True)
@@ -204,21 +195,19 @@ class PolyCone:
     __hash__ = hash_once
 
     def __post_init__(self):
-        for g in self.generators:
-            if len(g) != self.dim:
-                raise DimensionMismatchError("generator dimension mismatch")
-            if is_zero(g):
-                raise DimensionMismatchError("zero vector is not a valid generator")
+        generators = mat(self.generators)
+        set_fields(self, generators=generators)
+        if generators and len(generators[0]) != self.dim:
+            raise DimensionMismatchError("generator dimension mismatch")
+        if any(map(is_zero, generators)):
+            raise DimensionMismatchError("zero vector is not a valid generator")
 
     @staticmethod
-    def from_generators(gens, dim=None) -> "PolyCone":
-        gs = tuple(primitive(vec(g)) for g in gens)
-        gs = tuple(dict.fromkeys(g for g in gs if not is_zero(g)))
-        if dim is None:
-            if not gs:
-                raise DimensionMismatchError("dimension required for the zero cone")
-            dim = len(gs[0])
-        return PolyCone(gs, dim)
+    def from_generators(generators, dim=None) -> "PolyCone":
+        """The cone of ``generators`` made primitive, with zeros and repeats
+        dropped; ``dim`` defaults to the generators' width."""
+        gs = mat(generators)
+        return PolyCone(tuple(dict.fromkeys(primitive(g) for g in gs if not is_zero(g))), dim_of(dim, gs))
 
     @staticmethod
     def from_halfspaces(rows, dim) -> "PolyCone":

@@ -26,6 +26,7 @@ from .linalg import (
     kernel_basis,
     rank,
     rat,
+    set_fields,
     transpose,
     vadd,
     vec,
@@ -42,6 +43,7 @@ class Quadratic:
     __hash__ = hash_once
 
     def __post_init__(self):
+        set_fields(self, a=mat(self.a), b=vec(self.b), c=rat(self.c))
         n = len(self.b)
         if len(self.a) != n or any(len(row) != n for row in self.a):
             raise DimensionMismatchError("A must be n x n for an n-vector b")
@@ -52,16 +54,14 @@ class Quadratic:
 
     @staticmethod
     def build(a, b=None, c=0) -> "Quadratic":
-        """Construct from any rational-ish data; asymmetric input is
-        symmetrized as (A + A^T)/2 so the stored form is canonical."""
+        """The quadratic of A symmetrized as (A + A^T)/2, so any square A
+        gives the same form; ``b`` defaults to zeros."""
         a = mat(a)
         n = len(a)
         sym = tuple(
             tuple((a[i][j] + a[j][i]) / 2 for j in range(n)) for i in range(n)
         )
-        if b is None:
-            b = zeros(n)
-        return Quadratic(sym, vec(b), rat(c))
+        return Quadratic(sym, zeros(n) if b is None else b, c)
 
     @property
     def dim(self) -> int:

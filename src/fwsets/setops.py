@@ -215,7 +215,7 @@ def affine_preimage(f: MotzkinSet, t: AffineMap) -> MotzkinSet:
     rows = matmul(h.a, matmul(t.matrix, lift))
     rhs = vsub(h.b, matvec(h.a, t.offset))
     part = decompose(HPolyhedron(rows, rhs, len(row_basis)))
-    image = affine_image(part, AffineMap.build(lift))
+    image = affine_image(part, AffineMap(lift))
     return sum_with_subspace(image, kernel_basis(t.matrix, ncols=n))
 
 

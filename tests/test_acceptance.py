@@ -218,7 +218,7 @@ def test_criterion_3_two_level_reduction_consistency():
             for _ in range(rng.randint(1, 3))
         )
         q = _random_quadratic(rng, n, convex_bias=rng.random() < 0.6)
-        f = MotzkinSet(FinitePointSet.build(pts), cone)
+        f = MotzkinSet(FinitePointSet(pts), cone)
         verdict = minimize_on_motzkin(q, f)
         if verdict.kind != "attained":
             continue
@@ -288,7 +288,7 @@ def test_criterion_6_subspace_section_recomposition():
         ]
         gens = [g for g in gens if any(x != 0 for x in g)]
         f = MotzkinSet(
-            PolytopeK.build(pts),
+            PolytopeK(pts),
             PolyCone.from_generators(gens, n) if gens else PolyCone((), n),
         )
         basis = [tuple(F(rng.randint(-1, 1)) for _ in range(n))]
@@ -333,9 +333,9 @@ def test_criterion_7_order_cancellation():
         )
         from fwsets.polyhedra import VPolyhedron
 
-        a = VPolyhedron.from_points(mk(rng.randint(1, 4)))
-        b = VPolyhedron.from_points(mk(rng.randint(1, 4)))
-        k = VPolyhedron.from_points(mk(rng.randint(1, 3)))
+        a = VPolyhedron(mk(rng.randint(1, 4)))
+        b = VPolyhedron(mk(rng.randint(1, 4)))
+        k = VPolyhedron(mk(rng.randint(1, 3)))
         sums, bases = order_cancellation_check(a, b, k)
         if sums and not bases:
             violations += 1
@@ -424,12 +424,12 @@ def test_criterion_9_classification_table():
         if (fw, qfw) != (want_fw, want_qfw):
             mismatches.append((name, fw, qfw))
     # Motzkin sums: polyhedral recession vs second-order recession
-    square = PolytopeK.build([(0, 0), (1, 0), (0, 1), (1, 1)])
+    square = PolytopeK([(0, 0), (1, 0), (0, 1), (1, 1)])
     fw_poly = classify_fw(
         MotzkinSet(square, PolyCone.from_generators([(1, 0), (0, 1)]))
     ).label
-    soc = SecondOrderCone.build(3, (0, 0, 1), F(1, 2))
-    cone_set = MotzkinSet(PolytopeK.build([(0, 0, 0)]), soc)
+    soc = SecondOrderCone(3, (0, 0, 1), F(1, 2))
+    cone_set = MotzkinSet(PolytopeK([(0, 0, 0)]), soc)
     fw_soc = classify_fw(cone_set).label
     qfw_soc = classify_qfw(cone_set).label
     if fw_poly != "FW" or fw_soc != "NotFW" or qfw_soc != "NotQFW":

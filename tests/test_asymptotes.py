@@ -64,7 +64,7 @@ def whole_space(n):
 
 
 def orthant2():
-    return HPolyhedron.from_rows([[-1, 0], [0, -1]], [0, 0])
+    return HPolyhedron([[-1, 0], [0, -1]], [0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +90,7 @@ def test_orthant_meets_diagonal():
 
 
 def test_motzkin_distance_exact():
-    f = MotzkinSet(PolytopeK.build([(0, 2), (1, 2)]), PolyCone.from_generators([(1, 0)]))
+    f = MotzkinSet(PolytopeK([(0, 2), (1, 2)]), PolyCone.from_generators([(1, 0)]))
     m = AffineManifold.hyperplane((0, 1), 0)  # the x-axis
     verdict = distance_to_manifold(f, m)
     assert verdict.kind == "positive"
@@ -142,10 +142,10 @@ def test_equal_values_built_two_ways_hash_alike():
     # a value hashes by its compared fields alone, computed once: two
     # spellings of one value are equal, hash alike and find each other's
     # dict entries, and the hash is the one the dataclass would compute
-    hp = HPolyhedron.from_rows([[-1, 0], [0, -1]], [0, 1])
+    hp = HPolyhedron([[-1, 0], [0, -1]], [0, 1])
     disk = Quadratic.build([[2, 0], [0, 2]], [0, 0], -1)
     cone = PolyCone.from_generators([(1, 0), (0, 2)])
-    point = PolytopeK.build([(0, 0)])
+    point = PolytopeK([(0, 0)])
     pairs = [
         (hp, HPolyhedron(((F(-1), F(0)), (F(0), F(-1))), (F(0), F(1)), 2)),
         # an asymmetric form is stored symmetrized
@@ -155,7 +155,7 @@ def test_equal_values_built_two_ways_hash_alike():
         (MotzkinSet(point, cone), MotzkinSet(point, PolyCone.from_halfspaces([(-2, 0), (0, -1)], 2))),
         (
             QuadSublevel(hp, (disk,)),
-            QuadSublevel(HPolyhedron.from_rows(((-1, 0), (0, -1)), (0, 1)), (disk,), vec((0, 0))),
+            QuadSublevel(HPolyhedron(((-1, 0), (0, -1)), (0, 1)), (disk,), vec((0, 0))),
         ),
     ]
     for x, y in pairs:
@@ -191,7 +191,7 @@ def _reference_distance(f, m):
         forms = [f]
     elif isinstance(f.compact, FinitePointSet):
         forms = [
-            dd_convert(motzkin_to_vpoly(MotzkinSet(PolytopeK.build([y]), f.cone)))
+            dd_convert(motzkin_to_vpoly(MotzkinSet(PolytopeK([y]), f.cone)))
             for y in f.compact.points
         ]
     else:
@@ -219,10 +219,10 @@ def test_distance_matches_the_lifted_program_on_seeded_polyhedral_sets():
                 kind = ("hpolyhedron", "polytope", "points")[trial % 3]
                 if kind == "hpolyhedron":
                     m_rows = rng.randint(n, n + 2)
-                    f = HPolyhedron.from_rows([ints(n) for _ in range(m_rows)], ints(m_rows), n)
+                    f = HPolyhedron([ints(n) for _ in range(m_rows)], ints(m_rows), n)
                 else:
                     pts = [ints(n) for _ in range(rng.randint(1, 3))]
-                    compact = PolytopeK.build(pts) if kind == "polytope" else FinitePointSet.build(pts)
+                    compact = PolytopeK(pts) if kind == "polytope" else FinitePointSet(pts)
                     f = MotzkinSet(compact, rays(n))
                 while True:
                     basis = [ints(n, -2, 2) for _ in range(k)]
@@ -280,7 +280,7 @@ def test_asymptote_verdict_does_not_depend_on_import_order():
         from fwsets.polyhedra import HPolyhedron
         from fwsets.quadratics import Quadratic
 
-        base = HPolyhedron.from_rows([[-1, 0], [0, -1]], [0, 0])
+        base = HPolyhedron([[-1, 0], [0, -1]], [0, 0])
         q = Quadratic.build([[0, -1], [-1, 0]], [0, 0], 1)
         f = QuadSublevel(base, (q,), sample_point=vec((1, 1)))
         assert "fwsets.gallery" not in sys.modules
@@ -353,7 +353,7 @@ def test_line_section_emptiness_is_exact():
 )
 def test_line_section_point_is_an_exact_member(rows, rhs, constraints):
     forms = tuple(Quadratic.build(a, [0, 0], c) for a, c in constraints)
-    f = QuadSublevel(HPolyhedron.from_rows(rows, rhs), forms)
+    f = QuadSublevel(HPolyhedron(rows, rhs), forms)
     verdict = distance_to_manifold(f, AffineManifold.hyperplane((0, 1), 0))
     assert verdict.kind == "intersects"
     assert verdict.point[1] == 0 and contains(f, verdict.point) is True
@@ -476,7 +476,7 @@ def test_linear_lower_bound_is_at_least_the_grid_reference():
         base = whole_space(n)
         if rng.random() < 0.5:
             rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 2 * n))]
-            base = HPolyhedron.from_rows(rows, [rng.randint(0, 3) for _ in rows])
+            base = HPolyhedron(rows, [rng.randint(0, 3) for _ in rows])
         sets.append(QuadSublevel(base, tuple(cons)))
     values = []
     above = checked = 0
@@ -573,8 +573,8 @@ def test_polyhedron_projections_always_closed():
 
 def test_soc_projection_boundary_vs_interior():
     # tilted cone: a coordinate plane grazes the boundary ray e1
-    tilted = SecondOrderCone.build(3, (1, 0, 1), F(1, 2))
-    f = MotzkinSet(PolytopeK.build([(0, 0, 0)]), tilted)
+    tilted = SecondOrderCone(3, (1, 0, 1), F(1, 2))
+    f = MotzkinSet(PolytopeK([(0, 0, 0)]), tilted)
     # dropping coordinates {1, 2} leaves kernel span{e1, e2}: contains the
     # boundary ray e1, no interior ray, and has dimension two: undecided
     verdict, _ = projection_closed(f, [3])
@@ -588,8 +588,8 @@ def test_soc_projection_boundary_vs_interior():
 
 
 def test_soc_projection_interior_kernel_closed():
-    upright = SecondOrderCone.build(3, (0, 0, 1), F(1, 2))
-    f = MotzkinSet(PolytopeK.build([(0, 0, 0)]), upright)
+    upright = SecondOrderCone(3, (0, 0, 1), F(1, 2))
+    f = MotzkinSet(PolytopeK([(0, 0, 0)]), upright)
     # kernel span{e3} is the interior axis: the image is the whole plane
     verdict, _ = projection_closed(f, [1, 2])
     assert verdict is True
@@ -615,7 +615,7 @@ def test_closedness_is_computed_for_unregistered_sets():
     # negative along e2, the kernel of x (the whole line), and the form is
     # positive along +-e1, the kernel of z (closed)
     cut = QuadSublevel(
-        HPolyhedron.from_rows([[0, -1]], [-2]),
+        HPolyhedron([[0, -1]], [-2]),
         (Quadratic.build([[2, 0], [0, -2]], [0, 0], 4),),
     )
     assert projection_closed(cut, [1])[0] is True
@@ -666,7 +666,7 @@ def test_whole_line_images_meet_every_level_set():
             [rng.randint(-2, 2), rng.randint(-2, 2)],
             rng.randint(-4, 4),
         )
-        fset = QuadSublevel(HPolyhedron.from_rows(rows, rhs, 2), (form,))
+        fset = QuadSublevel(HPolyhedron(rows, rhs, 2), (form,))
         w = (0, 0)
         while not any(w):
             w = (rng.randint(-2, 2), rng.randint(-2, 2))
@@ -699,10 +699,10 @@ def test_classify_qfw_table():
     assert classify_qfw(luo_zhang_set()).label == "qFW"
     assert classify_qfw(epigraph_set()).label == "qFW"
     assert classify_qfw(ice_cream_cut_set()).label == "NotQFW"
-    square = PolytopeK.build([(0, 0), (1, 0), (0, 1), (1, 1)])
+    square = PolytopeK([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert classify_qfw(MotzkinSet(square, PolyCone.from_generators([(1, 0)]))).label == "qFW"
-    soc = SecondOrderCone.build(3, (0, 0, 1), F(1, 2))
-    assert classify_qfw(MotzkinSet(PolytopeK.build([(0, 0, 0)]), soc)).label == "NotQFW"
+    soc = SecondOrderCone(3, (0, 0, 1), F(1, 2))
+    assert classify_qfw(MotzkinSet(PolytopeK([(0, 0, 0)]), soc)).label == "NotQFW"
 
 
 def test_classify_fw_table():
@@ -738,7 +738,7 @@ def test_classify_unknown_without_witness():
 
 
 def test_ball_motzkin_classifies():
-    f = MotzkinSet(Ball.build((0, 0), 1), PolyCone.from_generators([(1, 0)]))
+    f = MotzkinSet(Ball((0, 0), 1), PolyCone.from_generators([(1, 0)]))
     assert classify_qfw(f).label == "qFW"
     assert classify_fw_set(f).label == "FW"
     # closed because it is FW, hence qFW; the disk makes it no polyhedron
@@ -848,7 +848,7 @@ def test_fw_motzkin_sets_have_no_asymptotes():
         gens = [tuple(F(rng.randint(-1, 2)) for _ in range(n)) for _ in range(rng.randint(0, 2))]
         gens = [g for g in gens if any(x != 0 for x in g)]
         f = MotzkinSet(
-            PolytopeK.build(pts),
+            PolytopeK(pts),
             PolyCone.from_generators(gens, n) if gens else PolyCone((), n),
         )
         from fwsets.motzkin import classify_fw
@@ -874,7 +874,7 @@ def test_sum_with_subspace_is_closed_polyhedron():
     for _ in range(10):
         n = rng.randint(2, 3)
         pts = [tuple(F(rng.randint(-2, 2)) for _ in range(n)) for _ in range(rng.randint(1, 3))]
-        f = MotzkinSet(PolytopeK.build(pts), PolyCone((), n))
+        f = MotzkinSet(PolytopeK(pts), PolyCone((), n))
         direction = tuple(F(rng.randint(-1, 2)) for _ in range(n))
         if all(v == 0 for v in direction):
             continue
@@ -1057,7 +1057,7 @@ def test_importing_the_gallery_parses_no_case_file():
         from fwsets.asymptotes import classify_qfw, image_closed_1d, projection_closed
         from fwsets.polyhedra import HPolyhedron
 
-        h = HPolyhedron.from_rows([[-1, 0]], [0])
+        h = HPolyhedron([[-1, 0]], [0])
         assert classify_qfw(h).label == "qFW"
         assert image_closed_1d(h, (1, 2))[0] is True
         assert projection_closed(h, [1, 2])[0] is True
@@ -1141,6 +1141,6 @@ def test_membership_in_a_segment_plus_a_second_order_cone():
     # [0, e1] plus the 45-degree cone about e3: a point reached from a vertex
     # is a member; one reached from neither vertex is undecided, since
     # membership of such a sum is only checked one way
-    seg = MotzkinSet(PolytopeK.build([(0, 0, 0), (1, 0, 0)]), SecondOrderCone.build(3, (0, 0, 1), Fraction(1, 2)))
+    seg = MotzkinSet(PolytopeK([(0, 0, 0), (1, 0, 0)]), SecondOrderCone(3, (0, 0, 1), Fraction(1, 2)))
     assert contains(seg, (0, 0, 5)) is True
     assert contains(seg, (5, 0, 1)) is None

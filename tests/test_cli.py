@@ -125,7 +125,7 @@ def test_manifold_rows_and_rhs_of_unequal_length_rejected():
 
 def test_motzkin_roundtrip():
     mot = MotzkinSet(
-        PolytopeK.build([(0, 0), (1, 0)]), PolyCone.from_generators([(1, 1)])
+        PolytopeK([(0, 0), (1, 0)]), PolyCone.from_generators([(1, 1)])
     )
     text = serialize("motzkin", mot)
     kind, back = parse(text)
@@ -756,7 +756,7 @@ def test_every_gallery_set_is_a_classify_input(tmp_path, capsys):
     ],
 )
 def test_ragged_compact_parts_are_refused(tmp_path, capsys, compact):
-    build = FinitePointSet.build if compact["kind"] == "points" else PolytopeK.build
+    build = FinitePointSet if compact["kind"] == "points" else PolytopeK
     with pytest.raises(DimensionMismatchError):
         build([(0, 0), (1,)])
     doc = {
@@ -777,7 +777,7 @@ def test_an_affine_image_map_starts_in_the_inner_dimension(tmp_path, capsys):
     inner = {"kind": "hpolyhedron", "rows": [["-1", "0"], ["0", "-1"]], "rhs": ["0", "0"]}
     matrix = [["1", "0", "0"], ["0", "1", "0"]]
     with pytest.raises(DimensionMismatchError):
-        AffineImageSet(AffineMap.build(matrix), HPolyhedron.from_rows([(-1, 0), (0, -1)], (0, 0)))
+        AffineImageSet(AffineMap(matrix), HPolyhedron([(-1, 0), (0, -1)], (0, 0)))
     doc = {"version": "1", "kind": "affine_image", "payload": {"map": {"matrix": matrix}, "inner": inner}}
     assert main(["classify", write(tmp_path, "set.json", doc)]) == 2
     assert "(at $.payload)" in capsys.readouterr().err
@@ -898,22 +898,22 @@ def _line():
 
 
 def _orthant():
-    return HPolyhedron.from_rows([(-1, 0), (0, -1)], (0, 0))
+    return HPolyhedron([(-1, 0), (0, -1)], (0, 0))
 
 
 # name: (kind, the value), built when a test asks
 _WRITTEN = {
     "motzkin_soc": lambda: (
         "motzkin",
-        MotzkinSet(PolytopeK.build([(0, 0, 0), (1, 0, 0)]), SecondOrderCone.build(3, (0, 0, 1), F(1, 2))),
+        MotzkinSet(PolytopeK([(0, 0, 0), (1, 0, 0)]), SecondOrderCone(3, (0, 0, 1), F(1, 2))),
     ),
-    "motzkin_ball": lambda: ("motzkin", MotzkinSet(Ball.build((0, 1), 2), PolyCone.from_generators([(1, 0)]))),
+    "motzkin_ball": lambda: ("motzkin", MotzkinSet(Ball((0, 1), 2), PolyCone.from_generators([(1, 0)]))),
     "orthant_x_line": lambda: ("product", ProductSet((_orthant(), _line()))),
     "hyperbola_x_line": lambda: ("product", ProductSet((gallery.hyperbola_set(), _line()))),
     "luo_zhang_x_line": lambda: ("product", ProductSet((gallery.luo_zhang_set(), _line()))),
     "union": lambda: ("union", UnionSet((_orthant(), _orthant()))),
     "intersection": lambda: ("intersection", IntersectionSet((_orthant(), gallery.parabola_set()))),
-    "affine_image": lambda: ("affine_image", AffineImageSet(AffineMap.build([[1, 1]]), _orthant())),
+    "affine_image": lambda: ("affine_image", AffineImageSet(AffineMap([[1, 1]]), _orthant())),
     "subspace": lambda: ("subspace", subspace([(1, 0, 2), (0, 1, 0)])),
     # a section keeps the H-form its cone was built from, which the
     # document does not carry
@@ -921,7 +921,7 @@ _WRITTEN = {
         "motzkin",
         intersect_subspace_motzkin(
             MotzkinSet(
-                PolytopeK.build([(0, 0, 0), (1, 0, 0)]),
+                PolytopeK([(0, 0, 0), (1, 0, 0)]),
                 PolyCone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
             ),
             subspace([(1, 0, 0), (0, 1, 1)]),

@@ -744,7 +744,7 @@ def test_a_quadratic_of_another_dimension_is_one_error_everywhere():
     calls = (
         lambda: minimize_on_polyhedral_cone(q, orthant),
         lambda: ConeProgram(q.a, orthant).minimize(q.b),
-        lambda: minimize_over_hpolyhedron(q, HPolyhedron.from_rows([(-1, 0), (0, -1)], (0, 0))),
+        lambda: minimize_over_hpolyhedron(q, HPolyhedron([(-1, 0), (0, -1)], (0, 0))),
     )
     for call in calls:
         with pytest.raises(DimensionMismatchError):
@@ -952,7 +952,7 @@ def test_value_function_scaling_against_grid_oracle():
 
 
 def test_hpoly_qp_on_box():
-    box = HPolyhedron.from_rows([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
+    box = HPolyhedron([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
     q = Quadratic.build([[2, 0], [0, 2]], [-4, 0], 0)  # (x1-2)^2 + x2^2 - 4
     value, x = minimize_over_hpolyhedron(q, box)
     assert x == (1, 0)
@@ -961,7 +961,7 @@ def test_hpoly_qp_on_box():
 
 def test_hpoly_qp_nonconvex_on_box():
     # maximize-like saddle: q = -x1^2 + x2 on [-1,1]^2 attains min at corners
-    box = HPolyhedron.from_rows([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
+    box = HPolyhedron([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
     q = Quadratic.build([[-2, 0], [0, 0]], [0, 1], 0)
     value, x = minimize_over_hpolyhedron(q, box)
     assert value == -2
@@ -971,7 +971,7 @@ def test_hpoly_qp_nonconvex_on_box():
 def test_hpoly_qp_rejects_a_dimension_mismatch():
     q = Quadratic.build(identity(3), [1, 0, -1], 0)
     for n in (2, 4):
-        box = HPolyhedron.from_rows([unit(n, 0), vscale(F(-1), unit(n, 0))], [1, 1])
+        box = HPolyhedron([unit(n, 0), vscale(F(-1), unit(n, 0))], [1, 1])
         with pytest.raises(DimensionMismatchError):
             minimize_over_hpolyhedron(q, box)
 
@@ -985,7 +985,7 @@ def test_face_subset_cap_precedes_enumeration(monkeypatch):
 
     monkeypatch.setattr(cone_qp, "int_rref", no_elimination)
     rows = [unit(10, i % 10) if i < 20 else vscale(F(-1), unit(10, i % 10)) for i in range(40)]
-    h = HPolyhedron.from_rows(rows, [1] * 40)
+    h = HPolyhedron(rows, [1] * 40)
     with pytest.raises(SizeCapError):
         minimize_over_hpolyhedron(Quadratic.build(identity(10)), h)
 
@@ -999,7 +999,7 @@ def test_hpoly_qp_stops_past_the_budget(monkeypatch):
     # subset eliminates a 1 x 2 system (8) and forms its value (2), which
     # cannot beat -1/4, so its point is never built
     q = Quadratic.build([[2]], [-1])
-    h = HPolyhedron.from_rows([[1], [-1]], [1, 1])
+    h = HPolyhedron([[1], [-1]], [1, 1])
     work = 3 + 12 + 180 + 2 * (8 + 2)
     monkeypatch.setattr(polyhedra, "DD_BUDGET", work)
     assert minimize_over_hpolyhedron(q, h) == (F(-1, 4), (F(1, 2),))
@@ -1019,7 +1019,7 @@ def test_face_walks_past_the_budget_stop_in_bounded_time():
     g = tuple(tuple(F(a * b) for b in w) for a in w)
     # |x|^2 plus a linear term on 18 random rows in R^10: 199,140 subsets
     rows = [[rng.randint(-3, 3) for _ in range(10)] for _ in range(18)]
-    h = HPolyhedron.from_rows(rows, [rng.randint(1, 9) for _ in range(18)])
+    h = HPolyhedron(rows, [rng.randint(1, 9) for _ in range(18)])
     q = Quadratic.build(identity(10), [rng.randint(-5, 5) for _ in range(10)])
     for call in (
         lambda: dom_f(g, PolyCone.from_generators(gens)),

@@ -91,7 +91,7 @@ def test_lagrangian_bracket_on_seeded_box_disk_sets():
         half = rng.randint(1, 3)
         radius = F(rng.randint(1, 4 * half), rng.randint(1, 3))
         rows = [[s if j == i else 0 for j in range(n)] for i in range(n) for s in (1, -1)]
-        box = HPolyhedron.from_rows(rows, [half] * (2 * n))
+        box = HPolyhedron(rows, [half] * (2 * n))
         ident = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
         disk = Quadratic.build(ident, [0] * n, -radius * radius)
         fset = QuadSublevel(box, (disk,), sample_point=(F(0),) * n)

@@ -52,12 +52,12 @@ def orthant(n):
 
 
 def unit_square():
-    return PolytopeK.build([(0, 0), (1, 0), (0, 1), (1, 1)])
+    return PolytopeK([(0, 0), (1, 0), (0, 1), (1, 1)])
 
 
 def ice_cream(dim=3):
     axis = tuple(1 if i == dim - 1 else 0 for i in range(dim))
-    return SecondOrderCone.build(dim, axis, F(1, 2))
+    return SecondOrderCone(dim, axis, F(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +73,7 @@ def test_square_plus_orthant_is_fw():
 
 
 def test_point_plus_second_order_cone_is_not_fw():
-    f = MotzkinSet(PolytopeK.build([(0, 0, 0)]), ice_cream())
+    f = MotzkinSet(PolytopeK([(0, 0, 0)]), ice_cream())
     v = classify_fw(f)
     assert v.label == "NotFW"
     assert "Mirkil" in v.justification
@@ -90,7 +90,7 @@ def test_recession_cone_of_returns_cone_and_cross_checks():
     assert cross_check_recession(f)
 
     ray = PolyCone.from_generators([(1, 0)])
-    g = MotzkinSet(PolytopeK.build([(2, 3)]), ray)
+    g = MotzkinSet(PolytopeK([(2, 3)]), ray)
     assert recession_cone_of(g) is ray
     assert cross_check_recession(g)
 
@@ -108,7 +108,7 @@ def test_second_order_cone_membership():
 
 def test_second_order_cone_rejects_low_dimension():
     with pytest.raises(UnsupportedKindError):
-        SecondOrderCone.build(2, (0, 1), F(1, 2))
+        SecondOrderCone(2, (0, 1), F(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def test_norm_squared_on_square_plus_orthant():
 
 def test_linear_unbounded_on_point_plus_orthant():
     q = Quadratic.build([[0, 0], [0, 0]], [-1, 0])
-    f = MotzkinSet(PolytopeK.build([(0, 0)]), orthant(2))
+    f = MotzkinSet(PolytopeK([(0, 0)]), orthant(2))
     v = minimize_on_motzkin(q, f)
     assert isinstance(v, UnboundedBelow)
     vals = [
@@ -140,7 +140,7 @@ def test_linear_unbounded_on_point_plus_orthant():
 def test_linear_on_wedge_attains_zero_at_origin():
     q = Quadratic.build([[0, 0], [0, 0]], [1, 0])
     cone = PolyCone.from_generators([(1, 1), (1, 0)])
-    f = MotzkinSet(PolytopeK.build([(0, 0)]), cone)
+    f = MotzkinSet(PolytopeK([(0, 0)]), cone)
     # x1 >= 0 on the wedge, so inf = 0 at the apex... x1 is 0 only at origin
     v = minimize_on_motzkin(q, f)
     assert isinstance(v, Attained)
@@ -167,7 +167,7 @@ def test_two_level_reduction_matches_direct_solve():
             tuple(F(rng.randint(-3, 3)) for _ in range(n))
             for _ in range(rng.randint(1, 3))
         )
-        k = FinitePointSet.build(pts)
+        k = FinitePointSet(pts)
         raw = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         q = Quadratic.build(raw, [rng.randint(-2, 2) for _ in range(n)], 1)
         f = MotzkinSet(k, cone)
@@ -204,7 +204,7 @@ def test_ball_grid_matches_exact_disk_minimum():
     # q(x) = (x1 - 3)^2 + x2^2 over disk(center 0, radius 1) + ray(0, 1):
     # the cone never helps, the disk minimum is at (1, 0) with value 4
     q = Quadratic.build([[2, 0], [0, 2]], [-6, 0], 9)
-    f = MotzkinSet(Ball.build((0, 0), 1), PolyCone.from_generators([(0, 1)]))
+    f = MotzkinSet(Ball((0, 0), 1), PolyCone.from_generators([(0, 1)]))
     v = minimize_on_motzkin(q, f)
     assert isinstance(v, Attained)
     assert not v.exact
@@ -227,12 +227,12 @@ def _ball_cases():
         m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         a = [[sum(r[i] * r[j] for r in m) + (i == j) for j in range(n)] for i in range(n)]
         q = Quadratic.build(a, [rng.randint(-4, 4) for _ in range(n)])
-        ball = Ball.build([rng.randint(-2, 2) for _ in range(n)], F(rng.randint(1, 4), 2))
+        ball = Ball([rng.randint(-2, 2) for _ in range(n)], F(rng.randint(1, 4), 2))
         cases.append((q, MotzkinSet(ball, PolyCone.from_generators(sorted(gens), n))))
     # x1 x2 + 5 x1 + 5 x2 on the unit disk plus the orthant: the inner linear
     # term stays positive, so the program is bounded, but H = [[0, 1], [1, 0]]
     q = Quadratic.build([[0, 1], [1, 0]], [5, 5])
-    cases.append((q, MotzkinSet(Ball.build((0, 0), 1), orthant(2))))
+    cases.append((q, MotzkinSet(Ball((0, 0), 1), orthant(2))))
     return cases
 
 
@@ -336,7 +336,7 @@ def test_union_bracket_keeps_the_least_member_bound():
         if low < value < high:
             break
         lo, hi = (t, hi) if value >= high else (lo, t)
-    point = MotzkinSet(PolytopeK.build([y]), PolyCone((), f.dim))
+    point = MotzkinSet(PolytopeK([y]), PolyCone((), f.dim))
     v = minimize_on_descriptor(q, union_set([f, point]))
     assert isinstance(v, Attained) and not v.exact
     assert (v.point, v.value, v.lower_bound) == (y, value, low)
@@ -363,7 +363,7 @@ def test_ball_in_five_dimensions_closes_its_bracket():
         [-6, 1, -3, 2, -1],
     )
     cone = PolyCone.from_generators([(1, 0, 1, 0, 0), (0, 1, 0, -1, 1)])
-    f = MotzkinSet(Ball.build((1, 0, -1, 0, 1), F(3, 2)), cone)
+    f = MotzkinSet(Ball((1, 0, -1, 0, 1), F(3, 2)), cone)
     v = minimize_on_motzkin(q, f)
     assert isinstance(v, Attained)
     assert 0 <= v.value - v.lower_bound <= FEASIBILITY_TOL
@@ -378,7 +378,7 @@ def test_ball_hard_case_follows_the_stationary_line():
     # multiplier 2, whose minimizers form the line x2 = -1/2; the minimum
     # -5/4 is taken at (+-sqrt(3)/2, -1/2)
     q = Quadratic.build([[-2, 0], [0, 0]], [0, 1])
-    f = MotzkinSet(Ball.build((0, 0), 1), PolyCone((), 2))
+    f = MotzkinSet(Ball((0, 0), 1), PolyCone((), 2))
     v = minimize_on_motzkin(q, f)
     assert isinstance(v, Attained)
     assert v.lower_bound <= F(-5, 4) <= v.value
@@ -393,7 +393,7 @@ def test_ball_hard_case_with_a_plane_of_minimizers():
     # inside the ball, but a line through another of its points can miss the
     # ball; the minimum -13/4 is taken where the plane meets the sphere
     q = Quadratic.build([[0, 2, 2], [2, 0, 2], [2, 2, 0]], [3, 3, 3])
-    f = MotzkinSet(Ball.build((0, 0, 0), 1), PolyCone((), 3))
+    f = MotzkinSet(Ball((0, 0, 0), 1), PolyCone((), 3))
     v = minimize_on_motzkin(q, f)
     assert isinstance(v, Attained)
     assert v.lower_bound <= F(-13, 4) <= v.value
@@ -412,9 +412,9 @@ def test_ball_alone_and_the_gallery_disk_share_one_bracket():
         n = 2 + idx % 2
         a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         q = Quadratic.build(a, [rng.randint(-4, 4) for _ in range(n)], rng.randint(-3, 3))
-        cases.append((q, Ball.build([rng.randint(-2, 2) for _ in range(n)], F(rng.randint(1, 4), 2))))
-    cases.append((Quadratic.build([[-2, 0], [0, 0]], [0, 1]), Ball.build((0, 0), 1)))
-    cases.append((Quadratic.build([[0, 2, 2], [2, 0, 2], [2, 2, 0]], [3, 3, 3]), Ball.build((0, 0, 0), 1)))
+        cases.append((q, Ball([rng.randint(-2, 2) for _ in range(n)], F(rng.randint(1, 4), 2))))
+    cases.append((Quadratic.build([[-2, 0], [0, 0]], [0, 1]), Ball((0, 0), 1)))
+    cases.append((Quadratic.build([[0, 2, 2], [2, 0, 2], [2, 2, 0]], [3, 3, 3]), Ball((0, 0, 0), 1)))
     for q, ball in cases:
         n, c, r = ball.dim, ball.center, ball.radius
         v = minimize_on_motzkin(q, MotzkinSet(ball, PolyCone((), n)))
@@ -429,7 +429,7 @@ def test_ball_alone_and_the_gallery_disk_share_one_bracket():
 @pytest.mark.parametrize("tol", [F(0), F(-1), -1e-9, float("nan"), float("inf")])
 def test_nonpositive_tolerance_is_rejected(tol):
     q = Quadratic.build([[2, 0], [0, 2]], [-6, 0], 9)
-    f = MotzkinSet(Ball.build((0, 0), 1), PolyCone.from_generators([(0, 1)]))
+    f = MotzkinSet(Ball((0, 0), 1), PolyCone.from_generators([(0, 1)]))
     with pytest.raises(InvalidParameterError):
         minimize_on_motzkin(q, f, tol=tol)
 
@@ -437,7 +437,7 @@ def test_nonpositive_tolerance_is_rejected(tol):
 def test_ball_escape_gives_exact_unbounded_certificate():
     # q = -x1 is unbounded on ball + ray(1, 0); the certificate is exact
     q = Quadratic.build([[0, 0], [0, 0]], [-1, 0])
-    f = MotzkinSet(Ball.build((0, 0), 1), PolyCone.from_generators([(1, 0)]))
+    f = MotzkinSet(Ball((0, 0), 1), PolyCone.from_generators([(1, 0)]))
     v = minimize_on_motzkin(q, f)
     assert isinstance(v, UnboundedBelow)
     assert f.compact.contains(v.base)
@@ -452,7 +452,7 @@ def test_ball_escape_gives_exact_unbounded_certificate():
 def test_second_order_descent_found():
     # q = -x3 decreases along the axis of the ice-cream cone
     q = Quadratic.build([[0] * 3] * 3, [0, 0, -1])
-    f = MotzkinSet(PolytopeK.build([(0, 0, 0)]), ice_cream())
+    f = MotzkinSet(PolytopeK([(0, 0, 0)]), ice_cream())
     v = minimize_on_motzkin(q, f)
     assert isinstance(v, UnboundedBelow)
     assert f.cone.contains(v.direction)
@@ -462,7 +462,7 @@ def test_second_order_unknown_when_no_ray_found():
     # |x|^2 is bounded below on any cone, but the solver does not promise
     # attainment analysis for second-order recession cones
     q = Quadratic.build([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
-    f = MotzkinSet(PolytopeK.build([(0, 0, 0)]), ice_cream())
+    f = MotzkinSet(PolytopeK([(0, 0, 0)]), ice_cream())
     v = minimize_on_motzkin(q, f)
     assert isinstance(v, Unknown)
 
@@ -493,7 +493,7 @@ def test_bounded_below_always_attains_on_polyhedral_motzkin():
         )
         raw = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         q = Quadratic.build(raw, [rng.randint(-2, 2) for _ in range(n)], 0)
-        f = MotzkinSet(FinitePointSet.build(pts), cone)
+        f = MotzkinSet(FinitePointSet(pts), cone)
         v = minimize_on_motzkin(q, f)
         assert v.kind in ("attained", "unbounded")
         if v.kind == "attained":
@@ -519,7 +519,7 @@ def test_bounded_below_always_attains_on_polyhedral_motzkin():
     ids=["row_crossing", "empty_domain"],
 )
 def test_a_ball_escapes_dom_f_along_a_descent_ray(a, gens, base):
-    ball = Ball.build((0, 1), 2)
+    ball = Ball((0, 1), 2)
     q = Quadratic.build(a)
     verdict = minimize_on_motzkin(q, MotzkinSet(ball, PolyCone.from_generators(gens)))
     assert isinstance(verdict, UnboundedBelow)

@@ -31,7 +31,7 @@ F = Fraction
 
 
 def hp(rows, rhs, dim=None):
-    return HPolyhedron.from_rows(rows, rhs, dim)
+    return HPolyhedron(rows, rhs, dim)
 
 
 def as_set(vectors):
@@ -52,7 +52,7 @@ def test_orthant_h_to_v():
 
 
 def test_simplex_v_to_h():
-    v = VPolyhedron.from_points([(0, 0), (1, 0), (0, 1)])
+    v = VPolyhedron([(0, 0), (1, 0), (0, 1)])
     h = dd_convert(v)
     # {x >= 0, x1 + x2 <= 1} up to row scaling
     pts_in = [(0, 0), (1, 0), (0, 1), (F(1, 2), F(1, 2)), (F(1, 4), F(1, 4))]
@@ -319,8 +319,8 @@ def test_recession_cone_examples():
 
 
 def test_minkowski_sum_of_segments_is_square():
-    seg1 = VPolyhedron.from_points([(0, 0), (1, 0)])
-    seg2 = VPolyhedron.from_points([(0, 0), (0, 1)])
+    seg1 = VPolyhedron([(0, 0), (1, 0)])
+    seg2 = VPolyhedron([(0, 0), (0, 1)])
     sq = minkowski_sum(seg1, seg2)
     assert as_set(sq.vertices) == {(0, 0), (1, 0), (0, 1), (1, 1)}
     h = dd_convert(sq)
@@ -429,7 +429,7 @@ def test_size_cap_errors(monkeypatch):
     # cost only their evaluations: the homogenized rows have rank 2 (the
     # lines e2, e3, e4 are never eliminated), and 64 copies each evaluate
     # the 2 seed rays at 2 units an evaluation
-    p = HPolyhedron.from_rows([[1] + [0] * 3] * 65, [1] * 65)
+    p = HPolyhedron([[1] + [0] * 3] * 65, [1] * 65)
     v = dd_convert(p)
     assert v.vertices == ((1, 0, 0, 0),) and v.rays == ((-1, 0, 0, 0),)
     assert len(v.lineality) == 3
@@ -490,7 +490,7 @@ def test_a_cone_equals_the_cone_of_its_generators(rows, d):
     assert cone == twin and hash(cone) == hash(twin)
     assert cone.halfspaces == tuple(dict.fromkeys(primitive(vec(r)) for r in rows if any(r)))
     assert all(map(cone.contains, twin.generators)) and all(map(twin.contains, cone.generators))
-    segment = PolytopeK.build([(0,) * d, (1,) * d])
+    segment = PolytopeK([(0,) * d, (1,) * d])
     assert MotzkinSet(segment, cone) == MotzkinSet(segment, twin)
     assert hash(MotzkinSet(segment, cone)) == hash(MotzkinSet(segment, twin))
 

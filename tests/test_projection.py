@@ -98,7 +98,7 @@ def _projection_cases():
             a = [F(rng.randint(-2, 2)) for _ in range(n)]
             rows += [a, [-x for x in a]]
             rhs += [F(-1), F(-1)]
-        cases.append((HPolyhedron.from_rows(rows, rhs, n), coords))
+        cases.append((HPolyhedron(rows, rhs, n), coords))
     return cases
 
 
@@ -177,7 +177,7 @@ def test_projection_of_a_wide_v_form():
     rows = [[rng.randint(-4, 4) for _ in range(7)] for _ in range(m)]
     rhs = [_dot(r, x0) + rng.randint(0, 5) for r in rows]
     coords = sorted(rng.sample(range(1, 8), rng.randint(1, 6)))
-    p = HPolyhedron.from_rows(rows, rhs)
+    p = HPolyhedron(rows, rhs)
     v = dd_convert(p)
     assert (len(v.vertices), len(v.rays), v.lineality) == (49, 43, ())
     q = project_fm(p, coords)
@@ -195,7 +195,7 @@ def test_projection_of_a_wide_v_form():
             point = [x + c * y for x, y in zip(point, r)]
         assert q.contains(tuple(point))
         x = tuple(round(xi) + rng.randint(-2, 2) for xi in point)
-        fiber = HPolyhedron.from_rows(
+        fiber = HPolyhedron(
             [[r[j] for j in dropped] for r in rows],
             [beta - sum(r[j] * xi for j, xi in zip(idx, x)) for r, beta in zip(rows, rhs)],
         )

@@ -211,7 +211,7 @@ def test_compose_with_identity_is_identity():
 def test_compose_shift_in_one_dim():
     # q(y) = y^2 with T(x) = x + 1 gives x^2 + 2x + 1
     q = Quadratic.build([[2]])
-    t = AffineMap.build([[1]], [1])
+    t = AffineMap([[1]], [1])
     comp = compose_affine(q, t)
     assert comp.a == ((2,),) and comp.b == (2,) and comp.c == 1
     assert comp.evaluate((F(3),)) == 16

@@ -58,7 +58,7 @@ def orthant(n=2):
 
 
 def unit_square():
-    return PolytopeK.build([(0, 0), (1, 0), (0, 1), (1, 1)])
+    return PolytopeK([(0, 0), (1, 0), (0, 1), (1, 1)])
 
 
 def members(f: MotzkinSet):
@@ -79,7 +79,7 @@ def test_affine_image_identity():
 
 def test_affine_image_projection_to_first_coordinate():
     f = MotzkinSet(unit_square(), orthant())
-    t = AffineMap.build([[1, 0]])
+    t = AffineMap([[1, 0]])
     g = affine_image(f, t)
     assert g.dim == 1
     assert set(g.compact.vertices) == {(0,), (1,)}
@@ -87,17 +87,17 @@ def test_affine_image_projection_to_first_coordinate():
 
 
 def test_affine_image_sums_cone_generators():
-    f = MotzkinSet(PolytopeK.build([(0, 0)]), orthant())
-    t = AffineMap.build([[1, 1]])
+    f = MotzkinSet(PolytopeK([(0, 0)]), orthant())
+    t = AffineMap([[1, 1]])
     g = affine_image(f, t)
     assert set(g.cone.generators) == {(1,)}
 
 
 def test_affine_image_rejects_squashed_ball():
-    f = MotzkinSet(Ball.build((0, 0), 1), orthant())
+    f = MotzkinSet(Ball((0, 0), 1), orthant())
     with pytest.raises(UnsupportedKindError):
-        affine_image(f, AffineMap.build([[2, 0], [0, 1]]))
-    rotated = affine_image(f, AffineMap.build([[0, -1], [1, 0]]))
+        affine_image(f, AffineMap([[2, 0], [0, 1]]))
+    rotated = affine_image(f, AffineMap([[0, -1], [1, 0]]))
     assert isinstance(rotated.compact, Ball)
 
 
@@ -110,7 +110,7 @@ def test_sum_with_subspace_folds_lineality():
 
 
 def test_sum_point_ray_with_orthogonal_line():
-    f = MotzkinSet(PolytopeK.build([(0, 0)]), PolyCone.from_generators([(1, 0)]))
+    f = MotzkinSet(PolytopeK([(0, 0)]), PolyCone.from_generators([(1, 0)]))
     g = sum_with_subspace(f, [(0, 1)])
     hm = dd_convert(motzkin_to_vpoly(g))
     assert hm.contains(vec((5, -7)))
@@ -120,7 +120,7 @@ def test_sum_point_ray_with_orthogonal_line():
 
 def test_product_dimensions_and_membership():
     f1 = MotzkinSet(unit_square(), orthant())
-    f2 = MotzkinSet(PolytopeK.build([(3,)]), PolyCone((), 1))
+    f2 = MotzkinSet(PolytopeK([(3,)]), PolyCone((), 1))
     p = product(f1, f2)
     assert p.dim == 3
     assert len(p.compact.vertices) == 4
@@ -141,7 +141,7 @@ def test_product_dimensions_and_membership():
 
 
 def test_product_of_rays_is_quarter_plane():
-    r1 = MotzkinSet(PolytopeK.build([(0,)]), PolyCone.from_generators([(1,)]))
+    r1 = MotzkinSet(PolytopeK([(0,)]), PolyCone.from_generators([(1,)]))
     p = product(r1, r1)
     assert set(p.cone.generators) == {(1, 0), (0, 1)}
 
@@ -152,7 +152,7 @@ def test_product_of_rays_is_quarter_plane():
 
 
 def test_intersect_orthant_with_diagonal():
-    f = MotzkinSet(PolytopeK.build([(0, 0)]), orthant())
+    f = MotzkinSet(PolytopeK([(0, 0)]), orthant())
     l = subspace([(1, 1)], 2)
     g = intersect_subspace_motzkin(f, l)
     assert set(g.cone.generators) == {(1, 1)}
@@ -160,7 +160,7 @@ def test_intersect_orthant_with_diagonal():
 
 
 def test_intersect_segment_ray_with_axis():
-    k = PolytopeK.build([(0, 0), (0, 1)])
+    k = PolytopeK([(0, 0), (0, 1)])
     f = MotzkinSet(k, PolyCone.from_generators([(1, 0)]))
     l = subspace([(1, 0)], 2)
     g = intersect_subspace_motzkin(f, l)
@@ -169,7 +169,7 @@ def test_intersect_segment_ray_with_axis():
 
 
 def test_intersect_square_orthant_with_diagonal():
-    k = PolytopeK.build([(1, 1), (2, 1), (1, 2), (2, 2)])
+    k = PolytopeK([(1, 1), (2, 1), (1, 2), (2, 2)])
     f = MotzkinSet(k, orthant())
     l = subspace([(1, 1)], 2)
     g = intersect_subspace_motzkin(f, l)
@@ -181,7 +181,7 @@ def test_intersect_square_orthant_with_diagonal():
 
 
 def test_intersect_empty_raises_with_certificate():
-    f = MotzkinSet(PolytopeK.build([(3, 3), (4, 3)]), PolyCone((), 2))
+    f = MotzkinSet(PolytopeK([(3, 3), (4, 3)]), PolyCone((), 2))
     l = subspace([(1, 0)], 2)
     with pytest.raises(EmptySetError) as exc:
         intersect_subspace_motzkin(f, l)
@@ -197,7 +197,7 @@ def test_random_subspace_intersections_recompose_exactly():
         gens = [tuple(F(rng.randint(-1, 2)) for _ in range(n)) for _ in range(rng.randint(1, 2))]
         gens = [g for g in gens if any(x != 0 for x in g)]
         f = MotzkinSet(
-            PolytopeK.build(pts),
+            PolytopeK(pts),
             PolyCone.from_generators(gens, n) if gens else PolyCone((), n),
         )
         l = subspace([tuple(F(rng.randint(-1, 1)) for _ in range(n))], n) if rng.random() < 0.7 else subspace(
@@ -240,7 +240,7 @@ def test_intersect_set_with_itself():
 
 
 def test_intersect_orthant_with_strip():
-    f1 = MotzkinSet(PolytopeK.build([(0, 0)]), orthant())
+    f1 = MotzkinSet(PolytopeK([(0, 0)]), orthant())
     f2 = MotzkinSet(unit_square(), PolyCone.from_generators([(0, 1)]))
     g = intersect_fwm(f1, f2)
     h = dd_convert(motzkin_to_vpoly(g))
@@ -252,8 +252,8 @@ def test_intersect_orthant_with_strip():
 
 
 def test_intersect_disjoint_translates_raises():
-    f1 = MotzkinSet(PolytopeK.build([(0, 0)]), PolyCone((), 2))
-    f2 = MotzkinSet(PolytopeK.build([(5, 5)]), PolyCone((), 2))
+    f1 = MotzkinSet(PolytopeK([(0, 0)]), PolyCone((), 2))
+    f2 = MotzkinSet(PolytopeK([(5, 5)]), PolyCone((), 2))
     with pytest.raises(EmptySetError):
         intersect_fwm(f1, f2)
 
@@ -279,8 +279,8 @@ def test_preimage_under_identity():
 
 def test_preimage_of_halfline_under_projection():
     # T: R^2 -> R, T(x) = x1; preimage of [0, oo) is the halfplane x1 >= 0
-    f = MotzkinSet(PolytopeK.build([(0,)]), PolyCone.from_generators([(1,)]))
-    t = AffineMap.build([[1, 0]])
+    f = MotzkinSet(PolytopeK([(0,)]), PolyCone.from_generators([(1,)]))
+    t = AffineMap([[1, 0]])
     g = affine_preimage(f, t)
     h = dd_convert(motzkin_to_vpoly(g))
     assert h.contains(vec((3, -17)))
@@ -290,8 +290,8 @@ def test_preimage_of_halfline_under_projection():
 
 def test_preimage_of_interval_under_sum_map():
     # T(x) = x1 + x2, F = [0, 1]: the preimage is the slab 0 <= x1 + x2 <= 1
-    f = MotzkinSet(PolytopeK.build([(0,), (1,)]), PolyCone((), 1))
-    t = AffineMap.build([[1, 1]])
+    f = MotzkinSet(PolytopeK([(0,), (1,)]), PolyCone((), 1))
+    t = AffineMap([[1, 1]])
     g = affine_preimage(f, t)
     h = dd_convert(motzkin_to_vpoly(g))
     rng = random.Random(11)
@@ -304,7 +304,7 @@ def test_preimage_of_interval_under_sum_map():
 
 def test_preimage_classification_preserved():
     f = MotzkinSet(unit_square(), orthant())
-    t = AffineMap.build([[1, 0, 0], [0, 1, 1]])
+    t = AffineMap([[1, 0, 0], [0, 1, 1]])
     g = affine_preimage(f, t)
     assert classify_fw(f).label == "FW"
     assert classify_fw(g).label == "FW"
@@ -312,15 +312,15 @@ def test_preimage_classification_preserved():
 
 def test_image_classification_preserved():
     f = MotzkinSet(unit_square(), orthant())
-    t = AffineMap.build([[1, 1]])
+    t = AffineMap([[1, 1]])
     g = affine_image(f, t)
     assert classify_fw(g).label == "FW"
 
 
 def test_empty_preimage_raises():
     # T maps into the x-axis; a set living strictly above it has no preimage
-    f = MotzkinSet(PolytopeK.build([(0, 2)]), PolyCone((), 2))
-    t = AffineMap.build([[1], [0]])
+    f = MotzkinSet(PolytopeK([(0, 2)]), PolyCone((), 2))
+    t = AffineMap([[1], [0]])
     with pytest.raises(EmptySetError):
         affine_preimage(f, t)
 
@@ -330,7 +330,7 @@ def diagonal_intersection(f1, f2):
     n = f1.dim
     diag = subspace([unit(n, i) + unit(n, i) for i in range(n)], 2 * n)
     inter = intersect_subspace_motzkin(product(f1, f2), diag)
-    return affine_image(inter, AffineMap.build([unit(2 * n, i) for i in range(n)]))
+    return affine_image(inter, AffineMap([unit(2 * n, i) for i in range(n)]))
 
 
 def section_preimage(f, t):
@@ -356,7 +356,7 @@ def seeded_motzkin(rng, n):
     gens = [tuple(F(rng.randint(-1, 1)) for _ in range(n)) for _ in range(rng.randint(0, 2))]
     gens = [g for g in gens if any(g)]
     cone = PolyCone.from_generators(gens, n) if gens else PolyCone((), n)
-    return MotzkinSet(PolytopeK.build(pts), cone)
+    return MotzkinSet(PolytopeK(pts), cone)
 
 
 def agree_or_both_empty(new, old, rng, n):
@@ -389,7 +389,7 @@ def test_inequality_paths_match_the_section_constructions():
     for _ in range(40):
         m, n = rng.randint(1, 3), rng.randint(1, 3)
         f = seeded_motzkin(rng, m)
-        t = AffineMap.build(
+        t = AffineMap(
             [[rng.randint(-1, 1) for _ in range(n)] for _ in range(m)],
             [rng.randint(-1, 1) for _ in range(m)],
         )
@@ -404,8 +404,8 @@ def test_inequality_paths_match_the_section_constructions():
 def test_intersection_in_r6_and_preimage_into_r12_answer():
     n = 6
     corners = itertools.product((0, 2), repeat=n)
-    box = MotzkinSet(PolytopeK.build(corners), PolyCone((), n))
-    g = intersect_fwm(box, MotzkinSet(PolytopeK.build([(1,) * n]), orthant(n)))
+    box = MotzkinSet(PolytopeK(corners), PolyCone((), n))
+    g = intersect_fwm(box, MotzkinSet(PolytopeK([(1,) * n]), orthant(n)))
     assert set(g.compact.vertices) == set(vec(v) for v in itertools.product((1, 2), repeat=n))
     assert not g.cone.generators
 
@@ -413,7 +413,7 @@ def test_intersection_in_r6_and_preimage_into_r12_answer():
     # contains every line of ker(M)
     f = MotzkinSet(unit_square(), orthant())
     rng = random.Random(7)
-    t = AffineMap.build([[rng.randint(-2, 2) for _ in range(12)] for _ in range(2)], [1, -1])
+    t = AffineMap([[rng.randint(-2, 2) for _ in range(12)] for _ in range(2)], [1, -1])
     pre = affine_preimage(f, t)
     hf = members(f)
     assert all(hf.contains(t.apply(v)) for v in pre.compact.vertices)
@@ -433,16 +433,16 @@ def test_intersection_in_r6_and_preimage_into_r12_answer():
 
 
 def test_cancellation_equal_sets():
-    a = VPolyhedron.from_points([(0, 0), (1, 0)])
-    k = VPolyhedron.from_points([(0, 0), (0, 1)])
+    a = VPolyhedron([(0, 0), (1, 0)])
+    k = VPolyhedron([(0, 0), (0, 1)])
     both = order_cancellation_check(a, a, k)
     assert both == (True, True)
 
 
 def test_cancellation_interval_example():
-    a = VPolyhedron.from_points([(0,), (2,)])
-    b = VPolyhedron.from_points([(0,), (1,)])
-    k = VPolyhedron.from_points([(0,), (1,)])
+    a = VPolyhedron([(0,), (2,)])
+    b = VPolyhedron([(0,), (1,)])
+    k = VPolyhedron([(0,), (1,)])
     sums, bases = order_cancellation_check(a, b, k)
     assert sums is False and bases is False
 
@@ -451,13 +451,13 @@ def test_cancellation_law_has_no_violations():
     rng = random.Random(29)
     for _ in range(200):
         n = rng.randint(1, 3)
-        a = VPolyhedron.from_points(
+        a = VPolyhedron(
             [tuple(F(rng.randint(-3, 3)) for _ in range(n)) for _ in range(rng.randint(1, 4))]
         )
-        b = VPolyhedron.from_points(
+        b = VPolyhedron(
             [tuple(F(rng.randint(-3, 3)) for _ in range(n)) for _ in range(rng.randint(1, 4))]
         )
-        k = VPolyhedron.from_points(
+        k = VPolyhedron(
             [tuple(F(rng.randint(-2, 2)) for _ in range(n)) for _ in range(rng.randint(1, 4))]
         )
         sums, bases = order_cancellation_check(a, b, k)
@@ -473,7 +473,7 @@ def test_cancellation_law_has_no_violations():
 def test_union_minimization_takes_best_member():
     sq1 = MotzkinSet(unit_square(), PolyCone((), 2))
     shifted = MotzkinSet(
-        PolytopeK.build([(3, 0), (4, 0), (3, 1), (4, 1)]), PolyCone((), 2)
+        PolytopeK([(3, 0), (4, 0), (3, 1), (4, 1)]), PolyCone((), 2)
     )
     u = union_set([sq1, shifted])
     q = Quadratic.build([[0, 0], [0, 0]], [-1, 0])  # minimize -x1
@@ -489,9 +489,9 @@ def test_union_classification():
     from fwsets.motzkin import SecondOrderCone
 
     bad = MotzkinSet(
-        PolytopeK.build([(0, 0, 0)]), SecondOrderCone.build(3, (0, 0, 1), F(1, 2))
+        PolytopeK([(0, 0, 0)]), SecondOrderCone(3, (0, 0, 1), F(1, 2))
     )
-    sq3 = MotzkinSet(PolytopeK.build([(0, 0, 0)]), PolyCone((), 3))
+    sq3 = MotzkinSet(PolytopeK([(0, 0, 0)]), PolyCone((), 3))
     u2 = union_set([sq3, bad])
     assert classify_fw_set(u2).label == "Unknown"
 
