@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import DimensionMismatchError, EmptySetError
 from .linalg import (
@@ -10,17 +11,21 @@ from .linalg import (
     Mat,
     ONE,
     Vec,
+    ZERO,
     basis_of_span,
     dim_of,
     dot,
     hash_once,
     identity,
+    int_fraction,
     is_zero,
     kernel_basis,
     mat,
     matvec,
     primitive,
+    primitive_ints,
     rank,
+    rat,
     set_fields,
     vadd,
     vec,
@@ -124,7 +129,29 @@ class AffineManifold:
 
     @staticmethod
     def hyperplane(normal, value) -> "AffineManifold":
-        return AffineManifold.from_equations((normal,), (value,))
+        """``{x : normal . x = value}``, built without elimination: the
+        canonical row is the primitive normal with its last nonzero entry
+        positive, the point is ``value / normal_j`` at the first nonzero
+        column j, and the basis is ``e_k - (normal_k / normal_j) e_j`` for
+        k != j; the fields :meth:`from_equations` gives.  A zero normal
+        takes that path."""
+        normal, value = vec(normal), rat(value)
+        j = next((i for i, x in enumerate(normal) if x), None)
+        if j is None:
+            return AffineManifold.from_equations((normal,), (value,))
+        n = len(normal)
+        ints = primitive_ints(normal)
+        if next(x for x in reversed(ints) if x) < 0:
+            ints = [-x for x in ints]
+        xj = value / normal[j]
+        point = tuple(xj if i == j else ZERO for i in range(n))
+        basis = tuple(
+            tuple(ONE if i == k else Fraction(-ints[k], ints[j]) if i == j else ZERO for i in range(n))
+            for k in range(n)
+            if k != j
+        )
+        row = tuple(map(int_fraction, ints))
+        return AffineManifold((row,), (ints[j] * xj,), point, basis, n)
 
     def contains(self, x: Vec) -> bool:
         if len(x) != self.dim:

@@ -44,7 +44,9 @@ start with ``P_0``'s, are ``P_0``'s alone.  So dom(f), wherever it is
 computed (``dom_f``, ``is_bounded_below_on_cone`` and :class:`ConeProgram`
 share one function), tests H once on ints and, for PSD H, reads the rows
 from that one block's kernel; ``zero_set_pieces`` keeps the walk and all
-its pieces.
+its pieces.  A positive definite G needs not even the faces: ``x.G x``
+vanishes only at x = 0, so every zero-set ray u has ``Z u = 0``, and
+dom(f) is the whole space, with no rows.
 
 The cone layer runs on Python ints.  H is formed once as the integer matrix
 ``lam H`` (the generators and G scaled by the lcms of their denominators),
@@ -77,6 +79,16 @@ is built only for a face that passes.  The enumeration keeps the least
 ``(value, face key)``, and a face that cannot beat the incumbent is never
 built.
 
+A convex objective stops the enumeration early.  The cone program and the
+QP walk their faces in lexicographic order of the key (the active set, the
+row subset), and for a convex objective (H, or Q, positive semidefinite)
+each face carries a KKT check: the incumbent's multipliers, the active
+gradient entries ``(H u + r)_I`` or the solution of
+``A_J^T lam = -grad q(z)``, are nonnegative.  A KKT point of a convex
+objective is a global minimum, and every later face has a larger key, so
+the walk stops at the first incumbent that passes, with the answer of the
+whole walk.  A nonconvex objective walks every face.
+
 One work budget, ``polyhedra.DD_BUDGET``, bounds each public call here: a
 ``dom_f``, a sign test, a zero-set walk, one ``ConeProgram.minimize``
 query or one ``minimize_over_hpolyhedron``.  The call makes one
@@ -87,10 +99,13 @@ one unit a row subset), each elimination (:func:`_elimination_units`; the
 PSD test of H is charged as one elimination of H),
 each solve, ``FRACTION_UNITS`` for each entry a face or the zero set forms
 (a product and a sum a term of a dot product; the rate was set when these
-entries were Fractions), and the conversions and LPs inside, which charge
-the same counter.  A program keeps its blocks and dom(f) across
-queries, but the counter lives for one query, which pays for what it
-builds.
+entries were Fractions), each KKT check its integer products and
+elimination, and the conversions and LPs inside, which charge the same
+counter.  Like the forming of H and of ``Quadratic.ints``, the tests of the
+input form itself (G positive definite, Q positive semidefinite), one
+n x n elimination each, are not charged.  A program keeps its blocks and
+dom(f) across queries, but the counter lives for one query, which pays for
+what it builds.
 """
 
 from __future__ import annotations
@@ -126,7 +141,7 @@ from .polyhedra import (
     int_cone_h_to_v,
     lp_solve,
 )
-from .quadratics import Quadratic, int_is_psd
+from .quadratics import Quadratic, int_is_pd, int_is_psd
 
 # the step a face walk's charges name in SizeCapError
 _WALK = "the face walk"
@@ -208,14 +223,17 @@ class _Face:
     ``rows``, all on ints: the points ``(num + sum_j s_j k_j) / den`` (den !=
     0) for the integer directions k_j of ``kernel``, each a positive multiple
     of a stationary direction, and the pairs ``(a, b)`` of the rows
-    ``a.z <= b``, scaled by one common positive integer."""
+    ``a.z <= b``, scaled by one common positive integer.  ``optimal``, when
+    given, tells whether a feasible point of the set is a global minimum
+    (a KKT point of a convex objective)."""
 
-    __slots__ = ("num", "den", "kernel", "rows")
+    __slots__ = ("num", "den", "kernel", "rows", "optimal")
 
-    def __init__(self, num: list[int], den: int, kernel, rows):
+    def __init__(self, num: list[int], den: int, kernel, rows, optimal=None):
         if den < 0:
             num, den = [-x for x in num], -den
         self.num, self.den, self.kernel, self.rows = num, den, kernel, rows
+        self.optimal = optimal
 
     def point(self, s: tuple[int, ...] = (), y: int = 1) -> Vec:
         """The point ``(num + sum_j s_j k_j / y) / den`` for the integers
@@ -285,6 +303,11 @@ def _least_face(faces, work: Work):
     ``work`` for its point, its directions and their dot products with each
     row, ``FRACTION_UNITS`` for a product and a sum a term.  Returns None
     when no face has a feasible stationary point.
+
+    The walk stops once an incumbent passes its face's ``optimal`` check.
+    Its value is then the minimum, and when the faces come in increasing
+    key order every later face has a larger key, so the least
+    ``(value, key)`` is the one an exhaustive walk keeps.
     """
     best = None
     for key, value, build in faces:
@@ -296,20 +319,23 @@ def _least_face(faces, work: Work):
         z = face.feasible_point(work)
         if z is not None:
             best = (value, key, z)
+            if face.optimal is not None and face.optimal(z):
+                break
     return best
 
 
-def _orthant_face(num: list[int], den: int, system: LinearSystem):
+def _orthant_face(num: list[int], den: int, system: LinearSystem, optimal=None):
     """The face solver's thunk for ``num/den + span(kernel)`` inside
     ``u >= 0``, or None when the kernel is empty and the point has a
     negative entry.  With an empty kernel the signs of the integers decide
-    ``u >= 0`` and the thunk carries no rows to check."""
+    ``u >= 0`` and the thunk carries no rows to check.  ``optimal`` is the
+    face's check (see :class:`_Face`)."""
     k = len(num)
     if system.rank < k:
-        return lambda: _Face(num, den, system.int_kernel, _orthant_rows(k))
+        return lambda: _Face(num, den, system.int_kernel, _orthant_rows(k), optimal)
     if any(x and (x < 0) != (den < 0) for x in num):
         return None
-    return partial(_Face, num, den, (), ())
+    return partial(_Face, num, den, (), (), optimal)
 
 
 @cache
@@ -376,9 +402,12 @@ class _Blocks:
     use, the faces of ``conv(dz Z)`` as splits ``(active, free)`` (see
     :func:`_face_pairs`) and keeps them in ``pairs``; every walk reads them
     before it eliminates a block, so the listing is charged first, and an
-    answer read off the diagonal of H needs no faces.  The blocks live as
-    long as their program, but the work of listing and eliminating is
-    charged to the counter of the call that does it.  The shape of G is
+    answer read off the diagonal of H needs no faces.  The sign test and the
+    zero-set walk read ``pairs`` in that order; the minimizer reads
+    :meth:`lex_faces`, the same faces in lexicographic order of the active
+    set, kept in ``lex_pairs``.  :meth:`is_psd` tests H once.  The blocks
+    live as long as their program, but the work of listing and eliminating
+    is charged to the counter of the call that does it.  The shape of G is
     checked before anything is built: integer dot products of unequal
     lengths would truncate silently.
     """
@@ -392,12 +421,14 @@ class _Blocks:
         scale = lcm(*(x.denominator for row in g for x in row))
         zi = [[x.numerator * (dz // x.denominator) for x in gen] for gen in d.generators]
         self._zi = zi
-        gi = [[x.numerator * (scale // x.denominator) for x in row] for row in g]
-        gz = [[idot(row, z) for row in gi] for z in zi]
+        self._gi = [[x.numerator * (scale // x.denominator) for x in row] for row in g]
+        gz = [[idot(row, z) for row in self._gi] for z in zi]
         self.hi = [[idot(za, gzb) for gzb in gz] for za in zi]
         self.lam = dz * dz * scale
         self._systems: dict[tuple[int, ...], LinearSystem] = {}
         self.pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None = None
+        self.lex_pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None = None
+        self.psd: bool | None = None
 
     def system(self, free: tuple[int, ...], work: Work) -> LinearSystem:
         system = self._systems.get(free)
@@ -412,6 +443,20 @@ class _Blocks:
         if self.pairs is None:
             self.pairs = _face_pairs(self._zi, work)
         return self.pairs
+
+    def lex_faces(self, work: Work) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        if self.lex_pairs is None:
+            self.lex_pairs = tuple(sorted(self.faces(work)))
+        return self.lex_pairs
+
+    def is_psd(self, work: Work) -> bool:
+        """Whether H is positive semidefinite: one integer elimination of a
+        copy of its rows (:func:`quadratics.int_is_psd`) on first use,
+        charged as one elimination of H."""
+        if self.psd is None:
+            work.charge(_elimination_units(self.p, self.p), _WALK)
+            self.psd = int_is_psd([row[:] for row in self.hi])
+        return self.psd
 
     @cached_property
     def h(self) -> Mat:
@@ -550,9 +595,13 @@ def _domain(d: PolyCone, blocks: _Blocks, work: Work) -> DomF:
     """dom(f) on the blocks of ``H = Z^T G Z`` already built.
 
     A negative diagonal entry of H empties it before any face is listed.
+    A positive definite G gives the whole space before any face is listed
+    too: ``x.G x = 0`` only at x = 0, so every ray u of the zero set has
+    ``Z u = 0`` and its row ``-Z u`` would be dropped; H is then PSD.  G is
+    tested by one strict integer elimination of its n x n ints
+    (:func:`quadratics.int_is_pd`), not charged, like the forming of H.
     Otherwise the faces are listed first, so the face budget refuses before
-    any block is eliminated, and H is tested by one integer elimination
-    (:func:`quadratics.int_is_psd`, on a copy of its rows), charged as one.
+    any block is eliminated, and H is tested (:meth:`_Blocks.is_psd`).
     For PSD H the zero set is the one piece ``P_0`` (see the module
     docstring); otherwise the sign test runs, and then the zero-set walk.
     The rows are ``-Z u`` over the pieces' rays u, in piece order, made
@@ -563,9 +612,11 @@ def _domain(d: PolyCone, blocks: _Blocks, work: Work) -> DomF:
     p = blocks.p
     if any(blocks.hi[i][i] < 0 for i in range(p)):  # a generator, with no faces
         return DomF((), d.dim, _negative_ray(d, blocks, work))
+    if int_is_pd([row[:] for row in blocks._gi]):
+        blocks.psd = True
+        return DomF((), d.dim)
     blocks.faces(work)
-    work.charge(_elimination_units(p, p), _WALK)
-    if int_is_psd([row[:] for row in blocks.hi]):
+    if blocks.is_psd(work):
         piece = _piece(blocks, (), tuple(range(p)), work)
         pieces = [piece] if piece is not None else []
     else:
@@ -655,14 +706,16 @@ class ConeProgram:
         return r, [x.numerator * (rho // x.denominator) for x in r], rho
 
     def _faces(self, rr: list[int], rho: int, constant: Fraction, work: Work):
-        """Stationary sets ``H_FF u_F = -r_F`` keyed by active set, for
-        ``r = rr / rho``.  Each is solved on ints as ``hi_FF x = -den rr_F``,
-        so ``u_F = lam x / (rho den)`` is its point with zero free
-        coordinates, and on it the objective is
+        """Stationary sets ``H_FF u_F = -r_F`` keyed by active set, in
+        lexicographic order of the active set, for ``r = rr / rho``.  Each is
+        solved on ints as ``hi_FF x = -den rr_F``, so ``u_F = lam x / (rho den)``
+        is its point with zero free coordinates, and on it the objective is
         ``r_F.u_F / 2 + constant = lam rr_F.x / (2 rho^2 den) + constant``.
-        A solve and its value charge ``work`` k (k + 1) units."""
+        A solve and its value charge ``work`` k (k + 1) units.  When H is
+        PSD each face carries the KKT check of :meth:`_is_kkt`."""
         lam = self.blocks.lam
-        for active, free in self.blocks.faces(work):
+        convex = self.blocks.is_psd(work)
+        for active, free in self.blocks.lex_faces(work):
             k = len(free)
             system = self.blocks.system(free, work)
             work.charge(k * (k + 1), _WALK)
@@ -670,10 +723,25 @@ class ConeProgram:
             if sol is None:
                 continue
             x, den = sol
-            build = _orthant_face([lam * xi for xi in x], rho * den, system)
+            check = partial(self._is_kkt, rr, rho, active, free, work) if convex else None
+            build = _orthant_face([lam * xi for xi in x], rho * den, system, check)
             if build is not None:
                 value = Fraction(lam * idot([rr[j] for j in free], x), 2 * rho * rho * den)
                 yield active, value + constant, build
+
+    def _is_kkt(self, rr, rho, active, free, work: Work, u_f: Vec) -> bool:
+        """Whether the gradient ``H u + r`` of the stationary point u (``u_F``
+        on ``free``, zero on ``active``) is nonnegative on ``active``: then u
+        is a KKT point, the minimum when H is PSD.  On ints, with
+        ``u_F = U / s``, ``lam rho s (H u + r)_i = rho hi_iF.U + lam s rr_i``;
+        the products charge ``work`` |active| (k + 1) units."""
+        work.charge(len(active) * (len(free) + 1), _WALK)
+        s = lcm(*(x.denominator for x in u_f))
+        us = [x.numerator * (s // x.denominator) for x in u_f]
+        hi, lam = self.blocks.hi, self.blocks.lam
+        return all(
+            rho * idot([hi[i][j] for j in free], us) + lam * s * rr[i] >= 0 for i in active
+        )
 
     def minimize(self, c: Vec, constant: Fraction = ZERO) -> ConeMinVerdict:
         work = Work()
@@ -761,57 +829,91 @@ def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, V
     None when no face carries a feasible stationary point, which can only
     happen for programs that are unbounded below.
 
+    The subsets are walked depth first in lexicographic order, ``()``,
+    ``(0,)``, ``(0, 1)``, ..., and a subset whose rows are dependent or
+    inconsistent is skipped with every subset that extends it.  A convex q
+    (Q positive semidefinite, tested once on ints by
+    :func:`quadratics.int_is_psd`) stops the walk at the first incumbent z
+    with KKT multipliers on its own rows, ``A_J^T lam = -grad q(z)`` with
+    ``lam >= 0`` (none for J empty): z is then a global minimum, and every
+    later subset is lexicographically larger, so the answer is the
+    exhaustive walk's.  A nonconvex q walks every subset.
+
     One work budget bounds the call.  The subsets are charged first, one
     unit each, so a walk that cannot finish is refused before any face is
     eliminated; then each face charges its two eliminations and the integer
-    products that form the reduced system and the value, and each face
-    built charges its point and directions (see :func:`_least_face`) and
-    its LP.
+    products that form the reduced system and the value, each face built
+    charges its point and directions (see :func:`_least_face`) and its LP,
+    and each KKT check its gradient and its elimination of
+    ``[A_J^T | -grad]``.  The convexity test, like ``Quadratic.ints``, is
+    not charged.
     """
     n = p.dim
     if q.dim != n:
         raise DimensionMismatchError("quadratic and polyhedron dimensions differ")
     m = len(p.a)
+    top = min(m, n)
     work = Work()
-    work.charge(sum(comb(m, rr) for rr in range(min(m, n) + 1)), _WALK)
+    work.charge(sum(comb(m, rr) for rr in range(top + 1)), _WALK)
     ab = lcm(*(x.denominator for row in p.a for x in row), *(x.denominator for x in p.b))
     rows_ab = [[x.numerator * (ab // x.denominator) for x in (*a, b)] for a, b in zip(p.a, p.b)]
     face_rows = tuple((row[:n], row[n]) for row in rows_ab)
     qm, qb, qc, scale = q.ints
+    convex = int_is_psd([list(row) for row in qm])
+
+    def is_kkt(subset: tuple[int, ...], z: Vec) -> bool:
+        """Whether ``A_J^T lam = -grad q(z)`` has a solution lam >= 0, on
+        ints: with z = Z / s, ``s L grad q(z) = Q Z + s b``."""
+        if not subset:
+            return True
+        size = len(subset)
+        work.charge(n * n + _elimination_units(n, size + 1), _WALK)
+        s = lcm(*(x.denominator for x in z))
+        zs = [x.numerator * (s // x.denominator) for x in z]
+        grad = [idot(row, zs) + s * bi for row, bi in zip(qm, qb)]
+        rows = [[rows_ab[i][k] for i in subset] + [-gk] for k, gk in enumerate(grad)]
+        sol = int_solution(rows, int_rref(rows), size)
+        return sol is not None and all(x >= 0 for x in sol[0])
 
     def faces():
-        for size in range(min(m, n) + 1):
-            for subset in itertools.combinations(range(m), size):
-                work.charge(_elimination_units(size, n + 1), _WALK)
-                rows = [rows_ab[i][:] for i in subset]
-                pivots = int_rref(rows)
-                hull = int_solution(rows, pivots, n)
-                if hull is None or len(pivots) < size:
+        stack = [()]
+        while stack:
+            subset = stack.pop()
+            size = len(subset)
+            work.charge(_elimination_units(size, n + 1), _WALK)
+            rows = [rows_ab[i][:] for i in subset]
+            pivots = int_rref(rows)
+            hull = int_solution(rows, pivots, n)
+            if hull is None or len(pivots) < size:
+                continue  # its extensions are never pushed
+            if size < top:  # its extensions by one row, the least on top
+                first = subset[-1] + 1 if subset else 0
+                stack.extend(subset + (j,) for j in reversed(range(first, m)))
+            x0, d, nbasis = hull
+            nb = len(nbasis)
+            # Q x0, Q N', N'^T Q N' and Q num, then [N'^T Q N' | -N'^T G]
+            work.charge((nb + 2) * n * n + nb * nb * n + _elimination_units(nb, nb + 1), _WALK)
+            grad = [idot(row, x0) + d * bi for row, bi in zip(qm, qb)]
+            if nbasis:
+                qn = [[idot(row, v) for row in qm] for v in nbasis]
+                red = [[idot(v, w) for w in qn] + [-idot(v, grad)] for v in nbasis]
+                stationary = int_solution(red, int_rref(red), len(nbasis))
+                if stationary is None:
                     continue
-                x0, d, nbasis = hull
-                nb = len(nbasis)
-                # Q x0, Q N', N'^T Q N' and Q num, then [N'^T Q N' | -N'^T G]
-                work.charge((nb + 2) * n * n + nb * nb * n + _elimination_units(nb, nb + 1), _WALK)
-                grad = [idot(row, x0) + d * bi for row, bi in zip(qm, qb)]
-                if nbasis:
-                    qn = [[idot(row, v) for row in qm] for v in nbasis]
-                    red = [[idot(v, w) for w in qn] + [-idot(v, grad)] for v in nbasis]
-                    stationary = int_solution(red, int_rref(red), len(nbasis))
-                    if stationary is None:
-                        continue
-                    s, e, kernel = stationary
-                    den = d * e
-                    cols = tuple(zip(*nbasis))
-                    num = [e * xi + idot(col, s) for xi, col in zip(x0, cols)]
-                    dirs = [[idot(col, kv) for col in cols] for kv in kernel]
-                else:
-                    den, num, dirs = d, x0, ()
-                qnum = [idot(row, num) for row in qm]
-                value = Fraction(
-                    idot(num, qnum) + 2 * den * idot(qb, num) + 2 * qc * den * den,
-                    2 * scale * den * den,
-                )
-                yield subset, value, partial(_Face, num, den, dirs, face_rows)
+                s, e, kernel = stationary
+                den = d * e
+                cols = tuple(zip(*nbasis))
+                num = [e * xi + idot(col, s) for xi, col in zip(x0, cols)]
+                dirs = [[idot(col, kv) for col in cols] for kv in kernel]
+            else:
+                den, num, dirs = d, x0, ()
+            qnum = [idot(row, num) for row in qm]
+            value = Fraction(
+                idot(num, qnum) + 2 * den * idot(qb, num) + 2 * qc * den * den,
+                2 * scale * den * den,
+            )
+            check = partial(is_kkt, subset) if convex else None
+            yield subset, value, partial(_Face, num, den, dirs, face_rows, check)
 
     best = _least_face(faces(), work)
     if best is None:

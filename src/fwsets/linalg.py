@@ -82,12 +82,13 @@ def int_fraction(k: int) -> Fraction:
 
 def rat(x) -> Fraction:
     """Coerce ints, strings like ``"3/4"``, and Fractions to Fraction; any
-    other entry is refused with InvalidParameterError."""
+    other entry, a float included, is refused with InvalidParameterError.
+    A float stands for its binary value, not the decimal it was written
+    as (0.1 is 3602879701896397/2^55), so exact data never reads one;
+    tolerances take floats where they are read."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str, float)) and not isinstance(x, bool):
-        # Floats are accepted only at numeric boundaries (tolerances);
-        # the conversion is exact.
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:

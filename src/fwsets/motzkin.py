@@ -356,9 +356,9 @@ def minimize_on_motzkin(q: Quadratic, f: MotzkinSet, tol: Fraction | None = None
         raise DimensionMismatchError("quadratic and set dimensions differ")
     if tol is None:
         tol = FEASIBILITY_TOL
-    if not 0 < tol < math.inf:  # also rejects NaN
+    if isinstance(tol, bool) or not 0 < tol < math.inf:  # also rejects NaN
         raise InvalidParameterError(f"tolerance must be positive and finite, got {tol}")
-    tol = rat(tol)
+    tol = Fraction(tol)
     if not f.is_polyhedral_cone:
         return _probe_second_order(q, f)
     prog = ConeProgram(q.a, f.cone)

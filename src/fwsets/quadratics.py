@@ -135,6 +135,24 @@ def int_is_psd(s: list[list[int]]) -> bool:
     return True
 
 
+def int_is_pd(s: list[list[int]]) -> bool:
+    """Positive definiteness of a symmetric matrix of ints, eliminated in
+    place: the pivots of fraction-free elimination taken down the diagonal
+    in order are the leading principal minors, and the matrix is positive
+    definite iff every one is positive (Sylvester)."""
+    prev = 1
+    for p, prow in enumerate(s):
+        pv = prow[p]
+        if pv <= 0:
+            return False
+        for row in s[p + 1 :]:
+            f = row[p]
+            for l in range(p + 1, len(s)):
+                row[l] = (pv * row[l] - f * prow[l]) // prev
+        prev = pv
+    return True
+
+
 def is_convex(q: Quadratic) -> bool:
     """True iff q is convex on all of R^n, i.e. A is positive semidefinite."""
     return is_psd(q.a)

@@ -1041,3 +1041,21 @@ def test_compound_set_documents_classify(tmp_path, capsys, name):
     assert main(["--format", "json", "classify", str(path)]) == code
     report = json.loads(capsys.readouterr().out)
     assert (report["attainment"]["label"], report["quasi_attainment"]["label"]) == labels
+
+
+def test_python_m_fwsets_runs_the_command_line(capsys):
+    # `python -m fwsets` is the `fwsets` command: the same exit code and
+    # output as main, on a good call and on a refused one
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    for argv in (["--format", "json", "gallery", "list"], ["solve"]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        run = subprocess.run([sys.executable, "-m", "fwsets", *argv], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert (run.returncode, run.stdout, run.stderr) == (code, captured.out, captured.err)
+        assert code == (0 if argv[-1] == "list" else 2)

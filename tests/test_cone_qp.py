@@ -368,10 +368,15 @@ def test_boundedness_from_domain_rows_matches_pieces_walk():
     assert with_lines >= 20
 
 
+def _first_axis_free(n):
+    """diag(0, 1, ..., 1): PSD and singular, so dom(f) lists the faces."""
+    return tuple(tuple(F(int(i == j > 0)) for j in range(n)) for i in range(n))
+
+
 def test_face_budget_precedes_elimination(monkeypatch):
     # a hull whose faces cost more to list than the work budget is refused
-    # before any block H_FF is eliminated, also for a strictly copositive
-    # form that needs no zero-set pieces
+    # before any block H_FF is eliminated; a positive definite form needs
+    # no faces for dom(f), and answers with no rows
     def no_elimination(m, ncols):
         raise AssertionError("a block was eliminated before the budget check")
 
@@ -392,7 +397,7 @@ def test_face_budget_precedes_elimination(monkeypatch):
     )
     with monkeypatch.context() as patch:
         patch.setattr(cone_qp, "LinearSystem", no_elimination)
-        g = identity(21)
+        g = _first_axis_free(21)
         for call in (
             lambda: dom_f(g, simplex),
             lambda: is_bounded_below_on_cone(zeros(21), g, simplex),
@@ -402,11 +407,13 @@ def test_face_budget_precedes_elimination(monkeypatch):
         ):
             with pytest.raises(SizeCapError):
                 call()
-        for d in (hull, moment):
+        for d in (simplex, hull, moment):
             start = time.perf_counter()
             with pytest.raises(SizeCapError):
-                dom_f(identity(d.dim), d)
+                dom_f(_first_axis_free(d.dim), d)
             assert time.perf_counter() - start < 20
+            for dom in (dom_f(identity(d.dim), d), ConeProgram(identity(d.dim), d).dom):
+                assert not dom.is_empty and dom.rows == ()
             # a negative diagonal entry of H empties dom(f) before any face
             # is listed
             neg = tuple(vscale(F(-1), row) for row in identity(d.dim))
@@ -968,6 +975,97 @@ def test_hpoly_qp_nonconvex_on_box():
     assert abs(x[0]) == 1 and x[1] == -1
 
 
+def test_hpoly_qp_answers_the_cube_in_r8():
+    # +-|x|^2/2 plus a linear term on [-1, 1]^8 (16 rows, 39,203 subsets),
+    # whose exhaustive walk passes the work budget: the convex program stops
+    # at its KKT vertex, and the concave one skips every subset that holds a
+    # row and its reverse
+    rows = [unit(8, i) for i in range(8)] + [vscale(F(-1), unit(8, i)) for i in range(8)]
+    cube = HPolyhedron(rows, [1] * 16)
+    b = [1, -2, 3, -4, 4, -3, 2, -5]
+    corner = vec([-1, 1, -1, 1, -1, 1, -1, 1])
+    for sign, value in ((1, -20), (-1, -28)):
+        q = Quadratic.build([vscale(F(sign), row) for row in identity(8)], b)
+        start = time.perf_counter()
+        assert minimize_over_hpolyhedron(q, cube) == (value, corner)
+        assert time.perf_counter() - start < 10
+
+
+def _size_order_walk(faces, work):
+    """The least ``(value, key, z)`` over every face, walked by key size and
+    then lexicographically, with no early stop."""
+    best = None
+    for key, value, build in sorted(faces, key=lambda face: (len(face[0]), face[0])):
+        if best is not None and (value, key) >= best[:2]:
+            continue
+        z = build().feasible_point(work)
+        if z is not None:
+            best = (value, key, z)
+    return best
+
+
+def test_face_walks_match_the_size_order_walk(monkeypatch):
+    # seeded QPs over {A x <= b} and cone programs, convex and not: the
+    # lexicographic walks that stop at a KKT point give the values, points
+    # and verdicts of the exhaustive walk by size; the convex ones often
+    # stop before their last face
+    least_face = cone_qp._least_face
+
+    def both(call):
+        """``call()`` with the library walk and with the size-order walk,
+        and whether the library walk pulled fewer faces than there are."""
+        pulled, total = [], []
+
+        def lazy(faces, work):
+            def counted():
+                for face in faces:
+                    pulled.append(face)
+                    yield face
+
+            return least_face(counted(), work)
+
+        def exhaustive(faces, work):
+            faces = list(faces)
+            total.extend(faces)
+            return _size_order_walk(faces, work)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cone_qp, "_least_face", lazy)
+            got = call()
+        with monkeypatch.context() as patch:
+            patch.setattr(cone_qp, "_least_face", exhaustive)
+            ref = call()
+        return got, ref, len(pulled) < len(total)
+
+    rng = random.Random(20261020)
+    seen = dict.fromkeys(("qp", "qp_stopped", "cone", "cone_stopped", "convex", "nonconvex"), 0)
+    for trial in range(300):
+        n = rng.randint(1, 4)
+        raw = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
+        form = [[sum(r[i] * r[j] for r in raw) for j in range(n)] for i in range(n)]
+        if trial % 3 == 2:  # indefinite
+            form[0][0] -= rng.randint(1, 3)
+        q = Quadratic.build(form, [rng.randint(-3, 3) for _ in range(n)])
+        center = [rng.randint(-1, 1) for _ in range(n)]
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        rows += [unit(n, i) for i in range(n)] + [vscale(F(-1), unit(n, i)) for i in range(n)]
+        rhs = [dot(vec(row), vec(center)) + rng.randint(0, 2) for row in rows]
+        h = HPolyhedron(rows, rhs)
+        got, ref, stopped = both(lambda: minimize_over_hpolyhedron(q, h))
+        assert got == ref, (q, h)
+        seen["qp"] += 1
+        seen["qp_stopped"] += stopped
+        seen["convex" if is_psd(q.a) else "nonconvex"] += 1
+
+        g, d = _face_walk_case(rng, trial)
+        c = tuple(F(rng.randint(-3, 3)) for _ in range(d.dim))
+        got, ref, stopped = both(lambda: ConeProgram(g, d).minimize(c, F(1, 2)))
+        assert got == ref, (g, d, c)
+        seen["cone"] += got.kind == "attained"
+        seen["cone_stopped"] += stopped
+    assert min(seen.values()) >= 60, seen
+
+
 def test_hpoly_qp_rejects_a_dimension_mismatch():
     q = Quadratic.build(identity(3), [1, 0, -1], 0)
     for n in (2, 4):
@@ -995,12 +1093,12 @@ def test_hpoly_qp_stops_past_the_budget(monkeypatch):
     # (3); the empty subset has no rows to eliminate, its hull has one
     # direction, and forming and eliminating the 1 x 2 reduced system costs
     # (1 + 2) n^2 + n + 4 * 2 = 12; its point 1/2 is built and tested
-    # against the 2 rows at 2 n (1 + 2) = 6 Fractions (180); each one-row
-    # subset eliminates a 1 x 2 system (8) and forms its value (2), which
-    # cannot beat -1/4, so its point is never built
+    # against the 2 rows at 2 n (1 + 2) = 6 Fractions (180); the form is
+    # convex and the empty subset has no multipliers to check, so the walk
+    # stops there, and the one-row subsets are never eliminated
     q = Quadratic.build([[2]], [-1])
     h = HPolyhedron([[1], [-1]], [1, 1])
-    work = 3 + 12 + 180 + 2 * (8 + 2)
+    work = 3 + 12 + 180
     monkeypatch.setattr(polyhedra, "DD_BUDGET", work)
     assert minimize_over_hpolyhedron(q, h) == (F(-1, 4), (F(1, 2),))
     monkeypatch.setattr(polyhedra, "DD_BUDGET", work - 1)

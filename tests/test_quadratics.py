@@ -7,6 +7,7 @@ from fwsets.affine import AffineManifold, AffineMap
 from fwsets.quadratics import (
     Quadratic,
     compose_affine,
+    int_is_pd,
     invariant_directions,
     is_convex,
     is_psd,
@@ -143,6 +144,53 @@ def test_is_psd_matches_fraction_elimination():
         singular += ref and kind == 0 and len(w) < n
         zero_diagonal += any(a[i][i] == 0 for i in range(n)) and kind == 2
     assert min(answers.values()) >= 1000 and singular >= 300 and zero_diagonal >= 500
+
+
+def _leading_minors(a):
+    """The determinants of the leading k x k blocks of a, k = 1..n, by
+    Gaussian elimination on Fractions with row exchanges."""
+    minors = []
+    for k in range(1, len(a) + 1):
+        s = [[F(x) for x in row[:k]] for row in a[:k]]
+        det = F(1)
+        for c in range(k):
+            r = next((r for r in range(c, k) if s[r][c]), None)
+            if r is None:
+                det = F(0)
+                break
+            if r != c:
+                s[c], s[r] = s[r], s[c]
+                det = -det
+            det *= s[c][c]
+            for r in range(c + 1, k):
+                f = s[r][c] / s[c][c]
+                s[r] = [x - f * y for x, y in zip(s[r], s[c])]
+        minors.append(det)
+    return minors
+
+
+def test_int_is_pd_matches_leading_minors():
+    # Gram forms of every rank, with and without a multiple of I added, and
+    # indefinite forms: positive definite iff every leading minor is
+    # positive (Sylvester), and then positive semidefinite too
+    rng = random.Random(20261021)
+    answers = {True: 0, False: 0}
+    for trial in range(2000):
+        n = rng.randint(1, 6)
+        if trial % 2:
+            w = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            shift = rng.choice((0, 0, 1))
+            a = [[sum(r[i] * r[j] for r in w) + shift * (i == j) for j in range(n)] for i in range(n)]
+        else:
+            a = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    a[i][j] = a[j][i] = rng.randint(-2, 3)
+        ref = all(m > 0 for m in _leading_minors(a))
+        assert int_is_pd([row[:] for row in a]) == ref, a
+        assert not ref or is_psd(a), a
+        answers[ref] += 1
+    assert min(answers.values()) >= 500, answers
 
 
 def test_psd_matches_midpoint_convexity():

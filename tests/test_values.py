@@ -3,10 +3,12 @@
 Each value kind is built twice: from tuples of Fractions, and from lists
 whose rationals are written, in turn, as ints, strings like ``"3/4"`` and
 Fractions.  The two builds are equal, hash alike and get the same verdicts.
-An entry that is not a rational is refused with a FwsetsError.
+An entry that is not a rational, a float included, is refused with a
+FwsetsError.
 """
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -167,7 +169,7 @@ def test_a_value_built_from_lists_is_the_value_built_from_tuples(kind):
     assert verdicts(from_lists) == verdicts(from_tuples)
 
 
-@pytest.mark.parametrize("bad", [None, "x", True, [1]], ids=["none", "word", "bool", "nested"])
+@pytest.mark.parametrize("bad", [None, "x", True, [1], 0.1], ids=["none", "word", "bool", "nested", "float"])
 @pytest.mark.parametrize("kind", BUILDERS)
 def test_an_entry_that_is_not_a_rational_is_refused(kind, bad):
     with pytest.raises(FwsetsError):
@@ -180,7 +182,7 @@ def test_list_built_values_decompose_hash_and_keep_exact_fields():
     assert decompose(h) == decompose(orthant) and hash(h) == hash(orthant)
     q = Quadratic([[1, 0], [0, 1]], [0, 0], 0)
     assert q == Quadratic.build([[1, 0], [0, 1]]) and hash(q) == hash(Quadratic.build([[1, 0], [0, 1]]))
-    ball = Ball((0, 0), 1.5)
+    ball = Ball((0, 0), "3/2")
     assert type(ball.radius) is Fraction and ball.radius == F(3, 2)
 
 
@@ -190,3 +192,23 @@ def test_a_canonical_field_is_kept_as_it_is():
     assert vec(rhs) is rhs and mat(rows) is rows
     h = HPolyhedron(rows, rhs)
     assert h.a is rows and h.b is rhs and h.dim == 2
+
+
+def test_a_hyperplane_has_the_fields_its_equation_gives():
+    # seeded normals, zero entries and a zero normal included: the hyperplane
+    # built without elimination has all five fields of from_equations
+    rng = random.Random(20261020)
+    zero_entries = 0
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        normal = [F(rng.randint(-4, 4), rng.choice((1, 2, 3, 5))) if rng.random() < 0.7 else 0
+                  for _ in range(n)]
+        value = F(rng.randint(-5, 5), rng.choice((1, 2, 7))) if any(normal) else 0
+        got = AffineManifold.hyperplane(normal, value)
+        ref = AffineManifold.from_equations((normal,), (value,))
+        assert (got.a, got.b, got.point, got.basis, got.dim) == (
+            ref.a, ref.b, ref.point, ref.basis, ref.dim
+        ), (normal, value)
+        assert is_canonical(got)
+        zero_entries += 0 in normal
+    assert zero_entries >= 500
