@@ -148,6 +148,8 @@ class ProductSet:
 
     def __post_init__(self):
         set_fields(self, factors=tuple(self.factors))
+        if not self.factors:
+            raise DimensionMismatchError("a product needs at least one factor")
 
 
 @dataclass(frozen=True)
@@ -166,6 +168,7 @@ class IntersectionSet:
 
     def __post_init__(self):
         set_fields(self, members=tuple(self.members))
+        _check_members(self.members, "an intersection")
 
 
 @dataclass(frozen=True)
@@ -174,6 +177,15 @@ class UnionSet:
 
     def __post_init__(self):
         set_fields(self, members=tuple(self.members))
+        _check_members(self.members, "a union")
+
+
+def _check_members(members: tuple, what: str) -> None:
+    """Refuse an empty member list, or members of different dimensions."""
+    if not members:
+        raise DimensionMismatchError(f"{what} needs at least one member")
+    if len({ambient_dim(m) for m in members}) > 1:
+        raise DimensionMismatchError(f"the members of {what} live in different dimensions")
 
 
 SetDescriptor = (

@@ -40,13 +40,19 @@ one piece ``P_0 = {u >= 0 : H u = 0}``: for PSD H the form ``x.H x`` is
 nonnegative on all of R^p, so a zero u minimizes it there and its gradient
 ``2 H u`` vanishes.  Every other piece ``P_I = P_0 & {u_I = 0}`` is a face
 of ``P_0``, so its rays are rays of ``P_0``, and the walk's rows, which
-start with ``P_0``'s, are ``P_0``'s alone.  So dom(f), wherever it is
-computed (``dom_f``, ``is_bounded_below_on_cone`` and :class:`ConeProgram`
-share one function), tests H once on ints and, for PSD H, reads the rows
-from that one block's kernel; ``zero_set_pieces`` keeps the walk and all
-its pieces.  A positive definite G needs not even the faces: ``x.G x``
-vanishes only at x = 0, so every zero-set ray u has ``Z u = 0``, and
-dom(f) is the whole space, with no rows.
+start with ``P_0``'s, are ``P_0``'s alone.  So dom(f) tests H once on ints
+and, for PSD H, reads the rows from that one block's kernel;
+``zero_set_pieces`` keeps the walk and all its pieces.  A positive definite
+G needs not even the faces: ``x.G x`` vanishes only at x = 0, so the form is
+nonnegative on D, every zero-set ray u has ``Z u = 0``, and dom(f) is the
+whole space, with no rows.
+
+One object per (G, D), a :class:`ConeProgram`, holds everything the layer
+knows about the pair: the ints of H, its eliminated blocks, the faces,
+whether H is PSD, and dom(f).  ``nonneg_form_on_cone``, ``zero_set_pieces``,
+``dom_f``, ``minimize_on_polyhedral_cone`` and ``value_function_eval`` each
+read one fresh program, and ``is_bounded_below_on_cone`` reads ``dom_f``'s
+unless it is given dom(f).
 
 The cone layer runs on Python ints.  H is formed once as the integer matrix
 ``lam H`` (the generators and G scaled by the lcms of their denominators),
@@ -87,7 +93,10 @@ gradient entries ``(H u + r)_I`` or the solution of
 ``A_J^T lam = -grad q(z)``, are nonnegative.  A KKT point of a convex
 objective is a global minimum, and every later face has a larger key, so
 the walk stops at the first incumbent that passes, with the answer of the
-whole walk.  A nonconvex objective walks every face.
+whole walk.  A nonconvex objective walks every face.  The lexicographic
+order matters: it reaches both the empty active set and, along
+``(0,)``, ``(0, 1)``, ..., the apex u = 0 (every generator active) within
+p + 1 faces, where the listing order, by size, meets the apex last.
 
 One work budget, ``polyhedra.DD_BUDGET``, bounds each public call here: a
 ``dom_f``, a sign test, a zero-set walk, one ``ConeProgram.minimize``
@@ -389,46 +398,55 @@ def _face_pairs(
     return tuple((active, tuple(j for j in range(p) if j not in active)) for active in actives)
 
 
-class _Blocks:
-    """The principal blocks ``H_FF`` of ``H = Z^T G Z``, each eliminated once.
+class ConeProgram:
+    """One form G on one cone D: everything the cone layer knows about the
+    pair, and the reusable minimizer of ``c.x + 1/2 x.G x`` over D.
 
-    The sign test, the zero-set walk and the face minimizer all read them.
-    They run on ints: with dz the lcm of the generators' denominators and L
+    A program holds the ints of ``H = Z^T G Z``, its principal blocks
+    ``H_FF``, each eliminated once, the faces, whether H is PSD, and
+    dom(f).  The sign test, the zero-set walk, dom(f), whose rows decide
+    boundedness, and every query read them, so a family of linear terms
+    (as in the two-level Motzkin reduction) is minimized without rework;
+    each public function of the layer reads one fresh program.
+
+    It runs on ints: with dz the lcm of the generators' denominators and L
     that of G's, ``hi = (dz Z)^T (L G) (dz Z)`` is the integer matrix
     ``lam H``, ``lam = dz^2 L``, and :meth:`system` eliminates ``hi_FF`` for
     a free set F on first use and keeps it, so ``H_FF x = b`` is solved as
-    ``hi_FF x = lam b``.  The kernels are those of ``H_FF``, and ``h`` is H
-    itself in Fractions, built on first read.  :meth:`faces` lists, on first
+    ``hi_FF x = lam b``.  ``h`` (H in Fractions) and ``z`` (the generators
+    as columns) are built on first read.  :meth:`faces` lists, on first
     use, the faces of ``conv(dz Z)`` as splits ``(active, free)`` (see
-    :func:`_face_pairs`) and keeps them in ``pairs``; every walk reads them
-    before it eliminates a block, so the listing is charged first, and an
-    answer read off the diagonal of H needs no faces.  The sign test and the
-    zero-set walk read ``pairs`` in that order; the minimizer reads
-    :meth:`lex_faces`, the same faces in lexicographic order of the active
-    set, kept in ``lex_pairs``.  :meth:`is_psd` tests H once.  The blocks
-    live as long as their program, but the work of listing and eliminating
-    is charged to the counter of the call that does it.  The shape of G is
-    checked before anything is built: integer dot products of unequal
-    lengths would truncate silently.
+    :func:`_face_pairs`), active sets by size and then lexicographically,
+    and keeps them in ``pairs``.  Every walk reads them before it
+    eliminates a block, so the listing is charged first, and an answer read
+    off the diagonal of H, or from a positive definite G, needs no faces.
+    The sign test and the zero-set walk read ``pairs`` in that order; the
+    minimizer reads :meth:`lex_faces`, the same faces in lexicographic
+    order of the active set, kept in ``lex_pairs`` (see the module
+    docstring for why).  :meth:`is_psd` tests H once.  What a
+    program builds lives as long as it does, but each query has its own
+    work budget, which pays for what that query is the first to build.  The
+    shape of G is checked before anything is built: integer dot products of
+    unequal lengths would truncate silently.
     """
 
     def __init__(self, g: Mat, d: PolyCone):
         n = d.dim
         if len(g) != n or any(len(row) != n for row in g):
             raise DimensionMismatchError(f"the form is not {n} x {n} on a cone in R^{n}")
-        self.p = len(d.generators)
+        self.g, self.d, self.p = g, d, len(d.generators)
         dz = lcm(*(x.denominator for gen in d.generators for x in gen))
         scale = lcm(*(x.denominator for row in g for x in row))
-        zi = [[x.numerator * (dz // x.denominator) for x in gen] for gen in d.generators]
-        self._zi = zi
+        self._zi = [[x.numerator * (dz // x.denominator) for x in gen] for gen in d.generators]
         self._gi = [[x.numerator * (scale // x.denominator) for x in row] for row in g]
-        gz = [[idot(row, z) for row in self._gi] for z in zi]
-        self.hi = [[idot(za, gzb) for gzb in gz] for za in zi]
+        gz = [[idot(row, z) for row in self._gi] for z in self._zi]
+        self.hi = [[idot(za, gzb) for gzb in gz] for za in self._zi]
         self.lam = dz * dz * scale
         self._systems: dict[tuple[int, ...], LinearSystem] = {}
         self.pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None = None
         self.lex_pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None = None
         self.psd: bool | None = None
+        self._dom: DomF | None = None
 
     def system(self, free: tuple[int, ...], work: Work) -> LinearSystem:
         system = self._systems.get(free)
@@ -449,73 +467,261 @@ class _Blocks:
             self.lex_pairs = tuple(sorted(self.faces(work)))
         return self.lex_pairs
 
+    @cached_property
+    def pd(self) -> bool:
+        """Whether G is positive definite: one strict integer elimination of
+        its ints (:func:`quadratics.int_is_pd`), not charged, like the
+        forming of H.  Then ``x.G x > 0`` for every x != 0."""
+        return int_is_pd([row[:] for row in self._gi])
+
     def is_psd(self, work: Work) -> bool:
-        """Whether H is positive semidefinite: one integer elimination of a
-        copy of its rows (:func:`quadratics.int_is_psd`) on first use,
-        charged as one elimination of H."""
+        """Whether H is positive semidefinite, decided on first use: it is
+        when G is positive definite, and otherwise one integer elimination
+        of a copy of H's rows (:func:`quadratics.int_is_psd`), charged as
+        one elimination of H, decides."""
         if self.psd is None:
-            work.charge(_elimination_units(self.p, self.p), _WALK)
-            self.psd = int_is_psd([row[:] for row in self.hi])
+            if not self.pd:
+                work.charge(_elimination_units(self.p, self.p), _WALK)
+            self.psd = self.pd or int_is_psd([row[:] for row in self.hi])
         return self.psd
 
     @cached_property
     def h(self) -> Mat:
+        """``H = Z^T G Z`` in Fractions."""
         return tuple(tuple(Fraction(x, self.lam) for x in row) for row in self.hi)
 
+    @cached_property
+    def z(self) -> Mat:
+        """Z with the cone's generators as columns (n x p)."""
+        if not self.d.generators:
+            return tuple(() for _ in range(self.d.dim))
+        return tuple(zip(*self.d.generators))
 
-def _generator_matrix(d: PolyCone) -> Mat:
-    """Z with the cone's generators as columns (n x p)."""
-    if not d.generators:
-        return tuple(() for _ in range(d.dim))
-    return tuple(zip(*d.generators))
+    def _negative_ray(self, work: Work) -> Vec | None:
+        """A ray x of the cone with ``x.G x < 0``, or None when the form is
+        nonnegative on it.
 
+        A negative diagonal entry of H gives its generator at once, and a
+        positive definite G gives None; neither lists a face.  Otherwise
+        the form is negative on D iff ``min {u.H u : u >= 0, sum u = 1}`` is.
+        On a face F, a solution v of ``H_FF v = e`` with ``s = e.v < 0``
+        gives the points ``u_F = (v + k)/s``, k in ker H_FF; e = H_FF v is
+        orthogonal to the kernel, so each has ``e.u_F = 1`` and
+        ``u.H u = 1/s``.  These are the stationary points of negative value
+        on the simplex, and the minimum is one of them, so the least
+        ``(1/s, (|F|, F))`` over faces whose set meets ``u >= 0`` is the
+        minimum; its point u gives the ray ``Z u``, made primitive.  On
+        ints, ``hi_FF w = e`` gives ``w = x/den`` and ``v = lam w``, so s has
+        the sign of ``sum(x)``, ``1/s = den/(lam sum(x))`` and
+        ``u_F = (x + k)/sum(x)``; Fractions are built only for a support with
+        s < 0.  Each solve charges ``work`` k^2 units.
+        """
+        for i, gen in enumerate(self.d.generators):
+            if self.hi[i][i] < 0:
+                return gen
+        if self.pd:
+            return None
 
-def _negative_ray(d: PolyCone, blocks: _Blocks, work: Work) -> Vec | None:
-    """A ray x of the cone with ``x.G x < 0``, or None when the form is
-    nonnegative on it.
+        def faces():
+            for _, free in self.faces(work):
+                k = len(free)
+                system = self.system(free, work)
+                work.charge(k * k, _WALK)
+                sol = system.solve_ints((1,) * k)
+                if sol is None:
+                    continue
+                x, den = sol
+                s = sum(x)
+                build = _orthant_face(x, s, system) if s < 0 else None
+                if build is not None:
+                    yield (k, free), Fraction(den, self.lam * s), build
 
-    A negative diagonal entry of H gives its generator at once.  Otherwise
-    the form is negative on D iff ``min {u.H u : u >= 0, sum u = 1}`` is.
-    On a face F, a solution v of ``H_FF v = e`` with ``s = e.v < 0``
-    gives the points ``u_F = (v + k)/s``, k in ker H_FF; e = H_FF v is
-    orthogonal to the kernel, so each has ``e.u_F = 1`` and ``u.H u = 1/s``.
-    These are the stationary points of negative value on the simplex, and
-    the minimum is one of them, so the least ``(1/s, (|F|, F))`` over faces
-    whose set meets ``u >= 0`` is the minimum; its point u gives the ray
-    ``Z u``, made primitive.  On ints,
-    ``hi_FF w = e`` gives ``w = x/den`` and ``v = lam w``, so s has the sign
-    of ``sum(x)``, ``1/s = den/(lam sum(x))`` and ``u_F = (x + k)/sum(x)``;
-    Fractions are built only for a support with s < 0.  Each solve charges
-    ``work`` k^2 units.
-    """
-    for i, gen in enumerate(d.generators):
-        if blocks.hi[i][i] < 0:
-            return gen
+        best = _least_face(faces(), work)
+        if best is None:
+            return None
+        _, (_, free), u_f = best
+        return primitive(matvec(self.z, _scatter(free, u_f, self.p)))
 
-    def faces():
-        for _, free in blocks.faces(work):
+    def _zero_set_pieces(self, work: Work) -> list[ZeroSetPiece]:
+        """:func:`zero_set_pieces`, charged to ``work``."""
+        pieces: list[ZeroSetPiece] = []
+        seen: set[frozenset] = set()
+        for active, free in self.faces(work):
+            piece = self._piece(active, free, work)
+            if piece is None:
+                continue
+            key = frozenset(piece.generators)
+            if key in seen:
+                continue
+            seen.add(key)
+            pieces.append(piece)
+        return pieces
+
+    def _piece(
+        self, active: tuple[int, ...], free: tuple[int, ...], work: Work
+    ) -> ZeroSetPiece | None:
+        """The piece ``P_I`` of the face with the generators ``free`` on it
+        and ``active`` off it, or None when it is ``{0}``.  The integer
+        kernel N of the block gives the rows ``-N`` of the conversion and
+        each ray, the primitive of ``N t`` on ints.  It charges ``work`` for
+        the kernel and the rows, and for each ray, ``FRACTION_UNITS`` for a
+        product and a sum a term; the conversion charges its own."""
+        system = self.system(free, work)
+        k = len(free)
+        if system.rank == k:
+            return None
+        kernel = system.int_kernel
+        work.charge(2 * k * len(kernel) * FRACTION_UNITS, _WALK)
+        n_rows = tuple(zip(*kernel))  # u_F = N t
+        # N has full column rank, so {t : N t >= 0} is pointed
+        rays_t, _ = int_cone_h_to_v([[-x for x in row] for row in n_rows], len(kernel), work)
+        if not rays_t:
+            return None
+        work.charge(2 * len(rays_t) * k * len(kernel) * FRACTION_UNITS, _WALK)
+        rays = []
+        for t in rays_t:
+            rays.append(primitive(_scatter(free, [idot(row, t) for row in n_rows], self.p)))
+        return ZeroSetPiece(frozenset(active), tuple(rays))
+
+    @property
+    def dom(self) -> DomF:
+        return self._domain(Work())
+
+    def _domain(self, work: Work) -> DomF:
+        """dom(f), built on first use and charged to ``work``.
+
+        A negative diagonal entry of H empties it before any face is listed.
+        A positive definite G gives the whole space before any face is listed
+        too: ``x.G x = 0`` only at x = 0, so every ray u of the zero set has
+        ``Z u = 0`` and its row ``-Z u`` would be dropped; H is then PSD.
+        Otherwise the faces are listed first, so the face budget refuses
+        before any block is eliminated, and H is tested (:meth:`is_psd`).
+        For PSD H the zero set is the one piece ``P_0`` (see the module
+        docstring); otherwise the sign test runs, and then the zero-set walk.
+        The rows are ``-Z u`` over the pieces' rays u, in piece order, made
+        primitive, with zero rows and repeats dropped.  They are formed on
+        ints from the integer generators, ``-dz Z u`` (dz > 0), and cost
+        ``work`` n p products and sums each.
+        """
+        if self._dom is not None:
+            return self._dom
+        n, p = self.d.dim, self.p
+        if any(self.hi[i][i] < 0 for i in range(p)) or self.pd:
+            self._dom = DomF((), n, self._negative_ray(work))
+            return self._dom
+        self.faces(work)
+        if self.is_psd(work):
+            piece = self._piece((), tuple(range(p)), work)
+            pieces = [piece] if piece is not None else []
+        else:
+            ray = self._negative_ray(work)
+            if ray is not None:
+                self._dom = DomF((), n, ray)
+                return self._dom
+            pieces = self._zero_set_pieces(work)
+        us = [[x.numerator for x in u] for piece in pieces for u in piece.generators]
+        work.charge(2 * len(us) * n * p * FRACTION_UNITS, _WALK)
+        cols = tuple(zip(*self._zi))
+        rows = (primitive([-idot(col, u) for col in cols]) for u in us)
+        self._dom = DomF(tuple(dict.fromkeys(h for h in rows if any(h))), n)
+        return self._dom
+
+    def boundedness(self, c: Vec) -> BoundednessResult:
+        return is_bounded_below_on_cone(c, self.g, self.d, dom=self.dom)
+
+    def _linear_term(self, c: Vec) -> tuple[Vec, list[int], int]:
+        """``r = Z^T c`` and the integers ``rr = rho r``, rho the lcm of r's
+        denominators."""
+        r = tuple(dot(gen, c) for gen in self.d.generators)
+        rho = lcm(*(x.denominator for x in r))
+        return r, [x.numerator * (rho // x.denominator) for x in r], rho
+
+    def _stationary_sets(self, rr: list[int], rho: int, constant: Fraction, work: Work):
+        """Stationary sets ``H_FF u_F = -r_F`` keyed by active set, in the
+        order of :meth:`lex_faces`, for ``r = rr / rho``.  Each is solved on
+        ints as ``hi_FF x = -den rr_F``, so ``u_F = lam x / (rho den)`` is its
+        point with zero free coordinates, and on it the objective is
+        ``r_F.u_F / 2 + constant = lam rr_F.x / (2 rho^2 den) + constant``.
+        A solve and its value charge ``work`` k (k + 1) units.  When H is
+        PSD each face carries the KKT check of :meth:`_is_kkt`."""
+        lam = self.lam
+        convex = self.is_psd(work)
+        for active, free in self.lex_faces(work):
             k = len(free)
-            system = blocks.system(free, work)
-            work.charge(k * k, _WALK)
-            sol = system.solve_ints((1,) * k)
+            system = self.system(free, work)
+            work.charge(k * (k + 1), _WALK)
+            sol = system.solve_ints([-rr[j] for j in free])
             if sol is None:
                 continue
             x, den = sol
-            s = sum(x)
-            build = _orthant_face(x, s, system) if s < 0 else None
+            check = partial(self._is_kkt, rr, rho, active, free, work) if convex else None
+            build = _orthant_face([lam * xi for xi in x], rho * den, system, check)
             if build is not None:
-                yield (k, free), Fraction(den, blocks.lam * s), build
+                value = Fraction(lam * idot([rr[j] for j in free], x), 2 * rho * rho * den)
+                yield active, value + constant, build
 
-    best = _least_face(faces(), work)
-    if best is None:
-        return None
-    _, (_, free), u_f = best
-    return primitive(matvec(_generator_matrix(d), _scatter(free, u_f, blocks.p)))
+    def _is_kkt(self, rr, rho, active, free, work: Work, u_f: Vec) -> bool:
+        """Whether the gradient ``H u + r`` of the stationary point u (``u_F``
+        on ``free``, zero on ``active``) is nonnegative on ``active``: then u
+        is a KKT point, the minimum when H is PSD.  On ints, with
+        ``u_F = U / s``, ``lam rho s (H u + r)_i = rho hi_iF.U + lam s rr_i``;
+        the products charge ``work`` |active| (k + 1) units."""
+        work.charge(len(active) * (len(free) + 1), _WALK)
+        s = lcm(*(x.denominator for x in u_f))
+        us = [x.numerator * (s // x.denominator) for x in u_f]
+        hi, lam = self.hi, self.lam
+        return all(
+            rho * idot([hi[i][j] for j in free], us) + lam * s * rr[i] >= 0 for i in active
+        )
+
+    def minimize(self, c: Vec, constant: Fraction = ZERO) -> ConeMinVerdict:
+        work = Work()
+        dom = self._domain(work)
+        # the dot products of c with the rows of dom(f) and the generators
+        work.charge(2 * (len(dom.rows) + self.p) * self.d.dim * FRACTION_UNITS, _WALK)
+        bound = is_bounded_below_on_cone(c, self.g, self.d, dom=dom)
+        if not bound.bounded:
+            d = bound.certificate
+            direction = scaled_descent_ray(d, dot(c, d), dot(d, matvec(self.g, d)))
+            return ConeMinVerdict(
+                "unbounded", direction=direction, curvature=bound.kind
+            )
+        r, rr, rho = self._linear_term(c)
+        best = _least_face(self._stationary_sets(rr, rho, constant, work), work)
+        if best is None:
+            raise FwsetsError("bounded program produced no stationary candidates")
+        value, active, u_f = best
+        free = tuple(j for j in range(self.p) if j not in active)
+        u = _scatter(free, u_f, self.p)
+        grad = vadd(matvec(self.h, u), r)
+        multipliers = tuple(grad[i] for i in active)
+        if any(m < 0 for m in multipliers):
+            raise FwsetsError("minimizer failed KKT multiplier verification")
+        if any(grad[j] != 0 for j in range(self.p) if j not in active and u[j] != 0):
+            raise FwsetsError("minimizer failed stationarity verification")
+        point = matvec(self.z, u)
+        return ConeMinVerdict(
+            "attained",
+            value=value,
+            point=point,
+            parameter_point=u,
+            active_set=active,
+            multipliers=multipliers,
+        )
+
+    def value(self, c: Vec) -> Fraction:
+        """``f(c)``, the exact infimum; raises NotInDomainError outside dom(f)."""
+        verdict = self.minimize(c)
+        if verdict.kind != "attained":
+            raise NotInDomainError(
+                "linear term lies outside dom(f)", certificate=verdict.direction
+            )
+        return verdict.value
 
 
 def nonneg_form_on_cone(g: Mat, d: PolyCone) -> tuple[bool, Vec | None]:
     """Decide ``x.G x >= 0`` on the cone; on failure return a witness ray."""
-    ray = _negative_ray(d, _Blocks(g, d), Work())
+    ray = ConeProgram(g, d)._negative_ray(Work())
     return ray is None, ray
 
 
@@ -536,99 +742,16 @@ def zero_set_pieces(g: Mat, d: PolyCone) -> list[ZeroSetPiece]:
     lexicographically), and a piece whose ray set repeats an earlier one is
     dropped.
     """
-    return _zero_set_pieces(_Blocks(g, d), Work())
-
-
-def _zero_set_pieces(blocks: _Blocks, work: Work) -> list[ZeroSetPiece]:
-    """:func:`zero_set_pieces` on blocks already built."""
-    pieces: list[ZeroSetPiece] = []
-    seen: set[frozenset] = set()
-    for active, free in blocks.faces(work):
-        piece = _piece(blocks, active, free, work)
-        if piece is None:
-            continue
-        key = frozenset(piece.generators)
-        if key in seen:
-            continue
-        seen.add(key)
-        pieces.append(piece)
-    return pieces
-
-
-def _piece(
-    blocks: _Blocks, active: tuple[int, ...], free: tuple[int, ...], work: Work
-) -> ZeroSetPiece | None:
-    """The piece ``P_I`` of the face with the generators ``free`` on it and
-    ``active`` off it, or None when it is ``{0}``.  The integer kernel N of
-    the block gives the rows ``-N`` of the conversion and each ray, the
-    primitive of ``N t`` on ints.  It charges ``work`` for the kernel and
-    the rows, and for each ray, ``FRACTION_UNITS`` for a product and a sum
-    a term; the conversion charges its own."""
-    system = blocks.system(free, work)
-    k = len(free)
-    if system.rank == k:
-        return None
-    kernel = system.int_kernel
-    work.charge(2 * k * len(kernel) * FRACTION_UNITS, _WALK)
-    n_rows = tuple(zip(*kernel))  # u_F = N t
-    # N has full column rank, so {t : N t >= 0} is pointed
-    rays_t, _ = int_cone_h_to_v([[-x for x in row] for row in n_rows], len(kernel), work)
-    if not rays_t:
-        return None
-    work.charge(2 * len(rays_t) * k * len(kernel) * FRACTION_UNITS, _WALK)
-    rays = []
-    for t in rays_t:
-        rays.append(primitive(_scatter(free, [idot(row, t) for row in n_rows], blocks.p)))
-    return ZeroSetPiece(frozenset(active), tuple(rays))
+    return ConeProgram(g, d)._zero_set_pieces(Work())
 
 
 def dom_f(g: Mat, d: PolyCone) -> DomF:
     """The polyhedral domain of ``f(c) = inf_{x in D} c.x + 1/2 x.G x``.
 
-    Its rows are ``-Z u`` for the zero-set rays u (see :func:`_domain`);
-    every step shares one work budget.
+    Its rows are ``-Z u`` for the zero-set rays u (see
+    :meth:`ConeProgram._domain`); every step shares one work budget.
     """
-    return _domain(d, _Blocks(g, d), Work())
-
-
-def _domain(d: PolyCone, blocks: _Blocks, work: Work) -> DomF:
-    """dom(f) on the blocks of ``H = Z^T G Z`` already built.
-
-    A negative diagonal entry of H empties it before any face is listed.
-    A positive definite G gives the whole space before any face is listed
-    too: ``x.G x = 0`` only at x = 0, so every ray u of the zero set has
-    ``Z u = 0`` and its row ``-Z u`` would be dropped; H is then PSD.  G is
-    tested by one strict integer elimination of its n x n ints
-    (:func:`quadratics.int_is_pd`), not charged, like the forming of H.
-    Otherwise the faces are listed first, so the face budget refuses before
-    any block is eliminated, and H is tested (:meth:`_Blocks.is_psd`).
-    For PSD H the zero set is the one piece ``P_0`` (see the module
-    docstring); otherwise the sign test runs, and then the zero-set walk.
-    The rows are ``-Z u`` over the pieces' rays u, in piece order, made
-    primitive, with zero rows and repeats dropped.  They are formed on ints
-    from the blocks' integer generators, ``-dz Z u`` (dz > 0), and cost
-    ``work`` n p products and sums each.
-    """
-    p = blocks.p
-    if any(blocks.hi[i][i] < 0 for i in range(p)):  # a generator, with no faces
-        return DomF((), d.dim, _negative_ray(d, blocks, work))
-    if int_is_pd([row[:] for row in blocks._gi]):
-        blocks.psd = True
-        return DomF((), d.dim)
-    blocks.faces(work)
-    if blocks.is_psd(work):
-        piece = _piece(blocks, (), tuple(range(p)), work)
-        pieces = [piece] if piece is not None else []
-    else:
-        ray = _negative_ray(d, blocks, work)
-        if ray is not None:
-            return DomF((), d.dim, ray)
-        pieces = _zero_set_pieces(blocks, work)
-    us = [[x.numerator for x in u] for piece in pieces for u in piece.generators]
-    work.charge(2 * len(us) * d.dim * p * FRACTION_UNITS, _WALK)
-    cols = tuple(zip(*blocks._zi))
-    rows = (primitive([-idot(col, u) for col in cols]) for u in us)
-    return DomF(tuple(dict.fromkeys(h for h in rows if any(h))), d.dim)
+    return ConeProgram(g, d).dom
 
 
 def is_bounded_below_on_cone(
@@ -659,133 +782,6 @@ def scaled_descent_ray(d: Vec, slope: Fraction, curvature: Fraction) -> Vec:
     if curvature >= 0:
         return d
     return vscale(max(ONE, (abs(slope) + 1) / (-curvature)), d)
-
-
-class ConeProgram:
-    """Reusable minimizer of ``c.x + 1/2 x.G x`` over a fixed cone.
-
-    Caches the generator matrix, the blocks of ``H = Z^T G Z`` (built once
-    and shared by dom(f), so the sign test, the zero set and every query
-    share each eliminated ``H_FF``), and dom(f), whose rows decide
-    boundedness, so a family of linear terms (as in the two-level Motzkin
-    reduction) can be minimized without rework.  Each query has its own
-    work budget, which also pays for the dom(f) or the blocks it is the
-    first to build.
-    """
-
-    def __init__(self, g: Mat, d: PolyCone):
-        self.g = g
-        self.d = d
-        self.blocks = _Blocks(g, d)
-        self.p = self.blocks.p
-        self.z = _generator_matrix(d)
-        self._dom: DomF | None = None
-
-    @property
-    def h(self) -> Mat:
-        """``H = Z^T G Z`` in Fractions."""
-        return self.blocks.h
-
-    @property
-    def dom(self) -> DomF:
-        return self._domain(Work())
-
-    def _domain(self, work: Work) -> DomF:
-        if self._dom is None:
-            self._dom = _domain(self.d, self.blocks, work)
-        return self._dom
-
-    def boundedness(self, c: Vec) -> BoundednessResult:
-        return is_bounded_below_on_cone(c, self.g, self.d, dom=self.dom)
-
-    def _linear_term(self, c: Vec) -> tuple[Vec, list[int], int]:
-        """``r = Z^T c`` and the integers ``rr = rho r``, rho the lcm of r's
-        denominators."""
-        r = tuple(dot(gen, c) for gen in self.d.generators)
-        rho = lcm(*(x.denominator for x in r))
-        return r, [x.numerator * (rho // x.denominator) for x in r], rho
-
-    def _faces(self, rr: list[int], rho: int, constant: Fraction, work: Work):
-        """Stationary sets ``H_FF u_F = -r_F`` keyed by active set, in
-        lexicographic order of the active set, for ``r = rr / rho``.  Each is
-        solved on ints as ``hi_FF x = -den rr_F``, so ``u_F = lam x / (rho den)``
-        is its point with zero free coordinates, and on it the objective is
-        ``r_F.u_F / 2 + constant = lam rr_F.x / (2 rho^2 den) + constant``.
-        A solve and its value charge ``work`` k (k + 1) units.  When H is
-        PSD each face carries the KKT check of :meth:`_is_kkt`."""
-        lam = self.blocks.lam
-        convex = self.blocks.is_psd(work)
-        for active, free in self.blocks.lex_faces(work):
-            k = len(free)
-            system = self.blocks.system(free, work)
-            work.charge(k * (k + 1), _WALK)
-            sol = system.solve_ints([-rr[j] for j in free])
-            if sol is None:
-                continue
-            x, den = sol
-            check = partial(self._is_kkt, rr, rho, active, free, work) if convex else None
-            build = _orthant_face([lam * xi for xi in x], rho * den, system, check)
-            if build is not None:
-                value = Fraction(lam * idot([rr[j] for j in free], x), 2 * rho * rho * den)
-                yield active, value + constant, build
-
-    def _is_kkt(self, rr, rho, active, free, work: Work, u_f: Vec) -> bool:
-        """Whether the gradient ``H u + r`` of the stationary point u (``u_F``
-        on ``free``, zero on ``active``) is nonnegative on ``active``: then u
-        is a KKT point, the minimum when H is PSD.  On ints, with
-        ``u_F = U / s``, ``lam rho s (H u + r)_i = rho hi_iF.U + lam s rr_i``;
-        the products charge ``work`` |active| (k + 1) units."""
-        work.charge(len(active) * (len(free) + 1), _WALK)
-        s = lcm(*(x.denominator for x in u_f))
-        us = [x.numerator * (s // x.denominator) for x in u_f]
-        hi, lam = self.blocks.hi, self.blocks.lam
-        return all(
-            rho * idot([hi[i][j] for j in free], us) + lam * s * rr[i] >= 0 for i in active
-        )
-
-    def minimize(self, c: Vec, constant: Fraction = ZERO) -> ConeMinVerdict:
-        work = Work()
-        dom = self._domain(work)
-        # the dot products of c with the rows of dom(f) and the generators
-        work.charge(2 * (len(dom.rows) + self.p) * self.d.dim * FRACTION_UNITS, _WALK)
-        bound = is_bounded_below_on_cone(c, self.g, self.d, dom=dom)
-        if not bound.bounded:
-            d = bound.certificate
-            direction = scaled_descent_ray(d, dot(c, d), dot(d, matvec(self.g, d)))
-            return ConeMinVerdict(
-                "unbounded", direction=direction, curvature=bound.kind
-            )
-        r, rr, rho = self._linear_term(c)
-        best = _least_face(self._faces(rr, rho, constant, work), work)
-        if best is None:
-            raise FwsetsError("bounded program produced no stationary candidates")
-        value, active, u_f = best
-        free = tuple(j for j in range(self.p) if j not in active)
-        u = _scatter(free, u_f, self.p)
-        grad = vadd(matvec(self.h, u), r)
-        multipliers = tuple(grad[i] for i in active)
-        if any(m < 0 for m in multipliers):
-            raise FwsetsError("minimizer failed KKT multiplier verification")
-        if any(grad[j] != 0 for j in range(self.p) if j not in active and u[j] != 0):
-            raise FwsetsError("minimizer failed stationarity verification")
-        point = matvec(self.z, u)
-        return ConeMinVerdict(
-            "attained",
-            value=value,
-            point=point,
-            parameter_point=u,
-            active_set=active,
-            multipliers=multipliers,
-        )
-
-    def value(self, c: Vec) -> Fraction:
-        """``f(c)``, the exact infimum; raises NotInDomainError outside dom(f)."""
-        verdict = self.minimize(c)
-        if verdict.kind != "attained":
-            raise NotInDomainError(
-                "linear term lies outside dom(f)", certificate=verdict.direction
-            )
-        return verdict.value
 
 
 def minimize_on_polyhedral_cone(q: Quadratic, d: PolyCone) -> ConeMinVerdict:

@@ -55,9 +55,12 @@ class Quadratic:
     @staticmethod
     def build(a, b=None, c=0) -> "Quadratic":
         """The quadratic of A symmetrized as (A + A^T)/2, so any square A
-        gives the same form; ``b`` defaults to zeros."""
+        gives the same form; ``b`` defaults to zeros.  A that is not square
+        raises DimensionMismatchError."""
         a = mat(a)
         n = len(a)
+        if a and len(a[0]) != n:
+            raise DimensionMismatchError(f"A must be square, not {n} x {len(a[0])}")
         sym = tuple(
             tuple((a[i][j] + a[j][i]) / 2 for j in range(n)) for i in range(n)
         )

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .affine import AffineManifold, AffineMap
-from .asymptotes import SetDescriptor, UnionSet, ambient_dim
+from .asymptotes import SetDescriptor, UnionSet
 from .errors import (
     DimensionMismatchError,
     FwsetsError,
@@ -249,13 +249,9 @@ def _vpoly_subset(inner: VPolyhedron, outer: VPolyhedron) -> bool:
 
 
 def union_set(members) -> UnionSet:
-    """Wrapper node: minimization and classification distribute over members."""
-    members = tuple(members)
-    if not members:
-        raise DimensionMismatchError("a union needs at least one member")
-    dims = {ambient_dim(m) for m in members}
-    if len(dims) != 1:
-        raise DimensionMismatchError("union members live in different dimensions")
+    """``UnionSet(members)``, kept as a public name: minimization and
+    classification distribute over the members, which the constructor
+    checks."""
     return UnionSet(members)
 
 

@@ -216,6 +216,18 @@ def test_solve_malformed_compound_set_exits_2(tmp_path, capsys, kind, payload):
     assert "$.payload." in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("matrix", [[["1", "2"]], [["1"], ["2"]]], ids=["wide", "tall"])
+def test_solve_non_square_quadratic_exits_2(tmp_path, capsys, matrix):
+    # a matrix that is not square is refused at the payload, not read as
+    # its leading square block
+    set_path = write(tmp_path, "set.json", {
+        "version": "1", "kind": "hpolyhedron", "payload": {"rows": [["-1"]], "rhs": ["0"], "dim": 1}
+    })
+    q_path = write(tmp_path, "q.json", quad_doc(matrix))
+    assert main(["solve", set_path, q_path]) == 2
+    assert "$.payload" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "kind, payload, field",
     [

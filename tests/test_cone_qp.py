@@ -422,15 +422,51 @@ def test_face_budget_precedes_elimination(monkeypatch):
     # 11 affinely independent generators in R^10: a simplex, every one of
     # whose 2^11 generator subsets is a face
     simplex = PolyCone.from_generators([unit(10, i) for i in range(10)] + [(-1,) * 10])
-    assert len(cone_qp._Blocks(identity(10), simplex).faces(Work())) == 2**11
+    assert len(ConeProgram(identity(10), simplex).faces(Work())) == 2**11
     # 13 generators on a segment: only the 4 faces of conv are walked, the
     # empty one, two ends and the segment, not 2^13 subsets
     d = PolyCone.from_generators([(1, k, 0) for k in range(13)], 3)
-    assert [free for _, free in cone_qp._Blocks(identity(3), d).faces(Work())] == [
+    assert [free for _, free in ConeProgram(identity(3), d).faces(Work())] == [
         tuple(range(13)), (12,), (0,), ()
     ]
     dom = dom_f(identity(3), d)
     assert not dom.is_empty and not zero_set_pieces(identity(3), d) and dom.rows == ()
+
+
+def test_positive_definite_form_signs_without_faces(monkeypatch):
+    # x.x > 0 off the origin, so the sign test of the identity on the
+    # simplex cone of 22 generators in R^21 lists none of its 2^22 faces and
+    # eliminates no block
+    def no_elimination(m, ncols):
+        raise AssertionError("a block was eliminated")
+
+    simplex = PolyCone.from_generators([unit(21, i) for i in range(21)] + [(-1,) * 21])
+    monkeypatch.setattr(cone_qp, "LinearSystem", no_elimination)
+    start = time.perf_counter()
+    assert nonneg_form_on_cone(identity(21), simplex) == (True, None)
+    assert time.perf_counter() - start < 2
+
+
+def test_convex_program_meets_the_apex_early(monkeypatch):
+    # the orthant in R^14 under |x|^2/2 + 1.x: c.z > 0 for every generator,
+    # so the minimum is the apex x = 0, value 0, with every generator active.
+    # The lexicographic walk meets it as its 15th face, (), (0,), (0, 1), ...;
+    # a walk by active-set size would meet it last of 2^14 and be refused
+    eliminated = []
+
+    def counted(m, ncols):
+        eliminated.append(len(m))
+        return real(m, ncols)
+
+    real = cone_qp.LinearSystem
+    monkeypatch.setattr(cone_qp, "LinearSystem", counted)
+    orthant = PolyCone.from_generators([unit(14, i) for i in range(14)])
+    start = time.perf_counter()
+    verdict = ConeProgram(identity(14), orthant).minimize(vec((1,) * 14))
+    assert time.perf_counter() - start < 2
+    assert verdict.kind == "attained" and verdict.value == 0
+    assert verdict.point == zeros(14) and verdict.active_set == tuple(range(14))
+    assert eliminated == list(range(14, -1, -1))
 
 
 def test_dom_f_stops_past_the_budget(monkeypatch):
@@ -660,8 +696,8 @@ def test_face_walk_matches_the_subset_walk():
     for trial in range(300):
         g, d = _face_walk_case(rng, trial)
         prog, ref_prog = ConeProgram(g, d), ConeProgram(g, d)
-        _subset_walk(ref_prog.blocks)
-        fewer += len(prog.blocks.faces(Work())) < len(ref_prog.blocks.faces(Work()))
+        _subset_walk(ref_prog)
+        fewer += len(prog.faces(Work())) < len(ref_prog.faces(Work()))
         dom, ref = prog.dom, ref_prog.dom
         assert dom.is_empty == ref.is_empty, (g, d)
         if dom.is_empty:
@@ -781,7 +817,7 @@ def test_integer_blocks_match_rational_data():
         else:
             half = [[F(rng.randint(-3, 3), 2) for _ in range(n)] for _ in range(n)]
             g = tuple(tuple(half[i][j] + half[j][i] for j in range(n)) for i in range(n))
-        blocks = cone_qp._Blocks(g, d)
+        blocks = ConeProgram(g, d)
         assert blocks.lam > 1
         assert blocks.h == tuple(tuple(dot(gi, matvec(g, gj)) for gj in gens) for gi in gens)
         prim = PolyCone.from_generators(gens, n)
@@ -1338,7 +1374,7 @@ def test_convex_domain_from_one_block_matches_the_walk():
         p, n = len(d.generators), d.dim
         seen[kind] += 1
         seen["lines"] += any(vscale(F(-1), v) in d.generators for v in d.generators)
-        seen["non_simplex"] += len(prog.blocks.faces(Work())) < 2**p
+        seen["non_simplex"] += len(prog.faces(Work())) < 2**p
         seen["rows"] += bool(got.rows)
         seen["no_piece"] += not pieces
         if kind == "span":
@@ -1397,7 +1433,7 @@ def test_convex_program_answers_a_hull_the_walk_refuses():
     c = tuple(F(rng.randint(-3, 3)) for _ in range(10))
     res = prog.boundedness(c)
     assert time.perf_counter() - start < 2
-    assert len(prog.blocks.faces(Work())) == 3938
+    assert len(prog.faces(Work())) == 3938
     cut = list(d.with_halfspaces().halfspaces) + [vec(w), vec(-x for x in w)]
     rays, lines = cone_h_to_v(cut, 10)
     assert not lines

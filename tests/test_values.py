@@ -23,7 +23,7 @@ from fwsets.asymptotes import (
     ambient_dim,
     classify,
 )
-from fwsets.errors import FwsetsError
+from fwsets.errors import DimensionMismatchError, FwsetsError
 from fwsets.linalg import identity, mat, vec
 from fwsets.motzkin import (
     Ball,
@@ -212,3 +212,27 @@ def test_a_hyperplane_has_the_fields_its_equation_gives():
         assert is_canonical(got)
         zero_entries += 0 in normal
     assert zero_entries >= 500
+
+
+@pytest.mark.parametrize("matrix", [[[1, 2]], [[1], [2]]], ids=["wide", "tall"])
+def test_a_quadratic_of_a_non_square_matrix_is_refused(matrix):
+    # neither read as its leading square block nor indexed past a row's end
+    with pytest.raises(DimensionMismatchError):
+        Quadratic.build(matrix)
+
+
+def test_a_compound_set_checks_its_members_at_construction():
+    # no members at all, or a union or an intersection of a plane and a
+    # space, is refused; a product of the two lives in R^5
+    plane = HPolyhedron(((-1, 0),), (0,))
+    space = HPolyhedron(((-1, 0, 0),), (0,))
+    for build in (
+        lambda: UnionSet(()),
+        lambda: IntersectionSet([]),
+        lambda: ProductSet(()),
+        lambda: UnionSet((plane, space)),
+        lambda: IntersectionSet([plane, space]),
+    ):
+        with pytest.raises(DimensionMismatchError):
+            build()
+    assert ambient_dim(ProductSet((plane, space))) == 5
