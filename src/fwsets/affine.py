@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import DimensionMismatchError, EmptySetError
 from .linalg import (
@@ -17,14 +16,11 @@ from .linalg import (
     dot,
     hash_once,
     identity,
-    int_fraction,
     is_zero,
     kernel_basis,
     mat,
     matvec,
     primitive,
-    primitive_ints,
-    rank,
     rat,
     set_fields,
     vadd,
@@ -69,26 +65,36 @@ class AffineMap:
 
 @dataclass(frozen=True)
 class AffineManifold:
-    """A flat, held in both forms: ``{x : A x = b}`` and ``point + span(basis)``.
+    """The flat ``point + span(basis)``, with its equations ``{x : a x = b}``.
 
-    It compares and hashes by its canonical equations alone: A's rows are the
-    primitive kernel basis of the direction space, one per codimension (one
-    zero row for the whole space), so every spelling of one flat gives the
-    same rows, and ``b = A @ point``.
-    ``point`` and ``basis`` are those it was built from or solved for;
-    ``basis`` has full rank.
+    ``basis`` must be independent.  The equations are derived, never given:
+    a's rows are the primitive kernel basis of the direction space, one per
+    codimension (one zero row for the whole space, so that the equations
+    still give the dimension ``dim``), and ``b = a @ point``.  Every
+    spelling of one flat so gives the same rows, and a flat compares and
+    hashes by them alone.
     """
 
-    a: Mat
-    b: Vec
     point: Vec = field(compare=False)
     basis: tuple[Vec, ...] = field(compare=False)
-    dim: int
+    a: Mat = field(init=False)
+    b: Vec = field(init=False)
+    dim: int = field(init=False)
 
     __hash__ = hash_once
 
     def __post_init__(self):
-        set_fields(self, a=mat(self.a), b=vec(self.b), point=vec(self.point), basis=mat(self.basis))
+        point, basis = vec(self.point), mat(self.basis)
+        n = len(point)
+        if basis and len(basis[0]) != n:
+            raise DimensionMismatchError("basis vector dimension mismatch")
+        # a . v = 0 for every basis vector v: the rows span the kernel of
+        # the matrix whose rows are the basis vectors
+        kernel = kernel_basis(basis, ncols=n)
+        if len(kernel) != n - len(basis):
+            raise DimensionMismatchError("basis vectors must be independent")
+        a = tuple(map(primitive, kernel)) or (zeros(n),)
+        set_fields(self, point=point, basis=basis, a=a, b=tuple(dot(row, point) for row in a), dim=n)
 
     @staticmethod
     def from_equations(a, b) -> "AffineManifold":
@@ -96,62 +102,30 @@ class AffineManifold:
         b = vec(b)
         if not a:
             raise DimensionMismatchError("need at least one equation row")
-        n = len(a[0])
-        system = LinearSystem(a, n)
+        system = LinearSystem(a, len(a[0]))
         x0 = system.solve(b)
         if x0 is None:
             raise EmptySetError("the equation system has no solution")
-        return AffineManifold._canonical(x0, tuple(system.kernel), n)
-
-    @staticmethod
-    def from_point_basis(point, basis) -> "AffineManifold":
-        point, basis = vec(point), mat(basis)
-        n = len(point)
-        if basis and len(basis[0]) != n:
-            raise DimensionMismatchError("basis vector dimension mismatch")
-        if basis and rank(basis) < len(basis):
-            raise DimensionMismatchError("basis vectors must be independent")
-        return AffineManifold._canonical(point, basis, n)
-
-    @staticmethod
-    def _canonical(point: Vec, basis: tuple[Vec, ...], n: int) -> "AffineManifold":
-        """The flat through ``point`` along the independent ``basis``, with
-        its canonical equations."""
-        # rows spanning the orthogonal complement of the direction space:
-        # a . b = 0 for every basis vector b means a lies in the kernel of
-        # the matrix whose rows are the basis vectors; the whole space keeps
-        # one zero row, so that its equations still give its dimension
-        if basis:
-            a = tuple(primitive(v) for v in kernel_basis(basis, ncols=n)) or (zeros(n),)
-        else:
-            a = identity(n)
-        return AffineManifold(a, tuple(dot(row, point) for row in a), point, basis, n)
+        return AffineManifold(x0, tuple(system.kernel))
 
     @staticmethod
     def hyperplane(normal, value) -> "AffineManifold":
-        """``{x : normal . x = value}``, built without elimination: the
-        canonical row is the primitive normal with its last nonzero entry
-        positive, the point is ``value / normal_j`` at the first nonzero
-        column j, and the basis is ``e_k - (normal_k / normal_j) e_j`` for
-        k != j; the fields :meth:`from_equations` gives.  A zero normal
-        takes that path."""
+        """``{x : normal . x = value}``: the point is ``value / normal_j`` at
+        the first nonzero column j, and the basis is
+        ``e_k - (normal_k / normal_j) e_j`` for k != j; the point and basis
+        :meth:`from_equations` gives.  A zero normal takes that path."""
         normal, value = vec(normal), rat(value)
         j = next((i for i, x in enumerate(normal) if x), None)
         if j is None:
             return AffineManifold.from_equations((normal,), (value,))
         n = len(normal)
-        ints = primitive_ints(normal)
-        if next(x for x in reversed(ints) if x) < 0:
-            ints = [-x for x in ints]
-        xj = value / normal[j]
-        point = tuple(xj if i == j else ZERO for i in range(n))
+        point = tuple(value / normal[j] if i == j else ZERO for i in range(n))
         basis = tuple(
-            tuple(ONE if i == k else Fraction(-ints[k], ints[j]) if i == j else ZERO for i in range(n))
+            tuple(ONE if i == k else -normal[k] / normal[j] if i == j else ZERO for i in range(n))
             for k in range(n)
             if k != j
         )
-        row = tuple(map(int_fraction, ints))
-        return AffineManifold((row,), (ints[j] * xj,), point, basis, n)
+        return AffineManifold(point, basis)
 
     def contains(self, x: Vec) -> bool:
         if len(x) != self.dim:
@@ -175,4 +149,4 @@ def subspace(basis, dim=None) -> AffineManifold:
     vectors = mat(basis)
     dim = dim_of(dim, vectors)
     vectors = [v for v in vectors if not is_zero(v)]
-    return AffineManifold.from_point_basis(zeros(dim), basis_of_span(vectors, dim))
+    return AffineManifold(zeros(dim), basis_of_span(vectors, dim))

@@ -50,7 +50,7 @@ from .linalg import (
     primitive_ints,
     rank,
     set_fields,
-    solve,
+    transpose,
     unit,
     vadd,
     vec,
@@ -341,21 +341,17 @@ EVIDENCE_THRESHOLDS_SQ = (Fraction(1, 10**4), Fraction(1, 10**8), Fraction(1, 10
 
 
 def manifold_projection(m: AffineManifold, x: Vec) -> Vec:
-    """Orthogonal projection of x onto the flat, exact.
+    """Orthogonal projection of x onto the flat, exact:
+    ``x - A^T (A A^T)^-1 (A x - b)`` over its equations ``A x = b``."""
+    y = _equation_gram(m).solve(vsub(matvec(m.a, x), m.b))
+    return vsub(x, matvec(transpose(m.a), y))
 
-    Solves the normal equations over the flat's direction basis; rational
-    because the basis is rational.
-    """
-    if not m.basis:
-        return m.point
-    diff = tuple(a - b for a, b in zip(x, m.point))
-    gram = tuple(tuple(dot(u, v) for v in m.basis) for u in m.basis)
-    rhs = tuple(dot(u, diff) for u in m.basis)
-    coeffs = solve(gram, rhs)
-    out = m.point
-    for c, v in zip(coeffs, m.basis):
-        out = vadd(out, vscale(c, v))
-    return out
+
+def _equation_gram(m: AffineManifold) -> LinearSystem:
+    """``A A^T`` of the flat's equations, eliminated once.  Its rows are
+    independent, except for the whole space's one zero row, whose particular
+    solutions are 0: the projector below is then 0, as it should be."""
+    return LinearSystem(tuple(tuple(dot(u, v) for v in m.a) for u in m.a), len(m.a))
 
 
 def distance_to_manifold(f: SetDescriptor, m: AffineManifold) -> DistanceVerdict:
@@ -412,25 +408,19 @@ def _distance_bound(f: SetDescriptor, m: AffineManifold) -> DistanceVerdict:
 def _distance_exact(forms: tuple[HPolyhedron, ...], m: AffineManifold) -> DistanceVerdict:
     """Exact squared distance from a union of inequality systems to M.
 
-    With p the flat's point, B its basis and ``N = I - B (B^T B)^-1 B^T``
-    the projector onto the flat's normal space, ``(x - p).N(x - p)`` is the
-    squared distance from x to M; its least value over the systems is
-    attained (a convex quadratic bounded below on a polyhedron).
+    With ``A x = b`` the flat's equations and ``N = A^T (A A^T)^-1 A`` the
+    projector onto its normal space, ``x.N x - 2 x.A^T (A A^T)^-1 b +
+    b.(A A^T)^-1 b`` is the squared distance from x to M; its least value
+    over the systems is attained (a convex quadratic bounded below on a
+    polyhedron).
     """
-    basis = m.basis
-    gram = tuple(tuple(dot(u, v) for v in basis) for u in basis)
-    normal = []
-    for i in range(m.dim):
-        # e_i less its orthogonal projection onto span(B)
-        row = unit(m.dim, i)
-        for c, u in zip(solve(gram, tuple(u[i] for u in basis)), basis):
-            row = vsub(row, vscale(c, u))
-        normal.append(row)
-    shift = matvec(normal, m.point)
+    gram, cols = _equation_gram(m), tuple(zip(*m.a))
+    w = [gram.solve(c) for c in cols]  # the columns of (A A^T)^-1 A
+    y = gram.solve(m.b)
     q = Quadratic(
-        tuple(vscale(2, row) for row in normal),
-        vscale(-2, shift),
-        dot(m.point, shift),
+        tuple(tuple(2 * dot(ci, wj) for wj in w) for ci in cols),
+        vscale(-2, matvec(cols, y)),
+        dot(m.b, y),
     )
     solved = [s for s in (minimize_over_hpolyhedron(q, h) for h in forms) if s is not None]
     if not solved:

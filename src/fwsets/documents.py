@@ -254,7 +254,7 @@ KINDS = {
     "second_order": (SecondOrderCone, ("dim", "axis", "aperture"), ()),
     "affine_map": (AffineMap, ("matrix",), ("offset",)),
     "manifold": (lambda rows, rhs: AffineManifold.from_equations(rows, rhs), ("rows", "rhs"), ()),
-    "manifold_basis": (AffineManifold.from_point_basis, ("point", "basis"), ()),
+    "manifold_basis": (AffineManifold, ("point", "basis"), ()),
     "subspace": (subspace, ("basis",), ("dim",)),
 }
 KINDS["cone"], KINDS["second_order_cone"] = KINDS["polyhedral"], KINDS["second_order"]

@@ -10,16 +10,20 @@ and a genuinely second-order recession cone rules the property out (by the
 order cancellation law plus Mirkil's theorem some planar projection of D,
 hence of F, fails to be closed).
 
-Minimization over F uses the two-level reduction
+Minimization over a finite point set or a ball uses the two-level reduction
 
     inf_F q = inf_{y in K} [ q(y) + f(A y + b) ] ,
 
-with the inner value f supplied exactly by the cone program.  For polytope
-and finite compact parts both levels are exact.  On a ball the minimum is
-bracketed between two exact rationals: each multiplier mu of the ball
-constraint g gives a weak-duality lower bound (:func:`numeric.lagrangian_value`
-of q + mu g plus one cone program over D), and the point of that program
-gives a member whose objective value is an upper bound.
+with the inner value f supplied exactly by the cone program; for a finite
+point set both levels are exact.  A polytope part is not reduced: q is
+bounded below on F iff each vertex's inner linear term lies in dom(f)
+(convex, so the vertices decide it for all of K), and the exact minimum is
+then the quadratic program on F's own inequality form.  On a ball the
+minimum is bracketed between two exact rationals: each multiplier mu of the
+ball constraint g gives a weak-duality lower bound
+(:func:`numeric.lagrangian_value` of q + mu g plus one cone program over D),
+and the point of that program gives a member whose objective value is an
+upper bound.
 :func:`numeric.bracket_multiplier` searches mu, by secant steps on the
 secular function ``1/|s| - 1/r`` of the ball point ``c + s``, until the
 bracket is at most the tolerance wide; for a convex objective the dual is

@@ -340,15 +340,10 @@ def int_cone_h_to_v(
                     if g:
                         new_rays.append(tuple(x // g for x in combo))
                         new_zsets.append(common | bit)
-        rays, zero_sets = [], []
-        seen: dict[tuple[int, ...], int] = {}
-        for r, zs in zip(new_rays, new_zsets):
-            if r in seen:
-                zero_sets[seen[r]] |= zs
-            else:
-                seen[r] = len(rays)
-                rays.append(r)
-                zero_sets.append(zs)
+        # no new ray repeats another: each lies inside the 2-face its
+        # adjacent pair spans, so it is neither a kept ray nor another
+        # pair's ray
+        rays, zero_sets = new_rays, new_zsets
     return rays, lin
 
 

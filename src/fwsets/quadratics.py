@@ -24,7 +24,6 @@ from .linalg import (
     matmul,
     matvec,
     kernel_basis,
-    rank,
     rat,
     set_fields,
     transpose,
@@ -187,8 +186,6 @@ def restrict_to_affine(q: Quadratic, m: AffineManifold) -> Quadratic:
     if m.dim != q.dim:
         raise DimensionMismatchError("manifold dimension differs from q's")
     basis = m.basis
-    if basis and rank(basis) < len(basis):
-        raise DimensionMismatchError("manifold basis is rank deficient")
     t = AffineMap(tuple(zip(*basis)) if basis else tuple(() for _ in range(q.dim)), m.point)
     return compose_affine(q, t)
 

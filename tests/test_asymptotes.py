@@ -14,8 +14,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from fwsets.affine import AffineManifold, subspace
+from fwsets.affine import AffineManifold, AffineMap, subspace
 from fwsets.asymptotes import (
+    AffineImageSet,
     Epigraph1D,
     IntersectionSet,
     ProductSet,
@@ -112,7 +113,7 @@ def test_hyperbola_axis_zero_evidence():
     [
         (hyperbola_set, lambda: AffineManifold.hyperplane((0, -1), 0)),
         (hyperbola_set, lambda: AffineManifold.hyperplane((0, 2), 0)),
-        (hyperbola_set, lambda: AffineManifold.from_point_basis((5, 0), [(-3, 0)])),
+        (hyperbola_set, lambda: AffineManifold((5, 0), [(-3, 0)])),
         (ice_cream_cut_set, lambda: AffineManifold.hyperplane((-1, 1), 0)),
     ],
     ids=["hyperbola -y", "hyperbola 2y", "hyperbola point-basis", "ice cream -x + z"],
@@ -130,12 +131,63 @@ def test_flats_compare_by_their_canonical_equations():
     for spelling in (
         AffineManifold.hyperplane((0, -1), 0),
         AffineManifold.from_equations([(0, 2), (0, -3)], (0, 0)),
-        AffineManifold.from_point_basis((7, 0), [(2, 0)]),
+        AffineManifold((7, 0), [(2, 0)]),
     ):
         assert spelling == x_axis and hash(spelling) == hash(x_axis)
         assert (spelling.a, spelling.b) == (((0, 1),), (0,))
     assert AffineManifold.hyperplane((0, 1), 1) != x_axis
     assert AffineManifold.hyperplane((1, 0), 0) != x_axis
+
+
+def test_a_flat_is_built_from_a_point_and_a_basis_alone():
+    # equations given next to a point and a basis could contradict them:
+    # {x1 = 3} with the x-axis through the origin misses the box [-1, 1]^2
+    # by its equations and met it by its point
+    with pytest.raises(TypeError):
+        AffineManifold([[1, 0]], [3], [0, 0], [[1, 0]], 2)
+    box = HPolyhedron([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
+    line = AffineManifold((3, 0), [(0, 1)])
+    assert intersects_manifold(box, line) is False
+    verdict = distance_to_manifold(box, line)
+    assert verdict.kind == "positive" and verdict.exact and verdict.lower_bound_sq == 4
+
+    # the plane x1 + 2 x2 - x3 = 4, spelled every way
+    plane = AffineManifold((4, 0, 0), [(2, -1, 0), (1, 0, 1)])
+    assert (plane.a, plane.b, plane.dim, plane.flat_dim) == (((-1, -2, 1),), (-4,), 3, 2)
+    for spelling in (
+        AffineManifold((0, 2, 0), [(2, -1, 0), (1, 0, 1)]),  # another point
+        AffineManifold((1, 1, -1), [(-6, 3, 0), (F(1, 2), 0, F(1, 2))]),  # rescaled and negated
+        AffineManifold((4, 0, 0), [(1, 0, 1), (2, -1, 0)]),  # reordered
+        AffineManifold((4, 0, 0), [(3, -1, 1), (1, 0, 1)]),  # another basis of the span
+        AffineManifold.from_equations([(-2, -4, 2)], [-8]),
+        AffineManifold.from_equations([(3, 6, -3), (F(1, 2), 1, F(-1, 2))], [12, 2]),
+        AffineManifold.hyperplane((1, 2, -1), 4),
+        AffineManifold.hyperplane((-5, -10, 5), -20),
+    ):
+        assert spelling == plane and hash(spelling) == hash(plane)
+    assert AffineManifold.hyperplane((1, 2, -1), 5) != plane
+
+    # a subspace is the flat through the origin
+    through_origin = AffineManifold((0, 0, 0), [(2, -1, 0), (1, 0, 1)])
+    for spelling in (
+        subspace([(2, -1, 0), (0, 0, 0), (1, 0, 1), (3, -1, 1)]),
+        AffineManifold.hyperplane((1, 2, -1), 0),
+        AffineManifold((-1, 0, -1), [(1, 0, 1), (-2, 1, 0)]),
+    ):
+        assert spelling == through_origin and hash(spelling) == hash(through_origin)
+    # a point and the whole space
+    assert AffineManifold((1, 2), []) == AffineManifold.from_equations([(2, 0), (1, 1)], [2, 3])
+    assert AffineManifold((1, 2), [(1, 1), (0, 3)]) == subspace([(1, 0), (0, 1)])
+    assert AffineManifold((1, 2), [(1, 1), (0, 3)]).a == ((0, 0),)
+
+    for point, basis in (
+        ((0, 0, 0), [(1, 2, 0), (-2, -4, 0)]),  # dependent
+        ((0, 0, 0), [(0, 0, 0)]),  # a zero vector
+        ((0, 0), [(1, 0), (0, 1), (1, 1)]),  # more vectors than the dimension
+        ((0, 0), [(1, 0, 0)]),  # of another width
+    ):
+        with pytest.raises(DimensionMismatchError):
+            AffineManifold(point, basis)
 
 
 def test_equal_values_built_two_ways_hash_alike():
@@ -150,7 +202,7 @@ def test_equal_values_built_two_ways_hash_alike():
         (hp, HPolyhedron(((F(-1), F(0)), (F(0), F(-1))), (F(0), F(1)), 2)),
         # an asymmetric form is stored symmetrized
         (disk, Quadratic.build([[2, 1], [-1, 2]], (0, 0), F(-2, 2))),
-        (AffineManifold.hyperplane((0, 1), 0), AffineManifold.from_point_basis((7, 0), [(2, 0)])),
+        (AffineManifold.hyperplane((0, 1), 0), AffineManifold((7, 0), [(2, 0)])),
         (cone, PolyCone.from_halfspaces([(-1, 0), (0, -3)], 2)),
         (MotzkinSet(point, cone), MotzkinSet(point, PolyCone.from_halfspaces([(-2, 0), (0, -1)], 2))),
         (
@@ -228,7 +280,7 @@ def test_distance_matches_the_lifted_program_on_seeded_polyhedral_sets():
                     basis = [ints(n, -2, 2) for _ in range(k)]
                     if not basis or rank(basis) == k:
                         break
-                m = AffineManifold.from_point_basis(ints(n), basis)
+                m = AffineManifold(ints(n), basis)
                 verdict = distance_to_manifold(f, m)
                 ref_kind, ref_sq = _reference_distance(f, m)
                 assert verdict.kind == ref_kind, (f, m)
@@ -378,6 +430,26 @@ def test_far_epigraph_points_are_decided_without_an_enclosure():
         assert time.perf_counter() - start < 1
     assert contains(f, vec((100, 10000))) is False
     assert contains(f, vec((100, 10001))) is True
+
+
+def test_compound_membership_combines_its_parts_three_ways():
+    # membership in an image is always undecided (it needs a preimage), so
+    # the image of {x >= 0} under the identity gives each compound a None
+    half = HPolyhedron([[-1]], [0])
+    img = AffineImageSet(AffineMap.identity(1), half)
+    assert contains(img, (1,)) is None and contains(img, (-1,)) is None
+    product = ProductSet((half, img))
+    assert contains(ProductSet((half, half)), (1, 1)) is True
+    assert contains(product, (1, 1)) is None
+    assert contains(product, (-1, 1)) is False
+    meet = IntersectionSet((half, img))
+    assert contains(IntersectionSet((half, half)), (1,)) is True
+    assert contains(meet, (1,)) is None
+    assert contains(meet, (-1,)) is False
+    union = UnionSet((half, img))
+    assert contains(union, (1,)) is True
+    assert contains(union, (-1,)) is None
+    assert contains(UnionSet((half, half)), (-1,)) is False
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,20 @@ def test_solve_unbounded(tmp_path, capsys):
     assert out["verdict"] == "unbounded_below"
 
 
+def test_solve_unknown_exits_3(tmp_path, capsys):
+    # |x|^2 on {0} plus the 45-degree cone about e3: no attainment analysis
+    # is promised for a second-order recession cone
+    soc = {"kind": "second_order", "dim": 3, "axis": ["0", "0", "1"], "aperture": "1/2"}
+    payload = {"compact": {"kind": "points", "points": [["0", "0", "0"]]}, "cone": soc}
+    set_path = write(tmp_path, "set.json", {"version": "1", "kind": "motzkin", "payload": payload})
+    q_path = write(tmp_path, "q.json", quad_doc([["2", "0", "0"], ["0", "2", "0"], ["0", "0", "2"]]))
+    code = main(["--format", "json", "solve", set_path, q_path])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert out["verdict"] == "unknown"
+    assert out["justification"]
+
+
 def test_solve_tolerance_reaches_the_ball_member_of_a_union(tmp_path, capsys):
     # a ball plus a ray in R^3 whose bracket at tolerance 1/100 is wider than
     # at the default; wrapping it in a one-member union changes nothing
@@ -940,9 +954,9 @@ _WRITTEN = {
         ),
     ),
     # written by its equations, which solve for another point and basis
-    "point_basis_manifold": lambda: ("manifold", AffineManifold.from_point_basis((0, 1), [(1, 1)])),
+    "point_basis_manifold": lambda: ("manifold", AffineManifold((0, 1), [(1, 1)])),
     # the whole space is written as one zero row, which gives its dimension
-    "whole_space_manifold": lambda: ("manifold", AffineManifold.from_point_basis((0, 1), [(1, 1), (0, 1)])),
+    "whole_space_manifold": lambda: ("manifold", AffineManifold((0, 1), [(1, 1), (0, 1)])),
 }
 
 

@@ -137,6 +137,17 @@ def test_linear_unbounded_on_point_plus_orthant():
     assert vals[0] > vals[1] > vals[2] > vals[3]
 
 
+def test_finite_points_with_no_cone_attain_at_the_least_point():
+    # x^2 + y^2 - 2x is 3 at (1, 2) and 4 at (3, -1); the cone has no
+    # generators, so its program's generator matrix has no columns
+    q = Quadratic.build([[2, 0], [0, 2]], [-2, 0])
+    f = MotzkinSet(FinitePointSet([(1, 2), (3, -1)]), PolyCone((), 2))
+    v = minimize_on_motzkin(q, f)
+    assert isinstance(v, Attained)
+    assert v.value == 3
+    assert v.point == (1, 2)
+
+
 def test_linear_on_wedge_attains_zero_at_origin():
     q = Quadratic.build([[0, 0], [0, 0]], [1, 0])
     cone = PolyCone.from_generators([(1, 1), (1, 0)])

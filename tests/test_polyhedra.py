@@ -386,6 +386,17 @@ def test_lp_infeasible_gives_farkas():
     assert sum(l * rhs for l, rhs in zip(lam, p.b)) < 0
 
 
+def test_lp_with_no_variables_reads_its_right_hand_side():
+    # 0 <= b row by row: optimal at the empty point when b >= 0, and
+    # infeasible otherwise with the first negative row as Farkas certificate
+    res = lp_solve(((), ()), vec((1, 0)), ())
+    assert (res.status, res.x, res.value) == ("optimal", (), 0)
+    res = lp_solve(((), (), ()), vec((1, -2, -1)), ())
+    assert res.status == "infeasible"
+    assert res.farkas == (0, 1, 0)
+    assert sum(l * rhs for l, rhs in zip(res.farkas, (1, -2, -1))) < 0
+
+
 def test_lp_random_feasibility_consistency():
     rng = random.Random(13)
     for _ in range(40):

@@ -267,7 +267,7 @@ def test_compose_shift_in_one_dim():
 
 def test_restrict_norm_to_axis():
     q = Quadratic.build([[2, 0], [0, 2]])  # |x|^2
-    line = AffineManifold.from_point_basis((0, 0), [(1, 0)])
+    line = AffineManifold((0, 0), [(1, 0)])
     r = restrict_to_affine(q, line)
     assert r.dim == 1
     assert r.evaluate((F(3),)) == 9
@@ -276,7 +276,7 @@ def test_restrict_norm_to_axis():
 def test_restrict_bilinear_to_diagonal():
     # x1 x2 restricted to the diagonal parameterized by u (1, 1) is u^2
     q = Quadratic.build([[0, 1], [1, 0]])
-    diag = AffineManifold.from_point_basis((0, 0), [(1, 1)])
+    diag = AffineManifold((0, 0), [(1, 1)])
     r = restrict_to_affine(q, diag)
     assert r.evaluate((F(5),)) == 25
     assert r.evaluate((F(-2),)) == 4

@@ -103,7 +103,7 @@ BUILDERS = {
     "quadratic": lambda s: Quadratic(s(((2, 1), (1, 2))), s((-1, F(3, 4))), s(F(1, 2))),
     "affine_map": lambda s: AffineMap(s(((1, 0), (1, 1))), s((F(1, 2), 0))),
     "affine_map_no_offset": lambda s: AffineMap(s(((1, 0), (1, 1)))),
-    "affine_manifold": lambda s: AffineManifold(s(((1, 1),)), s((1,)), s((1, 0)), s(((1, -1),)), 2),
+    "affine_manifold": lambda s: AffineManifold(s((1, 0)), s(((1, -1),))),
     "polytope": polytope,
     "points": lambda s: FinitePointSet(s(((0, 0), (F(3, 4), 1)))),
     "ball": lambda s: Ball(s((1, 0)), s(F(3, 2))),
@@ -196,7 +196,7 @@ def test_a_canonical_field_is_kept_as_it_is():
 
 def test_a_hyperplane_has_the_fields_its_equation_gives():
     # seeded normals, zero entries and a zero normal included: the hyperplane
-    # built without elimination has all five fields of from_equations
+    # has all five fields of from_equations
     rng = random.Random(20261020)
     zero_entries = 0
     for _ in range(1500):
