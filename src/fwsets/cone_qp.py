@@ -65,11 +65,16 @@ and rows that are returned, and they are the Fractions that elimination of
 H itself gives.
 
 Every minimum here (the form on the simplex, the cone program, the QP over
-``{A x <= b}``) is found by one face solver: a quadratic bounded below on a
-polyhedron attains its minimum at a stationary point of some face (Frank &
-Wolfe).  Each caller solves the stationarity system of a face by
-elimination on ints: the cone layer reads the cached blocks ``H_FF``, and the
-QP over ``{A x <= b}`` runs two fraction-free eliminations per face.  A face
+``{A x <= b}`` for a Q that is not positive definite) is found by one face
+solver: a quadratic bounded below on a polyhedron attains its minimum at a
+stationary point of some face (Frank & Wolfe).  Each caller solves the
+stationarity system of a face by elimination on ints: the cone layer reads
+the cached blocks ``H_FF``, and the QP over ``{A x <= b}`` runs two
+fraction-free eliminations per face.  A positive definite Q has one
+minimizer, and the QP over ``{A x <= b}`` finds it with no face walk, by
+the exact dual active-set method of Goldfarb and Idnani: it starts at the
+unconstrained minimizer, adds one violated row at a time, drops a row whose
+multiplier reaches zero, and solves one integer KKT system a step.  A face
 comes with its value, a single Fraction, and a thunk that builds its
 solution set, which carries that constant objective, on ints: an integer
 point and integer directions over one denominator, and integer rows
@@ -103,18 +108,19 @@ One work budget, ``polyhedra.DD_BUDGET``, bounds each public call here: a
 query or one ``minimize_over_hpolyhedron``.  The call makes one
 ``polyhedra.Work`` counter, and every step charges it before it runs:
 listing the faces (p units a face, which a simplex knows from its count,
-and one unit a mask for each facet's pass of the closure; the QP charges
-one unit a row subset), each elimination (:func:`_elimination_units`; the
-PSD test of H is charged as one elimination of H),
+and one unit a mask for each facet's pass of the closure; the QP's face
+walk charges one unit a row subset), each elimination
+(:func:`_elimination_units`; the PSD test of H is charged as one
+elimination of H; the dual method charges one a step, and its row scans),
 each solve, ``FRACTION_UNITS`` for each entry a face or the zero set forms
 (a product and a sum a term of a dot product; the rate was set when these
 entries were Fractions), each KKT check its integer products and
 elimination, and the conversions and LPs inside, which charge the same
 counter.  Like the forming of H and of ``Quadratic.ints``, the tests of the
-input form itself (G positive definite, Q positive semidefinite), one
-n x n elimination each, are not charged.  A program keeps its blocks and
-dom(f) across queries, but the counter lives for one query, which pays for
-what it builds.
+input form itself (G positive definite, Q positive definite or positive
+semidefinite), one n x n elimination each, are not charged.  A program
+keeps its blocks and dom(f) across queries, but the counter lives for one
+query, which pays for what it builds.
 """
 
 from __future__ import annotations
@@ -154,6 +160,8 @@ from .quadratics import Quadratic, int_is_pd, int_is_psd
 
 # the step a face walk's charges name in SizeCapError
 _WALK = "the face walk"
+# and the dual active-set method's
+_DUAL = "the dual active-set method"
 # units charged for each Fraction built
 FRACTION_UNITS = 30
 
@@ -590,6 +598,8 @@ class ConeProgram:
     def _domain(self, work: Work) -> DomF:
         """dom(f), built on first use and charged to ``work``.
 
+        A cone with no generators, D = {0}, has no negative ray and no
+        zero-set ray, so dom(f) is the whole space, read before G is tested.
         A negative diagonal entry of H empties it before any face is listed.
         A positive definite G gives the whole space before any face is listed
         too: ``x.G x = 0`` only at x = 0, so every ray u of the zero set has
@@ -606,6 +616,9 @@ class ConeProgram:
         if self._dom is not None:
             return self._dom
         n, p = self.d.dim, self.p
+        if not p:
+            self._dom = DomF((), n)
+            return self._dom
         if any(self.hi[i][i] < 0 for i in range(p)) or self.pd:
             self._dom = DomF((), n, self._negative_ray(work))
             return self._dom
@@ -806,24 +819,167 @@ def value_function_eval(c: Vec, g: Mat, d: PolyCone) -> Fraction:
 
 
 def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, Vec] | None:
-    """Exact min of q over ``{A x <= b}`` assuming the infimum is attained.
+    """Exact min of q over ``{A x <= b}`` assuming the infimum is attained,
+    as ``(value, point)``, or None when the system is empty or q is
+    unbounded below on it.
+
+    A positive definite Q (tested once on ints by
+    :func:`quadratics.int_is_pd`) is answered by the dual active-set method
+    (:func:`_dual_active_set`), and every other Q by the face walk
+    (:func:`_face_walk`).  A positive definite Q has exactly one minimizer,
+    so both give the same answer there.  Like ``Quadratic.ints``, the test
+    is not charged; the method that answers charges one work budget.
+    """
+    if q.dim != p.dim:
+        raise DimensionMismatchError("quadratic and polyhedron dimensions differ")
+    if int_is_pd([list(row) for row in q.ints[0]]):
+        return _dual_active_set(q, p)
+    return _face_walk(q, p)
+
+
+def _int_rows(p: HPolyhedron) -> list[list[int]]:
+    """The rows ``[a | b]`` of ``{A x <= b}`` on ints, all scaled by the lcm
+    of every denominator of A and b."""
+    ab = lcm(*(x.denominator for row in p.a for x in row), *(x.denominator for x in p.b))
+    return [[x.numerator * (ab // x.denominator) for x in (*a, b)] for a, b in zip(p.a, p.b)]
+
+
+def _kkt_solve(
+    qm: tuple[tuple[int, ...], ...], normals: list[list[int]], rhs: list[list[int]]
+) -> tuple[list[list[int]], int]:
+    """The solutions y of ``[Q A_J^T; A_J 0] y = h`` for the integer
+    right-hand sides h, as integer vectors over one common denominator
+    d > 0, from one fraction-free elimination of ``[K | h_1 | h_2 ...]``.
+    ``normals`` are the rows of A_J.  The matrix is nonsingular when Q is
+    positive definite and the rows of A_J are independent; a singular one
+    raises FwsetsError."""
+    n, k = len(qm), len(qm) + len(normals)
+    rows = [[*row, *(a[i] for a in normals), *(h[i] for h in rhs)] for i, row in enumerate(qm)]
+    rows += [[*a, *(0 for _ in normals), *(h[n + j] for h in rhs)] for j, a in enumerate(normals)]
+    pivots = int_rref(rows)
+    if pivots != list(range(k)):
+        raise FwsetsError("the active rows of the dual method are dependent")
+    d = lcm(*(rows[r][r] for r in range(k)))
+    return [[rows[r][k + c] * (d // rows[r][r]) for r in range(k)] for c in range(len(rhs))], d
+
+
+def _dual_active_set(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, Vec] | None:
+    """:func:`minimize_over_hpolyhedron` for a positive definite Q, by the
+    dual active-set method of Goldfarb and Idnani (Math. Programming 27,
+    1983), exactly on ints.
+
+    It runs on the ints of q (Q and c stand for ``q.ints``' A and b, over
+    its denominator) and on the rows ``a.x <= b`` scaled by one lcm
+    (:func:`_int_rows`).  It starts at the unconstrained minimizer
+    ``x = -Q^-1 c`` with no active rows, and keeps x and the multipliers
+    lam of its active rows J over one common denominator, with
+    ``Q x + c + A_J^T lam = 0``, ``A_J x = b_J`` and ``lam >= 0``.  Each
+    outer step scans the rows; when none is violated, x is the minimum.
+    Otherwise it takes the most violated row p (the largest ``a.x - b``,
+    the least index on ties) and raises p's multiplier t from 0.  On the
+    current J the stationary points are ``x0 + t z`` with multipliers
+    ``lam0 + t r``, from one elimination of
+    ``[Q A_J^T; A_J 0]`` against ``[-c; b_J]`` and ``[-a_p; 0]``
+    (:func:`_kkt_solve`); ``a_p.z = -z.Q z``, so the violation falls as t
+    grows, and p is tight at ``t2 = (a_p.x0 - b_p) / -a_p.z`` when z != 0.
+    A multiplier with ``r_j < 0`` reaches zero at ``lam0_j / -r_j``; the
+    least of these, t1 (the least row index on ties), drops its row j from
+    J when ``t1 < t2``, and the step is taken again on the smaller J.
+    Otherwise the full step to t2 adds p to J.  When z = 0 and no
+    ``r_j < 0``, ``a_p = -A_J^T r`` with ``r >= 0``, so every y with
+    ``A_J y <= b_J`` has ``a_p.y >= -r.b_J = a_p.x > b_p``: the system is
+    empty and the answer is None.  Each full step raises q(x) and gives a
+    new J, so the method ends.
+
+    Before x is returned it is verified exactly: the last scan found every
+    row satisfied, every multiplier is nonnegative, and
+    ``Q x + c + A_J^T lam = 0``; a failed check raises FwsetsError.  One
+    work budget bounds the call: the start charges its elimination of
+    ``[Q | -c]``, each step its elimination of ``[K | 2 columns]``
+    (:func:`_elimination_units`), each scan m n units, and the
+    verification n (n + |J|) units.
+    """
+    n = p.dim
+    rows = _int_rows(p)
+    a, b = [row[:n] for row in rows], [row[n] for row in rows]
+    qm, qb, qc, scale = q.ints
+    work = Work()
+    work.charge(_elimination_units(n, n + 1), _DUAL)
+    (x,), d = _kkt_solve(qm, [], [[-v for v in qb]])
+    active: list[int] = []
+    lam: list[int] = []  # x and lam are over d
+    while True:
+        work.charge(len(a) * n, _DUAL)
+        worst, add = 0, None
+        for i, (ai, bi) in enumerate(zip(a, b)):
+            violation = idot(ai, x) - bi * d
+            if violation > worst:
+                worst, add = violation, i
+        if add is None:
+            break
+        a_p, b_p = a[add], b[add]
+        while True:
+            k = n + len(active)
+            work.charge(_elimination_units(k, k + 2), _DUAL)
+            (y0, y1), e = _kkt_solve(
+                qm,
+                [a[j] for j in active],
+                [[-v for v in qb] + [b[j] for j in active], [-v for v in a_p] + [0] * len(active)],
+            )
+            x0, lam0, z, r = y0[:n], y0[n:], y1[:n], y1[n:]
+            # (t1, row, position in J) of the first multiplier to reach zero
+            drop = min(
+                (
+                    (Fraction(lj, -rj), active[pos], pos)
+                    for pos, (lj, rj) in enumerate(zip(lam0, r))
+                    if rj < 0
+                ),
+                default=None,
+            )
+            curvature = -idot(a_p, z)  # e z.Q z, zero iff z = 0
+            full = Fraction(idot(a_p, x0) - b_p * e, curvature) if curvature else None
+            if full is None and drop is None:
+                return None
+            if drop is None or (full is not None and full <= drop[0]):
+                tn, td = full.numerator, full.denominator
+                x = [td * xi + tn * zi for xi, zi in zip(x0, z)]
+                lam = [td * li + tn * ri for li, ri in zip(lam0, r)] + [tn * e]
+                d = td * e
+                active.append(add)
+                break
+            del active[drop[2]]
+    work.charge(n * (n + len(active)), _DUAL)
+    if any(li < 0 for li in lam):
+        raise FwsetsError("minimizer failed KKT multiplier verification")
+    for i, row in enumerate(qm):
+        if idot(row, x) + d * qb[i] + sum(li * a[j][i] for li, j in zip(lam, active)):
+            raise FwsetsError("minimizer failed stationarity verification")
+    value = Fraction(
+        idot(x, [idot(row, x) for row in qm]) + 2 * d * idot(qb, x) + 2 * qc * d * d,
+        2 * scale * d * d,
+    )
+    return value, tuple(Fraction(xi, d) if xi else ZERO for xi in x)
+
+
+def _face_walk(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, Vec] | None:
+    """:func:`minimize_over_hpolyhedron` by walking the faces, for any Q.
 
     The faces are the row subsets J of size at most n with independent rows.
     On the affine hull ``A_J x = b_J`` of one, written ``x0 + N t``, the
     stationarity system ``N^T Q N t = -N^T grad q(x0)`` fixes the value, and
     the face solver looks for a point of its solution set inside ``A x <= b``.
     Each face is solved on Python ints: ``(A, b)`` is scaled to integers by
-    the lcm of all its denominators, and q is read on its ints
-    (``Quadratic.ints``, over the lcm L of its own denominators); one
-    fraction-free elimination of ``[A_J | b_J]`` gives ``x0 = X0/d`` and
+    the lcm of all its denominators (:func:`_int_rows`), and q is read on
+    its ints (``Quadratic.ints``, over the lcm L of its own denominators);
+    one fraction-free elimination of ``[A_J | b_J]`` gives ``x0 = X0/d`` and
     ``N' = d N``, and one of ``[N'^T Q N' | -N'^T G]``, with
     ``G = Q X0 + d b = d L grad q(x0)``, gives the stationary point and the
     integer stationary directions over a common denominator, so the value is
     a single Fraction, and the face solver meets the face with the same
     integer rows.  The attained minimum is the least value over faces with a
     feasible point; ties go to the lexicographically least subset.  Returns
-    None when no face carries a feasible stationary point, which can only
-    happen for programs that are unbounded below.
+    None when no face carries a feasible stationary point: the system is
+    empty, or q is unbounded below on it.
 
     The subsets are walked depth first in lexicographic order, ``()``,
     ``(0,)``, ``(0, 1)``, ..., and a subset whose rows are dependent or
@@ -835,7 +991,7 @@ def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, V
     later subset is lexicographically larger, so the answer is the
     exhaustive walk's.  A nonconvex q walks every subset.
 
-    One work budget bounds the call.  The subsets are charged first, one
+    One work budget bounds the walk.  The subsets are charged first, one
     unit each, so a walk that cannot finish is refused before any face is
     eliminated; then each face charges its two eliminations and the integer
     products that form the reduced system and the value, each face built
@@ -845,14 +1001,11 @@ def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, V
     not charged.
     """
     n = p.dim
-    if q.dim != n:
-        raise DimensionMismatchError("quadratic and polyhedron dimensions differ")
     m = len(p.a)
     top = min(m, n)
     work = Work()
     work.charge(sum(comb(m, rr) for rr in range(top + 1)), _WALK)
-    ab = lcm(*(x.denominator for row in p.a for x in row), *(x.denominator for x in p.b))
-    rows_ab = [[x.numerator * (ab // x.denominator) for x in (*a, b)] for a, b in zip(p.a, p.b)]
+    rows_ab = _int_rows(p)
     face_rows = tuple((row[:n], row[n]) for row in rows_ab)
     qm, qb, qc, scale = q.ints
     convex = int_is_psd([list(row) for row in qm])

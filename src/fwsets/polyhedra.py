@@ -47,8 +47,8 @@ evaluations.  An exact LP charges ``LP_ENTRY_UNITS`` per integer
 tableau entry it builds and per entry of each row a pivot updates (the pivot
 row, the rows it hits and the cost row).  A conversion
 (with the certificate LP of an empty system) is one call, and a projection
-is one call of two conversions.  The face walks of :mod:`fwsets.cone_qp`
-charge the same counter.
+is one call of two conversions.  The face walks and the dual active-set
+method of :mod:`fwsets.cone_qp` charge the same counter.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from fwsets.cone_qp import (
     value_function_eval,
     zero_set_pieces,
 )
-from fwsets.errors import DimensionMismatchError, NotInDomainError, SizeCapError
+from fwsets.errors import DimensionMismatchError, FwsetsError, NotInDomainError, SizeCapError
 from fwsets.linalg import (
     LinearSystem,
     basis_of_span,
@@ -118,6 +118,21 @@ def test_identity_form_gives_full_domain():
     for c in [(5, -7), (-1, -1), (0, 0)]:
         assert dom.contains(vec(c))
         assert is_bounded_below_on_cone(vec(c), g, orthant(2)).bounded
+
+
+def test_empty_cone_domain_reads_no_form(monkeypatch):
+    # D = {0} has no negative ray and no zero-set ray, so dom(f) is the
+    # whole space for any form, an indefinite one included, without testing
+    # the form or listing a face
+    def refused(*args):
+        raise AssertionError("the form was tested or a face listed")
+
+    monkeypatch.setattr(cone_qp, "_face_pairs", refused)
+    monkeypatch.setattr(cone_qp, "int_is_pd", refused)
+    g = ((F(1), F(0), F(0)), (F(0), F(-1), F(0)), (F(0), F(0), F(0)))
+    dom = dom_f(g, PolyCone((), 3))
+    assert dom == cone_qp.DomF((), 3)
+    assert dom.contains(vec((5, -7, 1)))
 
 
 def test_zero_form_domain_is_polar():
@@ -1112,16 +1127,21 @@ def test_hpoly_qp_rejects_a_dimension_mismatch():
 
 def test_face_subset_cap_precedes_enumeration(monkeypatch):
     # 40 rows in R^10 give 1,221,246,132 row subsets of size <= 10, at one
-    # unit each past the work budget: they are counted before any face is
-    # eliminated
+    # unit each past the work budget: the face walk counts them before any
+    # face is eliminated
     def no_elimination(rows):
         raise AssertionError("a face was eliminated before the cap check")
 
-    monkeypatch.setattr(cone_qp, "int_rref", no_elimination)
     rows = [unit(10, i % 10) if i < 20 else vscale(F(-1), unit(10, i % 10)) for i in range(40)]
     h = HPolyhedron(rows, [1] * 40)
-    with pytest.raises(SizeCapError):
-        minimize_over_hpolyhedron(Quadratic.build(identity(10)), h)
+    q = Quadratic.build(identity(10))
+    with monkeypatch.context() as patch:
+        patch.setattr(cone_qp, "int_rref", no_elimination)
+        with pytest.raises(SizeCapError):
+            cone_qp._face_walk(q, h)
+    # the form is positive definite, so the public call takes the dual
+    # method, which lists no subsets and answers at the origin
+    assert minimize_over_hpolyhedron(q, h) == (0, zeros(10))
 
 
 def test_hpoly_qp_stops_past_the_budget(monkeypatch):
@@ -1136,10 +1156,129 @@ def test_hpoly_qp_stops_past_the_budget(monkeypatch):
     h = HPolyhedron([[1], [-1]], [1, 1])
     work = 3 + 12 + 180
     monkeypatch.setattr(polyhedra, "DD_BUDGET", work)
+    assert cone_qp._face_walk(q, h) == (F(-1, 4), (F(1, 2),))
+    monkeypatch.setattr(polyhedra, "DD_BUDGET", work - 1)
+    with pytest.raises(SizeCapError):
+        cone_qp._face_walk(q, h)
+    # the public call takes the dual method: eliminating [2 | 1] costs
+    # 4 n^2 (n + 1) = 8, the scan of the 2 rows at 1/2 finds none violated
+    # at m n = 2, and verifying stationarity with no active row costs
+    # n (n + 0) = 1
+    work = 8 + 2 + 1
+    monkeypatch.setattr(polyhedra, "DD_BUDGET", work)
     assert minimize_over_hpolyhedron(q, h) == (F(-1, 4), (F(1, 2),))
     monkeypatch.setattr(polyhedra, "DD_BUDGET", work - 1)
     with pytest.raises(SizeCapError):
         minimize_over_hpolyhedron(q, h)
+
+
+def _pd_programs(rng, count):
+    """``count`` seeded programs with a positive definite form, n 1-5 and up
+    to 10 rows, as ``(q, h, kinds)``.  Rows pass through a center point or
+    just off it, so several are often tight at one vertex, and the later
+    rows may repeat, rescale or reverse an earlier one, or combine two of
+    them: a combination is dependent on rows that can be active together,
+    and a reversed row with a smaller right-hand side empties the system.
+    ``kinds`` names the kinds of row the program has."""
+    programs = []
+    while len(programs) < count:
+        n = rng.randint(1, 5)
+        raw = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n + rng.randint(0, 2))]
+        form = [[sum(r[i] * r[j] for r in raw) + (i == j) for j in range(n)] for i in range(n)]
+        c = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+        q = Quadratic.build(form, c, rng.randint(-2, 2))
+        center = [rng.randint(-2, 2) for _ in range(n)]
+        rows, rhs, kinds = [], [], set()
+        for _ in range(rng.randint(0, 10)):
+            kind = rng.choice(("new", "new", "new", "repeat", "rescale", "reverse", "combine"))
+            if kind != "new" and len(rows) < 2:
+                kind = "new"
+            i, j = rng.sample(range(len(rows)), 2) if kind != "new" else (0, 0)
+            if kind == "new":
+                row = [rng.randint(-3, 3) for _ in range(n)]
+                bound = dot(vec(row), vec(center)) + rng.choice((0, 0, 1, 2, -1))
+            elif kind in ("repeat", "rescale"):
+                k = 1 if kind == "repeat" else rng.choice((2, 3, F(1, 2)))
+                row, bound = [k * x for x in rows[i]], k * rhs[i] + rng.choice((0, 0, 1))
+            elif kind == "reverse":
+                row, bound = [-x for x in rows[i]], -rhs[i] + rng.choice((0, 1, -1))
+            else:
+                s, t = rng.randint(1, 2), rng.randint(1, 2)
+                row = [s * x + t * y for x, y in zip(rows[i], rows[j])]
+                bound = s * rhs[i] + t * rhs[j] + rng.choice((0, 0, -1))
+            rows.append(row)
+            rhs.append(bound)
+            kinds.add(kind)
+        programs.append((q, HPolyhedron(rows, rhs, n), kinds))
+    return programs
+
+
+def test_dual_method_matches_the_face_walk(monkeypatch):
+    # 2,400 seeded programs with a positive definite form: the dual method
+    # gives the face walk's value and point exactly, or None with it when
+    # the system is empty (a positive definite form is never unbounded
+    # below); the mix reaches every kind of row, empty systems, and a row
+    # dependent on the active ones (z = 0)
+    kkt_solve = cone_qp._kkt_solve
+    zero_steps = []
+
+    def recording(qm, normals, rhs):
+        sols, d = kkt_solve(qm, normals, rhs)
+        if len(rhs) == 2:
+            zero_steps.append(not any(sols[1][: len(qm)]))
+        return sols, d
+
+    monkeypatch.setattr(cone_qp, "_kkt_solve", recording)
+    seen = {"answered": 0, "empty": 0, "repeat": 0, "rescale": 0, "reverse": 0, "combine": 0}
+    for q, h, kinds in _pd_programs(random.Random(20261020), 2400):
+        got = minimize_over_hpolyhedron(q, h)
+        assert got == cone_qp._face_walk(q, h), (q, h)
+        seen["answered" if got is not None else "empty"] += 1
+        for kind in kinds - {"new"}:
+            seen[kind] += 1
+    assert min(seen.values()) >= 300, seen
+    assert sum(zero_steps) >= 100, sum(zero_steps)
+
+
+def test_dual_method_answers_eighteen_rows_in_r10():
+    # |x|^2 plus a linear term on 18 random rows in R^10, which the face
+    # walk refuses after listing its 199,140 subsets: the dual method
+    # answers within 2 s (about 0.01 s on a 2-CPU box), at a point that
+    # satisfies every row
+    rng = random.Random(1)
+    rows = [[rng.randint(-3, 3) for _ in range(10)] for _ in range(18)]
+    h = HPolyhedron(rows, [rng.randint(1, 9) for _ in range(18)])
+    q = Quadratic.build(identity(10), [rng.randint(-5, 5) for _ in range(10)])
+    start = time.perf_counter()
+    value, x = minimize_over_hpolyhedron(q, h)
+    assert time.perf_counter() - start < 2
+    assert value == q.evaluate(x)
+    assert all(dot(a, x) <= b for a, b in zip(h.a, h.b))
+    assert any(dot(a, x) == b for a, b in zip(h.a, h.b))
+
+
+@pytest.mark.parametrize(
+    ("shift", "failed"), [(1, "stationarity"), (-10**6, "multiplier")]
+)
+def test_dual_method_verifies_its_answer(monkeypatch, shift, failed):
+    # (x1 - 2)^2 + (x2 - 2)^2 on [-1, 1]^2: the dual method adds x1 <= 1,
+    # then x2 <= 1 on a solve that also gives the multiplier of x1 <= 1;
+    # shifting that multiplier breaks stationarity, or makes it negative,
+    # and the exact check before the answer refuses it
+    kkt_solve = cone_qp._kkt_solve
+
+    def corrupted(qm, normals, rhs):
+        sols, d = kkt_solve(qm, normals, rhs)
+        for i in range(len(qm), len(sols[0])):
+            sols[0][i] += shift * d
+        return sols, d
+
+    box = HPolyhedron([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
+    q = Quadratic.build([[2, 0], [0, 2]], [-4, -4], 8)
+    assert minimize_over_hpolyhedron(q, box) == (2, (1, 1))
+    monkeypatch.setattr(cone_qp, "_kkt_solve", corrupted)
+    with pytest.raises(FwsetsError, match=f"{failed} verification"):
+        minimize_over_hpolyhedron(q, box)
 
 
 def test_face_walks_past_the_budget_stop_in_bounded_time():

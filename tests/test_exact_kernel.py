@@ -4,7 +4,8 @@
 fraction-free on ints, ``LinearSystem``, ``solve`` and ``kernel_basis`` read
 their results off integer rows, ``polyhedra`` runs double description on
 primitive integer vectors and the simplex on a fraction-free tableau, and
-``cone_qp.minimize_over_hpolyhedron`` solves each face on ints.  Each must
+the face walk of ``cone_qp.minimize_over_hpolyhedron`` solves each face on
+ints.  Each must
 return exactly what the Fraction algorithm returns: the references below are
 those algorithms, written out here in Fractions.
 """
@@ -17,7 +18,6 @@ from math import gcd, lcm
 import pytest
 
 from fwsets import cone_qp, linalg, polyhedra
-from fwsets.cone_qp import minimize_over_hpolyhedron
 from fwsets.errors import DimensionMismatchError
 from fwsets.linalg import (
     LinearSystem,
@@ -941,7 +941,7 @@ def test_face_qp_matches_fraction_face_walk(monkeypatch):
     monkeypatch.setattr(cone_qp, "_least_face", recording)
     found = missing = lines = 0
     for q, p in _qp_cases():
-        got = minimize_over_hpolyhedron(q, p)
+        got = cone_qp._face_walk(q, p)
         ref = sorted(ref_faces(q, p), key=lambda face: face[0])
         assert streams.pop() == [(key, value, *face_parts(*face)) for key, value, *face in ref], (q, p)
         faces = ((key, value, lambda face=face: face_of(*face)) for key, value, *face in ref)
