@@ -871,8 +871,9 @@ def _dual_active_set(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, Vec] | Non
     It runs on the ints of q (Q and c stand for ``q.ints``' A and b, over
     its denominator) and on the rows ``a.x <= b`` scaled by one lcm
     (:func:`_int_rows`).  It starts at the unconstrained minimizer
-    ``x = -Q^-1 c`` with no active rows, and keeps x and the multipliers
-    lam of its active rows J over one common denominator, with
+    ``x = -Q^-1 c`` with no active rows, solved on one elimination of
+    ``[Q | I]`` (a :class:`linalg.LinearSystem`), and keeps x and the
+    multipliers lam of its active rows J over one common denominator, with
     ``Q x + c + A_J^T lam = 0``, ``A_J x = b_J`` and ``lam >= 0``.  Each
     outer step scans the rows; when none is violated, x is the minimum.
     Otherwise it takes the most violated row p (the largest ``a.x - b``,
@@ -880,8 +881,11 @@ def _dual_active_set(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, Vec] | Non
     current J the stationary points are ``x0 + t z`` with multipliers
     ``lam0 + t r``, from one elimination of
     ``[Q A_J^T; A_J 0]`` against ``[-c; b_J]`` and ``[-a_p; 0]``
-    (:func:`_kkt_solve`); ``a_p.z = -z.Q z``, so the violation falls as t
-    grows, and p is tight at ``t2 = (a_p.x0 - b_p) / -a_p.z`` when z != 0.
+    (:func:`_kkt_solve`); with J empty, x0 is the start's point and z
+    solves ``Q z = -a_p`` on the start's elimination, so Q is eliminated
+    once however often J empties.  ``a_p.z = -z.Q z``, so the violation
+    falls as t grows, and p is tight at ``t2 = (a_p.x0 - b_p) / -a_p.z``
+    when z != 0.
     A multiplier with ``r_j < 0`` reaches zero at ``lam0_j / -r_j``; the
     least of these, t1 (the least row index on ties), drops its row j from
     J when ``t1 < t2``, and the step is taken again on the smaller J.
@@ -895,17 +899,19 @@ def _dual_active_set(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, Vec] | Non
     row satisfied, every multiplier is nonnegative, and
     ``Q x + c + A_J^T lam = 0``; a failed check raises FwsetsError.  One
     work budget bounds the call: the start charges its elimination of
-    ``[Q | -c]``, each step its elimination of ``[K | 2 columns]``
-    (:func:`_elimination_units`), each scan m n units, and the
-    verification n (n + |J|) units.
+    ``[Q | I]`` (:func:`_elimination_units`) and n^2 units a solve on it,
+    each step on a nonempty J its elimination of ``[K | 2 columns]``, each
+    scan m n units, and the verification n (n + |J|) units.
     """
     n = p.dim
     rows = _int_rows(p)
     a, b = [row[:n] for row in rows], [row[n] for row in rows]
     qm, qb, qc, scale = q.ints
     work = Work()
-    work.charge(_elimination_units(n, n + 1), _DUAL)
-    (x,), d = _kkt_solve(qm, [], [[-v for v in qb]])
+    work.charge(_elimination_units(n, 2 * n) + n * n, _DUAL)
+    inverse = LinearSystem(qm, n, 1)
+    start, d = inverse.solve_ints([-v for v in qb])
+    x = start
     active: list[int] = []
     lam: list[int] = []  # x and lam are over d
     while True:
@@ -919,13 +925,18 @@ def _dual_active_set(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, Vec] | Non
             break
         a_p, b_p = a[add], b[add]
         while True:
-            k = n + len(active)
-            work.charge(_elimination_units(k, k + 2), _DUAL)
-            (y0, y1), e = _kkt_solve(
-                qm,
-                [a[j] for j in active],
-                [[-v for v in qb] + [b[j] for j in active], [-v for v in a_p] + [0] * len(active)],
-            )
+            if active:
+                k = n + len(active)
+                work.charge(_elimination_units(k, k + 2), _DUAL)
+                (y0, y1), e = _kkt_solve(
+                    qm,
+                    [a[j] for j in active],
+                    [[-v for v in qb] + [b[j] for j in active], [-v for v in a_p] + [0] * len(active)],
+                )
+            else:  # the start's point, and z from its elimination
+                work.charge(n * n, _DUAL)
+                y1, e = inverse.solve_ints([-v for v in a_p])
+                y0 = start
             x0, lam0, z, r = y0[:n], y0[n:], y1[:n], y1[n:]
             # (t1, row, position in J) of the first multiplier to reach zero
             drop = min(

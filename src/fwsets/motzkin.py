@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cone_qp import ConeMinVerdict, ConeProgram, minimize_over_hpolyhedron, scaled_descent_ray
 from .errors import (
@@ -68,6 +69,7 @@ from .polyhedra import (
     PolyCone,
     VPolyhedron,
     dd_convert,
+    h_to_v_with_facets,
 )
 from .numeric import bracket_multiplier, lagrangian_value, one_constraint_bracket
 from .quadratics import Quadratic
@@ -180,7 +182,13 @@ ConeRep = PolyCone | SecondOrderCone
 
 @dataclass(frozen=True)
 class MotzkinSet:
-    """``compact + cone``; the cone is exactly the recession cone of the sum."""
+    """``compact + cone``; the cone is exactly the recession cone of the sum.
+
+    A set compares and hashes by its two parts.  Its H-form ``hform``, the
+    inequality system of ``conv(compact) + cone`` for polyhedral data, is
+    derived: it is converted from the V-form on first read, and
+    :func:`decompose` keeps the input rows that describe the set.
+    """
 
     compact: CompactPart
     cone: ConeRep
@@ -194,6 +202,10 @@ class MotzkinSet:
     @property
     def dim(self) -> int:
         return self.cone.dim
+
+    @cached_property
+    def hform(self) -> HPolyhedron:
+        return dd_convert(motzkin_to_vpoly(self))
 
     @property
     def is_polyhedral_cone(self) -> bool:
@@ -301,15 +313,16 @@ def polyhedral_forms(s) -> tuple[HPolyhedron, ...] | None:
     for any other set.
 
     An inequality system is its own form, and a polytope plus a polyhedral
-    cone has one, converted from its V-form.  A finite point set plus a cone
-    has one form per point: the cone's halfspaces shifted to that point.
+    cone has one, its ``hform`` (the rows :func:`decompose` kept, or else
+    converted from its V-form).  A finite point set plus a cone has one
+    form per point: the cone's halfspaces shifted to that point.
     """
     if isinstance(s, HPolyhedron):
         return (s,)
     if not isinstance(s, MotzkinSet) or not s.is_polyhedral_cone or isinstance(s.compact, Ball):
         return None
     if isinstance(s.compact, PolytopeK):
-        return (dd_convert(motzkin_to_vpoly(s)),)
+        return (s.hform,)
     rows = s.cone.halfspaces
     return tuple(HPolyhedron(rows, tuple(dot(h, y) for h in rows), s.dim) for y in s.compact.points)
 
@@ -323,20 +336,37 @@ def vpoly_to_motzkin(v: VPolyhedron, empty_message: str) -> MotzkinSet:
     """
     if v.is_empty:
         raise EmptySetError(empty_message, certificate=v.empty_certificate)
+    cone = PolyCone.from_generators(_cone_generators(v), v.dim)
+    return MotzkinSet(PolytopeK(v.vertices, v.dim), cone)
+
+
+def _cone_generators(v: VPolyhedron) -> tuple[Vec, ...]:
+    """The rays of a V-form, then each line followed by its negative."""
     gens = list(v.rays)
     for line in v.lineality:
         gens += [line, vscale(-ONE, line)]
-    return MotzkinSet(PolytopeK(v.vertices, v.dim), PolyCone.from_generators(gens, v.dim))
+    return tuple(gens)
 
 
 def decompose(h: HPolyhedron) -> MotzkinSet:
     """Split a nonempty inequality system into a polytope plus a cone.
 
     This is the classical compact-plus-recession-cone decomposition of a
-    polyhedron, computed by double description; lines of the recession cone
-    appear as opposite generator pairs.
+    polyhedron, computed by one double description
+    (:func:`polyhedra.h_to_v_with_facets`); lines of the recession cone
+    appear as opposite generator pairs.  The value is
+    ``vpoly_to_motzkin(dd_convert(h), ...)``, built straight from the
+    conversion's primitive, distinct rays.  Its ``hform`` is h's own rows
+    less the redundant ones, so the polytope's quadratic program is solved
+    without converting back to an H-form.  An empty h raises EmptySetError
+    with its Farkas certificate.
     """
-    return vpoly_to_motzkin(dd_convert(h), "the polyhedron is empty")
+    v, kept = h_to_v_with_facets(h)
+    if v.is_empty:
+        raise EmptySetError("the polyhedron is empty", certificate=v.empty_certificate)
+    f = MotzkinSet(PolytopeK(v.vertices, v.dim), PolyCone(_cone_generators(v), v.dim))
+    f.__dict__["hform"] = kept
+    return f
 
 
 # ---------------------------------------------------------------------------

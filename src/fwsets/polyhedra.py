@@ -21,8 +21,10 @@ conversion runs on primitive integer vectors from its input rows to its
 output: rows and rays are coprime ints, a new ray is an integer combination
 divided by its gcd, and when lines are left the lineality basis is read off
 the fraction-free elimination of the rows.  :func:`int_cone_h_to_v` is that
-core on integer rows.  The public conversions merge repeats on int tuples
-and build each Fraction once, on the way out: a vertex ``(x, t)`` as
+core on integer rows.  The core keeps the zero set of each ray, and
+:func:`h_to_v_with_facets` reads them to name the input rows that are
+facets or implicit equalities.  The public conversions merge repeats on int
+tuples and build each Fraction once, on the way out: a vertex ``(x, t)`` as
 ``x / t``, and each entry of a row or ray as an integer, one shared
 Fraction for each small integer.  A row, generator or point of another
 width is refused at entry.  Projection onto a subset of
@@ -245,7 +247,18 @@ def int_cone_h_to_v(
     rows, d: int, work: Work | None = None
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Generators of ``{x : r . x <= 0}`` for integer rows r of width d:
-    (extreme rays, lineality basis), both as primitive integer vectors.
+    (extreme rays, lineality basis), both as primitive integer vectors, by
+    :func:`_double_description`."""
+    rays, lin, _ = _double_description(rows, d, work)
+    return rays, lin
+
+
+def _double_description(
+    rows, d: int, work: Work | None
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
+    """:func:`int_cone_h_to_v`'s rays and lineality basis, and the zero set
+    of each ray: a bitmask over the indices of ``rows``, bit i set iff
+    ray . rows[i] = 0.  A zero row is skipped and in no zero set.
 
     Double description after Fukuda & Prodon: the cone starts as the whole
     space, the d unit vectors as lines, and one pass over the primitive
@@ -267,13 +280,18 @@ def int_cone_h_to_v(
     has fewer than rank - 2 rows are not adjacent, which is tested before
     the combinatorial adjacency test.  Each new ray ``v_p r_q - v_q r_p``
     is divided by its gcd, and zero sets are bitmasks over the row indices.
-    The work (see the module docstring) is charged to ``work``, the counter
-    of a calling public call, a new one if None.  A row of another width
-    raises DimensionMismatchError.
+    They are exact at every step: a seed ray is zero on exactly the other
+    seed rows, moving a ray along the lineality changes no row value, a kept
+    ray gains the new row's bit iff it is zero there, and a new ray is zero
+    on exactly ``common | bit``, since an earlier row negative on rp or rq
+    is negative on their positive combination.  The work (see the module
+    docstring) is charged to ``work``, the counter of a calling public
+    call, a new one if None.  A row of another width raises
+    DimensionMismatchError.
     """
     if any(len(r) != d for r in rows):
         raise DimensionMismatchError("row width differs from the cone's dimension")
-    rows = [int_primitive(r) for r in rows if any(r)]
+    rows = [int_primitive(r) for r in rows]
     lines = [tuple(int(j == i) for j in range(d)) for i in range(d)]
     rays: list[tuple[int, ...]] = []
     seed: list[int] = []
@@ -292,7 +310,7 @@ def int_cone_h_to_v(
             break
     lin: list[tuple[int, ...]] = []
     if lines:
-        ech = [list(r) for r in rows]
+        ech = [list(r) for r in rows if any(r)]
         lin = int_kernel_basis(ech, int_rref(ech), d)
         basis = [list(v) for v in lin]
         for p, b in zip(int_rref(basis), basis):
@@ -307,7 +325,7 @@ def int_cone_h_to_v(
         work = Work()
     for t, row in enumerate(rows):
         bit = 1 << t
-        if all_seed & bit:
+        if all_seed & bit or not any(row):
             continue
         vals = [sum(map(mul, row, r)) for r in rays]
         pos_idx = [i for i, v in enumerate(vals) if v > 0]
@@ -344,7 +362,7 @@ def int_cone_h_to_v(
         # adjacent pair spans, so it is neither a kept ray nor another
         # pair's ray
         rays, zero_sets = new_rays, new_zsets
-    return rays, lin
+    return rays, lin, zero_sets
 
 
 def _along(x: tuple[int, ...], f: int, l: tuple[int, ...], c: int) -> tuple[int, ...]:
@@ -410,13 +428,75 @@ def dd_convert(p, work: Work | None = None):
     system charges the same counter."""
     if work is None:
         work = Work()
-    if isinstance(p, (HPolyhedron, VPolyhedron)) and p.dim > MAX_INPUT_DIM:
-        raise SizeCapError(f"ambient dimension {p.dim} exceeds cap {MAX_INPUT_DIM}")
+    if isinstance(p, (HPolyhedron, VPolyhedron)):
+        _refuse_dim(p.dim)
     if isinstance(p, HPolyhedron):
-        return _h_to_v(p, work)
+        return _v_form(p, *_homogenized_v(p, work), work)
     if isinstance(p, VPolyhedron):
         return _v_to_h(p, work)
     raise TypeError("dd_convert expects HPolyhedron or VPolyhedron")
+
+
+def _refuse_dim(dim: int) -> None:
+    if dim > MAX_INPUT_DIM:
+        raise SizeCapError(f"ambient dimension {dim} exceeds cap {MAX_INPUT_DIM}")
+
+
+def h_to_v_with_facets(p: HPolyhedron) -> tuple[VPolyhedron, HPolyhedron]:
+    """``dd_convert(p)``, and the rows of p that describe the same set when
+    p is nonempty (p itself when it is empty), from the one conversion.
+
+    The zero sets of double description (:func:`_double_description`) give
+    each row r of the homogenized cone C its tight rays T(r).  Kept, in
+    input order:
+
+    * each implicit equality, a row with T(r) all of the rays, once (rows
+      equal up to a positive scale are one);
+    * of the other rows, the first of each maximal T(r): a row goes when
+      its T(r) lies strictly inside another such row's, or inside the T of
+      the homogenizing row ``t >= 0``.
+
+    A row with a = 0 goes.  This is exact: every facet of C is the face of
+    one of its rows, a face that is no facet has rays strictly inside some
+    facet's, and C is cut out by its facets within the linear hull that
+    its implicit equalities span (they have a positive combination 0 = 0,
+    so as inequalities they force equality).  ``t >= 0`` holds on p, so a
+    facet only it names needs no row.  The dimension cap, the work and the
+    empty V-form's certificate are :func:`dd_convert`'s.
+    """
+    _refuse_dim(p.dim)
+    n, m = p.dim, len(p.a)
+    rows = _homogenized_rows(p)
+    work = Work()
+    rays, lin, zero_sets = _double_description(rows, n + 1, work)
+    v = _v_form(p, rays, lin, work)
+    if v.is_empty:
+        return v, p
+    tight = [0] * (m + 1)
+    for j, z in enumerate(zero_sets):
+        bit = 1 << j
+        while z:
+            low = z & -z
+            tight[low.bit_length() - 1] |= bit
+            z ^= low
+    every, t_set = (1 << len(rays)) - 1, tight[m]
+    others = [t for t in tight[:m] if t != every]
+    kept, seen = [], set()
+    for i, t in enumerate(tight[:m]):
+        if not any(rows[i][:n]):
+            continue
+        if t == every:
+            key = tuple(rows[i])  # primitive, so one key for every scale
+        elif t | t_set == t_set or any(t | u == u != t for u in others):
+            continue
+        else:
+            key = t
+        if key not in seen:
+            seen.add(key)
+            kept.append(i)
+    if len(kept) == m:
+        return v, p
+    return v, HPolyhedron(tuple(p.a[i] for i in kept), tuple(p.b[i] for i in kept), n)
 
 
 def _homogenized_v(
@@ -425,15 +505,22 @@ def _homogenized_v(
     """The integer rays and lineality basis of ``{(x, t) : A x <= b t,
     t >= 0}``: a ray ``(x, t)`` with t > 0 is the vertex ``x / t`` of p, one
     with t = 0 is a ray, and every line has t = 0."""
+    return int_cone_h_to_v(_homogenized_rows(p), p.dim + 1, work)
+
+
+def _homogenized_rows(p: HPolyhedron) -> list[list[int]]:
+    """The primitive integer rows ``(a, -b)`` of p, then ``(0, -1)`` for
+    ``t >= 0``."""
     n = p.dim
     rows = [primitive_ints(row + (-rhs,)) for row, rhs in zip(p.a, p.b)]
     rows.append([0] * n + [-1])
-    return int_cone_h_to_v(rows, n + 1, work)
+    return rows
 
 
-def _h_to_v(p: HPolyhedron, work: Work) -> VPolyhedron:
+def _v_form(p: HPolyhedron, rays, lin, work: Work) -> VPolyhedron:
+    """The V-form of p from the rays and lines of its homogenized cone; an
+    empty p carries the Farkas certificate of its certificate LP."""
     n = p.dim
-    rays, lin = _homogenized_v(p, work)
     vertices = tuple(
         tuple(map(int_fraction, r[:n]))
         if r[n] == 1
@@ -493,8 +580,7 @@ def project_fm(p: HPolyhedron, coords) -> HPolyhedron:
     coords = sorted(set(coords))
     if not coords or coords[0] < 1 or coords[-1] > p.dim:
         raise DimensionMismatchError("coords must be a nonempty subset of {1..n}")
-    if p.dim > MAX_INPUT_DIM:
-        raise SizeCapError(f"ambient dimension {p.dim} exceeds cap {MAX_INPUT_DIM}")
+    _refuse_dim(p.dim)
     n, k = p.dim, len(coords)
     work = Work()
     rays, lin = _homogenized_v(p, work)

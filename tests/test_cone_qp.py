@@ -1160,11 +1160,11 @@ def test_hpoly_qp_stops_past_the_budget(monkeypatch):
     monkeypatch.setattr(polyhedra, "DD_BUDGET", work - 1)
     with pytest.raises(SizeCapError):
         cone_qp._face_walk(q, h)
-    # the public call takes the dual method: eliminating [2 | 1] costs
-    # 4 n^2 (n + 1) = 8, the scan of the 2 rows at 1/2 finds none violated
-    # at m n = 2, and verifying stationarity with no active row costs
-    # n (n + 0) = 1
-    work = 8 + 2 + 1
+    # the public call takes the dual method: eliminating [Q | I] = [2 | 1]
+    # costs 4 n^2 (2 n) = 8 and solving it for -c costs n^2 = 1, the scan
+    # of the 2 rows at 1/2 finds none violated at m n = 2, and verifying
+    # stationarity with no active row costs n (n + 0) = 1
+    work = 8 + 1 + 2 + 1
     monkeypatch.setattr(polyhedra, "DD_BUDGET", work)
     assert minimize_over_hpolyhedron(q, h) == (F(-1, 4), (F(1, 2),))
     monkeypatch.setattr(polyhedra, "DD_BUDGET", work - 1)

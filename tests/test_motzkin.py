@@ -1,15 +1,18 @@
 """Tests for Motzkin sets: classification, recession cones, minimization."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from fwsets import gallery, motzkin
+from fwsets import gallery, motzkin, polyhedra
+from fwsets.cli import main
+from fwsets.documents import serialize
 from fwsets.asymptotes import QuadSublevel
 from fwsets.cone_qp import ConeProgram, value_function_eval
 from fwsets.errors import InvalidParameterError, UnsupportedKindError
-from fwsets.linalg import dot, matvec, solve, vadd, vec
+from fwsets.linalg import dot, matvec, primitive_ints, rank, solve, vadd, vec
 from fwsets.motzkin import (
     FEASIBILITY_TOL,
     Attained,
@@ -21,10 +24,13 @@ from fwsets.motzkin import (
     Unknown,
     UnboundedBelow,
     classify_fw,
+    decompose,
     inner_linear_term,
     minimize_on_motzkin,
     motzkin_to_vpoly,
+    polyhedral_forms,
     recession_cone_of,
+    vpoly_to_motzkin,
 )
 from fwsets.polyhedra import HPolyhedron, PolyCone, dd_convert, recession_cone, same_cone
 from fwsets.quadratics import Quadratic
@@ -541,3 +547,148 @@ def test_a_ball_escapes_dom_f_along_a_descent_ray(a, gens, base):
     d = verdict.direction
     slope, curvature = dot(q.gradient(verdict.base), d), dot(d, matvec(q.a, d))
     assert curvature <= 0 and slope <= 0 and (slope < 0 or curvature < 0)
+
+
+# ---------------------------------------------------------------------------
+# decompose keeps the input rows that describe the set
+# ---------------------------------------------------------------------------
+
+
+def _kept_row_cases(rng, count):
+    """``count`` seeded nonempty inequality systems, n 1-4 and up to 8 rows,
+    as ``(h, kinds)``.  Every row holds at a center point, tight or off by a
+    little; the later rows may be an equality pair, a zero row, a rescaled
+    repeat, a looser parallel copy or a positive combination of two earlier
+    rows.  Few rows in R^4 leave lines and unbounded sets."""
+    cases = []
+    while len(cases) < count:
+        n = rng.randint(1, 4)
+        center = [rng.randint(-2, 2) for _ in range(n)]
+        rows, rhs, kinds = [], [], set()
+
+        def add(row, bound):
+            rows.append(tuple(F(x) for x in row))
+            rhs.append(F(bound))
+
+        for _ in range(rng.randint(0, 6)):
+            kind = rng.choice(("new", "new", "new", "equality", "zero", "rescale", "looser", "combine"))
+            if kind in ("rescale", "looser", "combine") and len(rows) < 2:
+                kind = "new"
+            i, j = rng.sample(range(len(rows)), 2) if len(rows) >= 2 else (0, 0)
+            if kind in ("new", "equality"):
+                row = [rng.randint(-3, 3) for _ in range(n)]
+                bound = sum(map(lambda x, y: x * y, row, center))
+                if kind == "equality":
+                    add([-x for x in row], -bound)
+                else:
+                    bound += rng.choice((0, 0, 1, 2))
+            elif kind == "zero":
+                row, bound = [0] * n, rng.choice((0, 1))
+            elif kind == "rescale":
+                k = rng.choice((2, 3, F(1, 2)))
+                row, bound = [k * x for x in rows[i]], k * rhs[i]
+            elif kind == "looser":
+                row, bound = rows[i], rhs[i] + rng.choice((1, F(1, 2)))
+            else:
+                s, t = rng.randint(1, 2), rng.randint(1, 2)
+                row = [s * x + t * y for x, y in zip(rows[i], rows[j])]
+                bound = s * rhs[i] + t * rhs[j] + rng.choice((0, 1))
+            add(row, bound)
+            kinds.add(kind)
+        cases.append((HPolyhedron(tuple(rows), tuple(rhs), n), kinds))
+    return cases
+
+
+def _full_dimensional(v):
+    vs = v.vertices
+    spread = [tuple(x - y for x, y in zip(w, vs[0])) for w in vs[1:]]
+    return rank(spread + list(v.rays) + list(v.lineality)) == v.dim
+
+
+def _generator_sets(v):
+    return set(v.vertices), set(v.rays), set(v.lineality)
+
+
+def _is_equality(a, b, v):
+    """Whether ``a.x <= b`` holds with equality on the whole V-form v."""
+    return all(dot(a, x) == b for x in v.vertices) and not any(dot(a, d) for d in v.rays + v.lineality)
+
+
+def _primitive_rows(h):
+    return {tuple(primitive_ints(a + (b,))) for a, b in zip(h.a, h.b)}
+
+
+def test_decompose_keeps_input_rows_that_describe_the_set():
+    # 1,500 seeded systems with equality pairs, zero rows, rescaled repeats,
+    # looser copies, combinations, lines and unbounded sets: the rows that
+    # decompose keeps are input rows, convert to the input's V-form, and on
+    # a full-dimensional set are its facets, the rows converted back from
+    # the V-form; no kept inequality can go without changing the set; the
+    # set itself is the one decompose built before it kept rows, and hashes
+    # as it
+    seen = {"equality": 0, "zero": 0, "rescale": 0, "looser": 0, "combine": 0,
+            "lines": 0, "rays": 0, "full": 0, "dropped": 0}
+    for h, kinds in _kept_row_cases(random.Random(20261020), 1500):
+        f = decompose(h)
+        kept = f.hform
+        assert polyhedral_forms(f) == (kept,)
+        assert set(zip(kept.a, kept.b)) <= set(zip(h.a, h.b)), h
+        v = dd_convert(h)
+        assert _generator_sets(dd_convert(kept)) == _generator_sets(v), h
+        for i, (a, b) in enumerate(zip(kept.a, kept.b)):
+            if not _is_equality(a, b, v):
+                rest = HPolyhedron(kept.a[:i] + kept.a[i + 1 :], kept.b[:i] + kept.b[i + 1 :], h.dim)
+                assert _generator_sets(dd_convert(rest)) != _generator_sets(v), (h, i)
+        if _full_dimensional(v):
+            assert _primitive_rows(kept) == _primitive_rows(dd_convert(v)), h
+            seen["full"] += 1
+        g = vpoly_to_motzkin(v, "empty")
+        assert f == g and hash(f) == hash(g), h
+        assert (f.compact, f.cone) == (g.compact, g.cone)
+        seen["lines"] += bool(v.lineality)
+        seen["rays"] += bool(v.rays)
+        seen["dropped"] += len(kept.a) < len(h.a)
+        for kind in kinds - {"new"}:
+            seen[kind] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_a_built_set_converts_its_h_form_on_first_read():
+    # a Motzkin set built by hand has no rows to keep: its H-form is the
+    # conversion of its V-form, kept once read and outside == and the hash
+    f = MotzkinSet(unit_square(), orthant(2))
+    g = MotzkinSet(unit_square(), orthant(2))
+    assert f.hform == dd_convert(motzkin_to_vpoly(f))
+    assert f.hform is f.hform and f == g and hash(f) == hash(g)
+    # decompose keeps h's own rows, less the rescaled repeat
+    h = HPolyhedron([[-1, 0], [0, -1], [-2, 0]], [0, 0, 0])
+    assert decompose(h).hform == HPolyhedron([[-1, 0], [0, -1]], [0, 0])
+    assert decompose(h) == MotzkinSet(PolytopeK([(0, 0)]), orthant(2))
+
+
+def test_polyhedra_are_solved_on_their_own_rows(monkeypatch, tmp_path, capsys):
+    # a polyhedron's quadratic program, through decompose, the descriptor
+    # and the CLI, converts no V-form back to an H-form: x3 = 1 as an
+    # equality pair, x1 <= 1 twice in two scales, -1 <= x1, -1 <= x2 and
+    # the redundant x1 + x2 >= -5; (x1 - 2)^2 + (x2 + 3)^2 + x3^2 is least
+    # at 6 at (1, -1, 1), and the nonconvex x2^2 + x3^2 - x1^2 - x1 (the
+    # face walk) at -1 at (1, 0, 1)
+    def refused(p, work):
+        raise AssertionError("a V-form was converted to an H-form")
+
+    monkeypatch.setattr(polyhedra, "_v_to_h", refused)
+    rows = [[0, 0, 1], [0, 0, -1], [1, 0, 0], [2, 0, 0], [-1, 0, 0], [0, -1, 0], [-1, -1, 0]]
+    rhs = [1, -1, 1, 2, 1, 1, 5]
+    h = HPolyhedron(rows, rhs)
+    convex = Quadratic.build([[2, 0, 0], [0, 2, 0], [0, 0, 2]], [-4, 6, 0], 13)
+    saddle = Quadratic.build([[-2, 0, 0], [0, 2, 0], [0, 0, 2]], [-1, 0, 0])
+    for q, value, point in ((convex, 6, (1, -1, 1)), (saddle, -1, (1, 0, 1))):
+        for verdict in (minimize_on_motzkin(q, decompose(h)), minimize_on_descriptor(q, h)):
+            assert (verdict.kind, verdict.value, verdict.point) == ("attained", value, point)
+    set_path = tmp_path / "h.json"
+    set_path.write_text(serialize("hpolyhedron", h))
+    q_path = tmp_path / "q.json"
+    q_path.write_text(serialize("quadratic", convex))
+    assert main(["--format", "json", "solve", str(set_path), str(q_path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["verdict"], out["value"], out["point"]) == ("attained", "6", ["1", "-1", "1"])
