@@ -101,7 +101,8 @@ the walk stops at the first incumbent that passes, with the answer of the
 whole walk.  A nonconvex objective walks every face.  The lexicographic
 order matters: it reaches both the empty active set and, along
 ``(0,)``, ``(0, 1)``, ..., the apex u = 0 (every generator active) within
-p + 1 faces, where the listing order, by size, meets the apex last.
+p + 1 faces, where an order by size meets the apex last.  Only the
+zero-set walk sorts the faces by size, and reports its pieces so.
 
 One work budget, ``polyhedra.DD_BUDGET``, bounds each public call here: a
 ``dom_f``, a sign test, a zero-set walk, one ``ConeProgram.minimize``
@@ -153,6 +154,7 @@ from .polyhedra import (
     HPolyhedron,
     PolyCone,
     Work,
+    double_description,
     int_cone_h_to_v,
     lp_solve,
 )
@@ -375,15 +377,16 @@ def _face_pairs(
     """The faces of ``Q = conv(z_1, ..., z_p)`` as splits ``(active, free)``.
 
     ``free`` holds the generators on the face and ``active`` the others; the
-    empty face and Q itself are included, active sets by size and then
-    lexicographically.  When the lifted vectors ``(z_j, 1)`` are independent,
-    Q is a simplex and every subset is a face (taken as given for p <= 2).
-    Otherwise one conversion gives the facets of the cone they span, and the
-    faces are the facet incidence sets closed under intersection.  A set of
-    generators is a bitmask.  The listing is charged to ``work`` before it
-    is made, p units a face, and so is each facet's pass over the masks
-    found so far, one unit a mask, and the conversion; so a large hull is
-    refused after bounded work, a simplex on its count alone.
+    empty face and Q itself are included, active sets in lexicographic
+    order.  When the lifted vectors ``(z_j, 1)`` are independent, Q is a
+    simplex and every subset is a face (taken as given for p <= 2).
+    Otherwise the facets are the zero sets that the conversion of the polar
+    ``{c : v . c <= 0}`` returns for its rays (a line is zero on every v),
+    closed under intersection; a set of generators is a bitmask.  The
+    listing is charged to ``work`` before it is made, p units a face, and so
+    is each facet's pass over the masks found so far, one unit a mask, and
+    the conversion; so a large hull is refused after bounded work, a
+    simplex on its count alone.
     """
     p = len(zi)
     lifted = [z + [1] for z in zi]
@@ -392,17 +395,11 @@ def _face_pairs(
         masks = range(1 << p)
     else:
         masks = {(1 << p) - 1}
-        # the facet normals are the rays of {c : v . c <= 0} and both signs
-        # of each of its lines; a line is zero on every generator
-        rays, lines = int_cone_h_to_v(lifted, len(lifted[0]), work)
-        for h in rays + lines + lines:
-            facet = sum(1 << j for j, v in enumerate(lifted) if idot(h, v) == 0)
+        for facet in double_description(lifted, len(lifted[0]), work)[2]:
             work.charge(len(masks), _WALK)
             masks |= {m & facet for m in masks}
         work.charge(p * len(masks), _WALK)
-    actives = sorted(
-        (tuple(j for j in range(p) if not m >> j & 1) for m in masks), key=lambda a: (len(a), a)
-    )
+    actives = sorted(tuple(j for j in range(p) if not m >> j & 1) for m in masks)
     return tuple((active, tuple(j for j in range(p) if j not in active)) for active in actives)
 
 
@@ -424,18 +421,15 @@ class ConeProgram:
     ``hi_FF x = lam b``.  ``h`` (H in Fractions) and ``z`` (the generators
     as columns) are built on first read.  :meth:`faces` lists, on first
     use, the faces of ``conv(dz Z)`` as splits ``(active, free)`` (see
-    :func:`_face_pairs`), active sets by size and then lexicographically,
-    and keeps them in ``pairs``.  Every walk reads them before it
-    eliminates a block, so the listing is charged first, and an answer read
-    off the diagonal of H, or from a positive definite G, needs no faces.
-    The sign test and the zero-set walk read ``pairs`` in that order; the
-    minimizer reads :meth:`lex_faces`, the same faces in lexicographic
-    order of the active set, kept in ``lex_pairs`` (see the module
-    docstring for why).  :meth:`is_psd` tests H once.  What a
-    program builds lives as long as it does, but each query has its own
-    work budget, which pays for what that query is the first to build.  The
-    shape of G is checked before anything is built: integer dot products of
-    unequal lengths would truncate silently.
+    :func:`_face_pairs`), in lexicographic order of the active set, and
+    keeps them in ``pairs``.  Every walk reads them before it eliminates a
+    block, so the listing is charged first, and an answer read off the
+    diagonal of H, or from a positive definite G, needs no faces.
+    :meth:`is_psd` tests H once.  What a program builds lives as long as it
+    does, but each query has its own work budget, which pays for what that
+    query is the first to build.  The shape of G is checked before anything
+    is built: integer dot products of unequal lengths would truncate
+    silently.
     """
 
     def __init__(self, g: Mat, d: PolyCone):
@@ -452,7 +446,6 @@ class ConeProgram:
         self.lam = dz * dz * scale
         self._systems: dict[tuple[int, ...], LinearSystem] = {}
         self.pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None = None
-        self.lex_pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None = None
         self.psd: bool | None = None
         self._dom: DomF | None = None
 
@@ -469,11 +462,6 @@ class ConeProgram:
         if self.pairs is None:
             self.pairs = _face_pairs(self._zi, work)
         return self.pairs
-
-    def lex_faces(self, work: Work) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-        if self.lex_pairs is None:
-            self.lex_pairs = tuple(sorted(self.faces(work)))
-        return self.lex_pairs
 
     @cached_property
     def pd(self) -> bool:
@@ -551,10 +539,10 @@ class ConeProgram:
         return primitive(matvec(self.z, _scatter(free, u_f, self.p)))
 
     def _zero_set_pieces(self, work: Work) -> list[ZeroSetPiece]:
-        """:func:`zero_set_pieces`, charged to ``work``."""
+        """:func:`zero_set_pieces`, charged to ``work``, over the faces by size."""
         pieces: list[ZeroSetPiece] = []
         seen: set[frozenset] = set()
-        for active, free in self.faces(work):
+        for active, free in sorted(self.faces(work), key=lambda pair: len(pair[0])):
             piece = self._piece(active, free, work)
             if piece is None:
                 continue
@@ -651,7 +639,7 @@ class ConeProgram:
 
     def _stationary_sets(self, rr: list[int], rho: int, constant: Fraction, work: Work):
         """Stationary sets ``H_FF u_F = -r_F`` keyed by active set, in the
-        order of :meth:`lex_faces`, for ``r = rr / rho``.  Each is solved on
+        order of :meth:`faces`, for ``r = rr / rho``.  Each is solved on
         ints as ``hi_FF x = -den rr_F``, so ``u_F = lam x / (rho den)`` is its
         point with zero free coordinates, and on it the objective is
         ``r_F.u_F / 2 + constant = lam rr_F.x / (2 rho^2 den) + constant``.
@@ -659,7 +647,7 @@ class ConeProgram:
         PSD each face carries the KKT check of :meth:`_is_kkt`."""
         lam = self.lam
         convex = self.is_psd(work)
-        for active, free in self.lex_faces(work):
+        for active, free in self.faces(work):
             k = len(free)
             system = self.system(free, work)
             work.charge(k * (k + 1), _WALK)

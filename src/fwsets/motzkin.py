@@ -86,7 +86,7 @@ FEASIBILITY_TOL = Fraction(1, 10**9)
 
 @dataclass(frozen=True)
 class PolytopeK:
-    """Convex hull of finitely many points; ``dim`` defaults to their width."""
+    """Convex hull of one or more points; ``dim`` defaults to their width."""
 
     vertices: tuple[Vec, ...]
     dim: int | None = None
@@ -94,7 +94,9 @@ class PolytopeK:
     def __post_init__(self):
         vertices = mat(self.vertices)
         set_fields(self, vertices=vertices, dim=dim_of(self.dim, vertices))
-        if vertices and len(vertices[0]) != self.dim:
+        if not vertices:
+            raise EmptySetError("a polytope needs at least one vertex")
+        if len(vertices[0]) != self.dim:
             raise DimensionMismatchError("vertex dimension mismatch")
 
 
@@ -126,7 +128,7 @@ def vsub_sq(x: Vec, y: Vec) -> Fraction:
 
 @dataclass(frozen=True)
 class FinitePointSet:
-    """Finitely many points; ``dim`` defaults to their width."""
+    """One or more points; ``dim`` defaults to their width."""
 
     points: tuple[Vec, ...]
     dim: int | None = None
@@ -134,7 +136,9 @@ class FinitePointSet:
     def __post_init__(self):
         points = mat(self.points)
         set_fields(self, points=points, dim=dim_of(self.dim, points))
-        if points and len(points[0]) != self.dim:
+        if not points:
+            raise EmptySetError("a point set needs at least one point")
+        if len(points[0]) != self.dim:
             raise DimensionMismatchError("point dimension mismatch")
 
 

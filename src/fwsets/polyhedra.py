@@ -20,21 +20,22 @@ adjacency test applies to the rows inserted after the seed.  Every
 conversion runs on primitive integer vectors from its input rows to its
 output: rows and rays are coprime ints, a new ray is an integer combination
 divided by its gcd, and when lines are left the lineality basis is read off
-the fraction-free elimination of the rows.  :func:`int_cone_h_to_v` is that
-core on integer rows.  The core keeps the zero set of each ray, and
-:func:`h_to_v_with_facets` reads them to name the input rows that are
-facets or implicit equalities.  The public conversions merge repeats on int
-tuples and build each Fraction once, on the way out: a vertex ``(x, t)`` as
-``x / t``, and each entry of a row or ray as an integer, one shared
-Fraction for each small integer.  A row, generator or point of another
-width is refused at entry.  Projection onto a subset of
-coordinates is one conversion each way: the image is generated by the kept
-coordinates of the homogenized integer generators.  The exact simplex (two
-phases, Bland's rule) pivots on a fraction-free tableau: each row is a list
-of ints over one positive row denominator, divided by its gcd after every
-update, and its ratio tests compare by cross-multiplication.  Its pivots
-are those of the Fraction tableau, and its results are the same Fractions,
-built once at the end.
+the fraction-free elimination of the rows.  :func:`double_description` is
+that core on integer rows, and it returns the zero set of each ray too;
+:func:`int_cone_h_to_v` wraps it without them.  :func:`h_to_v_with_facets`
+reads the zero sets to name the input rows that are facets or implicit
+equalities, and the cone layer reads them as the facets of a hull.  The
+public conversions merge repeats on int tuples and build each Fraction
+once, on the way out: a vertex ``(x, t)`` as ``x / t``, and each entry of
+a row or ray as an integer, one shared Fraction for each small integer.
+A row, generator or point of another width is refused at entry.
+Projection onto a subset of coordinates is one conversion each way: the
+image is generated by the kept coordinates of the homogenized integer
+generators.  The exact simplex (two phases, Bland's rule) pivots on a
+fraction-free tableau: each row is a list of ints over one positive row
+denominator, divided by its gcd after every update, and its ratio tests
+compare by cross-multiplication.  Its pivots are those of the Fraction
+tableau, and its results are the same Fractions, built once at the end.
 
 Input polyhedra live in dimension at most ``MAX_INPUT_DIM``, and one
 public call does at most ``DD_BUDGET`` units of work: the call makes one
@@ -248,12 +249,11 @@ def int_cone_h_to_v(
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Generators of ``{x : r . x <= 0}`` for integer rows r of width d:
     (extreme rays, lineality basis), both as primitive integer vectors, by
-    :func:`_double_description`."""
-    rays, lin, _ = _double_description(rows, d, work)
-    return rays, lin
+    :func:`double_description`."""
+    return double_description(rows, d, work)[:2]
 
 
-def _double_description(
+def double_description(
     rows, d: int, work: Work | None
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
     """:func:`int_cone_h_to_v`'s rays and lineality basis, and the zero set
@@ -446,7 +446,7 @@ def h_to_v_with_facets(p: HPolyhedron) -> tuple[VPolyhedron, HPolyhedron]:
     """``dd_convert(p)``, and the rows of p that describe the same set when
     p is nonempty (p itself when it is empty), from the one conversion.
 
-    The zero sets of double description (:func:`_double_description`) give
+    The zero sets of double description (:func:`double_description`) give
     each row r of the homogenized cone C its tight rays T(r).  Kept, in
     input order:
 
@@ -468,7 +468,7 @@ def h_to_v_with_facets(p: HPolyhedron) -> tuple[VPolyhedron, HPolyhedron]:
     n, m = p.dim, len(p.a)
     rows = _homogenized_rows(p)
     work = Work()
-    rays, lin, zero_sets = _double_description(rows, n + 1, work)
+    rays, lin, zero_sets = double_description(rows, n + 1, work)
     v = _v_form(p, rays, lin, work)
     if v.is_empty:
         return v, p

@@ -27,6 +27,7 @@ from .affine import AffineManifold, AffineMap
 from .asymptotes import SetDescriptor, UnionSet
 from .errors import (
     DimensionMismatchError,
+    EmptySetError,
     FwsetsError,
     UnsupportedKindError,
 )
@@ -57,7 +58,6 @@ from .motzkin import (
     decompose,
     minimize_on_motzkin,
     polyhedral_forms,
-    vpoly_to_motzkin,
 )
 from .polyhedra import (
     HPolyhedron,
@@ -164,10 +164,11 @@ def _inequality_form(f: MotzkinSet, op: str) -> HPolyhedron:
 def intersect_subspace_motzkin(f: MotzkinSet, l: AffineManifold) -> MotzkinSet:
     """``(K + D) ∩ L`` recomposed as ``K0 + (D ∩ L)``.
 
-    The stacked system is converted by double description; its vertex part
-    becomes K0 and its cone part is checked, by mutual generator membership,
-    to equal D ∩ L exactly.  Raises EmptySetError with a Farkas certificate
-    when the intersection is empty.
+    The stacked system is decomposed (:func:`motzkin.decompose`); its
+    polytope becomes K0, its cone is checked, by mutual generator
+    membership, to equal D ∩ L exactly, and its kept rows are the H-form of
+    the section.  Raises EmptySetError with a Farkas certificate when the
+    intersection is empty.
     """
     if l.dim != f.dim:
         raise DimensionMismatchError("subspace dimension differs from the set's")
@@ -176,11 +177,16 @@ def intersect_subspace_motzkin(f: MotzkinSet, l: AffineManifold) -> MotzkinSet:
         raise UnsupportedKindError("expected a linear subspace through the origin")
     eq_rows, eq_rhs = l.inequalities()
     stacked = HPolyhedron(h.a + eq_rows, h.b + eq_rhs, f.dim)
-    section = vpoly_to_motzkin(dd_convert(stacked), "the set does not meet the subspace")
+    try:
+        section = decompose(stacked)
+    except EmptySetError as exc:
+        raise EmptySetError("the set does not meet the subspace", exc.certificate) from None
     expected = cone_intersect_subspace(f.cone, l)
     if not same_cone(section.cone, expected):
         raise FwsetsError("recomposed cone differs from the intersected cone")
-    return MotzkinSet(section.compact, expected)
+    result = MotzkinSet(section.compact, expected)
+    result.__dict__["hform"] = section.hform
+    return result
 
 
 def intersect_fwm(f1: MotzkinSet, f2: MotzkinSet) -> MotzkinSet:

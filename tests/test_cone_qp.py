@@ -439,10 +439,11 @@ def test_face_budget_precedes_elimination(monkeypatch):
     simplex = PolyCone.from_generators([unit(10, i) for i in range(10)] + [(-1,) * 10])
     assert len(ConeProgram(identity(10), simplex).faces(Work())) == 2**11
     # 13 generators on a segment: only the 4 faces of conv are walked, the
-    # empty one, two ends and the segment, not 2^13 subsets
+    # empty one, two ends and the segment, not 2^13 subsets, in
+    # lexicographic order of the active set
     d = PolyCone.from_generators([(1, k, 0) for k in range(13)], 3)
     assert [free for _, free in ConeProgram(identity(3), d).faces(Work())] == [
-        tuple(range(13)), (12,), (0,), ()
+        tuple(range(13)), (12,), (), (0,)
     ]
     dom = dom_f(identity(3), d)
     assert not dom.is_empty and not zero_set_pieces(identity(3), d) and dom.rows == ()
@@ -730,6 +731,67 @@ def test_face_walk_matches_the_subset_walk():
             assert (v.kind, v.value) == (w.kind, w.value), (g, d, c)
             outcomes[v.kind] += 1
     assert min(outcomes.values()) >= 40 and fewer >= 150, (outcomes, fewer)
+
+
+def _reference_face_listing(zi):
+    """The faces of ``conv(zi)`` by dot products: each facet's generators are
+    those on which a ray of the polar ``{c : (z, 1) . c <= 0}``, or either
+    sign of one of its lines, is zero, and the faces are the facets closed
+    under intersection; active sets in lexicographic order."""
+    p = len(zi)
+    lifted = [list(z) + [1] for z in zi]
+    rays, lines = int_cone_h_to_v(lifted, len(lifted[0]))
+    masks = {(1 << p) - 1}
+    for h in rays + lines + [tuple(-x for x in v) for v in lines]:
+        facet = sum(1 << j for j, v in enumerate(lifted) if sum(map(int.__mul__, h, v)) == 0)
+        masks |= {m & facet for m in masks}
+    return sorted(tuple(j for j in range(p) if not m >> j & 1) for m in masks)
+
+
+def test_face_listing_reads_the_conversion_zero_sets(monkeypatch):
+    # seeded hulls against the dot-product reference: general points, points
+    # at one common height (the lifted vectors span less than the space, so
+    # the polar has a line), repeated points and points inside the hull.
+    # The listing forms no dot product and is sorted by active set
+    def no_dot(*args):
+        raise AssertionError("the listing formed a dot product")
+
+    rng = random.Random(20261021)
+    seen = dict.fromkeys(("non_simplex", "polar_line", "repeated", "inside"), 0)
+    for trial in range(400):
+        n = rng.randint(1, 4)
+        gens = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(3, 8))]
+        shape = trial % 4
+        if shape == 1:
+            for z in gens:
+                z[0] = 2
+        elif shape == 2:
+            gens.append(gens[0][:])
+            seen["repeated"] += 1
+        elif shape == 3:
+            gens = [[2 * x for x in z] for z in gens]
+            gens.append([(a + b) // 2 for a, b in zip(gens[0], gens[1])])
+            seen["inside"] += 1
+        ref = _reference_face_listing(gens)
+        with monkeypatch.context() as patch:
+            patch.setattr(cone_qp, "idot", no_dot)
+            pairs = cone_qp._face_pairs([z[:] for z in gens], Work())
+        assert [active for active, _ in pairs] == ref, gens
+        assert list(pairs) == sorted(pairs)
+        assert all(sorted(active + free) == list(range(len(gens))) for active, free in pairs)
+        seen["non_simplex"] += len(pairs) < 2 ** len(gens)
+        seen["polar_line"] += bool(int_cone_h_to_v([z + [1] for z in gens], n + 1)[1])
+    assert min(seen.values()) >= 60, seen
+
+
+def test_zero_set_pieces_come_by_size():
+    # the zero form on the orthant of R^3: every face but the apex is a
+    # piece, reported by the size of its index set, which is not the
+    # lexicographic order the faces are listed in
+    pieces = zero_set_pieces(zero_matrix(3), orthant(3))
+    index_sets = [tuple(sorted(pc.index_set)) for pc in pieces]
+    assert index_sets == [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+    assert index_sets != sorted(index_sets)
 
 
 def test_redundant_domain_rows_past_sixty_four_convert():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from fwsets import polyhedra
 from fwsets.affine import AffineManifold, AffineMap, subspace
 from fwsets.asymptotes import classify_fw_set
 from fwsets.errors import DimensionMismatchError, EmptySetError, UnsupportedKindError
@@ -29,6 +30,7 @@ from fwsets.motzkin import (
     classify_fw,
     decompose,
     motzkin_to_vpoly,
+    polyhedral_forms,
 )
 from fwsets.polyhedra import (
     HPolyhedron,
@@ -186,6 +188,33 @@ def test_intersect_empty_raises_with_certificate():
     with pytest.raises(EmptySetError) as exc:
         intersect_subspace_motzkin(f, l)
     assert exc.value.certificate is not None
+
+
+def test_a_section_keeps_the_rows_it_decomposed(monkeypatch):
+    # the simplex {x >= 0, x1 + x2 + x3 <= 3} cut by the plane x1 = x2: the
+    # section's H-form is the stacked system's kept rows, so reading it
+    # converts no V-form back to an H-form; a plane that misses the simplex
+    # raises the section's message with a Farkas certificate of the stack
+    def refused(p, work):
+        raise AssertionError("a V-form was converted to an H-form")
+
+    monkeypatch.setattr(polyhedra, "_v_to_h", refused)
+    rows = [[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 1, 1]]
+    f = decompose(HPolyhedron(rows, [0, 0, 0, 3]))
+    g = intersect_subspace_motzkin(f, subspace([(1, 1, 0), (0, 0, 1)], 3))
+    (form,) = polyhedral_forms(g)
+    assert set(g.compact.vertices) == {(0, 0, 0), (F(3, 2), F(3, 2), 0), (0, 0, 3)}
+    for x, inside in (((1, 1, 1), True), ((1, 1, 2), False), ((1, 0, 1), False)):
+        assert form.contains(vec(x)) == inside
+    shifted = decompose(HPolyhedron(rows, [-1, 0, 0, 3]))  # x1 >= 1
+    plane = subspace([(0, 1, 0), (0, 0, 1)], 3)  # x1 = 0
+    with pytest.raises(EmptySetError, match="the set does not meet the subspace") as exc:
+        intersect_subspace_motzkin(shifted, plane)
+    eq_rows, eq_rhs = plane.inequalities()
+    a, b = shifted.hform.a + eq_rows, shifted.hform.b + eq_rhs
+    lam = exc.value.certificate
+    assert all(x >= 0 for x in lam) and dot(lam, b) < 0
+    assert all(dot(lam, col) == 0 for col in zip(*a))
 
 
 def test_random_subspace_intersections_recompose_exactly():

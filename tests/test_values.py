@@ -23,7 +23,7 @@ from fwsets.asymptotes import (
     ambient_dim,
     classify,
 )
-from fwsets.errors import DimensionMismatchError, FwsetsError
+from fwsets.errors import DimensionMismatchError, EmptySetError, FwsetsError
 from fwsets.linalg import identity, mat, vec
 from fwsets.motzkin import (
     Ball,
@@ -32,6 +32,7 @@ from fwsets.motzkin import (
     PolytopeK,
     SecondOrderCone,
     decompose,
+    minimize_on_motzkin,
     vpoly_to_motzkin,
 )
 from fwsets.polyhedra import HPolyhedron, PolyCone, VPolyhedron
@@ -236,3 +237,17 @@ def test_a_compound_set_checks_its_members_at_construction():
         with pytest.raises(DimensionMismatchError):
             build()
     assert ambient_dim(ProductSet((plane, space))) == 5
+
+
+def test_an_empty_compact_part_is_refused_at_construction():
+    # a polytope or a point set with no point, given its dimension, is an
+    # empty set, refused before a verdict is asked of it; without the
+    # dimension there is nothing to measure it by
+    for kind in (PolytopeK, FinitePointSet):
+        with pytest.raises(EmptySetError):
+            kind((), 2)
+        with pytest.raises(DimensionMismatchError):
+            kind(())
+    q = Quadratic.build(identity(2))
+    point = MotzkinSet(FinitePointSet([(1, 2)]), PolyCone((), 2))
+    assert minimize_on_motzkin(q, point).value == Fraction(5, 2)
