@@ -25,6 +25,7 @@ so every kind that :func:`parse` reads is also written.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from functools import cache, partial
 
@@ -91,16 +92,29 @@ def typed(kind, what):
 
 
 def rational(raw, path, ctx=None) -> Fraction:
-    """A rational: a string such as ``"3/4"`` or an integer."""
+    """A rational: an integer, or a string of an optional sign, ASCII digits
+    and an optional ``/`` with ASCII digits, such as ``"-3/4"``, each part
+    read by ``int()``.  Anything else (spaces, underscores, decimals,
+    exponents, other digits) is refused the same way on every Python."""
     if type(raw) is str:
-        try:
-            return Fraction(raw)
+        match = _RATIONAL.fullmatch(raw)
+        if match is None:
+            raise DocumentError(
+                f"bad rational {raw!r}: expected an optional sign, ASCII digits and an optional /digits",
+                path=path,
+            )
+        num, den = match.groups()
+        try:  # int() refuses more digits than its limit, Fraction a zero denominator
+            return Fraction(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"bad rational {raw!r}: {exc}", path=path) from None
     if type(raw) is int:
         return Fraction(raw)
     got = "a boolean" if type(raw) is bool else type(raw).__name__
     raise DocumentError(f"expected a rational, got {got}", path=path)
+
+
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def array(item):

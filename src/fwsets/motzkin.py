@@ -27,7 +27,11 @@ upper bound.
 :func:`numeric.bracket_multiplier` searches mu, by secant steps on the
 secular function ``1/|s| - 1/r`` of the ball point ``c + s``, until the
 bracket is at most the tolerance wide; for a convex objective the dual is
-tight (Slater, then the S-lemma), so the bracket closes.  A ball alone is
+tight (Slater, then the S-lemma), so the bracket closes.  Each probe also
+returns the slack on its winning face of D as an exact function of mu
+(:class:`_FaceSlack`, the face's own KKT system on ints), and the steps
+read that model: a probe runs only where the model's slack closes the
+bracket, so a ball that mu = 0 leaves open mostly takes one more probe.  A ball alone is
 bracketed as the gallery's disks are, by :func:`numeric.one_constraint_bracket`.
 """
 
@@ -53,9 +57,13 @@ from .linalg import (
     dot,
     hash_once,
     identity,
+    idot,
+    int_rref,
+    int_solution,
     is_zero,
     mat,
     matvec,
+    primitive_ints,
     rat,
     set_fields,
     unit,
@@ -489,13 +497,18 @@ def _ball_probe(q, ball: Ball, g: Quadratic, cone: PolyCone):
     of M).  The sum is a lower bound on q over the set (weak duality); at
     the program's point x, ``(c + s) + x`` is a member when ``|s| <= r``,
     and q there is an upper bound.  The slack is ``r^2 - |s|^2``, measured
-    from the level r^2.  At mu = 0 this is the projection of the
+    from the level r^2, and the model of it is the :class:`_FaceSlack` of
+    the program's winning face.  At mu = 0 this is the projection of the
     unconstrained minimizer of q onto ``c + D``.  None when ``A + mu I`` is
     singular or not PSD, or the cone program is unbounded.
     """
     n = ball.dim
     c, r2 = ball.center, ball.radius * ball.radius
     g0 = q.gradient(c)
+    gens = [primitive_ints(gen) for gen in cone.generators]
+    scale = math.lcm(*(x.denominator for row in q.a for x in row), *(x.denominator for x in g0))
+    a = [[x.numerator * (scale // x.denominator) for x in row] for row in q.a]
+    g0_ints = [x.numerator * (scale // x.denominator) for x in g0]
 
     def probe(mu):
         res = lagrangian_value(q, (g,), (mu,))
@@ -510,12 +523,53 @@ def _ball_probe(q, ball: Ball, g: Quadratic, cone: PolyCone):
         s = vscale(-ONE, matvec(m, vadd(matvec(q.a, verdict.point), g0)))
         lower = mu * verdict.value + bound
         slack = r2 - dot(s, s)
+        face = [z for j, z in enumerate(gens) if j not in verdict.active_set]
+        model = _FaceSlack(a, g0_ints, scale, face, r2)
         if slack < 0:
-            return slack, lower, None, None
+            return slack, lower, None, None, model
         point = vadd(vadd(c, s), verdict.point)
-        return slack, lower, q.evaluate(point), point
+        return slack, lower, q.evaluate(point), point, model
 
     return probe
+
+
+class _FaceSlack:
+    """The ball probe's slack ``r^2 - |s|^2`` on one face of D, for mu > 0.
+
+    On the face with generators Z_F (the free ones of the probe's active
+    set), ``y = c + s`` and ``x = Z_F t`` solve the stationarity system
+    ``K(mu) [s; t] = -[g0; Z_F^T g0]`` with ``K(mu) = [[A + mu I, A Z_F],
+    [Z_F^T A, Z_F^T A Z_F]]``: the first block is ``A (y + x) + b + mu (y -
+    c) = 0``, the second the face's own rows of the cone program.  For
+    ``mu = p / d`` the rows are the ints ``[d L A + p L I | d L A Z_F | -d L
+    g0]`` and ``[(L A Z_F)^T | Z_F^T L A Z_F | -Z_F^T L g0]``, L the lcm of
+    the denominators of A and g0, and one fraction-free elimination solves
+    them: no bound, no inverse and no cone program.  s is unique when A is
+    PSD, and equals the probe's wherever the face wins the probe; None when
+    the system is inconsistent.  K(0) is singular, and the probe at 0 is a
+    projection instead.
+    """
+
+    __slots__ = ("_top", "_bottom", "_scale", "_r2")
+
+    def __init__(self, a, g0, scale, face, r2):
+        w = [[idot(row, z) for z in face] for row in a]  # L A Z_F
+        cols = [list(col) for col in zip(*w)]
+        self._top = [row + wrow + [-x] for row, wrow, x in zip(a, w, g0)]
+        self._bottom = [col + [idot(z, c) for c in cols] + [-idot(z, g0)] for z, col in zip(face, cols)]
+        self._scale, self._r2 = scale, r2
+
+    def __call__(self, mu: Fraction) -> Fraction | None:
+        p, d = mu.numerator, mu.denominator
+        rows = [[d * x for x in row] for row in self._top]
+        for i, row in enumerate(rows):
+            row[i] += p * self._scale
+        rows += [row[:] for row in self._bottom]
+        sol = int_solution(rows, int_rref(rows), len(rows))
+        if sol is None:
+            return None
+        s, den = sol[0][: len(self._top)], sol[1]
+        return self._r2 - Fraction(idot(s, s), den * den)
 
 
 def _ball_escapes_domain(q, ball: Ball, prog: ConeProgram) -> Vec | None:

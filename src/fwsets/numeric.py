@@ -7,7 +7,8 @@ arithmetic instead of floats.  The weak-duality section at the end forms
 the one Lagrangian bound, :func:`lagrangian_value`, and the one bracket of a
 minimum under one convex constraint, :func:`one_constraint_bracket`; its
 multiplier search :func:`bracket_multiplier` is the one place floats
-appear, and they only choose which exact multiplier to probe next.
+appear, and they, with the exact slack models that probes may return, only
+choose which exact multiplier to probe next.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ def one_constraint_bracket(q, g, tol: Fraction, member):
     return bracket_multiplier(probe, tol, -g.evaluate(centre))
 
 
-# at most this many probes raise mu to a feasible one, and at most this many
+# at most this many steps raise mu to a feasible one, and at most this many
 # refine the bracket
 _EXTRAPOLATIONS = 64
 _STEPS = 128
@@ -220,51 +221,87 @@ def bracket_multiplier(probe, tol: Fraction, level: Fraction):
     """Search rational multipliers mu >= 0 for an exact bracket of width <= tol.
 
     ``probe(mu)`` returns None when mu is too small to give a bound, and
-    otherwise ``(slack, lower, upper, witness)``: a certified lower bound (by
-    weak duality), the objective ``upper`` at a feasible ``witness`` (both
-    None when the probe has none), and the exact constraint slack at the
-    probe's point, which does not decrease as mu grows and is >= 0 once mu
-    is large enough.  ``level > 0`` is the level the slack is measured from:
-    ``level - slack`` is a squared norm, such as ``|s|^2`` for a ball point
-    ``c + s`` of radius ``sqrt(level)``.
+    otherwise ``(slack, lower, upper, witness)``, optionally followed by a
+    ``model``: a certified lower bound (by weak duality), the objective
+    ``upper`` at a feasible ``witness`` (both None when the probe has none),
+    and the exact constraint slack at the probe's point, which does not
+    decrease as mu grows and is >= 0 once mu is large enough.  ``model(mu)``
+    is a cheaper exact slack for mu > 0, equal to the probe's wherever the
+    probe's point stays on the piece (such as a face) it had, or None.
+    ``level > 0`` is the level the slack is measured from: ``level - slack``
+    is a squared norm, such as ``|s|^2`` for a ball point ``c + s`` of radius
+    ``sqrt(level)``.
 
     mu = 0 comes first, and a slack >= 0 there ends the search.  Otherwise
-    mu rises until the slack is >= 0, and then refines inside the interval
-    between the last infeasible and the least feasible mu, until ``upper -
-    lower <= tol``.  Both phases take secant steps through the last two
-    probes on the secular function ``psi = 1/sqrt(level - slack) -
+    one loop raises mu until the slack is >= 0, and then refines inside the
+    interval (lo, hi) between the greatest infeasible and the least feasible
+    mu, until ``upper - lower <= tol``.  It takes secant steps through its
+    last two points on the secular function ``psi = 1/sqrt(level - slack) -
     1/sqrt(level)``, which is nearly linear in mu (More and Sorensen,
     "Computing a trust region step", 1983).  Each step aims just past the
-    root, at the psi of the slack ``tol / (2 mu)``: the gap of a feasible
-    probe is mu (or mu/2) times its slack, so landing there closes the
-    bracket.  Without a rising secant through two finite psi (a probe
-    returned None, or its point is the centre, where psi is infinite), mu
-    doubles from 1 while rising and bisects while refining.
-    Floats only choose mu: every mu is a short dyadic, strictly inside the
-    refined interval, and every bound comes from ``probe``.  Returns the best
-    ``(lower, upper, witness)`` seen; any of them may be None.
+    root, at the psi of the slack ``tol / (2 mu)``, inside the closing window
+    ``0 <= slack <= tol / mu``: the gap of a feasible probe is mu (or mu/2)
+    times its slack, so a probe in the window closes the bracket.  Without a
+    rising secant through two finite psi (a probe returned None, or its
+    point is the centre, where psi is infinite), mu doubles from 1 while
+    rising and bisects while refining.
+
+    The steps read the last probe's model while it has one, and probe only
+    where the model's slack lies in the window (or the model has none), at
+    the dyadic with the fewest bits that the model puts in the window
+    (:func:`_fewest_bits`).  That probe closes the bracket when its piece did
+    not change; otherwise its own model takes over, and (lo, hi) restart
+    from the probes' own interval.  A probe without a model is its own, and
+    then every step probes.  Floats and models only choose mu: every mu is a
+    dyadic strictly inside the refined interval, and every bound comes from
+    ``probe``.  Returns the best ``(lower, upper, witness)`` seen; any of
+    them may be None.
     """
     best = [None, None, None]
     radius = sqrt(level)
+    model = None  # the last probe's model, None when it has none
+    probed = [ZERO, None]  # (lo, hi) read from probes alone
 
     def run(mu):
-        # the exact slack, and psi in floats (None without a probe)
+        # the probe's exact slack (None without one); keeps its model
+        nonlocal model
         res = probe(mu)
         if res is None:
-            return None, None
-        slack, lower, upper, witness = res
+            model = None
+            return None
+        slack, lower, upper, witness, *rest = res
+        model = rest[0] if rest else None
         if lower is not None and (best[0] is None or lower > best[0]):
             best[0] = lower
         if upper is not None and (best[1] is None or upper < best[1]):
             best[1], best[2] = upper, witness
+        return slack
+
+    def psi(slack):
+        if slack is None:
+            return None
         gap = float(level - slack)
-        return slack, 1 / sqrt(gap) - 1 / radius if gap else inf
+        return 1 / sqrt(gap) - 1 / radius if gap else inf
+
+    def closing(slack, mu):
+        return slack is not None and 0 <= slack <= tol / mu
 
     def closed():
         return best[0] is not None and best[1] is not None and best[1] - best[0] <= tol
 
+    def evaluate(mu, lo, hi, width):
+        # (mu, slack, probed): the model's slack at mu while it lies outside
+        # the window, else the probe's, at the fewest bits the window allows
+        if model is not None and (slack := model(mu)) is not None:
+            if not closing(slack, mu):
+                return mu, slack, False
+            mu = _fewest_bits(
+                mu, width, lambda x: lo < x and (hi is None or x < hi) and closing(model(x), x)
+            )
+        return mu, run(mu), True
+
     def aim(prev, last, hi):
-        # (target, width): where the secant through the last two probes
+        # (target, width): where the secant through the last two points
         # reaches the psi of the slack tol/(2 mu), and how far past its
         # root that is; None without two finite psi on a rising secant
         if prev is None or prev[1] is None or last[1] is None:
@@ -284,38 +321,37 @@ def bracket_multiplier(probe, tol: Fraction, level: Fraction):
             return None
         return root + Fraction(width), Fraction(width)
 
-    slack, psi = run(ZERO)
+    slack = run(ZERO)
     if slack is not None and slack >= 0:
         return tuple(best)
-    lo, prev, last = ZERO, None, (ZERO, psi)
-    for _ in range(_EXTRAPOLATIONS):
-        step = aim(prev, last, None)
-        if step is not None and step[0] > lo:
-            target, width = step
-            mu = _short_dyadic(lo, 2 * target - lo, target, width)
-        else:
-            mu = 2 * lo if lo else ONE
-        slack, psi = run(mu)
-        prev, last = last, (mu, psi)
-        if closed():
-            return tuple(best)
-        if slack is not None and slack >= 0:
-            hi = mu
-            break
-        lo = mu
-    else:
-        return tuple(best)
-    for _ in range(_STEPS):
-        if closed():
-            break
+    lo, hi, prev, last = ZERO, None, None, (ZERO, psi(slack))
+    rises = steps = 0
+    while not closed():
         step = aim(prev, last, hi)
-        mu = (lo + hi) / 2 if step is None else _short_dyadic(lo, hi, *step)
-        slack, psi = run(mu)
-        prev, last = last, (mu, psi)
-        if slack is None or slack < 0:
-            lo = mu
+        width = None if step is None else step[1]
+        if hi is None:
+            if rises == _EXTRAPOLATIONS:
+                break
+            rises += 1
+            if step is not None and step[0] > lo:
+                mu = _short_dyadic(lo, 2 * step[0] - lo, *step)
+            else:
+                mu, width = 2 * lo if lo else ONE, None
         else:
+            if steps == _STEPS:
+                break
+            steps += 1
+            mu = (lo + hi) / 2 if step is None else _short_dyadic(lo, hi, *step)
+        mu, slack, was_probed = evaluate(mu, lo, hi, width)
+        prev, last = last, (mu, psi(slack))
+        feasible = slack is not None and slack >= 0
+        if was_probed:
+            probed[feasible] = mu
+            lo, hi = probed
+        elif feasible:
             hi = mu
+        else:
+            lo = mu
     return tuple(best)
 
 
@@ -353,3 +389,42 @@ def _short_dyadic(lo: Fraction, hi: Fraction, guess: Fraction, w: Fraction) -> F
     guess = min(max(guess, lo + m), hi - m)
     scale = 1 << (m.denominator // m.numerator).bit_length()
     return Fraction(round(guess * scale), scale)
+
+
+def _fewest_bits(mu: Fraction, width: Fraction | None, ok) -> Fraction:
+    """The dyadic rational with the fewest bits where ``ok`` holds, for a
+    dyadic mu where it holds and an ``ok`` that holds on an interval.
+
+    Some dyadic of step ``2^-k`` lies in the interval iff one of the two
+    next to mu does, and then one of step ``2^-(k+1)`` does too.  So the
+    least such k is searched by galloping from the step of about ``4 width``
+    (mu's own step without one), finer or coarser, and then by bisection.
+    """
+
+    def at(k):
+        if k >= top:
+            return mu
+        unit = Fraction(1, 1 << k) if k >= 0 else Fraction(1 << -k)
+        below = mu // unit * unit
+        return next((x for x in (below, below + unit) if ok(x)), None)
+
+    top = mu.denominator.bit_length() - 1  # mu's own step is 2^-top
+    k = top
+    if width is not None:  # the step of about 4 width, a window's typical span
+        k = min(top, width.denominator.bit_length() - width.numerator.bit_length() - 2)
+    found, step = at(k), 1
+    if found is None:
+        fail = k
+        while (found := at(k := min(fail + step, top))) is None:
+            fail, step = k, 2 * step
+    else:
+        while (coarser := at(k - step)) is not None:
+            found, k, step = coarser, k - step, 2 * step
+        fail = k - step
+    while k - fail > 1:
+        mid = (fail + k) // 2
+        if (held := at(mid)) is None:
+            fail = mid
+        else:
+            found, k = held, mid
+    return found

@@ -91,6 +91,32 @@ def test_bad_rational_rejected():
         parse(json.dumps(quad_doc([["1/0"]])))
 
 
+@pytest.mark.parametrize("text, value", [
+    ("3/4", Fraction(3, 4)), ("-3/4", Fraction(-3, 4)), ("+3", Fraction(3)),
+    ("007/010", Fraction(7, 10)), ("-0", Fraction(0)), (str(10**30), Fraction(10**30)),
+])
+def test_a_rational_string_is_a_signed_ascii_fraction(text, value):
+    _, h = parse(json.dumps({"version": "1", "kind": "hpolyhedron",
+                             "payload": {"rows": [["1"]], "rhs": [text]}}))
+    assert h.b == (value,)
+
+
+# what Fraction(str) would read on some Pythons: underscores (3.11 on),
+# decimals, exponents, other scripts' digits, spaces, a signed denominator
+@pytest.mark.parametrize("text", [
+    "1_000", "1.5", "1e3", "٣", " 3/4 ", "3/4\n", "3/-4", "3/+4", "--3", "3/0", "", "/4", "3/",
+    "0x10", "inf", "nan", "3 / 4",
+])
+def test_a_rational_outside_the_grammar_exits_2_at_its_path(tmp_path, capsys, text):
+    doc = {"version": "1", "kind": "hpolyhedron", "payload": {"rows": [["1"], ["-1"]], "rhs": ["1", text]}}
+    with pytest.raises(DocumentError) as exc:
+        parse(json.dumps(doc))
+    assert exc.value.path == "$.payload.rhs[1]"
+    assert main(["classify", write(tmp_path, "set.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "(at $.payload.rhs[1])" in captured.err
+
+
 def test_unknown_fields_rejected():
     doc = quad_doc([["1"]])
     doc["payload"]["extra"] = 1

@@ -301,8 +301,8 @@ def test_ball_verdicts_match_exact_inner_path():
 
 def test_ball_brackets_take_few_probes(monkeypatch):
     # the count repeats exactly: over the twelve convex cases the secant
-    # steps on the secular function take at most 55 probes (95 with regula
-    # falsi on the raw slack)
+    # steps on the probes' face models take 20 probes (42 with secant steps
+    # on the probes themselves, 95 with regula falsi on the raw slack)
     count = 0
     real = motzkin._ball_probe
 
@@ -320,7 +320,70 @@ def test_ball_brackets_take_few_probes(monkeypatch):
     for q, f in _ball_cases()[:-1]:
         v = minimize_on_motzkin(q, f)
         assert isinstance(v, Attained) and v.value - v.lower_bound <= FEASIBILITY_TOL
-    assert count <= 55
+    assert count <= 20
+
+
+def _recording_faces(monkeypatch):
+    # the winning active set of every cone program the ball probe solves
+    faces = []
+
+    class Recording(ConeProgram):
+        def minimize(self, c, constant=F(0)):
+            verdict = super().minimize(c, constant)
+            faces.append(verdict.active_set)
+            return verdict
+
+    monkeypatch.setattr(motzkin, "ConeProgram", Recording)
+    return faces
+
+
+def test_a_face_model_is_the_probe_slack_wherever_its_face_wins(monkeypatch):
+    # seeded dyadic multipliers in (0, 1024] on the convex ball cases: the
+    # model a probe returns for its winning face gives the exact slack of
+    # every probe that face wins, at the probe's own mu and at the others
+    faces = _recording_faces(monkeypatch)
+    rng = random.Random(37)
+    pairs, winners = 0, set()
+    for index, (q, f) in enumerate(_ball_cases()[:-1]):
+        ball = f.compact
+        c, r2 = ball.center, ball.radius * ball.radius
+        ident = [[int(i == j) for j in range(f.dim)] for i in range(f.dim)]
+        g = Quadratic.build(ident, [-x for x in c], (dot(c, c) - r2) / 2)
+        probe = motzkin._ball_probe(q, ball, g, f.cone)
+        seen = []
+        for _ in range(16):
+            mu = F(rng.randint(1, 2**10), 2 ** rng.randint(0, 10))
+            slack, _, _, _, model = probe(mu)
+            seen.append((faces[-1], mu, slack, model))
+            winners.add((index, faces[-1]))
+        for face, own, _, model in seen:
+            for other, mu, slack, _ in seen:
+                if other == face:
+                    assert model(mu) == slack
+                    pairs += mu != own
+    # two cases change faces within the range, and most pairs of probes
+    # share one
+    assert len(winners) == 14 and pairs > 2000
+
+
+def test_a_ball_whose_winning_face_changes_still_closes(monkeypatch):
+    # x.A x/2 + 4 x1 - 3 x2, A = [[2, 1], [1, 3]], on the disk of radius 3/2 about
+    # (1, 2) plus the ray (0, 1): at mu = 0 the point sits at the apex with a
+    # zero multiplier, and the walk names the face with the ray free; for
+    # mu > 0 the ray would run backwards, and the apex wins.  The first
+    # face's model aims the search, its probe hands over the apex's model,
+    # and the next probe closes the bracket
+    faces = _recording_faces(monkeypatch)
+    q = Quadratic.build([[2, 1], [1, 3]], [4, -3])
+    f = MotzkinSet(Ball((1, 2), F(3, 2)), PolyCone.from_generators([(0, 1)]))
+    v = minimize_on_motzkin(q, f)
+    assert faces == [(), (0,), (0,)]
+    assert isinstance(v, Attained) and not v.exact
+    assert 0 <= v.value - v.lower_bound <= FEASIBILITY_TOL
+    assert v.value == q.evaluate(v.point)
+    assert _in_ball_plus_cone(v.point, f)
+    rng = random.Random(41)
+    assert all(v.lower_bound <= q.evaluate(y) for y in _ball_members(rng, f, 1000))
 
 
 def test_seeded_ball_minimum_is_not_the_early_stop_value():
