@@ -10,7 +10,9 @@ means the command printed its own output (the gallery's text listing) or
 only a line on stderr.
 
 Exit codes: 0 success, 1 empty or infeasible input, 2 parse error,
-3 verdict Unknown, 4 size cap exceeded.
+3 verdict Unknown, 4 size cap exceeded, 5 internal error (an exception
+that is not an :class:`errors.FwsetsError`, so a crash never reads as an
+empty set).
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ EXIT_EMPTY = 1
 EXIT_PARSE = 2
 EXIT_UNKNOWN = 3
 EXIT_CAP = 4
+EXIT_INTERNAL = 5
 
 def _load(path: str, want):
     try:
@@ -366,6 +369,9 @@ def main(argv=None) -> int:
     except FwsetsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     if report is not None:
         _emit({**report, "command": args.command, "seed": args.seed}, args.format)
     return code

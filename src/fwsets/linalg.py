@@ -453,6 +453,29 @@ class LinearSystem:
         return tuple(Fraction(xi, d * den) if xi else ZERO for xi in x)
 
 
+def int_faddeev(m: list[list[int]]) -> tuple[list[int], list[list[list[int]]]]:
+    """The characteristic polynomial and adjugate of an integer n x n matrix
+    m, by the Faddeev-LeVerrier recursion on ints.
+
+    Returns ``(c, mats)`` with ``det(nu I - m) = sum(c[j] nu^j)`` (so
+    ``c[n] = 1``) and ``adj(nu I - m) = sum(mats[k] nu^(n-1-k))``.  With
+    ``M_1 = I``, each step forms ``m M_k``, whose trace gives ``c[n-k] =
+    -tr(m M_k)/k``, an exact division, and ``M_(k+1) = m M_k + c[n-k] I``.
+    At nu = 0 these read ``det(-m) = c[0]`` and ``adj(-m) = mats[n-1]``.
+    """
+    n = len(m)
+    c = [0] * n + [1]
+    mats = []
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        mats.append(mk)
+        cols = list(zip(*mk))
+        prod = [[idot(row, col) for col in cols] for row in m]
+        c[n - k] = -sum(prod[i][i] for i in range(n)) // k
+        mk = [[x + c[n - k] if i == j else x for j, x in enumerate(row)] for i, row in enumerate(prod)]
+    return c, mats
+
+
 def independent_rows(rows: list[list[int]], limit: int) -> list[int]:
     """Indices of the greedy first independent integer rows, at most ``limit``.
 

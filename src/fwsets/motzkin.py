@@ -29,10 +29,13 @@ secular function ``1/|s| - 1/r`` of the ball point ``c + s``, until the
 bracket is at most the tolerance wide; for a convex objective the dual is
 tight (Slater, then the S-lemma), so the bracket closes.  Each probe also
 returns the slack on its winning face of D as an exact function of mu
-(:class:`_FaceSlack`, the face's own KKT system on ints), and the steps
-read that model: a probe runs only where the model's slack closes the
-bracket, so a ball that mu = 0 leaves open mostly takes one more probe.  A ball alone is
-bracketed as the gallery's disks are, by :func:`numeric.one_constraint_bracket`.
+(:class:`_FaceSlack`: the face's own KKT system, its mu-free face rows
+eliminated once on ints, evaluated as two integer polynomials in mu), and
+the steps read that model: a probe runs only where the model's slack
+closes the bracket, so a ball that mu = 0 leaves open mostly takes one more
+probe.  The probe itself runs on ints, from the columns of ``(A + mu I)^-1``
+that the Lagrangian bound's elimination gives.  A ball alone is bracketed
+as the gallery's disks are, by :func:`numeric.one_constraint_bracket`.
 """
 
 from __future__ import annotations
@@ -58,6 +61,8 @@ from .linalg import (
     hash_once,
     identity,
     idot,
+    independent_rows,
+    int_faddeev,
     int_rref,
     int_solution,
     is_zero,
@@ -493,14 +498,18 @@ def _ball_probe(q, ball: Ball, g: Quadratic, cone: PolyCone):
     ``q(y + x) + mu g(y)`` is taken at ``s = -M (A x + g0)``, and what is
     left is ``mu`` times the cone program ``1/2 x.(A M) x + (M g0).x`` over
     D plus the bound :func:`numeric.lagrangian_value` of q + mu g (``A M =
-    I - mu M``; its point y0 gives ``M g0 = c - y0``, its system the columns
-    of M).  The sum is a lower bound on q over the set (weak duality); at
-    the program's point x, ``(c + s) + x`` is a member when ``|s| <= r``,
+    I - mu M``).  The sum is a lower bound on q over the set (weak duality);
+    at the program's point x, ``(c + s) + x`` is a member when ``|s| <= r``,
     and q there is an upper bound.  The slack is ``r^2 - |s|^2``, measured
     from the level r^2, and the model of it is the :class:`_FaceSlack` of
     the program's winning face.  At mu = 0 this is the projection of the
     unconstrained minimizer of q onto ``c + D``.  None when ``A + mu I`` is
     singular or not PSD, or the cone program is unbounded.
+
+    It runs on ints: the columns of M are read off the bound's own
+    :class:`linalg.LinearSystem` over one denominator, ``I - mu M``, ``M
+    g0``, s and the slack are formed from them and from A and g0 over their
+    lcm L, and Fractions are built for the program's data and the member.
     """
     n = ball.dim
     c, r2 = ball.center, ball.radius * ball.radius
@@ -509,67 +518,145 @@ def _ball_probe(q, ball: Ball, g: Quadratic, cone: PolyCone):
     scale = math.lcm(*(x.denominator for row in q.a for x in row), *(x.denominator for x in g0))
     a = [[x.numerator * (scale // x.denominator) for x in row] for row in q.a]
     g0_ints = [x.numerator * (scale // x.denominator) for x in g0]
+    cden = math.lcm(*(x.denominator for x in c))
+    c_ints = [x.numerator * (cden // x.denominator) for x in c]
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    rn, rd = r2.numerator, r2.denominator
 
     def probe(mu):
         res = lagrangian_value(q, (g,), (mu,))
         if res is None or res[2].rank < n:
             return None
-        bound, y0, system = res
-        m = tuple(system.solve(unit(n, i)) for i in range(n))
-        gm = tuple(tuple((i == j) - mu * x for j, x in enumerate(row)) for i, row in enumerate(m))
-        verdict = ConeProgram(gm, cone).minimize(vsub(c, y0))
+        bound, _, system = res
+        # M = m / dm, m symmetric; I - mu M = (e I - p m) / e for e = d dm
+        cols = [system.solve_ints(u) for u in units]
+        m, dm = [col for col, _ in cols], cols[0][1]
+        p, e = mu.numerator, mu.denominator * dm
+        gm = tuple(
+            tuple(Fraction(e - p * x if i == j else -p * x, e) for j, x in enumerate(row))
+            for i, row in enumerate(m)
+        )
+        mg0 = tuple(Fraction(idot(row, g0_ints), dm * scale) for row in m)
+        verdict = ConeProgram(gm, cone).minimize(mg0)
         if verdict.kind != "attained":
             return None
-        s = vscale(-ONE, matvec(m, vadd(matvec(q.a, verdict.point), g0)))
+        # x = xi / xd, L xd (A x + g0) = v, and s = -M (A x + g0) = -sv / sd
+        xd = math.lcm(*(v.denominator for v in verdict.point))
+        xi = [v.numerator * (xd // v.denominator) for v in verdict.point]
+        v = [idot(row, xi) + xd * h for row, h in zip(a, g0_ints)]
+        sv = [idot(row, v) for row in m]
+        sd = dm * scale * xd
+        slack = Fraction(rn * sd * sd - rd * idot(sv, sv), rd * sd * sd)
         lower = mu * verdict.value + bound
-        slack = r2 - dot(s, s)
         face = [z for j, z in enumerate(gens) if j not in verdict.active_set]
         model = _FaceSlack(a, g0_ints, scale, face, r2)
         if slack < 0:
             return slack, lower, None, None, model
-        point = vadd(vadd(c, s), verdict.point)
+        # c + s + x over one denominator, which xd divides
+        den = math.lcm(cden, sd)
+        fc, fs, fx = den // cden, den // sd, den // xd
+        point = tuple(
+            Fraction(ci * fc - si * fs + x * fx, den) for ci, si, x in zip(c_ints, sv, xi)
+        )
         return slack, lower, q.evaluate(point), point, model
 
     return probe
 
 
 class _FaceSlack:
-    """The ball probe's slack ``r^2 - |s|^2`` on one face of D, for mu > 0.
+    """The ball probe's slack ``r^2 - |s|^2`` on one face of D, as an exact
+    function of mu > 0.
 
     On the face with generators Z_F (the free ones of the probe's active
     set), ``y = c + s`` and ``x = Z_F t`` solve the stationarity system
     ``K(mu) [s; t] = -[g0; Z_F^T g0]`` with ``K(mu) = [[A + mu I, A Z_F],
     [Z_F^T A, Z_F^T A Z_F]]``: the first block is ``A (y + x) + b + mu (y -
-    c) = 0``, the second the face's own rows of the cone program.  For
-    ``mu = p / d`` the rows are the ints ``[d L A + p L I | d L A Z_F | -d L
-    g0]`` and ``[(L A Z_F)^T | Z_F^T L A Z_F | -Z_F^T L g0]``, L the lcm of
-    the denominators of A and g0, and one fraction-free elimination solves
-    them: no bound, no inverse and no cone program.  s is unique when A is
-    PSD, and equals the probe's wherever the face wins the probe; None when
-    the system is inconsistent.  K(0) is singular, and the probe at 0 is a
-    projection instead.
+    c) = 0``, the second the face's own rows of the cone program.  The face
+    rows do not depend on mu, so the first call eliminates them once, on
+    ints: with B an independent basis of Z_F and ``S = B^T A B``
+    nonsingular, ``s = -(P + mu I)^-1 g'`` for the Schur complement ``P = A
+    - A B S^-1 B^T A`` and ``g' = g0 - A B S^-1 B^T g0``, both scaled to
+    integers, and one Faddeev-LeVerrier pass (:func:`linalg.int_faddeev`)
+    gives ``det(P + nu I)`` and ``adj(P + nu I) g'`` as integer
+    polynomials.  Each call evaluates the two at mu = p / d, homogenized by
+    powers of d, and builds one Fraction, ``r^2 - |adj g'|^2 / det^2``.
+    Where ``K(mu)`` is nonsingular on B, s is unique and this is its slack.
+    A singular S, or a det that vanishes at mu, is answered by eliminating
+    ``K(mu)`` itself, the ints ``[d L A + p L I | d L A Z_F | -d L g0]`` and
+    ``[(L A Z_F)^T | Z_F^T L A Z_F | -Z_F^T L g0]`` for L the lcm of the
+    denominators of A and g0, and reading the solution with zero free
+    coordinates (None when the system is inconsistent).  So every value is
+    the elimination's, and it equals the probe's slack at every mu > 0 where
+    the face wins the probe; the probe at 0 is a projection instead.
     """
 
-    __slots__ = ("_top", "_bottom", "_scale", "_r2")
-
     def __init__(self, a, g0, scale, face, r2):
-        w = [[idot(row, z) for z in face] for row in a]  # L A Z_F
-        cols = [list(col) for col in zip(*w)]
-        self._top = [row + wrow + [-x] for row, wrow, x in zip(a, w, g0)]
-        self._bottom = [col + [idot(z, c) for c in cols] + [-idot(z, g0)] for z, col in zip(face, cols)]
-        self._scale, self._r2 = scale, r2
+        self._a, self._g0, self._scale, self._face, self._r2 = a, g0, scale, face, r2
 
     def __call__(self, mu: Fraction) -> Fraction | None:
         p, d = mu.numerator, mu.denominator
-        rows = [[d * x for x in row] for row in self._top]
+        polynomials = self._polynomials
+        if polynomials is not None:
+            kappa, c, u = polynomials
+            # det(P~ + nu I) d^n and adj(P~ + nu I) g~ d^(n-1) at nu = t / d
+            n, t = len(u), kappa * p
+            det, w, dk = t + c[n - 1] * d, u[n - 1], 1
+            for j in reversed(range(n - 1)):
+                dk *= d
+                det = det * t + c[j] * dk * d
+                w = [x * t + y * dk for x, y in zip(w, u[j])]
+            if det:
+                rn, rd = self._r2.numerator, self._r2.denominator
+                return Fraction(rn * det * det - rd * d * d * idot(w, w), rd * det * det)
+        rows = [[d * x for x in row] for row in self._kkt[0]]
         for i, row in enumerate(rows):
             row[i] += p * self._scale
-        rows += [row[:] for row in self._bottom]
+        rows += [row[:] for row in self._kkt[1]]
         sol = int_solution(rows, int_rref(rows), len(rows))
         if sol is None:
             return None
-        s, den = sol[0][: len(self._top)], sol[1]
+        s, den = sol[0][: len(self._a)], sol[1]
         return self._r2 - Fraction(idot(s, s), den * den)
+
+    @cached_property
+    def _polynomials(self) -> tuple[int, list[int], list[list[int]]] | None:
+        """``(kappa, c, u)`` with ``s = -(P~ + kappa mu I)^-1 g~`` for integer
+        P~ and g~ (``kappa > 0``), ``det(P~ + nu I) = sum(c[j] nu^j)`` and
+        ``adj(P~ + nu I) g~ = sum(u[j] nu^j)``; None when S is singular.
+        With ``S^-1 = adj / sigma`` on ints, ``P~, g~, kappa`` are ``sigma
+        (L P, L g', L)`` over their gcd, the sign making kappa positive."""
+        a, h, n = self._a, self._g0, len(self._a)
+        basis = [self._face[i] for i in independent_rows(self._face, n)]
+        sigma = 1
+        if basis:
+            ab = [[idot(row, z) for z in basis] for row in a]  # L A B
+            c, mats = int_faddeev([[idot(z, col) for col in zip(*ab)] for z in basis])
+            sigma, adj = -c[0], mats[-1]  # S^-1 = adj / sigma
+            if not sigma:
+                return None
+            t = [[idot(row, col) for col in zip(*adj)] for row in ab]  # L A B adj
+            bh = [idot(z, h) for z in basis]
+            a = [[sigma * x - idot(trow, brow) for x, brow in zip(row, ab)] for row, trow in zip(a, t)]
+            h = [sigma * x - idot(trow, bh) for x, trow in zip(h, t)]
+        kappa = sigma * self._scale
+        g = math.gcd(kappa, *h, *(x for row in a for x in row))
+        g = g if kappa > 0 else -g
+        a = [[-x // g for x in row] for row in a]  # -P~
+        h = [x // g for x in h]
+        c, mats = int_faddeev(a)
+        return kappa // g, c, [[idot(row, h) for row in mats[n - 1 - j]] for j in range(n)]
+
+    @cached_property
+    def _kkt(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The rows of K(mu) without mu: ``[L A | L A Z_F | -L g0]`` and the
+        face's ``[(L A Z_F)^T | Z_F^T L A Z_F | -Z_F^T L g0]``."""
+        w = [[idot(row, z) for z in self._face] for row in self._a]  # L A Z_F
+        cols = [list(col) for col in zip(*w)]
+        top = [row + wrow + [-x] for row, wrow, x in zip(self._a, w, self._g0)]
+        bottom = [
+            col + [idot(z, c) for c in cols] + [-idot(z, self._g0)] for z, col in zip(self._face, cols)
+        ]
+        return top, bottom
 
 
 def _ball_escapes_domain(q, ball: Ball, prog: ConeProgram) -> Vec | None:

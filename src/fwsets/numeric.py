@@ -254,11 +254,20 @@ def bracket_multiplier(probe, tol: Fraction, level: Fraction):
     from the probes' own interval.  A probe without a model is its own, and
     then every step probes.  Floats and models only choose mu: every mu is a
     dyadic strictly inside the refined interval, and every bound comes from
-    ``probe``.  Returns the best ``(lower, upper, witness)`` seen; any of
-    them may be None.
+    ``probe``.  A rational past the float range reads as an infinite float
+    (:func:`_float`), and a radius whose cube leaves the float range takes
+    no secant steps; either can only change the mu probed next.  Returns
+    the best ``(lower, upper, witness)`` seen; any of them may be None.
     """
     best = [None, None, None]
-    radius = sqrt(level)
+    radius = sqrt(_float(level))
+    try:
+        cube = radius**3
+    except OverflowError:
+        cube = inf
+    # a radius whose cube leaves the float range, above or below, aims no
+    # secant step: the widths would read 0 or divide by 0
+    secant = 0 < cube < inf
     model = None  # the last probe's model, None when it has none
     probed = [ZERO, None]  # (lo, hi) read from probes alone
 
@@ -278,9 +287,9 @@ def bracket_multiplier(probe, tol: Fraction, level: Fraction):
         return slack
 
     def psi(slack):
-        if slack is None:
+        if slack is None or not secant:
             return None
-        gap = float(level - slack)
+        gap = _float(level - slack)
         return 1 / sqrt(gap) - 1 / radius if gap else inf
 
     def closing(slack, mu):
@@ -307,7 +316,7 @@ def bracket_multiplier(probe, tol: Fraction, level: Fraction):
         if prev is None or prev[1] is None or last[1] is None:
             return None
         (mu0, psi0), (mu1, psi1) = prev, last
-        slope = (psi1 - psi0) / float(mu1 - mu0)
+        slope = (psi1 - psi0) / _float(mu1 - mu0)
         if not 0 < slope < inf:
             return None
         shift = psi1 / slope
@@ -316,7 +325,7 @@ def bracket_multiplier(probe, tol: Fraction, level: Fraction):
         root = mu1 - Fraction(shift)
         # psi at the slack tol/(2 ref) is at least that slack / (2 radius^3)
         ref = max(root, mu1) if hi is None else hi
-        width = float(tol / (2 * ref)) / (2 * radius**3 * slope)
+        width = _float(tol / (2 * ref)) / (2 * cube * slope)
         if not 0 < width < inf:
             return None
         return root + Fraction(width), Fraction(width)
@@ -353,6 +362,15 @@ def bracket_multiplier(probe, tol: Fraction, level: Fraction):
         else:
             lo = mu
     return tuple(best)
+
+
+def _float(x: Fraction) -> float:
+    """``float(x)``, or an infinity of x's sign where x lies past the float
+    range, which ``float`` refuses with OverflowError."""
+    try:
+        return float(x)
+    except OverflowError:
+        return inf if x > 0 else -inf
 
 
 def stationary_line_point(g, x, kernel):

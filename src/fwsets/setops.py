@@ -72,6 +72,8 @@ from .quadratics import Quadratic
 
 
 def _require_polyhedral(f: MotzkinSet, op: str) -> None:
+    if not isinstance(f, MotzkinSet):
+        raise UnsupportedKindError(f"{op} takes Motzkin sets, not {type(f).__name__}")
     if not f.is_polyhedral_cone:
         raise UnsupportedKindError(f"{op} requires a polyhedral recession cone")
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -199,6 +200,22 @@ def test_solve_unknown_exits_3(tmp_path, capsys):
     assert code == 3
     assert out["verdict"] == "unknown"
     assert out["justification"]
+
+
+def test_an_internal_fault_exits_5_and_says_so(tmp_path, capsys, monkeypatch):
+    # an exception that is no FwsetsError, raised inside the solve command,
+    # is a fault of the program: it has its own exit code, so a crash never
+    # reads as exit 1, an empty set
+    def faulty(*args):
+        raise RuntimeError("a fault")
+
+    monkeypatch.setattr(cli, "minimize_on_descriptor", faulty)
+    set_path = write(tmp_path, "set.json", orthant_doc())
+    q_path = write(tmp_path, "q.json", quad_doc([["2", "0"], ["0", "2"]]))
+    assert main(["solve", set_path, q_path]) == cli.EXIT_INTERNAL == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: a fault\n"
 
 
 def test_solve_tolerance_reaches_the_ball_member_of_a_union(tmp_path, capsys):
@@ -623,6 +640,34 @@ def test_ball_solve_is_the_same_under_any_hash_seed(tmp_path):
     assert outs[0] == outs[1]
     report = json.loads(outs[0])
     assert report["verdict"] == "attained" and report["exact"] is False
+
+
+@pytest.mark.parametrize("huge", [True, False], ids=("400_digits", "tiny_radius"))
+def test_a_ball_past_the_float_range_answers_without_a_traceback(tmp_path, capsys, huge):
+    # a ball plus a 2-generator cone in R^3: with a 400-digit centre and
+    # linear term, drawn from a fixed seed, the squared norms the multiplier
+    # search reads as floats overflow; with radius 1e-200 its cube underflows
+    # to 0.  The first crashed with OverflowError, the second with
+    # ZeroDivisionError, both as exit 1
+    rng = random.Random(24)
+
+    def big():
+        return str(rng.choice((-1, 1)) * rng.randrange(10**399, 10**400))
+
+    if huge:
+        center, linear, radius = [big() for _ in range(3)], [big() for _ in range(3)], "2"
+    else:
+        center, linear, radius = ["1", "2", "3"], ["5", "-7", "11"], f"1/{10**200}"
+    set_path = write(tmp_path, "ball.json", {"version": "1", "kind": "motzkin", "payload": {
+        "compact": {"kind": "ball", "center": center, "radius": radius},
+        "cone": {"kind": "polyhedral", "generators": [["1", "0", "1"], ["0", "1", "-1"]]},
+    }})
+    q_path = write(tmp_path, "q.json", quad_doc([["3", "1", "0"], ["1", "2", "0"], ["0", "0", "2"]], linear))
+    code = main(["--format", "json", "solve", set_path, q_path])
+    captured = capsys.readouterr()
+    assert code in (0, 3), captured.err
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["verdict"] in ("attained", "unknown")
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,80 @@ def test_a_face_model_is_the_probe_slack_wherever_its_face_wins(monkeypatch):
     assert len(winners) == 14 and pairs > 2000
 
 
+def _face_slack_reference(a, g0, scale, face, r2, mu):
+    """The face model's slack by one Fraction elimination of the whole
+    system ``K(mu) [s; t] = -[g0; Z^T g0]``, A = a / scale and g0 over the
+    same scale, read at the solution with zero free coordinates; and
+    whether K(mu) is singular on a basis of the face, where s need not be
+    unique."""
+    n = len(a)
+    am = [[F(x, scale) for x in row] for row in a]
+    g = [F(x, scale) for x in g0]
+    az = [[dot(row, z) for z in face] for row in am]
+    top = [
+        tuple(x + mu * (i == j) for j, x in enumerate(row)) + tuple(azrow)
+        for i, (row, azrow) in enumerate(zip(am, az))
+    ]
+    bottom = [tuple(col) + tuple(dot(z, c) for c in zip(*az)) for z, col in zip(face, zip(*az))]
+    k = top + bottom
+    rhs = tuple(-x for x in g) + tuple(-dot(z, g) for z in face)
+    singular = rank(k) < n + rank(face)
+    sol = solve(tuple(k), rhs)
+    if sol is None:
+        return None, singular
+    s = sol[:n]
+    return r2 - dot(s, s), singular
+
+
+def _random_face_model(rng):
+    # a form (indefinite, PSD and singular, diagonal, or positive definite),
+    # a linear term and a face: empty, coordinate axes, random, or random
+    # with a dependent generator
+    n = rng.randint(1, 3)
+    kind = rng.randrange(4)
+    if kind == 0:
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = rng.randint(-4, 4)
+    elif kind == 2:
+        a = [[rng.randint(-4, 4) if i == j else 0 for j in range(n)] for i in range(n)]
+    else:
+        k = rng.randint(0, n - 1) if kind == 1 else n  # fewer rows than n: singular
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        a = [[sum(r[i] * r[j] for r in rows) + (kind == 3 and i == j) for j in range(n)] for i in range(n)]
+    g0 = [rng.randint(-6, 6) for _ in range(n)]
+    k = rng.randint(0, 3)
+    if rng.random() < 0.3:
+        face = [[int(i == j) for j in range(n)] for i in rng.sample(range(n), min(k, n))]
+    else:
+        face = [z for z in ([rng.randint(-2, 2) for _ in range(n)] for _ in range(k)) if any(z)]
+        if face and rng.random() < 0.3:
+            face.append([-2 * x for x in face[0]])
+    return a, g0, rng.choice((1, 2, 3, 6)), face, F(rng.randint(1, 20), rng.randint(1, 5))
+
+
+def test_face_models_equal_the_elimination_of_their_kkt_system():
+    # 3,000 seeded models, each at a dyadic and a non-dyadic mu and at the
+    # roots -a_ii / scale of a diagonal form, where the model's denominator
+    # vanishes on a face of coordinate axes or an empty one; s need not be
+    # unique there, and the model's value is still the elimination's
+    rng = random.Random(43)
+    calls = singular = inconsistent = 0
+    for _ in range(3000):
+        a, g0, scale, face, r2 = _random_face_model(rng)
+        model = motzkin._FaceSlack(a, g0, scale, face, r2)
+        mus = [F(rng.randint(1, 2**10), 2 ** rng.randint(0, 10)), F(rng.randint(1, 50), rng.randint(1, 9))]
+        mus += [F(-a[i][i], scale) for i in range(len(a)) if a[i][i] < 0]
+        for mu in mus:
+            expected, at_root = _face_slack_reference(a, g0, scale, face, r2, mu)
+            assert model(mu) == expected
+            calls += 1
+            singular += at_root
+            inconsistent += expected is None
+    assert calls > 7000 and singular > 1000 and inconsistent > 1000
+
+
 def test_a_ball_whose_winning_face_changes_still_closes(monkeypatch):
     # x.A x/2 + 4 x1 - 3 x2, A = [[2, 1], [1, 3]], on the disk of radius 3/2 about
     # (1, 2) plus the ray (0, 1): at mu = 0 the point sits at the apex with a

@@ -9,7 +9,7 @@ import pytest
 from fwsets import polyhedra
 from fwsets.affine import AffineManifold, AffineMap, subspace
 from fwsets.asymptotes import classify_fw_set
-from fwsets.errors import DimensionMismatchError, EmptySetError, UnsupportedKindError
+from fwsets.errors import DimensionMismatchError, EmptySetError, FwsetsError, UnsupportedKindError
 from fwsets.linalg import (
     dot,
     kernel_basis,
@@ -27,6 +27,7 @@ from fwsets.motzkin import (
     FinitePointSet,
     MotzkinSet,
     PolytopeK,
+    SecondOrderCone,
     classify_fw,
     decompose,
     motzkin_to_vpoly,
@@ -146,6 +147,31 @@ def test_product_of_rays_is_quarter_plane():
     r1 = MotzkinSet(PolytopeK([(0,)]), PolyCone.from_generators([(1,)]))
     p = product(r1, r1)
     assert set(p.cone.generators) == {(1, 0), (0, 1)}
+
+
+_SET_KINDS = {
+    "hpolyhedron": HPolyhedron(((F(-1), F(0), F(0)),), (F(0),), 3),
+    "ball": MotzkinSet(Ball((0, 0, 0), F(1)), PolyCone.from_generators([(0, 0, 1)])),
+    "second_order": MotzkinSet(
+        PolytopeK([(0, 0, 0)]), SecondOrderCone(3, vec((0, 0, 1)), F(1, 2))
+    ),
+    "polytope": MotzkinSet(PolytopeK([(0, 0, 0), (1, 0, 0)]), orthant(3)),
+    "points": MotzkinSet(FinitePointSet([(0, 0, 0), (0, 2, 0)]), orthant(3)),
+}
+
+
+@pytest.mark.parametrize("second", sorted(_SET_KINDS))
+@pytest.mark.parametrize("first", sorted(_SET_KINDS))
+def test_product_of_any_set_kinds_is_a_set_or_a_typed_refusal(first, second):
+    # an HPolyhedron once raised a bare AttributeError here; only two
+    # polytope parts or two point-set parts, with polyhedral cones, multiply
+    multiplies = first == second and first in ("points", "polytope")
+    try:
+        p = product(_SET_KINDS[first], _SET_KINDS[second])
+    except FwsetsError:
+        assert not multiplies
+        return
+    assert multiplies and isinstance(p, MotzkinSet) and p.dim == 6
 
 
 # ---------------------------------------------------------------------------
