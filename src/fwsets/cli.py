@@ -11,8 +11,8 @@ only a line on stderr.
 
 Exit codes: 0 success, 1 empty or infeasible input, 2 parse error,
 3 verdict Unknown, 4 size cap exceeded, 5 internal error (an exception
-that is not an :class:`errors.FwsetsError`, so a crash never reads as an
-empty set).
+that is not an :class:`errors.FwsetsError`, or a gallery replay whose
+checks fail, so a fault never reads as an empty set).
 """
 
 from __future__ import annotations
@@ -234,7 +234,7 @@ def cmd_gallery(args):
     name = args.name or "all"
     reports = gallery.run_all() if name == "all" else [gallery.run_case(name)]
     all_passed = all(r.passed for r in reports)
-    code = EXIT_OK if all_passed else EXIT_EMPTY
+    code = EXIT_OK if all_passed else EXIT_INTERNAL  # a failed self-check is a fault
     if args.format == "text":
         for r in sorted(reports, key=lambda r: r.name):
             for line in r.lines():

@@ -74,7 +74,7 @@ fraction-free eliminations per face.  A positive definite Q has one
 minimizer, and the QP over ``{A x <= b}`` finds it with no face walk, by
 the exact dual active-set method of Goldfarb and Idnani: it starts at the
 unconstrained minimizer, adds one violated row at a time, drops a row whose
-multiplier reaches zero, and solves one integer KKT system a step.  A face
+multiplier reaches zero, and steps in Q's range space on ints.  A face
 comes with its value, a single Fraction, and a thunk that builds its
 solution set, which carries that constant objective, on ints: an integer
 point and integer directions over one denominator, and integer rows
@@ -132,7 +132,7 @@ from fractions import Fraction
 from functools import cache, cached_property, partial
 from math import comb, lcm
 
-from .errors import DimensionMismatchError, FwsetsError, NotInDomainError
+from .errors import DimensionMismatchError, FwsetsError, NotInDomainError, UnsupportedKindError
 from .linalg import (
     LinearSystem,
     Mat,
@@ -427,12 +427,15 @@ class ConeProgram:
     diagonal of H, or from a positive definite G, needs no faces.
     :meth:`is_psd` tests H once.  What a program builds lives as long as it
     does, but each query has its own work budget, which pays for what that
-    query is the first to build.  The shape of G is checked before anything
-    is built: integer dot products of unequal lengths would truncate
-    silently.
+    query is the first to build.  The kind of D and the shape of G are
+    checked before anything is built: a D that is not a PolyCone raises
+    UnsupportedKindError, and integer dot products of unequal lengths would
+    truncate silently.
     """
 
     def __init__(self, g: Mat, d: PolyCone):
+        if not isinstance(d, PolyCone):
+            raise UnsupportedKindError(f"the cone layer takes a PolyCone, not {type(d).__name__}")
         n = d.dim
         if len(g) != n or any(len(row) != n for row in g):
             raise DimensionMismatchError(f"the form is not {n} x {n} on a cone in R^{n}")
@@ -816,8 +819,11 @@ def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, V
     (:func:`_dual_active_set`), and every other Q by the face walk
     (:func:`_face_walk`).  A positive definite Q has exactly one minimizer,
     so both give the same answer there.  Like ``Quadratic.ints``, the test
-    is not charged; the method that answers charges one work budget.
+    is not charged; the method that answers charges one work budget.  A p
+    that is not an HPolyhedron raises UnsupportedKindError.
     """
+    if not isinstance(p, HPolyhedron):
+        raise UnsupportedKindError(f"the QP takes an HPolyhedron, not {type(p).__name__}")
     if q.dim != p.dim:
         raise DimensionMismatchError("quadratic and polyhedron dimensions differ")
     if int_is_pd([list(row) for row in q.ints[0]]):
@@ -832,23 +838,29 @@ def _int_rows(p: HPolyhedron) -> list[list[int]]:
     return [[x.numerator * (ab // x.denominator) for x in (*a, b)] for a, b in zip(p.a, p.b)]
 
 
-def _kkt_solve(
-    qm: tuple[tuple[int, ...], ...], normals: list[list[int]], rhs: list[list[int]]
+def _range_step(
+    start: list[int], den: int, rows: list[tuple[list[int], int, list[int]]], w_p: list[int]
 ) -> tuple[list[list[int]], int]:
-    """The solutions y of ``[Q A_J^T; A_J 0] y = h`` for the integer
-    right-hand sides h, as integer vectors over one common denominator
-    d > 0, from one fraction-free elimination of ``[K | h_1 | h_2 ...]``.
-    ``normals`` are the rows of A_J.  The matrix is nonsingular when Q is
-    positive definite and the rows of A_J are independent; a singular one
-    raises FwsetsError."""
-    n, k = len(qm), len(qm) + len(normals)
-    rows = [[*row, *(a[i] for a in normals), *(h[i] for h in rhs)] for i, row in enumerate(qm)]
-    rows += [[*a, *(0 for _ in normals), *(h[n + j] for h in rhs)] for j, a in enumerate(normals)]
-    pivots = int_rref(rows)
-    if pivots != list(range(k)):
+    """One step of :func:`_dual_active_set` on k rows J, in Q's range space.
+    ``start / den`` is ``x_s = -Q^-1 c``, ``rows`` holds ``(a_j, b_j, w_j)``
+    for each row of J and ``w_p`` is ``Q^-1 a_p``, each w over den.  One
+    fraction-free elimination of ``S [lam0 | r] = [A_J x_s - b_J | -A_J w_p]``,
+    ``S = A_J W_J``, gives ``x0 = x_s - W_J lam0`` and ``z = -w_p - W_J r``
+    (x_s and -w_p for J empty), returned as ``([x0 + lam0, z + r], e)`` over
+    one denominator e > 0.  A singular S (dependent rows) raises FwsetsError."""
+    k = len(rows)
+    system = [
+        [*(idot(a, w) for _, _, w in rows), idot(a, start) - bj * den, -idot(a, w_p)]
+        for a, bj, _ in rows
+    ]
+    if int_rref(system) != list(range(k)):
         raise FwsetsError("the active rows of the dual method are dependent")
-    d = lcm(*(rows[r][r] for r in range(k)))
-    return [[rows[r][k + c] * (d // rows[r][r]) for r in range(k)] for c in range(len(rhs))], d
+    e = lcm(*(system[i][i] for i in range(k)))
+    lam0, r = ([system[i][c] * (e // system[i][i]) for i in range(k)] for c in (k, k + 1))
+    cols = [[w[i] for _, _, w in rows] for i in range(len(start))]
+    x0 = [e * si - idot(col, lam0) for si, col in zip(start, cols)]
+    z = [-e * wi - idot(col, r) for wi, col in zip(w_p, cols)]
+    return [x0 + [den * v for v in lam0], z + [den * v for v in r]], den * e
 
 
 def _dual_active_set(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, Vec] | None:
@@ -859,7 +871,7 @@ def _dual_active_set(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, Vec] | Non
     It runs on the ints of q (Q and c stand for ``q.ints``' A and b, over
     its denominator) and on the rows ``a.x <= b`` scaled by one lcm
     (:func:`_int_rows`).  It starts at the unconstrained minimizer
-    ``x = -Q^-1 c`` with no active rows, solved on one elimination of
+    ``x_s = -Q^-1 c`` with no active rows, solved on one elimination of
     ``[Q | I]`` (a :class:`linalg.LinearSystem`), and keeps x and the
     multipliers lam of its active rows J over one common denominator, with
     ``Q x + c + A_J^T lam = 0``, ``A_J x = b_J`` and ``lam >= 0``.  Each
@@ -867,13 +879,11 @@ def _dual_active_set(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, Vec] | Non
     Otherwise it takes the most violated row p (the largest ``a.x - b``,
     the least index on ties) and raises p's multiplier t from 0.  On the
     current J the stationary points are ``x0 + t z`` with multipliers
-    ``lam0 + t r``, from one elimination of
-    ``[Q A_J^T; A_J 0]`` against ``[-c; b_J]`` and ``[-a_p; 0]``
-    (:func:`_kkt_solve`); with J empty, x0 is the start's point and z
-    solves ``Q z = -a_p`` on the start's elimination, so Q is eliminated
-    once however often J empties.  ``a_p.z = -z.Q z``, so the violation
-    falls as t grows, and p is tight at ``t2 = (a_p.x0 - b_p) / -a_p.z``
-    when z != 0.
+    ``lam0 + t r``, from one range-space step (:func:`_range_step`) on the
+    columns ``w_j = Q^-1 a_j``, each solved on the start's elimination the
+    first time row j is used, so Q is eliminated once.
+    ``a_p.z = -z.Q z``, so the violation falls as t grows, and p is tight
+    at ``t2 = (a_p.x0 - b_p) / -a_p.z`` when z != 0.
     A multiplier with ``r_j < 0`` reaches zero at ``lam0_j / -r_j``; the
     least of these, t1 (the least row index on ties), drops its row j from
     J when ``t1 < t2``, and the step is taken again on the smaller J.
@@ -887,9 +897,9 @@ def _dual_active_set(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, Vec] | Non
     row satisfied, every multiplier is nonnegative, and
     ``Q x + c + A_J^T lam = 0``; a failed check raises FwsetsError.  One
     work budget bounds the call: the start charges its elimination of
-    ``[Q | I]`` (:func:`_elimination_units`) and n^2 units a solve on it,
-    each step on a nonempty J its elimination of ``[K | 2 columns]``, each
-    scan m n units, and the verification n (n + |J|) units.
+    ``[Q | I]`` (:func:`_elimination_units`) and n^2 units a solve on it (x_s
+    and each new w_j), each step on k rows its elimination and k (k + 4) n
+    products, each scan m n units, and the verification n (n + |J|) units.
     """
     n = p.dim
     rows = _int_rows(p)
@@ -898,8 +908,9 @@ def _dual_active_set(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, Vec] | Non
     work = Work()
     work.charge(_elimination_units(n, 2 * n) + n * n, _DUAL)
     inverse = LinearSystem(qm, n, 1)
-    start, d = inverse.solve_ints([-v for v in qb])
-    x = start
+    start, den = inverse.solve_ints([-v for v in qb])
+    w: dict[int, list[int]] = {}  # Q^-1 a_j over den, for each row j used
+    x, d = start, den
     active: list[int] = []
     lam: list[int] = []  # x and lam are over d
     while True:
@@ -912,19 +923,13 @@ def _dual_active_set(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, Vec] | Non
         if add is None:
             break
         a_p, b_p = a[add], b[add]
+        if add not in w:
+            work.charge(n * n, _DUAL)
+            w[add] = inverse.solve_ints(a_p)[0]
         while True:
-            if active:
-                k = n + len(active)
-                work.charge(_elimination_units(k, k + 2), _DUAL)
-                (y0, y1), e = _kkt_solve(
-                    qm,
-                    [a[j] for j in active],
-                    [[-v for v in qb] + [b[j] for j in active], [-v for v in a_p] + [0] * len(active)],
-                )
-            else:  # the start's point, and z from its elimination
-                work.charge(n * n, _DUAL)
-                y1, e = inverse.solve_ints([-v for v in a_p])
-                y0 = start
+            k = len(active)
+            work.charge(_elimination_units(k, k + 2) + k * (k + 4) * n, _DUAL)
+            (y0, y1), e = _range_step(start, den, [(a[j], b[j], w[j]) for j in active], w[add])
             x0, lam0, z, r = y0[:n], y0[n:], y1[:n], y1[n:]
             # (t1, row, position in J) of the first multiplier to reach zero
             drop = min(
@@ -990,24 +995,26 @@ def _face_walk(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, Vec] | None:
     later subset is lexicographically larger, so the answer is the
     exhaustive walk's.  A nonconvex q walks every subset.
 
-    One work budget bounds the walk.  The subsets are charged first, one
-    unit each, so a walk that cannot finish is refused before any face is
-    eliminated; then each face charges its two eliminations and the integer
-    products that form the reduced system and the value, each face built
-    charges its point and directions (see :func:`_least_face`) and its LP,
-    and each KKT check its gradient and its elimination of
-    ``[A_J^T | -grad]``.  The convexity test, like ``Quadratic.ints``, is
-    not charged.
+    One work budget bounds the walk.  A nonconvex walk charges its subsets
+    first, one unit each, so a walk that cannot finish is refused before
+    any face is eliminated; a convex walk stops at its first KKT point, so
+    it charges one unit for each subset as it pops it.  Then each face
+    charges its two eliminations and the integer products that form the
+    reduced system and the value, each face built charges its point and
+    directions (see :func:`_least_face`) and its LP, and each KKT check its
+    gradient and its elimination of ``[A_J^T | -grad]``.  The convexity
+    test, like ``Quadratic.ints``, is not charged.
     """
     n = p.dim
     m = len(p.a)
     top = min(m, n)
-    work = Work()
-    work.charge(sum(comb(m, rr) for rr in range(top + 1)), _WALK)
-    rows_ab = _int_rows(p)
-    face_rows = tuple((row[:n], row[n]) for row in rows_ab)
     qm, qb, qc, scale = q.ints
     convex = int_is_psd([list(row) for row in qm])
+    work = Work()
+    if not convex:
+        work.charge(sum(comb(m, rr) for rr in range(top + 1)), _WALK)
+    rows_ab = _int_rows(p)
+    face_rows = tuple((row[:n], row[n]) for row in rows_ab)
 
     def is_kkt(subset: tuple[int, ...], z: Vec) -> bool:
         """Whether ``A_J^T lam = -grad q(z)`` has a solution lam >= 0, on
@@ -1028,7 +1035,8 @@ def _face_walk(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, Vec] | None:
         while stack:
             subset = stack.pop()
             size = len(subset)
-            work.charge(_elimination_units(size, n + 1), _WALK)
+            # a convex walk pays for each subset here, as it pops it
+            work.charge(_elimination_units(size, n + 1) + (1 if convex else 0), _WALK)
             rows = [rows_ab[i][:] for i in subset]
             pivots = int_rref(rows)
             hull = int_solution(rows, pivots, n)

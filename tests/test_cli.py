@@ -483,6 +483,18 @@ def test_gallery_list_and_run(tmp_path, capsys):
     assert out["all_passed"] is True
 
 
+def test_a_failed_gallery_replay_exits_5(capsys, monkeypatch):
+    # a self-check that fails is a fault of the program, not an empty input
+    failing = gallery.CaseReport(
+        "orthant", False, (gallery.CheckResult("label", False, "FW", "NotFW"),), ()
+    )
+    monkeypatch.setattr(gallery, "run_all", lambda: [failing])
+    code = main(["--format", "json", "gallery", "run", "all"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 5
+    assert out["all_passed"] is False
+
+
 def test_gallery_unknown_name_errors(capsys):
     code = main(["gallery", "run", "nonexistent"])
     assert code == 3

@@ -1189,34 +1189,48 @@ def test_hpoly_qp_rejects_a_dimension_mismatch():
 
 def test_face_subset_cap_precedes_enumeration(monkeypatch):
     # 40 rows in R^10 give 1,221,246,132 row subsets of size <= 10, at one
-    # unit each past the work budget: the face walk counts them before any
-    # face is eliminated
+    # unit each past the work budget: a nonconvex face walk counts them
+    # before any face is eliminated
     def no_elimination(rows):
         raise AssertionError("a face was eliminated before the cap check")
 
     rows = [unit(10, i % 10) if i < 20 else vscale(F(-1), unit(10, i % 10)) for i in range(40)]
     h = HPolyhedron(rows, [1] * 40)
-    q = Quadratic.build(identity(10))
+    # -x1^2 + x2^2 + ... + x10^2
+    saddle = Quadratic.build([[(i == j) * (2 - 4 * (i == 0)) for j in range(10)] for i in range(10)])
     with monkeypatch.context() as patch:
         patch.setattr(cone_qp, "int_rref", no_elimination)
         with pytest.raises(SizeCapError):
-            cone_qp._face_walk(q, h)
-    # the form is positive definite, so the public call takes the dual
-    # method, which lists no subsets and answers at the origin
-    assert minimize_over_hpolyhedron(q, h) == (0, zeros(10))
+            cone_qp._face_walk(saddle, h)
+    # the identity form is positive definite, so the public call takes the
+    # dual method, which lists no subsets and answers at the origin
+    assert minimize_over_hpolyhedron(Quadratic.build(identity(10)), h) == (0, zeros(10))
+
+
+def test_convex_face_walk_pays_for_the_subsets_it_walks():
+    # x1^2 on the same 40 rows is convex but not positive definite, so the
+    # face walk answers it; it charges each subset as it pops it, and the
+    # empty subset is already a KKT point, so the walk stops there
+    rows = [unit(10, i % 10) if i < 20 else vscale(F(-1), unit(10, i % 10)) for i in range(40)]
+    h = HPolyhedron(rows, [1] * 40)
+    q = Quadratic.build([[2 * (i == j == 0) for j in range(10)] for i in range(10)])
+    value, x = minimize_over_hpolyhedron(q, h)
+    assert value == 0 and x[0] == 0
+    assert all(dot(a, x) <= b for a, b in zip(h.a, h.b))
 
 
 def test_hpoly_qp_stops_past_the_budget(monkeypatch):
-    # x^2 - x on [-1, 1], units counted by hand: 3 row subsets of size <= 1
-    # (3); the empty subset has no rows to eliminate, its hull has one
-    # direction, and forming and eliminating the 1 x 2 reduced system costs
+    # x^2 - x on [-1, 1], units counted by hand: the form is convex, so the
+    # walk charges each row subset as it pops it, and pops the empty subset
+    # (1); it has no rows to eliminate, its hull has one direction, and
+    # forming and eliminating the 1 x 2 reduced system costs
     # (1 + 2) n^2 + n + 4 * 2 = 12; its point 1/2 is built and tested
-    # against the 2 rows at 2 n (1 + 2) = 6 Fractions (180); the form is
-    # convex and the empty subset has no multipliers to check, so the walk
-    # stops there, and the one-row subsets are never eliminated
+    # against the 2 rows at 2 n (1 + 2) = 6 Fractions (180); the empty
+    # subset has no multipliers to check, so the walk stops there, and the
+    # one-row subsets are never popped
     q = Quadratic.build([[2]], [-1])
     h = HPolyhedron([[1], [-1]], [1, 1])
-    work = 3 + 12 + 180
+    work = 1 + 12 + 180
     monkeypatch.setattr(polyhedra, "DD_BUDGET", work)
     assert cone_qp._face_walk(q, h) == (F(-1, 4), (F(1, 2),))
     monkeypatch.setattr(polyhedra, "DD_BUDGET", work - 1)
@@ -1281,16 +1295,15 @@ def test_dual_method_matches_the_face_walk(monkeypatch):
     # the system is empty (a positive definite form is never unbounded
     # below); the mix reaches every kind of row, empty systems, and a row
     # dependent on the active ones (z = 0)
-    kkt_solve = cone_qp._kkt_solve
+    range_step = cone_qp._range_step
     zero_steps = []
 
-    def recording(qm, normals, rhs):
-        sols, d = kkt_solve(qm, normals, rhs)
-        if len(rhs) == 2:
-            zero_steps.append(not any(sols[1][: len(qm)]))
+    def recording(start, den, rows, w_p):
+        sols, d = range_step(start, den, rows, w_p)
+        zero_steps.append(not any(sols[1][: len(start)]))
         return sols, d
 
-    monkeypatch.setattr(cone_qp, "_kkt_solve", recording)
+    monkeypatch.setattr(cone_qp, "_range_step", recording)
     seen = {"answered": 0, "empty": 0, "repeat": 0, "rescale": 0, "reverse": 0, "combine": 0}
     for q, h, kinds in _pd_programs(random.Random(20261020), 2400):
         got = minimize_over_hpolyhedron(q, h)
@@ -1327,18 +1340,18 @@ def test_dual_method_verifies_its_answer(monkeypatch, shift, failed):
     # then x2 <= 1 on a solve that also gives the multiplier of x1 <= 1;
     # shifting that multiplier breaks stationarity, or makes it negative,
     # and the exact check before the answer refuses it
-    kkt_solve = cone_qp._kkt_solve
+    range_step = cone_qp._range_step
 
-    def corrupted(qm, normals, rhs):
-        sols, d = kkt_solve(qm, normals, rhs)
-        for i in range(len(qm), len(sols[0])):
+    def corrupted(start, den, rows, w_p):
+        sols, d = range_step(start, den, rows, w_p)
+        for i in range(len(start), len(sols[0])):
             sols[0][i] += shift * d
         return sols, d
 
     box = HPolyhedron([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
     q = Quadratic.build([[2, 0], [0, 2]], [-4, -4], 8)
     assert minimize_over_hpolyhedron(q, box) == (2, (1, 1))
-    monkeypatch.setattr(cone_qp, "_kkt_solve", corrupted)
+    monkeypatch.setattr(cone_qp, "_range_step", corrupted)
     with pytest.raises(FwsetsError, match=f"{failed} verification"):
         minimize_over_hpolyhedron(q, box)
 

@@ -3,15 +3,18 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from fwsets import polyhedra
 from fwsets.affine import AffineManifold, AffineMap, subspace
-from fwsets.asymptotes import classify_fw_set
+from fwsets import cone_qp
+from fwsets.asymptotes import QuadSublevel, classify_fw_set
 from fwsets.errors import DimensionMismatchError, EmptySetError, FwsetsError, UnsupportedKindError
 from fwsets.linalg import (
     dot,
+    identity,
     kernel_basis,
     matvec,
     primitive,
@@ -172,6 +175,38 @@ def test_product_of_any_set_kinds_is_a_set_or_a_typed_refusal(first, second):
         assert not multiplies
         return
     assert multiplies and isinstance(p, MotzkinSet) and p.dim == 6
+
+
+# every set kind above, a bare cone and a quadratic sublevel set
+_QP_KINDS = {
+    **_SET_KINDS,
+    "cone": orthant(3),
+    "quad_sublevel": QuadSublevel(_SET_KINDS["hpolyhedron"], (Quadratic.build(identity(3), zeros(3), -1),)),
+}
+_Q3 = Quadratic.build(identity(3), (0, 0, 1))
+# each QP and cone entry: the kind it takes, and a call on a set
+_QP_ENTRIES = {
+    "minimize_over_hpolyhedron": ("hpolyhedron", partial(cone_qp.minimize_over_hpolyhedron, _Q3)),
+    "nonneg_form_on_cone": ("cone", partial(cone_qp.nonneg_form_on_cone, _Q3.a)),
+    "zero_set_pieces": ("cone", partial(cone_qp.zero_set_pieces, _Q3.a)),
+    "dom_f": ("cone", partial(cone_qp.dom_f, _Q3.a)),
+    "minimize_on_polyhedral_cone": ("cone", partial(cone_qp.minimize_on_polyhedral_cone, _Q3)),
+    "value_function_eval": ("cone", partial(cone_qp.value_function_eval, _Q3.b, _Q3.a)),
+    "is_bounded_below_on_cone": ("cone", partial(cone_qp.is_bounded_below_on_cone, _Q3.b, _Q3.a)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_QP_KINDS))
+@pytest.mark.parametrize("entry", sorted(_QP_ENTRIES))
+def test_qp_and_cone_entries_answer_or_refuse_any_set_kind(entry, kind):
+    # a set of another kind once raised a bare AttributeError here: the QP
+    # takes an HPolyhedron and the cone layer a PolyCone, and every other
+    # kind is refused by its kind
+    takes, call = _QP_ENTRIES[entry]
+    try:
+        call(_QP_KINDS[kind])
+    except FwsetsError as refusal:
+        assert kind != takes and isinstance(refusal, UnsupportedKindError), refusal
 
 
 # ---------------------------------------------------------------------------
