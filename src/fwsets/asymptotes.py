@@ -68,7 +68,7 @@ from .motzkin import (
     compact_points,
     polyhedral_forms,
 )
-from .numeric import exp_bounds, lagrangian_value, sqrt_bounds, surd, surd_cmp
+from .numeric import exp_series, lagrangian_value, sqrt_bounds, surd, surd_cmp
 from .polyhedra import HPolyhedron, dd_convert, lp_solve
 from .quadratics import Quadratic, is_psd
 
@@ -278,23 +278,30 @@ def _epigraph_contains(x: Vec) -> bool | None:
         return False
     if y >= s + 1:
         return True
+    # y - s = a/b and s = p/q on ints: every test below cross-multiplies
+    gap = y - s
+    a, b = gap.numerator, gap.denominator
+    p, q = s.numerator, s.denominator
     # exp(-s) <= 1/sum_{j<=k} s^j/j! for s >= 0: k = 1 leaves only a band
     # of width below 1/(1 + s), and k = 2, 4, 8, 16 narrow it at large t
-    # without the long sums of the enclosure below
-    total = term = ONE
+    # without the long sums of the enclosure below; the sum is num/den with
+    # den = j! q^j
+    num = den = power = 1
     for j in range(1, 17):
-        term = term * s / j
-        total += term
-        if j in (1, 2, 4, 8, 16) and (y - s) * total >= 1:
+        power *= p
+        num, den = num * j * q + power, den * j * q
+        if j in (1, 2, 4, 8, 16) and a * num >= b * den:
             return True
-    # certify with rational bounds, widening on demand; exp_bounds sums at
-    # least 3 floor(s) + 8 terms, so a pass below that count repeats it
-    least = 3 * int(s) + 8
+    # certify with the enclosure L <= exp(s) <= U, widening on demand: a
+    # point is a member when (y - s) L >= 1 and not one when (y - s) U < 1;
+    # exp_series sums at least 3 floor(s) + 8 terms, so a pass below that
+    # count repeats it
+    least = 3 * (p // q) + 8
     for terms in sorted({max(k, least) for k in (16, 48, 120)}):
-        lo, hi = exp_bounds(-s, terms)
-        if y >= s + hi:
+        num, den, tail, tail_den = exp_series(p, q, terms)
+        if a * num >= b * den:
             return True
-        if y < s + lo:
+        if a * (num * (tail_den // den) + tail) < b * tail_den:
             return False
     return None
 
@@ -613,13 +620,24 @@ def _epigraph_line_intersects(m: AffineManifold) -> bool | None:
     lin_bound = 1 - abs(slope) - icept  # minorant of g + exp on |x| <= 1
     if lin_bound > 0 and _quad_min_outside_unit(slope, icept) >= 0:
         return False
-    # certified hit: evaluate with upper bounds at a few rationals
-    for t in range(-12, 13):
-        x = Fraction(t, 2)
-        _, hi = exp_bounds(-x * x, 32)
-        if x * x - slope * x - icept + hi <= 0:
+    # certified hit at x = t/2: with slope = sp/sn and icept = cp/cd,
+    # -g(x) = a/b for b = 4 sn cd, and the line's point is a member when
+    # (a/b) L >= 1 for the 32-term lower sum L = num/den <= exp(x^2)
+    sp, sn, cp, cd = slope.numerator, slope.denominator, icept.numerator, icept.denominator
+    b = 4 * sn * cd
+    for t, num, den in _hit_grid():
+        a = 2 * t * sp * cd + 4 * cp * sn - t * t * sn * cd
+        if a * num >= b * den:
             return True
     return None
+
+
+@cache
+def _hit_grid() -> tuple[tuple[int, int, int], ...]:
+    """``(t, num, den)`` for the points x = t/2, t = -12 ... 12, of the line
+    test: num/den is the 32-term lower sum of exp(x^2) (:func:`exp_series`),
+    the same for every line."""
+    return tuple((t, *exp_series(t * t, 4, 32)[:2]) for t in range(-12, 13))
 
 
 def _quad_min_outside_unit(slope, icept) -> Fraction:

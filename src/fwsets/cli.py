@@ -95,22 +95,32 @@ def _text_lines(report, indent=0):
 def _verdict_report(verdict) -> dict:
     if verdict.kind == "attained":
         exact = getattr(verdict, "exact", True)
+        lower = getattr(verdict, "lower_bound", None)
+        if lower is None:
+            justification = (
+                "bounded-below quadratics on polyhedral data attain their "
+                "infima (Frank-Wolfe / Kummer); the value is the least over "
+                "the exact stationary points of the faces"
+            )
+        elif exact:
+            justification = (
+                "exact bracket of width 0: the weak-duality lower bound equals "
+                "q at the member point"
+            )
+        else:
+            justification = (
+                "exact bracket: the value is q at the member point, and a "
+                "weak-duality lower bound lies within the tolerance below it"
+            )
         report = {
             "verdict": "attained",
             "value": format_rational(verdict.value),
             "point": format_vector(verdict.point),
             "exact": exact,
-            "justification": (
-                "bounded-below quadratics on polyhedral data attain their "
-                "infima (Frank-Wolfe / Kummer); the value is the least over "
-                "the exact stationary points of the faces"
-                if exact
-                else "exact bracket: the value is q at the member point, and a "
-                "weak-duality lower bound lies within the tolerance below it"
-            ),
+            "justification": justification,
         }
-        if getattr(verdict, "lower_bound", None) is not None:
-            report["lower_bound"] = format_rational(verdict.lower_bound)
+        if lower is not None:
+            report["lower_bound"] = format_rational(lower)
         return report
     if verdict.kind == "unbounded":
         return {

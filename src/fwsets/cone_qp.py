@@ -132,7 +132,7 @@ from fractions import Fraction
 from functools import cache, cached_property, partial
 from math import comb, lcm
 
-from .errors import DimensionMismatchError, FwsetsError, NotInDomainError, UnsupportedKindError
+from .errors import DimensionMismatchError, FwsetsError, NotInDomainError, require_kind
 from .linalg import (
     LinearSystem,
     Mat,
@@ -434,8 +434,7 @@ class ConeProgram:
     """
 
     def __init__(self, g: Mat, d: PolyCone):
-        if not isinstance(d, PolyCone):
-            raise UnsupportedKindError(f"the cone layer takes a PolyCone, not {type(d).__name__}")
+        require_kind(d, PolyCone, "the cone layer takes a PolyCone")
         n = d.dim
         if len(g) != n or any(len(row) != n for row in g):
             raise DimensionMismatchError(f"the form is not {n} x {n} on a cone in R^{n}")
@@ -822,8 +821,7 @@ def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, V
     is not charged; the method that answers charges one work budget.  A p
     that is not an HPolyhedron raises UnsupportedKindError.
     """
-    if not isinstance(p, HPolyhedron):
-        raise UnsupportedKindError(f"the QP takes an HPolyhedron, not {type(p).__name__}")
+    require_kind(p, HPolyhedron, "the QP takes an HPolyhedron")
     if q.dim != p.dim:
         raise DimensionMismatchError("quadratic and polyhedron dimensions differ")
     if int_is_pd([list(row) for row in q.ints[0]]):

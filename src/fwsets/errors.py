@@ -48,6 +48,14 @@ class UnsupportedKindError(FwsetsError):
     """The operation is not defined for this combination of set kinds."""
 
 
+def require_kind(value, kind, takes: str) -> None:
+    """Refuse a value that is not a ``kind`` (a class or a tuple of them)
+    with UnsupportedKindError, whose message is ``takes``, such as
+    "decompose takes an HPolyhedron", and the value's type."""
+    if not isinstance(value, kind):
+        raise UnsupportedKindError(f"{takes}, not {type(value).__name__}")
+
+
 class DocumentError(FwsetsError):
     """A document failed to parse or validate.
 

@@ -52,6 +52,7 @@ from .errors import (
     FwsetsError,
     InvalidParameterError,
     UnsupportedKindError,
+    require_kind,
 )
 from .linalg import (
     ONE,
@@ -236,9 +237,10 @@ class MotzkinSet:
 
 @dataclass(frozen=True)
 class Attained:
-    """The minimum is attained at ``point``.  ``exact`` is False for ball
-    data, where ``value`` is q at the member ``point`` and ``lower_bound`` a
-    certified bound at most the tolerance below it."""
+    """The minimum is attained at ``point``.  For ball data ``value`` is q
+    at the member ``point`` and ``lower_bound`` a certified bound at most
+    the tolerance below it; ``exact`` is False there unless the two are
+    equal, a bracket of width 0."""
 
     point: Vec
     value: Fraction
@@ -290,6 +292,7 @@ class Classification:
 
 def classify_fw(f: MotzkinSet) -> Classification:
     """Frank-and-Wolfe status of a Motzkin set, from its recession cone."""
+    require_kind(f, MotzkinSet, "classify_fw takes a MotzkinSet")
     if f.is_polyhedral_cone:
         return Classification(
             "FW",
@@ -306,6 +309,7 @@ def classify_fw(f: MotzkinSet) -> Classification:
 
 def recession_cone_of(f: MotzkinSet) -> ConeRep:
     """The recession cone of ``compact + cone`` is the cone itself."""
+    require_kind(f, MotzkinSet, "recession_cone_of takes a MotzkinSet")
     return f.cone
 
 
@@ -378,6 +382,7 @@ def decompose(h: HPolyhedron) -> MotzkinSet:
     without converting back to an H-form.  An empty h raises EmptySetError
     with its Farkas certificate.
     """
+    require_kind(h, HPolyhedron, "decompose takes an HPolyhedron")
     v, kept = h_to_v_with_facets(h)
     if v.is_empty:
         raise EmptySetError("the polyhedron is empty", certificate=v.empty_certificate)
@@ -403,6 +408,7 @@ def minimize_on_motzkin(q: Quadratic, f: MotzkinSet, tol: Fraction | None = None
     the trust-region problem).  ``tol`` must be positive.  A second-order
     cone may yield Unknown.
     """
+    require_kind(f, MotzkinSet, "minimize_on_motzkin takes a MotzkinSet")
     if q.dim != f.dim:
         raise DimensionMismatchError("quadratic and set dimensions differ")
     if tol is None:
@@ -481,7 +487,9 @@ def _minimize_over_ball(q, f: MotzkinSet, prog: ConeProgram, tol: Fraction) -> A
     else:
         lower, upper, point = one_constraint_bracket(q, g, tol, lambda y: True)
     if upper is not None and upper - lower <= tol:
-        return Attained(point=point, value=upper, exact=False, lower_bound=lower)
+        # a bracket of width 0 proves the minimum: q at a member equals a
+        # weak-duality lower bound
+        return Attained(point=point, value=upper, exact=upper == lower, lower_bound=lower)
     return Unknown(
         f"the multiplier search closed no bracket of width {tol} (lower bound "
         f"{lower}, least member value {upper}; None where there was none)",

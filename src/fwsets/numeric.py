@@ -3,51 +3,63 @@
 The polyhedral layers never need these; they exist so that membership in the
 one built-in non-algebraic set (the epigraph of x^2 + exp(-x^2)) and
 square-root comparisons for ball data can be certified with rational
-arithmetic instead of floats.  The weak-duality section at the end forms
-the one Lagrangian bound, :func:`lagrangian_value`, and the one bracket of a
-minimum under one convex constraint, :func:`one_constraint_bracket`; its
-multiplier search :func:`bracket_multiplier` is the one place floats
-appear, and they, with the exact slack models that probes may return, only
-choose which exact multiplier to probe next.
+arithmetic instead of floats.  The exponential has one integer kernel,
+:func:`exp_series`: for exp(p/q) with p >= 0 it returns the Horner
+numerator and denominator of the Taylor sum and those of the geometric
+bound on its remainder, so callers decide by cross-multiplying ints;
+:func:`exp_bounds` reads it as one Fraction per bound.
+
+The weak-duality section at the end forms the one Lagrangian bound,
+:func:`lagrangian_value`, and the one bracket of a minimum under one
+convex constraint, :func:`one_constraint_bracket`; its multiplier search
+:func:`bracket_multiplier` is the one place floats appear, and they, with
+the exact slack models that probes may return, only choose which exact
+multiplier to probe next.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, inf, isfinite, isqrt, lcm, sqrt
+from math import inf, isfinite, isqrt, lcm, sqrt
 
 from .linalg import ONE, ZERO, LinearSystem, dot, idot, matvec, rat, solve
 from .quadratics import int_is_psd
 
 
-def exp_bounds(x, terms: int = 24) -> tuple[Fraction, Fraction]:
-    """Rational ``(lo, hi)`` with ``lo <= exp(x) <= hi``.
+def exp_series(p: int, q: int, terms: int) -> tuple[int, int, int, int]:
+    """The enclosure of exp(x), x = p/q >= 0 with q > 0, on ints.
 
-    For x >= 0, lo is the Taylor sum of x^k/k! over k <= n, with
-    ``n = max(terms, 3 floor(x) + 8)``, and hi adds a geometric bound of the
-    remainder: the term of index n + j is the previous one times x/(n + j),
-    for j >= 2 that ratio is at most x/(n + 2), and x/(n + 2) < 1 because
-    n >= 3 floor(x) + 8 > x - 2; so the remainder is at most
-    ``x^n/n! * x/(n + 1) / (1 - x/(n + 2))``.  The sum runs by Horner's rule
-    on integers, with x = p/q, and becomes one Fraction at the end.
-    Negative arguments go through ``exp(x) = 1/exp(-x)`` so the enclosure
-    stays valid.
+    Returns ``(num, den, tail, tail_den)``: num/den is the Taylor sum of
+    x^k/k! over k <= n, with ``n = max(terms, 3 floor(x) + 8)``, and
+    tail/tail_den bounds its remainder, so ``num/den <= exp(x) <= num/den +
+    tail/tail_den``.  The term of index n + j is the previous one times
+    x/(n + j), for j >= 2 that ratio is at most x/(n + 2), and x/(n + 2) < 1
+    because n >= 3 floor(x) + 8 > x - 2; so the remainder is at most
+    ``x^n/n! * x/(n + 1) / (1 - x/(n + 2))``.  The sum runs by Horner's rule,
+    which leaves ``den = n! q^n``, and ``tail_den`` is den times ``(n + 1)
+    ((n + 2) q - p)``.  Callers decide by cross-multiplying with these ints.
     """
-    x = rat(x)
-    if x < 0:
-        lo, hi = exp_bounds(-x, terms)
-        return ONE / hi, ONE / lo
-    p, q = x.numerator, x.denominator
-    n = max(terms, int(x) * 3 + 8)
+    n = max(terms, p // q * 3 + 8)
     # 1 + x/1 (1 + x/2 (... (1 + x/n))) as num/den, innermost first
     num = den = 1
     for k in range(n, 0, -1):
         den *= k * q
         num = den + p * num
-    total = Fraction(num, den)
-    # x^n/n! * x/(n + 1) / (1 - x/(n + 2))
-    tail = Fraction(p ** (n + 1) * (n + 2), q**n * factorial(n + 1) * ((n + 2) * q - p))
-    return total, total + tail
+    return num, den, p ** (n + 1) * (n + 2), den * (n + 1) * ((n + 2) * q - p)
+
+
+def exp_bounds(x, terms: int = 24) -> tuple[Fraction, Fraction]:
+    """Rational ``(lo, hi)`` with ``lo <= exp(x) <= hi``, read off
+    :func:`exp_series` of |x|: for x >= 0 the Taylor sum and the sum plus
+    its tail bound.  Negative arguments go through ``exp(x) = 1/exp(-x)``
+    so the enclosure stays valid.
+    """
+    x = rat(x)
+    num, den, tail, tail_den = exp_series(abs(x.numerator), x.denominator, terms)
+    upper = num * (tail_den // den) + tail  # the sum plus its tail, over tail_den
+    if x < 0:
+        return Fraction(tail_den, upper), Fraction(den, num)
+    return Fraction(num, den), Fraction(upper, tail_den)
 
 
 def sqrt_bounds(x, scale: int = 10**12) -> tuple[Fraction, Fraction]:

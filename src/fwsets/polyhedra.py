@@ -62,7 +62,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DimensionMismatchError, SizeCapError
+from .errors import DimensionMismatchError, SizeCapError, require_kind
 from .linalg import (
     Mat,
     ONE,
@@ -426,15 +426,13 @@ def dd_convert(p, work: Work | None = None):
     """Convert between the two polyhedron representations, exactly.
     ``work`` as in :func:`cone_h_to_v`; the certificate LP of an empty
     system charges the same counter."""
+    require_kind(p, (HPolyhedron, VPolyhedron), "dd_convert takes an HPolyhedron or a VPolyhedron")
+    _refuse_dim(p.dim)
     if work is None:
         work = Work()
-    if isinstance(p, (HPolyhedron, VPolyhedron)):
-        _refuse_dim(p.dim)
     if isinstance(p, HPolyhedron):
         return _v_form(p, *_homogenized_v(p, work), work)
-    if isinstance(p, VPolyhedron):
-        return _v_to_h(p, work)
-    raise TypeError("dd_convert expects HPolyhedron or VPolyhedron")
+    return _v_to_h(p, work)
 
 
 def _refuse_dim(dim: int) -> None:
@@ -577,6 +575,7 @@ def project_fm(p: HPolyhedron, coords) -> HPolyhedron:
     bounds both conversions.  An empty ``p`` projects to the single row
     ``0 <= -1``.
     """
+    require_kind(p, HPolyhedron, "project_fm takes an HPolyhedron")
     coords = sorted(set(coords))
     if not coords or coords[0] < 1 or coords[-1] > p.dim:
         raise DimensionMismatchError("coords must be a nonempty subset of {1..n}")
@@ -608,18 +607,23 @@ def project_fm(p: HPolyhedron, coords) -> HPolyhedron:
 
 def polar_cone(d: PolyCone) -> PolyCone:
     """Positive polar ``{c : c . x >= 0 for every x in the cone}``."""
+    require_kind(d, PolyCone, "polar_cone takes a PolyCone")
     # {c : -g . c <= 0}  ==  {c : g . c >= 0}
     rows = tuple(vscale(-ONE, g) for g in d.generators)
     return PolyCone.from_halfspaces(rows, d.dim)
 
 
 def intersect(p: HPolyhedron, q: HPolyhedron) -> HPolyhedron:
+    require_kind(p, HPolyhedron, "intersect takes HPolyhedra")
+    require_kind(q, HPolyhedron, "intersect takes HPolyhedra")
     if p.dim != q.dim:
         raise DimensionMismatchError("intersection of different ambient dimensions")
     return HPolyhedron(p.a + q.a, p.b + q.b, p.dim)
 
 
 def minkowski_sum(p: VPolyhedron, q: VPolyhedron) -> VPolyhedron:
+    require_kind(p, VPolyhedron, "minkowski_sum takes VPolyhedra")
+    require_kind(q, VPolyhedron, "minkowski_sum takes VPolyhedra")
     if p.dim != q.dim:
         raise DimensionMismatchError("sum of different ambient dimensions")
     if p.is_empty or q.is_empty:
@@ -634,6 +638,7 @@ def minkowski_sum(p: VPolyhedron, q: VPolyhedron) -> VPolyhedron:
 
 def recession_cone(p: HPolyhedron) -> PolyCone:
     """``{d : A d <= 0}`` with generators computed by double description."""
+    require_kind(p, HPolyhedron, "recession_cone takes an HPolyhedron")
     return PolyCone.from_halfspaces(p.a, p.dim)
 
 

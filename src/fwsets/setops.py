@@ -30,6 +30,7 @@ from .errors import (
     EmptySetError,
     FwsetsError,
     UnsupportedKindError,
+    require_kind,
 )
 from .linalg import (
     ONE,
@@ -72,8 +73,7 @@ from .quadratics import Quadratic
 
 
 def _require_polyhedral(f: MotzkinSet, op: str) -> None:
-    if not isinstance(f, MotzkinSet):
-        raise UnsupportedKindError(f"{op} takes Motzkin sets, not {type(f).__name__}")
+    require_kind(f, MotzkinSet, f"{op} takes Motzkin sets")
     if not f.is_polyhedral_cone:
         raise UnsupportedKindError(f"{op} requires a polyhedral recession cone")
 
@@ -172,6 +172,7 @@ def intersect_subspace_motzkin(f: MotzkinSet, l: AffineManifold) -> MotzkinSet:
     the section.  Raises EmptySetError with a Farkas certificate when the
     intersection is empty.
     """
+    require_kind(f, MotzkinSet, "intersect_subspace_motzkin takes a MotzkinSet")
     if l.dim != f.dim:
         raise DimensionMismatchError("subspace dimension differs from the set's")
     h = _inequality_form(f, "intersect_subspace_motzkin")
@@ -197,6 +198,8 @@ def intersect_fwm(f1: MotzkinSet, f2: MotzkinSet) -> MotzkinSet:
     Raises EmptySetError with a Farkas certificate when the sets are
     disjoint.
     """
+    for f in (f1, f2):
+        require_kind(f, (HPolyhedron, MotzkinSet), "intersect_fwm takes HPolyhedra or MotzkinSets")
     if f1.dim != f2.dim:
         raise DimensionMismatchError("intersecting sets of different dimensions")
     h1 = _inequality_form(f1, "intersect_fwm")
@@ -213,6 +216,7 @@ def affine_preimage(f: MotzkinSet, t: AffineMap) -> MotzkinSet:
     space may exceed the dimension cap of double description.  Empty
     preimages raise EmptySetError with a Farkas certificate.
     """
+    require_kind(f, (HPolyhedron, MotzkinSet), "affine_preimage takes HPolyhedra or MotzkinSets")
     if t.target_dim != f.dim:
         raise DimensionMismatchError("map target dimension differs from the set's")
     h = _inequality_form(f, "affine_preimage")
@@ -235,6 +239,8 @@ def order_cancellation_check(
     Returns ``(A + K ⊆ B + K, A ⊆ B)``; the law asserts the first forces
     the second when K is compact (here: a polytope).
     """
+    for v in (a, b, k):
+        require_kind(v, VPolyhedron, "order_cancellation_check takes VPolyhedra")
     if k.rays or k.lineality:
         raise UnsupportedKindError("the cancellation summand must be a polytope")
     sum_a = minkowski_sum(a, k)

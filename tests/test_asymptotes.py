@@ -1,7 +1,9 @@
 """Tests for flat-asymptote detection, projections, and qFW classification."""
 
 import dataclasses
+import functools
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -35,7 +37,7 @@ from fwsets.asymptotes import (
     manifold_projection,
     projection_closed,
 )
-from fwsets import asymptotes, cli, gallery
+from fwsets import asymptotes, cli, gallery, numeric
 from fwsets.gallery import (
     epigraph_set,
     hyperbola_set,
@@ -1163,8 +1165,8 @@ def test_epigraph_membership_in_the_band(monkeypatch):
     for point, member in band.items():
         assert contains(epigraph_set(), point) is member, point
     # at t = 10 every pass sums 3 * 100 + 8 terms: an undecided point runs one
-    lo, _ = asymptotes.exp_bounds(F(-100), 16)
-    calls = count_calls(monkeypatch, "exp_bounds")
+    lo, _ = numeric.exp_bounds(F(-100), 16)
+    calls = count_calls(monkeypatch, "exp_series")
     assert contains(epigraph_set(), (F(10), 100 + lo)) is None
     assert len(calls) == 1
 
@@ -1182,7 +1184,7 @@ def _enclosure_contains(t, y):
     enclosure alone, widening as the library does."""
     s = t * t
     for terms in sorted({max(k, 3 * int(s) + 8) for k in (16, 48, 120)}):
-        lo, hi = asymptotes.exp_bounds(-s, terms)
+        lo, hi = numeric.exp_bounds(-s, terms)
         if y >= s + hi:
             return True
         if y < s + lo:
@@ -1200,13 +1202,98 @@ def test_epigraph_short_sums_match_the_enclosure():
         s = t * t
         y = s + F(rng.randint(1, 999), 1000) / (1 + s)
         if rng.random() < 0.5:  # near the boundary, from either side
-            lo, hi = asymptotes.exp_bounds(-s, 40)
+            lo, hi = numeric.exp_bounds(-s, 40)
             y = s + (lo + hi) / 2 + F(rng.randint(-50, 50), 10**6) * hi
         ref = _enclosure_contains(t, y)
         assert ref is not None
         assert contains(Epigraph1D(), (t, y)) is ref, (t, y)
         answers[ref] += 1
     assert min(answers.values()) >= 100, answers
+
+
+@functools.cache
+def _reference_exp(s, terms):
+    # exp(s) for s >= 0 lies between the Fraction Taylor sum and the sum plus
+    # its geometric tail bound
+    n = max(terms, int(s) * 3 + 8)
+    term = total = F(1)
+    for k in range(1, n + 1):
+        term *= s / k
+        total += term
+    return total, total + term * (s / (n + 1)) / (1 - s / (n + 2))
+
+
+def _reference_epigraph_contains(t, y):
+    # the Fraction ladder that the integer cross-multiplications replaced
+    s = t * t
+    if y <= s:
+        return False
+    if y >= s + 1:
+        return True
+    total = term = F(1)
+    for j in range(1, 17):
+        term = term * s / j
+        total += term
+        if j in (1, 2, 4, 8, 16) and (y - s) * total >= 1:
+            return True
+    for terms in sorted({max(k, 3 * int(s) + 8) for k in (16, 48, 120)}):
+        lo, hi = _reference_exp(s, terms)
+        if y >= s + 1 / lo:
+            return True
+        if y < s + 1 / hi:
+            return False
+    return None
+
+
+def _reference_line_intersects(slope, icept):
+    # the Fraction line test: refuted by x^2 or by 1 - x^2 below exp(-x^2),
+    # else hit at a point x = t/2 by the 32-term bound on exp(-x^2)
+    g = lambda x: x * x - slope * x - icept
+    if -icept - slope * slope / 4 > 0:
+        return False
+    outside = [g(F(1)), g(F(-1))] + ([g(slope / 2)] if abs(slope) >= 2 else [])
+    if 1 - abs(slope) - icept > 0 and min(outside) >= 0:
+        return False
+    for t in range(-12, 13):
+        x = F(t, 2)
+        lo, _ = _reference_exp(x * x, 32)
+        if g(x) + 1 / lo <= 0:
+            return True
+    return None
+
+
+def test_epigraph_decisions_on_ints_match_the_fraction_ladder():
+    # 3,000 seeded points with |t| <= 8 on both sides of the boundary
+    # t^2 + exp(-t^2), each also the point of a line through it: membership
+    # and the line test answer what the Fraction ladder answers
+    rng = random.Random(20261021)
+    answers = {True: 0, False: 0}
+    lines = {True: 0, False: 0, None: 0}
+    for i in range(3000):
+        t = F(rng.randint(-160, 160), 20)
+        if i % 3 == 0:  # on the grid of the line test
+            t = F(rng.randint(-16, 16), 2)
+        s = t * t
+        # exp(-s) to float accuracy, moved off it by a relative 10^-12 ... 10^-2
+        shift = rng.choice((-1, 1)) * 10 ** rng.uniform(-12, -2)
+        y = s + F(math.exp(-float(s))) * F(1 + shift)
+        if i % 5 == 0:  # anywhere in the band s < y < s + 1
+            y = s + F(rng.randint(1, 10**6 - 1), 10**6)
+        member = _reference_epigraph_contains(t, y)
+        assert contains(Epigraph1D(), (t, y)) is member, (t, y)
+        answers[member] += 1
+        # a random slope, or one near the tangent's 2t (1 - exp(-t^2)), whose
+        # line stays below the convex boundary when the point does
+        slope = F(rng.randint(-40, 40), rng.randint(1, 8))
+        if i % 2:
+            slope = F(round(2 * float(t) * (1 - math.exp(-float(s))) * 64), 64)
+        line = AffineManifold((t, y), [(1, slope)])
+        hit = _reference_line_intersects(slope, y - slope * t)
+        assert intersects_manifold(Epigraph1D(), line) is hit, (t, y, slope)
+        lines[hit] += 1
+    assert min(answers.values()) >= 1000, answers
+    # the hit loop answers True or leaves None; False is the refutations'
+    assert lines[True] >= 500 and lines[None] >= 500 and lines[False] >= 20, lines
 
 
 def test_membership_in_a_segment_plus_a_second_order_cone():

@@ -591,11 +591,11 @@ def test_solve_ball_with_tolerance(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["verdict"] == "attained"
-    assert out["exact"] is False
-    assert abs(Fraction(out["value"]) - 4) < Fraction(1, 10**5)
-    # the bracket is part of the report: a certified bound within the tolerance
-    assert 0 <= Fraction(out["value"]) - Fraction(out["lower_bound"]) <= Fraction(1, 10**6)
-    assert "exact bracket" in out["justification"]
+    # the bracket is part of the report: a certified bound equal to the value,
+    # so the verdict is exact, with its own justification
+    assert out["exact"] is True
+    assert out["value"] == out["lower_bound"] == "4" and out["point"] == ["1", "0"]
+    assert out["justification"].startswith("exact bracket of width 0")
 
 
 def test_main_calls_in_one_process_match_cold_runs(tmp_path, capsys):

@@ -219,13 +219,13 @@ def test_attained_point_is_member_and_optimal_over_samples():
 
 def test_ball_grid_matches_exact_disk_minimum():
     # q(x) = (x1 - 3)^2 + x2^2 over disk(center 0, radius 1) + ray(0, 1):
-    # the cone never helps, the disk minimum is at (1, 0) with value 4
+    # the cone never helps, the disk minimum is at (1, 0) with value 4, and
+    # the bracket closes at width 0, which proves it
     q = Quadratic.build([[2, 0], [0, 2]], [-6, 0], 9)
     f = MotzkinSet(Ball((0, 0), 1), PolyCone.from_generators([(0, 1)]))
     v = minimize_on_motzkin(q, f)
     assert isinstance(v, Attained)
-    assert not v.exact
-    assert abs(v.value - 4) < F(1, 10**6)
+    assert v.exact and v.value == v.lower_bound == 4 and v.point == (1, 0)
 
 
 def _ball_cases():
@@ -287,16 +287,20 @@ def _ball_members(rng, f, count):
 
 def test_ball_verdicts_match_exact_inner_path():
     # every positive definite case closes its bracket: the value is q at a
-    # member, and the lower bound holds at 1,000 seeded members
+    # member, and the lower bound holds at 1,000 seeded members; a bracket
+    # is exact iff it has width 0, as 5 of the 12 have
     rng = random.Random(23)
     cases = _ball_cases()
+    widths = []
     for q, f in cases[:-1]:
         v = minimize_on_motzkin(q, f)
-        assert isinstance(v, Attained) and not v.exact
+        assert isinstance(v, Attained) and v.exact is (v.value == v.lower_bound)
+        widths.append(v.value - v.lower_bound)
         assert 0 <= v.value - v.lower_bound <= FEASIBILITY_TOL
         assert v.value == q.evaluate(v.point)
         assert _in_ball_plus_cone(v.point, f)
         assert all(v.lower_bound <= q.evaluate(y) for y in _ball_members(rng, f, 1000))
+    assert widths.count(0) == 5
 
 
 def test_ball_brackets_take_few_probes(monkeypatch):

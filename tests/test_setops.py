@@ -10,7 +10,7 @@ import pytest
 from fwsets import polyhedra
 from fwsets.affine import AffineManifold, AffineMap, subspace
 from fwsets import cone_qp
-from fwsets.asymptotes import QuadSublevel, classify_fw_set
+from fwsets.asymptotes import Epigraph1D, QuadSublevel, classify_fw_set
 from fwsets.errors import DimensionMismatchError, EmptySetError, FwsetsError, UnsupportedKindError
 from fwsets.linalg import (
     dot,
@@ -33,14 +33,21 @@ from fwsets.motzkin import (
     SecondOrderCone,
     classify_fw,
     decompose,
+    minimize_on_motzkin,
     motzkin_to_vpoly,
     polyhedral_forms,
+    recession_cone_of,
 )
 from fwsets.polyhedra import (
     HPolyhedron,
     PolyCone,
     VPolyhedron,
     dd_convert,
+    intersect,
+    minkowski_sum,
+    polar_cone,
+    project_fm,
+    recession_cone,
 )
 from fwsets.setops import (
     affine_image,
@@ -177,11 +184,14 @@ def test_product_of_any_set_kinds_is_a_set_or_a_typed_refusal(first, second):
     assert multiplies and isinstance(p, MotzkinSet) and p.dim == 6
 
 
-# every set kind above, a bare cone and a quadratic sublevel set
+# every set kind above, a bare cone, a quadratic sublevel set, the V-form of
+# the half-space and the planar epigraph of x^2 + exp(-x^2)
 _QP_KINDS = {
     **_SET_KINDS,
     "cone": orthant(3),
     "quad_sublevel": QuadSublevel(_SET_KINDS["hpolyhedron"], (Quadratic.build(identity(3), zeros(3), -1),)),
+    "vpolyhedron": dd_convert(_SET_KINDS["hpolyhedron"]),
+    "epigraph": Epigraph1D(),
 }
 _Q3 = Quadratic.build(identity(3), (0, 0, 1))
 # each QP and cone entry: the kind it takes, and a call on a set
@@ -207,6 +217,47 @@ def test_qp_and_cone_entries_answer_or_refuse_any_set_kind(entry, kind):
         call(_QP_KINDS[kind])
     except FwsetsError as refusal:
         assert kind != takes and isinstance(refusal, UnsupportedKindError), refusal
+
+
+_MOTZKIN_KINDS = ("ball", "points", "polytope", "second_order")
+# each public set operation: the kinds it answers, and a call on a set
+_PUBLIC_ENTRIES = {
+    "classify_fw": (_MOTZKIN_KINDS, classify_fw),
+    "decompose": (("hpolyhedron",), decompose),
+    "minimize_on_motzkin": (_MOTZKIN_KINDS, partial(minimize_on_motzkin, _Q3)),
+    "recession_cone_of": (_MOTZKIN_KINDS, recession_cone_of),
+    "polar_cone": (("cone",), polar_cone),
+    "project_fm": (("hpolyhedron",), lambda s: project_fm(s, [1])),
+    "recession_cone": (("hpolyhedron",), recession_cone),
+    "intersect_subspace_motzkin": (
+        ("polytope",), lambda s: intersect_subspace_motzkin(s, subspace([(1, 0, 0)], 3))
+    ),
+    "intersect_fwm": (("hpolyhedron", "polytope"), lambda s: intersect_fwm(s, s)),
+    "minkowski_sum": (("vpolyhedron",), lambda s: minkowski_sum(s, s)),
+    "intersect": (("hpolyhedron",), lambda s: intersect(s, s)),
+    "dd_convert": (("hpolyhedron", "vpolyhedron"), dd_convert),
+    "affine_preimage": (
+        ("hpolyhedron", "polytope"), lambda s: affine_preimage(s, AffineMap.identity(3))
+    ),
+    "order_cancellation_check": (
+        ("vpolyhedron",),
+        lambda s: order_cancellation_check(s, s, VPolyhedron([(0, 0, 0)], (), (), 3)),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_QP_KINDS))
+@pytest.mark.parametrize("entry", sorted(_PUBLIC_ENTRIES))
+def test_public_set_operations_answer_or_refuse_any_set_kind(entry, kind):
+    # each of these raised a bare AttributeError (dd_convert a TypeError) on
+    # some set of another kind: it answers the kinds it takes and refuses
+    # every other kind by its kind
+    takes, call = _PUBLIC_ENTRIES[entry]
+    if kind in takes:
+        call(_QP_KINDS[kind])
+    else:
+        with pytest.raises(UnsupportedKindError):
+            call(_QP_KINDS[kind])
 
 
 # ---------------------------------------------------------------------------
