@@ -10,17 +10,21 @@ and a genuinely second-order recession cone rules the property out (by the
 order cancellation law plus Mirkil's theorem some planar projection of D,
 hence of F, fails to be closed).
 
-Minimization over a finite point set or a ball uses the two-level reduction
+Minimization rests on the two-level reduction
 
     inf_F q = inf_{y in K} [ q(y) + f(A y + b) ] ,
 
-with the inner value f supplied exactly by the cone program; for a finite
-point set both levels are exact.  A polytope part is not reduced: q is
-bounded below on F iff each vertex's inner linear term lies in dom(f)
-(convex, so the vertices decide it for all of K), and the exact minimum is
-then the quadratic program on F's own inequality form.  On a ball the
-minimum is bracketed between two exact rationals: each multiplier mu of the
-ball constraint g gives a weak-duality lower bound
+with the inner value f supplied exactly by the cone program.  q is bounded
+below on F exactly when every inner linear term ``A y + b``, y in K, lies in
+dom(f), and one escape test decides it for every compact part: the first
+listed point (a point set's points, or a polytope's vertices, which decide
+it for all of K because the term is affine in y and dom(f) is convex) whose
+term leaves dom(f), or, for a ball, a point past the crossing of a row of
+dom(f), is the base of the unbounded verdict.  A bounded point set is
+minimized point by point, both levels exact.  A bounded polytope part is not
+reduced: its exact minimum is the quadratic program on F's own inequality
+form.  On a ball the minimum is bracketed between two exact rationals: each
+multiplier mu of the ball constraint g gives a weak-duality lower bound
 (:func:`numeric.lagrangian_value` of q + mu g plus one cone program over D),
 and the point of that program gives a member whose objective value is an
 upper bound.
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .cone_qp import ConeMinVerdict, ConeProgram, minimize_over_hpolyhedron, scaled_descent_ray
+from .cone_qp import ConeProgram, DomF, minimize_over_hpolyhedron, scaled_descent_ray
 from .errors import (
     DimensionMismatchError,
     EmptySetError,
@@ -399,8 +403,11 @@ def decompose(h: HPolyhedron) -> MotzkinSet:
 def minimize_on_motzkin(q: Quadratic, f: MotzkinSet, tol: Fraction | None = None) -> AttainmentVerdict:
     """Minimize a quadratic over ``K + D``.
 
-    Polytope and finite compact parts with polyhedral cones are solved
-    exactly.  On a ball compact part the minimum is bracketed exactly: the
+    With a polyhedral cone, boundedness is decided first, by one escape test
+    for every compact part (:func:`_escape_point`): a point y of K whose
+    inner linear term leaves dom(f) gives UnboundedBelow, based at y along
+    the inner cone program's descent ray.  Bounded polytope and finite
+    compact parts are then solved exactly.  On a ball compact part the minimum is bracketed exactly: the
     verdict is Attained, with a member point, its value and a certified
     lower bound at most ``tol`` below it, once the bracket is that narrow,
     and Unknown, carrying the lower bound found, when it stays wider (a
@@ -419,10 +426,23 @@ def minimize_on_motzkin(q: Quadratic, f: MotzkinSet, tol: Fraction | None = None
     if not f.is_polyhedral_cone:
         return _probe_second_order(q, f)
     prog = ConeProgram(q.a, f.cone)
+    y = _escape_point(q, f.compact, prog)
+    if y is not None:
+        verdict = prog.minimize(inner_linear_term(q, y))
+        if verdict.kind != "unbounded":
+            raise FwsetsError("an escape point produced a bounded inner program")
+        return UnboundedBelow(
+            base=y,
+            direction=verdict.direction,
+            note=f"inner cone program unbounded ({verdict.curvature})",
+        )
     if isinstance(f.compact, FinitePointSet):
         return _minimize_over_points(q, f.compact.points, prog)
     if isinstance(f.compact, PolytopeK):
-        return _minimize_over_polytope(q, f, prog)
+        solved = minimize_over_hpolyhedron(q, f.hform)
+        if solved is None:
+            raise FwsetsError("bounded polyhedral program produced no candidates")
+        return Attained(point=solved[1], value=solved[0])
     return _minimize_over_ball(q, f, prog, tol)
 
 
@@ -431,55 +451,37 @@ def inner_linear_term(q: Quadratic, y: Vec) -> Vec:
     return vadd(matvec(q.a, y), q.b)
 
 
-def _unbounded_at(y: Vec, verdict: ConeMinVerdict) -> UnboundedBelow:
-    """The verdict for base point y, whose inner cone program gave ``verdict``."""
-    if verdict.kind != "unbounded":
-        raise FwsetsError("an escape point produced a bounded inner program")
-    return UnboundedBelow(
-        base=y,
-        direction=verdict.direction,
-        note=f"inner cone program unbounded ({verdict.curvature})",
-    )
+def _escape_point(q, k: CompactPart, prog: ConeProgram) -> Vec | None:
+    """A point y of K whose inner linear term ``A y + b`` leaves dom(f), or
+    None when q is bounded below on ``K + D``.
+
+    Listed points (a finite point set, or a polytope's vertices) are tested
+    in order, and the first outside dom(f) is the answer: the term is affine
+    in y and dom(f) is convex, so the vertices decide it for all of a
+    polytope.  A dom(f) without rows that is not empty holds every term, and
+    no point is read.  A ball is tested by rows
+    (:func:`_ball_escapes_domain`).
+    """
+    dom = prog.dom
+    if isinstance(k, Ball):
+        return _ball_escapes_domain(q, k, dom)
+    if not dom.is_empty and not dom.rows:
+        return None
+    return next((y for y in compact_points(k) if not dom.contains(inner_linear_term(q, y))), None)
 
 
-def _minimize_over_points(q, points, prog: ConeProgram) -> AttainmentVerdict:
+def _minimize_over_points(q, points, prog: ConeProgram) -> Attained:
     best = None
     for y in points:
-        c = inner_linear_term(q, y)
-        verdict = prog.minimize(c)
-        if verdict.kind == "unbounded":
-            return _unbounded_at(y, verdict)
+        verdict = prog.minimize(inner_linear_term(q, y))
         total = q.evaluate(y) + verdict.value
-        point = vadd(y, verdict.point)
         if best is None or total < best[0]:
-            best = (total, point)
+            best = (total, vadd(y, verdict.point))
     return Attained(point=best[1], value=best[0])
-
-
-def _minimize_over_polytope(q, f: MotzkinSet, prog: ConeProgram) -> AttainmentVerdict:
-    # boundedness via the vertices: the inner linear term is affine in y and
-    # dom(f) is convex, so vertex membership decides membership for all of K;
-    # an empty dom(f) fails at the first vertex, and one without rows holds
-    # at every vertex
-    dom = prog.dom
-    if dom.is_empty or dom.rows:
-        for y in f.compact.vertices:
-            c = inner_linear_term(q, y)
-            if not prog.boundedness(c).bounded:
-                return _unbounded_at(y, prog.minimize(c))
-    (hform,) = polyhedral_forms(f)
-    solved = minimize_over_hpolyhedron(q, hform)
-    if solved is None:
-        raise FwsetsError("bounded polyhedral program produced no candidates")
-    value, point = solved
-    return Attained(point=point, value=value)
 
 
 def _minimize_over_ball(q, f: MotzkinSet, prog: ConeProgram, tol: Fraction) -> AttainmentVerdict:
     ball: Ball = f.compact
-    escape = _ball_escapes_domain(q, ball, prog)
-    if escape is not None:
-        return _unbounded_at(escape, prog.minimize(inner_linear_term(q, escape)))
     c, r2 = ball.center, ball.radius * ball.radius
     g = Quadratic(identity(ball.dim), vscale(-ONE, c), (dot(c, c) - r2) / 2)  # (|y - c|^2 - r^2)/2
     if f.cone.generators:
@@ -667,47 +669,34 @@ class _FaceSlack:
         return top, bottom
 
 
-def _ball_escapes_domain(q, ball: Ball, prog: ConeProgram) -> Vec | None:
+def _ball_escapes_domain(q, ball: Ball, dom: DomF) -> Vec | None:
     """A rational ball point whose inner linear term leaves dom(f), if any.
 
-    Row test: w.(A y + b) <= 0 on the whole ball iff it holds at the center
-    with slack at least radius * |A^T w|, an exact squared comparison.
+    Row test: ``w.(A y + b) <= 0`` on the whole ball iff it holds at the
+    center with slack at least ``radius |A^T w|``, an exact squared
+    comparison.  Where a row fails it, its value along ``y(t) = center + t
+    A^T w`` is ``center_val + t N``, ``N = |A^T w|^2 > 0``, zero at ``t_req
+    = -center_val / N`` with ``t_req^2 N < r^2``.  The point at ``t = t_req
+    + delta``, ``delta = min(1, (r^2 - t_req^2 N) / ((2 t_req + 1) N))``,
+    has a positive value and lies in the ball: ``delta^2 <= delta`` gives
+    ``t^2 N <= t_req^2 N + (2 t_req + 1) delta N <= r^2``.
     """
-    dom = prog.dom
     if dom.is_empty:
         return ball.center
+    r2 = ball.radius * ball.radius
+    center_term = inner_linear_term(q, ball.center)
     for w in dom.rows:
-        # dom rows are "h . c <= 0"; c(y) = A y + b
-        center_val = dot(w, inner_linear_term(q, ball.center))
+        # dom rows are "w . c <= 0"; c(y) = A y + b
+        center_val = dot(w, center_term)
+        if center_val > 0:
+            return ball.center
         atw = matvec(q.a, w)  # A^T w = A w (A symmetric)
         norm_sq = dot(atw, atw)
-        if center_val <= 0 and center_val * center_val >= ball.radius * ball.radius * norm_sq:
+        if center_val * center_val >= r2 * norm_sq:
             continue  # row holds on the whole ball
-        point = _ball_point_violating(ball, center_val, atw, norm_sq)
-        if point is not None:
-            return point
-    return None
-
-
-def _ball_point_violating(ball, center_val, atw, norm_sq) -> Vec | None:
-    """Rational ball point where the row value turns positive.
-
-    Along ``y(t) = center + t A^T w`` the row value is
-    ``center_val + t norm_sq``; any rational t past the zero crossing that
-    still satisfies ``t^2 norm_sq <= radius^2`` works, and one exists exactly
-    when the slab test failed, so halving the overshoot terminates.
-    """
-    if center_val > 0:
-        return ball.center
-    if norm_sq == 0:
-        return None
-    t_req = -center_val / norm_sq
-    delta = ONE
-    for _ in range(400):
-        t = t_req + delta
-        if t * t * norm_sq <= ball.radius * ball.radius:
-            return vadd(ball.center, vscale(t, atw))
-        delta /= 2
+        t_req = -center_val / norm_sq
+        delta = min(ONE, (r2 - t_req * t_req * norm_sq) / ((2 * t_req + 1) * norm_sq))
+        return vadd(ball.center, vscale(t_req + delta, atw))
     return None
 
 
@@ -715,7 +704,8 @@ def _probe_second_order(q, f: MotzkinSet) -> AttainmentVerdict:
     """Search a rational direction battery of the second-order cone for a
     provable descent ray; otherwise report Unknown."""
     soc: SecondOrderCone = f.cone
-    base = _some_compact_point(f.compact)
+    k = f.compact
+    base = k.center if isinstance(k, Ball) else compact_points(k)[0]
     candidates = [soc.axis]
     for i in range(soc.dim):
         for delta in (Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2), Fraction(-1, 2)):
@@ -736,10 +726,3 @@ def _probe_second_order(q, f: MotzkinSet) -> AttainmentVerdict:
         "direction battery found no certified descent ray"
     )
 
-
-def _some_compact_point(k: CompactPart) -> Vec:
-    if isinstance(k, PolytopeK):
-        return k.vertices[0]
-    if isinstance(k, FinitePointSet):
-        return k.points[0]
-    return k.center

@@ -14,7 +14,7 @@ from functools import cached_property
 from math import lcm
 
 from .affine import AffineManifold, AffineMap
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, require_kind
 from .linalg import (
     Mat,
     Vec,
@@ -157,6 +157,7 @@ def int_is_pd(s: list[list[int]]) -> bool:
 
 def is_convex(q: Quadratic) -> bool:
     """True iff q is convex on all of R^n, i.e. A is positive semidefinite."""
+    require_kind(q, Quadratic, "is_convex takes a Quadratic")
     return is_psd(q.a)
 
 
@@ -165,12 +166,14 @@ def invariant_directions(q: Quadratic) -> list[Vec]:
 
     Along every returned direction, q(x + t d) = q(x) identically in x, t.
     """
+    require_kind(q, Quadratic, "invariant_directions takes a Quadratic")
     rows = q.a + (q.b,)
     return kernel_basis(rows, ncols=q.dim)
 
 
 def compose_affine(q: Quadratic, t: AffineMap) -> Quadratic:
     """The pullback ``q o T`` as a quadratic on the source space."""
+    require_kind(q, Quadratic, "compose_affine takes a Quadratic")
     if t.target_dim != q.dim:
         raise DimensionMismatchError("map target dimension differs from q's")
     m = t.matrix
@@ -183,6 +186,7 @@ def compose_affine(q: Quadratic, t: AffineMap) -> Quadratic:
 
 def restrict_to_affine(q: Quadratic, m: AffineManifold) -> Quadratic:
     """q restricted to the manifold, in its ``point + basis u`` coordinates."""
+    require_kind(q, Quadratic, "restrict_to_affine takes a Quadratic")
     if m.dim != q.dim:
         raise DimensionMismatchError("manifold dimension differs from q's")
     basis = m.basis

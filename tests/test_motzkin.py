@@ -659,6 +659,45 @@ def test_bounded_below_always_attains_on_polyhedral_motzkin():
     assert attained > 10  # the filter keeps a healthy share of bounded cases
 
 
+def _escape_reference(q, f):
+    """The verdict kind, base and direction of the two-level reduction read
+    point by point: the first listed point whose inner cone program is
+    unbounded, or "attained" when there is none."""
+    prog = ConeProgram(q.a, f.cone)
+    k = f.compact
+    for y in k.points if isinstance(k, FinitePointSet) else k.vertices:
+        verdict = prog.minimize(vadd(matvec(q.a, y), q.b))
+        if verdict.kind == "unbounded":
+            return "unbounded", y, verdict.direction
+    return "attained", None, None
+
+
+def test_the_first_listed_point_outside_dom_f_is_the_escape():
+    # point sets and polytopes, n 1-3 and 1-4 generators, under general and
+    # Gram (A = R^T R, convex) objectives: the solver's kind, base and
+    # direction are the point-by-point reference's
+    rng = random.Random(49)
+    kinds = {"attained": 0, "unbounded": 0}
+    for case in range(640):
+        n = rng.randint(1, 3)
+        gens = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+        gens = [g for g in gens if any(g)] or [(1,) + (0,) * (n - 1)]
+        pts = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+        k = FinitePointSet(pts) if case % 2 else PolytopeK(pts)
+        raw = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:
+            raw = [[sum(x * y for x, y in zip(ra, rb)) for rb in zip(*raw)] for ra in zip(*raw)]
+        q = Quadratic.build(raw, [rng.randint(-3, 3) for _ in range(n)])
+        f = MotzkinSet(k, PolyCone.from_generators(gens, n))
+        v = minimize_on_motzkin(q, f)
+        kind, base, direction = _escape_reference(q, f)
+        assert v.kind == kind
+        if kind == "unbounded":
+            assert (v.base, v.direction) == (base, direction)
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 100, kinds
+
+
 # ---------------------------------------------------------------------------
 # a ball whose inner linear term leaves dom(f)
 # ---------------------------------------------------------------------------
@@ -685,6 +724,22 @@ def test_a_ball_escapes_dom_f_along_a_descent_ray(a, gens, base):
     offset = tuple(x - c for x, c in zip(verdict.base, ball.center))
     assert dot(offset, offset) <= ball.radius * ball.radius
     # q(base + t d) = q(base) + t g.d + t^2 d.Ad / 2 decreases strictly in t > 0
+    d = verdict.direction
+    slope, curvature = dot(q.gradient(verdict.base), d), dot(d, matvec(q.a, d))
+    assert curvature <= 0 and slope <= 0 and (slope < 0 or curvature < 0)
+
+
+@pytest.mark.parametrize("k", [401, 500, 2000])
+def test_a_ball_escapes_in_one_step_however_near_the_crossing_its_rim_is(k):
+    # x1 x2 on the unit ball at (0, 1 - 2^-k) plus cone(e1): dom(f) is
+    # {c : c1 >= 0}, the centre's term is 1 - 2^-k, and the ball reaches
+    # only 2^-k past the crossing, so a point halving the step from 1 needs
+    # about k halvings
+    ball = Ball((0, 1 - F(1, 2**k)), 1)
+    q = Quadratic.build([[0, 1], [1, 0]])
+    verdict = minimize_on_motzkin(q, MotzkinSet(ball, PolyCone.from_generators([(1, 0)])))
+    assert isinstance(verdict, UnboundedBelow)
+    assert ball.contains(verdict.base) and inner_linear_term(q, verdict.base)[0] < 0
     d = verdict.direction
     slope, curvature = dot(q.gradient(verdict.base), d), dot(d, matvec(q.a, d))
     assert curvature <= 0 and slope <= 0 and (slope < 0 or curvature < 0)

@@ -61,7 +61,13 @@ from fwsets.setops import (
     sum_with_subspace,
     union_set,
 )
-from fwsets.quadratics import Quadratic
+from fwsets.quadratics import (
+    Quadratic,
+    compose_affine,
+    invariant_directions,
+    is_convex,
+    restrict_to_affine,
+)
 
 F = Fraction
 
@@ -220,7 +226,8 @@ def test_qp_and_cone_entries_answer_or_refuse_any_set_kind(entry, kind):
 
 
 _MOTZKIN_KINDS = ("ball", "points", "polytope", "second_order")
-# each public set operation: the kinds it answers, and a call on a set
+# each public set operation: the kinds it answers, and a call on a set; the
+# functions of a Quadratic answer no set kind
 _PUBLIC_ENTRIES = {
     "classify_fw": (_MOTZKIN_KINDS, classify_fw),
     "decompose": (("hpolyhedron",), decompose),
@@ -243,6 +250,10 @@ _PUBLIC_ENTRIES = {
         ("vpolyhedron",),
         lambda s: order_cancellation_check(s, s, VPolyhedron([(0, 0, 0)], (), (), 3)),
     ),
+    "invariant_directions": ((), invariant_directions),
+    "is_convex": ((), is_convex),
+    "compose_affine": ((), lambda s: compose_affine(s, AffineMap.identity(3))),
+    "restrict_to_affine": ((), lambda s: restrict_to_affine(s, subspace([(1, 0, 0)], 3))),
 }
 
 
