@@ -25,7 +25,6 @@ from .linalg import (
     set_fields,
     vadd,
     vec,
-    vscale,
     zeros,
 )
 
@@ -135,7 +134,7 @@ class AffineManifold:
     def inequalities(self) -> tuple[Mat, Vec]:
         """``(rows, rhs)`` of the flat as inequalities: each equation
         ``a . x = b`` as ``a . x <= b`` followed by ``-a . x <= -b``."""
-        rows = tuple(r for row in self.a for r in (row, vscale(-ONE, row)))
+        rows = tuple(r for row in self.a for r in (row, tuple(-x for x in row)))
         return rows, tuple(v for rhs in self.b for v in (rhs, -rhs))
 
     @property

@@ -794,6 +794,7 @@ def minimize_on_polyhedral_cone(q: Quadratic, d: PolyCone) -> ConeMinVerdict:
     quadratic is bounded below (the classical attainment fact for quadratics
     on polyhedra guarantees one exists), and a decreasing ray otherwise.
     """
+    require_kind(q, Quadratic, "minimize_on_polyhedral_cone takes a Quadratic")
     return ConeProgram(q.a, d).minimize(q.b, q.c)
 
 
@@ -819,8 +820,10 @@ def minimize_over_hpolyhedron(q: Quadratic, p: HPolyhedron) -> tuple[Fraction, V
     (:func:`_face_walk`).  A positive definite Q has exactly one minimizer,
     so both give the same answer there.  Like ``Quadratic.ints``, the test
     is not charged; the method that answers charges one work budget.  A p
-    that is not an HPolyhedron raises UnsupportedKindError.
+    that is not an HPolyhedron, or a q that is not a Quadratic, raises
+    UnsupportedKindError.
     """
+    require_kind(q, Quadratic, "the QP takes a Quadratic")
     require_kind(p, HPolyhedron, "the QP takes an HPolyhedron")
     if q.dim != p.dim:
         raise DimensionMismatchError("quadratic and polyhedron dimensions differ")

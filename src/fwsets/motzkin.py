@@ -208,8 +208,9 @@ class MotzkinSet:
 
     A set compares and hashes by its two parts.  Its H-form ``hform``, the
     inequality system of ``conv(compact) + cone`` for polyhedral data, is
-    derived: it is converted from the V-form on first read, and
-    :func:`decompose` keeps the input rows that describe the set.
+    derived on first read: the rows that :func:`decompose` keeps, selected
+    then from its conversion's zero sets, or else converted from the
+    V-form.
     """
 
     compact: CompactPart
@@ -227,7 +228,8 @@ class MotzkinSet:
 
     @cached_property
     def hform(self) -> HPolyhedron:
-        return dd_convert(motzkin_to_vpoly(self))
+        kept = self.__dict__.pop("_kept_rows", None)
+        return kept() if kept else dd_convert(motzkin_to_vpoly(self))
 
     @property
     def is_polyhedral_cone(self) -> bool:
@@ -391,7 +393,7 @@ def decompose(h: HPolyhedron) -> MotzkinSet:
     if v.is_empty:
         raise EmptySetError("the polyhedron is empty", certificate=v.empty_certificate)
     f = MotzkinSet(PolytopeK(v.vertices, v.dim), PolyCone(_cone_generators(v), v.dim))
-    f.__dict__["hform"] = kept
+    f.__dict__["_kept_rows"] = kept
     return f
 
 
@@ -415,6 +417,7 @@ def minimize_on_motzkin(q: Quadratic, f: MotzkinSet, tol: Fraction | None = None
     the trust-region problem).  ``tol`` must be positive.  A second-order
     cone may yield Unknown.
     """
+    require_kind(q, Quadratic, "minimize_on_motzkin takes a Quadratic")
     require_kind(f, MotzkinSet, "minimize_on_motzkin takes a MotzkinSet")
     if q.dim != f.dim:
         raise DimensionMismatchError("quadratic and set dimensions differ")

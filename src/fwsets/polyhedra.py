@@ -28,6 +28,13 @@ equalities, and the cone layer reads them as the facets of a hull.  The
 public conversions merge repeats on int tuples and build each Fraction
 once, on the way out: a vertex ``(x, t)`` as ``x / t``, and each entry of
 a row or ray as an integer, one shared Fraction for each small integer.
+A V-polyhedron enters the integer layer as its :class:`IntVForm`, the
+primitive homogenized generators that its conversion to an H-form hands
+double description; :func:`minkowski_sum` adds two such forms on ints
+and builds Fractions only for the distinct vertex sums and the rays, and
+:func:`int_v_subset` tests one form against the integer normals of
+another, with no Fraction.  The seed of double description works on int
+lists and builds its tuples once, when the seed ends.
 A row, generator or point of another width is refused at entry.
 Projection onto a subset of coordinates is one conversion each way: the
 image is generated by the kept coordinates of the homogenized integer
@@ -48,19 +55,21 @@ hyperplane and one per ray the adjacency test of a pair scans; the input
 and the seed are not counted, so redundant rows and points cost only their
 evaluations.  An exact LP charges ``LP_ENTRY_UNITS`` per integer
 tableau entry it builds and per entry of each row a pivot updates (the pivot
-row, the rows it hits and the cost row).  A conversion
-(with the certificate LP of an empty system) is one call, and a projection
-is one call of two conversions.  The face walks and the dual active-set
-method of :mod:`fwsets.cone_qp` charge the same counter.
+row, the rows it hits and the cost row).  A conversion (with the
+certificate LP of an empty system) is one call, and a projection and an
+order cancellation check are each one call of two conversions.  The face
+walks and the dual active-set method of :mod:`fwsets.cone_qp` charge the
+same counter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, partial
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, SizeCapError, require_kind
 from .linalg import (
@@ -81,7 +90,6 @@ from .linalg import (
     primitive,
     primitive_ints,
     set_fields,
-    vadd,
     vec,
     vscale,
     zeros,
@@ -291,20 +299,26 @@ def double_description(
     """
     if any(len(r) != d for r in rows):
         raise DimensionMismatchError("row width differs from the cone's dimension")
-    rows = [int_primitive(r) for r in rows]
-    lines = [tuple(int(j == i) for j in range(d)) for i in range(d)]
-    rays: list[tuple[int, ...]] = []
+    prim = []
+    for r in rows:
+        g = gcd(*r)
+        prim.append([x // g for x in r] if g > 1 else r)
+    rows = prim
+    lines = list(_units(d))
+    rays: list[list[int]] = []
     seed: list[int] = []
     for t, a in enumerate(rows):
-        vals = [sum(map(mul, a, x)) for x in lines]
+        # the lines are the unit vectors until the first seed row
+        vals = [sum(map(mul, a, x)) for x in lines] if seed else list(a)
         k = next((i for i, v in enumerate(vals) if v), None)
         if k is None:
             continue
         l0, v0 = lines.pop(k), vals.pop(k)
-        s = 1 if v0 > 0 else -1
-        lines = [_along(x, s * v, l0, abs(v0)) for x, v in zip(lines, vals)]
-        rays = [_along(x, s * sum(map(mul, a, x)), l0, abs(v0)) for x in rays]
-        rays.append(tuple(-s * y for y in l0))
+        if v0 < 0:
+            l0, v0 = [-y for y in l0], -v0
+        lines = _moved(lines, vals, l0, v0)
+        rays = _moved(rays, [sum(map(mul, a, x)) for x in rays], l0, v0)
+        rays.append([-y for y in l0])
         seed.append(t)
         if not lines:
             break
@@ -316,7 +330,8 @@ def double_description(
         for p, b in zip(int_rref(basis), basis):
             if b[p] < 0:
                 b = [-y for y in b]
-            rays = [_along(x, x[p], b, b[p]) for x in rays]
+            rays = _moved(rays, [x[p] for x in rays], b, b[p])
+    rays = [tuple(x) for x in rays]
 
     rank = len(rays)
     all_seed = sum(1 << i for i in seed)
@@ -365,12 +380,25 @@ def double_description(
     return rays, lin, zero_sets
 
 
-def _along(x: tuple[int, ...], f: int, l: tuple[int, ...], c: int) -> tuple[int, ...]:
-    """The primitive x moved along l, ``c x - f l`` made primitive for
-    c > 0: x itself when f is 0."""
-    if not f:
-        return x
-    return int_primitive([c * y - f * z for y, z in zip(x, l)])
+@cache
+def _units(d: int) -> tuple[tuple[int, ...], ...]:
+    """The d unit vectors of width d."""
+    return tuple(tuple(int(j == i) for j in range(d)) for i in range(d))
+
+
+def _moved(xs: list, vals: list[int], l: Sequence[int], c: int) -> list:
+    """Each primitive integer vector x of xs moved along l, for its value v
+    in ``vals`` and c > 0: ``c x - v l`` made primitive, x itself when v is
+    0."""
+    out = []
+    for x, v in zip(xs, vals):
+        if v:
+            x = [c * y - v * z for y, z in zip(x, l)]
+            g = gcd(*x)
+            if g > 1:
+                x = [y // g for y in x]
+        out.append(x)
+    return out
 
 
 def cone_h_to_v(rows, d: int, work: Work | None = None) -> tuple[tuple[Vec, ...], list[Vec]]:
@@ -440,9 +468,10 @@ def _refuse_dim(dim: int) -> None:
         raise SizeCapError(f"ambient dimension {dim} exceeds cap {MAX_INPUT_DIM}")
 
 
-def h_to_v_with_facets(p: HPolyhedron) -> tuple[VPolyhedron, HPolyhedron]:
-    """``dd_convert(p)``, and the rows of p that describe the same set when
-    p is nonempty (p itself when it is empty), from the one conversion.
+def h_to_v_with_facets(p: HPolyhedron) -> tuple[VPolyhedron, Callable[[], HPolyhedron]]:
+    """``dd_convert(p)``, and a function of no argument that gives the rows
+    of p that describe the same set when p is nonempty (p itself when it is
+    empty), read off the one conversion when it is called.
 
     The zero sets of double description (:func:`double_description`) give
     each row r of the homogenized cone C its tight rays T(r).  Kept, in
@@ -463,13 +492,19 @@ def h_to_v_with_facets(p: HPolyhedron) -> tuple[VPolyhedron, HPolyhedron]:
     empty V-form's certificate are :func:`dd_convert`'s.
     """
     _refuse_dim(p.dim)
-    n, m = p.dim, len(p.a)
     rows = _homogenized_rows(p)
     work = Work()
-    rays, lin, zero_sets = double_description(rows, n + 1, work)
+    rays, lin, zero_sets = double_description(rows, p.dim + 1, work)
     v = _v_form(p, rays, lin, work)
     if v.is_empty:
-        return v, p
+        return v, lambda: p
+    return v, partial(_kept_rows, p, rows, zero_sets)
+
+
+def _kept_rows(p: HPolyhedron, rows: list[list[int]], zero_sets: list[int]) -> HPolyhedron:
+    """The rows of a nonempty p that :func:`h_to_v_with_facets` keeps, from
+    its homogenized ``rows`` and the zero sets of their conversion."""
+    n, m = p.dim, len(p.a)
     tight = [0] * (m + 1)
     for j, z in enumerate(zero_sets):
         bit = 1 << j
@@ -477,7 +512,7 @@ def h_to_v_with_facets(p: HPolyhedron) -> tuple[VPolyhedron, HPolyhedron]:
             low = z & -z
             tight[low.bit_length() - 1] |= bit
             z ^= low
-    every, t_set = (1 << len(rays)) - 1, tight[m]
+    every, t_set = (1 << len(zero_sets)) - 1, tight[m]
     others = [t for t in tight[:m] if t != every]
     kept, seen = [], set()
     for i, t in enumerate(tight[:m]):
@@ -493,8 +528,8 @@ def h_to_v_with_facets(p: HPolyhedron) -> tuple[VPolyhedron, HPolyhedron]:
             seen.add(key)
             kept.append(i)
     if len(kept) == m:
-        return v, p
-    return v, HPolyhedron(tuple(p.a[i] for i in kept), tuple(p.b[i] for i in kept), n)
+        return p
+    return HPolyhedron(tuple(p.a[i] for i in kept), tuple(p.b[i] for i in kept), n)
 
 
 def _homogenized_v(
@@ -519,13 +554,7 @@ def _v_form(p: HPolyhedron, rays, lin, work: Work) -> VPolyhedron:
     """The V-form of p from the rays and lines of its homogenized cone; an
     empty p carries the Farkas certificate of its certificate LP."""
     n = p.dim
-    vertices = tuple(
-        tuple(map(int_fraction, r[:n]))
-        if r[n] == 1
-        else tuple(Fraction(x, r[n]) if x else ZERO for x in r[:n])
-        for r in rays
-        if r[n]
-    )
+    vertices = tuple(_point(r, n) for r in rays if r[n])
     if not vertices:
         cert = lp_solve(p.a, p.b, zeros(n), work).farkas
         return VPolyhedron((), (), (), n, empty_certificate=cert)
@@ -533,16 +562,49 @@ def _v_form(p: HPolyhedron, rays, lin, work: Work) -> VPolyhedron:
     return VPolyhedron(vertices, vrays, _fractions(v[:n] for v in lin), n)
 
 
+def _point(g: tuple[int, ...], n: int) -> Vec:
+    """The vertex ``x / t`` of the homogenized integer generator ``(x, t)``,
+    t > 0, as Fractions."""
+    t = g[n]
+    if t == 1:
+        return tuple(map(int_fraction, g[:n]))
+    return tuple(Fraction(x, t) if x else ZERO for x in g[:n])
+
+
+class IntVForm(NamedTuple):
+    """A V-polyhedron in R^dim by its primitive homogenized integer
+    generators: ``(x, t)`` with t > 0 for each vertex ``x / t``, ``(r, 0)``
+    for each ray and ``(l, 0)`` for each line.  No points is the empty
+    set."""
+
+    points: list[tuple[int, ...]]
+    rays: list[tuple[int, ...]]
+    lines: list[tuple[int, ...]]
+    dim: int
+
+    def cone(self) -> list[tuple[int, ...]]:
+        """The generators of the homogenized cone: the points, the rays, and
+        each line followed by its negative."""
+        gens = self.points + self.rays
+        for l in self.lines:
+            gens += [l, _neg(l)]
+        return gens
+
+
+def int_v_form(p: VPolyhedron) -> IntVForm:
+    """The :class:`IntVForm` of p, in the order of its vertices, rays and
+    lines."""
+    def ints(vs, t: Fraction) -> list[tuple[int, ...]]:
+        return [tuple(primitive_ints(v + (t,))) for v in vs]
+
+    return IntVForm(ints(p.vertices, ONE), ints(p.rays, ZERO), ints(p.lineality, ZERO), p.dim)
+
+
 def _v_to_h(p: VPolyhedron, work: Work) -> HPolyhedron:
     n = p.dim
     if p.is_empty:
         return HPolyhedron((zeros(n),), (-ONE,), n)
-    gens = [primitive_ints(v + (ONE,)) for v in p.vertices]
-    gens += [primitive_ints(r + (ZERO,)) for r in p.rays]
-    for l in p.lineality:
-        line = tuple(primitive_ints(l + (ZERO,)))
-        gens += [line, _neg(line)]
-    return _homogenized_h(gens, n, work)
+    return _homogenized_h(int_v_form(p).cone(), n, work)
 
 
 def _homogenized_h(gens, n: int, work: Work) -> HPolyhedron:
@@ -622,18 +684,60 @@ def intersect(p: HPolyhedron, q: HPolyhedron) -> HPolyhedron:
 
 
 def minkowski_sum(p: VPolyhedron, q: VPolyhedron) -> VPolyhedron:
+    """``p + q``: the vertices and rays are added on ints
+    (:func:`int_minkowski_sum`), and each distinct vertex sum is built as
+    Fractions once; the lineality is the greedy first independent lines of
+    p and q."""
     require_kind(p, VPolyhedron, "minkowski_sum takes VPolyhedra")
     require_kind(q, VPolyhedron, "minkowski_sum takes VPolyhedra")
     if p.dim != q.dim:
         raise DimensionMismatchError("sum of different ambient dimensions")
+    n = p.dim
     if p.is_empty or q.is_empty:
-        return VPolyhedron((), (), (), p.dim)
-    vertices = tuple(
-        dict.fromkeys(vadd(v, w) for v in p.vertices for w in q.vertices)
+        return VPolyhedron((), (), (), n)
+    s = int_minkowski_sum(int_v_form(p), int_v_form(q))
+    vertices = tuple(_point(g, n) for g in s.points)
+    rays = _fractions(r[:n] for r in s.rays)
+    return VPolyhedron(vertices, rays, tuple(basis_of_span(p.lineality + q.lineality, n)), n)
+
+
+def int_minkowski_sum(f: IntVForm, g: IntVForm) -> IntVForm:
+    """The :class:`IntVForm` of the sum of two polyhedra in one R^n: each
+    pair of points ``(x, t) + (y, u)`` is ``(u x + t y, t u)`` made
+    primitive, and the rays and lines are those of both, repeats of a point
+    or a ray merged in order."""
+    n = f.dim
+    if not f.points or not g.points:
+        return IntVForm([], [], [], n)
+    points = []
+    for x in f.points:
+        t = x[n]
+        for y in g.points:
+            u = y[n]
+            z = [u * a + t * b for a, b in zip(x, y)]
+            z[n] = t * u
+            points.append(int_primitive(z))
+    rays = list(dict.fromkeys(f.rays + g.rays))
+    return IntVForm(list(dict.fromkeys(points)), rays, f.lines + g.lines, n)
+
+
+def int_v_subset(inner: IntVForm, outer: IntVForm, work: Work) -> bool:
+    """Whether one polyhedron lies in another of its dimension, on ints:
+    whether each normal h of the outer's homogenized cone
+    (:func:`_int_cone_v_to_h`) has ``h . g <= 0`` at every point and ray g
+    of the inner and ``h . l = 0`` at every line l.  A normal ``(0, beta)``,
+    which the H-form drops, has beta <= 0 when the outer has a point, so
+    every point and ray meets it.  Only an empty inner lies in an empty
+    outer.  The dimension cap is :func:`dd_convert`'s, and the conversion
+    is charged to ``work``."""
+    _refuse_dim(outer.dim)
+    if not outer.points:
+        return not inner.points
+    normals = _int_cone_v_to_h(outer.cone(), outer.dim + 1, work)
+    gens = inner.points + inner.rays
+    return all(sum(map(mul, h, g)) <= 0 for h in normals for g in gens) and all(
+        not sum(map(mul, h, l)) for h in normals for l in inner.lines
     )
-    rays = tuple(dict.fromkeys(tuple(primitive(r) for r in p.rays + q.rays)))
-    lin = tuple(basis_of_span(p.lineality + q.lineality, p.dim))
-    return VPolyhedron(vertices, rays, lin, p.dim)
 
 
 def recession_cone(p: HPolyhedron) -> PolyCone:

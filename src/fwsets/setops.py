@@ -17,6 +17,13 @@ sections and the preimage work on the set's inequality form
 The order cancellation law (``A + K ⊆ B + K`` with compact K forces
 ``A ⊆ B``) is exposed as a checker over V-polyhedra so the property can be
 exercised directly.
+
+Fractions: the cancellation check builds none; it adds and tests the
+primitive homogenized integer generators of its V-polyhedra
+(:class:`polyhedra.IntVForm`).  A section reads its flat's rows once, and
+builds Fractions only where its decomposition and its cone's conversion
+return them; its kept rows are selected from the decomposition's zero sets
+when its ``hform`` is first read.
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ from .errors import (
 from .linalg import (
     ONE,
     basis_of_span,
-    dot,
     identity,
     is_zero,
     kernel_basis,
@@ -64,9 +70,11 @@ from .polyhedra import (
     HPolyhedron,
     PolyCone,
     VPolyhedron,
-    dd_convert,
+    Work,
+    int_minkowski_sum,
+    int_v_form,
+    int_v_subset,
     intersect as intersect_h,
-    minkowski_sum,
     same_cone,
 )
 from .quadratics import Quadratic
@@ -148,7 +156,11 @@ def product(f1: MotzkinSet, f2: MotzkinSet) -> MotzkinSet:
 
 def cone_intersect_subspace(d: PolyCone, l: AffineManifold) -> PolyCone:
     """Generators of ``D ∩ L`` from the stacked halfspace system."""
-    rows, _ = l.inequalities()
+    return _cone_section(d, l.inequalities()[0])
+
+
+def _cone_section(d: PolyCone, rows) -> PolyCone:
+    """``D ∩ L`` for the rows of L's inequality form."""
     return PolyCone.from_halfspaces(d.halfspaces + rows, d.dim)
 
 
@@ -184,11 +196,11 @@ def intersect_subspace_motzkin(f: MotzkinSet, l: AffineManifold) -> MotzkinSet:
         section = decompose(stacked)
     except EmptySetError as exc:
         raise EmptySetError("the set does not meet the subspace", exc.certificate) from None
-    expected = cone_intersect_subspace(f.cone, l)
+    expected = _cone_section(f.cone, eq_rows)
     if not same_cone(section.cone, expected):
         raise FwsetsError("recomposed cone differs from the intersected cone")
     result = MotzkinSet(section.compact, expected)
-    result.__dict__["hform"] = section.hform
+    result.__dict__["_kept_rows"] = section.__dict__["_kept_rows"]
     return result
 
 
@@ -237,29 +249,21 @@ def order_cancellation_check(
     """Evaluate both sides of the cancellation law on concrete data.
 
     Returns ``(A + K ⊆ B + K, A ⊆ B)``; the law asserts the first forces
-    the second when K is compact (here: a polytope).
+    the second when K is compact (here: a polytope).  Both sums and both
+    inclusions are decided on the integer generators
+    (:func:`polyhedra.int_minkowski_sum`, :func:`polyhedra.int_v_subset`),
+    and the two conversions of the outer sides share one work budget.
     """
     for v in (a, b, k):
         require_kind(v, VPolyhedron, "order_cancellation_check takes VPolyhedra")
     if k.rays or k.lineality:
         raise UnsupportedKindError("the cancellation summand must be a polytope")
-    sum_a = minkowski_sum(a, k)
-    sum_b = minkowski_sum(b, k)
-    return _vpoly_subset(sum_a, sum_b), _vpoly_subset(a, b)
-
-
-def _vpoly_subset(inner: VPolyhedron, outer: VPolyhedron) -> bool:
-    h = dd_convert(outer)
-    for v in inner.vertices:
-        if not h.contains(v):
-            return False
-    for r in inner.rays:
-        if any(dot(row, r) > 0 for row in h.a):
-            return False
-    for l in inner.lineality:
-        if any(dot(row, l) != 0 for row in h.a):
-            return False
-    return True
+    if a.dim != k.dim or b.dim != k.dim:
+        raise DimensionMismatchError("sum of different ambient dimensions")
+    ints_a, ints_b, ints_k = map(int_v_form, (a, b, k))
+    work = Work()
+    sums = int_v_subset(int_minkowski_sum(ints_a, ints_k), int_minkowski_sum(ints_b, ints_k), work)
+    return sums, int_v_subset(ints_a, ints_b, work)
 
 
 def union_set(members) -> UnionSet:
@@ -280,6 +284,7 @@ def minimize_on_descriptor(
     its lower bound from the least member bound, an exact member's bound
     being its value; the verdict is exact only when that bound is the value.
     """
+    require_kind(q, Quadratic, "minimize_on_descriptor takes a Quadratic")
     if isinstance(s, MotzkinSet):
         return minimize_on_motzkin(q, s, tol)
     if isinstance(s, HPolyhedron):

@@ -3,12 +3,14 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 import pytest
 
 from fwsets import polyhedra
 from fwsets.errors import DimensionMismatchError, SizeCapError
-from fwsets.linalg import dot, mat, primitive, vec, zeros
+from fwsets.linalg import dot, int_kernel_basis, int_primitive, int_rref, mat, primitive, vec, zeros
 from fwsets.motzkin import MotzkinSet, PolytopeK
 from fwsets.polyhedra import (
     HPolyhedron,
@@ -582,3 +584,129 @@ def test_conversions_near_the_budget_finish_in_bounded_time():
         else:
             assert convert() == size
         assert time.perf_counter() - start < 20
+
+
+# ---------------------------------------------------------------------------
+# the seed of double description against its earlier form
+# ---------------------------------------------------------------------------
+
+
+def _reference_double_description(rows, d, work):
+    """double_description with its seed written as it was before the seed
+    ran on int lists: every moved line and ray a tuple made primitive by
+    ``linalg.int_primitive``."""
+    rows = [int_primitive(r) for r in rows]
+    lines = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    rays = []
+    seed = []
+    for t, a in enumerate(rows):
+        vals = [sum(map(mul, a, x)) for x in lines]
+        k = next((i for i, v in enumerate(vals) if v), None)
+        if k is None:
+            continue
+        l0, v0 = lines.pop(k), vals.pop(k)
+        s = 1 if v0 > 0 else -1
+        lines = [_reference_along(x, s * v, l0, abs(v0)) for x, v in zip(lines, vals)]
+        rays = [_reference_along(x, s * sum(map(mul, a, x)), l0, abs(v0)) for x in rays]
+        rays.append(tuple(-s * y for y in l0))
+        seed.append(t)
+        if not lines:
+            break
+    lin = []
+    if lines:
+        ech = [list(r) for r in rows if any(r)]
+        lin = int_kernel_basis(ech, int_rref(ech), d)
+        basis = [list(v) for v in lin]
+        for p, b in zip(int_rref(basis), basis):
+            if b[p] < 0:
+                b = [-y for y in b]
+            rays = [_reference_along(x, x[p], b, b[p]) for x in rays]
+
+    rank = len(rays)
+    all_seed = sum(1 << i for i in seed)
+    zero_sets = [all_seed & ~(1 << i) for i in seed]
+    for t, row in enumerate(rows):
+        bit = 1 << t
+        if all_seed & bit or not any(row):
+            continue
+        vals = [sum(map(mul, row, r)) for r in rays]
+        pos_idx = [i for i, v in enumerate(vals) if v > 0]
+        neg_idx = [i for i, v in enumerate(vals) if v < 0]
+        work.charge(rank * len(vals) + len(pos_idx) * len(neg_idx), "double description")
+        if not pos_idx:
+            for i, v in enumerate(vals):
+                if v == 0:
+                    zero_sets[i] |= bit
+            continue
+        new_rays, new_zsets = [], []
+        for i, v in enumerate(vals):
+            if v <= 0:
+                new_rays.append(rays[i])
+                new_zsets.append(zero_sets[i] | bit if v == 0 else zero_sets[i])
+        for p in pos_idx:
+            for q in neg_idx:
+                common = zero_sets[p] & zero_sets[q]
+                if common.bit_count() < rank - 2:
+                    continue
+                work.charge(len(zero_sets), "double description")
+                for k, zs in enumerate(zero_sets):
+                    if common & zs == common and k != p and k != q:
+                        break
+                else:
+                    vp, vq, rp, rq = vals[p], vals[q], rays[p], rays[q]
+                    combo = [vp * y - vq * x for x, y in zip(rp, rq)]
+                    g = gcd(*combo)
+                    if g:
+                        new_rays.append(tuple(x // g for x in combo))
+                        new_zsets.append(common | bit)
+        rays, zero_sets = new_rays, new_zsets
+    return rays, lin, zero_sets
+
+
+def _reference_along(x, f, l, c):
+    return x if not f else int_primitive([c * y - f * z for y, z in zip(x, l)])
+
+
+def _dd_row_sets(rng, count):
+    """Seeded integer row sets of widths 1-6: random rows, some confined to
+    a subspace (so the cone has lines), with zero, repeated and rescaled
+    rows mixed in, and some rows of 40-digit entries."""
+    cases = []
+    for _ in range(count):
+        d = rng.randint(1, 6)
+        m = rng.randint(0, 2 * d + 3)
+        if rng.random() < 0.3:  # rows in a subspace of dimension < d: lines
+            span = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(rng.randint(1, max(1, d - 1)))]
+            rows = [[sum(rng.randint(-2, 2) * v[j] for v in span) for j in range(d)] for _ in range(m)]
+        else:
+            rows = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(m)]
+        if rows and rng.random() < 0.3:  # a repeated row and a rescaled one
+            rows.append(list(rng.choice(rows)))
+            rows.append([rng.choice((2, 3, -1, -5)) * x for x in rng.choice(rows)])
+        if rows and rng.random() < 0.15:  # 40-digit entries
+            big = rng.randrange(10**39, 10**40)
+            rows[rng.randrange(len(rows))] = [x * big + rng.randint(-1, 1) for x in rows[0]]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            rows.insert(rng.randint(0, len(rows)), [0] * d)
+        rng.shuffle(rows)
+        cases.append(([tuple(r) if rng.random() < 0.5 else r for r in rows], d))
+    return cases
+
+
+def test_double_description_matches_its_earlier_seed():
+    # rays in order, the lineality basis, the zero sets and the work charged
+    # are those of the seed written on tuples, so that no refusal moves
+    seen = {"lines": 0, "lines and rays": 0, "zero rows": 0, "40 digits": 0, "many rays": 0}
+    for rows, d in _dd_row_sets(random.Random(20261022), 2400):
+        work, ref_work = polyhedra.Work(), polyhedra.Work()
+        got = polyhedra.double_description(rows, d, work)
+        ref = _reference_double_description(rows, d, ref_work)
+        assert got == ref, (rows, d)
+        assert work.units == ref_work.units, (rows, d)
+        assert all(type(r) is tuple for r in got[0] + got[1]), (rows, d)
+        seen["lines"] += bool(got[1])
+        seen["lines and rays"] += bool(got[1]) and len(got[0]) > 1
+        seen["zero rows"] += any(not any(r) for r in rows)
+        seen["40 digits"] += any(abs(x) >= 10**39 for r in rows for x in r)
+        seen["many rays"] += len(got[0]) > d
+    assert min(seen.values()) >= 100, seen

@@ -13,6 +13,8 @@ from fwsets import cone_qp
 from fwsets.asymptotes import Epigraph1D, QuadSublevel, classify_fw_set
 from fwsets.errors import DimensionMismatchError, EmptySetError, FwsetsError, UnsupportedKindError
 from fwsets.linalg import (
+    ONE,
+    basis_of_span,
     dot,
     identity,
     kernel_basis,
@@ -20,6 +22,7 @@ from fwsets.linalg import (
     primitive,
     solve,
     unit,
+    vadd,
     vec,
     vscale,
     vsub,
@@ -269,6 +272,25 @@ def test_public_set_operations_answer_or_refuse_any_set_kind(entry, kind):
     else:
         with pytest.raises(UnsupportedKindError):
             call(_QP_KINDS[kind])
+
+
+# each public minimizer, called with a set of the kind it takes where its
+# quadratic goes
+_QUADRATIC_SLOTS = {
+    "minimize_on_motzkin": lambda s: minimize_on_motzkin(s, _SET_KINDS["polytope"]),
+    "minimize_on_descriptor": lambda s: minimize_on_descriptor(s, _SET_KINDS["hpolyhedron"]),
+    "minimize_over_hpolyhedron": lambda s: cone_qp.minimize_over_hpolyhedron(s, _SET_KINDS["hpolyhedron"]),
+    "minimize_on_polyhedral_cone": lambda s: cone_qp.minimize_on_polyhedral_cone(s, orthant(3)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_QP_KINDS))
+@pytest.mark.parametrize("entry", sorted(_QUADRATIC_SLOTS))
+def test_minimizers_refuse_a_set_where_the_quadratic_goes(entry, kind):
+    # each raised a bare AttributeError on a set in its first argument
+    with pytest.raises(UnsupportedKindError, match="takes a Quadratic"):
+        _QUADRATIC_SLOTS[entry](_QP_KINDS[kind])
+    _QUADRATIC_SLOTS[entry](_Q3)
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +637,145 @@ def test_cancellation_law_has_no_violations():
         sums, bases = order_cancellation_check(a, b, k)
         if sums:
             assert bases
+
+
+# The sums, inclusions and sections as they were written in Fractions,
+# before they ran on the integer generators.
+
+
+def _reference_minkowski_sum(p, q):
+    if p.is_empty or q.is_empty:
+        return VPolyhedron((), (), (), p.dim)
+    vertices = tuple(dict.fromkeys(vadd(v, w) for v in p.vertices for w in q.vertices))
+    rays = tuple(dict.fromkeys(tuple(primitive(r) for r in p.rays + q.rays)))
+    lin = tuple(basis_of_span(p.lineality + q.lineality, p.dim))
+    return VPolyhedron(vertices, rays, lin, p.dim)
+
+
+def _reference_subset(inner, outer):
+    h = dd_convert(outer)
+    for v in inner.vertices:
+        if not h.contains(v):
+            return False
+    for r in inner.rays:
+        if any(dot(row, r) > 0 for row in h.a):
+            return False
+    for l in inner.lineality:
+        if any(dot(row, l) != 0 for row in h.a):
+            return False
+    return True
+
+
+def _reference_cancellation(a, b, k):
+    if k.rays or k.lineality:
+        raise UnsupportedKindError("the cancellation summand must be a polytope")
+    sum_a = _reference_minkowski_sum(a, k)
+    sum_b = _reference_minkowski_sum(b, k)
+    return _reference_subset(sum_a, sum_b), _reference_subset(a, b)
+
+
+def _reference_section(f, l):
+    """The section and its kept rows."""
+    (h,) = polyhedral_forms(f)
+    eq_rows = tuple(r for row in l.a for r in (row, vscale(-ONE, row)))
+    eq_rhs = tuple(v for rhs in l.b for v in (rhs, -rhs))
+    section = decompose(HPolyhedron(h.a + eq_rows, h.b + eq_rhs, f.dim))
+    expected = PolyCone.from_halfspaces(f.cone.halfspaces + eq_rows, f.dim)
+    assert all(map(expected.contains, section.cone.generators))
+    assert all(map(section.cone.contains, expected.generators))
+    return MotzkinSet(section.compact, expected), section.hform
+
+
+def _outcome(call, *args):
+    """What a call returns, or the type and certificate of what it raises."""
+    try:
+        return call(*args)
+    except (EmptySetError, UnsupportedKindError) as exc:
+        return type(exc), getattr(exc, "certificate", None)
+
+
+def _rational(rng, lo, hi):
+    return F(rng.randint(lo * 6, hi * 6), rng.choice((1, 1, 2, 3, 6)))
+
+
+def _seeded_vpolyhedron(rng, n, vertices=True):
+    """Rational vertices (none: the empty V-form), and now and then rays
+    and lines."""
+    def vectors(count, lo, hi, den):
+        return [tuple(F(rng.randint(lo, hi), rng.randint(1, den)) for _ in range(n)) for _ in range(count)]
+
+    pts = [tuple(_rational(rng, -2, 2) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+    rays = vectors(rng.randint(0, 2), -2, 2, 3)
+    lin = vectors(rng.randint(0, 1), -1, 1, 2)
+    rays = [r for r in rays if any(r)] if rng.random() < 0.4 else []
+    lin = [v for v in lin if any(v)] if rng.random() < 0.25 else []
+    return VPolyhedron(pts if vertices else (), rays, lin, n)
+
+
+def _wider(rng, v):
+    """v with a point, a ray or a line more, or v itself."""
+    n, pts, rays, lin = v.dim, list(v.vertices), list(v.rays), list(v.lineality)
+    extra = tuple(_rational(rng, -2, 2) for _ in range(n))
+    choice = rng.randrange(4)
+    if choice == 0 or (pts and choice == 3):
+        pts.append(extra)
+    elif any(extra) and choice == 1:
+        rays.append(extra)
+    elif any(extra) and choice == 2:
+        lin.append(extra)
+    return VPolyhedron(pts, rays, lin, n)
+
+
+def test_integer_sums_and_sections_match_the_fraction_forms():
+    # order_cancellation_check, minkowski_sum and intersect_subspace_motzkin
+    # give the values, refusals and kept rows of the forms written in
+    # Fractions, on rational vertices, rays, lines and empty V-forms
+    rng = random.Random(20261022)
+    seen = {"sums in": 0, "bases in": 0, "empty": 0, "lines": 0,
+            "refused": 0, "sections": 0, "sections empty": 0}
+    for _ in range(700):
+        n = rng.randint(1, 4)
+        a = _seeded_vpolyhedron(rng, n, rng.random() > 0.08)
+        b = _wider(rng, a) if rng.random() < 0.4 else _seeded_vpolyhedron(rng, n, rng.random() > 0.08)
+        k = _seeded_vpolyhedron(rng, n, rng.random() > 0.05)
+        if rng.random() < 0.9:
+            k = VPolyhedron(k.vertices, (), (), n)
+        for p, q in ((a, k), (b, k), (a, b)):
+            got = minkowski_sum(p, q)
+            assert got == _reference_minkowski_sum(p, q), (p, q)
+            assert all(type(x) is F for v in got.vertices + got.rays + got.lineality for x in v)
+        got = _outcome(order_cancellation_check, a, b, k)
+        assert got == _outcome(_reference_cancellation, a, b, k), (a, b, k)
+        if got[0] is UnsupportedKindError:
+            seen["refused"] += 1
+            continue
+        sums, bases = got
+        seen["sums in"] += sums
+        seen["bases in"] += bases
+        # the law: A + K in B + K forces A in B when A and K are nonempty
+        assert bases or not sums or a.is_empty or k.is_empty
+        seen["empty"] += a.is_empty or b.is_empty or k.is_empty
+        seen["lines"] += bool(a.lineality or b.lineality)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        v = _seeded_vpolyhedron(rng, n)
+        f = MotzkinSet(PolytopeK(v.vertices), PolyCone.from_generators(v.rays + v.lineality, n))
+        basis = [
+            tuple(F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n))
+            for _ in range(rng.randint(1, n))
+        ]
+        if rng.random() < 0.5:
+            basis[0] = v.vertices[0] if any(v.vertices[0]) else basis[0]
+        l = subspace(basis, n)
+        got = _outcome(intersect_subspace_motzkin, f, l)
+        ref = _outcome(_reference_section, f, l)
+        if isinstance(got, MotzkinSet):
+            assert (got, got.hform) == ref, (f, l)
+            seen["sections"] += 1
+        else:
+            assert got == ref, (f, l)
+            seen["sections empty"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 # ---------------------------------------------------------------------------
